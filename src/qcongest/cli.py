@@ -457,6 +457,10 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
                 "seed", "reps", "out", "in_path", "x_col", "y_col", "edge_prob"):
         if hasattr(args, key) and getattr(args, key) is not None:
             setattr(cfg, key, getattr(args, key))
+    if cfg.p is not None and cfg.p < 2:
+        raise UsageError("--p must be >= 2")
+    if cfg.q is not None and cfg.q < 3:
+        raise UsageError("--q must be >= 3")
     if getattr(args, "graph", None):
         cfg.graph_path = args.graph
     if getattr(args, "gen", None):

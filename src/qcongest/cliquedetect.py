@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cliquelist import CliqueInventory, list_kp, listing_route_rounds
-from .graph import Graph
+from .graph import Graph, range_mask
 from .intmath import ceil_div, ceil_pow, ceil_scaled_pow
 from .netsim import CliqueNet, CostLedger, KnowledgeState
 from .qsearch import (
@@ -99,43 +99,54 @@ def id_ranges(n: int, count: int) -> Tuple[range, ...]:
     return tuple(parts)
 
 
-def range_mask(r: range) -> int:
-    mask = 0
-    for v in r:
-        mask |= 1 << v
-    return mask
-
-
 def _density(n: int, m: int) -> Fraction:
     pairs = n * (n - 1) // 2
     return Fraction(m, pairs) if pairs else Fraction(0)
 
 
-def _inventory_masks(graph: Graph, inv: CliqueInventory) -> List[int]:
-    """Common-neighborhood masks of the union inventory.
+# Extension stages need only common-neighborhood masks, not member tuples:
+# growing a clique by node w maps its mask c to c & adj(w).  Some listed
+# clique extends by a node of part P iff any(c & P for c in masks), which
+# equals reach & P for reach the OR of the masks, so each last-level check
+# is one AND against a precomputed reach mask.
 
-    Extension stages only ever need the common neighborhoods, not the
-    member tuples: growing a clique by node w maps its mask c to
-    c & adj(w).
+
+def _extend_masks(adj: List[int], masks: List[int], part_mask: int) -> List[int]:
+    """Masks of the one-node extensions drawn from part_mask.
+
+    Extensions with an empty common mask are left out: they extend no
+    further and add nothing to any reach mask.
     """
-    return inv.mask_list(graph)
-
-
-def _extend_masks(graph: Graph, masks: List[int], part_mask: int) -> List[int]:
-    """Masks of all one-node extensions drawn from part_mask."""
     out: List[int] = []
-    adj = graph.adj_mask
     for common in masks:
         cand = common & part_mask
         while cand:
             low = cand & -cand
             cand ^= low
-            out.append(common & adj(low.bit_length() - 1))
+            grown = common & adj[low.bit_length() - 1]
+            if grown:
+                out.append(grown)
     return out
 
 
-def _any_extension(masks: List[int], part_mask: int) -> bool:
-    return any(common & part_mask for common in masks)
+def _reach(masks: List[int]) -> int:
+    """OR of the masks: every node that extends some clique by one."""
+    reach = 0
+    for common in masks:
+        reach |= common
+    return reach
+
+
+def _extension_reach(adj: List[int], masks: List[int], part_mask: int) -> int:
+    """_reach(_extend_masks(adj, masks, part_mask)), without the list."""
+    reach = 0
+    for common in masks:
+        cand = common & part_mask
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            reach |= common & adj[low.bit_length() - 1]
+    return reach
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +200,18 @@ def detect_triangle_quintic(
             for v in part[lo : lo + size]:
                 mask |= 1 << v
         batch_masks.append(mask)
-    edges = graph.edges()
+    # apexes: nodes adjacent to both ends of some edge, i.e. triangle members
+    adj = graph.adj_masks()
+    apex = 0
+    for u, adj_u in enumerate(adj):
+        higher = adj_u >> (u + 1)
+        while higher:
+            low = higher & -higher
+            higher ^= low
+            apex |= adj_u & adj[u + low.bit_length()]
 
     def checker(ell: int) -> Tuple[bool, int]:
-        w_mask = batch_masks[ell]
-        for u, v in edges:
-            if graph.adj_mask(u) & graph.adj_mask(v) & w_mask:
-                return True, query_rounds
-        return False, query_rounds
+        return bool(apex & batch_masks[ell]), query_rounds
 
     outcome = run_search(domain, checker, ledger, params, seed=seed,
                          phase="triangle/search")
@@ -249,12 +264,12 @@ def detect_plus1(
         if inv.p != p:
             raise ValueError(f"inventory holds {inv.p}-cliques, need {p}")
         ledger.charge("kp-listing", "clique", "route", listing_route_rounds(n, graph.m, p))
-    masks = _inventory_masks(graph, inv)
+    reach = _reach(inv.mask_list(graph))
     domain, query_rounds = _plus1_costs(n, graph.m, p)
     batch_masks = [range_mask(r) for r in id_ranges(n, domain)]
 
     def checker(i: int) -> Tuple[bool, int]:
-        return _any_extension(masks, batch_masks[i]), query_rounds
+        return bool(reach & batch_masks[i]), query_rounds
 
     outcome = run_search(domain, checker, ledger, params, seed=seed,
                          phase="plus1/search")
@@ -328,18 +343,26 @@ def detect_nested(
         if inv.p != p:
             raise ValueError(f"inventory holds {inv.p}-cliques, need {p}")
         ledger.charge("kp-listing", "clique", "route", listing_route_rounds(n, graph.m, p))
-    base_masks = _inventory_masks(graph, inv)
+    base_masks = inv.mask_list(graph)
     partitions = nested_level_partitions(n, p, t)
     part_masks = [[range_mask(r) for r in lp.parts] for lp in partitions]
     sizes, setup_rounds, check_rounds = _nested_costs(n, graph.m, p, t)
+    adj = graph.adj_masks()
 
-    # stack[i] holds the union inventory masks after absorbing levels 1..i
-    stack: List[List[int]] = [base_masks] + [[] for _ in range(t)]
+    # stack[i] holds the union inventory masks after absorbing levels 1..i;
+    # the checker needs only the reach of stack[t-1], which the level t-1
+    # setup computes in place of the list
+    stack: List[List[int]] = [base_masks] + [[] for _ in range(t - 2)]
+    reach = _reach(base_masks) if t == 1 else 0
 
     def make_setup(level_idx: int):
         def setup(prefix: Tuple[int, ...]) -> int:
+            nonlocal reach
             mask = part_masks[level_idx][prefix[-1]]
-            stack[level_idx + 1] = _extend_masks(graph, stack[level_idx], mask)
+            if level_idx == t - 2:
+                reach = _extension_reach(adj, stack[level_idx], mask)
+            else:
+                stack[level_idx + 1] = _extend_masks(adj, stack[level_idx], mask)
             return setup_rounds[level_idx]
 
         return setup
@@ -350,8 +373,7 @@ def detect_nested(
     ]
 
     def checker(tup: Tuple[int, ...]) -> Tuple[bool, int]:
-        mask = part_masks[t - 1][tup[-1]]
-        return _any_extension(stack[t - 1], mask), check_rounds
+        return bool(reach & part_masks[t - 1][tup[-1]]), check_rounds
 
     plan = NestedSearchPlan(levels=levels, checker=checker, params=params)
     outcome = run_nested_search(plan, ledger, seed=seed, phase="nested/search")
@@ -412,13 +434,27 @@ def extend_blackbox(
     n = graph.n
     sizes, setup_rounds, check_rounds = _blackbox_costs(n, t, packing)
     parts = [[range_mask(r) for r in id_ranges(n, sizes[i])] for i in range(t)]
-    base_masks = _inventory_masks(graph, inv)
-    stack: List[List[int]] = [base_masks] + [[] for _ in range(t)]
+    base_masks = inv.mask_list(graph)
+    adj = graph.adj_masks()
+
+    # stack[i] holds the union inventory masks after absorbing levels 1..i.
+    # Level t's extensions exist iff reach(stack[t-1]) meets its part, so
+    # the level t-1 setup computes that reach in place of stack[t-1], and
+    # the level t setup only records its part.
+    stack: List[List[int]] = [base_masks] + [[] for _ in range(t - 2)]
+    reach = _reach(base_masks) if t == 1 else 0
+    last_part = 0
 
     def make_setup(level_idx: int):
         def setup(prefix: Tuple[int, ...]) -> int:
+            nonlocal reach, last_part
             mask = parts[level_idx][prefix[-1]]
-            stack[level_idx + 1] = _extend_masks(graph, stack[level_idx], mask)
+            if level_idx == t - 1:
+                last_part = mask
+            elif level_idx == t - 2:
+                reach = _extension_reach(adj, stack[level_idx], mask)
+            else:
+                stack[level_idx + 1] = _extend_masks(adj, stack[level_idx], mask)
             return setup_rounds[level_idx]
 
         return setup
@@ -426,7 +462,7 @@ def extend_blackbox(
     levels = [SearchLevel(sizes[i], make_setup(i)) for i in range(t)]
 
     def checker(tup: Tuple[int, ...]) -> Tuple[bool, int]:
-        return bool(stack[t]), check_rounds
+        return bool(reach & last_part), check_rounds
 
     plan = NestedSearchPlan(levels=levels, checker=checker, params=params)
     outcome = run_nested_search(plan, ledger, seed=seed, phase="blackbox/search")
@@ -501,7 +537,7 @@ def extend_sparse(
     n, m = graph.n, graph.m
     if m == 0:
         return False
-    masks = _inventory_masks(graph, inv)
+    masks = inv.mask_list(graph)
     found, rounds, queries = _sparse_search(graph, masks, t, params)
     _merge_stats(stats, queries)
     ledger.charge("sparse/search", "clique", "quantum", rounds)
@@ -523,6 +559,7 @@ def _sparse_search(
         y_analytic, query = _sparse_base_costs(n, m)
         batching = degree_batching(degrees, target=n)
         y = len(batching.batches)
+        reach = _reach(masks)
         found = False
         queries = 0
         for batch in batching.batches:
@@ -530,7 +567,7 @@ def _sparse_search(
             bmask = 0
             for v in batch:
                 bmask |= 1 << v
-            if _any_extension(masks, bmask):
+            if reach & bmask:
                 found = True
                 break
         return found, grover_cost(y, query, params), queries
@@ -541,6 +578,7 @@ def _sparse_search(
     batches = list(batching.batches)[:x]
     while len(batches) < x:
         batches.append(tuple())
+    adj = graph.adj_masks()
     found = False
     queries = 0
     inner_rounds: Optional[int] = None
@@ -549,7 +587,7 @@ def _sparse_search(
         bmask = 0
         for v in batch:
             bmask |= 1 << v
-        grown = _extend_masks(graph, masks, bmask)
+        grown = _extend_masks(adj, masks, bmask)
         sub_found, sub_rounds, sub_queries = _sparse_search(graph, grown, t - 1, params)
         queries += sub_queries
         if inner_rounds is None:

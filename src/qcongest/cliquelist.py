@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from .graph import CliqueSet, Graph
+from .graph import CliqueSet, Graph, _bits, range_mask
 from .intmath import ceil_div, ceil_root, ceil_scaled_pow
 from .netsim import CostLedger, KnowledgeState, RoutingDemand, route_lenzen
 
@@ -44,54 +44,74 @@ class TupleAssignment:
 
 
 class CliqueInventory:
-    """Per-node collections of listed p-cliques.
+    """Listed p-cliques as flat parallel lists of bitmasks.
 
-    The lister also records each clique's common-neighborhood bitmask;
-    extension algorithms start from those instead of recomputing.
+    Entry i is the clique whose members are the set bits of
+    member_masks[i], listed by node owners[i]; commons[i] is the bitmask of
+    nodes adjacent to every member, or None for a clique added without one.
+    Extension algorithms need only the common masks; member tuples are
+    decoded on demand, for dumps and tests.
     """
 
     def __init__(self, p: int, n: int):
         self.p = p
         self.n = n
-        self.per_node: Dict[int, Set[Tuple[int, ...]]] = {}
-        self._common: Dict[Tuple[int, ...], int] = {}
+        self.owners: List[int] = []
+        self.member_masks: List[int] = []
+        self.commons: List[Optional[int]] = []
+        # list_kp lists every clique once, under the owner of its group
+        # signature; add() may list a clique under several owners
+        self._one_entry_per_clique = True
 
     def add(self, node: int, clique: Tuple[int, ...], common: Optional[int] = None) -> None:
-        self.per_node.setdefault(node, set()).add(clique)
-        if common is not None:
-            self._common[clique] = common
+        """Give node the clique; the views treat a repeated entry as one."""
+        mask = 0
+        for v in clique:
+            mask |= 1 << v
+        self.owners.append(node)
+        self.member_masks.append(mask)
+        self.commons.append(common)
+        self._one_entry_per_clique = False
+
+    @property
+    def per_node(self) -> Dict[int, Set[Tuple[int, ...]]]:
+        """owner -> its listed cliques, as ascending node tuples."""
+        out: Dict[int, Set[Tuple[int, ...]]] = {}
+        for owner, mask in zip(self.owners, self.member_masks):
+            out.setdefault(owner, set()).add(tuple(_bits(mask)))
+        return out
+
+    def _common_by_member_mask(self, graph) -> Dict[int, int]:
+        """member mask -> common mask, one entry per distinct clique."""
+        out: Dict[int, Optional[int]] = {}
+        for mask, common in zip(self.member_masks, self.commons):
+            if out.get(mask) is None:
+                out[mask] = common
+        full = (1 << self.n) - 1
+        for mask, common in out.items():
+            if common is None:
+                common = full
+                for v in _bits(mask):
+                    common &= graph.adj_mask(v)
+                out[mask] = common
+        return out
 
     def common_masks(self, graph) -> Dict[Tuple[int, ...], int]:
         """clique -> bitmask of nodes adjacent to every member."""
-        out: Dict[Tuple[int, ...], int] = {}
-        full = (1 << self.n) - 1
-        for clique in self.union_members():
-            cached = self._common.get(clique)
-            if cached is None:
-                cached = full
-                for v in clique:
-                    cached &= graph.adj_mask(v)
-            out[clique] = cached
-        return out
+        return {tuple(_bits(mask)): common
+                for mask, common in self._common_by_member_mask(graph).items()}
 
     def mask_list(self, graph) -> List[int]:
         """Common-neighborhood masks of the union, one per distinct clique."""
-        if len(self._common) == sum(len(s) for s in self.per_node.values()):
-            # every clique was listed with its mask by exactly one owner
-            return list(self._common.values())
-        return list(self.common_masks(graph).values())
+        if self._one_entry_per_clique:
+            return self.commons
+        return list(self._common_by_member_mask(graph).values())
 
     def union(self) -> CliqueSet:
-        members: Set[Tuple[int, ...]] = set()
-        for cliques in self.per_node.values():
-            members.update(cliques)
-        return CliqueSet(p=self.p, members=frozenset(members))
+        return CliqueSet(p=self.p, members=frozenset(self.union_members()))
 
     def union_members(self) -> Set[Tuple[int, ...]]:
-        members: Set[Tuple[int, ...]] = set()
-        for cliques in self.per_node.values():
-            members.update(cliques)
-        return members
+        return {tuple(_bits(mask)) for mask in set(self.member_masks)}
 
     @classmethod
     def from_cliques(cls, p: int, n: int, cliques: Iterable[Tuple[int, ...]],
@@ -103,9 +123,10 @@ class CliqueInventory:
 
     def dump(self) -> str:
         """Debug format: one line 'v: u1 u2 ... up' per listed clique, sorted."""
+        per_node = self.per_node
         lines = []
-        for v in sorted(self.per_node):
-            for clique in sorted(self.per_node[v]):
+        for v in sorted(per_node):
+            for clique in sorted(per_node[v]):
                 lines.append(f"{v}: " + " ".join(str(u) for u in clique))
         return "\n".join(lines) + ("\n" if lines else "")
 
@@ -155,7 +176,7 @@ def list_kp(
         raise ValueError("p must be >= 2")
     n = graph.n
     ta = tuple_assignment(n, p)
-    group_masks = [_range_mask(g) for g in ta.groups]
+    group_masks = [range_mask(g) for g in ta.groups]
     transfer = None
     if knowledge is not None:
         # each owner learns every slot inside its multisets' group union
@@ -169,50 +190,52 @@ def list_kp(
     route_lenzen(ledger, demand, n, phase=phase, knowledge=knowledge,
                  transfer=transfer)
     inv = CliqueInventory(p, n)
+    adj = graph.adj_masks()
+    full = (1 << n) - 1
     for rank, ms in enumerate(ta.multisets):
-        owner = ta.owner(rank)
-        for clique, common in _multiset_cliques(graph, ta.groups, group_masks, ms):
-            inv.add(owner, clique, common)
+        before = len(inv.member_masks)
+        _list_multiset([group_masks[gi] for gi in ms],
+                       [i > 0 and ms[i - 1] == ms[i] for i in range(p)],
+                       adj, full, inv.member_masks, inv.commons)
+        inv.owners.extend([ta.owner(rank)] * (len(inv.member_masks) - before))
     return inv
 
 
-def _range_mask(r: range) -> int:
-    mask = 0
-    for v in r:
-        mask |= 1 << v
-    return mask
+def _list_multiset(
+    slot_masks: List[int],
+    repeats: List[bool],
+    adj: List[int],
+    full: int,
+    member_masks: List[int],
+    commons: List[int],
+) -> None:
+    """Append the member and common masks of every clique of one multiset.
 
-
-def _multiset_cliques(
-    graph: Graph,
-    groups: Sequence[range],
-    group_masks: Sequence[int],
-    ms: Tuple[int, ...],
-) -> Iterable[Tuple[Tuple[int, ...], int]]:
-    """Yield (p-clique, common-neighborhood mask) with one node per slot.
-
-    Repeated group indices take ascending combinations within the group, so
-    each clique with this group signature appears exactly once.  The common
-    mask falls out of the candidate intersection at the last slot.
+    Slot i takes one node of the group with mask slot_masks[i].  Where
+    slot i repeats the previous slot's group (repeats[i]) its node must be
+    higher, so each clique with this group signature is listed once.  The
+    common mask is the candidate intersection after the last slot.
     """
-    p = len(ms)
+    last = len(slot_masks) - 1
+    add_member, add_common = member_masks.append, commons.append
 
-    def rec(slot: int, chosen: Tuple[int, ...], common: int):
-        if slot == p:
-            yield chosen, common
+    def rec(slot: int, chosen: int, common: int, prev: int) -> None:
+        cand = common & slot_masks[slot]
+        if repeats[slot]:
+            cand &= -(prev << 1)  # nodes above the previous slot's node
+        if slot == last:
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                add_member(chosen | low)
+                add_common(common & adj[low.bit_length() - 1])
             return
-        gi = ms[slot]
-        cand = common & group_masks[gi]
-        if slot > 0 and ms[slot - 1] == gi:
-            # same group as previous slot: enforce ascending node order
-            cand &= ~((1 << (chosen[-1] + 1)) - 1)
-        mm = cand
-        while mm:
-            low = mm & -mm
-            v = low.bit_length() - 1
-            mm ^= low
-            yield from rec(slot + 1, chosen + (v,), common & graph.adj_mask(v))
+        nxt_mask = slot_masks[slot + 1]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            nxt = common & adj[low.bit_length() - 1]
+            if nxt & nxt_mask:
+                rec(slot + 1, chosen | low, nxt, low)
 
-    full = (1 << graph.n) - 1
-    for clique, common in rec(0, (), full):
-        yield tuple(sorted(clique)), common
+    rec(0, 0, full, 0)

@@ -60,6 +60,10 @@ class Graph:
     def adj_mask(self, v: int) -> int:
         return self._adj_masks[v]
 
+    def adj_masks(self) -> List[int]:
+        """Every node's adjacency bitmask, indexed by node (a fresh list)."""
+        return list(self._adj_masks)
+
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self._adj_masks[u] >> v & 1)
 
@@ -82,6 +86,13 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def range_mask(r: range) -> int:
+    """Bitmask of the nodes in a contiguous (step 1) range."""
+    if r.step != 1:
+        raise ValueError("range_mask needs a step-1 range")
+    return ((1 << len(r)) - 1) << r.start
 
 
 @dataclass(frozen=True)

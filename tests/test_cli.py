@@ -16,6 +16,19 @@ from qcongest.cli import (
 )
 
 
+# invalid invocations: each must exit 2 with an "error:" line, no traceback
+USAGE_ERRORS = [
+    ["detect-clique", "--q", "4"],  # no graph source
+    ["sweep", "--algo", "nosuch", "--n-list", "8,16,32"],
+    ["list", "--p", "1", "--gen", "gnp,10,0.5,0,1"],
+    ["list", "--p", "0", "--gen", "gnp,10,0.5,0,1"],
+    ["detect-clique", "--q", "2", "--gen", "gnp,10,0.5,0,1"],
+    ["verify", "--q", "2", "--trials", "1"],
+    ["sweep", "--algo", "plus1", "--p", "1", "--n-list", "64,128"],
+    ["sweep", "--algo", "auto", "--q", "2", "--n-list", "64,128"],
+]
+
+
 class TestFitSlope:
     def test_exact_power_law(self):
         xs = [2**k for k in range(10, 17)]
@@ -102,8 +115,9 @@ class TestCommands:
         assert all(r.found is not None for r in rows)
 
     def test_usage_errors_exit_2(self, capsys):
-        assert main(["detect-clique", "--q", "4"]) == 2  # no graph source
-        assert main(["sweep", "--algo", "nosuch", "--n-list", "8,16,32"]) == 2
+        for argv in USAGE_ERRORS:
+            assert main(argv) == 2, argv
+            assert capsys.readouterr().err.startswith("error: "), argv
 
     def test_determinism_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

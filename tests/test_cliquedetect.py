@@ -83,6 +83,14 @@ class TestExtendBlackbox:
         got = extend_blackbox(g, inv, 1, CostLedger())
         assert got == oracle_has_extension(g, inv, 1)
 
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    @pytest.mark.parametrize("prob,seed", [(0.3, 4), (0.5, 5)])
+    def test_every_depth_matches_extension_oracle(self, t, prob, seed):
+        g = gnp(40, prob, seed)
+        inv = list_kp(g, 3, CostLedger())
+        got = extend_blackbox(g, inv, t, CostLedger())
+        assert got == oracle_has_extension(g, inv, t)
+
     def test_partial_inventory_is_respected(self):
         # extension is relative to the inventory, not all cliques
         edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]

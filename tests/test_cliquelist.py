@@ -7,6 +7,7 @@ import pytest
 
 from qcongest.cli import fit_slope
 from qcongest.cliquelist import (
+    CliqueInventory,
     list_kp,
     listing_route_rounds,
     tuple_assignment,
@@ -93,6 +94,29 @@ class TestListKp:
                 counts[c] = counts.get(c, 0) + 1
         assert counts and set(counts.values()) == {1}
 
+    @pytest.mark.parametrize("n,p,prob,seed", [
+        (20, 2, 0.5, 11), (37, 3, 0.4, 12), (50, 4, 0.5, 13), (64, 3, 0.2, 14),
+    ])
+    def test_entries_match_oracle_and_signatures(self, n, p, prob, seed):
+        # every (owner, members, common) entry follows from the oracle's
+        # cliques, the owner of their group signature, and the adjacency
+        g = gnp(n, prob, seed)
+        ta = tuple_assignment(n, p)
+        group_of = {v: gi for gi, grp in enumerate(ta.groups) for v in grp}
+        rank = {ms: r for r, ms in enumerate(ta.multisets)}
+        expected = set()
+        for clique in oracle_cliques(g, p).members:
+            common = (1 << n) - 1
+            for v in clique:
+                common &= g.adj_mask(v)
+            owner = ta.owner(rank[tuple(sorted(group_of[v] for v in clique))])
+            expected.add((owner, clique, common))
+        inv = list_kp(g, p, CostLedger())
+        commons = inv.common_masks(g)
+        got = {(owner, c, commons[c]) for owner, cs in inv.per_node.items() for c in cs}
+        assert got == expected
+        assert sorted(inv.mask_list(g)) == sorted(c for _, _, c in expected)
+
     def test_dump_format(self):
         g = generate(GenSpec(kind="complete", n=4))
         inv = list_kp(g, 3, CostLedger())
@@ -100,6 +124,19 @@ class TestListKp:
         for line in dump.splitlines():
             owner, nodes = line.split(": ")
             assert len(nodes.split()) == 3
+
+
+class TestHandBuiltInventory:
+    def test_repeats_count_once(self):
+        # K4 on 0..3: each view treats a repeated (node, clique) as one entry
+        g = generate(GenSpec(kind="complete", n=4))
+        inv = CliqueInventory.from_cliques(3, 4, [(0, 1, 2), (2, 1, 0), (1, 2, 3)])
+        inv.add(1, (0, 1, 2))
+        assert inv.per_node == {0: {(0, 1, 2), (1, 2, 3)}, 1: {(0, 1, 2)}}
+        assert inv.union().members == {(0, 1, 2), (1, 2, 3)}
+        assert inv.common_masks(g) == {(0, 1, 2): 0b1000, (1, 2, 3): 0b0001}
+        assert sorted(inv.mask_list(g)) == [0b0001, 0b1000]
+        assert inv.dump() == "0: 0 1 2\n0: 1 2 3\n1: 0 1 2\n"
 
 
 class TestListingCost:
