@@ -210,6 +210,8 @@ def run_detect_cycle(cfg: ExperimentConfig) -> List[ResultRow]:
     if cfg.ell is None:
         raise UsageError("detect-cycle needs --ell")
     graph = _resolve_graph(cfg)
+    if cfg.ell > graph.n:
+        raise UsageError(f"--ell {cfg.ell} exceeds the graph's n = {graph.n}")
     ledger = CostLedger()
     stats: Dict[str, int] = {}
     params = cfg.quantum_params()
@@ -461,6 +463,8 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         raise UsageError("--p must be >= 2")
     if cfg.q is not None and cfg.q < 3:
         raise UsageError("--q must be >= 3")
+    if cfg.ell is not None and cfg.ell < (5 if cfg.ell % 2 else 4):
+        raise UsageError("--ell must be even and >= 4, or odd and >= 5")
     if getattr(args, "graph", None):
         cfg.graph_path = args.graph
     if getattr(args, "gen", None):
@@ -469,6 +473,10 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         cfg.c_grover = args.c_grover
     if getattr(args, "fail_prob", None) is not None:
         cfg.fail_prob = args.fail_prob
+    try:
+        cfg.quantum_params()
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad --c-grover, --reps or --fail-prob: {exc}") from None
     if hasattr(args, "packing"):
         cfg.packing = args.packing == "on"
     if getattr(args, "json", False):

@@ -33,7 +33,7 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 
 import numpy as np
 
-from .graph import CycleEnumerationLimit, Graph, iter_cycles
+from .graph import CycleEnumerationLimit, Graph, iter_cycles, two_core
 from .intmath import ceil_pow, ceil_scaled_pow
 from .netsim import CongestNet, CostLedger, congest_step
 from .qsearch import (
@@ -190,8 +190,15 @@ def protocol_detect_once(
     only the first M ids it has received.  For even lengths, detection is a
     color-(len/2) node holding the same id from both chains; for odd
     lengths, an edge between the two chain endpoints holding a common id.
+
+    Steps that would carry no word are not simulated, so `ledger` is
+    charged only for the steps that can move one: nothing when no source
+    has color 0, and per phase as many steps as the longest forward queue
+    (at most M).  The caller charges the protocol's full rounds.
     """
     ell = cfg.cycle_len
+    if not any(colors.get(v) == 0 for v in cfg.sources):
+        return False
     ledger = ledger if ledger is not None else CostLedger()
     net = net if net is not None else CongestNet(graph)
     m_bound = cfg.congestion_bound
@@ -229,7 +236,7 @@ def protocol_detect_once(
             cv = color(v)
             if cv in (up_color, down_color):
                 queues[v] = received[v][:m_bound]
-        for step in range(m_bound):
+        for step in range(max(map(len, queues.values()), default=0)):
             outbox = []
             for v in sorted(queues):
                 q = queues[v]
@@ -308,7 +315,10 @@ def measure_congestion(graph: Graph, cfg: ColorBfsConfig) -> Dict[int, int]:
 
 
 def _qualifying_patterns(
-    graph: Graph, cfg: ColorBfsConfig
+    graph: Graph,
+    cfg: ColorBfsConfig,
+    core: Optional[int] = None,
+    stats: Optional[Dict[str, int]] = None,
 ) -> Tuple[List[Tuple[Tuple[int, ...], int]], bool]:
     """(anchored cycles that can fire, congestion_exceeded flag).
 
@@ -316,25 +326,37 @@ def _qualifying_patterns(
     neighbors sit at height <= the anchor's, all nodes are active, and no
     cycle node's measured congestion exceeds M.  Congestion-hit cycles are
     dropped (counted against completeness, never soundness).
+
+    `core` is a mask of active nodes that holds every cycle of the active
+    subgraph, such as its 2-core; the enumeration runs inside it.  Without
+    it, the enumeration runs over the whole active set.  Congestion is
+    measured only when there are more than M sources: m(v) <= |sources|,
+    so with at most M sources no cycle is dropped.  `stats` counts the
+    queries whose patterns were cut short: `enumeration_truncated` when a
+    source hit CYCLE_ENUM_LIMIT, `pattern_capped` when _PATTERN_CAP
+    stopped the enumeration.
     """
     ell = cfg.cycle_len
-    active_mask = 0
-    for v in cfg.active:
-        active_mask |= 1 << v
-    congestion = measure_congestion(graph, cfg)
+    if core is None:
+        core = 0
+        for v in cfg.active:
+            core |= 1 << v
+    congestion = (measure_congestion(graph, cfg)
+                  if len(cfg.sources) > cfg.congestion_bound else None)
     out: List[Tuple[Tuple[int, ...], int]] = []
-    exceeded = False
+    exceeded = truncated = capped = False
     seen: Set[Tuple[int, ...]] = set()
     for src in sorted(cfg.sources):
         try:
-            for cyc in iter_cycles(graph, ell, active_mask=active_mask,
+            for cyc in iter_cycles(graph, ell, active_mask=core,
                                    through=src, limit=CYCLE_ENUM_LIMIT):
                 # distinct cycles may share a node set; canonicalize the sequence
                 canon = _canonical_cycle(cyc)
                 if canon in seen:
                     continue
                 seen.add(canon)
-                if any(congestion[v] > cfg.congestion_bound for v in cyc):
+                if congestion is not None and any(
+                        congestion[v] > cfg.congestion_bound for v in cyc):
                     exceeded = True
                     continue
                 for pos, v in enumerate(cyc):
@@ -349,9 +371,14 @@ def _qualifying_patterns(
         except CycleEnumerationLimit:
             # keep the cycles gathered so far: sampling over a subset of the
             # detection events stays sound, only completeness is understated
-            pass
+            truncated = True
         if len(out) >= _PATTERN_CAP:
+            capped = True
             break
+    if stats is not None:
+        for key, hit in (("enumeration_truncated", truncated), ("pattern_capped", capped)):
+            if hit:
+                stats[key] = stats.get(key, 0) + 1
     return out[:_PATTERN_CAP], exceeded
 
 
@@ -370,15 +397,17 @@ def event_detect_once(
 def _event_found(
     graph: Graph, cfg: ColorBfsConfig, seed_parts: Tuple,
     record: Optional[Dict[str, int]] = None,
+    core: Optional[int] = None,
 ) -> bool:
     """Did any of cfg.repetitions random colorings detect?  Exact sampling.
 
     Only colors of nodes on qualifying cycles matter; everything else is
     independent of the detection event, so the sampling restricts to them.
     Cycles whose nodes exceed the congestion bound were dropped upstream;
-    `record` counts those runs (they reduce completeness, never soundness).
+    `record` counts those runs (they reduce completeness, never soundness)
+    and the truncations of `_qualifying_patterns`, which `core` restricts.
     """
-    patterns, exceeded = _qualifying_patterns(graph, cfg)
+    patterns, exceeded = _qualifying_patterns(graph, cfg, core, record)
     if record is not None and exceeded:
         record["congestion_dropped"] = record.get("congestion_dropped", 0) + 1
     if not patterns:
@@ -477,12 +506,13 @@ def detect_odd_cycle(
     reps = odd_cycle_repetitions(n, ell)
     query_rounds = reps * color_bfs_rep_rounds(ell, 1) + net.converge_cost(1)
     all_nodes = frozenset(range(n))
+    core = two_core(graph, (1 << n) - 1)
 
     def checker(v: int) -> Tuple[bool, int]:
         cfg = ColorBfsConfig(cycle_len=ell, active=all_nodes, sources=frozenset({v}),
                              heights=None, congestion_bound=1, repetitions=reps)
         if engine == "event":
-            found = _event_found(graph, cfg, ("odd", seed, v))
+            found = _event_found(graph, cfg, ("odd", seed, v), record=stats, core=core)
         else:
             found, _ = color_bfs(net, cfg, seed=_derive_seed("odd", seed, v),
                                  engine="protocol")
@@ -599,13 +629,16 @@ def detect_even_cycle(
     heavy_query_rounds = reps * color_bfs_rep_rounds(two_k, 1) + net.converge_cost(1)
     heavy_found = False
     if heavy:
+        heavy_core = two_core(graph, (1 << n) - 1)
+
         def heavy_checker(i: int) -> Tuple[bool, int]:
             v = heavy[i]
             cfg = ColorBfsConfig(cycle_len=two_k, active=all_nodes,
                                  sources=frozenset({v}), heights=None,
                                  congestion_bound=1, repetitions=reps)
             if engine == "event":
-                found = _event_found(graph, cfg, ("even-heavy", seed, v))
+                found = _event_found(graph, cfg, ("even-heavy", seed, v), record=stats,
+                                     core=heavy_core)
             else:
                 found, _ = color_bfs(net, cfg, seed=_derive_seed("even-heavy", seed, v),
                                      engine="protocol")
@@ -634,6 +667,7 @@ def detect_even_cycle(
     m_bound = ecp.a_cong * max(1, math.ceil(math.log2(max(n, 2))))
     light_query_rounds = reps * color_bfs_rep_rounds(two_k, m_bound) + net.converge_cost(1)
     light_active = frozenset(light)
+    light_core = two_core(graph, sum(1 << v for v in light))
 
     def light_checker(i: int) -> Tuple[bool, int]:
         srcs = frozenset(v for v in light_sorted if indices[v] == i)
@@ -641,7 +675,8 @@ def detect_even_cycle(
                              heights=heights, congestion_bound=m_bound,
                              repetitions=reps)
         if engine == "event":
-            found = _event_found(graph, cfg, ("even-light", seed, i), record=stats)
+            found = _event_found(graph, cfg, ("even-light", seed, i), record=stats,
+                                 core=light_core)
         else:
             found, _ = color_bfs(net, cfg, seed=_derive_seed("even-light", seed, i),
                                  engine="protocol")

@@ -331,43 +331,102 @@ def iter_cycles(
 
     With `through`, only cycles containing that node, anchored there;
     otherwise anchored at their minimum node.  Direction is canonicalized by
-    requiring the second node to be smaller than the last.
+    requiring the second node to be smaller than the last.  Cycles come out
+    in the order of a depth-first search that tries neighbors in ascending
+    order.
+
+    The search is over bitmasks and prunes exactly: the node at path
+    position k lies within length - k hops of the anchor (the rest of the
+    cycle leads back there), so its candidates are ANDed with the anchor's
+    ball of that radius, and the last node must also exceed the second.
+    Only branches that close no cycle are cut, so the cycles, their order
+    and the point where `limit` raises are those of the unpruned search.
     """
     if length < 3:
         return
     n = graph.n
+    adj = graph._adj_masks
     full = (1 << n) - 1
-    active = full if active_mask is None else active_mask
+    active = full if active_mask is None else active_mask & full
     count = 0
 
-    def dfs(anchor: int, path: List[int], visited: int, low_floor: int) -> Iterator[Tuple[int, ...]]:
+    def from_anchor(anchor: int, allowed: int) -> Iterator[Tuple[int, ...]]:
         nonlocal count
-        if len(path) == length:
-            if graph.has_edge(path[-1], anchor) and path[1] < path[-1]:
-                count += 1
-                if limit is not None and count > limit:
-                    raise CycleEnumerationLimit(
-                        f"more than {limit} cycles of length {length}"
-                    )
-                yield tuple(path)
-            return
-        for u in graph.neighbors(path[-1]):
-            if u <= low_floor or visited >> u & 1 or not active >> u & 1:
+        # ball[r]: allowed nodes within r hops of the anchor, through allowed nodes
+        reach = frontier = adj[anchor] & allowed
+        ball = [0, reach]
+        for _ in range(2, length):
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                nxt |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = nxt & allowed & ~reach
+            reach |= frontier
+            ball.append(reach)
+        path = [anchor]
+        visited = 1 << anchor
+        # stack[k - 1]: untried candidates for path position k
+        stack = [ball[1]]
+        while stack:
+            cand = stack[-1]
+            if not cand:
+                stack.pop()
+                visited ^= 1 << path.pop()
                 continue
-            path.append(u)
-            yield from dfs(anchor, path, visited | (1 << u), low_floor)
-            path.pop()
+            low = cand & -cand
+            stack[-1] = cand ^ low
+            path.append(low.bit_length() - 1)
+            visited |= low
+            k = len(path)
+            nxt = adj[path[-1]] & ball[length - k] & ~visited
+            if k == length - 1:
+                # the last node closes the cycle (it is in ball[1]) and exceeds path[1]
+                last = nxt & ~((2 << path[1]) - 1)
+                while last:
+                    bit = last & -last
+                    count += 1
+                    if limit is not None and count > limit:
+                        raise CycleEnumerationLimit(
+                            f"more than {limit} cycles of length {length}"
+                        )
+                    yield tuple(path) + (bit.bit_length() - 1,)
+                    last ^= bit
+                visited ^= low
+                path.pop()
+            else:
+                stack.append(nxt)
 
     if through is not None:
-        if not active >> through & 1:
-            return
-        yield from dfs(through, [through], 1 << through, -1)
+        if active >> through & 1:
+            yield from from_anchor(through, active & ~(1 << through))
     else:
-        for s in range(n):
-            if not active >> s & 1:
-                continue
+        for s in _bits(active):
             # min-node anchoring: only use nodes above s
-            yield from dfs(s, [s], 1 << s, s)
+            yield from from_anchor(s, active & ~((2 << s) - 1))
+
+
+def two_core(graph: Graph, mask: int) -> int:
+    """The 2-core of the subgraph induced by `mask`, as a mask.
+
+    Peels nodes of degree < 2 with one queue (Batagelj and Zaversnik,
+    2003).  Every cycle of the induced subgraph lies inside its 2-core.
+    """
+    adj = graph._adj_masks
+    degree = {}
+    queue = []
+    for v in _bits(mask):
+        degree[v] = d = (adj[v] & mask).bit_count()
+        if d < 2:
+            queue.append(v)
+    core = mask
+    for v in queue:
+        core &= ~(1 << v)
+        for u in _bits(adj[v] & core):
+            degree[u] -= 1
+            if degree[u] == 1:
+                queue.append(u)
+    return core
 
 
 class CycleEnumerationLimit(RuntimeError):

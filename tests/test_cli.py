@@ -26,6 +26,12 @@ USAGE_ERRORS = [
     ["verify", "--q", "2", "--trials", "1"],
     ["sweep", "--algo", "plus1", "--p", "1", "--n-list", "64,128"],
     ["sweep", "--algo", "auto", "--q", "2", "--n-list", "64,128"],
+    ["detect-cycle", "--ell", "3", "--gen", "planted_cycle,8,0.0,5,1"],
+    ["detect-cycle", "--ell", "9", "--gen", "planted_cycle,8,0.0,5,1"],
+    ["detect-cycle", "--ell", "4", "--gen", "path,3,0,0,0"],
+    ["detect-cycle", "--ell", "5", "--reps", "0", "--gen", "planted_cycle,8,0.0,5,1"],
+    ["detect-cycle", "--ell", "5", "--fail-prob", "1.5", "--gen", "planted_cycle,8,0.0,5,1"],
+    ["detect-cycle", "--ell", "5", "--c-grover", "abc", "--gen", "planted_cycle,8,0.0,5,1"],
 ]
 
 

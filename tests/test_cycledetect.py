@@ -10,6 +10,7 @@ import pytest
 from qcongest.cli import fit_slope
 from qcongest.cycledetect import (
     ColorBfsConfig,
+    EvenCycleParams,
     color_bfs,
     color_bfs_rep_rounds,
     detect_even_cycle,
@@ -24,7 +25,7 @@ from qcongest.cycledetect import (
     repetitions_for,
     single_rep_success,
 )
-from qcongest.graph import GenSpec, Graph, generate
+from qcongest.graph import GenSpec, Graph, generate, oracle_has_cycle, two_core
 from qcongest.netsim import CongestNet, CostLedger
 from qcongest.qsearch import grover_cost
 
@@ -334,6 +335,24 @@ class TestCongestionDrops:
         assert record.get("congestion_dropped", 0) == 1
         assert not found  # dropped cycles count against completeness only
 
+    def test_one_source_more_than_m_is_measured(self):
+        # C4 on 0..3 plus leaves 4, 5 at node 0: with ell = 4 a node's
+        # congestion is its number of source neighbours, and node 0 has
+        # four, one more than M = 3, so the only C4 is dropped
+        from qcongest.cycledetect import _event_found
+
+        g = Graph(6, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (0, 5)])
+        cfg = all_active_cfg(g, 4, sources=[1, 3, 4, 5], reps=5000, m=3)
+        assert measure_congestion(g, cfg)[0] == 4
+        record = {}
+        assert not _event_found(g, cfg, ("drop-test-3",), record=record)
+        assert record == {"congestion_dropped": 1}
+        # one source fewer: m(v) <= |sources| = M, nothing is dropped
+        cfg = all_active_cfg(g, 4, sources=[1, 3, 4], reps=5000, m=3)
+        record = {}
+        assert _event_found(g, cfg, ("drop-test-3",), record=record)
+        assert record == {}
+
     def test_single_source_never_exceeds_m1(self):
         from qcongest.cycledetect import _event_found
 
@@ -483,3 +502,124 @@ class TestEvenHeavyStage:
         assert detect_even_cycle(g, 4, CostLedger(), seed=0)
         g6 = cycle_graph(6)
         assert detect_even_cycle(g6, 6, CostLedger(), seed=0)
+
+
+def polarity_graph(q):
+    """Erdos-Renyi polarity graph ER_q, q prime: points of PG(2, q), joined
+    when orthogonal.  C4-free, n = q^2 + q + 1, degrees q and q + 1."""
+    points = [p for p in itertools.product(range(q), repeat=3)
+              if any(p) and p[next(i for i in range(3) if p[i])] == 1]
+    edges = [(i, j) for i, a in enumerate(points) for j in range(i + 1, len(points))
+             if sum(x * y for x, y in zip(a, points[j])) % q == 0]
+    return Graph(len(points), edges)
+
+
+def random_bipartite(n, avg_degree, seed):
+    rng = random.Random(seed)
+    side = [rng.random() < 0.5 for _ in range(n)]
+    prob = 2.0 * avg_degree / n
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if side[u] != side[v] and rng.random() < prob])
+
+
+def girth_above(n, ell, avg_degree, seed):
+    """G(n, p) minus every edge that would close a cycle of length <= ell."""
+    rng = random.Random(seed)
+    prob = avg_degree / (n - 1)
+    candidates = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < prob]
+    adj = [set() for _ in range(n)]
+    kept = []
+    for u, v in candidates:
+        near, frontier = {u}, [u]
+        for _ in range(ell - 1):
+            frontier = [w for x in frontier for w in adj[x] if w not in near]
+            near.update(frontier)
+        if v not in near:
+            adj[u].add(v)
+            adj[v].add(u)
+            kept.append((u, v))
+    return Graph(n, kept)
+
+
+class TestCycleRichSoundness:
+    """Many cycles, none of the target length: the 2-core keeps every node
+    that matters, so the detectors really search, and none may fire."""
+
+    @staticmethod
+    def assert_never_fires(g, ell, seeds, engine="event"):
+        assert two_core(g, (1 << g.n) - 1), "the family must keep cycles"
+        detect = detect_odd_cycle if ell % 2 else detect_even_cycle
+        for seed in seeds:
+            stats = {}
+            assert not detect(g, ell, CostLedger(), seed=seed, engine=engine,
+                              stats=stats), (g, ell, seed)
+            assert stats["queries"] > 0
+
+    @pytest.mark.parametrize("ell", [5, 7])
+    def test_bipartite_graphs_have_no_odd_cycles(self, ell):
+        for n, seed in ((24, 1), (48, 2), (72, 3)):
+            g = random_bipartite(n, 4.0, seed)
+            assert oracle_has_cycle(g, 4) or oracle_has_cycle(g, 6)
+            self.assert_never_fires(g, ell, range(4))
+
+    @pytest.mark.parametrize("q", [3, 5, 7])
+    def test_polarity_graphs_have_no_c4(self, q):
+        g = polarity_graph(q)
+        assert g.n == q * q + q + 1
+        assert not oracle_has_cycle(g, 4) and oracle_has_cycle(g, 5)
+        self.assert_never_fires(g, 4, range(4))
+        # with the default delta = 0 for C4 every non-isolated node is heavy;
+        # delta = 9/10 makes every node light, so the forest decomposition
+        # (whose failure would answer True) and the multi-source light
+        # search also run on the densest C4-free graphs
+        light = EvenCycleParams(k=2, delta=Fraction(9, 10))
+        for seed in range(3):
+            assert not detect_even_cycle(g, 4, CostLedger(), seed=seed, ec_params=light)
+
+    def test_polarity_graph_on_the_protocol_engine(self):
+        self.assert_never_fires(polarity_graph(3), 4, range(2), engine="protocol")
+
+    @pytest.mark.parametrize("ell", [6, 7])
+    def test_girth_above_ell(self, ell):
+        for n, seed in ((32, 1), (64, 2)):
+            g = girth_above(n, ell, 4.0, seed)
+            assert not any(oracle_has_cycle(g, length) for length in range(3, ell + 1))
+            assert oracle_has_cycle(g, ell + 1) or oracle_has_cycle(g, ell + 2)
+            self.assert_never_fires(g, ell, range(4))
+
+
+class TestTruncationCounters:
+    def test_enumeration_limit_is_counted(self, monkeypatch):
+        from qcongest import cycledetect
+        from qcongest.cycledetect import _qualifying_patterns
+
+        g = generate(GenSpec(kind="complete", n=9))
+        cfg = all_active_cfg(g, 5, sources=[0, 1], m=9)
+        stats = {}
+        patterns, _ = _qualifying_patterns(g, cfg, stats=stats)
+        assert stats == {} and len(patterns) > 20
+        monkeypatch.setattr(cycledetect, "CYCLE_ENUM_LIMIT", 10)
+        patterns, _ = _qualifying_patterns(g, cfg, stats=stats)
+        assert stats == {"enumeration_truncated": 1}
+        assert 0 < len(patterns) <= 2 * 10 * 2  # two sources, two anchors each at most
+
+    def test_pattern_cap_is_counted(self, monkeypatch):
+        from qcongest import cycledetect
+        from qcongest.cycledetect import _qualifying_patterns
+
+        monkeypatch.setattr(cycledetect, "_PATTERN_CAP", 8)
+        g = generate(GenSpec(kind="complete", n=9))
+        stats = {}
+        patterns, _ = _qualifying_patterns(g, all_active_cfg(g, 5, m=9), stats=stats)
+        assert len(patterns) == 8
+        assert stats == {"pattern_capped": 1}
+
+    def test_detector_reports_truncation(self, monkeypatch):
+        from qcongest import cycledetect
+
+        monkeypatch.setattr(cycledetect, "CYCLE_ENUM_LIMIT", 3)
+        g = generate(GenSpec(kind="complete", n=9))
+        stats = {}
+        assert detect_odd_cycle(g, 5, CostLedger(), seed=0, stats=stats)
+        assert stats["enumeration_truncated"] >= 1
+        assert stats["enumeration_truncated"] <= stats["queries"]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qcongest.graph import (
     CliqueSet,
+    CycleEnumerationLimit,
     GenSpec,
     Graph,
     GraphFormatError,
@@ -19,6 +20,7 @@ from qcongest.graph import (
     oracle_has_cycle,
     oracle_has_extension,
     save_graph,
+    two_core,
 )
 
 
@@ -227,3 +229,117 @@ class TestOracleCycles:
         # K4 has 3 distinct 4-cycles
         assert len(list(iter_cycles(g, 4))) == 3
         assert len(list(iter_cycles(g, 3))) == 4
+
+
+def reference_cycles(graph, length, active_mask=None, through=None, limit=None):
+    """Plain DFS over sorted neighbor tuples, no pruning: the reference order."""
+    if length < 3:
+        return
+    active = (1 << graph.n) - 1 if active_mask is None else active_mask
+    count = 0
+
+    def dfs(anchor, path, visited, low_floor):
+        nonlocal count
+        if len(path) == length:
+            if graph.has_edge(path[-1], anchor) and path[1] < path[-1]:
+                count += 1
+                if limit is not None and count > limit:
+                    raise CycleEnumerationLimit(f"more than {limit}")
+                yield tuple(path)
+            return
+        for u in graph.neighbors(path[-1]):
+            if u <= low_floor or visited >> u & 1 or not active >> u & 1:
+                continue
+            path.append(u)
+            yield from dfs(anchor, path, visited | (1 << u), low_floor)
+            path.pop()
+
+    if through is not None:
+        if active >> through & 1:
+            yield from dfs(through, [through], 1 << through, -1)
+    else:
+        for s in range(graph.n):
+            if active >> s & 1:
+                yield from dfs(s, [s], 1 << s, s)
+
+
+def drain(cycles):
+    """Every yielded cycle, then "limit" if the enumeration raised its limit."""
+    out = []
+    try:
+        out.extend(cycles)
+    except CycleEnumerationLimit:
+        out.append("limit")
+    return out
+
+
+class TestIterCyclesMatchesReference:
+    """The pruned mask DFS yields the reference's tuples in the same order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 13),
+           length=st.integers(3, 8), prob=st.sampled_from([0.2, 0.35, 0.6]),
+           through=st.booleans(), masked=st.booleans(),
+           limit=st.sampled_from([None, 1, 4, 25]))
+    def test_same_tuples_same_order(self, seed, n, length, prob, through, masked, limit):
+        import random
+
+        rng = random.Random(seed)
+        g = gnp(n, prob, seed)
+        kwargs = {"limit": limit}
+        if masked:
+            kwargs["active_mask"] = rng.getrandbits(n)
+        if through:
+            kwargs["through"] = rng.randrange(n)
+        assert drain(iter_cycles(g, length, **kwargs)) == drain(
+            reference_cycles(g, length, **kwargs))
+
+    def test_small_limit_raises_at_the_same_cycle(self):
+        g = generate(GenSpec(kind="complete", n=8))
+        for through in (None, 3):
+            got = drain(iter_cycles(g, 5, through=through, limit=7))
+            assert got == drain(reference_cycles(g, 5, through=through, limit=7))
+            assert len(got) == 8 and got[-1] == "limit"
+
+    def test_sparse_graphs_with_long_cycles(self):
+        for seed in range(6):
+            g = gnp(40, 3 / 40, seed)
+            for length in (4, 5, 6, 7, 9):
+                assert list(iter_cycles(g, length)) == list(reference_cycles(g, length))
+                for v in range(0, 40, 7):
+                    assert list(iter_cycles(g, length, through=v)) == list(
+                        reference_cycles(g, length, through=v))
+
+
+class TestTwoCore:
+    @staticmethod
+    def reference_core(g, mask):
+        alive = {v for v in range(g.n) if mask >> v & 1}
+        while True:
+            low = {v for v in alive if sum(u in alive for u in g.neighbors(v)) < 2}
+            if not low:
+                return sum(1 << v for v in alive)
+            alive -= low
+
+    def test_forest_and_cycle(self):
+        assert two_core(generate(GenSpec(kind="path", n=10)), (1 << 10) - 1) == 0
+        # a 5-cycle on 0..4 with a pendant path 4-5-6: the core is the cycle
+        g = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (4, 5), (5, 6)])
+        assert two_core(g, (1 << 7) - 1) == 0b11111
+        assert two_core(g, 0b1111110) == 0  # without node 0 the rest is a path
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(0, 16),
+           prob=st.sampled_from([0.1, 0.2, 0.4]))
+    def test_matches_repeated_peeling(self, seed, n, prob):
+        import random
+
+        g = gnp(n, prob, seed)
+        mask = random.Random(seed).getrandbits(n) if n else 0
+        assert two_core(g, mask) == self.reference_core(g, mask)
+        every = (1 << n) - 1
+        # every cycle lies inside the core
+        core = two_core(g, every)
+        for length in (3, 4, 5):
+            for cyc in iter_cycles(g, length):
+                assert all(core >> v & 1 for v in cyc)
