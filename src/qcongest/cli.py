@@ -186,6 +186,14 @@ def _resolve_graph(cfg: ExperimentConfig, seed: Optional[int] = None) -> Graph:
     raise UsageError("need --graph or --gen")
 
 
+def _plan(graph: Graph, cfg: ExperimentConfig) -> cliquedetect.DetectionPlan:
+    """The planned strategy; a --strategy that cannot run here is a usage error."""
+    try:
+        return cliquedetect.plan_strategy(graph.n, graph.m, cfg.q, cfg.strategy)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def run_detect_clique(cfg: ExperimentConfig) -> List[ResultRow]:
     if cfg.q is None:
         raise UsageError("detect-clique needs --q")
@@ -193,8 +201,7 @@ def run_detect_clique(cfg: ExperimentConfig) -> List[ResultRow]:
     ledger = CostLedger()
     stats: Dict[str, int] = {}
     params = cfg.quantum_params()
-    plan = cliquedetect.plan_strategy(graph.n, graph.m, cfg.q, cfg.strategy) \
-        if graph.m > 0 and cfg.q <= graph.n else None
+    plan = _plan(graph, cfg) if graph.m > 0 and cfg.q <= graph.n else None
     found = cliquedetect.detect_clique(
         graph, cfg.q, ledger, strategy=cfg.strategy, seed=cfg.seed,
         params=params, stats=stats, packing=cfg.packing,
@@ -256,6 +263,10 @@ def _sweep_pairs(cfg: ExperimentConfig) -> List[Tuple[int, int]]:
 def run_sweep(cfg: ExperimentConfig) -> List[ResultRow]:
     if cfg.algo is None:
         raise UsageError("sweep needs --algo")
+    if cfg.ell is not None and cfg.algo in ("odd-cycle", "even-cycle") \
+            and cfg.algo != ("odd-cycle" if cfg.ell % 2 else "even-cycle"):
+        parity = cfg.algo.split("-")[0]
+        raise UsageError(f"--algo {cfg.algo} needs an {parity} --ell, got {cfg.ell}")
     params = cfg.quantum_params()
     rows: List[ResultRow] = []
     if cfg.mode == "cost-only":
@@ -271,6 +282,8 @@ def run_sweep(cfg: ExperimentConfig) -> List[ResultRow]:
                 extra = {"p": p}
             elif cfg.algo == "nested":
                 p, t = cfg.p or 3, cfg.t or 1
+                if not cliquedetect.nested_feasible(p, t):
+                    raise UsageError(f"nested needs t <= 1 + log2(p-1), got p={p}, t={t}")
                 cliquedetect.nested_cost_only(n, m, p, t, ledger, params)
                 extra = {"p": p, "t": t}
             elif cfg.algo == "blackbox":
@@ -333,6 +346,7 @@ def run_verify(cfg: ExperimentConfig) -> Tuple[List[ResultRow], int]:
         else:
             spec = GenSpec(kind="gnp", n=n, edge_prob=probs[trial % 3], seed=seed)
         graph = generate(spec)
+        plan = _plan(graph, cfg)
         ledger = CostLedger()
         stats: Dict[str, int] = {}
         found = cliquedetect.detect_clique(
@@ -342,7 +356,6 @@ def run_verify(cfg: ExperimentConfig) -> Tuple[List[ResultRow], int]:
         truth = oracle_has_clique(graph, cfg.q)
         if found != truth:
             mismatches += 1
-        plan = cliquedetect.plan_strategy(graph.n, graph.m, cfg.q, cfg.strategy)
         ptext = _params_text(cfg, q=cfg.q, strategy=plan.strategy, p=plan.p,
                              t=plan.t, oracle=int(truth))
         rows.append(ResultRow.from_ledger(
@@ -463,6 +476,8 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         raise UsageError("--p must be >= 2")
     if cfg.q is not None and cfg.q < 3:
         raise UsageError("--q must be >= 3")
+    if cfg.t is not None and cfg.t < 1:
+        raise UsageError("--t must be >= 1")
     if cfg.ell is not None and cfg.ell < (5 if cfg.ell % 2 else 4):
         raise UsageError("--ell must be even and >= 4, or odd and >= 5")
     if getattr(args, "graph", None):
@@ -548,9 +563,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 return 3
             return 0
         if cfg.command == "fit":
-            with open(cfg.in_path, "r", encoding="utf-8") as fh:
-                rows = rows_from_csv(fh.read())
-            slope = fit_rows(rows, cfg.x_col, cfg.y_col)
+            try:
+                with open(cfg.in_path, "r", encoding="utf-8") as fh:
+                    rows = rows_from_csv(fh.read())
+                slope = fit_rows(rows, cfg.x_col, cfg.y_col)
+            except OSError as exc:
+                raise UsageError(f"cannot read --in: {exc}") from None
+            except (ValueError, KeyError, AttributeError) as exc:
+                raise UsageError(f"cannot fit {cfg.in_path}: {exc!r}") from None
             if cfg.json_out:
                 print(json.dumps({"slope": slope, "x": cfg.x_col, "y": cfg.y_col},
                                  sort_keys=True))

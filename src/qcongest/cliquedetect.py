@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cliquelist import CliqueInventory, list_kp, listing_route_rounds
-from .graph import Graph, range_mask
+from .graph import Graph, density, range_mask
 from .intmath import ceil_div, ceil_pow, ceil_scaled_pow
 from .netsim import CliqueNet, CostLedger, KnowledgeState
 from .qsearch import (
@@ -99,16 +99,12 @@ def id_ranges(n: int, count: int) -> Tuple[range, ...]:
     return tuple(parts)
 
 
-def _density(n: int, m: int) -> Fraction:
-    pairs = n * (n - 1) // 2
-    return Fraction(m, pairs) if pairs else Fraction(0)
-
-
 # Extension stages need only common-neighborhood masks, not member tuples:
 # growing a clique by node w maps its mask c to c & adj(w).  Some listed
 # clique extends by a node of part P iff any(c & P for c in masks), which
 # equals reach & P for reach the OR of the masks, so each last-level check
-# is one AND against a precomputed reach mask.
+# is one AND against a precomputed reach mask (CliqueInventory.reach for
+# the base inventory).
 
 
 def _extend_masks(adj: List[int], masks: List[int], part_mask: int) -> List[int]:
@@ -129,23 +125,31 @@ def _extend_masks(adj: List[int], masks: List[int], part_mask: int) -> List[int]
     return out
 
 
-def _reach(masks: List[int]) -> int:
-    """OR of the masks: every node that extends some clique by one."""
-    reach = 0
-    for common in masks:
-        reach |= common
-    return reach
+def _extension_reach(adj: List[int], masks: List[int], part_mask: int, ceiling: int) -> int:
+    """OR of _extend_masks(adj, masks, part_mask), without the list.
 
-
-def _extension_reach(adj: List[int], masks: List[int], part_mask: int) -> int:
-    """_reach(_extend_masks(adj, masks, part_mask)), without the list."""
+    ceiling must contain every mask.  An extension c & adj(w) by a node w
+    of the part lies in c and in adj(w), so the result lies in the nodes of
+    ceiling adjacent to some node of ceiling & part_mask; the scan stops as
+    soon as it has reached that bound.
+    """
+    bound = 0
+    part = ceiling & part_mask
+    while part:
+        low = part & -part
+        part ^= low
+        bound |= adj[low.bit_length() - 1]
+    bound &= ceiling
     reach = 0
     for common in masks:
         cand = common & part_mask
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            reach |= common & adj[low.bit_length() - 1]
+        if cand:
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                reach |= common & adj[low.bit_length() - 1]
+            if reach == bound:
+                break
     return reach
 
 
@@ -156,7 +160,7 @@ def _extension_reach(adj: List[int], masks: List[int], part_mask: int) -> int:
 
 def _triangle_costs(n: int, m: int) -> Tuple[int, int, int]:
     """(warmup route rounds, search domain, per-query rounds)."""
-    rho = _density(n, m)
+    rho = density(n, m)
     warmup = ceil_scaled_pow(n, Fraction(1, 5), rho)
     domain = ceil_pow(n, Fraction(2, 5))
     # query: learn E(A_i u A_j, Q_k^l): 2 * n^(3/5) * n^(2/5) * rho words
@@ -236,7 +240,7 @@ def triangle_cost_only(
 
 def _plus1_costs(n: int, m: int, p: int) -> Tuple[int, int]:
     """(search domain, per-query rounds) for the +1 extension search."""
-    rho = _density(n, m)
+    rho = density(n, m)
     domain = ceil_pow(n, Fraction(p - 1, p))
     # query: each owner learns E(T^v, Q_i): p * n^(1-1/p) * n^(1/p) * rho words
     query = ceil_scaled_pow(n, 0, p * rho) + 1
@@ -264,7 +268,7 @@ def detect_plus1(
         if inv.p != p:
             raise ValueError(f"inventory holds {inv.p}-cliques, need {p}")
         ledger.charge("kp-listing", "clique", "route", listing_route_rounds(n, graph.m, p))
-    reach = _reach(inv.mask_list(graph))
+    reach = inv.reach(graph)
     domain, query_rounds = _plus1_costs(n, graph.m, p)
     batch_masks = [range_mask(r) for r in id_ranges(n, domain)]
 
@@ -308,7 +312,7 @@ def nested_level_partitions(n: int, p: int, t: int) -> List[LevelPartition]:
 
 def _nested_costs(n: int, m: int, p: int, t: int) -> Tuple[List[int], List[int], int]:
     """(level domain sizes, setup rounds s_1..s_{t-1}, check rounds)."""
-    rho = _density(n, m)
+    rho = density(n, m)
     sizes: List[int] = []
     setups: List[int] = []
     for i in range(1, t + 1):
@@ -353,14 +357,15 @@ def detect_nested(
     # the checker needs only the reach of stack[t-1], which the level t-1
     # setup computes in place of the list
     stack: List[List[int]] = [base_masks] + [[] for _ in range(t - 2)]
-    reach = _reach(base_masks) if t == 1 else 0
+    ceiling = inv.reach(graph)  # contains every mask of every level
+    reach = ceiling if t == 1 else 0
 
     def make_setup(level_idx: int):
         def setup(prefix: Tuple[int, ...]) -> int:
             nonlocal reach
             mask = part_masks[level_idx][prefix[-1]]
             if level_idx == t - 2:
-                reach = _extension_reach(adj, stack[level_idx], mask)
+                reach = _extension_reach(adj, stack[level_idx], mask, ceiling)
             else:
                 stack[level_idx + 1] = _extend_masks(adj, stack[level_idx], mask)
             return setup_rounds[level_idx]
@@ -442,7 +447,8 @@ def extend_blackbox(
     # the level t-1 setup computes that reach in place of stack[t-1], and
     # the level t setup only records its part.
     stack: List[List[int]] = [base_masks] + [[] for _ in range(t - 2)]
-    reach = _reach(base_masks) if t == 1 else 0
+    ceiling = inv.reach(graph)  # contains every mask of every level
+    reach = ceiling if t == 1 else 0
     last_part = 0
 
     def make_setup(level_idx: int):
@@ -452,7 +458,7 @@ def extend_blackbox(
             if level_idx == t - 1:
                 last_part = mask
             elif level_idx == t - 2:
-                reach = _extension_reach(adj, stack[level_idx], mask)
+                reach = _extension_reach(adj, stack[level_idx], mask, ceiling)
             else:
                 stack[level_idx + 1] = _extend_masks(adj, stack[level_idx], mask)
             return setup_rounds[level_idx]
@@ -534,11 +540,9 @@ def extend_sparse(
     """Degree-batched extension; empty graphs short-circuit to False."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    n, m = graph.n, graph.m
-    if m == 0:
+    if graph.m == 0:
         return False
-    masks = inv.mask_list(graph)
-    found, rounds, queries = _sparse_search(graph, masks, t, params)
+    found, rounds, queries = _sparse_search(graph, inv, t, params)
     _merge_stats(stats, queries)
     ledger.charge("sparse/search", "clique", "quantum", rounds)
     if found and params.fail_prob > 0.0:
@@ -547,56 +551,68 @@ def extend_sparse(
     return found
 
 
+def _batch_mask(batch: Tuple[int, ...]) -> int:
+    mask = 0
+    for v in batch:
+        mask |= 1 << v
+    return mask
+
+
 def _sparse_search(
     graph: Graph,
-    masks: List[int],
+    inv: CliqueInventory,
     t: int,
     params: QuantumCostParams,
 ) -> Tuple[bool, int, int]:
+    """(found, rounds, queries) of the depth-t degree-batched search.
+
+    Level k >= 2 searches x_k degree batches and recurses, per batch, into
+    the one-node extensions drawn from it; level 1 searches batches of
+    degree sum about n for a node that extends some clique.  Level 1 needs
+    only the reach of its masks, so level 2 computes that reach directly.
+    Every level's batches depend on the degrees alone and are built once.
+    """
     n, m = graph.n, graph.m
     degrees = graph.degrees()
-    if t == 1:
-        y_analytic, query = _sparse_base_costs(n, m)
-        batching = degree_batching(degrees, target=n)
-        y = len(batching.batches)
-        reach = _reach(masks)
-        found = False
-        queries = 0
-        for batch in batching.batches:
-            queries += 1
-            bmask = 0
-            for v in batch:
-                bmask |= 1 << v
-            if reach & bmask:
-                found = True
-                break
-        return found, grover_cost(y, query, params), queries
-
-    x = _sparse_level_x(n, m, t)
-    bcast = _sparse_bcast_rounds(n, m, x)
-    batching = degree_batching(degrees, target=max(1, ceil_div(2 * m, x)))
-    batches = list(batching.batches)[:x]
-    while len(batches) < x:
-        batches.append(tuple())
     adj = graph.adj_masks()
-    found = False
-    queries = 0
-    inner_rounds: Optional[int] = None
-    for batch in batches:
-        queries += 1
-        bmask = 0
-        for v in batch:
-            bmask |= 1 << v
-        grown = _extend_masks(adj, masks, bmask)
-        sub_found, sub_rounds, sub_queries = _sparse_search(graph, grown, t - 1, params)
-        queries += sub_queries
-        if inner_rounds is None:
-            inner_rounds = sub_rounds
-        if sub_found:
-            found = True
-            break
-    total = grover_cost(x, bcast + (inner_rounds or 0), params)
-    return found, total, queries
+    ceiling = inv.reach(graph)  # contains every mask of every level
+    _, query = _sparse_base_costs(n, m)
+    base_batches = [_batch_mask(b) for b in degree_batching(degrees, target=n).batches]
+    base_rounds = grover_cost(len(base_batches), query, params)
+    levels: Dict[int, Tuple[int, List[int]]] = {}
+    for k in range(2, t + 1):
+        x = _sparse_level_x(n, m, k)
+        batches = degree_batching(degrees, target=max(1, ceil_div(2 * m, x))).batches
+        masks = [_batch_mask(b) for b in batches[:x]]
+        levels[k] = (_sparse_bcast_rounds(n, m, x), masks + [0] * (x - len(masks)))
+
+    def base(reach: int) -> Tuple[bool, int, int]:
+        queries = 0
+        for bmask in base_batches:
+            queries += 1
+            if reach & bmask:
+                return True, base_rounds, queries
+        return False, base_rounds, queries
+
+    def level(masks: List[int], k: int) -> Tuple[bool, int, int]:
+        bcast, batch_masks = levels[k]
+        found, queries, inner_rounds = False, 0, 0
+        for i, bmask in enumerate(batch_masks):
+            queries += 1
+            if k == 2:
+                found, sub_rounds, sub_queries = base(_extension_reach(adj, masks, bmask, ceiling))
+            else:
+                found, sub_rounds, sub_queries = level(_extend_masks(adj, masks, bmask), k - 1)
+            queries += sub_queries
+            if i == 0:
+                inner_rounds = sub_rounds
+            if found:
+                break
+        return found, grover_cost(len(batch_masks), bcast + inner_rounds, params), queries
+
+    if t == 1:
+        return base(ceiling)
+    return level(inv.mask_list(graph), t)
 
 
 def sparse_rounds(n: int, m: int, t: int,

@@ -1,11 +1,20 @@
 """Classical K_p listing in the Congested Clique.
 
-Nodes are split into s = ceil(n^(1/p)) contiguous groups; each size-p
-multiset of group indices is owned by one node (round-robin over the
-lexicographic multiset order).  The owner collects the edges among its
-groups via Lenzen routing and enumerates every p-clique whose group
-signature matches, so the union over owners is exactly the set of
-p-cliques.
+The protocol is the Dolev-Lenzen-Peled partition (DISC 2012): nodes are
+split into s = ceil(n^(1/p)) contiguous groups; each size-p multiset of
+group indices is owned by one node (round-robin over the lexicographic
+multiset order).  The owner collects the edges among its groups via Lenzen
+routing and lists every p-clique whose group signature (the multiset of
+its members' groups) is its multiset, so each p-clique has exactly one
+owner and the union over owners is exactly the set of p-cliques.
+
+The simulator does not replay the partition owner by owner.  It lists
+every p-clique once with one ordered bitmask DFS over v1 < v2 < ... < vp
+(Chiba-Nishizeki, SIAM J. Comput. 1985) and derives a clique's owner from
+its group signature when a view asks for it.  A partial clique that still
+needs r nodes is dropped when fewer than r of its candidates (common
+neighbours above its last node) remain: every later member is one of
+them, so the prune never loses a clique.
 
 Round charges use the idealized exact-divisibility parameters (group size
 n^(1-1/p), multiset count n/p!) scaled by graph density, so ledgers are
@@ -17,11 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations_with_replacement
 from math import comb
+from operator import or_
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from .graph import CliqueSet, Graph, _bits, range_mask
+from .graph import CliqueSet, Graph, _bits, density, range_mask
 from .intmath import ceil_div, ceil_root, ceil_scaled_pow
 from .netsim import CostLedger, KnowledgeState, RoutingDemand, route_lenzen
 
@@ -39,45 +50,58 @@ class TupleAssignment:
     def owner(self, rank: int) -> int:
         return rank % self.n
 
-    def multisets_per_node(self) -> int:
-        return ceil_div(len(self.multisets), self.n)
-
 
 class CliqueInventory:
     """Listed p-cliques as flat parallel lists of bitmasks.
 
     Entry i is the clique whose members are the set bits of
-    member_masks[i], listed by node owners[i]; commons[i] is the bitmask of
-    nodes adjacent to every member, or None for a clique added without one.
-    Extension algorithms need only the common masks; member tuples are
-    decoded on demand, for dumps and tests.
+    member_masks[i]; commons[i] is the bitmask of nodes adjacent to every
+    member, or None for a clique added without one.  The entries list_kp
+    makes come first; each is owned by the owner of its group signature,
+    which the views derive.  Each entry add() appends later keeps the owner
+    it was given.  Extension algorithms need only the common masks and
+    their OR (reach); member tuples and owners are decoded on demand, for
+    dumps and tests.
     """
 
     def __init__(self, p: int, n: int):
         self.p = p
         self.n = n
-        self.owners: List[int] = []
         self.member_masks: List[int] = []
         self.commons: List[Optional[int]] = []
-        # list_kp lists every clique once, under the owner of its group
-        # signature; add() may list a clique under several owners
-        self._one_entry_per_clique = True
+        # set by list_kp, whose entries lead and are owned by group
+        # signature under this assignment; add() records its owners
+        self._assignment: Optional[TupleAssignment] = None
+        self._added_owners: List[int] = []
+        self._reach: Optional[int] = None
 
     def add(self, node: int, clique: Tuple[int, ...], common: Optional[int] = None) -> None:
         """Give node the clique; the views treat a repeated entry as one."""
         mask = 0
         for v in clique:
             mask |= 1 << v
-        self.owners.append(node)
         self.member_masks.append(mask)
         self.commons.append(common)
-        self._one_entry_per_clique = False
+        self._added_owners.append(node)
+        self._reach = None
+
+    def owners(self) -> List[int]:
+        """The owner of each entry, in entry order."""
+        listed = len(self.member_masks) - len(self._added_owners)
+        out: List[int] = []
+        if listed:
+            ta = self._assignment
+            size = len(ta.groups[0])  # group i holds nodes i*size .. (i+1)*size - 1
+            by_signature = {ms: ta.owner(rank) for rank, ms in enumerate(ta.multisets)}
+            out = [by_signature[tuple(v // size for v in _bits(mask))]
+                   for mask in self.member_masks[:listed]]
+        return out + self._added_owners
 
     @property
     def per_node(self) -> Dict[int, Set[Tuple[int, ...]]]:
         """owner -> its listed cliques, as ascending node tuples."""
         out: Dict[int, Set[Tuple[int, ...]]] = {}
-        for owner, mask in zip(self.owners, self.member_masks):
+        for owner, mask in zip(self.owners(), self.member_masks):
             out.setdefault(owner, set()).add(tuple(_bits(mask)))
         return out
 
@@ -103,9 +127,19 @@ class CliqueInventory:
 
     def mask_list(self, graph) -> List[int]:
         """Common-neighborhood masks of the union, one per distinct clique."""
-        if self._one_entry_per_clique:
-            return self.commons
+        if not self._added_owners:
+            return self.commons  # list_kp lists every clique once
         return list(self._common_by_member_mask(graph).values())
+
+    def reach(self, graph) -> int:
+        """OR of the common masks: every node that extends some clique by one.
+
+        Computed once and kept until add() changes the inventory, so the
+        strategies that share one inventory share its reach.
+        """
+        if self._reach is None:
+            self._reach = reduce(or_, self.mask_list(graph), 0)
+        return self._reach
 
     def union(self) -> CliqueSet:
         return CliqueSet(p=self.p, members=frozenset(self.union_members()))
@@ -152,10 +186,9 @@ def listing_route_load(n: int, m: int, p: int) -> int:
     """
     if m <= 0 or n < 2:
         return 0
-    rho = Fraction(2 * m, n * (n - 1))
     s = ceil_root(n, p)
     ms_per_node = ceil_div(comb(s + p - 1, p), n)
-    return ceil_scaled_pow(n, Fraction(2 * (p - 1), p), ms_per_node * p * rho)
+    return ceil_scaled_pow(n, Fraction(2 * (p - 1), p), ms_per_node * p * density(n, m))
 
 
 def listing_route_rounds(n: int, m: int, p: int) -> int:
@@ -176,10 +209,10 @@ def list_kp(
         raise ValueError("p must be >= 2")
     n = graph.n
     ta = tuple_assignment(n, p)
-    group_masks = [range_mask(g) for g in ta.groups]
     transfer = None
     if knowledge is not None:
         # each owner learns every slot inside its multisets' group union
+        group_masks = [range_mask(g) for g in ta.groups]
         transfer = []
         for rank, ms in enumerate(ta.multisets):
             union = 0
@@ -190,52 +223,51 @@ def list_kp(
     route_lenzen(ledger, demand, n, phase=phase, knowledge=knowledge,
                  transfer=transfer)
     inv = CliqueInventory(p, n)
-    adj = graph.adj_masks()
-    full = (1 << n) - 1
-    for rank, ms in enumerate(ta.multisets):
-        before = len(inv.member_masks)
-        _list_multiset([group_masks[gi] for gi in ms],
-                       [i > 0 and ms[i - 1] == ms[i] for i in range(p)],
-                       adj, full, inv.member_masks, inv.commons)
-        inv.owners.extend([ta.owner(rank)] * (len(inv.member_masks) - before))
+    _list_cliques(graph.adj_masks(), p, inv.member_masks, inv.commons)
+    inv._assignment = ta
     return inv
 
 
-def _list_multiset(
-    slot_masks: List[int],
-    repeats: List[bool],
+def _list_cliques(
     adj: List[int],
-    full: int,
+    p: int,
     member_masks: List[int],
     commons: List[int],
 ) -> None:
-    """Append the member and common masks of every clique of one multiset.
+    """Append the member and common masks of every p-clique, once each.
 
-    Slot i takes one node of the group with mask slot_masks[i].  Where
-    slot i repeats the previous slot's group (repeats[i]) its node must be
-    higher, so each clique with this group signature is listed once.  The
-    common mask is the candidate intersection after the last slot.
+    A partial clique carries its member mask, its common mask (the nodes
+    adjacent to every member) and its candidates (the common nodes above
+    its last member); each clique is reached through its members in
+    ascending order only.  A child that still needs r nodes after taking
+    one candidate is entered only if it keeps at least r candidates.
     """
-    last = len(slot_masks) - 1
     add_member, add_common = member_masks.append, commons.append
 
-    def rec(slot: int, chosen: int, common: int, prev: int) -> None:
-        cand = common & slot_masks[slot]
-        if repeats[slot]:
-            cand &= -(prev << 1)  # nodes above the previous slot's node
-        if slot == last:
+    def rec(chosen: int, common: int, cand: int, need: int) -> None:
+        # need >= 2 nodes still to take, all from cand
+        if need == 2:
             while cand:
                 low = cand & -cand
                 cand ^= low
-                add_member(chosen | low)
-                add_common(common & adj[low.bit_length() - 1])
+                adj_v = adj[low.bit_length() - 1]
+                last = cand & adj_v
+                if last:
+                    pair, pair_common = chosen | low, common & adj_v
+                    while last:
+                        top = last & -last
+                        last ^= top
+                        add_member(pair | top)
+                        add_common(pair_common & adj[top.bit_length() - 1])
             return
-        nxt_mask = slot_masks[slot + 1]
+        need -= 1
         while cand:
             low = cand & -cand
             cand ^= low
-            nxt = common & adj[low.bit_length() - 1]
-            if nxt & nxt_mask:
-                rec(slot + 1, chosen | low, nxt, low)
+            adj_v = adj[low.bit_length() - 1]
+            nxt = cand & adj_v  # cand now holds only nodes above low
+            if nxt.bit_count() >= need:
+                rec(chosen | low, common & adj_v, nxt, need)
 
-    rec(0, 0, full, 0)
+    full = (1 << len(adj)) - 1
+    rec(0, full, full, p)

@@ -70,10 +70,6 @@ class Graph:
     def edges(self) -> List[Tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self._neighbors[u] if u < v]
 
-    def density(self) -> Fraction:
-        pairs = self.n * (self.n - 1) // 2
-        return Fraction(self.m, pairs) if pairs else Fraction(0)
-
     def degrees(self) -> List[int]:
         return [len(nb) for nb in self._neighbors]
 
@@ -86,6 +82,12 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def density(n: int, m: int) -> Fraction:
+    """Edge density m / C(n, 2) of an n-node graph with m edges (0 if n < 2)."""
+    pairs = n * (n - 1) // 2
+    return Fraction(m, pairs) if pairs else Fraction(0)
 
 
 def range_mask(r: range) -> int:

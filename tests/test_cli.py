@@ -32,6 +32,14 @@ USAGE_ERRORS = [
     ["detect-cycle", "--ell", "5", "--reps", "0", "--gen", "planted_cycle,8,0.0,5,1"],
     ["detect-cycle", "--ell", "5", "--fail-prob", "1.5", "--gen", "planted_cycle,8,0.0,5,1"],
     ["detect-cycle", "--ell", "5", "--c-grover", "abc", "--gen", "planted_cycle,8,0.0,5,1"],
+    ["sweep", "--algo", "even-cycle", "--ell", "5", "--n-list", "64"],
+    ["sweep", "--algo", "odd-cycle", "--ell", "4", "--n-list", "64,128"],
+    ["sweep", "--algo", "odd-cycle", "--mode", "full", "--ell", "4", "--n-list", "40"],
+    ["fit", "--in", "no/such/dir/rows.csv"],
+    ["sweep", "--algo", "nested", "--p", "3", "--t", "3", "--n-list", "64"],
+    ["sweep", "--algo", "blackbox", "--t", "0", "--n-list", "64,128"],
+    ["detect-clique", "--strategy", "triangle15", "--q", "3", "--gen", "gnp,20,0.3,0,1"],
+    ["verify", "--q", "4", "--strategy", "triangle15", "--trials", "1"],
 ]
 
 
@@ -124,6 +132,21 @@ class TestCommands:
         for argv in USAGE_ERRORS:
             assert main(argv) == 2, argv
             assert capsys.readouterr().err.startswith("error: "), argv
+
+    @pytest.mark.parametrize("text,cols", [
+        (CSV_HEADER + "\n64,1,x,p,5,0,0,5,0,0,,0\n", ()),  # one row: too few to fit
+        ("a,b\n1,2\n", ()),  # not a result CSV
+        (None, ("--x-col", "nosuch")),
+    ], ids=["one-row", "not-results", "bad-column"])
+    def test_fit_bad_input_exits_2(self, tmp_path, capsys, text, cols):
+        path = tmp_path / "rows.csv"
+        if text is None:
+            assert main(["sweep", "--algo", "triangle15", "--n-list", "64,128,256",
+                         "--out", str(path)]) == 0
+        else:
+            path.write_text(text)
+        assert main(["fit", "--in", str(path), *cols]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_determinism_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

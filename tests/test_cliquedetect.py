@@ -1,11 +1,17 @@
 """Clique detection strategies against the brute-force oracles."""
 
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcongest.cli import fit_slope
 from qcongest.cliquedetect import (
+    _extend_masks,
+    _extension_reach,
     applicable_strategies,
     blackbox_cost_only,
     degree_batching,
@@ -99,6 +105,24 @@ class TestExtendBlackbox:
         inv = CliqueInventory.from_cliques(3, 10, [(3, 8, 9)])
         assert not extend_blackbox(g, inv, 1, CostLedger())
         assert oracle_has_clique(g, 4)
+
+
+class TestExtensionReach:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 72), prob=st.sampled_from([0.1, 0.3, 0.6, 0.9]),
+           seed=st.integers(0, 2**16), p=st.integers(2, 3), depth=st.integers(0, 1),
+           part_seed=st.integers(0, 2**32))
+    def test_equals_or_of_the_extensions(self, n, prob, seed, p, depth, part_seed):
+        # the early stop returns what the full scan would, also below the base
+        g = gnp(n, prob, seed)
+        adj = g.adj_masks()
+        inv = list_kp(g, p, CostLedger())
+        masks = inv.mask_list(g)
+        part = part_seed % (1 << n)
+        if depth:
+            masks = _extend_masks(adj, masks, (1 << n) - 1 - part)
+        expected = reduce(or_, _extend_masks(adj, masks, part), 0)
+        assert _extension_reach(adj, masks, part, inv.reach(g)) == expected
 
 
 class TestExtendSparse:

@@ -4,6 +4,8 @@ import itertools
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcongest.cli import fit_slope
 from qcongest.cliquelist import (
@@ -12,7 +14,7 @@ from qcongest.cliquelist import (
     listing_route_rounds,
     tuple_assignment,
 )
-from qcongest.graph import GenSpec, generate, oracle_cliques
+from qcongest.graph import GenSpec, Graph, generate, oracle_cliques, range_mask
 from qcongest.netsim import CostLedger
 
 
@@ -32,7 +34,6 @@ class TestTupleAssignment:
         ta = tuple_assignment(8, 3)
         assert ta.s == 2
         assert len(ta.multisets) == comb(4, 3) == 4
-        assert ta.multisets_per_node() == 1
 
     def test_lexicographic_owner(self):
         ta = tuple_assignment(16, 2)
@@ -126,6 +127,84 @@ class TestListKp:
             assert len(nodes.split()) == 3
 
 
+def reference_listing(graph, p):
+    """(owner, members, common) per clique, listed owner by owner.
+
+    The Dolev-Lenzen-Peled partition walked literally: for each multiset
+    of groups, in rank order, one DFS with slot i drawn from the i-th
+    group, a repeated group taking a higher node than the previous slot.
+    """
+    n = graph.n
+    ta = tuple_assignment(n, p)
+    adj = [graph.adj_mask(v) for v in range(n)]
+    out = []
+
+    def rec(slots, owner, slot, chosen, common, prev):
+        cand = common & slots[slot][0]
+        if slots[slot][1]:
+            cand &= -(prev << 1)
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            nxt = common & adj[low.bit_length() - 1]
+            if slot == p - 1:
+                out.append((owner, chosen | low, nxt))
+            else:
+                rec(slots, owner, slot + 1, chosen | low, nxt, low)
+
+    for rank, ms in enumerate(ta.multisets):
+        slots = [(range_mask(ta.groups[gi]), i > 0 and ms[i - 1] == gi)
+                 for i, gi in enumerate(ms)]
+        rec(slots, ta.owner(rank), 0, 0, (1 << n) - 1, 0)
+    return sorted(out)
+
+
+def listed_triples(inv):
+    return sorted(zip(inv.owners(), inv.member_masks, inv.commons))
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=130))
+    kind = draw(st.sampled_from(["random", "empty", "complete"]))
+    if kind == "empty":
+        return Graph(n, [])
+    if kind == "complete":
+        n = min(n, 16)  # K_16 already holds 8008 6-cliques
+        return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    # dense enough for 6-cliques on small n, sparse enough to list at n = 130
+    prob = draw(st.sampled_from([0.1, 0.3, 0.6, 0.9] if n <= 24 else [0.05, 0.2, 0.4]))
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    return generate(GenSpec(kind="gnp", n=n, edge_prob=prob, seed=seed))
+
+
+class TestListingMatchesPartitionWalk:
+    @settings(max_examples=120, deadline=None)
+    @given(graph=graphs(), p=st.integers(min_value=2, max_value=6))
+    def test_same_triples_as_per_multiset_listing(self, graph, p):
+        if graph.m > 20 * graph.n and p >= 4:
+            p = 3  # dense large graphs hold too many 4..6-cliques to list here
+        inv = list_kp(graph, p, CostLedger())
+        expected = reference_listing(graph, p)
+        assert listed_triples(inv) == expected
+        assert sorted(inv.mask_list(graph)) == sorted(c for _, _, c in expected)
+
+    @pytest.mark.parametrize("n,p", [(3, 2), (7, 3), (15, 4), (24, 5), (20, 6), (5, 6)])
+    def test_complete_graphs_below_2_to_the_p(self, n, p):
+        g = generate(GenSpec(kind="complete", n=n))
+        inv = list_kp(g, p, CostLedger())
+        assert len(inv.member_masks) == comb(n, p)
+        assert listed_triples(inv) == reference_listing(g, p)
+
+    def test_added_entries_keep_their_owner(self):
+        g = generate(GenSpec(kind="complete", n=5))
+        inv = list_kp(g, 4, CostLedger())
+        listed = inv.owners()
+        inv.add(3, (0, 1, 2, 3))
+        assert inv.owners() == listed + [3]
+        assert (0, 1, 2, 3) in inv.per_node[3]
+
+
 class TestHandBuiltInventory:
     def test_repeats_count_once(self):
         # K4 on 0..3: each view treats a repeated (node, clique) as one entry
@@ -137,6 +216,18 @@ class TestHandBuiltInventory:
         assert inv.common_masks(g) == {(0, 1, 2): 0b1000, (1, 2, 3): 0b0001}
         assert sorted(inv.mask_list(g)) == [0b0001, 0b1000]
         assert inv.dump() == "0: 0 1 2\n0: 1 2 3\n1: 0 1 2\n"
+
+    def test_reach_follows_add(self):
+        # K4 on 0..3 plus the edge 4-5, which no node extends; the reach is
+        # kept until add() changes the inventory
+        g = Graph(6, [(u, v) for u in range(4) for v in range(u + 1, 4)] + [(4, 5)])
+        inv = list_kp(g, 2, CostLedger())
+        assert inv.reach(g) == 0b001111
+        inv = CliqueInventory.from_cliques(3, 6, [(0, 1, 2)])
+        assert inv.reach(g) == 0b001000
+        inv.add(2, (1, 2, 3))
+        assert inv.reach(g) == 0b001001
+        assert CliqueInventory(3, 6).reach(g) == 0
 
 
 class TestListingCost:
