@@ -1,7 +1,10 @@
 """Congested Clique clique detection.
 
 Five strategies, all reducing detection to clique listing plus quantum
-search over partitions of the remaining search space:
+search over partitions of the remaining search space.  The listing is
+charged as the protocol runs it, but the answers never need the list:
+each check asks whether a constrained clique exists, and
+cliquelist.clique_reach answers that by search.
 
 * triangle15  - the n^(1/5) triangle warmup (shards A_i x A_j x Q_k).
 * plus1       - K_{p+1} from K_p listing, one flat search over node batches.
@@ -26,8 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cliquelist import CliqueInventory, list_kp, listing_route_rounds
-from .graph import Graph, density, range_mask
+from .cliquelist import CliqueInventory, clique_reach, list_kp, listing_route_rounds
+from .graph import Graph, density, range_mask, triangle_nodes
 from .intmath import ceil_div, ceil_pow, ceil_scaled_pow
 from .netsim import CliqueNet, CostLedger, KnowledgeState
 from .qsearch import (
@@ -99,58 +102,25 @@ def id_ranges(n: int, count: int) -> Tuple[range, ...]:
     return tuple(parts)
 
 
-# Extension stages need only common-neighborhood masks, not member tuples:
-# growing a clique by node w maps its mask c to c & adj(w).  Some listed
-# clique extends by a node of part P iff any(c & P for c in masks), which
-# equals reach & P for reach the OR of the masks, so each last-level check
-# is one AND against a precomputed reach mask (CliqueInventory.reach for
-# the base inventory).
+def _inventory(graph: Graph, p: int, ledger: CostLedger,
+               inv: Optional[CliqueInventory]) -> CliqueInventory:
+    """inv, checked against graph and p with its listing charged, or a new one."""
+    if inv is None:
+        return list_kp(graph, p, ledger)
+    if inv.p != p:
+        raise ValueError(f"inventory holds {inv.p}-cliques, need {p}")
+    inv.check_graph(graph)
+    ledger.charge("kp-listing", "clique", "route", listing_route_rounds(graph.n, graph.m, p))
+    return inv
 
 
-def _extend_masks(adj: List[int], masks: List[int], part_mask: int) -> List[int]:
-    """Masks of the one-node extensions drawn from part_mask.
-
-    Extensions with an empty common mask are left out: they extend no
-    further and add nothing to any reach mask.
-    """
-    out: List[int] = []
-    for common in masks:
-        cand = common & part_mask
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            grown = common & adj[low.bit_length() - 1]
-            if grown:
-                out.append(grown)
-    return out
-
-
-def _extension_reach(adj: List[int], masks: List[int], part_mask: int, ceiling: int) -> int:
-    """OR of _extend_masks(adj, masks, part_mask), without the list.
-
-    ceiling must contain every mask.  An extension c & adj(w) by a node w
-    of the part lies in c and in adj(w), so the result lies in the nodes of
-    ceiling adjacent to some node of ceiling & part_mask; the scan stops as
-    soon as it has reached that bound.
-    """
-    bound = 0
-    part = ceiling & part_mask
-    while part:
-        low = part & -part
-        part ^= low
-        bound |= adj[low.bit_length() - 1]
-    bound &= ceiling
-    reach = 0
-    for common in masks:
-        cand = common & part_mask
-        if cand:
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                reach |= common & adj[low.bit_length() - 1]
-            if reach == bound:
-                break
-    return reach
+# Every extension check asks whether a constrained clique exists.  The
+# last-level check of a search meets its part with a reach mask: the nodes
+# x that, with one node of each part chosen at the levels above and some
+# p-clique, form a clique (cliquelist.clique_reach).  The level t-1 setup
+# computes that reach from the parts of its prefix, and the levels above it
+# only charge their rounds; with t = 1 the reach is the inventory's own
+# (every node on a (p+1)-clique).  Nothing is listed or extended as a list.
 
 
 # ---------------------------------------------------------------------------
@@ -204,15 +174,7 @@ def detect_triangle_quintic(
             for v in part[lo : lo + size]:
                 mask |= 1 << v
         batch_masks.append(mask)
-    # apexes: nodes adjacent to both ends of some edge, i.e. triangle members
-    adj = graph.adj_masks()
-    apex = 0
-    for u, adj_u in enumerate(adj):
-        higher = adj_u >> (u + 1)
-        while higher:
-            low = higher & -higher
-            higher ^= low
-            apex |= adj_u & adj[u + low.bit_length()]
+    apex = triangle_nodes(graph.adj_masks())
 
     def checker(ell: int) -> Tuple[bool, int]:
         return bool(apex & batch_masks[ell]), query_rounds
@@ -262,13 +224,7 @@ def detect_plus1(
         raise ValueError("p must be >= 2")
     if n < 2**p:
         raise ValueError(f"plus1 needs n >= 2^p = {2**p}")
-    if inv is None:
-        inv = list_kp(graph, p, ledger)
-    else:
-        if inv.p != p:
-            raise ValueError(f"inventory holds {inv.p}-cliques, need {p}")
-        ledger.charge("kp-listing", "clique", "route", listing_route_rounds(n, graph.m, p))
-    reach = inv.reach(graph)
+    reach = _inventory(graph, p, ledger, inv).reach()
     domain, query_rounds = _plus1_costs(n, graph.m, p)
     batch_masks = [range_mask(r) for r in id_ranges(n, domain)]
 
@@ -341,41 +297,21 @@ def detect_nested(
             f"(p={p}, t={t}) violates the constraint t <= 1 + log2(p-1)"
         )
     n = graph.n
-    if inv is None:
-        inv = list_kp(graph, p, ledger)
-    else:
-        if inv.p != p:
-            raise ValueError(f"inventory holds {inv.p}-cliques, need {p}")
-        ledger.charge("kp-listing", "clique", "route", listing_route_rounds(n, graph.m, p))
-    base_masks = inv.mask_list(graph)
+    inv = _inventory(graph, p, ledger, inv)
     partitions = nested_level_partitions(n, p, t)
     part_masks = [[range_mask(r) for r in lp.parts] for lp in partitions]
     sizes, setup_rounds, check_rounds = _nested_costs(n, graph.m, p, t)
-    adj = graph.adj_masks()
+    ceiling = inv.reach()
+    reach = ceiling  # t = 1; else set by every level t-1 setup before its checks
 
-    # stack[i] holds the union inventory masks after absorbing levels 1..i;
-    # the checker needs only the reach of stack[t-1], which the level t-1
-    # setup computes in place of the list
-    stack: List[List[int]] = [base_masks] + [[] for _ in range(t - 2)]
-    ceiling = inv.reach(graph)  # contains every mask of every level
-    reach = ceiling if t == 1 else 0
+    def setup(prefix: Tuple[int, ...]) -> int:
+        nonlocal reach
+        if len(prefix) == t - 1:
+            parts = tuple(part_masks[i][j] for i, j in enumerate(prefix))
+            reach = clique_reach(inv.adj, parts, p, ceiling)
+        return setup_rounds[len(prefix) - 1]
 
-    def make_setup(level_idx: int):
-        def setup(prefix: Tuple[int, ...]) -> int:
-            nonlocal reach
-            mask = part_masks[level_idx][prefix[-1]]
-            if level_idx == t - 2:
-                reach = _extension_reach(adj, stack[level_idx], mask, ceiling)
-            else:
-                stack[level_idx + 1] = _extend_masks(adj, stack[level_idx], mask)
-            return setup_rounds[level_idx]
-
-        return setup
-
-    levels = [
-        SearchLevel(sizes[i], make_setup(i) if i < t - 1 else None)
-        for i in range(t)
-    ]
+    levels = [SearchLevel(sizes[i], setup if i < t - 1 else None) for i in range(t)]
 
     def checker(tup: Tuple[int, ...]) -> Tuple[bool, int]:
         return bool(reach & part_masks[t - 1][tup[-1]]), check_rounds
@@ -436,39 +372,24 @@ def extend_blackbox(
     """Nested search growing the inventory one level-part node at a time."""
     if t < 1:
         raise ValueError("t must be >= 1")
+    inv.check_graph(graph)
     n = graph.n
     sizes, setup_rounds, check_rounds = _blackbox_costs(n, t, packing)
     parts = [[range_mask(r) for r in id_ranges(n, sizes[i])] for i in range(t)]
-    base_masks = inv.mask_list(graph)
-    adj = graph.adj_masks()
+    ceiling = inv.reach()
+    reach = ceiling  # t = 1; else set by every level t-1 setup before its checks
 
-    # stack[i] holds the union inventory masks after absorbing levels 1..i.
-    # Level t's extensions exist iff reach(stack[t-1]) meets its part, so
-    # the level t-1 setup computes that reach in place of stack[t-1], and
-    # the level t setup only records its part.
-    stack: List[List[int]] = [base_masks] + [[] for _ in range(t - 2)]
-    ceiling = inv.reach(graph)  # contains every mask of every level
-    reach = ceiling if t == 1 else 0
-    last_part = 0
+    def setup(prefix: Tuple[int, ...]) -> int:
+        nonlocal reach
+        if len(prefix) == t - 1:
+            chosen = tuple(parts[i][j] for i, j in enumerate(prefix))
+            reach = clique_reach(inv.adj, chosen, inv.p, ceiling)
+        return setup_rounds[len(prefix) - 1]
 
-    def make_setup(level_idx: int):
-        def setup(prefix: Tuple[int, ...]) -> int:
-            nonlocal reach, last_part
-            mask = parts[level_idx][prefix[-1]]
-            if level_idx == t - 1:
-                last_part = mask
-            elif level_idx == t - 2:
-                reach = _extension_reach(adj, stack[level_idx], mask, ceiling)
-            else:
-                stack[level_idx + 1] = _extend_masks(adj, stack[level_idx], mask)
-            return setup_rounds[level_idx]
-
-        return setup
-
-    levels = [SearchLevel(sizes[i], make_setup(i)) for i in range(t)]
+    levels = [SearchLevel(sizes[i], setup) for i in range(t)]
 
     def checker(tup: Tuple[int, ...]) -> Tuple[bool, int]:
-        return bool(reach & last_part), check_rounds
+        return bool(reach & parts[t - 1][tup[-1]]), check_rounds
 
     plan = NestedSearchPlan(levels=levels, checker=checker, params=params)
     outcome = run_nested_search(plan, ledger, seed=seed, phase="blackbox/search")
@@ -540,6 +461,7 @@ def extend_sparse(
     """Degree-batched extension; empty graphs short-circuit to False."""
     if t < 1:
         raise ValueError("t must be >= 1")
+    inv.check_graph(graph)
     if graph.m == 0:
         return False
     found, rounds, queries = _sparse_search(graph, inv, t, params)
@@ -566,16 +488,16 @@ def _sparse_search(
 ) -> Tuple[bool, int, int]:
     """(found, rounds, queries) of the depth-t degree-batched search.
 
-    Level k >= 2 searches x_k degree batches and recurses, per batch, into
-    the one-node extensions drawn from it; level 1 searches batches of
-    degree sum about n for a node that extends some clique.  Level 1 needs
-    only the reach of its masks, so level 2 computes that reach directly.
-    Every level's batches depend on the degrees alone and are built once.
+    Level k >= 2 searches x_k degree batches and recurses, per batch, with
+    the batch added to the parts chosen above it; level 1 searches batches
+    of degree sum about n for a node x that, with one node of each chosen
+    part, extends some clique.  Level 1 needs only the reach of those x,
+    which level 2 computes with clique_reach.  Every level's batches depend
+    on the degrees alone and are built once.
     """
     n, m = graph.n, graph.m
     degrees = graph.degrees()
-    adj = graph.adj_masks()
-    ceiling = inv.reach(graph)  # contains every mask of every level
+    ceiling = inv.reach()
     _, query = _sparse_base_costs(n, m)
     base_batches = [_batch_mask(b) for b in degree_batching(degrees, target=n).batches]
     base_rounds = grover_cost(len(base_batches), query, params)
@@ -594,15 +516,16 @@ def _sparse_search(
                 return True, base_rounds, queries
         return False, base_rounds, queries
 
-    def level(masks: List[int], k: int) -> Tuple[bool, int, int]:
+    def level(chosen: Tuple[int, ...], k: int) -> Tuple[bool, int, int]:
         bcast, batch_masks = levels[k]
         found, queries, inner_rounds = False, 0, 0
         for i, bmask in enumerate(batch_masks):
             queries += 1
+            parts = chosen + (bmask,)
             if k == 2:
-                found, sub_rounds, sub_queries = base(_extension_reach(adj, masks, bmask, ceiling))
+                found, sub_rounds, sub_queries = base(clique_reach(inv.adj, parts, inv.p, ceiling))
             else:
-                found, sub_rounds, sub_queries = level(_extend_masks(adj, masks, bmask), k - 1)
+                found, sub_rounds, sub_queries = level(parts, k - 1)
             queries += sub_queries
             if i == 0:
                 inner_rounds = sub_rounds
@@ -612,7 +535,7 @@ def _sparse_search(
 
     if t == 1:
         return base(ceiling)
-    return level(inv.mask_list(graph), t)
+    return level((), t)
 
 
 def sparse_rounds(n: int, m: int, t: int,
@@ -734,13 +657,7 @@ def detect_clique(
     if plan.strategy == "nested":
         return detect_nested(graph, plan.p, plan.t, ledger, seed=seed,
                              params=params, inv=inv, stats=stats)
-    if inv is None:
-        inv = list_kp(graph, plan.p, ledger)
-    else:
-        if inv.p != plan.p:
-            raise ValueError(f"inventory holds {inv.p}-cliques, need {plan.p}")
-        ledger.charge("kp-listing", "clique", "route",
-                      listing_route_rounds(graph.n, graph.m, plan.p))
+    inv = _inventory(graph, plan.p, ledger, inv)
     if plan.strategy == "blackbox":
         return extend_blackbox(graph, inv, plan.t, ledger, seed=seed,
                                params=params, stats=stats, packing=packing)

@@ -8,13 +8,19 @@ routing and lists every p-clique whose group signature (the multiset of
 its members' groups) is its multiset, so each p-clique has exactly one
 owner and the union over owners is exactly the set of p-cliques.
 
-The simulator does not replay the partition owner by owner.  It lists
-every p-clique once with one ordered bitmask DFS over v1 < v2 < ... < vp
-(Chiba-Nishizeki, SIAM J. Comput. 1985) and derives a clique's owner from
-its group signature when a view asks for it.  A partial clique that still
-needs r nodes is dropped when fewer than r of its candidates (common
-neighbours above its last node) remain: every later member is one of
-them, so the prune never loses a clique.
+The simulator does not replay the partition owner by owner.  list_kp
+charges the route and returns a CliqueInventory that lists nothing until
+a view asks for its cliques; then it lists every p-clique once with one
+ordered bitmask DFS over v1 < v2 < ... < vp (Chiba-Nishizeki, SIAM J.
+Comput. 1985) and derives a clique's owner from its group signature.  A
+partial clique that still needs r nodes is dropped when fewer than r of
+its candidates (common neighbours above its last node) remain: every
+later member is one of them, so the prune never loses a clique.
+
+Detection never lists.  Its questions are whether constrained cliques
+exist (which nodes lie on a K_{p+1}; which nodes form a K_{p+t} with one
+node of each chosen part and some K_p), and clique_reach answers them
+with one early-exit search per candidate node.
 
 Round charges use the idealized exact-divisibility parameters (group size
 n^(1-1/p), multiset count n/p!) scaled by graph density, so ledgers are
@@ -26,13 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations_with_replacement
 from math import comb
-from operator import or_
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .graph import CliqueSet, Graph, _bits, density, range_mask
+from .graph import CliqueSet, Graph, _bits, density, range_mask, triangle_nodes
 from .intmath import ceil_div, ceil_root, ceil_scaled_pow
 from .netsim import CostLedger, KnowledgeState, RoutingDemand, route_lenzen
 
@@ -52,50 +56,59 @@ class TupleAssignment:
 
 
 class CliqueInventory:
-    """Listed p-cliques as flat parallel lists of bitmasks.
+    """The p-cliques of one graph, listed only when a view asks for them.
 
-    Entry i is the clique whose members are the set bits of
-    member_masks[i]; commons[i] is the bitmask of nodes adjacent to every
-    member, or None for a clique added without one.  The entries list_kp
-    makes come first; each is owned by the owner of its group signature,
-    which the views derive.  Each entry add() appends later keeps the owner
-    it was given.  Extension algorithms need only the common masks and
-    their OR (reach); member tuples and owners are decoded on demand, for
-    dumps and tests.
+    The inventory holds its graph's adjacency masks and p.  The detection
+    strategies never list: they ask reach() (and clique_reach) whether
+    constrained cliques exist.  The views below (member_masks, commons,
+    mask_list, owners, per_node, union, dump) list every p-clique once, on
+    the first request, and keep the result: entry i is the clique whose
+    members are the set bits of member_masks[i], and commons[i] is the
+    bitmask of nodes adjacent to every member.  Each entry is owned by the
+    owner of its group signature under the list_kp partition.
     """
 
-    def __init__(self, p: int, n: int):
+    def __init__(self, adj: List[int], p: int, assignment: TupleAssignment):
+        self.adj = adj
         self.p = p
-        self.n = n
-        self.member_masks: List[int] = []
-        self.commons: List[Optional[int]] = []
-        # set by list_kp, whose entries lead and are owned by group
-        # signature under this assignment; add() records its owners
-        self._assignment: Optional[TupleAssignment] = None
-        self._added_owners: List[int] = []
+        self.n = len(adj)
+        self._assignment = assignment
+        self._listed: Optional[Tuple[List[int], List[int]]] = None
         self._reach: Optional[int] = None
 
-    def add(self, node: int, clique: Tuple[int, ...], common: Optional[int] = None) -> None:
-        """Give node the clique; the views treat a repeated entry as one."""
-        mask = 0
-        for v in clique:
-            mask |= 1 << v
-        self.member_masks.append(mask)
-        self.commons.append(common)
-        self._added_owners.append(node)
-        self._reach = None
+    def check_graph(self, graph: Graph) -> None:
+        """Raise ValueError unless the inventory was made from this graph's edges."""
+        if self.adj != graph.adj_masks():
+            raise ValueError("the clique inventory belongs to another graph")
+
+    def _listing(self) -> Tuple[List[int], List[int]]:
+        if self._listed is None:
+            member_masks: List[int] = []
+            commons: List[int] = []
+            _list_cliques(self.adj, self.p, member_masks, commons)
+            self._listed = (member_masks, commons)
+        return self._listed
+
+    @property
+    def member_masks(self) -> List[int]:
+        return self._listing()[0]
+
+    @property
+    def commons(self) -> List[int]:
+        return self._listing()[1]
+
+    def mask_list(self, graph: Graph) -> List[int]:
+        """Common-neighbourhood masks, one per clique of `graph`."""
+        self.check_graph(graph)
+        return self.commons
 
     def owners(self) -> List[int]:
         """The owner of each entry, in entry order."""
-        listed = len(self.member_masks) - len(self._added_owners)
-        out: List[int] = []
-        if listed:
-            ta = self._assignment
-            size = len(ta.groups[0])  # group i holds nodes i*size .. (i+1)*size - 1
-            by_signature = {ms: ta.owner(rank) for rank, ms in enumerate(ta.multisets)}
-            out = [by_signature[tuple(v // size for v in _bits(mask))]
-                   for mask in self.member_masks[:listed]]
-        return out + self._added_owners
+        ta = self._assignment
+        size = len(ta.groups[0])  # group i holds nodes i*size .. (i+1)*size - 1
+        by_signature = {ms: ta.owner(rank) for rank, ms in enumerate(ta.multisets)}
+        return [by_signature[tuple(v // size for v in _bits(mask))]
+                for mask in self.member_masks]
 
     @property
     def per_node(self) -> Dict[int, Set[Tuple[int, ...]]]:
@@ -105,55 +118,19 @@ class CliqueInventory:
             out.setdefault(owner, set()).add(tuple(_bits(mask)))
         return out
 
-    def _common_by_member_mask(self, graph) -> Dict[int, int]:
-        """member mask -> common mask, one entry per distinct clique."""
-        out: Dict[int, Optional[int]] = {}
-        for mask, common in zip(self.member_masks, self.commons):
-            if out.get(mask) is None:
-                out[mask] = common
-        full = (1 << self.n) - 1
-        for mask, common in out.items():
-            if common is None:
-                common = full
-                for v in _bits(mask):
-                    common &= graph.adj_mask(v)
-                out[mask] = common
-        return out
+    def reach(self) -> int:
+        """Every node that lies on some (p+1)-clique: the OR of the common masks.
 
-    def common_masks(self, graph) -> Dict[Tuple[int, ...], int]:
-        """clique -> bitmask of nodes adjacent to every member."""
-        return {tuple(_bits(mask)): common
-                for mask, common in self._common_by_member_mask(graph).items()}
-
-    def mask_list(self, graph) -> List[int]:
-        """Common-neighborhood masks of the union, one per distinct clique."""
-        if not self._added_owners:
-            return self.commons  # list_kp lists every clique once
-        return list(self._common_by_member_mask(graph).values())
-
-    def reach(self, graph) -> int:
-        """OR of the common masks: every node that extends some clique by one.
-
-        Computed once and kept until add() changes the inventory, so the
-        strategies that share one inventory share its reach.
+        Answered by clique_reach without listing, once per inventory, so
+        the strategies that share one inventory share its reach.
         """
         if self._reach is None:
-            self._reach = reduce(or_, self.mask_list(graph), 0)
+            self._reach = clique_reach(self.adj, (), self.p, (1 << self.n) - 1)
         return self._reach
 
     def union(self) -> CliqueSet:
-        return CliqueSet(p=self.p, members=frozenset(self.union_members()))
-
-    def union_members(self) -> Set[Tuple[int, ...]]:
-        return {tuple(_bits(mask)) for mask in set(self.member_masks)}
-
-    @classmethod
-    def from_cliques(cls, p: int, n: int, cliques: Iterable[Tuple[int, ...]],
-                     node: int = 0) -> "CliqueInventory":
-        inv = cls(p, n)
-        for c in cliques:
-            inv.add(node, tuple(sorted(c)))
-        return inv
+        return CliqueSet(p=self.p, members=frozenset(tuple(_bits(mask))
+                                                     for mask in self.member_masks))
 
     def dump(self) -> str:
         """Debug format: one line 'v: u1 u2 ... up' per listed clique, sorted."""
@@ -204,7 +181,10 @@ def list_kp(
     phase: str = "kp-listing",
     knowledge: Optional[KnowledgeState] = None,
 ) -> CliqueInventory:
-    """List all p-cliques; union over owners equals oracle_cliques(G, p)."""
+    """Charge the listing route; the inventory's union equals oracle_cliques(G, p).
+
+    The inventory lists when a view first asks for its cliques, not here.
+    """
     if p < 2:
         raise ValueError("p must be >= 2")
     n = graph.n
@@ -222,10 +202,7 @@ def list_kp(
     demand = RoutingDemand.single_load(listing_route_load(n, graph.m, p))
     route_lenzen(ledger, demand, n, phase=phase, knowledge=knowledge,
                  transfer=transfer)
-    inv = CliqueInventory(p, n)
-    _list_cliques(graph.adj_masks(), p, inv.member_masks, inv.commons)
-    inv._assignment = ta
-    return inv
+    return CliqueInventory(graph.adj_masks(), p, ta)
 
 
 def _list_cliques(
@@ -271,3 +248,81 @@ def _list_cliques(
 
     full = (1 << len(adj)) - 1
     rec(0, full, full, p)
+
+
+def clique_reach(adj: Sequence[int], parts: Sequence[int], p: int, ceiling: int) -> int:
+    """The nodes x that some clique of k + p + 1 nodes holds with one node
+    of each of the k masks in parts and a p-clique: x, w_1 in parts[0], ...,
+    w_k in parts[k-1] and the p-clique are distinct and pairwise adjacent.
+
+    With no parts this is every node on a (p+1)-clique, the OR of the
+    inventory's common masks; with parts it is the OR of the common masks
+    of the one-node extensions drawn from each part in turn.  Every node of
+    such a clique lies on a (p+1)-clique, so the search stays inside
+    ceiling, which must hold all of those nodes (the no-part reach, or
+    every node).
+
+    Two exact prefilters bound the x to search: x is adjacent to some node
+    of ceiling & part for every part (its w), and with no parts and p >= 2
+    x lies on a triangle.  Each x is then one early-exit search: draw w_i
+    from the common neighbours and parts[i], then look for a p-clique in
+    what stays common (_has_clique).  A branch whose common mask holds
+    fewer nodes than it still needs is dropped.  Nothing is listed.
+    """
+    k = len(parts)
+    xs = ceiling
+    for part in parts:
+        near = 0
+        cand = ceiling & part
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            near |= adj[low.bit_length() - 1]
+        xs &= near
+    if not parts and p >= 2:
+        xs &= triangle_nodes(adj)
+
+    def extends(common: int, i: int) -> bool:
+        # common: the nodes of ceiling adjacent to x and w_1..w_i
+        if i == k:
+            return _has_clique(adj, common, p)
+        need = p + k - i - 1  # nodes still to take once w_{i+1} is chosen
+        cand = common & parts[i]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            nxt = common & adj[low.bit_length() - 1]
+            if nxt.bit_count() >= need and extends(nxt, i + 1):
+                return True
+        return False
+
+    reach = 0
+    while xs:
+        low = xs & -xs
+        xs ^= low
+        common = ceiling & adj[low.bit_length() - 1]
+        if common.bit_count() >= p + k and extends(common, 0):
+            reach |= low
+    return reach
+
+
+def _has_clique(adj: Sequence[int], cand: int, need: int) -> bool:
+    """True iff the nodes of cand hold a need-clique (need >= 1).
+
+    Ordered DFS (Chiba-Nishizeki): a member is followed only by its
+    neighbours above it in cand, and a node is tried only while enough
+    nodes remain above it to complete the clique.
+    """
+    if need == 1:
+        return cand != 0
+    need -= 1  # nodes to take after the lowest member
+    while cand.bit_count() > need:
+        low = cand & -cand
+        cand ^= low  # cand now holds only nodes above low
+        nxt = cand & adj[low.bit_length() - 1]
+        if need == 1:
+            if nxt:
+                return True
+        elif nxt.bit_count() >= need and _has_clique(adj, nxt, need):
+            return True
+    return False

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 GEN_KINDS = ("gnp", "planted_clique", "planted_cycle", "complete", "path", "cycle", "empty")
 
@@ -429,6 +429,23 @@ def two_core(graph: Graph, mask: int) -> int:
             if degree[u] == 1:
                 queue.append(u)
     return core
+
+
+def triangle_nodes(adj: Sequence[int]) -> int:
+    """Bitmask of the nodes that lie on some triangle, from adjacency masks.
+
+    One pass over the edges u < v: the nodes adjacent to both ends of an
+    edge are exactly the apexes of its triangles.  Computed per call, in
+    O(m) mask operations.
+    """
+    apex = 0
+    for u, adj_u in enumerate(adj):
+        higher = adj_u >> (u + 1)
+        while higher:
+            low = higher & -higher
+            higher ^= low
+            apex |= adj_u & adj[u + low.bit_length()]
+    return apex
 
 
 class CycleEnumerationLimit(RuntimeError):

@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcongest import cliquelist
 from qcongest.cli import fit_slope
 from qcongest.cliquedetect import (
-    _extend_masks,
-    _extension_reach,
     applicable_strategies,
     blackbox_cost_only,
     degree_batching,
@@ -28,7 +27,7 @@ from qcongest.cliquedetect import (
     sparse_cost_only,
     triangle_cost_only,
 )
-from qcongest.cliquelist import CliqueInventory, list_kp
+from qcongest.cliquelist import clique_reach, list_kp
 from qcongest.graph import (
     GenSpec,
     Graph,
@@ -79,8 +78,10 @@ class TestExtendBlackbox:
         assert extend_blackbox(g, inv, 2, CostLedger())
 
     def test_empty_inventory(self):
-        g = generate(GenSpec(kind="complete", n=5))
-        inv = CliqueInventory(3, 5)
+        # K_{3,3} holds no triangle, so its 3-clique inventory is empty
+        g = Graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+        inv = list_kp(g, 3, CostLedger())
+        assert not inv.member_masks
         assert not extend_blackbox(g, inv, 2, CostLedger())
 
     def test_matches_extension_oracle(self):
@@ -97,32 +98,54 @@ class TestExtendBlackbox:
         got = extend_blackbox(g, inv, t, CostLedger())
         assert got == oracle_has_extension(g, inv, t)
 
-    def test_partial_inventory_is_respected(self):
-        # extension is relative to the inventory, not all cliques
-        edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
-        edges += [(3, 8), (3, 9), (8, 9)]
-        g = Graph(10, edges)
-        inv = CliqueInventory.from_cliques(3, 10, [(3, 8, 9)])
-        assert not extend_blackbox(g, inv, 1, CostLedger())
-        assert oracle_has_clique(g, 4)
+
+def extend_masks(adj, masks, part):
+    """Reference: the common masks of the one-node extensions drawn from part."""
+    out = []
+    for common in masks:
+        cand = common & part
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            out.append(common & adj[low.bit_length() - 1])
+    return out
+
+
+@st.composite
+def reach_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=130))
+    kind = draw(st.sampled_from(["random", "empty", "complete"]))
+    if kind == "empty":
+        return Graph(n, [])
+    if kind == "complete":
+        n = min(n, 11)  # the reference lists every extension of every clique
+        return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    prob = draw(st.sampled_from([0.1, 0.3, 0.6, 0.9] if n <= 24 else [0.05, 0.15, 0.3]))
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    return generate(GenSpec(kind="gnp", n=n, edge_prob=prob, seed=seed))
 
 
 class TestExtensionReach:
-    @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(2, 72), prob=st.sampled_from([0.1, 0.3, 0.6, 0.9]),
-           seed=st.integers(0, 2**16), p=st.integers(2, 3), depth=st.integers(0, 1),
-           part_seed=st.integers(0, 2**32))
-    def test_equals_or_of_the_extensions(self, n, prob, seed, p, depth, part_seed):
-        # the early stop returns what the full scan would, also below the base
-        g = gnp(n, prob, seed)
-        adj = g.adj_masks()
-        inv = list_kp(g, p, CostLedger())
-        masks = inv.mask_list(g)
-        part = part_seed % (1 << n)
-        if depth:
-            masks = _extend_masks(adj, masks, (1 << n) - 1 - part)
-        expected = reduce(or_, _extend_masks(adj, masks, part), 0)
-        assert _extension_reach(adj, masks, part, inv.reach(g)) == expected
+    @settings(max_examples=150, deadline=None)
+    @given(graph=reach_graphs(), p=st.integers(2, 5),
+           part_seeds=st.lists(st.integers(0, 2**130), max_size=2))
+    def test_equals_or_of_the_extensions(self, graph, p, part_seeds):
+        # clique_reach with the t - 1 <= 2 parts of a level-(t-1) setup
+        # equals the old scan: extend the common masks part by part, then OR
+        n = graph.n
+        if graph.m > 6 * n and n > 24:
+            p = min(p, 3)  # keeps the reference's lists small
+        full = (1 << n) - 1
+        parts = tuple(seed & full for seed in part_seeds)
+        adj = graph.adj_masks()
+        inv = list_kp(graph, p, CostLedger())
+        masks = inv.commons
+        for part in parts:
+            masks = extend_masks(adj, masks, part)
+        expected = reduce(or_, masks, 0)
+        assert clique_reach(adj, parts, p, inv.reach()) == expected
+        assert clique_reach(adj, parts, p, full) == expected
+        assert inv.reach() == reduce(or_, inv.commons, 0)
 
 
 class TestExtendSparse:
@@ -139,13 +162,15 @@ class TestExtendSparse:
         assert sparse_led.total() < black_led.total() / 4
 
     def test_empty_inventory(self):
-        g = gnp(64, 0.2, 3)
-        assert not extend_sparse(g, CliqueInventory(3, 64), 1, CostLedger())
+        g = generate(GenSpec(kind="cycle", n=64))  # triangle-free
+        inv = list_kp(g, 3, CostLedger())
+        assert not inv.member_masks
+        assert not extend_sparse(g, inv, 1, CostLedger())
 
     def test_empty_graph_zero_rounds(self):
         g = generate(GenSpec(kind="empty", n=32))
         led = CostLedger()
-        assert not extend_sparse(g, CliqueInventory(3, 32), 1, led)
+        assert not extend_sparse(g, list_kp(g, 3, CostLedger()), 1, led)
         assert led.total() == 0
 
     def test_triangle_via_edge_inventory(self):
@@ -336,6 +361,45 @@ class TestDetectClique:
             assert got == oracle_has_clique(g, q)
             agree += 1
         assert agree == 20
+
+
+class TestSharedInventory:
+    @pytest.mark.parametrize("kind,n,prob,q", [
+        ("gnp", 40, 0.5, 5), ("gnp", 48, 0.8, 7), ("gnp", 64, 0.2, 4),
+        ("planted_clique", 48, 0.3, 6), ("planted_clique", 64, 0.1, 7),
+    ])
+    def test_detection_never_lists(self, monkeypatch, kind, n, prob, q):
+        def refuse(*args):
+            raise AssertionError("detection listed the K_p inventory")
+
+        monkeypatch.setattr(cliquelist, "_list_cliques", refuse)
+        g = generate(GenSpec(kind=kind, n=n, edge_prob=prob, planted_size=q, seed=n + q))
+        expected = oracle_has_clique(g, q)
+        inventories = {}
+        plans = applicable_strategies(g.n, g.m, q)
+        assert len(plans) >= 3
+        for plan in plans:
+            if plan.p not in inventories:
+                inventories[plan.p] = list_kp(g, plan.p, CostLedger())
+            found = detect_clique(g, q, CostLedger(), strategy=plan.strategy, seed=1,
+                                  inv=inventories[plan.p])
+            assert found == expected, plan
+
+    @pytest.mark.parametrize("entry", [
+        lambda g, inv: detect_plus1(g, 3, CostLedger(), inv=inv),
+        lambda g, inv: detect_nested(g, 3, 1, CostLedger(), inv=inv),
+        lambda g, inv: detect_clique(g, 4, CostLedger(), strategy="blackbox", inv=inv),
+        lambda g, inv: detect_clique(g, 5, CostLedger(), strategy="sparse", inv=inv),
+        lambda g, inv: extend_blackbox(g, inv, 1, CostLedger()),
+        lambda g, inv: extend_sparse(g, inv, 1, CostLedger()),
+    ], ids=["plus1", "nested", "clique-blackbox", "clique-sparse", "blackbox", "sparse"])
+    def test_inventory_of_another_graph_rejected(self, entry):
+        # same n and p, other edges: extending its cliques would be meaningless
+        g = gnp(40, 0.5, 1)
+        other = list_kp(gnp(40, 0.5, 2), 3, CostLedger())
+        with pytest.raises(ValueError, match="another graph"):
+            entry(g, other)
+        assert isinstance(entry(g, list_kp(g, 3, CostLedger())), bool)
 
 
 class TestCostOnlySlopes:

@@ -7,14 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcongest import cliquelist
 from qcongest.cli import fit_slope
-from qcongest.cliquelist import (
-    CliqueInventory,
-    list_kp,
-    listing_route_rounds,
-    tuple_assignment,
-)
-from qcongest.graph import GenSpec, Graph, generate, oracle_cliques, range_mask
+from qcongest.cliquelist import list_kp, listing_route_rounds, tuple_assignment
+from qcongest.graph import GenSpec, Graph, _bits, generate, oracle_cliques, range_mask
 from qcongest.netsim import CostLedger
 
 
@@ -113,8 +109,8 @@ class TestListKp:
             owner = ta.owner(rank[tuple(sorted(group_of[v] for v in clique))])
             expected.add((owner, clique, common))
         inv = list_kp(g, p, CostLedger())
-        commons = inv.common_masks(g)
-        got = {(owner, c, commons[c]) for owner, cs in inv.per_node.items() for c in cs}
+        got = {(owner, tuple(_bits(mask)), common)
+               for owner, mask, common in zip(inv.owners(), inv.member_masks, inv.commons)}
         assert got == expected
         assert sorted(inv.mask_list(g)) == sorted(c for _, _, c in expected)
 
@@ -196,38 +192,40 @@ class TestListingMatchesPartitionWalk:
         assert len(inv.member_masks) == comb(n, p)
         assert listed_triples(inv) == reference_listing(g, p)
 
-    def test_added_entries_keep_their_owner(self):
-        g = generate(GenSpec(kind="complete", n=5))
-        inv = list_kp(g, 4, CostLedger())
-        listed = inv.owners()
-        inv.add(3, (0, 1, 2, 3))
-        assert inv.owners() == listed + [3]
-        assert (0, 1, 2, 3) in inv.per_node[3]
 
+class TestLazyInventory:
+    def test_views_list_once_and_reuse_the_listing(self, monkeypatch):
+        calls = []
+        real = cliquelist._list_cliques
 
-class TestHandBuiltInventory:
-    def test_repeats_count_once(self):
-        # K4 on 0..3: each view treats a repeated (node, clique) as one entry
-        g = generate(GenSpec(kind="complete", n=4))
-        inv = CliqueInventory.from_cliques(3, 4, [(0, 1, 2), (2, 1, 0), (1, 2, 3)])
-        inv.add(1, (0, 1, 2))
-        assert inv.per_node == {0: {(0, 1, 2), (1, 2, 3)}, 1: {(0, 1, 2)}}
-        assert inv.union().members == {(0, 1, 2), (1, 2, 3)}
-        assert inv.common_masks(g) == {(0, 1, 2): 0b1000, (1, 2, 3): 0b0001}
-        assert sorted(inv.mask_list(g)) == [0b0001, 0b1000]
-        assert inv.dump() == "0: 0 1 2\n0: 1 2 3\n1: 0 1 2\n"
+        def counting(*args):
+            calls.append(args[1])
+            real(*args)
 
-    def test_reach_follows_add(self):
-        # K4 on 0..3 plus the edge 4-5, which no node extends; the reach is
-        # kept until add() changes the inventory
+        monkeypatch.setattr(cliquelist, "_list_cliques", counting)
+        g = gnp(40, 0.4, 21)
+        inv = list_kp(g, 3, CostLedger())
+        assert calls == []  # list_kp charges the route and lists nothing
+        assert inv.reach() and calls == []
+        members, commons = inv.member_masks, inv.commons
+        assert calls == [3]
+        inv.mask_list(g), inv.owners(), inv.per_node, inv.union(), inv.dump()
+        assert calls == [3]
+        assert inv.member_masks is members and inv.mask_list(g) is commons
+        assert inv.union().members == oracle_cliques(g, 3).members
+
+    def test_reach_is_every_node_on_a_p_plus_1_clique(self):
+        # K4 on 0..3 plus the edge 4-5, which no node extends
         g = Graph(6, [(u, v) for u in range(4) for v in range(u + 1, 4)] + [(4, 5)])
-        inv = list_kp(g, 2, CostLedger())
-        assert inv.reach(g) == 0b001111
-        inv = CliqueInventory.from_cliques(3, 6, [(0, 1, 2)])
-        assert inv.reach(g) == 0b001000
-        inv.add(2, (1, 2, 3))
-        assert inv.reach(g) == 0b001001
-        assert CliqueInventory(3, 6).reach(g) == 0
+        assert list_kp(g, 2, CostLedger()).reach() == 0b001111
+        assert list_kp(g, 3, CostLedger()).reach() == 0b001111
+        assert list_kp(g, 4, CostLedger()).reach() == 0
+
+    def test_other_graph_rejected(self):
+        g = gnp(30, 0.5, 1)
+        inv = list_kp(g, 3, CostLedger())
+        with pytest.raises(ValueError, match="another graph"):
+            inv.mask_list(gnp(30, 0.5, 2))
 
 
 class TestListingCost:
