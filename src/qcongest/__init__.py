@@ -15,18 +15,7 @@ from .graph import (
     oracle_has_extension,
     save_graph,
 )
-from .netsim import (
-    CliqueNet,
-    CongestNet,
-    CostLedger,
-    KnowledgeState,
-    RoutingDemand,
-    Word,
-    broadcast_all,
-    congest_step,
-    converge_to_leader,
-    route_lenzen,
-)
+from .netsim import CongestNet, CostLedger, congest_step
 from .qsearch import (
     NestedSearchPlan,
     QuantumCostParams,

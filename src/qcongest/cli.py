@@ -174,15 +174,11 @@ def _params_text(cfg: ExperimentConfig, **extra) -> str:
     return ";".join(bits)
 
 
-def _resolve_graph(cfg: ExperimentConfig, seed: Optional[int] = None) -> Graph:
+def _resolve_graph(cfg: ExperimentConfig) -> Graph:
     if cfg.graph_path is not None:
         return load_graph(cfg.graph_path)
     if cfg.gen is not None:
-        spec = cfg.gen if seed is None else GenSpec(
-            kind=cfg.gen.kind, n=cfg.gen.n, edge_prob=cfg.gen.edge_prob,
-            planted_size=cfg.gen.planted_size, seed=seed,
-        )
-        return generate(spec)
+        return generate(cfg.gen)
     raise UsageError("need --graph or --gen")
 
 
@@ -366,24 +362,6 @@ def run_verify(cfg: ExperimentConfig) -> Tuple[List[ResultRow], int]:
     return rows, mismatches
 
 
-def run_experiment(cfg: ExperimentConfig) -> List[ResultRow]:
-    """Dispatch a configuration to its command; deterministic for fixed cfg."""
-    if cfg.command == "detect-clique":
-        return run_detect_clique(cfg)
-    if cfg.command == "detect-cycle":
-        return run_detect_cycle(cfg)
-    if cfg.command == "list":
-        return run_list(cfg)[0]
-    if cfg.command == "sweep":
-        return run_sweep(cfg)
-    if cfg.command == "verify":
-        rows, mismatches = run_verify(cfg)
-        if mismatches:
-            raise RuntimeError(f"verify: {mismatches} oracle mismatches")
-        return rows
-    raise UsageError(f"run_experiment cannot dispatch {cfg.command!r}")
-
-
 # ---------------------------------------------------------------------------
 # argument parsing / entry point
 # ---------------------------------------------------------------------------
@@ -527,14 +505,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print(json.dumps({"n": graph.n, "m": graph.m, "out": cfg.out},
                                  sort_keys=True))
             return 0
-        if cfg.command == "detect-clique":
-            rows = run_detect_clique(cfg)
-            _emit(cfg, rows, {"found": rows[0].found,
-                              "rounds_total": rows[0].rounds_total,
-                              "algo": rows[0].algo})
-            return 0
-        if cfg.command == "detect-cycle":
-            rows = run_detect_cycle(cfg)
+        if cfg.command in ("detect-clique", "detect-cycle"):
+            run = run_detect_clique if cfg.command == "detect-clique" else run_detect_cycle
+            rows = run(cfg)
             _emit(cfg, rows, {"found": rows[0].found,
                               "rounds_total": rows[0].rounds_total,
                               "algo": rows[0].algo})

@@ -32,13 +32,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .cliquelist import CliqueInventory, clique_reach, list_kp, listing_route_rounds
 from .graph import Graph, density, range_mask, triangle_nodes
 from .intmath import ceil_div, ceil_pow, ceil_scaled_pow
-from .netsim import CliqueNet, CostLedger, KnowledgeState
+from .netsim import CostLedger, word_capacity
 from .qsearch import (
     DEFAULT_PARAMS,
     NestedSearchPlan,
     QuantumCostParams,
     SearchLevel,
-    SearchOutcome,
     charge_search,
     grover_cost,
     nested_cost_predict,
@@ -51,31 +50,12 @@ STRATEGIES = ("triangle15", "plus1", "nested", "blackbox", "sparse")
 
 
 @dataclass(frozen=True)
-class LevelPartition:
-    """One level of a nested search: V split into count contiguous ranges."""
-
-    level: int
-    exponent: Fraction
-    count: int
-    parts: Tuple[range, ...]
-
-
-@dataclass(frozen=True)
-class DegreeBatching:
-    """Partition of V into batches of roughly equal degree sum."""
-
-    batches: Tuple[Tuple[int, ...], ...]
-    target: int
-
-
-@dataclass(frozen=True)
 class DetectionPlan:
     q: int
     strategy: str
     p: int
     t: int
     predicted_exponent: float
-    listing_bound: str = "dlp12"  # listing cost bound used by the planner
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +124,6 @@ def detect_triangle_quintic(
     seed: int = 0,
     params: QuantumCostParams = DEFAULT_PARAMS,
     stats: Optional[Dict[str, int]] = None,
-    knowledge: Optional[KnowledgeState] = None,
 ) -> bool:
     """Shard V^3 over nodes, learn A_i x A_j, search Q_k in batches."""
     n = graph.n
@@ -152,17 +131,6 @@ def detect_triangle_quintic(
         raise ValueError("triangle detection needs n >= 32")
     warmup, domain, query_rounds = _triangle_costs(n, graph.m)
     ledger.charge("triangle/warmup", "clique", "route", warmup)
-    n_a = ceil_pow(n, Fraction(2, 5))
-    a_parts = id_ranges(n, n_a)
-    if knowledge is not None:
-        # shard (i, j, k) of node s: the warmup teaches it the A_i x A_j slots
-        a_masks = [range_mask(r) for r in a_parts]
-        n_q_k = ceil_pow(n, Fraction(1, 5))
-        for shard in range(n_a * n_a * n_q_k):
-            owner = shard % n
-            i, j = shard // (n_a * n_q_k), (shard // n_q_k) % n_a
-            knowledge.add_rectangle(owner, a_masks[i], a_masks[j])
-
     n_q = ceil_pow(n, Fraction(1, 5))
     q_parts = id_ranges(n, n_q)
     batch_masks: List[int] = []
@@ -187,12 +155,10 @@ def detect_triangle_quintic(
 
 def triangle_cost_only(
     n: int, m: int, ledger: CostLedger, params: QuantumCostParams = DEFAULT_PARAMS
-) -> SearchOutcome:
+) -> None:
     warmup, domain, query_rounds = _triangle_costs(n, m)
     ledger.charge("triangle/warmup", "clique", "route", warmup)
-    rounds = charge_search(ledger, domain, query_rounds, params, "clique",
-                           "triangle/search")
-    return SearchOutcome(False, None, rounds, 0)
+    charge_search(ledger, domain, query_rounds, params, "clique", "triangle/search")
 
 
 # ---------------------------------------------------------------------------
@@ -256,16 +222,6 @@ def nested_feasible(p: int, t: int) -> bool:
     return p >= 2 and t >= 1 and 2 ** (t - 1) <= p - 1
 
 
-def nested_level_partitions(n: int, p: int, t: int) -> List[LevelPartition]:
-    out = []
-    for i in range(1, t + 1):
-        r_i = Fraction(p - 1, p) / 2 ** (t - i)
-        count = ceil_pow(n, r_i)
-        out.append(LevelPartition(level=i, exponent=r_i, count=count,
-                                  parts=id_ranges(n, count)))
-    return out
-
-
 def _nested_costs(n: int, m: int, p: int, t: int) -> Tuple[List[int], List[int], int]:
     """(level domain sizes, setup rounds s_1..s_{t-1}, check rounds)."""
     rho = density(n, m)
@@ -298,9 +254,8 @@ def detect_nested(
         )
     n = graph.n
     inv = _inventory(graph, p, ledger, inv)
-    partitions = nested_level_partitions(n, p, t)
-    part_masks = [[range_mask(r) for r in lp.parts] for lp in partitions]
     sizes, setup_rounds, check_rounds = _nested_costs(n, graph.m, p, t)
+    part_masks = [[range_mask(r) for r in id_ranges(n, sizes[i])] for i in range(t)]
     ceiling = inv.reach()
     reach = ceiling  # t = 1; else set by every level t-1 setup before its checks
 
@@ -348,7 +303,7 @@ def _blackbox_costs(n: int, t: int, packing: bool) -> Tuple[List[int], List[int]
     node's adjacency bitmask over the current part (m-independent: a
     bitmask conveys presence and absence alike).
     """
-    capacity = CliqueNet(max(n, 2)).word.capacity
+    capacity = word_capacity(n)
     sizes: List[int] = []
     setups: List[int] = []
     for lvl in range(1, t + 1):
@@ -412,7 +367,7 @@ def blackbox_cost_only(
 # ---------------------------------------------------------------------------
 
 
-def degree_batching(degrees: Sequence[int], target: int) -> DegreeBatching:
+def degree_batching(degrees: Sequence[int], target: int) -> Tuple[Tuple[int, ...], ...]:
     """Greedy fill in id order; a batch closes once its degree sum >= target."""
     if target < 1:
         raise ValueError("target must be >= 1")
@@ -427,7 +382,7 @@ def degree_batching(degrees: Sequence[int], target: int) -> DegreeBatching:
             current, acc = [], 0
     if current or not batches:
         batches.append(tuple(current))
-    return DegreeBatching(batches=tuple(batches), target=target)
+    return tuple(batches)
 
 
 def _sparse_base_costs(n: int, m: int) -> Tuple[int, int]:
@@ -499,12 +454,12 @@ def _sparse_search(
     degrees = graph.degrees()
     ceiling = inv.reach()
     _, query = _sparse_base_costs(n, m)
-    base_batches = [_batch_mask(b) for b in degree_batching(degrees, target=n).batches]
+    base_batches = [_batch_mask(b) for b in degree_batching(degrees, target=n)]
     base_rounds = grover_cost(len(base_batches), query, params)
     levels: Dict[int, Tuple[int, List[int]]] = {}
     for k in range(2, t + 1):
         x = _sparse_level_x(n, m, k)
-        batches = degree_batching(degrees, target=max(1, ceil_div(2 * m, x))).batches
+        batches = degree_batching(degrees, target=max(1, ceil_div(2 * m, x)))
         masks = [_batch_mask(b) for b in batches[:x]]
         levels[k] = (_sparse_bcast_rounds(n, m, x), masks + [0] * (x - len(masks)))
 

@@ -22,7 +22,10 @@ exist (which nodes lie on a K_{p+1}; which nodes form a K_{p+t} with one
 node of each chosen part and some K_p), and clique_reach answers them
 with one early-exit search per candidate node.
 
-Round charges use the idealized exact-divisibility parameters (group size
+The route is charged as Lenzen routing (PODC 2013): a worst per-node load
+of L words costs ceil(L / n) rounds (listing_route_rounds, the one listing
+charge, made by list_kp and by every detector handed an inventory).  The
+load uses the idealized exact-divisibility parameters (group size
 n^(1-1/p), multiset count n/p!) scaled by graph density, so ledgers are
 deterministic functions of (n, m, p); see the project notes on cost
 accounting in the README.
@@ -36,9 +39,9 @@ from itertools import combinations_with_replacement
 from math import comb
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .graph import CliqueSet, Graph, _bits, density, range_mask, triangle_nodes
+from .graph import CliqueSet, Graph, _bits, density, triangle_nodes
 from .intmath import ceil_div, ceil_root, ceil_scaled_pow
-from .netsim import CostLedger, KnowledgeState, RoutingDemand, route_lenzen
+from .netsim import CostLedger
 
 
 @dataclass(frozen=True)
@@ -174,35 +177,15 @@ def listing_route_rounds(n: int, m: int, p: int) -> int:
     return ceil_div(load, n) if load else 0
 
 
-def list_kp(
-    graph: Graph,
-    p: int,
-    ledger: CostLedger,
-    phase: str = "kp-listing",
-    knowledge: Optional[KnowledgeState] = None,
-) -> CliqueInventory:
+def list_kp(graph: Graph, p: int, ledger: CostLedger) -> CliqueInventory:
     """Charge the listing route; the inventory's union equals oracle_cliques(G, p).
 
     The inventory lists when a view first asks for its cliques, not here.
     """
     if p < 2:
         raise ValueError("p must be >= 2")
-    n = graph.n
-    ta = tuple_assignment(n, p)
-    transfer = None
-    if knowledge is not None:
-        # each owner learns every slot inside its multisets' group union
-        group_masks = [range_mask(g) for g in ta.groups]
-        transfer = []
-        for rank, ms in enumerate(ta.multisets):
-            union = 0
-            for gi in set(ms):
-                union |= group_masks[gi]
-            transfer.append((ta.owner(rank), union, union))
-    demand = RoutingDemand.single_load(listing_route_load(n, graph.m, p))
-    route_lenzen(ledger, demand, n, phase=phase, knowledge=knowledge,
-                 transfer=transfer)
-    return CliqueInventory(graph.adj_masks(), p, ta)
+    ledger.charge("kp-listing", "clique", "route", listing_route_rounds(graph.n, graph.m, p))
+    return CliqueInventory(graph.adj_masks(), p, tuple_assignment(graph.n, p))
 
 
 def _list_cliques(

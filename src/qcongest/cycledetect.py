@@ -167,11 +167,6 @@ def color_bfs_rep_rounds(ell: int, congestion_bound: int) -> int:
     return 1 + (ell // 2 - 1) * congestion_bound
 
 
-def color_bfs_rounds(net: CongestNet, cfg: ColorBfsConfig) -> int:
-    """Full charge of one color_bfs call: all repetitions + leader report."""
-    return cfg.repetitions * color_bfs_rep_rounds(cfg.cycle_len, cfg.congestion_bound) + net.converge_cost(1)
-
-
 # ---------------------------------------------------------------------------
 # protocol engine: hop-by-hop simulation
 # ---------------------------------------------------------------------------
@@ -453,28 +448,54 @@ def color_bfs(
     Rounds follow the protocol structure exactly; the event engine only
     shortcuts their execution.
     """
-    graph = net.graph
-    rounds = color_bfs_rounds(net, cfg)
+    bfs_rounds = cfg.repetitions * color_bfs_rep_rounds(cfg.cycle_len, cfg.congestion_bound)
+    report_rounds = net.converge_cost(1)
     if ledger is not None:
-        ledger.charge("color-bfs", "congest", "route",
-                      cfg.repetitions * color_bfs_rep_rounds(cfg.cycle_len, cfg.congestion_bound))
-        ledger.charge("color-bfs/report", "congest", "converge", net.converge_cost(1))
+        ledger.charge("color-bfs", "congest", "route", bfs_rounds)
+        ledger.charge("color-bfs/report", "congest", "converge", report_rounds)
     if engine == "event":
-        found = _event_found(graph, cfg, ("color-bfs", seed))
+        found = _event_found(net.graph, cfg, ("color-bfs", seed))
     elif engine == "protocol":
-        found = False
-        rng = random.Random(_derive_seed("color-bfs-protocol", seed))
-        scratch = CostLedger()
-        for _ in range(cfg.repetitions):
-            colors = {v: rng.randrange(cfg.cycle_len) for v in sorted(cfg.active)}
-            if protocol_detect_once(graph, cfg, colors, net=net, ledger=scratch):
-                found = True
-                break
+        found = _protocol_found(net, cfg, seed)
         if found:
             net.require_reachable(sorted(cfg.sources)[:1])
     else:
         raise ValueError(f"unknown engine {engine!r}")
-    return found, rounds
+    return found, bfs_rounds + report_rounds
+
+
+def _protocol_found(net: CongestNet, cfg: ColorBfsConfig, seed: int) -> bool:
+    """Did any of cfg.repetitions random colorings detect, hop by hop?"""
+    rng = random.Random(_derive_seed("color-bfs-protocol", seed))
+    scratch = CostLedger()
+    for _ in range(cfg.repetitions):
+        colors = {v: rng.randrange(cfg.cycle_len) for v in sorted(cfg.active)}
+        if protocol_detect_once(net.graph, cfg, colors, net=net, ledger=scratch):
+            return True
+    return False
+
+
+def _query_found(
+    net: CongestNet,
+    cfg: ColorBfsConfig,
+    seed_parts: Tuple,
+    engine: str,
+    stats: Optional[Dict[str, int]],
+    core: int,
+) -> bool:
+    """One search query of a cycle detector: did cfg's color BFS detect?
+
+    The event engine samples the detection event inside `core`; any other
+    engine runs the protocol hop by hop, seeded from `seed_parts`.  A
+    detection is reported to the leader by the first source.
+    """
+    if engine == "event":
+        found = _event_found(net.graph, cfg, seed_parts, record=stats, core=core)
+    else:
+        found = _protocol_found(net, cfg, _derive_seed(*seed_parts))
+    if found:
+        net.require_reachable(sorted(cfg.sources)[:1])
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -510,15 +531,8 @@ def detect_odd_cycle(
 
     def checker(v: int) -> Tuple[bool, int]:
         cfg = ColorBfsConfig(cycle_len=ell, active=all_nodes, sources=frozenset({v}),
-                             heights=None, congestion_bound=1, repetitions=reps)
-        if engine == "event":
-            found = _event_found(graph, cfg, ("odd", seed, v), record=stats, core=core)
-        else:
-            found, _ = color_bfs(net, cfg, seed=_derive_seed("odd", seed, v),
-                                 engine="protocol")
-        if found:
-            net.require_reachable([v])
-        return found, query_rounds
+                             congestion_bound=1, repetitions=reps)
+        return _query_found(net, cfg, ("odd", seed, v), engine, stats, core), query_rounds
 
     outcome = run_search(n, checker, ledger, params, seed=seed, model="congest",
                          phase="odd-cycle/search")
@@ -532,10 +546,9 @@ def odd_cycle_cost_only(
     ell: int,
     ledger: CostLedger,
     params: QuantumCostParams = DEFAULT_PARAMS,
-    ecc: int = 1,
 ) -> None:
     reps = odd_cycle_repetitions(n, ell)
-    query_rounds = reps * color_bfs_rep_rounds(ell, 1) + ecc
+    query_rounds = reps * color_bfs_rep_rounds(ell, 1) + 1  # + a one-round convergecast
     charge_search(ledger, n, query_rounds, params, "congest", "odd-cycle/search")
 
 
@@ -618,7 +631,7 @@ def detect_even_cycle(
     reps = even_cycle_repetitions(two_k)
 
     # stage 1: the leader counts edges; too many for C_{2k}-freeness -> yes
-    ledger.charge("even-cycle/prune", "congest", "converge", net.converge_cost(net.word.capacity))
+    ledger.charge("even-cycle/prune", "congest", "converge", net.converge_cost(net.capacity))
     if graph.m > ecp.prune_const * ceil_pow(n, 1 + Fraction(1, k)):
         return True
 
@@ -633,17 +646,9 @@ def detect_even_cycle(
 
         def heavy_checker(i: int) -> Tuple[bool, int]:
             v = heavy[i]
-            cfg = ColorBfsConfig(cycle_len=two_k, active=all_nodes,
-                                 sources=frozenset({v}), heights=None,
+            cfg = ColorBfsConfig(cycle_len=two_k, active=all_nodes, sources=frozenset({v}),
                                  congestion_bound=1, repetitions=reps)
-            if engine == "event":
-                found = _event_found(graph, cfg, ("even-heavy", seed, v), record=stats,
-                                     core=heavy_core)
-            else:
-                found, _ = color_bfs(net, cfg, seed=_derive_seed("even-heavy", seed, v),
-                                     engine="protocol")
-            if found:
-                net.require_reachable([v])
+            found = _query_found(net, cfg, ("even-heavy", seed, v), engine, stats, heavy_core)
             return found, heavy_query_rounds
 
         heavy_outcome = run_search(len(heavy), heavy_checker, ledger, params,
@@ -662,26 +667,19 @@ def detect_even_cycle(
     heights = dict(decomp.layers)
     n_idx = ceil_pow(n, ecp.alpha)
     rng = random.Random(_derive_seed("even-light-index", seed))
-    light_sorted = sorted(light)
-    indices = {v: rng.randrange(n_idx) for v in light_sorted}
+    by_index: List[List[int]] = [[] for _ in range(n_idx)]
+    for v in sorted(light):
+        by_index[rng.randrange(n_idx)].append(v)
+    light_sources = [frozenset(vs) for vs in by_index]
     m_bound = ecp.a_cong * max(1, math.ceil(math.log2(max(n, 2))))
     light_query_rounds = reps * color_bfs_rep_rounds(two_k, m_bound) + net.converge_cost(1)
     light_active = frozenset(light)
     light_core = two_core(graph, sum(1 << v for v in light))
 
     def light_checker(i: int) -> Tuple[bool, int]:
-        srcs = frozenset(v for v in light_sorted if indices[v] == i)
-        cfg = ColorBfsConfig(cycle_len=two_k, active=light_active, sources=srcs,
-                             heights=heights, congestion_bound=m_bound,
-                             repetitions=reps)
-        if engine == "event":
-            found = _event_found(graph, cfg, ("even-light", seed, i), record=stats,
-                                 core=light_core)
-        else:
-            found, _ = color_bfs(net, cfg, seed=_derive_seed("even-light", seed, i),
-                                 engine="protocol")
-        if found:
-            net.require_reachable(sorted(srcs)[:1])
+        cfg = ColorBfsConfig(cycle_len=two_k, active=light_active, sources=light_sources[i],
+                             heights=heights, congestion_bound=m_bound, repetitions=reps)
+        found = _query_found(net, cfg, ("even-light", seed, i), engine, stats, light_core)
         return found, light_query_rounds
 
     light_outcome = run_search(n_idx, light_checker, ledger, params, seed=seed,
@@ -698,13 +696,13 @@ def even_cycle_cost_only(
     ledger: CostLedger,
     params: QuantumCostParams = DEFAULT_PARAMS,
     ec_params: Optional[EvenCycleParams] = None,
-    ecc: int = 1,
 ) -> Optional[bool]:
     """Charge the even-cycle stages from analytic sizes.
 
     The light-phase congestion is charged at its expected value (M = 1,
     the index partition is sized to make expected congestion constant);
-    the heavy-set size uses the extremal bound n^(1 - 1/k - delta).
+    the heavy-set size uses the extremal bound n^(1 - 1/k - delta).  Each
+    convergecast is charged one round (eccentricity 1, one word).
     Returns True when the edge prune alone decides, else None.
     """
     k = two_k // 2
@@ -712,17 +710,17 @@ def even_cycle_cost_only(
         raise ValueError("two_k must be even and >= 4")
     ecp = ec_params if ec_params is not None else EvenCycleParams(k=k)
     reps = even_cycle_repetitions(two_k)
-    ledger.charge("even-cycle/prune", "congest", "converge", ecc)
+    ledger.charge("even-cycle/prune", "congest", "converge", 1)
     if m > ecp.prune_const * ceil_pow(n, 1 + Fraction(1, k)):
         return True
     heavy_domain = max(1, ceil_pow(n, 1 - Fraction(1, k) - ecp.delta))
-    heavy_query = reps * color_bfs_rep_rounds(two_k, 1) + ecc
+    heavy_query = reps * color_bfs_rep_rounds(two_k, 1) + 1
     charge_search(ledger, heavy_domain, heavy_query, params, "congest",
                   "even-cycle/heavy-search")
     layers = max(1, math.ceil(2 * math.log2(max(n, 2))))
     ledger.charge("forest-decomposition", "congest", "route", layers)
     light_domain = max(1, ceil_pow(n, ecp.alpha))
-    light_query = reps * color_bfs_rep_rounds(two_k, 1) + ecc
+    light_query = reps * color_bfs_rep_rounds(two_k, 1) + 1
     charge_search(ledger, light_domain, light_query, params, "congest",
                   "even-cycle/light-search")
     return None

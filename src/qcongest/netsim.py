@@ -5,16 +5,18 @@ clique model moves one word per ordered node pair per round; CONGEST moves
 one word per directed graph edge per round.  Word capacity is
 ceil(log2 n) bits, so one word carries a node id.
 
-Charges are deterministic functions of the demand handed in; payloads are
-materialized only for CONGEST steps (cycle protocols are hop-by-hop).
+The detectors compute their charges from closed-form cost functions (the
+Lenzen routing charge of the K_p listing lives in cliquelist) and hand the
+rounds to a CostLedger.  This module adds the CONGEST leader convergecast
+(CongestNet) and the hop-by-hop steps of the cycle protocols
+(congest_step), the only place where payloads are materialized.
 """
 
 from __future__ import annotations
 
-import io
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .intmath import ceil_div
 
@@ -25,17 +27,6 @@ MODELS = ("clique", "congest")
 def word_capacity(n: int) -> int:
     """Bits per message word: ceil(log2 n), at least 1."""
     return max(1, (max(n, 2) - 1).bit_length())
-
-
-@dataclass(frozen=True)
-class Word:
-    """Message word; carries one node id, half an edge, or capacity adjacency bits."""
-
-    capacity: int
-
-    @classmethod
-    def for_n(cls, n: int) -> "Word":
-        return cls(capacity=word_capacity(n))
 
 
 @dataclass(frozen=True)
@@ -71,92 +62,6 @@ class CostLedger:
             out[e.kind] += e.rounds
         return out
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("phase,model,kind,rounds\n")
-        for e in self.entries:
-            buf.write(f"{e.phase},{e.model},{e.kind},{e.rounds}\n")
-        buf.write(f"TOTAL,,,{self.total()}\n")
-        return buf.getvalue()
-
-
-@dataclass
-class RoutingDemand:
-    """Per-node word counts for one Lenzen information-distribution task."""
-
-    send_words: Mapping[int, int]
-    recv_words: Mapping[int, int]
-
-    @classmethod
-    def uniform(cls, n: int, send: int, recv: int) -> "RoutingDemand":
-        return cls({v: send for v in range(n)}, {v: recv for v in range(n)})
-
-    @classmethod
-    def single_load(cls, load: int) -> "RoutingDemand":
-        """Demand dominated by one worst-loaded node (send mirrored)."""
-        return cls({0: load}, {0: load})
-
-    def max_load(self) -> int:
-        ms = max(self.send_words.values(), default=0)
-        mr = max(self.recv_words.values(), default=0)
-        return max(ms, mr)
-
-
-class KnowledgeState:
-    """Per-node knowledge of edge slots, stored as (maskA, maskB) rectangles.
-
-    A node knowing rectangle (A, B) knows presence/absence of every pair in
-    A x B.  Knowledge is append-only; every node starts out knowing its own
-    incident slots.
-    """
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        full = (1 << n) - 1
-        self._rects: List[List[Tuple[int, int]]] = [
-            [(1 << v, full)] for v in range(n)
-        ]
-
-    def add_rectangle(self, node: int, mask_a: int, mask_b: int) -> None:
-        self._rects[node].append((mask_a, mask_b))
-
-    def rectangle_count(self, node: int) -> int:
-        return len(self._rects[node])
-
-    def knows(self, node: int, u: int, w: int) -> bool:
-        bu, bw = 1 << u, 1 << w
-        for a, b in self._rects[node]:
-            if (a & bu and b & bw) or (a & bw and b & bu):
-                return True
-        return False
-
-
-class CliqueNet:
-    """Congested Clique instance: n nodes, complete communication topology."""
-
-    def __init__(self, n: int, packing: bool = True) -> None:
-        if n < 2:
-            raise ValueError("clique model needs n >= 2")
-        self.n = n
-        self.word = Word.for_n(n)
-        self.packing = packing
-        self.model = "clique"
-
-    def adjacency_broadcast_words(self, target_set_size: int) -> int:
-        """Words each node must broadcast to convey its adjacency over a set.
-
-        Bit-packing fits word-capacity adjacency bits per word; the
-        paper-literal mode sends one word per target node.
-        """
-        if target_set_size <= 0:
-            return 0
-        if self.packing:
-            return ceil_div(target_set_size, self.word.capacity)
-        return target_set_size
-
-    def converge_cost(self, bits_per_node: int) -> int:
-        return ceil_div(bits_per_node, self.word.capacity) if bits_per_node > 0 else 0
-
 
 class CongestNet:
     """CONGEST instance: messages travel only along graph edges.
@@ -168,9 +73,8 @@ class CongestNet:
     def __init__(self, graph) -> None:
         self.graph = graph
         self.n = graph.n
-        self.word = Word.for_n(graph.n)
+        self.capacity = word_capacity(graph.n)
         self.leader = 0
-        self.model = "congest"
         self.dist = self._bfs_from_leader()
         reach = [d for d in self.dist if d >= 0]
         self.eccentricity = max(reach) if reach else 0
@@ -200,51 +104,7 @@ class CongestNet:
     def converge_cost(self, bits_per_node: int) -> int:
         if bits_per_node <= 0:
             return 0
-        return self.eccentricity * ceil_div(bits_per_node, self.word.capacity)
-
-
-def route_lenzen(
-    ledger: CostLedger,
-    demand: RoutingDemand,
-    n: int,
-    phase: str = "route",
-    knowledge: Optional[KnowledgeState] = None,
-    transfer: Optional[Iterable[Tuple[int, int, int]]] = None,
-) -> int:
-    """Charge a clique-model Lenzen routing step: ceil(max load / n) rounds.
-
-    `transfer` is an optional knowledge update, a list of (node, maskA,
-    maskB) rectangles applied atomically after the charge.
-    """
-    load = demand.max_load()
-    rounds = ceil_div(load, n) if load > 0 else 0
-    ledger.charge(phase, "clique", "route", rounds)
-    if knowledge is not None and transfer is not None:
-        for node, mask_a, mask_b in transfer:
-            knowledge.add_rectangle(node, mask_a, mask_b)
-    return rounds
-
-
-def broadcast_all(ledger: CostLedger, words_per_node: int, phase: str = "broadcast") -> int:
-    """Charge a full all-to-all broadcast: one word to everyone per round."""
-    rounds = max(0, int(words_per_node))
-    ledger.charge(phase, "clique", "broadcast", rounds)
-    return rounds
-
-
-def converge_to_leader(
-    ledger: CostLedger,
-    net,
-    bits_per_node: int,
-    phase: str = "converge",
-    reporting_nodes: Optional[Iterable[int]] = None,
-) -> int:
-    """Charge aggregation of bits_per_node from every node to node 0."""
-    if isinstance(net, CongestNet) and reporting_nodes is not None:
-        net.require_reachable(reporting_nodes)
-    rounds = net.converge_cost(bits_per_node)
-    ledger.charge(phase, net.model, "converge", rounds)
-    return rounds
+        return self.eccentricity * ceil_div(bits_per_node, self.capacity)
 
 
 def congest_step(

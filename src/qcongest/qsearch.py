@@ -182,8 +182,8 @@ def run_nested_search(
 ) -> SearchOutcome:
     """Nested search: DFS enumeration with short-circuit; formula charge.
 
-    Setups execute once per enumerated prefix (their knowledge updates are
-    needed for correctness) but their rounds enter the charge once per
+    Setups execute once per enumerated prefix (the checks below them read
+    what they compute) but their rounds enter the charge once per
     level, inside the nesting formula, since quantum queries reuse the same
     distributed setup.  Setup costs must be homogeneous within a level.
     """

@@ -165,28 +165,6 @@ class TestCommands:
         assert len(rows) == 3 and all(r.found is not None for r in rows)
 
 
-class TestRunExperiment:
-    def test_dispatch_detect(self):
-        from qcongest.cli import run_experiment
-        from qcongest.graph import GenSpec
-
-        cfg = ExperimentConfig(
-            command="detect-clique",
-            gen=GenSpec(kind="planted_clique", n=64, edge_prob=0.1,
-                        planted_size=5, seed=1),
-            q=5,
-        )
-        rows = run_experiment(cfg)
-        assert len(rows) == 1 and rows[0].found is True
-
-    def test_verify_raises_on_mismatch_path(self):
-        from qcongest.cli import run_experiment
-
-        cfg = ExperimentConfig(command="verify", q=4, trials=6, seed=0)
-        rows = run_experiment(cfg)
-        assert len(rows) == 6
-
-
 class TestCostParamFlags:
     def test_fail_prob_injection_via_cli(self, capsys):
         args = ["detect-clique", "--gen", "planted_clique,48,0.1,5,2",

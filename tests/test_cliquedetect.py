@@ -1,6 +1,5 @@
 """Clique detection strategies against the brute-force oracles."""
 
-from fractions import Fraction
 from functools import reduce
 from operator import or_
 
@@ -20,8 +19,8 @@ from qcongest.cliquedetect import (
     detect_triangle_quintic,
     extend_blackbox,
     extend_sparse,
+    _nested_costs,
     nested_cost_only,
-    nested_level_partitions,
     plan_strategy,
     plus1_cost_only,
     sparse_cost_only,
@@ -188,11 +187,11 @@ class TestExtendSparse:
 
     def test_degree_batching_bounds(self):
         g = gnp(96, 0.3, 7)
-        batching = degree_batching(g.degrees(), target=96)
-        nodes = sorted(v for b in batching.batches for v in b)
+        batches = degree_batching(g.degrees(), target=96)
+        nodes = sorted(v for b in batches for v in b)
         assert nodes == list(range(96))
         maxdeg = max(g.degrees())
-        for batch in batching.batches[:-1]:
+        for batch in batches[:-1]:
             s = sum(g.degree(v) for v in batch)
             assert 96 / 2 <= s <= 96 + maxdeg
 
@@ -225,9 +224,10 @@ class TestDetectNested:
         assert detect_nested(g, 3, 2, CostLedger())
 
     def test_level_exponents_p3_t2(self):
-        parts = nested_level_partitions(64, 3, 2)
-        assert parts[0].exponent == Fraction(1, 3)
-        assert parts[1].exponent == Fraction(2, 3)
+        # r_i = (1 - 1/p) / 2^(t-i): levels of n^(1/3) and n^(2/3) parts
+        for n, want in ((64, [4, 16]), (4096, [16, 256]), (100, [5, 22])):
+            sizes, _, _ = _nested_costs(n, n * (n - 1) // 2, 3, 2)
+            assert sizes == want
 
     def test_constraint_rejected(self):
         g = gnp(64, 0.5, 0)
@@ -245,8 +245,6 @@ class TestDetectNested:
                              planted_size=7, seed=5))
         led = CostLedger()
         assert detect_nested(g, 5, 2, led)
-        from qcongest.cliquedetect import _nested_costs
-
         sizes, setups, check = _nested_costs(g.n, g.m, 5, 2)
         quantum = [e for e in led.entries if e.kind == "quantum"]
         assert len(quantum) == 1
@@ -433,35 +431,6 @@ class TestCostOnlySlopes:
                 ys.append(led.total())
             target = max(1 - 2 / p, (1 - 1 / p) * (1 - 1 / 2**t))
             assert abs(fit_slope(ns, ys) - target) < 0.05, (p, t)
-
-
-class TestKnowledgeTracking:
-    def test_triangle_warmup_rectangles(self):
-        from qcongest.netsim import KnowledgeState
-
-        g = gnp(36, 0.3, 1)
-        ks = KnowledgeState(36)
-        before = [ks.rectangle_count(v) for v in range(36)]
-        detect_triangle_quintic(g, CostLedger(), knowledge=ks)
-        after = [ks.rectangle_count(v) for v in range(36)]
-        # monotone: rectangles only accumulate, every node owns >= 1 shard
-        assert all(b >= a for a, b in zip(before, after))
-        assert all(b > a for a, b in zip(before, after))
-
-    def test_listing_owner_knows_its_groups(self):
-        from qcongest.cliquelist import tuple_assignment
-        from qcongest.netsim import KnowledgeState
-
-        g = gnp(16, 0.4, 2)
-        ks = KnowledgeState(16)
-        list_kp(g, 2, CostLedger(), knowledge=ks)
-        ta = tuple_assignment(16, 2)
-        # owner of multiset (0, 1) must know all slots across groups 0 and 1
-        rank = ta.multisets.index((0, 1))
-        owner = ta.owner(rank)
-        for u in ta.groups[0]:
-            for v in ta.groups[1]:
-                assert ks.knows(owner, u, v)
 
 
 class TestLedgerDeterminism:

@@ -1,23 +1,9 @@
-"""Round accounting: ledger, routing, broadcast, convergecast, CONGEST steps."""
+"""Round accounting: ledger, word capacity, convergecast, CONGEST steps."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from qcongest.graph import GenSpec, generate
-from qcongest.netsim import (
-    CliqueNet,
-    CongestNet,
-    CostLedger,
-    KnowledgeState,
-    RoutingDemand,
-    Word,
-    broadcast_all,
-    congest_step,
-    converge_to_leader,
-    route_lenzen,
-    word_capacity,
-)
+from qcongest.graph import GenSpec, Graph, generate
+from qcongest.netsim import CongestNet, CostLedger, congest_step, word_capacity
 
 
 class TestWord:
@@ -25,7 +11,8 @@ class TestWord:
         assert word_capacity(4096) == 12
         assert word_capacity(2) == 1
         assert word_capacity(3) == 2
-        assert Word.for_n(1024).capacity == 10
+        assert word_capacity(1024) == 10
+        assert word_capacity(1) == 1
 
 
 class TestLedger:
@@ -37,15 +24,6 @@ class TestLedger:
         assert led.total() == 8
         assert led.total_by_kind()["route"] == 3
 
-    def test_csv_export(self):
-        led = CostLedger()
-        led.charge("warmup", "clique", "route", 4)
-        text = led.to_csv()
-        lines = text.splitlines()
-        assert lines[0] == "phase,model,kind,rounds"
-        assert lines[1] == "warmup,clique,route,4"
-        assert lines[-1] == "TOTAL,,,4"
-
     def test_rejects_bad_kind(self):
         led = CostLedger()
         with pytest.raises(ValueError):
@@ -54,81 +32,24 @@ class TestLedger:
             led.charge("x", "clique", "route", -1)
 
 
-class TestRouteLenzen:
-    def test_two_and_a_half_n(self):
-        n = 100
-        led = CostLedger()
-        demand = RoutingDemand.uniform(n, send=250, recv=250)
-        assert route_lenzen(led, demand, n) == 3
-
-    def test_empty_demand_free(self):
-        led = CostLedger()
-        assert route_lenzen(led, RoutingDemand({}, {}), 64) == 0
-        assert led.total() == 0
-
-    def test_triangle_warmup_load(self):
-        # receive load n^(6/5) words -> ceil(n^(1/5)) rounds
-        n = 1024
-        led = CostLedger()
-        demand = RoutingDemand.single_load(round(n ** 1.2))
-        assert route_lenzen(led, demand, n) == 4
-
-    @given(st.integers(2, 200), st.lists(st.integers(0, 10**6), min_size=1, max_size=40))
-    @settings(max_examples=60, deadline=None)
-    def test_capacity_lower_bound(self, n, loads):
-        # never fewer rounds than total words / n^2 on any valid demand
-        loads = loads[:n]
-        led = CostLedger()
-        demand = RoutingDemand(
-            {i: w for i, w in enumerate(loads)}, {i: w for i, w in enumerate(loads)}
-        )
-        rounds = route_lenzen(led, demand, n)
-        assert rounds * n * n >= sum(loads)
-
-
-class TestBroadcast:
-    def test_basic(self):
-        led = CostLedger()
-        assert broadcast_all(led, 1) == 1
-        assert broadcast_all(led, 0) == 0
-
-    def test_packing_formula(self):
-        net = CliqueNet(4096, packing=True)
-        assert net.adjacency_broadcast_words(256) == 22
-        literal = CliqueNet(4096, packing=False)
-        assert literal.adjacency_broadcast_words(256) == 256
-
-
 class TestConverge:
-    def test_clique_one_bit(self):
-        led = CostLedger()
-        assert converge_to_leader(led, CliqueNet(64), 1) == 1
-
     def test_congest_path(self):
-        g = generate(GenSpec(kind="path", n=5))
-        net = CongestNet(g)
-        led = CostLedger()
-        assert converge_to_leader(led, net, 1) == 4
+        net = CongestNet(generate(GenSpec(kind="path", n=5)))
+        assert net.converge_cost(1) == 4
+        # words of capacity ceil(log2 5) = 3 bits, one per hop per round
+        assert net.converge_cost(net.capacity + 1) == 8
+        assert net.converge_cost(0) == 0
 
     def test_congest_star(self):
-        star = generate(GenSpec(kind="empty", n=5))
-        from qcongest.graph import Graph
-
-        g = Graph(5, [(0, i) for i in range(1, 5)])
-        net = CongestNet(g)
-        led = CostLedger()
-        assert converge_to_leader(led, net, 1) == 1
+        net = CongestNet(Graph(5, [(0, i) for i in range(1, 5)]))
+        assert net.converge_cost(1) == 1
 
     def test_disconnected_reporting_errors(self):
-        from qcongest.graph import Graph
-
-        g = Graph(4, [(0, 1)])
-        net = CongestNet(g)
-        led = CostLedger()
+        net = CongestNet(Graph(4, [(0, 1)]))
         with pytest.raises(RuntimeError, match="disconnected"):
-            converge_to_leader(led, net, 1, reporting_nodes=[3])
+            net.require_reachable([3])
         # silent nodes in other components are fine
-        converge_to_leader(led, net, 1, reporting_nodes=[1])
+        net.require_reachable([1])
 
 
 class TestCongestStep:
@@ -169,25 +90,3 @@ class TestCongestStep:
         led = CostLedger()
         with pytest.raises(ValueError, match="no edge"):
             congest_step(CongestNet(g), [(0, 2, 1)], led)
-
-
-class TestKnowledge:
-    def test_own_slots_known(self):
-        ks = KnowledgeState(4)
-        assert ks.knows(2, 2, 0)
-        assert ks.knows(2, 3, 2)
-        assert not ks.knows(2, 0, 1)
-
-    def test_monotone_growth(self):
-        ks = KnowledgeState(4)
-        before = ks.rectangle_count(1)
-        ks.add_rectangle(1, 0b0011, 0b1100)
-        assert ks.rectangle_count(1) == before + 1
-        assert ks.knows(1, 0, 2) and ks.knows(1, 3, 1)
-
-    def test_route_applies_transfer(self):
-        led = CostLedger()
-        ks = KnowledgeState(4)
-        route_lenzen(led, RoutingDemand.single_load(10), 4,
-                     knowledge=ks, transfer=[(0, 0b0110, 0b1001)])
-        assert ks.knows(0, 1, 3)
