@@ -11,6 +11,8 @@ import argparse
 import csv
 import io
 import json
+import math
+import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,39 +32,6 @@ CSV_HEADER = (
 
 class UsageError(ValueError):
     """Bad flag combination; maps to exit code 2."""
-
-
-@dataclass
-class ExperimentConfig:
-    command: str
-    graph_path: Optional[str] = None
-    gen: Optional[GenSpec] = None
-    q: Optional[int] = None
-    ell: Optional[int] = None
-    p: Optional[int] = None
-    t: Optional[int] = None
-    strategy: Optional[str] = None
-    mode: str = "full"
-    n_list: Tuple[int, ...] = ()
-    m_list: Tuple[int, ...] = ()
-    algo: Optional[str] = None
-    trials: int = 1
-    seed: int = 0
-    c_grover: str = "1"
-    reps: int = 1
-    fail_prob: float = 0.0
-    packing: bool = True
-    out: Optional[str] = None
-    json_out: bool = False
-    in_path: Optional[str] = None
-    x_col: str = "n"
-    y_col: str = "rounds_total"
-    edge_prob: float = 0.5
-
-    def quantum_params(self) -> QuantumCostParams:
-        return QuantumCostParams(
-            c_grover=Fraction(self.c_grover), reps=self.reps, fail_prob=self.fail_prob
-        )
 
 
 @dataclass
@@ -136,8 +105,6 @@ def rows_from_csv(text: str) -> List[ResultRow]:
 
 def fit_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Least-squares slope of log2(y) against log2(x)."""
-    import math
-
     if len(xs) < 3:
         raise ValueError("need at least 3 rows to fit")
     if any(x <= 0 for x in xs) or any(y <= 0 for y in ys):
@@ -152,214 +119,243 @@ def fit_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
     return sum((a - mx) * (b - my) for a, b in zip(lx, ly)) / den
 
 
-def fit_rows(rows: Sequence[ResultRow], x_col: str, y_col: str) -> float:
-    xs = [float(getattr(r, x_col)) for r in rows]
-    ys = [float(getattr(r, y_col)) for r in rows]
-    return fit_slope(xs, ys)
-
-
 # ---------------------------------------------------------------------------
-# command implementations
+# command implementations: each takes the validated flags, returns the exit code
 # ---------------------------------------------------------------------------
 
 
-def _params_text(cfg: ExperimentConfig, **extra) -> str:
-    bits = []
-    for key, val in extra.items():
-        bits.append(f"{key}={val}")
-    bits.append(f"cg={cfg.c_grover}")
-    bits.append(f"reps={cfg.reps}")
-    bits.append(f"fp={cfg.fail_prob:g}")
-    bits.append("packing=" + ("on" if cfg.packing else "off"))
+def _params_text(args: argparse.Namespace, **extra) -> str:
+    bits = [f"{key}={val}" for key, val in extra.items()]
+    bits.append(f"cg={args.c_grover}")
+    bits.append(f"reps={args.reps}")
+    bits.append(f"fp={args.fail_prob:g}")
+    bits.append(f"packing={args.packing}")
     return ";".join(bits)
 
 
-def _resolve_graph(cfg: ExperimentConfig) -> Graph:
-    if cfg.graph_path is not None:
-        return load_graph(cfg.graph_path)
-    if cfg.gen is not None:
-        return generate(cfg.gen)
+def _resolve_graph(args: argparse.Namespace) -> Graph:
+    if args.graph:
+        return load_graph(args.graph)
+    if args.gen:
+        return generate(args.gen)
     raise UsageError("need --graph or --gen")
 
 
-def _plan(graph: Graph, cfg: ExperimentConfig) -> cliquedetect.DetectionPlan:
-    """The planned strategy; a --strategy that cannot run here is a usage error."""
-    try:
-        return cliquedetect.plan_strategy(graph.n, graph.m, cfg.q, cfg.strategy)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+def _emit(args: argparse.Namespace, rows: List[ResultRow], payload: Dict) -> None:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(rows_to_csv(rows))
+    if args.json:
+        print(json.dumps(payload, sort_keys=True))
+    elif not args.out and rows:
+        print(rows_to_csv(rows), end="")
 
 
-def run_detect_clique(cfg: ExperimentConfig) -> List[ResultRow]:
-    if cfg.q is None:
-        raise UsageError("detect-clique needs --q")
-    graph = _resolve_graph(cfg)
+def _emit_detection(args: argparse.Namespace, row: ResultRow) -> int:
+    _emit(args, [row], {"found": row.found, "rounds_total": row.rounds_total,
+                        "algo": row.algo})
+    return 0
+
+
+def clique_row(args: argparse.Namespace, graph: Graph, q: int, strategy: Optional[str],
+               seed: int, **extra) -> ResultRow:
+    """Detect a q-clique under the cost flags; `extra` goes into params after t.
+
+    A run that charges nothing (q > n or no edges) is labelled `degenerate`;
+    a --strategy that cannot run on graph is a usage error.
+    """
+    plan = None
+    if graph.m > 0 and q <= graph.n:
+        try:
+            plan = cliquedetect.plan_strategy(graph.n, graph.m, q, strategy)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     ledger = CostLedger()
     stats: Dict[str, int] = {}
-    params = cfg.quantum_params()
-    plan = _plan(graph, cfg) if graph.m > 0 and cfg.q <= graph.n else None
     found = cliquedetect.detect_clique(
-        graph, cfg.q, ledger, strategy=cfg.strategy, seed=cfg.seed,
-        params=params, stats=stats, packing=cfg.packing,
+        graph, q, ledger, strategy=strategy, seed=seed, params=args.params,
+        stats=stats, packing=args.packing == "on",
     )
     algo = plan.strategy if plan else "degenerate"
-    ptext = _params_text(cfg, q=cfg.q, strategy=algo,
-                         p=plan.p if plan else 0, t=plan.t if plan else 0)
-    return [ResultRow.from_ledger(graph.n, graph.m, algo, ptext, ledger,
-                                  stats.get("queries", 0), found, cfg.seed)]
+    ptext = _params_text(args, q=q, strategy=algo, p=plan.p if plan else 0,
+                         t=plan.t if plan else 0, **extra)
+    return ResultRow.from_ledger(graph.n, graph.m, algo, ptext, ledger,
+                                 stats.get("queries", 0), found, seed)
 
 
-def run_detect_cycle(cfg: ExperimentConfig) -> List[ResultRow]:
-    if cfg.ell is None:
-        raise UsageError("detect-cycle needs --ell")
-    graph = _resolve_graph(cfg)
-    if cfg.ell > graph.n:
-        raise UsageError(f"--ell {cfg.ell} exceeds the graph's n = {graph.n}")
+def cycle_row(args: argparse.Namespace, graph: Graph, ell: int, seed: int) -> ResultRow:
+    """Detect a C_ell under the cost flags: the odd or the even detector by parity."""
+    if ell > graph.n:
+        raise UsageError(f"--ell {ell} exceeds the graph's n = {graph.n}")
     ledger = CostLedger()
     stats: Dict[str, int] = {}
-    params = cfg.quantum_params()
-    if cfg.ell % 2 == 1:
-        found = cycledetect.detect_odd_cycle(
-            graph, cfg.ell, ledger, seed=cfg.seed, params=params, stats=stats
-        )
-        algo = "odd-cycle"
+    if ell % 2 == 1:
+        detect, algo = cycledetect.detect_odd_cycle, "odd-cycle"
     else:
-        found = cycledetect.detect_even_cycle(
-            graph, cfg.ell, ledger, seed=cfg.seed, params=params, stats=stats
-        )
-        algo = "even-cycle"
-    ptext = _params_text(cfg, ell=cfg.ell)
-    return [ResultRow.from_ledger(graph.n, graph.m, algo, ptext, ledger,
-                                  stats.get("queries", 0), found, cfg.seed)]
+        detect, algo = cycledetect.detect_even_cycle, "even-cycle"
+    found = detect(graph, ell, ledger, seed=seed, params=args.params, stats=stats)
+    return ResultRow.from_ledger(graph.n, graph.m, algo, _params_text(args, ell=ell),
+                                 ledger, stats.get("queries", 0), found, seed)
 
 
-def run_list(cfg: ExperimentConfig) -> Tuple[List[ResultRow], str]:
-    if cfg.p is None:
+def run_gen(args: argparse.Namespace) -> int:
+    graph = _resolve_graph(args)
+    if not args.out:
+        raise UsageError("gen needs --out")
+    save_graph(graph, args.out)
+    if args.json:
+        print(json.dumps({"n": graph.n, "m": graph.m, "out": args.out}, sort_keys=True))
+    return 0
+
+
+def run_detect_clique(args: argparse.Namespace) -> int:
+    if args.q is None:
+        raise UsageError("detect-clique needs --q")
+    graph = _resolve_graph(args)
+    return _emit_detection(args, clique_row(args, graph, args.q, args.strategy, args.seed))
+
+
+def run_detect_cycle(args: argparse.Namespace) -> int:
+    if args.ell is None:
+        raise UsageError("detect-cycle needs --ell")
+    graph = _resolve_graph(args)
+    return _emit_detection(args, cycle_row(args, graph, args.ell, args.seed))
+
+
+def run_list(args: argparse.Namespace) -> int:
+    if args.p is None:
         raise UsageError("list needs --p")
-    graph = _resolve_graph(cfg)
+    graph = _resolve_graph(args)
     ledger = CostLedger()
-    inv = list_kp(graph, cfg.p, ledger)
-    row = ResultRow.from_ledger(
-        graph.n, graph.m, "list-kp", _params_text(cfg, p=cfg.p), ledger,
-        0, None, cfg.seed,
-    )
-    return [row], inv.dump()
+    dump = list_kp(graph, args.p, ledger).dump()
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(dump)
+    else:
+        print(dump, end="")
+    if args.json:
+        print(json.dumps({"cliques": dump.count("\n"), "rounds_total": ledger.total()},
+                         sort_keys=True))
+    return 0
 
 
-def _sweep_pairs(cfg: ExperimentConfig) -> List[Tuple[int, int]]:
-    if not cfg.n_list:
+def _sweep_pairs(args: argparse.Namespace) -> List[Tuple[int, int]]:
+    if not args.n_list:
         raise UsageError("sweep needs --n-list")
-    if cfg.m_list:
-        if len(cfg.m_list) != len(cfg.n_list):
+    if args.m_list:
+        if len(args.m_list) != len(args.n_list):
             raise UsageError("--m-list must match --n-list in length")
-        return list(zip(cfg.n_list, cfg.m_list))
-    return [(n, n * (n - 1) // 2) for n in cfg.n_list]
+        return list(zip(args.n_list, args.m_list))
+    return [(n, n * (n - 1) // 2) for n in args.n_list]
 
 
-def run_sweep(cfg: ExperimentConfig) -> List[ResultRow]:
-    if cfg.algo is None:
-        raise UsageError("sweep needs --algo")
-    if cfg.ell is not None and cfg.algo in ("odd-cycle", "even-cycle") \
-            and cfg.algo != ("odd-cycle" if cfg.ell % 2 else "even-cycle"):
-        parity = cfg.algo.split("-")[0]
-        raise UsageError(f"--algo {cfg.algo} needs an {parity} --ell, got {cfg.ell}")
-    params = cfg.quantum_params()
+def run_sweep(args: argparse.Namespace) -> int:
+    if args.ell is not None and args.algo in ("odd-cycle", "even-cycle") \
+            and args.algo != ("odd-cycle" if args.ell % 2 else "even-cycle"):
+        parity = args.algo.split("-")[0]
+        raise UsageError(f"--algo {args.algo} needs an {parity} --ell, got {args.ell}")
+    params = args.params
     rows: List[ResultRow] = []
-    if cfg.mode == "cost-only":
-        for n, m in _sweep_pairs(cfg):
+    if args.mode == "cost-only":
+        for n, m in _sweep_pairs(args):
             ledger = CostLedger()
             found: Optional[bool] = None
-            if cfg.algo == "triangle15":
+            if args.algo == "triangle15":
                 cliquedetect.triangle_cost_only(n, m, ledger, params)
                 extra = {"q": 3}
-            elif cfg.algo == "plus1":
-                p = cfg.p or 3
+            elif args.algo == "plus1":
+                p = args.p or 3
                 cliquedetect.plus1_cost_only(n, m, p, ledger, params)
                 extra = {"p": p}
-            elif cfg.algo == "nested":
-                p, t = cfg.p or 3, cfg.t or 1
+            elif args.algo == "nested":
+                p, t = args.p or 3, args.t or 1
                 if not cliquedetect.nested_feasible(p, t):
                     raise UsageError(f"nested needs t <= 1 + log2(p-1), got p={p}, t={t}")
                 cliquedetect.nested_cost_only(n, m, p, t, ledger, params)
                 extra = {"p": p, "t": t}
-            elif cfg.algo == "blackbox":
-                t = cfg.t or 1
+            elif args.algo == "blackbox":
+                t = args.t or 1
                 cliquedetect.blackbox_cost_only(n, t, ledger, params,
-                                                packing=cfg.packing)
+                                                packing=args.packing == "on")
                 extra = {"t": t}
-            elif cfg.algo == "sparse":
-                t = cfg.t or 1
+            elif args.algo == "sparse":
+                t = args.t or 1
                 cliquedetect.sparse_cost_only(n, m, t, ledger, params)
                 extra = {"t": t}
-            elif cfg.algo == "odd-cycle":
-                ell = cfg.ell or 5
+            elif args.algo == "odd-cycle":
+                ell = args.ell or 5
                 cycledetect.odd_cycle_cost_only(n, ell, ledger, params)
                 extra = {"ell": ell}
-            elif cfg.algo == "even-cycle":
-                ell = cfg.ell or 4
+            elif args.algo == "even-cycle":
+                ell = args.ell or 4
                 found = cycledetect.even_cycle_cost_only(n, m, ell, ledger, params)
                 extra = {"ell": ell}
             else:
-                raise UsageError(f"unknown sweep algo {cfg.algo!r}")
+                raise UsageError(f"unknown sweep algo {args.algo!r}")
             rows.append(ResultRow.from_ledger(
-                n, m, cfg.algo, _params_text(cfg, **extra), ledger, 0, found,
-                cfg.seed,
+                n, m, args.algo, _params_text(args, **extra), ledger, 0, found,
+                args.seed,
             ))
-    elif cfg.mode == "full":
-        for n in cfg.n_list:
-            spec = GenSpec(kind="gnp", n=n, edge_prob=cfg.edge_prob, seed=cfg.seed)
-            graph = generate(spec)
-            sub = ExperimentConfig(**{**cfg.__dict__, "gen": spec, "graph_path": None})
-            if cfg.algo in ("odd-cycle", "even-cycle"):
-                sub.ell = cfg.ell or (5 if cfg.algo == "odd-cycle" else 4)
-                rows.extend(run_detect_cycle(sub))
-            else:
-                sub.q = cfg.q or 3
-                sub.strategy = None if cfg.algo == "auto" else cfg.algo
-                rows.extend(run_detect_clique(sub))
     else:
-        raise UsageError(f"unknown mode {cfg.mode!r}")
+        for n in args.n_list:
+            graph = generate(GenSpec(kind="gnp", n=n, edge_prob=args.edge_prob,
+                                     seed=args.seed))
+            if args.algo in ("odd-cycle", "even-cycle"):
+                ell = args.ell or (5 if args.algo == "odd-cycle" else 4)
+                rows.append(cycle_row(args, graph, ell, args.seed))
+            else:
+                strategy = None if args.algo == "auto" else args.algo
+                rows.append(clique_row(args, graph, args.q or 3, strategy, args.seed))
     rows.sort(key=lambda r: (r.n, r.seed))
-    return rows
+    _emit(args, rows, {"rows": [r.to_csv_line() for r in rows]})
+    return 0
 
 
-def run_verify(cfg: ExperimentConfig) -> Tuple[List[ResultRow], int]:
-    """Detector-vs-oracle trials; returns (rows, mismatch count)."""
-    if cfg.q is None:
+def run_verify(args: argparse.Namespace) -> int:
+    """Detector-vs-oracle trials; exit 3 on any mismatch."""
+    if args.q is None:
         raise UsageError("verify needs --q")
-    import random
-
     rows: List[ResultRow] = []
     mismatches = 0
     probs = (0.2, 0.5, 0.8)
-    for trial in range(cfg.trials):
-        seed = cfg.seed + trial
+    for trial in range(args.trials):
+        seed = args.seed + trial
         rng = random.Random(seed)
         n = rng.randint(32, 64)
         if trial % 4 == 3:
             spec = GenSpec(kind="planted_clique", n=n, edge_prob=0.2,
-                           planted_size=cfg.q, seed=seed)
+                           planted_size=args.q, seed=seed)
         else:
             spec = GenSpec(kind="gnp", n=n, edge_prob=probs[trial % 3], seed=seed)
         graph = generate(spec)
-        plan = _plan(graph, cfg)
-        ledger = CostLedger()
-        stats: Dict[str, int] = {}
-        found = cliquedetect.detect_clique(
-            graph, cfg.q, ledger, strategy=cfg.strategy, seed=seed,
-            params=cfg.quantum_params(), stats=stats,
-        )
-        truth = oracle_has_clique(graph, cfg.q)
-        if found != truth:
+        truth = oracle_has_clique(graph, args.q)
+        row = clique_row(args, graph, args.q, args.strategy, seed, oracle=int(truth))
+        if row.found != truth:
             mismatches += 1
-        ptext = _params_text(cfg, q=cfg.q, strategy=plan.strategy, p=plan.p,
-                             t=plan.t, oracle=int(truth))
-        rows.append(ResultRow.from_ledger(
-            graph.n, graph.m, plan.strategy, ptext, ledger,
-            stats.get("queries", 0), found, seed,
-        ))
+        rows.append(row)
     rows.sort(key=lambda r: (r.n, r.seed))
-    return rows, mismatches
+    _emit(args, rows, {"trials": args.trials, "mismatches": mismatches})
+    if mismatches:
+        print(f"verify: {mismatches} oracle mismatches", file=sys.stderr)
+        return 3
+    return 0
+
+
+def run_fit(args: argparse.Namespace) -> int:
+    try:
+        with open(args.in_path, "r", encoding="utf-8") as fh:
+            rows = rows_from_csv(fh.read())
+        slope = fit_slope([float(getattr(r, args.x_col)) for r in rows],
+                          [float(getattr(r, args.y_col)) for r in rows])
+    except OSError as exc:
+        raise UsageError(f"cannot read --in: {exc}") from None
+    except (ValueError, KeyError, AttributeError) as exc:
+        raise UsageError(f"cannot fit {args.in_path}: {exc!r}") from None
+    if args.json:
+        print(json.dumps({"slope": slope, "x": args.x_col, "y": args.y_col}, sort_keys=True))
+    else:
+        print(f"{slope:.6f}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="Congested-clique / CONGEST round-cost simulator")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, graph_source: bool = True) -> None:
+    def command(name: str, run, summary: str, graph_source: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
         if graph_source:
             p.add_argument("--graph")
             p.add_argument("--gen")
@@ -407,36 +405,33 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--packing", choices=("on", "off"), default="on")
         p.add_argument("--out")
         p.add_argument("--json", action="store_true")
+        return p
 
-    p = sub.add_parser("gen", help="generate a graph file")
-    common(p)
-    p = sub.add_parser("detect-clique", help="run clique detection")
-    common(p)
+    command("gen", run_gen, "generate a graph file")
+    p = command("detect-clique", run_detect_clique, "run clique detection")
     p.add_argument("--q", type=int)
     p.add_argument("--strategy", choices=cliquedetect.STRATEGIES)
-    p = sub.add_parser("detect-cycle", help="run cycle detection")
-    common(p)
+    p = command("detect-cycle", run_detect_cycle, "run cycle detection")
     p.add_argument("--ell", type=int)
-    p = sub.add_parser("list", help="list p-cliques and dump the inventory")
-    common(p)
+    p = command("list", run_list, "list p-cliques and dump the inventory")
     p.add_argument("--p", type=int)
-    p = sub.add_parser("sweep", help="cost sweeps over n")
-    common(p, graph_source=False)
+    p = command("sweep", run_sweep, "cost sweeps over n", graph_source=False)
     p.add_argument("--algo", required=True)
     p.add_argument("--mode", choices=("full", "cost-only"), default="cost-only")
-    p.add_argument("--n-list")
-    p.add_argument("--m-list")
+    p.add_argument("--n-list", default="")
+    p.add_argument("--m-list", default="")
     p.add_argument("--p", type=int)
     p.add_argument("--t", type=int)
     p.add_argument("--q", type=int)
     p.add_argument("--ell", type=int)
     p.add_argument("--edge-prob", type=float, default=0.5)
-    p = sub.add_parser("verify", help="compare detection against the oracle")
-    common(p, graph_source=False)
+    p = command("verify", run_verify, "compare detection against the oracle",
+                graph_source=False)
     p.add_argument("--q", type=int)
     p.add_argument("--strategy", choices=cliquedetect.STRATEGIES)
     p.add_argument("--trials", type=int, default=1)
     p = sub.add_parser("fit", help="log-log slope of a result CSV")
+    p.set_defaults(run=run_fit)
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--x-col", default="n")
     p.add_argument("--y-col", default="rounds_total")
@@ -444,113 +439,37 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig(command=args.command)
-    for key in ("q", "ell", "p", "t", "strategy", "mode", "algo", "trials",
-                "seed", "reps", "out", "in_path", "x_col", "y_col", "edge_prob"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            setattr(cfg, key, getattr(args, key))
-    if cfg.p is not None and cfg.p < 2:
+def validate_args(args: argparse.Namespace) -> None:
+    """Reject out-of-range flags; parse --gen, the n/m lists and the cost flags in place."""
+    flags = vars(args)
+    if flags.get("p") is not None and args.p < 2:
         raise UsageError("--p must be >= 2")
-    if cfg.q is not None and cfg.q < 3:
+    if flags.get("q") is not None and args.q < 3:
         raise UsageError("--q must be >= 3")
-    if cfg.t is not None and cfg.t < 1:
+    if flags.get("t") is not None and args.t < 1:
         raise UsageError("--t must be >= 1")
-    if cfg.ell is not None and cfg.ell < (5 if cfg.ell % 2 else 4):
+    ell = flags.get("ell")
+    if ell is not None and ell < (5 if ell % 2 else 4):
         raise UsageError("--ell must be even and >= 4, or odd and >= 5")
-    if getattr(args, "graph", None):
-        cfg.graph_path = args.graph
-    if getattr(args, "gen", None):
-        cfg.gen = parse_gen_spec(args.gen)
-    if getattr(args, "c_grover", None):
-        cfg.c_grover = args.c_grover
-    if getattr(args, "fail_prob", None) is not None:
-        cfg.fail_prob = args.fail_prob
-    try:
-        cfg.quantum_params()
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad --c-grover, --reps or --fail-prob: {exc}") from None
-    if hasattr(args, "packing"):
-        cfg.packing = args.packing == "on"
-    if getattr(args, "json", False):
-        cfg.json_out = True
-    if getattr(args, "n_list", None):
-        cfg.n_list = _int_list(args.n_list)
-    if getattr(args, "m_list", None):
-        cfg.m_list = _int_list(args.m_list)
-    return cfg
-
-
-def _emit(cfg: ExperimentConfig, rows: List[ResultRow], payload: Dict) -> None:
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(rows_to_csv(rows))
-    if cfg.json_out:
-        print(json.dumps(payload, sort_keys=True))
-    elif not cfg.out and rows:
-        print(rows_to_csv(rows), end="")
+    if flags.get("gen"):
+        args.gen = parse_gen_spec(args.gen)
+    if "c_grover" in flags:
+        args.c_grover = args.c_grover or "1"  # an empty --c-grover keeps the default
+        try:
+            args.params = QuantumCostParams(c_grover=Fraction(args.c_grover),
+                                            reps=args.reps, fail_prob=args.fail_prob)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise UsageError(f"bad --c-grover, --reps or --fail-prob: {exc}") from None
+    if "n_list" in flags:
+        args.n_list = _int_list(args.n_list)
+        args.m_list = _int_list(args.m_list)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-        cfg = config_from_args(args)
-        if cfg.command == "gen":
-            graph = _resolve_graph(cfg)
-            if not cfg.out:
-                raise UsageError("gen needs --out")
-            save_graph(graph, cfg.out)
-            if cfg.json_out:
-                print(json.dumps({"n": graph.n, "m": graph.m, "out": cfg.out},
-                                 sort_keys=True))
-            return 0
-        if cfg.command in ("detect-clique", "detect-cycle"):
-            run = run_detect_clique if cfg.command == "detect-clique" else run_detect_cycle
-            rows = run(cfg)
-            _emit(cfg, rows, {"found": rows[0].found,
-                              "rounds_total": rows[0].rounds_total,
-                              "algo": rows[0].algo})
-            return 0
-        if cfg.command == "list":
-            rows, dump = run_list(cfg)
-            if cfg.out:
-                with open(cfg.out, "w", encoding="utf-8") as fh:
-                    fh.write(dump)
-            else:
-                print(dump, end="")
-            if cfg.json_out:
-                print(json.dumps({"cliques": dump.count("\n"),
-                                  "rounds_total": rows[0].rounds_total},
-                                 sort_keys=True))
-            return 0
-        if cfg.command == "sweep":
-            rows = run_sweep(cfg)
-            _emit(cfg, rows, {"rows": [r.to_csv_line() for r in rows]})
-            return 0
-        if cfg.command == "verify":
-            rows, mismatches = run_verify(cfg)
-            _emit(cfg, rows, {"trials": cfg.trials, "mismatches": mismatches})
-            if mismatches:
-                print(f"verify: {mismatches} oracle mismatches", file=sys.stderr)
-                return 3
-            return 0
-        if cfg.command == "fit":
-            try:
-                with open(cfg.in_path, "r", encoding="utf-8") as fh:
-                    rows = rows_from_csv(fh.read())
-                slope = fit_rows(rows, cfg.x_col, cfg.y_col)
-            except OSError as exc:
-                raise UsageError(f"cannot read --in: {exc}") from None
-            except (ValueError, KeyError, AttributeError) as exc:
-                raise UsageError(f"cannot fit {cfg.in_path}: {exc!r}") from None
-            if cfg.json_out:
-                print(json.dumps({"slope": slope, "x": cfg.x_col, "y": cfg.y_col},
-                                 sort_keys=True))
-            else:
-                print(f"{slope:.6f}")
-            return 0
-        raise UsageError(f"unknown command {cfg.command!r}")
+        args = build_parser().parse_args(argv)
+        validate_args(args)
+        return args.run(args)
     except (UsageError, GraphFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -103,6 +103,46 @@ def _inventory(graph: Graph, p: int, ledger: CostLedger,
 # (every node on a (p+1)-clique).  Nothing is listed or extended as a list.
 
 
+def _constrained_search(
+    inv: CliqueInventory,
+    costs: Tuple[List[int], List[int], int],
+    ledger: CostLedger,
+    seed: int,
+    params: QuantumCostParams,
+    phase: str,
+    stats: Optional[Dict[str, int]],
+) -> bool:
+    """Depth-t nested search over id-range parts, t = len(sizes).
+
+    costs is (level domain sizes, setup rounds, check rounds); a level has
+    a setup iff it has a setup cost, so t-1 setups leave the last level
+    without one.  Part j of level i holds the ids of id_ranges(n, sizes[i])[j].
+    """
+    sizes, setup_rounds, check_rounds = costs
+    t = len(sizes)
+    parts = [[range_mask(r) for r in id_ranges(inv.n, size)] for size in sizes]
+    ceiling = inv.reach()
+    reach = ceiling  # t = 1; else set by every level t-1 setup before its checks
+
+    def setup(prefix: Tuple[int, ...]) -> int:
+        nonlocal reach
+        if len(prefix) == t - 1:
+            chosen = tuple(parts[i][j] for i, j in enumerate(prefix))
+            reach = clique_reach(inv.adj, chosen, inv.p, ceiling)
+        return setup_rounds[len(prefix) - 1]
+
+    levels = [SearchLevel(size, setup if i < len(setup_rounds) else None)
+              for i, size in enumerate(sizes)]
+
+    def checker(tup: Tuple[int, ...]) -> Tuple[bool, int]:
+        return bool(reach & parts[t - 1][tup[-1]]), check_rounds
+
+    plan = NestedSearchPlan(levels=levels, checker=checker, params=params)
+    outcome = run_nested_search(plan, ledger, seed=seed, phase=phase)
+    _merge_stats(stats, outcome.queries_evaluated)
+    return outcome.found
+
+
 # ---------------------------------------------------------------------------
 # triangle detection in ~n^(1/5) rounds
 # ---------------------------------------------------------------------------
@@ -252,29 +292,9 @@ def detect_nested(
         raise ValueError(
             f"(p={p}, t={t}) violates the constraint t <= 1 + log2(p-1)"
         )
-    n = graph.n
     inv = _inventory(graph, p, ledger, inv)
-    sizes, setup_rounds, check_rounds = _nested_costs(n, graph.m, p, t)
-    part_masks = [[range_mask(r) for r in id_ranges(n, sizes[i])] for i in range(t)]
-    ceiling = inv.reach()
-    reach = ceiling  # t = 1; else set by every level t-1 setup before its checks
-
-    def setup(prefix: Tuple[int, ...]) -> int:
-        nonlocal reach
-        if len(prefix) == t - 1:
-            parts = tuple(part_masks[i][j] for i, j in enumerate(prefix))
-            reach = clique_reach(inv.adj, parts, p, ceiling)
-        return setup_rounds[len(prefix) - 1]
-
-    levels = [SearchLevel(sizes[i], setup if i < t - 1 else None) for i in range(t)]
-
-    def checker(tup: Tuple[int, ...]) -> Tuple[bool, int]:
-        return bool(reach & part_masks[t - 1][tup[-1]]), check_rounds
-
-    plan = NestedSearchPlan(levels=levels, checker=checker, params=params)
-    outcome = run_nested_search(plan, ledger, seed=seed, phase="nested/search")
-    _merge_stats(stats, outcome.queries_evaluated)
-    return outcome.found
+    costs = _nested_costs(graph.n, graph.m, p, t)
+    return _constrained_search(inv, costs, ledger, seed, params, "nested/search", stats)
 
 
 def nested_cost_only(
@@ -328,28 +348,8 @@ def extend_blackbox(
     if t < 1:
         raise ValueError("t must be >= 1")
     inv.check_graph(graph)
-    n = graph.n
-    sizes, setup_rounds, check_rounds = _blackbox_costs(n, t, packing)
-    parts = [[range_mask(r) for r in id_ranges(n, sizes[i])] for i in range(t)]
-    ceiling = inv.reach()
-    reach = ceiling  # t = 1; else set by every level t-1 setup before its checks
-
-    def setup(prefix: Tuple[int, ...]) -> int:
-        nonlocal reach
-        if len(prefix) == t - 1:
-            chosen = tuple(parts[i][j] for i, j in enumerate(prefix))
-            reach = clique_reach(inv.adj, chosen, inv.p, ceiling)
-        return setup_rounds[len(prefix) - 1]
-
-    levels = [SearchLevel(sizes[i], setup) for i in range(t)]
-
-    def checker(tup: Tuple[int, ...]) -> Tuple[bool, int]:
-        return bool(reach & parts[t - 1][tup[-1]]), check_rounds
-
-    plan = NestedSearchPlan(levels=levels, checker=checker, params=params)
-    outcome = run_nested_search(plan, ledger, seed=seed, phase="blackbox/search")
-    _merge_stats(stats, outcome.queries_evaluated)
-    return outcome.found
+    costs = _blackbox_costs(graph.n, t, packing)
+    return _constrained_search(inv, costs, ledger, seed, params, "blackbox/search", stats)
 
 
 def blackbox_cost_only(

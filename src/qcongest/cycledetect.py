@@ -436,6 +436,11 @@ def _event_found(
 # ---------------------------------------------------------------------------
 
 
+def _check_engine(engine: str) -> None:
+    if engine not in ("event", "protocol"):
+        raise ValueError(f"unknown engine {engine!r}")
+
+
 def color_bfs(
     net: CongestNet,
     cfg: ColorBfsConfig,
@@ -448,6 +453,7 @@ def color_bfs(
     Rounds follow the protocol structure exactly; the event engine only
     shortcuts their execution.
     """
+    _check_engine(engine)
     bfs_rounds = cfg.repetitions * color_bfs_rep_rounds(cfg.cycle_len, cfg.congestion_bound)
     report_rounds = net.converge_cost(1)
     if ledger is not None:
@@ -455,13 +461,12 @@ def color_bfs(
         ledger.charge("color-bfs/report", "congest", "converge", report_rounds)
     if engine == "event":
         found = _event_found(net.graph, cfg, ("color-bfs", seed))
-    elif engine == "protocol":
+    else:
         found = _protocol_found(net, cfg, seed)
         if found:
             net.require_reachable(sorted(cfg.sources)[:1])
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
     return found, bfs_rounds + report_rounds
+
 
 
 def _protocol_found(net: CongestNet, cfg: ColorBfsConfig, seed: int) -> bool:
@@ -485,7 +490,7 @@ def _query_found(
 ) -> bool:
     """One search query of a cycle detector: did cfg's color BFS detect?
 
-    The event engine samples the detection event inside `core`; any other
+    The event engine samples the detection event inside `core`; the protocol
     engine runs the protocol hop by hop, seeded from `seed_parts`.  A
     detection is reported to the leader by the first source.
     """
@@ -520,6 +525,7 @@ def detect_odd_cycle(
     """Search over source nodes; each query is a single-source color BFS."""
     if ell % 2 == 0:
         raise ValueError("even length: use detect_even_cycle")
+    _check_engine(engine)
     if not 5 <= ell <= graph.n:
         raise ValueError(f"need 5 <= ell <= n, got ell={ell}, n={graph.n}")
     net = CongestNet(graph)
@@ -620,6 +626,7 @@ def detect_even_cycle(
     """
     if two_k % 2 == 1:
         raise ValueError("odd length: use detect_odd_cycle")
+    _check_engine(engine)
     if not 4 <= two_k <= graph.n:
         raise ValueError(f"need 4 <= two_k <= n, got {two_k}, n={graph.n}")
     k = two_k // 2

@@ -6,13 +6,11 @@ import pytest
 
 from qcongest.cli import (
     CSV_HEADER,
-    ExperimentConfig,
     ResultRow,
     fit_slope,
     main,
     rows_from_csv,
     rows_to_csv,
-    run_sweep,
 )
 
 
@@ -71,11 +69,12 @@ class TestCsv:
         back = rows_from_csv(text)
         assert back == rows
 
-    def test_component_sum(self):
-        rows = run_sweep(ExperimentConfig(
-            command="sweep", algo="triangle15", mode="cost-only",
-            n_list=(1024, 2048, 4096),
-        ))
+    def test_component_sum(self, tmp_path):
+        out = tmp_path / "rows.csv"
+        assert main(["sweep", "--algo", "triangle15", "--mode", "cost-only",
+                     "--n-list", "1024,2048,4096", "--out", str(out)]) == 0
+        rows = rows_from_csv(out.read_text())
+        assert len(rows) == 3
         for r in rows:
             assert r.rounds_total == (r.rounds_route + r.rounds_broadcast
                                       + r.rounds_quantum + r.rounds_converge)
@@ -155,6 +154,30 @@ class TestCommands:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_verify_honours_packing(self, tmp_path):
+        # trial 0 of seed 0 is G(56, 0.2) with seed 0; detect-clique charges
+        # 84 rounds (72 quantum) for blackbox with packing off on it
+        out, ref = tmp_path / "v.csv", tmp_path / "d.csv"
+        assert main(["verify", "--q", "7", "--strategy", "blackbox", "--trials", "1",
+                     "--packing", "off", "--out", str(out)]) == 0
+        assert main(["detect-clique", "--gen", "gnp,56,0.2,0,0", "--q", "7",
+                     "--strategy", "blackbox", "--packing", "off", "--out", str(ref)]) == 0
+        (row,), (want,) = rows_from_csv(out.read_text()), rows_from_csv(ref.read_text())
+        assert (row.n, row.m) == (want.n, want.m) == (56, 310)
+        assert (row.rounds_total, row.rounds_quantum) == (84, 72)
+        assert (row.rounds_total, row.rounds_quantum) == (want.rounds_total,
+                                                          want.rounds_quantum)
+
+    def test_verify_labels_degenerate_trials(self, tmp_path):
+        out = tmp_path / "v.csv"
+        assert main(["verify", "--q", "70", "--trials", "2", "--out", str(out)]) == 0
+        rows = rows_from_csv(out.read_text())
+        assert len(rows) == 2
+        for r in rows:
+            assert r.algo == "degenerate"
+            assert "strategy=degenerate;p=0;t=0;" in r.params
+            assert r.rounds_total == 0 and r.found is False
 
     def test_full_mode_sweep(self, tmp_path):
         out = tmp_path / "full.csv"

@@ -2,11 +2,16 @@
 
 Each case runs `main` in-process and records its exit code and everything
 it prints (the CSV for detect/sweep/verify, the dump for `list`, error
-lines).  The set holds criterion 11's four commands, `detect-clique` under
-every strategy on one graph, `detect-cycle` for ell = 4..7 (plus cycle-free
+lines), plus the bytes of every file it writes.  Each case runs in a fresh
+temporary working directory, so `--out` names are relative and the bytes
+are stable; a case listed in SETUP first runs that command there.  The set
+holds criterion 11's four commands, `detect-clique` under every strategy on
+one graph (and with q > n), `detect-cycle` for ell = 4..7 (plus cycle-free
 and exit-3 cases), a cost-only sweep of every algo (blackbox also with
-`--packing off`), one full-mode sweep and `list --p 3` as text and as
-`--json`.  A refactor must leave every entry identical.
+`--packing off`), full-mode sweeps of cliques and of both cycle parities,
+`list --p 3` as text and as `--json`, `--json` and `--out` for every
+row-writing command, `gen --out --json`, and `fit` as text and as `--json`
+on a CSV that a sweep wrote.  A refactor must leave every entry identical.
 
 Regenerate only after an intended change to answers or costs:
 
@@ -16,7 +21,9 @@ Regenerate only after an intended change to answers or costs:
 import contextlib
 import io
 import json
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -65,15 +72,60 @@ CASES = {
                    "--n-list", "32,40,48", "--edge-prob", "0.5"],
     "list-text": ["list", "--gen", "gnp,40,0.5,0,1", "--p", "3"],
     "list-json": ["list", "--gen", "gnp,40,0.5,0,1", "--p", "3", "--json"],
+    "clique-degenerate": ["detect-clique", "--gen", "gnp,20,0.3,0,1", "--q", "30"],
+    "sweep-full-odd-cycle": ["sweep", "--algo", "odd-cycle", "--mode", "full", "--ell", "5",
+                             "--n-list", "16,24", "--edge-prob", "0.3"],
+    "sweep-full-even-cycle": ["sweep", "--algo", "even-cycle", "--mode", "full",
+                              "--n-list", "16,24", "--edge-prob", "0.3"],
+    "json-detect-clique": ["detect-clique", *CLIQUE_GRAPH, "--q", "5", "--json"],
+    "json-detect-cycle": ["detect-cycle", *CYCLE_GRAPH, "--ell", "5", "--json"],
+    "json-sweep": ["sweep", "--algo", "plus1", "--p", "4", *SWEEP_NS, "--json"],
+    "json-verify": ["verify", "--q", "4", "--trials", "4", "--seed", "1", "--json"],
+    "out-detect-clique": ["detect-clique", *CLIQUE_GRAPH, "--q", "4", "--out", "rows.csv",
+                          "--json"],
+    "out-sweep": ["sweep", "--algo", "triangle15", *SWEEP_NS, "--out", "rows.csv"],
+    "out-sweep-json": ["sweep", "--algo", "nested", "--p", "3", "--t", "2", *SWEEP_NS,
+                       "--out", "rows.csv", "--json"],
+    "out-verify": ["verify", "--q", "4", "--trials", "4", "--seed", "1", "--out", "rows.csv"],
+    "out-verify-json": ["verify", "--q", "5", "--strategy", "sparse", "--trials", "4",
+                        "--out", "rows.csv", "--json"],
+    "out-list": ["list", "--gen", "gnp,40,0.5,0,1", "--p", "3", "--out", "cliques.txt"],
+    "out-list-json": ["list", "--gen", "gnp,40,0.5,0,1", "--p", "3", "--out", "cliques.txt",
+                      "--json"],
+    "gen-out-json": ["gen", "--gen", "planted_clique,64,0.2,5,1", "--out", "g.txt", "--json"],
+    "fit-text": ["fit", "--in", "rows.csv"],
+    "fit-json": ["fit", "--in", "rows.csv", "--x-col", "n", "--y-col", "rounds_quantum",
+                 "--json"],
+}
+
+# commands run (unrecorded) in the case's working directory before the case
+SETUP = {
+    name: ["sweep", "--algo", "triangle15", "--mode", "cost-only", "--n-list",
+           ",".join(str(2**k) for k in range(10, 17)), "--out", "rows.csv"]
+    for name in ("fit-text", "fit-json")
 }
 
 
-def run(args):
+def run(name):
+    """Exit code, output and written files of case `name`, in a fresh directory."""
+    args = CASES[name]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(args))
-    return {"args": list(args), "exit": code, "stdout": out.getvalue(),
-            "stderr": err.getvalue()}
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            if name in SETUP:
+                assert main(SETUP[name]) == 0
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(list(args))
+            files = {f: Path(f).read_text() for f in sorted(os.listdir(work))}
+        finally:
+            os.chdir(home)
+    record = {"args": list(args), "exit": code, "stdout": out.getvalue(),
+              "stderr": err.getvalue()}
+    if files:
+        record["files"] = files
+    return record
 
 
 @pytest.fixture(scope="module")
@@ -87,12 +139,12 @@ def test_case_set_unchanged(golden):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden(golden, name):
-    assert run(CASES[name]) == golden[name]
+    assert run(name) == golden[name]
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--regen"]:
         sys.exit("usage: test_cli_golden.py --regen")
-    observed = {name: run(args) for name, args in sorted(CASES.items())}
+    observed = {name: run(name) for name in sorted(CASES)}
     GOLDEN.write_text(json.dumps(observed, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}")

@@ -252,6 +252,13 @@ class TestDetectOddCycle:
         with pytest.raises(ValueError, match="even"):
             detect_odd_cycle(g, 6, CostLedger())
 
+    def test_unknown_engine_rejected_before_any_charge(self):
+        g = cycle_graph(5, n=8)
+        led = CostLedger()
+        with pytest.raises(ValueError, match="unknown engine 'nosuch'"):
+            detect_odd_cycle(g, 5, led, engine="nosuch")
+        assert led.entries == []
+
     def test_accounting_identity(self):
         g = generate(GenSpec(kind="planted_cycle", n=24, edge_prob=0.0,
                              planted_size=5, seed=1))
@@ -290,6 +297,13 @@ class TestDetectEvenCycle:
         g = cycle_graph(4, n=10)
         with pytest.raises(ValueError, match="odd"):
             detect_even_cycle(g, 5, CostLedger())
+
+    def test_unknown_engine_rejected_before_any_charge(self):
+        g = cycle_graph(4, n=8)
+        led = CostLedger()
+        with pytest.raises(ValueError, match="unknown engine 'nosuch'"):
+            detect_even_cycle(g, 4, led, engine="nosuch")
+        assert led.entries == []
 
     def test_prune_path_cost_only(self):
         led = CostLedger()
