@@ -135,7 +135,10 @@ def _params_text(args: argparse.Namespace, **extra) -> str:
 
 def _resolve_graph(args: argparse.Namespace) -> Graph:
     if args.graph:
-        return load_graph(args.graph)
+        try:
+            return load_graph(args.graph)
+        except OSError as exc:
+            raise UsageError(f"cannot read --graph: {exc}") from None
     if args.gen:
         return generate(args.gen)
     raise UsageError("need --graph or --gen")
@@ -240,8 +243,6 @@ def run_list(args: argparse.Namespace) -> int:
 
 
 def _sweep_pairs(args: argparse.Namespace) -> List[Tuple[int, int]]:
-    if not args.n_list:
-        raise UsageError("sweep needs --n-list")
     if args.m_list:
         if len(args.m_list) != len(args.n_list):
             raise UsageError("--m-list must match --n-list in length")
@@ -254,6 +255,10 @@ def run_sweep(args: argparse.Namespace) -> int:
             and args.algo != ("odd-cycle" if args.ell % 2 else "even-cycle"):
         parity = args.algo.split("-")[0]
         raise UsageError(f"--algo {args.algo} needs an {parity} --ell, got {args.ell}")
+    if not args.n_list:
+        raise UsageError("sweep needs --n-list")
+    if args.mode == "full" and args.m_list:
+        raise UsageError("full-mode sweeps draw G(n, --edge-prob) and take no --m-list")
     params = args.params
     rows: List[ResultRow] = []
     if args.mode == "cost-only":
@@ -349,7 +354,7 @@ def run_fit(args: argparse.Namespace) -> int:
                           [float(getattr(r, args.y_col)) for r in rows])
     except OSError as exc:
         raise UsageError(f"cannot read --in: {exc}") from None
-    except (ValueError, KeyError, AttributeError) as exc:
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
         raise UsageError(f"cannot fit {args.in_path}: {exc!r}") from None
     if args.json:
         print(json.dumps({"slope": slope, "x": args.x_col, "y": args.y_col}, sort_keys=True))

@@ -18,13 +18,15 @@ cliquelist.clique_reach answers that by search.
 Round charges are exact-integer functions of (n, m) and the strategy
 parameters, computed from the idealized exact-divisibility partition sizes
 scaled by graph density; answers are evaluated on the real adjacency.
-Cost and answer never interact.
+Cost and answer never interact.  nested, blackbox and sparse are one
+constrained search (_constrained_search) over different part masks, run by
+qsearch.run_nested_search and priced, in full and cost-only runs alike,
+by qsearch.nested_cost_predict on per-level (sizes, setups, check).
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -39,11 +41,9 @@ from .qsearch import (
     QuantumCostParams,
     SearchLevel,
     charge_search,
-    grover_cost,
     nested_cost_predict,
     run_nested_search,
     run_search,
-    _derive_seed,
 )
 
 STRATEGIES = ("triangle15", "plus1", "nested", "blackbox", "sparse")
@@ -103,24 +103,29 @@ def _inventory(graph: Graph, p: int, ledger: CostLedger,
 # (every node on a (p+1)-clique).  Nothing is listed or extended as a list.
 
 
+def _id_parts(n: int, sizes: Sequence[int]) -> List[List[int]]:
+    """Level i's parts: the masks of id_ranges(n, sizes[i])."""
+    return [[range_mask(r) for r in id_ranges(n, size)] for size in sizes]
+
+
 def _constrained_search(
     inv: CliqueInventory,
-    costs: Tuple[List[int], List[int], int],
+    parts: Sequence[Sequence[int]],
+    setup_rounds: Sequence[int],
+    check_rounds: int,
     ledger: CostLedger,
     seed: int,
     params: QuantumCostParams,
     phase: str,
     stats: Optional[Dict[str, int]],
 ) -> bool:
-    """Depth-t nested search over id-range parts, t = len(sizes).
+    """Depth-t nested search, t = len(parts), over the part masks of each level.
 
-    costs is (level domain sizes, setup rounds, check rounds); a level has
-    a setup iff it has a setup cost, so t-1 setups leave the last level
-    without one.  Part j of level i holds the ids of id_ranges(n, sizes[i])[j].
+    Level i searches the len(parts[i]) masks of parts[i]; a level has a
+    setup iff it has a setup cost, so t-1 setups leave the last level
+    without one.
     """
-    sizes, setup_rounds, check_rounds = costs
-    t = len(sizes)
-    parts = [[range_mask(r) for r in id_ranges(inv.n, size)] for size in sizes]
+    t = len(parts)
     ceiling = inv.reach()
     reach = ceiling  # t = 1; else set by every level t-1 setup before its checks
 
@@ -131,8 +136,8 @@ def _constrained_search(
             reach = clique_reach(inv.adj, chosen, inv.p, ceiling)
         return setup_rounds[len(prefix) - 1]
 
-    levels = [SearchLevel(size, setup if i < len(setup_rounds) else None)
-              for i, size in enumerate(sizes)]
+    levels = [SearchLevel(len(level), setup if i < len(setup_rounds) else None)
+              for i, level in enumerate(parts)]
 
     def checker(tup: Tuple[int, ...]) -> Tuple[bool, int]:
         return bool(reach & parts[t - 1][tup[-1]]), check_rounds
@@ -293,8 +298,9 @@ def detect_nested(
             f"(p={p}, t={t}) violates the constraint t <= 1 + log2(p-1)"
         )
     inv = _inventory(graph, p, ledger, inv)
-    costs = _nested_costs(graph.n, graph.m, p, t)
-    return _constrained_search(inv, costs, ledger, seed, params, "nested/search", stats)
+    sizes, setups, check = _nested_costs(graph.n, graph.m, p, t)
+    return _constrained_search(inv, _id_parts(graph.n, sizes), setups, check, ledger,
+                               seed, params, "nested/search", stats)
 
 
 def nested_cost_only(
@@ -348,8 +354,9 @@ def extend_blackbox(
     if t < 1:
         raise ValueError("t must be >= 1")
     inv.check_graph(graph)
-    costs = _blackbox_costs(graph.n, t, packing)
-    return _constrained_search(inv, costs, ledger, seed, params, "blackbox/search", stats)
+    sizes, setups, check = _blackbox_costs(graph.n, t, packing)
+    return _constrained_search(inv, _id_parts(graph.n, sizes), setups, check, ledger,
+                               seed, params, "blackbox/search", stats)
 
 
 def blackbox_cost_only(
@@ -385,23 +392,30 @@ def degree_batching(degrees: Sequence[int], target: int) -> Tuple[Tuple[int, ...
     return tuple(batches)
 
 
-def _sparse_base_costs(n: int, m: int) -> Tuple[int, int]:
-    """(domain y, per-query rounds) for the degree-batched +1 search."""
-    y = max(1, ceil_div(2 * m, n))
-    # query: broadcast a batch's incident edges (degree sum ~ n), converge
-    query = 1 + 1
-    return y, query
+def _sparse_costs(n: int, m: int, t: int) -> Tuple[List[int], List[int], int]:
+    """(level domain sizes, setup rounds s_1..s_{t-1}, check rounds).
 
-
-def _sparse_level_x(n: int, m: int, t: int) -> int:
+    Level i < t searches x_i = mu^(1/2^(t-i)) degree batches (one if
+    mu <= 1), and its setup broadcasts a batch's m/x_i edges; the last
+    level searches y = 2m/n batches of degree sum about n, and its check
+    broadcasts a batch's incident edges and converges.
+    """
     mu = Fraction(m, n)
-    if mu <= 1:
-        return 1
-    return ceil_pow(mu, Fraction(1, 2 ** (t - 1)))
+    sizes: List[int] = []
+    setups: List[int] = []
+    for i in range(1, t):
+        x = ceil_pow(mu, Fraction(1, 2 ** (t - i))) if mu > 1 else 1
+        sizes.append(x)
+        setups.append(ceil_div(m, n * x))
+    sizes.append(max(1, ceil_div(2 * m, n)))
+    return sizes, setups, 2
 
 
-def _sparse_bcast_rounds(n: int, m: int, x: int) -> int:
-    return ceil_div(m, n * x)
+def _batch_mask(batch: Tuple[int, ...]) -> int:
+    mask = 0
+    for v in batch:
+        mask |= 1 << v
+    return mask
 
 
 def extend_sparse(
@@ -413,105 +427,39 @@ def extend_sparse(
     params: QuantumCostParams = DEFAULT_PARAMS,
     stats: Optional[Dict[str, int]] = None,
 ) -> bool:
-    """Degree-batched extension; empty graphs short-circuit to False."""
+    """Degree-batched extension; empty graphs short-circuit to False.
+
+    The nested search of _sparse_costs over degree batches, built once
+    from the degrees: level i < t holds the batches of degree sum about
+    2m/x_i, padded with empty masks up to x_i, and the last level the
+    batches of degree sum about n.  The last level's size is that measured
+    batch count, not the analytic y = 2m/n that sparse_cost_only charges.
+    """
     if t < 1:
         raise ValueError("t must be >= 1")
     inv.check_graph(graph)
-    if graph.m == 0:
-        return False
-    found, rounds, queries = _sparse_search(graph, inv, t, params)
-    _merge_stats(stats, queries)
-    ledger.charge("sparse/search", "clique", "quantum", rounds)
-    if found and params.fail_prob > 0.0:
-        if random.Random(_derive_seed(seed, "sparse-fail")).random() < params.fail_prob:
-            found = False
-    return found
-
-
-def _batch_mask(batch: Tuple[int, ...]) -> int:
-    mask = 0
-    for v in batch:
-        mask |= 1 << v
-    return mask
-
-
-def _sparse_search(
-    graph: Graph,
-    inv: CliqueInventory,
-    t: int,
-    params: QuantumCostParams,
-) -> Tuple[bool, int, int]:
-    """(found, rounds, queries) of the depth-t degree-batched search.
-
-    Level k >= 2 searches x_k degree batches and recurses, per batch, with
-    the batch added to the parts chosen above it; level 1 searches batches
-    of degree sum about n for a node x that, with one node of each chosen
-    part, extends some clique.  Level 1 needs only the reach of those x,
-    which level 2 computes with clique_reach.  Every level's batches depend
-    on the degrees alone and are built once.
-    """
     n, m = graph.n, graph.m
+    if m == 0:
+        return False
+    sizes, setups, check = _sparse_costs(n, m, t)
     degrees = graph.degrees()
-    ceiling = inv.reach()
-    _, query = _sparse_base_costs(n, m)
-    base_batches = [_batch_mask(b) for b in degree_batching(degrees, target=n)]
-    base_rounds = grover_cost(len(base_batches), query, params)
-    levels: Dict[int, Tuple[int, List[int]]] = {}
-    for k in range(2, t + 1):
-        x = _sparse_level_x(n, m, k)
+    parts: List[List[int]] = []
+    for x in sizes[:-1]:
         batches = degree_batching(degrees, target=max(1, ceil_div(2 * m, x)))
         masks = [_batch_mask(b) for b in batches[:x]]
-        levels[k] = (_sparse_bcast_rounds(n, m, x), masks + [0] * (x - len(masks)))
-
-    def base(reach: int) -> Tuple[bool, int, int]:
-        queries = 0
-        for bmask in base_batches:
-            queries += 1
-            if reach & bmask:
-                return True, base_rounds, queries
-        return False, base_rounds, queries
-
-    def level(chosen: Tuple[int, ...], k: int) -> Tuple[bool, int, int]:
-        bcast, batch_masks = levels[k]
-        found, queries, inner_rounds = False, 0, 0
-        for i, bmask in enumerate(batch_masks):
-            queries += 1
-            parts = chosen + (bmask,)
-            if k == 2:
-                found, sub_rounds, sub_queries = base(clique_reach(inv.adj, parts, inv.p, ceiling))
-            else:
-                found, sub_rounds, sub_queries = level(parts, k - 1)
-            queries += sub_queries
-            if i == 0:
-                inner_rounds = sub_rounds
-            if found:
-                break
-        return found, grover_cost(len(batch_masks), bcast + inner_rounds, params), queries
-
-    if t == 1:
-        return base(ceiling)
-    return level((), t)
-
-
-def sparse_rounds(n: int, m: int, t: int,
-                  params: QuantumCostParams = DEFAULT_PARAMS) -> int:
-    """Analytic extension-search rounds, mu-scaled: ~ mu^(1-1/2^t)."""
-    if m <= 0:
-        return 0
-    if t == 1:
-        y, query = _sparse_base_costs(n, m)
-        return grover_cost(y, query, params)
-    x = _sparse_level_x(n, m, t)
-    query = _sparse_bcast_rounds(n, m, x) + sparse_rounds(n, m, t - 1, params)
-    return grover_cost(x, query, params)
+        parts.append(masks + [0] * (x - len(masks)))
+    parts.append([_batch_mask(b) for b in degree_batching(degrees, target=n)])
+    return _constrained_search(inv, parts, setups, check, ledger, seed, params,
+                               "sparse/search", stats)
 
 
 def sparse_cost_only(
     n: int, m: int, t: int, ledger: CostLedger,
     params: QuantumCostParams = DEFAULT_PARAMS,
 ) -> None:
-    ledger.charge("sparse/search", "clique", "quantum",
-                  sparse_rounds(n, m, t, params))
+    """Analytic extension-search rounds, mu-scaled: ~ mu^(1-1/2^t)."""
+    rounds = nested_cost_predict(*_sparse_costs(n, m, t), params) if m > 0 else 0
+    ledger.charge("sparse/search", "clique", "quantum", rounds)
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -114,24 +112,16 @@ class EvenCycleParams:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def single_rep_success(ell: int) -> Fraction:
     """Single-repetition detection probability for one anchored cycle.
 
-    Exact enumeration of the colorings of an isolated ell-cycle with a
-    single source at its anchor (feasible directly for small ell; beyond
-    that the count per anchored orientation is the same two colorings, as
-    the enumeration confirms on the small cases).
+    With a single source at its anchor, an isolated ell-cycle is detected
+    exactly when one of its two orientations reads colours 0..ell-1 from
+    the anchor.  Each orientation fixes all ell colours, and for ell >= 3
+    the two differ, so 2 of the ell^ell colourings fire.
     """
     if ell < 3:
         raise ValueError("ell must be >= 3")
-    if ell <= 6:
-        cycle = tuple(range(ell))
-        count = 0
-        for colors in product(range(ell), repeat=ell):
-            if _cycle_pattern_detects(cycle, 0, colors):
-                count += 1
-        return Fraction(count, ell**ell)
     return Fraction(2, ell**ell)
 
 

@@ -6,6 +6,9 @@ rounds charged follow the search-cost formulas: a flat search over X costs
 reps * ceil(c * sqrt(|X|)) * r, and a nested search over X_1 x ... x X_k
 costs sqrt(|X_1|)(s_1 + sqrt(|X_2|)(s_2 + ... + sqrt(|X_k|)(s_k + c))),
 with the ceil applied at each level and the reps factor once, outermost.
+There is one search engine: the flat search is the one-level nested
+search, so both enumerate, check cost homogeneity and inject failures the
+same way.
 
 Cost and answer are fully separated: which element is marked never changes
 the rounds charged.
@@ -140,7 +143,7 @@ def run_search(
     model: str = "clique",
     phase: str = "quantum-search",
 ) -> SearchOutcome:
-    """Flat search: ordered classical evaluation, search-formula round charge.
+    """Flat search: the one-level nested search over range(domain_size).
 
     The charge uses the measured per-query rounds and is independent of
     where (or whether) a marked element lies.  Query costs must be uniform
@@ -148,29 +151,8 @@ def run_search(
     """
     if domain_size < 1:
         raise ValueError("domain_size must be >= 1")
-    found = False
-    witness: Optional[Tuple[int, ...]] = None
-    queries = 0
-    query_rounds: Optional[int] = None
-    for i in range(domain_size):
-        marked, rounds = checker(i)
-        queries += 1
-        if query_rounds is None:
-            query_rounds = rounds
-        elif rounds != query_rounds:
-            raise RuntimeError(
-                f"query cost inhomogeneity: query {i} cost {rounds}, expected {query_rounds}"
-            )
-        if marked:
-            found = True
-            witness = (i,)
-            break
-    charged = charge_search(ledger, domain_size, query_rounds or 0, params, model, phase)
-    if found and params.fail_prob > 0.0:
-        rng = random.Random(_derive_seed(seed, "search-fail"))
-        if rng.random() < params.fail_prob:
-            found, witness = False, None
-    return SearchOutcome(found, witness, charged, queries)
+    plan = NestedSearchPlan([SearchLevel(domain_size)], lambda tup: checker(tup[0]), params)
+    return _search(plan, ledger, seed, "search-fail", model, phase)
 
 
 def run_nested_search(
@@ -186,6 +168,24 @@ def run_nested_search(
     what they compute) but their rounds enter the charge once per
     level, inside the nesting formula, since quantum queries reuse the same
     distributed setup.  Setup costs must be homogeneous within a level.
+    """
+    return _search(plan, ledger, seed, "nested-fail", model, phase)
+
+
+def _search(
+    plan: NestedSearchPlan,
+    ledger: CostLedger,
+    seed: int,
+    fail_tag: str,
+    model: str,
+    phase: str,
+) -> SearchOutcome:
+    """The one search engine behind run_search and run_nested_search.
+
+    Neither public name calls the other, so a tracer that wraps both counts
+    each search once.  A found witness is dropped with probability
+    fail_prob, drawn from _derive_seed(seed, fail_tag); the charge stays
+    the same.
     """
     k = len(plan.levels)
     setup_costs: List[Optional[int]] = [None] * k
@@ -227,12 +227,13 @@ def run_nested_search(
         return False
 
     found = descend(0, ())
+    del descend  # it refers to itself; freeing it here keeps searches out of the cyclic GC
     sizes = [lv.domain_size for lv in plan.levels]
     costs = [c or 0 for c in setup_costs]
     charged = nested_cost_predict(sizes, costs, check_cost or 0, plan.params)
     ledger.charge(phase, model, "quantum", charged)
     if found and plan.params.fail_prob > 0.0:
-        rng = random.Random(_derive_seed(seed, "nested-fail"))
+        rng = random.Random(_derive_seed(seed, fail_tag))
         if rng.random() < plan.params.fail_prob:
             found, witness = False, None
     return SearchOutcome(found, witness, charged, queries)

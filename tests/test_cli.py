@@ -38,6 +38,7 @@ USAGE_ERRORS = [
     ["sweep", "--algo", "blackbox", "--t", "0", "--n-list", "64,128"],
     ["detect-clique", "--strategy", "triangle15", "--q", "3", "--gen", "gnp,20,0.3,0,1"],
     ["verify", "--q", "4", "--strategy", "triangle15", "--trials", "1"],
+    ["detect-clique", "--graph", "no/such/dir/graph.txt", "--q", "4"],
 ]
 
 
@@ -136,7 +137,8 @@ class TestCommands:
         (CSV_HEADER + "\n64,1,x,p,5,0,0,5,0,0,,0\n", ()),  # one row: too few to fit
         ("a,b\n1,2\n", ()),  # not a result CSV
         (None, ("--x-col", "nosuch")),
-    ], ids=["one-row", "not-results", "bad-column"])
+        (None, ("--y-col", "found")),  # blank in cost-only rows
+    ], ids=["one-row", "not-results", "bad-column", "blank-column"])
     def test_fit_bad_input_exits_2(self, tmp_path, capsys, text, cols):
         path = tmp_path / "rows.csv"
         if text is None:
@@ -146,6 +148,15 @@ class TestCommands:
             path.write_text(text)
         assert main(["fit", "--in", str(path), *cols]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("extra,message", [
+        ((), "sweep needs --n-list"),
+        (("--n-list", "40", "--m-list", "5"), "take no --m-list"),
+    ], ids=["no-n-list", "m-list"])
+    def test_full_mode_sweep_usage_errors(self, capsys, extra, message):
+        assert main(["sweep", "--algo", "auto", "--mode", "full", *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     def test_determinism_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

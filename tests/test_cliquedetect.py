@@ -185,6 +185,14 @@ class TestExtendSparse:
             got = extend_sparse(g, inv, 2, CostLedger())
             assert got == oracle_has_clique(g, 4)
 
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    @pytest.mark.parametrize("p,prob,seed", [(2, 0.03, 100), (2, 0.15, 101), (2, 0.2, 100),
+                                             (3, 0.3, 102), (3, 0.4, 103), (3, 0.55, 102)])
+    def test_every_depth_matches_oracle(self, t, p, prob, seed):
+        g = gnp(40, prob, seed)
+        inv = list_kp(g, p, CostLedger())
+        assert extend_sparse(g, inv, t, CostLedger()) == oracle_has_clique(g, p + t)
+
     def test_degree_batching_bounds(self):
         g = gnp(96, 0.3, 7)
         batches = degree_batching(g.degrees(), target=96)
@@ -431,6 +439,54 @@ class TestCostOnlySlopes:
                 ys.append(led.total())
             target = max(1 - 2 / p, (1 - 1 / p) * (1 - 1 / 2**t))
             assert abs(fit_slope(ns, ys) - target) < 0.05, (p, t)
+
+
+REPS_CASES = ([("sparse", 2, t) for t in (1, 2, 3)]
+              + [("nested", p, t) for p, t in ((3, 1), (3, 2), (5, 3))]
+              + [("blackbox", 3, t) for t in (1, 2, 3)])
+
+
+class TestRepsScaleLinearly:
+    """reps multiplies a search's charge once, outermost, at every depth."""
+
+    @staticmethod
+    def quantum_rounds(run):
+        out = []
+        for reps in (1, 2, 3):
+            led = CostLedger()
+            run(led, QuantumCostParams(reps=reps))
+            out.append(led.total_by_kind()["quantum"])
+        return out
+
+    @pytest.mark.parametrize("strategy,p,t", REPS_CASES)
+    def test_full_runs(self, strategy, p, t):
+        g = gnp(40, 0.5, 21)
+        inv = list_kp(g, p, CostLedger())
+
+        def run(led, params):
+            if strategy == "sparse":
+                extend_sparse(g, inv, t, led, params=params)
+            elif strategy == "nested":
+                detect_nested(g, p, t, led, params=params, inv=inv)
+            else:
+                extend_blackbox(g, inv, t, led, params=params)
+
+        one, two, three = self.quantum_rounds(run)
+        assert one > 0 and (two, three) == (2 * one, 3 * one)
+
+    @pytest.mark.parametrize("strategy,p,t", REPS_CASES)
+    @pytest.mark.parametrize("n,m", [(256, 512), (4096, 262144), (1024, 1024 * 1023 // 2)])
+    def test_cost_only(self, strategy, p, t, n, m):
+        def run(led, params):
+            if strategy == "sparse":
+                sparse_cost_only(n, m, t, led, params)
+            elif strategy == "nested":
+                nested_cost_only(n, m, p, t, led, params)
+            else:
+                blackbox_cost_only(n, t, led, params)
+
+        one, two, three = self.quantum_rounds(run)
+        assert one > 0 and (two, three) == (2 * one, 3 * one)
 
 
 class TestLedgerDeterminism:

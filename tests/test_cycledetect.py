@@ -50,7 +50,7 @@ def all_active_cfg(g, ell, sources=None, reps=1, m=1, heights=None):
 
 
 class TestSingleRepSuccess:
-    @pytest.mark.parametrize("ell", [4, 5, 6])
+    @pytest.mark.parametrize("ell", [3, 4, 5, 6])
     def test_enumeration_matches_protocol_engine(self, ell):
         # exhaustive: run the protocol on every coloring of the single-source cycle
         g = cycle_graph(ell)

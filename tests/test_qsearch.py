@@ -106,6 +106,45 @@ class TestRunSearch:
             run_search(4, lambda i: (False, i), led)
 
 
+class TestFlatIsOneLevelNested:
+    def test_same_outcome_and_ledger(self):
+        import random
+
+        rng = random.Random(3)
+        for seed in range(120):
+            size = rng.randint(1, 300)
+            cost = rng.randint(0, 9)
+            marked = {rng.randrange(size) for _ in range(rng.randint(0, 3))}
+            params = QuantumCostParams(c_grover=Fraction(rng.randint(1, 9), rng.randint(1, 4)),
+                                       reps=rng.randint(1, 4))
+            flat_led, nested_led = CostLedger(), CostLedger()
+            flat = run_search(size, lambda i: (i in marked, cost), flat_led, params,
+                              seed=seed, phase="search")
+            plan = NestedSearchPlan([SearchLevel(size)],
+                                    lambda tup: (tup[0] in marked, cost), params)
+            nested = run_nested_search(plan, nested_led, seed=seed, phase="search")
+            assert flat == nested
+            assert flat.found == bool(marked)
+            assert flat_led.entries == nested_led.entries
+
+    def test_searches_leave_no_cyclic_garbage(self):
+        # reference counting alone must free a search: cyclic garbage left by
+        # the many flat searches of cycle detection slowed them measurably
+        import gc
+
+        plan = NestedSearchPlan([SearchLevel(3, lambda pfx: 1), SearchLevel(4)],
+                                lambda tup: (tup == (2, 1), 1))
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(20):
+                run_search(10, lambda i: (i == 3, 2), CostLedger())
+                run_nested_search(plan, CostLedger())
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 class TestRunNestedSearch:
     def _plan(self, marked, sizes=(4, 4), setup_cost=0, check_cost=1):
         levels = [
