@@ -40,8 +40,6 @@ from .cliquedetect import (
 from .cycledetect import (
     ColorBfsConfig,
     EvenCycleParams,
-    ForestDecomposition,
-    color_bfs,
     detect_even_cycle,
     detect_odd_cycle,
     forest_decomposition,

@@ -8,6 +8,7 @@ error, 3 internal invariant violation (e.g. an oracle mismatch in verify).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -16,7 +17,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import cliquedetect, cycledetect
 from .cliquelist import list_kp
@@ -144,9 +145,18 @@ def _resolve_graph(args: argparse.Namespace) -> Graph:
     raise UsageError("need --graph or --gen")
 
 
+@contextlib.contextmanager
+def _out_errors() -> Iterator[None]:
+    """Turn an --out that cannot be written into a usage error."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write --out: {exc}") from None
+
+
 def _emit(args: argparse.Namespace, rows: List[ResultRow], payload: Dict) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _out_errors(), open(args.out, "w", encoding="utf-8") as fh:
             fh.write(rows_to_csv(rows))
     if args.json:
         print(json.dumps(payload, sort_keys=True))
@@ -205,7 +215,8 @@ def run_gen(args: argparse.Namespace) -> int:
     graph = _resolve_graph(args)
     if not args.out:
         raise UsageError("gen needs --out")
-    save_graph(graph, args.out)
+    with _out_errors():
+        save_graph(graph, args.out)
     if args.json:
         print(json.dumps({"n": graph.n, "m": graph.m, "out": args.out}, sort_keys=True))
     return 0
@@ -232,7 +243,7 @@ def run_list(args: argparse.Namespace) -> int:
     ledger = CostLedger()
     dump = list_kp(graph, args.p, ledger).dump()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _out_errors(), open(args.out, "w", encoding="utf-8") as fh:
             fh.write(dump)
     else:
         print(dump, end="")
@@ -243,11 +254,14 @@ def run_list(args: argparse.Namespace) -> int:
 
 
 def _sweep_pairs(args: argparse.Namespace) -> List[Tuple[int, int]]:
-    if args.m_list:
-        if len(args.m_list) != len(args.n_list):
-            raise UsageError("--m-list must match --n-list in length")
-        return list(zip(args.n_list, args.m_list))
-    return [(n, n * (n - 1) // 2) for n in args.n_list]
+    if not args.m_list:
+        return [(n, n * (n - 1) // 2) for n in args.n_list]
+    if len(args.m_list) != len(args.n_list):
+        raise UsageError("--m-list must match --n-list in length")
+    for n, m in zip(args.n_list, args.m_list):
+        if not 0 <= m <= n * (n - 1) // 2:
+            raise UsageError(f"--m-list entry {m} is outside 0..n(n-1)/2 for n = {n}")
+    return list(zip(args.n_list, args.m_list))
 
 
 def run_sweep(args: argparse.Namespace) -> int:
@@ -260,9 +274,12 @@ def run_sweep(args: argparse.Namespace) -> int:
     if args.mode == "full" and args.m_list:
         raise UsageError("full-mode sweeps draw G(n, --edge-prob) and take no --m-list")
     params = args.params
+    ell = args.ell or (5 if args.algo == "odd-cycle" else 4)
     rows: List[ResultRow] = []
     if args.mode == "cost-only":
         for n, m in _sweep_pairs(args):
+            if args.algo in ("odd-cycle", "even-cycle") and ell > n:
+                raise UsageError(f"--ell {ell} exceeds the --n-list entry {n}")
             ledger = CostLedger()
             found: Optional[bool] = None
             if args.algo == "triangle15":
@@ -288,11 +305,9 @@ def run_sweep(args: argparse.Namespace) -> int:
                 cliquedetect.sparse_cost_only(n, m, t, ledger, params)
                 extra = {"t": t}
             elif args.algo == "odd-cycle":
-                ell = args.ell or 5
                 cycledetect.odd_cycle_cost_only(n, ell, ledger, params)
                 extra = {"ell": ell}
             elif args.algo == "even-cycle":
-                ell = args.ell or 4
                 found = cycledetect.even_cycle_cost_only(n, m, ell, ledger, params)
                 extra = {"ell": ell}
             else:
@@ -306,7 +321,6 @@ def run_sweep(args: argparse.Namespace) -> int:
             graph = generate(GenSpec(kind="gnp", n=n, edge_prob=args.edge_prob,
                                      seed=args.seed))
             if args.algo in ("odd-cycle", "even-cycle"):
-                ell = args.ell or (5 if args.algo == "odd-cycle" else 4)
                 rows.append(cycle_row(args, graph, ell, args.seed))
             else:
                 strategy = None if args.algo == "auto" else args.algo
@@ -453,6 +467,8 @@ def validate_args(args: argparse.Namespace) -> None:
         raise UsageError("--q must be >= 3")
     if flags.get("t") is not None and args.t < 1:
         raise UsageError("--t must be >= 1")
+    if flags.get("trials") is not None and args.trials < 1:
+        raise UsageError("--trials must be >= 1")
     ell = flags.get("ell")
     if ell is not None and ell < (5 if ell % 2 else 4):
         raise UsageError("--ell must be even and >= 4, or odd and >= 5")
@@ -468,6 +484,8 @@ def validate_args(args: argparse.Namespace) -> None:
     if "n_list" in flags:
         args.n_list = _int_list(args.n_list)
         args.m_list = _int_list(args.m_list)
+        if any(n < 1 for n in args.n_list):
+            raise UsageError("--n-list entries must be >= 1")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

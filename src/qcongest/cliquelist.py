@@ -231,6 +231,7 @@ def _list_cliques(
 
     full = (1 << len(adj)) - 1
     rec(0, full, full, p)
+    del rec  # it refers to itself; freeing it here keeps listings out of the cyclic GC
 
 
 def clique_reach(adj: Sequence[int], parts: Sequence[int], p: int, ceiling: int) -> int:
@@ -286,6 +287,7 @@ def clique_reach(adj: Sequence[int], parts: Sequence[int], p: int, ceiling: int)
         common = ceiling & adj[low.bit_length() - 1]
         if common.bit_count() >= p + k and extends(common, 0):
             reach |= low
+    del extends  # it refers to itself; freeing it here keeps searches out of the cyclic GC
     return reach
 
 

@@ -7,6 +7,16 @@ forward ids along the two color-increasing chains.  A detection means the
 two chains carrying the same id meet, which forces len distinct colors and
 hence a genuine simple len-cycle: no false positives, ever.
 
+Colour coding (Alon-Yuster-Zwick, JACM 1995) and the heavy/light scheme
+for even cycles (Eden-Fiat-Fischer-Kuhn-Oshman, DISC 2019) repeat one
+query over different source sets.  Each search stage is one
+_stage_search over its source sets: every node for odd cycles, each heavy
+node, then each light index class.  A query runs the colour BFS from one
+source set and reports to the leader; _query_rounds prices it at
+reps * (1 + (floor(len/2)-1) * M) plus an eccentricity-long convergecast.
+Full runs price it at the measured eccentricity and M; cost-only runs at
+eccentricity 1 and M = 1.
+
 Two engines compute the same detection event:
 
 * "protocol": faithful hop-by-hop simulation over congest_step, including
@@ -17,8 +27,7 @@ Two engines compute the same detection event:
   congestion bound are conservatively counted as misses, per the
   completeness accounting.
 
-Both engines charge identical rounds: reps * (1 + (floor(len/2)-1) * M)
-plus one leader convergecast.
+Both engines charge identical rounds.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ import numpy as np
 
 from .graph import CycleEnumerationLimit, Graph, iter_cycles, two_core
 from .intmath import ceil_pow, ceil_scaled_pow
-from .netsim import CongestNet, CostLedger, congest_step
+from .netsim import CongestNet, CostLedger, congest_step, word_capacity
 from .qsearch import (
     DEFAULT_PARAMS,
     QuantumCostParams,
@@ -70,14 +79,6 @@ class ColorBfsConfig:
 
     def height(self, v: int) -> int:
         return self.heights.get(v, 0) if self.heights else 0
-
-
-@dataclass(frozen=True)
-class ForestDecomposition:
-    """Layering where each node has few same-or-higher-layer neighbors."""
-
-    layers: Mapping[int, int]  # node -> layer index, 1-based
-    bound: int  # the peel threshold parameter a
 
 
 @dataclass(frozen=True)
@@ -134,15 +135,6 @@ def _canonical_cycle(cyc: Sequence[int]) -> Tuple[int, ...]:
     return min(fwd, bwd)
 
 
-def _cycle_pattern_detects(cycle: Sequence[int], anchor_pos: int, colors: Sequence[int]) -> bool:
-    """Does this coloring fire the BFS pattern for the anchored cycle?"""
-    ell = len(cycle)
-    for orient in (1, -1):
-        if all(colors[cycle[(anchor_pos + orient * j) % ell]] == j for j in range(ell)):
-            return True
-    return False
-
-
 def repetitions_for(p_success: Fraction, failure_target: float) -> int:
     """Smallest R with (1 - p)^R <= failure_target, via R >= ln(1/f)/p."""
     if not 0 < p_success <= 1:
@@ -155,6 +147,12 @@ def repetitions_for(p_success: Fraction, failure_target: float) -> int:
 def color_bfs_rep_rounds(ell: int, congestion_bound: int) -> int:
     """Rounds of one repetition: initial send + (floor(ell/2)-1) phases of M."""
     return 1 + (ell // 2 - 1) * congestion_bound
+
+
+def _query_rounds(ell: int, reps: int, m_bound: int, ecc: int) -> int:
+    """Rounds of one query: reps colour-BFS repetitions at congestion bound
+    m_bound, then a one-word convergecast over ecc hops to the leader."""
+    return reps * color_bfs_rep_rounds(ell, m_bound) + ecc
 
 
 # ---------------------------------------------------------------------------
@@ -367,16 +365,34 @@ def _qualifying_patterns(
     return out[:_PATTERN_CAP], exceeded
 
 
+def _pattern_specs(patterns: Sequence[Tuple[Tuple[int, ...], int]],
+                   ell: int) -> Tuple[List[int], List[np.ndarray]]:
+    """(relevant nodes, specs).  There is one spec per orientation of each
+    pattern: the positions in relevant of its nodes, read from the anchor."""
+    relevant = sorted({v for cyc, _ in patterns for v in cyc})
+    index = {v: i for i, v in enumerate(relevant)}
+    specs = [np.array([index[cyc[(pos + orient * j) % ell]] for j in range(ell)],
+                      dtype=np.int64)
+             for cyc, pos in patterns for orient in (1, -1)]
+    return relevant, specs
+
+
+def _fires(colors: np.ndarray, specs: Sequence[np.ndarray]) -> bool:
+    """Does some row of colors (repetitions x relevant nodes) read 0..ell-1
+    along some spec?"""
+    expected = np.arange(len(specs[0]), dtype=np.uint8)
+    return any(bool((colors[:, idx] == expected).all(axis=1).any()) for idx in specs)
+
+
 def event_detect_once(
     graph: Graph, cfg: ColorBfsConfig, colors: Mapping[int, int]
 ) -> bool:
     """Single-repetition detection under the event engine, fixed colors."""
     patterns, _ = _qualifying_patterns(graph, cfg)
-    for cyc, pos in patterns:
-        colors_by_pos = [colors[v] for v in cyc]
-        if _cycle_pattern_detects(range(len(cyc)), pos, colors_by_pos):
-            return True
-    return False
+    if not patterns:
+        return False
+    relevant, specs = _pattern_specs(patterns, cfg.cycle_len)
+    return _fires(np.array([[colors[v] for v in relevant]], dtype=np.uint8), specs)
 
 
 def _event_found(
@@ -398,70 +414,21 @@ def _event_found(
     if not patterns:
         return False
     ell = cfg.cycle_len
-    relevant = sorted({v for cyc, _ in patterns for v in cyc})
-    index = {v: i for i, v in enumerate(relevant)}
-    specs = []
-    for cyc, pos in patterns:
-        for orient in (1, -1):
-            idx = np.array(
-                [index[cyc[(pos + orient * j) % ell]] for j in range(ell)],
-                dtype=np.int64,
-            )
-            expected = np.arange(ell, dtype=np.uint8)
-            specs.append((idx, expected))
+    relevant, specs = _pattern_specs(patterns, ell)
     rng = np.random.default_rng(_derive_seed(*seed_parts))
     remaining = cfg.repetitions
     while remaining > 0:
         block = min(remaining, _SAMPLE_BLOCK)
         colors = rng.integers(0, ell, size=(block, len(relevant)), dtype=np.uint8)
-        for idx, expected in specs:
-            if bool((colors[:, idx] == expected).all(axis=1).any()):
-                return True
+        if _fires(colors, specs):
+            return True
         remaining -= block
     return False
 
 
-# ---------------------------------------------------------------------------
-# color_bfs entry point
-# ---------------------------------------------------------------------------
-
-
-def _check_engine(engine: str) -> None:
-    if engine not in ("event", "protocol"):
-        raise ValueError(f"unknown engine {engine!r}")
-
-
-def color_bfs(
-    net: CongestNet,
-    cfg: ColorBfsConfig,
-    seed: int = 0,
-    ledger: Optional[CostLedger] = None,
-    engine: str = "protocol",
-) -> Tuple[bool, int]:
-    """Run the repetitions and report to the leader: (found, rounds charged).
-
-    Rounds follow the protocol structure exactly; the event engine only
-    shortcuts their execution.
-    """
-    _check_engine(engine)
-    bfs_rounds = cfg.repetitions * color_bfs_rep_rounds(cfg.cycle_len, cfg.congestion_bound)
-    report_rounds = net.converge_cost(1)
-    if ledger is not None:
-        ledger.charge("color-bfs", "congest", "route", bfs_rounds)
-        ledger.charge("color-bfs/report", "congest", "converge", report_rounds)
-    if engine == "event":
-        found = _event_found(net.graph, cfg, ("color-bfs", seed))
-    else:
-        found = _protocol_found(net, cfg, seed)
-        if found:
-            net.require_reachable(sorted(cfg.sources)[:1])
-    return found, bfs_rounds + report_rounds
-
-
-
-def _protocol_found(net: CongestNet, cfg: ColorBfsConfig, seed: int) -> bool:
+def _protocol_found(net: CongestNet, cfg: ColorBfsConfig, seed_parts: Tuple) -> bool:
     """Did any of cfg.repetitions random colorings detect, hop by hop?"""
-    rng = random.Random(_derive_seed("color-bfs-protocol", seed))
+    rng = random.Random(_derive_seed("color-bfs-protocol", _derive_seed(*seed_parts)))
     scratch = CostLedger()
     for _ in range(cfg.repetitions):
         colors = {v: rng.randrange(cfg.cycle_len) for v in sorted(cfg.active)}
@@ -470,27 +437,63 @@ def _protocol_found(net: CongestNet, cfg: ColorBfsConfig, seed: int) -> bool:
     return False
 
 
-def _query_found(
+# ---------------------------------------------------------------------------
+# the search stage shared by both detectors
+# ---------------------------------------------------------------------------
+
+
+def _check_engine(engine: str) -> None:
+    if engine not in ("event", "protocol"):
+        raise ValueError(f"unknown engine {engine!r}")
+
+
+def _stage_search(
     net: CongestNet,
-    cfg: ColorBfsConfig,
-    seed_parts: Tuple,
+    queries: Sequence[Tuple[FrozenSet[int], int]],
+    shared: ColorBfsConfig,
+    tag: str,
+    phase: str,
+    ledger: CostLedger,
+    seed: int,
+    params: QuantumCostParams,
     engine: str,
     stats: Optional[Dict[str, int]],
-    core: int,
 ) -> bool:
-    """One search query of a cycle detector: did cfg's color BFS detect?
+    """One search stage: a quantum search over source sets, one colour BFS each.
 
-    The event engine samples the detection event inside `core`; the protocol
-    engine runs the protocol hop by hop, seeded from `seed_parts`.  A
-    detection is reported to the leader by the first source.
+    Query i runs the colour BFS of `shared` (its length, active nodes,
+    heights, M and repetitions; its sources are not read) from the source
+    set queries[i][0], seeded by (tag, seed, queries[i][1]).  The event
+    engine samples the detection event inside the 2-core of the active
+    nodes; the protocol engine runs the protocol hop by hop.  A detection
+    is reported to the leader by the query's first source.  Every query is
+    priced by _query_rounds at the measured eccentricity.  A stage with no
+    source sets searches nothing and charges nothing.
     """
-    if engine == "event":
-        found = _event_found(net.graph, cfg, seed_parts, record=stats, core=core)
-    else:
-        found = _protocol_found(net, cfg, _derive_seed(*seed_parts))
-    if found:
-        net.require_reachable(sorted(cfg.sources)[:1])
-    return found
+    if not queries:
+        return False
+    ell, active, heights = shared.cycle_len, shared.active, shared.heights
+    m_bound, reps = shared.congestion_bound, shared.repetitions
+    graph = net.graph
+    core = two_core(graph, sum(1 << v for v in active))
+    query_rounds = _query_rounds(ell, reps, m_bound, net.eccentricity)
+
+    def checker(i: int) -> Tuple[bool, int]:
+        sources, label = queries[i]
+        cfg = ColorBfsConfig(ell, active, sources, heights, m_bound, reps)
+        if engine == "event":
+            found = _event_found(graph, cfg, (tag, seed, label), record=stats, core=core)
+        else:
+            found = _protocol_found(net, cfg, (tag, seed, label))
+        if found:
+            net.require_reachable(sorted(sources)[:1])
+        return found, query_rounds
+
+    outcome = run_search(len(queries), checker, ledger, params, seed=seed,
+                         model="congest", phase=phase)
+    if stats is not None:
+        stats["queries"] = stats.get("queries", 0) + outcome.queries_evaluated
+    return outcome.found
 
 
 # ---------------------------------------------------------------------------
@@ -518,23 +521,12 @@ def detect_odd_cycle(
     _check_engine(engine)
     if not 5 <= ell <= graph.n:
         raise ValueError(f"need 5 <= ell <= n, got ell={ell}, n={graph.n}")
-    net = CongestNet(graph)
     n = graph.n
-    reps = odd_cycle_repetitions(n, ell)
-    query_rounds = reps * color_bfs_rep_rounds(ell, 1) + net.converge_cost(1)
-    all_nodes = frozenset(range(n))
-    core = two_core(graph, (1 << n) - 1)
-
-    def checker(v: int) -> Tuple[bool, int]:
-        cfg = ColorBfsConfig(cycle_len=ell, active=all_nodes, sources=frozenset({v}),
-                             congestion_bound=1, repetitions=reps)
-        return _query_found(net, cfg, ("odd", seed, v), engine, stats, core), query_rounds
-
-    outcome = run_search(n, checker, ledger, params, seed=seed, model="congest",
-                         phase="odd-cycle/search")
-    if stats is not None:
-        stats["queries"] = stats.get("queries", 0) + outcome.queries_evaluated
-    return outcome.found
+    shared = ColorBfsConfig(ell, frozenset(range(n)), frozenset(),
+                            repetitions=odd_cycle_repetitions(n, ell))
+    return _stage_search(CongestNet(graph), [(frozenset({v}), v) for v in range(n)],
+                         shared, "odd", "odd-cycle/search", ledger, seed, params,
+                         engine, stats)
 
 
 def odd_cycle_cost_only(
@@ -543,8 +535,7 @@ def odd_cycle_cost_only(
     ledger: CostLedger,
     params: QuantumCostParams = DEFAULT_PARAMS,
 ) -> None:
-    reps = odd_cycle_repetitions(n, ell)
-    query_rounds = reps * color_bfs_rep_rounds(ell, 1) + 1  # + a one-round convergecast
+    query_rounds = _query_rounds(ell, odd_cycle_repetitions(n, ell), 1, 1)
     charge_search(ledger, n, query_rounds, params, "congest", "odd-cycle/search")
 
 
@@ -553,23 +544,30 @@ def odd_cycle_cost_only(
 # ---------------------------------------------------------------------------
 
 
+def _forest_layers(n: int) -> int:
+    """Most layers a forest decomposition peels: ceil(2 log2 n), at least 1."""
+    return max(1, math.ceil(2 * math.log2(max(n, 2))))
+
+
 def forest_decomposition(
     graph: Graph,
     nodes: Iterable[int],
     a: int,
     ledger: CostLedger,
-) -> Optional[ForestDecomposition]:
+) -> Optional[Dict[int, int]]:
     """Iterative peel: layer i takes nodes of residual degree <= 2a.
 
-    Up to ceil(2 log2 n) layers, one charged round each; a nonempty residue
-    is a failure (returned as None, not an exception).
+    Returns node -> layer index (1-based), so each node has at most 2a
+    neighbours in its own or a higher layer.  Up to _forest_layers(n)
+    layers, one charged round each; a nonempty residue is a failure
+    (returned as None, not an exception).
     """
     if a < 1:
         raise ValueError("a must be >= 1")
     alive = set(nodes)
     residual = {v: sum(1 for u in graph.neighbors(v) if u in alive) for v in alive}
     layers: Dict[int, int] = {}
-    max_layers = max(1, math.ceil(2 * math.log2(max(graph.n, 2))))
+    max_layers = _forest_layers(graph.n)
     layer = 0
     while alive and layer < max_layers:
         layer += 1
@@ -586,7 +584,7 @@ def forest_decomposition(
                     residual[u] -= 1
     if alive:
         return None
-    return ForestDecomposition(layers=layers, bound=a)
+    return layers
 
 
 # ---------------------------------------------------------------------------
@@ -635,55 +633,28 @@ def detect_even_cycle(
     # stage 2: heavy cycles (single-source queries over the measured heavy set)
     heavy_threshold = ceil_pow(n, ecp.delta)
     heavy = [v for v in range(n) if graph.degree(v) >= heavy_threshold]
-    all_nodes = frozenset(range(n))
-    heavy_query_rounds = reps * color_bfs_rep_rounds(two_k, 1) + net.converge_cost(1)
-    heavy_found = False
-    if heavy:
-        heavy_core = two_core(graph, (1 << n) - 1)
-
-        def heavy_checker(i: int) -> Tuple[bool, int]:
-            v = heavy[i]
-            cfg = ColorBfsConfig(cycle_len=two_k, active=all_nodes, sources=frozenset({v}),
-                                 congestion_bound=1, repetitions=reps)
-            found = _query_found(net, cfg, ("even-heavy", seed, v), engine, stats, heavy_core)
-            return found, heavy_query_rounds
-
-        heavy_outcome = run_search(len(heavy), heavy_checker, ledger, params,
-                                   seed=seed, model="congest",
-                                   phase="even-cycle/heavy-search")
-        heavy_found = heavy_outcome.found
-        if stats is not None:
-            stats["queries"] = stats.get("queries", 0) + heavy_outcome.queries_evaluated
+    shared = ColorBfsConfig(two_k, frozenset(range(n)), frozenset(), repetitions=reps)
+    heavy_found = _stage_search(net, [(frozenset({v}), v) for v in heavy], shared,
+                                "even-heavy", "even-cycle/heavy-search", ledger, seed, params,
+                                engine, stats)
 
     # stage 3: light cycles via forest decomposition + index batching
     light = [v for v in range(n) if graph.degree(v) < heavy_threshold]
     a = ceil_scaled_pow(n, Fraction(1, k), 4)
-    decomp = forest_decomposition(graph, light, a, ledger)
-    if decomp is None:
+    heights = forest_decomposition(graph, light, a, ledger)
+    if heights is None:
         return True  # C_{2k}-free graphs admit the decomposition; reject
-    heights = dict(decomp.layers)
     n_idx = ceil_pow(n, ecp.alpha)
     rng = random.Random(_derive_seed("even-light-index", seed))
     by_index: List[List[int]] = [[] for _ in range(n_idx)]
     for v in sorted(light):
         by_index[rng.randrange(n_idx)].append(v)
-    light_sources = [frozenset(vs) for vs in by_index]
-    m_bound = ecp.a_cong * max(1, math.ceil(math.log2(max(n, 2))))
-    light_query_rounds = reps * color_bfs_rep_rounds(two_k, m_bound) + net.converge_cost(1)
-    light_active = frozenset(light)
-    light_core = two_core(graph, sum(1 << v for v in light))
-
-    def light_checker(i: int) -> Tuple[bool, int]:
-        cfg = ColorBfsConfig(cycle_len=two_k, active=light_active, sources=light_sources[i],
-                             heights=heights, congestion_bound=m_bound, repetitions=reps)
-        found = _query_found(net, cfg, ("even-light", seed, i), engine, stats, light_core)
-        return found, light_query_rounds
-
-    light_outcome = run_search(n_idx, light_checker, ledger, params, seed=seed,
-                               model="congest", phase="even-cycle/light-search")
-    if stats is not None:
-        stats["queries"] = stats.get("queries", 0) + light_outcome.queries_evaluated
-    return heavy_found or light_outcome.found
+    shared = ColorBfsConfig(two_k, frozenset(light), frozenset(), heights,
+                            ecp.a_cong * word_capacity(n), reps)
+    light_found = _stage_search(net, [(frozenset(vs), i) for i, vs in enumerate(by_index)],
+                                shared, "even-light", "even-cycle/light-search", ledger, seed,
+                                params, engine, stats)
+    return heavy_found or light_found
 
 
 def even_cycle_cost_only(
@@ -696,28 +667,27 @@ def even_cycle_cost_only(
 ) -> Optional[bool]:
     """Charge the even-cycle stages from analytic sizes.
 
-    The light-phase congestion is charged at its expected value (M = 1,
-    the index partition is sized to make expected congestion constant);
-    the heavy-set size uses the extremal bound n^(1 - 1/k - delta).  Each
-    convergecast is charged one round (eccentricity 1, one word).
+    Where full runs measure, this takes the analytic value: the heavy-set
+    size is the extremal bound n^(1 - 1/k - delta); every convergecast
+    crosses eccentricity 1 (the prune's one word included); the light
+    phase runs at its expected congestion M = 1 (the index partition is
+    sized to make expected congestion constant); and the forest
+    decomposition peels all _forest_layers(n) layers.
     Returns True when the edge prune alone decides, else None.
     """
     k = two_k // 2
     if two_k % 2 or k < 2:
         raise ValueError("two_k must be even and >= 4")
     ecp = ec_params if ec_params is not None else EvenCycleParams(k=k)
-    reps = even_cycle_repetitions(two_k)
+    query_rounds = _query_rounds(two_k, even_cycle_repetitions(two_k), 1, 1)
     ledger.charge("even-cycle/prune", "congest", "converge", 1)
     if m > ecp.prune_const * ceil_pow(n, 1 + Fraction(1, k)):
         return True
     heavy_domain = max(1, ceil_pow(n, 1 - Fraction(1, k) - ecp.delta))
-    heavy_query = reps * color_bfs_rep_rounds(two_k, 1) + 1
-    charge_search(ledger, heavy_domain, heavy_query, params, "congest",
+    charge_search(ledger, heavy_domain, query_rounds, params, "congest",
                   "even-cycle/heavy-search")
-    layers = max(1, math.ceil(2 * math.log2(max(n, 2))))
-    ledger.charge("forest-decomposition", "congest", "route", layers)
+    ledger.charge("forest-decomposition", "congest", "route", _forest_layers(n))
     light_domain = max(1, ceil_pow(n, ecp.alpha))
-    light_query = reps * color_bfs_rep_rounds(two_k, 1) + 1
-    charge_search(ledger, light_domain, light_query, params, "congest",
+    charge_search(ledger, light_domain, query_rounds, params, "congest",
                   "even-cycle/light-search")
     return None

@@ -39,6 +39,20 @@ USAGE_ERRORS = [
     ["detect-clique", "--strategy", "triangle15", "--q", "3", "--gen", "gnp,20,0.3,0,1"],
     ["verify", "--q", "4", "--strategy", "triangle15", "--trials", "1"],
     ["detect-clique", "--graph", "no/such/dir/graph.txt", "--q", "4"],
+    ["detect-clique", "--gen", "gnp,10,0.5,0,1", "--q", "3", "--out", "no/such/dir/x.csv"],
+    ["detect-cycle", "--gen", "planted_cycle,8,0.0,5,1", "--ell", "5",
+     "--out", "no/such/dir/x.csv"],
+    ["sweep", "--algo", "triangle15", "--n-list", "64", "--out", "no/such/dir/x.csv"],
+    ["verify", "--q", "4", "--trials", "1", "--out", "no/such/dir/x.csv"],
+    ["list", "--p", "3", "--gen", "gnp,10,0.5,0,1", "--out", "no/such/dir/x.txt"],
+    ["gen", "--gen", "gnp,10,0.5,0,1", "--out", "no/such/dir/g.txt"],
+    ["sweep", "--algo", "odd-cycle", "--n-list", "0,64"],
+    ["sweep", "--algo", "plus1", "--n-list", "64,-1"],
+    ["sweep", "--algo", "triangle15", "--n-list", "8", "--m-list", "-5"],
+    ["sweep", "--algo", "triangle15", "--n-list", "8", "--m-list", "29"],
+    ["sweep", "--algo", "odd-cycle", "--n-list", "4", "--ell", "5"],
+    ["sweep", "--algo", "even-cycle", "--n-list", "64,3"],
+    ["verify", "--q", "4", "--trials", "0"],
 ]
 
 

@@ -11,7 +11,7 @@ from qcongest.cli import fit_slope
 from qcongest.cycledetect import (
     ColorBfsConfig,
     EvenCycleParams,
-    color_bfs,
+    _stage_search,
     color_bfs_rep_rounds,
     detect_even_cycle,
     detect_odd_cycle,
@@ -26,8 +26,8 @@ from qcongest.cycledetect import (
     single_rep_success,
 )
 from qcongest.graph import GenSpec, Graph, generate, oracle_has_cycle, two_core
-from qcongest.netsim import CongestNet, CostLedger
-from qcongest.qsearch import grover_cost
+from qcongest.netsim import CongestNet, CostLedger, word_capacity
+from qcongest.qsearch import DEFAULT_PARAMS, grover_cost
 
 
 def cycle_graph(ell, n=None):
@@ -47,6 +47,13 @@ def all_active_cfg(g, ell, sources=None, reps=1, m=1, heights=None):
         congestion_bound=m,
         repetitions=reps,
     )
+
+
+def stage_found(g, cfg, seed, engine, ledger=None):
+    """A search stage of one query: cfg's colour BFS from all of cfg.sources."""
+    return _stage_search(CongestNet(g), [(cfg.sources, 0)], cfg, "test", "color-bfs",
+                         ledger if ledger is not None else CostLedger(), seed,
+                         DEFAULT_PARAMS, engine, None)
 
 
 class TestSingleRepSuccess:
@@ -137,26 +144,22 @@ class TestEngineAgreement:
 class TestColorBfs:
     def test_no_false_positives_on_forest(self):
         g = generate(GenSpec(kind="path", n=50))
-        net = CongestNet(g)
         cfg = all_active_cfg(g, 4, reps=10_000, m=4)
-        found, _ = color_bfs(net, cfg, seed=1, engine="event")
-        assert not found
+        assert not stage_found(g, cfg, 1, "event")
         cfg_small = all_active_cfg(g, 4, reps=200, m=4)
-        found, _ = color_bfs(net, cfg_small, seed=1, engine="protocol")
-        assert not found
+        assert not stage_found(g, cfg_small, 1, "protocol")
 
     def test_rounds_charged_formula(self):
         g = cycle_graph(6, n=10)
         net = CongestNet(g)
         cfg = all_active_cfg(g, 6, reps=7, m=3)
         led = CostLedger()
-        found, rounds = color_bfs(net, cfg, seed=2, ledger=led, engine="event")
-        assert rounds == 7 * color_bfs_rep_rounds(6, 3) + net.converge_cost(1)
-        assert led.total() == rounds
+        stage_found(g, cfg, 2, "event", led)
+        # one query: the search charges exactly its price
+        assert led.total() == 7 * color_bfs_rep_rounds(6, 3) + net.converge_cost(1)
 
     def test_c6_amplified_detection_rate(self):
         g = cycle_graph(6)
-        net = CongestNet(g)
         # all nodes are sources: per-rep success is 6 * 2/6^6 (anchor patterns);
         # amplify to miss <= 1e-3 so 200 Monte-Carlo trials clear 99% solidly
         reps = repetitions_for(single_rep_success(6) * 6, 0.001)
@@ -164,8 +167,7 @@ class TestColorBfs:
         trials = 200
         for seed in range(trials):
             cfg = all_active_cfg(g, 6, reps=reps, m=6)
-            found, _ = color_bfs(net, cfg, seed=seed, engine="event")
-            hits += found
+            hits += stage_found(g, cfg, seed, "event")
         assert hits >= 0.99 * trials
 
     def test_monte_carlo_matches_enumeration_rate(self):
@@ -215,8 +217,8 @@ class TestForestDecomposition:
         led = CostLedger()
         fd = forest_decomposition(g, range(11), 1, led)
         assert fd is not None
-        assert all(fd.layers[i] == 1 for i in range(1, 11))
-        assert fd.layers[0] == 2
+        assert all(fd[i] == 1 for i in range(1, 11))
+        assert fd[0] == 2
 
     def test_k8_fails(self):
         g = generate(GenSpec(kind="complete", n=8))
@@ -228,7 +230,7 @@ class TestForestDecomposition:
         assert fd is not None
         for v in range(200):
             higher = sum(
-                1 for u in g.neighbors(v) if fd.layers[u] >= fd.layers[v]
+                1 for u in g.neighbors(v) if fd[u] >= fd[v]
             )
             assert higher <= 16
 
@@ -450,7 +452,7 @@ class TestLightStageEngineAgreement:
             fd = forest_decomposition(g, range(n), a=2, ledger=CostLedger())
             if fd is None:
                 continue
-            heights = dict(fd.layers)
+            heights = fd
             sources = frozenset(v for v in range(n) if rng.random() < 0.5)
             for two_k in (4, 6):
                 cfg = ColorBfsConfig(
@@ -484,11 +486,40 @@ class TestGirthControlledSoundness:
     def test_protocol_engine_on_wrong_length_cycle(self):
         # girth 8: no C4/C6 patterns can complete, whatever the colors
         g = cycle_graph(8)
-        net = CongestNet(g)
         for ell in (4, 6):
             cfg = all_active_cfg(g, ell, reps=500, m=8)
-            found, _ = color_bfs(net, cfg, seed=1, engine="protocol")
-            assert not found
+            assert not stage_found(g, cfg, 1, "protocol")
+
+
+class TestSingleQueryPrice:
+    """Full and cost-only runs price a query by the same function."""
+
+    @staticmethod
+    def hub_graph(n, extra_edges):
+        # node 0 is adjacent to every node: the leader's eccentricity is 1
+        return Graph(n, sorted({(0, v) for v in range(1, n)} | set(extra_edges)))
+
+    def test_odd_ledger_equals_cost_only_at_eccentricity_1(self):
+        graphs = [
+            self.hub_graph(9, []),  # a star: no cycle at all
+            self.hub_graph(12, [(1, 2), (3, 4), (5, 6)]),  # triangles only
+            self.hub_graph(10, [(1, 2), (2, 3), (3, 4), (6, 7)]),  # C5s through 0
+            self.hub_graph(16, [(v, v + 1) for v in range(1, 15)]),  # a fan
+        ]
+        for g in graphs:
+            assert CongestNet(g).eccentricity == 1
+            for ell in (5, 7):
+                full, cost_only = CostLedger(), CostLedger()
+                detect_odd_cycle(g, ell, full, seed=g.n)
+                odd_cycle_cost_only(g.n, ell, cost_only)
+                assert full.entries == cost_only.entries, (g.n, ell)
+
+    def test_light_bound_is_a_cong_words(self):
+        # the light stage's M = a_cong * word_capacity(n) is the float form
+        # a_cong * max(1, ceil(log2 n)) exactly
+        a_cong = EvenCycleParams(k=2).a_cong
+        for n in range(1, 2**16 + 1):
+            assert a_cong * word_capacity(n) == a_cong * max(1, math.ceil(math.log2(max(n, 2))))
 
 
 class TestEvenHeavyStage:

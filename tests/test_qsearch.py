@@ -144,6 +144,37 @@ class TestFlatIsOneLevelNested:
         finally:
             gc.enable()
 
+    def test_detectors_leave_no_cyclic_garbage(self):
+        # the same for the recursive clique searches and listings, and for
+        # every detector built on the search engine
+        import gc
+
+        from qcongest.cliquedetect import applicable_strategies, detect_clique
+        from qcongest.cliquelist import clique_reach, list_kp
+        from qcongest.cycledetect import detect_even_cycle, detect_odd_cycle
+        from qcongest.graph import GenSpec, generate
+
+        g = generate(GenSpec(kind="gnp", n=40, edge_prob=0.5, seed=2))
+        adj = g.adj_masks()
+        cyc = generate(GenSpec(kind="planted_cycle", n=12, edge_prob=0.1,
+                               planted_size=6, seed=1))
+        gc.collect()
+        gc.disable()
+        try:
+            for p in (2, 3):
+                clique_reach(adj, (), p, (1 << g.n) - 1)
+                clique_reach(adj, (0xFFFFF, 0xFFFFF << 20), p, (1 << g.n) - 1)
+                assert list_kp(g, p, CostLedger()).member_masks
+            for q in (3, 4, 5, 6):
+                for plan in applicable_strategies(g.n, g.m, q):
+                    detect_clique(g, q, CostLedger(), strategy=plan.strategy)
+            for engine in ("event", "protocol"):
+                detect_odd_cycle(cyc, 5, CostLedger(), engine=engine)
+                detect_even_cycle(cyc, 4, CostLedger(), engine=engine)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestRunNestedSearch:
     def _plan(self, marked, sizes=(4, 4), setup_cost=0, check_cost=1):
