@@ -61,7 +61,7 @@ class ResultRow:
     @classmethod
     def from_ledger(
         cls, n: int, m: int, algo: str, params: str, ledger: CostLedger,
-        queries: int, found: Optional[bool], seed: int,
+        found: Optional[bool], seed: int,
     ) -> "ResultRow":
         by_kind = ledger.total_by_kind()
         return cls(
@@ -71,7 +71,7 @@ class ResultRow:
             rounds_broadcast=by_kind["broadcast"],
             rounds_quantum=by_kind["quantum"],
             rounds_converge=by_kind["converge"],
-            queries=queries, found=found, seed=seed,
+            queries=ledger.counts["queries"], found=found, seed=seed,
         )
 
 
@@ -178,22 +178,20 @@ def clique_row(args: argparse.Namespace, graph: Graph, q: int, strategy: Optiona
     a --strategy that cannot run on graph is a usage error.
     """
     plan = None
-    if graph.m > 0 and q <= graph.n:
+    if not cliquedetect.degenerate(graph.n, graph.m, q):
         try:
             plan = cliquedetect.plan_strategy(graph.n, graph.m, q, strategy)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
     ledger = CostLedger()
-    stats: Dict[str, int] = {}
     found = cliquedetect.detect_clique(
         graph, q, ledger, strategy=strategy, seed=seed, params=args.params,
-        stats=stats, packing=args.packing == "on",
+        packing=args.packing == "on",
     )
     algo = plan.strategy if plan else "degenerate"
     ptext = _params_text(args, q=q, strategy=algo, p=plan.p if plan else 0,
                          t=plan.t if plan else 0, **extra)
-    return ResultRow.from_ledger(graph.n, graph.m, algo, ptext, ledger,
-                                 stats.get("queries", 0), found, seed)
+    return ResultRow.from_ledger(graph.n, graph.m, algo, ptext, ledger, found, seed)
 
 
 def cycle_row(args: argparse.Namespace, graph: Graph, ell: int, seed: int) -> ResultRow:
@@ -201,14 +199,13 @@ def cycle_row(args: argparse.Namespace, graph: Graph, ell: int, seed: int) -> Re
     if ell > graph.n:
         raise UsageError(f"--ell {ell} exceeds the graph's n = {graph.n}")
     ledger = CostLedger()
-    stats: Dict[str, int] = {}
     if ell % 2 == 1:
         detect, algo = cycledetect.detect_odd_cycle, "odd-cycle"
     else:
         detect, algo = cycledetect.detect_even_cycle, "even-cycle"
-    found = detect(graph, ell, ledger, seed=seed, params=args.params, stats=stats)
+    found = detect(graph, ell, ledger, seed=seed, params=args.params)
     return ResultRow.from_ledger(graph.n, graph.m, algo, _params_text(args, ell=ell),
-                                 ledger, stats.get("queries", 0), found, seed)
+                                 ledger, found, seed)
 
 
 def run_gen(args: argparse.Namespace) -> int:
@@ -277,45 +274,32 @@ def run_sweep(args: argparse.Namespace) -> int:
     ell = args.ell or (5 if args.algo == "odd-cycle" else 4)
     rows: List[ResultRow] = []
     if args.mode == "cost-only":
+        cycle = args.algo in ("odd-cycle", "even-cycle")
+        if not cycle and args.algo not in cliquedetect.STRATEGIES:
+            raise UsageError(f"unknown sweep algo {args.algo!r}")
+        p = 2 if args.algo == "triangle15" else args.p or 3
+        t = 1 if args.algo in ("triangle15", "plus1") else args.t or 1
+        if args.algo == "nested" and not cliquedetect.nested_feasible(p, t):
+            raise UsageError(f"nested needs t <= 1 + log2(p-1), got p={p}, t={t}")
+        extra = ({"ell": ell} if cycle else {"q": 3} if args.algo == "triangle15"
+                 else {"p": p} if args.algo == "plus1" else {"p": p, "t": t})
         for n, m in _sweep_pairs(args):
-            if args.algo in ("odd-cycle", "even-cycle") and ell > n:
+            if cycle and ell > n:
                 raise UsageError(f"--ell {ell} exceeds the --n-list entry {n}")
             ledger = CostLedger()
             found: Optional[bool] = None
-            if args.algo == "triangle15":
-                cliquedetect.triangle_cost_only(n, m, ledger, params)
-                extra = {"q": 3}
-            elif args.algo == "plus1":
-                p = args.p or 3
-                cliquedetect.plus1_cost_only(n, m, p, ledger, params)
-                extra = {"p": p}
-            elif args.algo == "nested":
-                p, t = args.p or 3, args.t or 1
-                if not cliquedetect.nested_feasible(p, t):
-                    raise UsageError(f"nested needs t <= 1 + log2(p-1), got p={p}, t={t}")
-                cliquedetect.nested_cost_only(n, m, p, t, ledger, params)
-                extra = {"p": p, "t": t}
-            elif args.algo == "blackbox":
-                t = args.t or 1
-                cliquedetect.blackbox_cost_only(n, t, ledger, params,
-                                                packing=args.packing == "on")
-                extra = {"t": t}
-            elif args.algo == "sparse":
-                t = args.t or 1
-                cliquedetect.sparse_cost_only(n, m, t, ledger, params)
-                extra = {"t": t}
-            elif args.algo == "odd-cycle":
+            algo = args.algo
+            if args.algo == "odd-cycle":
                 cycledetect.odd_cycle_cost_only(n, ell, ledger, params)
-                extra = {"ell": ell}
             elif args.algo == "even-cycle":
                 found = cycledetect.even_cycle_cost_only(n, m, ell, ledger, params)
-                extra = {"ell": ell}
             else:
-                raise UsageError(f"unknown sweep algo {args.algo!r}")
-            rows.append(ResultRow.from_ledger(
-                n, m, args.algo, _params_text(args, **extra), ledger, 0, found,
-                args.seed,
-            ))
+                cliquedetect.clique_cost_only(args.algo, n, m, p, t, ledger, params,
+                                              packing=args.packing == "on")
+                if cliquedetect.degenerate(n, m, p + t):
+                    algo = "degenerate"
+            rows.append(ResultRow.from_ledger(n, m, algo, _params_text(args, **extra),
+                                              ledger, found, args.seed))
     else:
         for n in args.n_list:
             graph = generate(GenSpec(kind="gnp", n=n, edge_prob=args.edge_prob,

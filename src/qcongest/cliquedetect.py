@@ -22,6 +22,12 @@ Cost and answer never interact.  nested, blackbox and sparse are one
 constrained search (_constrained_search) over different part masks, run by
 qsearch.run_nested_search and priced, in full and cost-only runs alike,
 by qsearch.nested_cost_predict on per-level (sizes, setups, check).
+
+clique_cost_only charges a plan from (n, m) alone under detect_clique's
+rules: a degenerate question (q > n or no edges) charges nothing, and
+every strategy but triangle15 charges the K_p listing first.  The
+strategies' own *_cost_only functions charge their searches (and, for
+plus1 and nested, the listing).
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cliquelist import CliqueInventory, clique_reach, list_kp, listing_route_rounds
+from .cliquelist import CliqueInventory, charge_listing, clique_reach, list_kp
 from .graph import Graph, density, range_mask, triangle_nodes
 from .intmath import ceil_div, ceil_pow, ceil_scaled_pow
 from .netsim import CostLedger, word_capacity
@@ -63,11 +69,6 @@ class DetectionPlan:
 # ---------------------------------------------------------------------------
 
 
-def _merge_stats(stats: Optional[Dict[str, int]], queries: int) -> None:
-    if stats is not None:
-        stats["queries"] = stats.get("queries", 0) + queries
-
-
 def id_ranges(n: int, count: int) -> Tuple[range, ...]:
     """Split 0..n-1 into `count` contiguous ranges, sizes differing by <= 1."""
     if count < 1:
@@ -90,7 +91,7 @@ def _inventory(graph: Graph, p: int, ledger: CostLedger,
     if inv.p != p:
         raise ValueError(f"inventory holds {inv.p}-cliques, need {p}")
     inv.check_graph(graph)
-    ledger.charge("kp-listing", "clique", "route", listing_route_rounds(graph.n, graph.m, p))
+    charge_listing(graph.n, graph.m, p, ledger)
     return inv
 
 
@@ -117,7 +118,6 @@ def _constrained_search(
     seed: int,
     params: QuantumCostParams,
     phase: str,
-    stats: Optional[Dict[str, int]],
 ) -> bool:
     """Depth-t nested search, t = len(parts), over the part masks of each level.
 
@@ -143,9 +143,7 @@ def _constrained_search(
         return bool(reach & parts[t - 1][tup[-1]]), check_rounds
 
     plan = NestedSearchPlan(levels=levels, checker=checker, params=params)
-    outcome = run_nested_search(plan, ledger, seed=seed, phase=phase)
-    _merge_stats(stats, outcome.queries_evaluated)
-    return outcome.found
+    return run_nested_search(plan, ledger, seed=seed, phase=phase).found
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +166,6 @@ def detect_triangle_quintic(
     ledger: CostLedger,
     seed: int = 0,
     params: QuantumCostParams = DEFAULT_PARAMS,
-    stats: Optional[Dict[str, int]] = None,
 ) -> bool:
     """Shard V^3 over nodes, learn A_i x A_j, search Q_k in batches."""
     n = graph.n
@@ -192,10 +189,8 @@ def detect_triangle_quintic(
     def checker(ell: int) -> Tuple[bool, int]:
         return bool(apex & batch_masks[ell]), query_rounds
 
-    outcome = run_search(domain, checker, ledger, params, seed=seed,
-                         phase="triangle/search")
-    _merge_stats(stats, outcome.queries_evaluated)
-    return outcome.found
+    return run_search(domain, checker, ledger, params, seed=seed,
+                      phase="triangle/search").found
 
 
 def triangle_cost_only(
@@ -227,7 +222,6 @@ def detect_plus1(
     seed: int = 0,
     params: QuantumCostParams = DEFAULT_PARAMS,
     inv: Optional[CliqueInventory] = None,
-    stats: Optional[Dict[str, int]] = None,
 ) -> bool:
     """List K_p, then one flat search over node batches for the +1 node."""
     n = graph.n
@@ -242,17 +236,15 @@ def detect_plus1(
     def checker(i: int) -> Tuple[bool, int]:
         return bool(reach & batch_masks[i]), query_rounds
 
-    outcome = run_search(domain, checker, ledger, params, seed=seed,
-                         phase="plus1/search")
-    _merge_stats(stats, outcome.queries_evaluated)
-    return outcome.found
+    return run_search(domain, checker, ledger, params, seed=seed,
+                      phase="plus1/search").found
 
 
 def plus1_cost_only(
     n: int, m: int, p: int, ledger: CostLedger,
     params: QuantumCostParams = DEFAULT_PARAMS,
 ) -> None:
-    ledger.charge("kp-listing", "clique", "route", listing_route_rounds(n, m, p))
+    charge_listing(n, m, p, ledger)
     domain, query_rounds = _plus1_costs(n, m, p)
     charge_search(ledger, domain, query_rounds, params, "clique", "plus1/search")
 
@@ -290,7 +282,6 @@ def detect_nested(
     seed: int = 0,
     params: QuantumCostParams = DEFAULT_PARAMS,
     inv: Optional[CliqueInventory] = None,
-    stats: Optional[Dict[str, int]] = None,
 ) -> bool:
     """List K_p, then run the depth-t nested search for the t extra nodes."""
     if not nested_feasible(p, t):
@@ -300,7 +291,7 @@ def detect_nested(
     inv = _inventory(graph, p, ledger, inv)
     sizes, setups, check = _nested_costs(graph.n, graph.m, p, t)
     return _constrained_search(inv, _id_parts(graph.n, sizes), setups, check, ledger,
-                               seed, params, "nested/search", stats)
+                               seed, params, "nested/search")
 
 
 def nested_cost_only(
@@ -311,7 +302,7 @@ def nested_cost_only(
         raise ValueError(
             f"(p={p}, t={t}) violates the constraint t <= 1 + log2(p-1)"
         )
-    ledger.charge("kp-listing", "clique", "route", listing_route_rounds(n, m, p))
+    charge_listing(n, m, p, ledger)
     sizes, setups, check = _nested_costs(n, m, p, t)
     rounds = nested_cost_predict(sizes, setups, check, params)
     ledger.charge("nested/search", "clique", "quantum", rounds)
@@ -348,7 +339,6 @@ def extend_blackbox(
     seed: int = 0,
     params: QuantumCostParams = DEFAULT_PARAMS,
     packing: bool = True,
-    stats: Optional[Dict[str, int]] = None,
 ) -> bool:
     """Nested search growing the inventory one level-part node at a time."""
     if t < 1:
@@ -356,7 +346,7 @@ def extend_blackbox(
     inv.check_graph(graph)
     sizes, setups, check = _blackbox_costs(graph.n, t, packing)
     return _constrained_search(inv, _id_parts(graph.n, sizes), setups, check, ledger,
-                               seed, params, "blackbox/search", stats)
+                               seed, params, "blackbox/search")
 
 
 def blackbox_cost_only(
@@ -425,7 +415,6 @@ def extend_sparse(
     ledger: CostLedger,
     seed: int = 0,
     params: QuantumCostParams = DEFAULT_PARAMS,
-    stats: Optional[Dict[str, int]] = None,
 ) -> bool:
     """Degree-batched extension; empty graphs short-circuit to False.
 
@@ -450,7 +439,7 @@ def extend_sparse(
         parts.append(masks + [0] * (x - len(masks)))
     parts.append([_batch_mask(b) for b in degree_batching(degrees, target=n)])
     return _constrained_search(inv, parts, setups, check, ledger, seed, params,
-                               "sparse/search", stats)
+                               "sparse/search")
 
 
 def sparse_cost_only(
@@ -489,7 +478,7 @@ def _candidate_plans(
         if listing_gate and 2**p > n:
             continue  # listing degenerates below n = 2^p
         listing = float(Fraction(p - 2, p))
-        if t == 1 and p >= 3:
+        if t == 1 and p >= 3 and 2**p <= n:  # detect_plus1 refuses n < 2^p
             push("plus1", p, 1, max(listing, float(Fraction(p - 1, 2 * p))))
         if nested_feasible(p, t):
             search = float(Fraction(p - 1, p) * (1 - Fraction(1, 2**t)))
@@ -530,6 +519,14 @@ def applicable_strategies(n: int, m: int, q: int) -> List[DetectionPlan]:
     return [best[s][1] for s in STRATEGIES if s in best]
 
 
+def degenerate(n: int, m: int, q: int) -> bool:
+    """A q-clique question that needs no search: q > n, or no edges.
+
+    detect_clique answers it False and clique_cost_only charges nothing.
+    """
+    return q > n or m == 0
+
+
 def detect_clique(
     graph: Graph,
     q: int,
@@ -538,31 +535,62 @@ def detect_clique(
     seed: int = 0,
     params: QuantumCostParams = DEFAULT_PARAMS,
     inv: Optional[CliqueInventory] = None,
-    stats: Optional[Dict[str, int]] = None,
     packing: bool = True,
 ) -> bool:
     """Dispatch to the planned (or requested) strategy.
 
-    Degenerate inputs (q > n, empty graph) short-circuit to False at zero
-    quantum cost.
+    Degenerate inputs short-circuit to False and charge nothing.
     """
     if q < 3:
         raise ValueError("q must be >= 3")
-    if q > graph.n or graph.m == 0:
+    if degenerate(graph.n, graph.m, q):
         return False
     plan = plan_strategy(graph.n, graph.m, q, strategy)
     if plan.strategy == "triangle15":
-        return detect_triangle_quintic(graph, ledger, seed=seed, params=params,
-                                       stats=stats)
+        return detect_triangle_quintic(graph, ledger, seed=seed, params=params)
     if plan.strategy == "plus1":
-        return detect_plus1(graph, plan.p, ledger, seed=seed, params=params,
-                            inv=inv, stats=stats)
+        return detect_plus1(graph, plan.p, ledger, seed=seed, params=params, inv=inv)
     if plan.strategy == "nested":
-        return detect_nested(graph, plan.p, plan.t, ledger, seed=seed,
-                             params=params, inv=inv, stats=stats)
+        return detect_nested(graph, plan.p, plan.t, ledger, seed=seed, params=params,
+                             inv=inv)
     inv = _inventory(graph, plan.p, ledger, inv)
     if plan.strategy == "blackbox":
-        return extend_blackbox(graph, inv, plan.t, ledger, seed=seed,
-                               params=params, stats=stats, packing=packing)
-    return extend_sparse(graph, inv, plan.t, ledger, seed=seed, params=params,
-                         stats=stats)
+        return extend_blackbox(graph, inv, plan.t, ledger, seed=seed, params=params,
+                               packing=packing)
+    return extend_sparse(graph, inv, plan.t, ledger, seed=seed, params=params)
+
+
+def clique_cost_only(
+    strategy: str,
+    n: int,
+    m: int,
+    p: int,
+    t: int,
+    ledger: CostLedger,
+    params: QuantumCostParams = DEFAULT_PARAMS,
+    packing: bool = True,
+) -> None:
+    """Charge what detect_clique charges for the plan (strategy, p, t),
+    from n and m alone; q = p + t, so triangle15 takes p = 2, t = 1.
+
+    The rules are detect_clique's: a degenerate q charges nothing, and
+    blackbox and sparse charge the K_p listing before their search.  The
+    ledger is a full run's on any graph with n nodes and m edges, except
+    sparse's search row, whose last level full runs measure.
+    """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if degenerate(n, m, p + t):
+        return
+    if strategy == "triangle15":
+        triangle_cost_only(n, m, ledger, params)
+    elif strategy == "plus1":
+        plus1_cost_only(n, m, p, ledger, params)
+    elif strategy == "nested":
+        nested_cost_only(n, m, p, t, ledger, params)
+    else:
+        charge_listing(n, m, p, ledger)
+        if strategy == "blackbox":
+            blackbox_cost_only(n, t, ledger, params, packing)
+        else:
+            sparse_cost_only(n, m, t, ledger, params)

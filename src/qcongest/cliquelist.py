@@ -23,8 +23,9 @@ node of each chosen part and some K_p), and clique_reach answers them
 with one early-exit search per candidate node.
 
 The route is charged as Lenzen routing (PODC 2013): a worst per-node load
-of L words costs ceil(L / n) rounds (listing_route_rounds, the one listing
-charge, made by list_kp and by every detector handed an inventory).  The
+of L words costs ceil(L / n) rounds (listing_route_rounds; charge_listing
+is the one listing charge, made by list_kp, by every detector handed an
+inventory and by the cost-only runs of the strategies that list).  The
 load uses the idealized exact-divisibility parameters (group size
 n^(1-1/p), multiset count n/p!) scaled by graph density, so ledgers are
 deterministic functions of (n, m, p); see the project notes on cost
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .graph import CliqueSet, Graph, _bits, density, triangle_nodes
 from .intmath import ceil_div, ceil_root, ceil_scaled_pow
@@ -63,12 +64,11 @@ class CliqueInventory:
 
     The inventory holds its graph's adjacency masks and p.  The detection
     strategies never list: they ask reach() (and clique_reach) whether
-    constrained cliques exist.  The views below (member_masks, commons,
-    mask_list, owners, per_node, union, dump) list every p-clique once, on
-    the first request, and keep the result: entry i is the clique whose
-    members are the set bits of member_masks[i], and commons[i] is the
-    bitmask of nodes adjacent to every member.  Each entry is owned by the
-    owner of its group signature under the list_kp partition.
+    constrained cliques exist.  The views (mask_list, union, dump) list
+    every p-clique once, on the first request, and keep the result: per
+    clique its member mask and its common mask, the nodes adjacent to
+    every member.  Each clique is owned by the owner of its group
+    signature under the list_kp partition.
     """
 
     def __init__(self, adj: List[int], p: int, assignment: TupleAssignment):
@@ -92,34 +92,10 @@ class CliqueInventory:
             self._listed = (member_masks, commons)
         return self._listed
 
-    @property
-    def member_masks(self) -> List[int]:
-        return self._listing()[0]
-
-    @property
-    def commons(self) -> List[int]:
-        return self._listing()[1]
-
     def mask_list(self, graph: Graph) -> List[int]:
         """Common-neighbourhood masks, one per clique of `graph`."""
         self.check_graph(graph)
-        return self.commons
-
-    def owners(self) -> List[int]:
-        """The owner of each entry, in entry order."""
-        ta = self._assignment
-        size = len(ta.groups[0])  # group i holds nodes i*size .. (i+1)*size - 1
-        by_signature = {ms: ta.owner(rank) for rank, ms in enumerate(ta.multisets)}
-        return [by_signature[tuple(v // size for v in _bits(mask))]
-                for mask in self.member_masks]
-
-    @property
-    def per_node(self) -> Dict[int, Set[Tuple[int, ...]]]:
-        """owner -> its listed cliques, as ascending node tuples."""
-        out: Dict[int, Set[Tuple[int, ...]]] = {}
-        for owner, mask in zip(self.owners(), self.member_masks):
-            out.setdefault(owner, set()).add(tuple(_bits(mask)))
-        return out
+        return self._listing()[1]
 
     def reach(self) -> int:
         """Every node that lies on some (p+1)-clique: the OR of the common masks.
@@ -133,16 +109,18 @@ class CliqueInventory:
 
     def union(self) -> CliqueSet:
         return CliqueSet(p=self.p, members=frozenset(tuple(_bits(mask))
-                                                     for mask in self.member_masks))
+                                                     for mask in self._listing()[0]))
 
     def dump(self) -> str:
-        """Debug format: one line 'v: u1 u2 ... up' per listed clique, sorted."""
-        per_node = self.per_node
-        lines = []
-        for v in sorted(per_node):
-            for clique in sorted(per_node[v]):
-                lines.append(f"{v}: " + " ".join(str(u) for u in clique))
-        return "\n".join(lines) + ("\n" if lines else "")
+        """Debug format: one line 'v: u1 u2 ... up' per listed clique, v its
+        owner and u1 < ... < up its members, sorted by owner, then members."""
+        ta = self._assignment
+        size = len(ta.groups[0])  # group i holds nodes i*size .. (i+1)*size - 1
+        by_signature = {ms: ta.owner(rank) for rank, ms in enumerate(ta.multisets)}
+        entries = sorted((by_signature[tuple(v // size for v in clique)], clique)
+                         for clique in (tuple(_bits(mask)) for mask in self._listing()[0]))
+        return "".join(f"{owner}: " + " ".join(map(str, clique)) + "\n"
+                       for owner, clique in entries)
 
 
 def tuple_assignment(n: int, p: int) -> TupleAssignment:
@@ -177,6 +155,11 @@ def listing_route_rounds(n: int, m: int, p: int) -> int:
     return ceil_div(load, n) if load else 0
 
 
+def charge_listing(n: int, m: int, p: int, ledger: CostLedger) -> None:
+    """Charge the K_p listing route on n nodes and m edges."""
+    ledger.charge("kp-listing", "clique", "route", listing_route_rounds(n, m, p))
+
+
 def list_kp(graph: Graph, p: int, ledger: CostLedger) -> CliqueInventory:
     """Charge the listing route; the inventory's union equals oracle_cliques(G, p).
 
@@ -184,7 +167,7 @@ def list_kp(graph: Graph, p: int, ledger: CostLedger) -> CliqueInventory:
     """
     if p < 2:
         raise ValueError("p must be >= 2")
-    ledger.charge("kp-listing", "clique", "route", listing_route_rounds(graph.n, graph.m, p))
+    charge_listing(graph.n, graph.m, p, ledger)
     return CliqueInventory(graph.adj_masks(), p, tuple_assignment(graph.n, p))
 
 

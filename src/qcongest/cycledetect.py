@@ -15,7 +15,9 @@ node, then each light index class.  A query runs the colour BFS from one
 source set and reports to the leader; _query_rounds prices it at
 reps * (1 + (floor(len/2)-1) * M) plus an eccentricity-long convergecast.
 Full runs price it at the measured eccentricity and M; cost-only runs at
-eccentricity 1 and M = 1.
+eccentricity 1 and M = 1.  The ledger also counts the queries run and the
+queries whose candidate cycles were truncated, capped or dropped for
+congestion (CostLedger.counts).
 
 Two engines compute the same detection event:
 
@@ -301,9 +303,8 @@ def _qualifying_patterns(
     graph: Graph,
     cfg: ColorBfsConfig,
     core: Optional[int] = None,
-    stats: Optional[Dict[str, int]] = None,
-) -> Tuple[List[Tuple[Tuple[int, ...], int]], bool]:
-    """(anchored cycles that can fire, congestion_exceeded flag).
+) -> Tuple[List[Tuple[Tuple[int, ...], int]], Set[str]]:
+    """(anchored cycles that can fire, the ledger counters the query hit).
 
     An anchored cycle qualifies when the anchor is a source whose two cycle
     neighbors sit at height <= the anchor's, all nodes are active, and no
@@ -314,10 +315,10 @@ def _qualifying_patterns(
     subgraph, such as its 2-core; the enumeration runs inside it.  Without
     it, the enumeration runs over the whole active set.  Congestion is
     measured only when there are more than M sources: m(v) <= |sources|,
-    so with at most M sources no cycle is dropped.  `stats` counts the
-    queries whose patterns were cut short: `enumeration_truncated` when a
-    source hit CYCLE_ENUM_LIMIT, `pattern_capped` when _PATTERN_CAP
-    stopped the enumeration.
+    so with at most M sources no cycle is dropped.  The counters hit name
+    how the patterns were cut short: `congestion_dropped` when a cycle was
+    dropped, `enumeration_truncated` when a source hit CYCLE_ENUM_LIMIT,
+    `pattern_capped` when _PATTERN_CAP stopped the enumeration.
     """
     ell = cfg.cycle_len
     if core is None:
@@ -327,7 +328,7 @@ def _qualifying_patterns(
     congestion = (measure_congestion(graph, cfg)
                   if len(cfg.sources) > cfg.congestion_bound else None)
     out: List[Tuple[Tuple[int, ...], int]] = []
-    exceeded = truncated = capped = False
+    hits: Set[str] = set()
     seen: Set[Tuple[int, ...]] = set()
     for src in sorted(cfg.sources):
         try:
@@ -340,7 +341,7 @@ def _qualifying_patterns(
                 seen.add(canon)
                 if congestion is not None and any(
                         congestion[v] > cfg.congestion_bound for v in cyc):
-                    exceeded = True
+                    hits.add("congestion_dropped")
                     continue
                 for pos, v in enumerate(cyc):
                     if v not in cfg.sources:
@@ -354,15 +355,11 @@ def _qualifying_patterns(
         except CycleEnumerationLimit:
             # keep the cycles gathered so far: sampling over a subset of the
             # detection events stays sound, only completeness is understated
-            truncated = True
+            hits.add("enumeration_truncated")
         if len(out) >= _PATTERN_CAP:
-            capped = True
+            hits.add("pattern_capped")
             break
-    if stats is not None:
-        for key, hit in (("enumeration_truncated", truncated), ("pattern_capped", capped)):
-            if hit:
-                stats[key] = stats.get(key, 0) + 1
-    return out[:_PATTERN_CAP], exceeded
+    return out[:_PATTERN_CAP], hits
 
 
 def _pattern_specs(patterns: Sequence[Tuple[Tuple[int, ...], int]],
@@ -397,22 +394,19 @@ def event_detect_once(
 
 def _event_found(
     graph: Graph, cfg: ColorBfsConfig, seed_parts: Tuple,
-    record: Optional[Dict[str, int]] = None,
     core: Optional[int] = None,
-) -> bool:
-    """Did any of cfg.repetitions random colorings detect?  Exact sampling.
+) -> Tuple[bool, Set[str]]:
+    """(did any of cfg.repetitions random colorings detect?, counters hit).
 
-    Only colors of nodes on qualifying cycles matter; everything else is
-    independent of the detection event, so the sampling restricts to them.
-    Cycles whose nodes exceed the congestion bound were dropped upstream;
-    `record` counts those runs (they reduce completeness, never soundness)
-    and the truncations of `_qualifying_patterns`, which `core` restricts.
+    Exact sampling.  Only colors of nodes on qualifying cycles matter;
+    everything else is independent of the detection event, so the sampling
+    restricts to them.  The counters hit are those of
+    `_qualifying_patterns`, whose enumeration `core` restricts: cycles
+    dropped for congestion reduce completeness, never soundness.
     """
-    patterns, exceeded = _qualifying_patterns(graph, cfg, core, record)
-    if record is not None and exceeded:
-        record["congestion_dropped"] = record.get("congestion_dropped", 0) + 1
+    patterns, hits = _qualifying_patterns(graph, cfg, core)
     if not patterns:
-        return False
+        return False, hits
     ell = cfg.cycle_len
     relevant, specs = _pattern_specs(patterns, ell)
     rng = np.random.default_rng(_derive_seed(*seed_parts))
@@ -421,9 +415,9 @@ def _event_found(
         block = min(remaining, _SAMPLE_BLOCK)
         colors = rng.integers(0, ell, size=(block, len(relevant)), dtype=np.uint8)
         if _fires(colors, specs):
-            return True
+            return True, hits
         remaining -= block
-    return False
+    return False, hits
 
 
 def _protocol_found(net: CongestNet, cfg: ColorBfsConfig, seed_parts: Tuple) -> bool:
@@ -457,7 +451,6 @@ def _stage_search(
     seed: int,
     params: QuantumCostParams,
     engine: str,
-    stats: Optional[Dict[str, int]],
 ) -> bool:
     """One search stage: a quantum search over source sets, one colour BFS each.
 
@@ -467,8 +460,9 @@ def _stage_search(
     engine samples the detection event inside the 2-core of the active
     nodes; the protocol engine runs the protocol hop by hop.  A detection
     is reported to the leader by the query's first source.  Every query is
-    priced by _query_rounds at the measured eccentricity.  A stage with no
-    source sets searches nothing and charges nothing.
+    priced by _query_rounds at the measured eccentricity, and the event
+    engine's truncation and congestion counters go to ledger.counts.  A
+    stage with no source sets searches nothing and charges nothing.
     """
     if not queries:
         return False
@@ -482,18 +476,17 @@ def _stage_search(
         sources, label = queries[i]
         cfg = ColorBfsConfig(ell, active, sources, heights, m_bound, reps)
         if engine == "event":
-            found = _event_found(graph, cfg, (tag, seed, label), record=stats, core=core)
+            found, hits = _event_found(graph, cfg, (tag, seed, label), core)
+            if hits:  # rare; an empty update costs more than the check
+                ledger.counts.update(hits)
         else:
             found = _protocol_found(net, cfg, (tag, seed, label))
         if found:
             net.require_reachable(sorted(sources)[:1])
         return found, query_rounds
 
-    outcome = run_search(len(queries), checker, ledger, params, seed=seed,
-                         model="congest", phase=phase)
-    if stats is not None:
-        stats["queries"] = stats.get("queries", 0) + outcome.queries_evaluated
-    return outcome.found
+    return run_search(len(queries), checker, ledger, params, seed=seed,
+                      model="congest", phase=phase).found
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +506,6 @@ def detect_odd_cycle(
     seed: int = 0,
     params: QuantumCostParams = DEFAULT_PARAMS,
     engine: str = "event",
-    stats: Optional[Dict[str, int]] = None,
 ) -> bool:
     """Search over source nodes; each query is a single-source color BFS."""
     if ell % 2 == 0:
@@ -525,8 +517,7 @@ def detect_odd_cycle(
     shared = ColorBfsConfig(ell, frozenset(range(n)), frozenset(),
                             repetitions=odd_cycle_repetitions(n, ell))
     return _stage_search(CongestNet(graph), [(frozenset({v}), v) for v in range(n)],
-                         shared, "odd", "odd-cycle/search", ledger, seed, params,
-                         engine, stats)
+                         shared, "odd", "odd-cycle/search", ledger, seed, params, engine)
 
 
 def odd_cycle_cost_only(
@@ -605,7 +596,6 @@ def detect_even_cycle(
     ec_params: Optional[EvenCycleParams] = None,
     params: QuantumCostParams = DEFAULT_PARAMS,
     engine: str = "event",
-    stats: Optional[Dict[str, int]] = None,
 ) -> bool:
     """Edge prune, then heavy-node search, then index-batched light search.
 
@@ -636,7 +626,7 @@ def detect_even_cycle(
     shared = ColorBfsConfig(two_k, frozenset(range(n)), frozenset(), repetitions=reps)
     heavy_found = _stage_search(net, [(frozenset({v}), v) for v in heavy], shared,
                                 "even-heavy", "even-cycle/heavy-search", ledger, seed, params,
-                                engine, stats)
+                                engine)
 
     # stage 3: light cycles via forest decomposition + index batching
     light = [v for v in range(n) if graph.degree(v) < heavy_threshold]
@@ -653,7 +643,7 @@ def detect_even_cycle(
                             ecp.a_cong * word_capacity(n), reps)
     light_found = _stage_search(net, [(frozenset(vs), i) for i, vs in enumerate(by_index)],
                                 shared, "even-light", "even-cycle/light-search", ledger, seed,
-                                params, engine, stats)
+                                params, engine)
     return heavy_found or light_found
 
 

@@ -268,24 +268,16 @@ def oracle_has_clique(graph: Graph, p: int) -> bool:
     return False
 
 
-def _union_members(inv) -> Iterable[Tuple[int, ...]]:
-    if hasattr(inv, "union"):
-        u = inv.union()
-        return u.members if isinstance(u, CliqueSet) else u
-    if isinstance(inv, CliqueSet):
-        return inv.members
-    return inv
-
-
 def oracle_has_extension(graph: Graph, inv, t: int) -> bool:
-    """True iff some listed p-clique extends to a (p+t)-clique of the graph.
+    """True iff some p-clique of the inventory inv (list_kp's) extends to a
+    (p+t)-clique of the graph.
 
     Brute force: for each listed clique, enumerate t-cliques in the common
     neighborhood of its members.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    for members in _union_members(inv):
+    for members in inv.union().members:
         common = (1 << graph.n) - 1
         for v in members:
             common &= graph.adj_mask(v)

@@ -7,14 +7,17 @@ ceil(log2 n) bits, so one word carries a node id.
 
 The detectors compute their charges from closed-form cost functions (the
 Lenzen routing charge of the K_p listing lives in cliquelist) and hand the
-rounds to a CostLedger.  This module adds the CONGEST leader convergecast
+rounds to a CostLedger.  The ledger is the whole record of a run: beside
+its entries it counts what the run did without charging it (the leaf
+checks of every search, and the cycle queries whose candidate patterns
+were truncated, capped or dropped for congestion).  This module adds the CONGEST leader convergecast
 (CongestNet) and the hop-by-hop steps of the cycle protocols
 (congest_step), the only place where payloads are materialized.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
@@ -38,10 +41,16 @@ class LedgerEntry:
 
 
 class CostLedger:
-    """Append-only log of rounds charged per phase."""
+    """Append-only log of rounds charged per phase, plus the run's counters.
+
+    `counts` holds "queries" (leaf checks over every search of the run)
+    and, for cycle detection, "enumeration_truncated", "pattern_capped"
+    and "congestion_dropped" (queries whose patterns were cut short).
+    """
 
     def __init__(self) -> None:
         self.entries: List[LedgerEntry] = []
+        self.counts: Counter[str] = Counter()
 
     def charge(self, phase: str, model: str, kind: str, rounds: int) -> int:
         if model not in MODELS:

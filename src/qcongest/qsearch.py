@@ -183,7 +183,8 @@ def _search(
     """The one search engine behind run_search and run_nested_search.
 
     Neither public name calls the other, so a tracer that wraps both counts
-    each search once.  A found witness is dropped with probability
+    each search once.  The leaf checks run are added to
+    ledger.counts["queries"].  A found witness is dropped with probability
     fail_prob, drawn from _derive_seed(seed, fail_tag); the charge stays
     the same.
     """
@@ -232,6 +233,7 @@ def _search(
     costs = [c or 0 for c in setup_costs]
     charged = nested_cost_predict(sizes, costs, check_cost or 0, plan.params)
     ledger.charge(phase, model, "quantum", charged)
+    ledger.counts["queries"] += queries
     if found and plan.params.fail_prob > 0.0:
         rng = random.Random(_derive_seed(seed, fail_tag))
         if rng.random() < plan.params.fail_prob:

@@ -53,6 +53,8 @@ USAGE_ERRORS = [
     ["sweep", "--algo", "odd-cycle", "--n-list", "4", "--ell", "5"],
     ["sweep", "--algo", "even-cycle", "--n-list", "64,3"],
     ["verify", "--q", "4", "--trials", "0"],
+    ["detect-clique", "--gen", "gnp,40,0.5,0,1", "--q", "7", "--strategy", "plus1"],
+    ["verify", "--q", "7", "--strategy", "plus1", "--trials", "3"],
 ]
 
 

@@ -8,7 +8,7 @@ are stable; a case listed in SETUP first runs that command there.  The set
 holds criterion 11's four commands, `detect-clique` under every strategy on
 one graph (and with q > n), `detect-cycle` for ell = 4..7 (plus cycle-free
 and exit-3 cases), a cost-only sweep of every algo (blackbox also with
-`--packing off`), full-mode sweeps of cliques and of both cycle parities,
+`--packing off`, plus1 also with degenerate n), full-mode sweeps of cliques and of both cycle parities,
 `list --p 3` as text and as `--json`, `--json` and `--out` for every
 row-writing command, `gen --out --json`, and `fit` as text and as `--json`
 on a CSV that a sweep wrote.  A refactor must leave every entry identical.
@@ -65,6 +65,8 @@ CASES = {
                                *SWEEP_NS],
     "sweep-sparse": ["sweep", "--algo", "sparse", "--t", "2", *SWEEP_NS,
                      "--m-list", "256,4096,32768,262144"],
+    # q = 4 > n at n = 1, 2: degenerate rows that charge nothing
+    "sweep-plus1-degenerate": ["sweep", "--algo", "plus1", "--n-list", "1,2,64"],
     "sweep-odd-cycle": ["sweep", "--algo", "odd-cycle", "--ell", "7", *SWEEP_NS],
     "sweep-even-cycle": ["sweep", "--algo", "even-cycle", "--ell", "6", *SWEEP_NS,
                          "--m-list", "256,4096,32768,262144"],

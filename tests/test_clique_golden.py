@@ -104,12 +104,11 @@ def observe(graph, q, seed):
                 out["listing"][str(plan.p)] = rows(listing)
             inv = inventories[plan.p]
         ledger = CostLedger()
-        stats = {}
         found = detect_clique(graph, q, ledger, strategy=plan.strategy, seed=seed,
-                              inv=inv, stats=stats)
+                              inv=inv)
         out["plans"].append({
             "strategy": plan.strategy, "p": plan.p, "t": plan.t, "found": found,
-            "queries": stats.get("queries", 0), "ledger": rows(ledger),
+            "queries": ledger.counts["queries"], "ledger": rows(ledger),
             "cost_only": cost_only_rows(plan, graph.n, graph.m),
         })
     return out

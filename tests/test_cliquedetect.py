@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 from qcongest import cliquelist
 from qcongest.cli import fit_slope
 from qcongest.cliquedetect import (
+    STRATEGIES,
     applicable_strategies,
     blackbox_cost_only,
+    clique_cost_only,
+    degenerate,
     degree_batching,
     detect_clique,
     detect_nested,
@@ -80,7 +83,7 @@ class TestExtendBlackbox:
         # K_{3,3} holds no triangle, so its 3-clique inventory is empty
         g = Graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
         inv = list_kp(g, 3, CostLedger())
-        assert not inv.member_masks
+        assert not inv.union().members
         assert not extend_blackbox(g, inv, 2, CostLedger())
 
     def test_matches_extension_oracle(self):
@@ -138,13 +141,13 @@ class TestExtensionReach:
         parts = tuple(seed & full for seed in part_seeds)
         adj = graph.adj_masks()
         inv = list_kp(graph, p, CostLedger())
-        masks = inv.commons
+        masks = inv.mask_list(graph)
         for part in parts:
             masks = extend_masks(adj, masks, part)
         expected = reduce(or_, masks, 0)
         assert clique_reach(adj, parts, p, inv.reach()) == expected
         assert clique_reach(adj, parts, p, full) == expected
-        assert inv.reach() == reduce(or_, inv.commons, 0)
+        assert inv.reach() == reduce(or_, inv.mask_list(graph), 0)
 
 
 class TestExtendSparse:
@@ -163,7 +166,7 @@ class TestExtendSparse:
     def test_empty_inventory(self):
         g = generate(GenSpec(kind="cycle", n=64))  # triangle-free
         inv = list_kp(g, 3, CostLedger())
-        assert not inv.member_masks
+        assert not inv.union().members
         assert not extend_sparse(g, inv, 1, CostLedger())
 
     def test_empty_graph_zero_rounds(self):
@@ -439,6 +442,42 @@ class TestCostOnlySlopes:
                 ys.append(led.total())
             target = max(1 - 2 / p, (1 - 1 / p) * (1 - 1 / 2**t))
             assert abs(fit_slope(ns, ys) - target) < 0.05, (p, t)
+
+
+class TestCostOnlyMatchesFullRuns:
+    """clique_cost_only charges what detect_clique charges, from (n, m) alone."""
+
+    @staticmethod
+    def rows(ledger):
+        # sparse's last search level is measured in full runs, analytic here
+        return [(e.phase, e.model, e.kind, None if e.phase == "sparse/search" else e.rounds)
+                for e in ledger.entries]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 33, 48])
+    @pytest.mark.parametrize("prob", [0.0, 0.3, 0.7, 1.0])
+    def test_same_ledger_rows(self, n, prob):
+        g = gnp(n, prob, n)
+        compared = []
+        for strategy in STRATEGIES:
+            for q in (3,) if strategy == "triangle15" else (3, 4, 5, 6):
+                full = CostLedger()
+                try:
+                    detect_clique(g, q, full, strategy=strategy)
+                except ValueError:  # no plan of this strategy applies
+                    continue
+                if degenerate(g.n, g.m, q):
+                    assert full.entries == []
+                    p, t = q - 1, 1
+                else:
+                    plan = plan_strategy(g.n, g.m, q, strategy)
+                    p, t = plan.p, plan.t
+                cost = CostLedger()
+                clique_cost_only(strategy, g.n, g.m, p, t, cost)
+                assert self.rows(cost) == self.rows(full), (strategy, q)
+                compared.append(strategy)
+        assert compared
+        if n >= 33 and 0 < prob < 1:
+            assert set(compared) == set(STRATEGIES)
 
 
 REPS_CASES = ([("sparse", 2, t) for t in (1, 2, 3)]

@@ -18,6 +18,24 @@ def gnp(n, p, seed):
     return generate(GenSpec(kind="gnp", n=n, edge_prob=p, seed=seed))
 
 
+def dumped(inv):
+    """(owner, members) of each line of inv.dump(), in dump order."""
+    return [(int(owner), tuple(int(v) for v in nodes.split()))
+            for owner, nodes in (line.split(": ") for line in inv.dump().splitlines())]
+
+
+def listed(inv, graph):
+    """The listing as the views show it: the sorted (owner, members) pairs
+    of the dump and the sorted common masks."""
+    return sorted(dumped(inv)), sorted(inv.mask_list(graph))
+
+
+def triples_view(triples):
+    """listed() of (owner, member mask, common mask) triples."""
+    return (sorted((owner, tuple(_bits(members))) for owner, members, _ in triples),
+            sorted(common for _, _, common in triples))
+
+
 class TestTupleAssignment:
     def test_n16_p2(self):
         ta = tuple_assignment(16, 2)
@@ -85,11 +103,9 @@ class TestListKp:
     def test_exactly_one_owner_per_clique(self):
         g = gnp(48, 0.35, 9)
         inv = list_kp(g, 3, CostLedger())
-        counts = {}
-        for node, cliques in inv.per_node.items():
-            for c in cliques:
-                counts[c] = counts.get(c, 0) + 1
-        assert counts and set(counts.values()) == {1}
+        cliques = [clique for _, clique in dumped(inv)]
+        assert cliques and len(set(cliques)) == len(cliques)
+        assert set(cliques) == inv.union().members
 
     @pytest.mark.parametrize("n,p,prob,seed", [
         (20, 2, 0.5, 11), (37, 3, 0.4, 12), (50, 4, 0.5, 13), (64, 3, 0.2, 14),
@@ -107,12 +123,9 @@ class TestListKp:
             for v in clique:
                 common &= g.adj_mask(v)
             owner = ta.owner(rank[tuple(sorted(group_of[v] for v in clique))])
-            expected.add((owner, clique, common))
+            expected.add((owner, sum(1 << v for v in clique), common))
         inv = list_kp(g, p, CostLedger())
-        got = {(owner, tuple(_bits(mask)), common)
-               for owner, mask, common in zip(inv.owners(), inv.member_masks, inv.commons)}
-        assert got == expected
-        assert sorted(inv.mask_list(g)) == sorted(c for _, _, c in expected)
+        assert listed(inv, g) == triples_view(expected)
 
     def test_dump_format(self):
         g = generate(GenSpec(kind="complete", n=4))
@@ -155,10 +168,6 @@ def reference_listing(graph, p):
     return sorted(out)
 
 
-def listed_triples(inv):
-    return sorted(zip(inv.owners(), inv.member_masks, inv.commons))
-
-
 @st.composite
 def graphs(draw):
     n = draw(st.integers(min_value=1, max_value=130))
@@ -181,16 +190,14 @@ class TestListingMatchesPartitionWalk:
         if graph.m > 20 * graph.n and p >= 4:
             p = 3  # dense large graphs hold too many 4..6-cliques to list here
         inv = list_kp(graph, p, CostLedger())
-        expected = reference_listing(graph, p)
-        assert listed_triples(inv) == expected
-        assert sorted(inv.mask_list(graph)) == sorted(c for _, _, c in expected)
+        assert listed(inv, graph) == triples_view(reference_listing(graph, p))
 
     @pytest.mark.parametrize("n,p", [(3, 2), (7, 3), (15, 4), (24, 5), (20, 6), (5, 6)])
     def test_complete_graphs_below_2_to_the_p(self, n, p):
         g = generate(GenSpec(kind="complete", n=n))
         inv = list_kp(g, p, CostLedger())
-        assert len(inv.member_masks) == comb(n, p)
-        assert listed_triples(inv) == reference_listing(g, p)
+        assert len(inv.union().members) == comb(n, p)
+        assert listed(inv, g) == triples_view(reference_listing(g, p))
 
 
 class TestLazyInventory:
@@ -207,11 +214,11 @@ class TestLazyInventory:
         inv = list_kp(g, 3, CostLedger())
         assert calls == []  # list_kp charges the route and lists nothing
         assert inv.reach() and calls == []
-        members, commons = inv.member_masks, inv.commons
+        commons = inv.mask_list(g)
         assert calls == [3]
-        inv.mask_list(g), inv.owners(), inv.per_node, inv.union(), inv.dump()
+        inv.union(), inv.dump()
         assert calls == [3]
-        assert inv.member_masks is members and inv.mask_list(g) is commons
+        assert inv.mask_list(g) is commons
         assert inv.union().members == oracle_cliques(g, 3).members
 
     def test_reach_is_every_node_on_a_p_plus_1_clique(self):

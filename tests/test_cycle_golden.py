@@ -112,13 +112,12 @@ def rows(ledger):
 def observe(graph, ell, seed, keywords):
     detect = detect_odd_cycle if ell % 2 else detect_even_cycle
     ledger = CostLedger()
-    stats = {}
     try:
-        found = detect(graph, ell, ledger, seed=seed, stats=stats, **keywords)
+        found = detect(graph, ell, ledger, seed=seed, **keywords)
     except RuntimeError as exc:  # the leader fault: a detection apart from node 0
         return {"error": str(exc), "ledger": rows(ledger)}
-    return {"found": found, "queries": stats.get("queries", 0),
-            "congestion_dropped": stats.get("congestion_dropped", 0),
+    return {"found": found, "queries": ledger.counts["queries"],
+            "congestion_dropped": ledger.counts["congestion_dropped"],
             "ledger": rows(ledger)}
 
 

@@ -53,7 +53,7 @@ def stage_found(g, cfg, seed, engine, ledger=None):
     """A search stage of one query: cfg's colour BFS from all of cfg.sources."""
     return _stage_search(CongestNet(g), [(cfg.sources, 0)], cfg, "test", "color-bfs",
                          ledger if ledger is not None else CostLedger(), seed,
-                         DEFAULT_PARAMS, engine, None)
+                         DEFAULT_PARAMS, engine)
 
 
 class TestSingleRepSuccess:
@@ -346,9 +346,8 @@ class TestCongestionDrops:
         g = cycle_graph(4)
         # four sources, M=1: every node may need to forward two ids
         cfg = all_active_cfg(g, 4, reps=5000, m=1)
-        record = {}
-        found = _event_found(g, cfg, ("drop-test",), record=record)
-        assert record.get("congestion_dropped", 0) == 1
+        found, hits = _event_found(g, cfg, ("drop-test",))
+        assert hits == {"congestion_dropped"}
         assert not found  # dropped cycles count against completeness only
 
     def test_one_source_more_than_m_is_measured(self):
@@ -360,23 +359,18 @@ class TestCongestionDrops:
         g = Graph(6, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (0, 5)])
         cfg = all_active_cfg(g, 4, sources=[1, 3, 4, 5], reps=5000, m=3)
         assert measure_congestion(g, cfg)[0] == 4
-        record = {}
-        assert not _event_found(g, cfg, ("drop-test-3",), record=record)
-        assert record == {"congestion_dropped": 1}
+        assert _event_found(g, cfg, ("drop-test-3",)) == (False, {"congestion_dropped"})
         # one source fewer: m(v) <= |sources| = M, nothing is dropped
         cfg = all_active_cfg(g, 4, sources=[1, 3, 4], reps=5000, m=3)
-        record = {}
-        assert _event_found(g, cfg, ("drop-test-3",), record=record)
-        assert record == {}
+        assert _event_found(g, cfg, ("drop-test-3",)) == (True, set())
 
     def test_single_source_never_exceeds_m1(self):
         from qcongest.cycledetect import _event_found
 
         g = cycle_graph(4)
         cfg = all_active_cfg(g, 4, sources=[0], reps=2000, m=1)
-        record = {}
-        found = _event_found(g, cfg, ("drop-test-2",), record=record)
-        assert record.get("congestion_dropped", 0) == 0
+        found, hits = _event_found(g, cfg, ("drop-test-2",))
+        assert "congestion_dropped" not in hits
         assert found
 
 
@@ -595,10 +589,9 @@ class TestCycleRichSoundness:
         assert two_core(g, (1 << g.n) - 1), "the family must keep cycles"
         detect = detect_odd_cycle if ell % 2 else detect_even_cycle
         for seed in seeds:
-            stats = {}
-            assert not detect(g, ell, CostLedger(), seed=seed, engine=engine,
-                              stats=stats), (g, ell, seed)
-            assert stats["queries"] > 0
+            ledger = CostLedger()
+            assert not detect(g, ell, ledger, seed=seed, engine=engine), (g, ell, seed)
+            assert ledger.counts["queries"] > 0
 
     @pytest.mark.parametrize("ell", [5, 7])
     def test_bipartite_graphs_have_no_odd_cycles(self, ell):
@@ -640,12 +633,11 @@ class TestTruncationCounters:
 
         g = generate(GenSpec(kind="complete", n=9))
         cfg = all_active_cfg(g, 5, sources=[0, 1], m=9)
-        stats = {}
-        patterns, _ = _qualifying_patterns(g, cfg, stats=stats)
-        assert stats == {} and len(patterns) > 20
+        patterns, hits = _qualifying_patterns(g, cfg)
+        assert hits == set() and len(patterns) > 20
         monkeypatch.setattr(cycledetect, "CYCLE_ENUM_LIMIT", 10)
-        patterns, _ = _qualifying_patterns(g, cfg, stats=stats)
-        assert stats == {"enumeration_truncated": 1}
+        patterns, hits = _qualifying_patterns(g, cfg)
+        assert hits == {"enumeration_truncated"}
         assert 0 < len(patterns) <= 2 * 10 * 2  # two sources, two anchors each at most
 
     def test_pattern_cap_is_counted(self, monkeypatch):
@@ -654,17 +646,16 @@ class TestTruncationCounters:
 
         monkeypatch.setattr(cycledetect, "_PATTERN_CAP", 8)
         g = generate(GenSpec(kind="complete", n=9))
-        stats = {}
-        patterns, _ = _qualifying_patterns(g, all_active_cfg(g, 5, m=9), stats=stats)
+        patterns, hits = _qualifying_patterns(g, all_active_cfg(g, 5, m=9))
         assert len(patterns) == 8
-        assert stats == {"pattern_capped": 1}
+        assert hits == {"pattern_capped"}
 
     def test_detector_reports_truncation(self, monkeypatch):
         from qcongest import cycledetect
 
         monkeypatch.setattr(cycledetect, "CYCLE_ENUM_LIMIT", 3)
         g = generate(GenSpec(kind="complete", n=9))
-        stats = {}
-        assert detect_odd_cycle(g, 5, CostLedger(), seed=0, stats=stats)
-        assert stats["enumeration_truncated"] >= 1
-        assert stats["enumeration_truncated"] <= stats["queries"]
+        ledger = CostLedger()
+        assert detect_odd_cycle(g, 5, ledger, seed=0)
+        assert ledger.counts["enumeration_truncated"] >= 1
+        assert ledger.counts["enumeration_truncated"] <= ledger.counts["queries"]

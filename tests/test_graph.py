@@ -1,6 +1,7 @@
 """Graph construction, generators, and brute-force oracles."""
 
 import itertools
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,11 @@ from qcongest.graph import (
 
 def gnp(n, p, seed):
     return generate(GenSpec(kind="gnp", n=n, edge_prob=p, seed=seed))
+
+
+def inventory(p, cliques):
+    """A stand-in for a list_kp inventory that holds only the given p-cliques."""
+    return SimpleNamespace(union=lambda: CliqueSet(p, frozenset(cliques)))
 
 
 class TestLoadGraph:
@@ -164,12 +170,12 @@ class TestOracleCliques:
 class TestOracleExtension:
     def test_k5_triangles_extend_by_two(self):
         g = generate(GenSpec(kind="complete", n=5))
-        inv = oracle_cliques(g, 3)
+        inv = inventory(3, oracle_cliques(g, 3).members)
         assert oracle_has_extension(g, inv, 2)
 
     def test_empty_inventory_false(self):
         g = generate(GenSpec(kind="complete", n=5))
-        assert not oracle_has_extension(g, CliqueSet(3, frozenset()), 2)
+        assert not oracle_has_extension(g, inventory(3, ()), 2)
 
     def test_extension_is_relative_to_inventory(self):
         # two disjoint K4s plus a triangle contained in neither
@@ -178,7 +184,7 @@ class TestOracleExtension:
         edges += [(3, 8), (3, 9), (8, 9)]
         g = Graph(10, edges)
         assert oracle_has_clique(g, 4)
-        lone_triangle = CliqueSet(3, frozenset({(3, 8, 9)}))
+        lone_triangle = inventory(3, {(3, 8, 9)})
         # direct check of the definition: no 4-clique contains {3,8,9}
         direct = any(
             set((3, 8, 9)) <= set(k) for k in oracle_cliques(g, 4).members
@@ -193,7 +199,7 @@ class TestOracleExtension:
         for p, t in ((2, 1), (2, 2), (3, 1)):
             if p + t > n:
                 continue
-            inv = oracle_cliques(g, p)
+            inv = inventory(p, oracle_cliques(g, p).members)
             assert oracle_has_extension(g, inv, t) == oracle_has_clique(g, p + t)
 
 

@@ -146,31 +146,38 @@ class TestFlatIsOneLevelNested:
 
     def test_detectors_leave_no_cyclic_garbage(self):
         # the same for the recursive clique searches and listings, and for
-        # every detector built on the search engine
+        # every detector built on the search engine, counters included
         import gc
+        from fractions import Fraction
 
         from qcongest.cliquedetect import applicable_strategies, detect_clique
         from qcongest.cliquelist import clique_reach, list_kp
-        from qcongest.cycledetect import detect_even_cycle, detect_odd_cycle
+        from qcongest.cycledetect import EvenCycleParams, detect_even_cycle, detect_odd_cycle
         from qcongest.graph import GenSpec, generate
 
         g = generate(GenSpec(kind="gnp", n=40, edge_prob=0.5, seed=2))
         adj = g.adj_masks()
         cyc = generate(GenSpec(kind="planted_cycle", n=12, edge_prob=0.1,
                                planted_size=6, seed=1))
+        # sparse enough for sparse plans with t >= 2, and a light stage
+        # whose congestion drops reach ledger.counts
+        sparse = generate(GenSpec(kind="gnp", n=48, edge_prob=0.15, seed=4))
+        light = EvenCycleParams(k=2, delta=Fraction(9, 10), alpha=Fraction(1, 10), a_cong=1)
         gc.collect()
         gc.disable()
         try:
             for p in (2, 3):
                 clique_reach(adj, (), p, (1 << g.n) - 1)
                 clique_reach(adj, (0xFFFFF, 0xFFFFF << 20), p, (1 << g.n) - 1)
-                assert list_kp(g, p, CostLedger()).member_masks
-            for q in (3, 4, 5, 6):
-                for plan in applicable_strategies(g.n, g.m, q):
-                    detect_clique(g, q, CostLedger(), strategy=plan.strategy)
+                assert list_kp(g, p, CostLedger()).union().members
+            for graph in (g, sparse):
+                for q in (3, 4, 5, 6):
+                    for plan in applicable_strategies(graph.n, graph.m, q):
+                        detect_clique(graph, q, CostLedger(), strategy=plan.strategy)
             for engine in ("event", "protocol"):
                 detect_odd_cycle(cyc, 5, CostLedger(), engine=engine)
                 detect_even_cycle(cyc, 4, CostLedger(), engine=engine)
+                detect_even_cycle(sparse, 4, CostLedger(), ec_params=light, engine=engine)
             assert gc.collect() == 0
         finally:
             gc.enable()
