@@ -279,8 +279,6 @@ def run_sweep(args: argparse.Namespace) -> int:
             raise UsageError(f"unknown sweep algo {args.algo!r}")
         p = 2 if args.algo == "triangle15" else args.p or 3
         t = 1 if args.algo in ("triangle15", "plus1") else args.t or 1
-        if args.algo == "nested" and not cliquedetect.nested_feasible(p, t):
-            raise UsageError(f"nested needs t <= 1 + log2(p-1), got p={p}, t={t}")
         extra = ({"ell": ell} if cycle else {"q": 3} if args.algo == "triangle15"
                  else {"p": p} if args.algo == "plus1" else {"p": p, "t": t})
         for n, m in _sweep_pairs(args):
@@ -294,8 +292,11 @@ def run_sweep(args: argparse.Namespace) -> int:
             elif args.algo == "even-cycle":
                 found = cycledetect.even_cycle_cost_only(n, m, ell, ledger, params)
             else:
-                cliquedetect.clique_cost_only(args.algo, n, m, p, t, ledger, params,
-                                              packing=args.packing == "on")
+                try:
+                    cliquedetect.clique_cost_only(args.algo, n, m, p, t, ledger, params,
+                                                  packing=args.packing == "on")
+                except ValueError as exc:  # a plan that full runs refuse
+                    raise UsageError(f"{exc} (--n-list entry {n})") from None
                 if cliquedetect.degenerate(n, m, p + t):
                     algo = "degenerate"
             rows.append(ResultRow.from_ledger(n, m, algo, _params_text(args, **extra),

@@ -15,19 +15,21 @@ cliquelist.clique_reach answers that by search.
 * sparse      - degree-batched extension whose search cost depends on the
                 average degree mu instead of n.
 
-Round charges are exact-integer functions of (n, m) and the strategy
-parameters, computed from the idealized exact-divisibility partition sizes
-scaled by graph density; answers are evaluated on the real adjacency.
-Cost and answer never interact.  nested, blackbox and sparse are one
-constrained search (_constrained_search) over different part masks, run by
-qsearch.run_nested_search and priced, in full and cost-only runs alike,
-by qsearch.nested_cost_predict on per-level (sizes, setups, check).
+Every strategy has one shape: a cost triple (level sizes, setup rounds,
+check rounds), exact-integer functions of (n, m) and the strategy
+parameters from the idealized partition sizes scaled by density, and
+part masks of the real adjacency that a full run searches through one
+constrained search (_constrained_search).  Full and cost-only runs alike
+charge qsearch.nested_cost_predict on the triple (for one level without
+setups, the flat grover_cost).  Cost and answer never interact.  One
+rule, inapplicable(), says which plans (strategy, p, t) can run on n
+nodes: the planner proposes, and the detectors accept, exactly those.
 
 clique_cost_only charges a plan from (n, m) alone under detect_clique's
-rules: a degenerate question (q > n or no edges) charges nothing, and
-every strategy but triangle15 charges the K_p listing first.  The
-strategies' own *_cost_only functions charge their searches (and, for
-plus1 and nested, the listing).
+rules: a degenerate question (q > n or no edges) charges nothing, a plan
+the rule refuses raises ValueError, and every strategy but triangle15
+charges the K_p listing first.  The strategies' own *_cost_only functions
+charge their searches (and, for plus1 and nested, the listing).
 """
 
 from __future__ import annotations
@@ -46,13 +48,14 @@ from .qsearch import (
     NestedSearchPlan,
     QuantumCostParams,
     SearchLevel,
-    charge_search,
     nested_cost_predict,
     run_nested_search,
-    run_search,
 )
 
 STRATEGIES = ("triangle15", "plus1", "nested", "blackbox", "sparse")
+
+# (level domain sizes, setup rounds s_1..s_{t-1} or s_1..s_t, check rounds)
+Costs = Tuple[List[int], List[int], int]
 
 
 @dataclass(frozen=True)
@@ -65,7 +68,7 @@ class DetectionPlan:
 
 
 # ---------------------------------------------------------------------------
-# shared partition / inventory helpers
+# shared partition / inventory helpers and the one constrained search
 # ---------------------------------------------------------------------------
 
 
@@ -95,13 +98,13 @@ def _inventory(graph: Graph, p: int, ledger: CostLedger,
     return inv
 
 
-# Every extension check asks whether a constrained clique exists.  The
-# last-level check of a search meets its part with a reach mask: the nodes
-# x that, with one node of each part chosen at the levels above and some
-# p-clique, form a clique (cliquelist.clique_reach).  The level t-1 setup
-# computes that reach from the parts of its prefix, and the levels above it
-# only charge their rounds; with t = 1 the reach is the inventory's own
-# (every node on a (p+1)-clique).  Nothing is listed or extended as a list.
+# Every check asks whether a constrained clique exists.  The last-level
+# check of a search meets its part with a reach mask: the nodes x that,
+# with one node of each part chosen at the levels above and some p-clique,
+# form a clique (cliquelist.clique_reach).  The level t-1 setup computes
+# that reach from the parts of its prefix, and the levels above it only
+# charge their rounds; with t = 1 the reach is given (every node on a
+# (p+1)-clique).  Nothing is listed or extended as a list.
 
 
 def _id_parts(n: int, sizes: Sequence[int]) -> List[List[int]]:
@@ -109,31 +112,24 @@ def _id_parts(n: int, sizes: Sequence[int]) -> List[List[int]]:
     return [[range_mask(r) for r in id_ranges(n, size)] for size in sizes]
 
 
-def _constrained_search(
-    inv: CliqueInventory,
-    parts: Sequence[Sequence[int]],
-    setup_rounds: Sequence[int],
-    check_rounds: int,
-    ledger: CostLedger,
-    seed: int,
-    params: QuantumCostParams,
-    phase: str,
-) -> bool:
+def _constrained_search(adj: List[int], p: int, reach: int, parts: Sequence[Sequence[int]],
+                        costs: Costs, ledger: CostLedger, seed: int,
+                        params: QuantumCostParams, phase: str) -> bool:
     """Depth-t nested search, t = len(parts), over the part masks of each level.
 
-    Level i searches the len(parts[i]) masks of parts[i]; a level has a
-    setup iff it has a setup cost, so t-1 setups leave the last level
-    without one.
+    reach is the t = 1 reach.  Level i searches the len(parts[i]) masks of
+    parts[i] at the setup and check rounds of costs; a level has a setup
+    iff it has a setup cost, so t-1 setups leave the last level without one.
     """
     t = len(parts)
-    ceiling = inv.reach()
-    reach = ceiling  # t = 1; else set by every level t-1 setup before its checks
+    _, setup_rounds, check_rounds = costs
+    ceiling = reach
 
     def setup(prefix: Tuple[int, ...]) -> int:
         nonlocal reach
         if len(prefix) == t - 1:
             chosen = tuple(parts[i][j] for i, j in enumerate(prefix))
-            reach = clique_reach(inv.adj, chosen, inv.p, ceiling)
+            reach = clique_reach(adj, chosen, p, ceiling)
         return setup_rounds[len(prefix) - 1]
 
     levels = [SearchLevel(len(level), setup if i < len(setup_rounds) else None)
@@ -146,19 +142,39 @@ def _constrained_search(
     return run_nested_search(plan, ledger, seed=seed, phase=phase).found
 
 
+def _charge_search(ledger: CostLedger, phase: str, costs: Costs,
+                   params: QuantumCostParams) -> None:
+    """Charge a search from its cost triple alone, as a full run charges it."""
+    ledger.charge(phase, "clique", "quantum", nested_cost_predict(*costs, params))
+
+
 # ---------------------------------------------------------------------------
 # triangle detection in ~n^(1/5) rounds
 # ---------------------------------------------------------------------------
 
 
-def _triangle_costs(n: int, m: int) -> Tuple[int, int, int]:
-    """(warmup route rounds, search domain, per-query rounds)."""
-    rho = density(n, m)
-    warmup = ceil_scaled_pow(n, Fraction(1, 5), rho)
+def _charge_triangle_warmup(n: int, m: int, ledger: CostLedger) -> None:
+    """Route A_i x A_j to the shard owners: n^(1/5) rounds, density-scaled."""
+    ledger.charge("triangle/warmup", "clique", "route",
+                  ceil_scaled_pow(n, Fraction(1, 5), density(n, m)))
+
+
+def _triangle_costs(n: int, m: int) -> Costs:
+    """One level of n^(2/5) batches; no setup; the per-query rounds."""
     domain = ceil_pow(n, Fraction(2, 5))
     # query: learn E(A_i u A_j, Q_k^l): 2 * n^(3/5) * n^(2/5) * rho words
-    query = ceil_scaled_pow(n, 0, 2 * rho) + 1  # + per-query leader converge
-    return warmup, domain, query
+    query = ceil_scaled_pow(n, 0, 2 * density(n, m)) + 1  # + per-query leader converge
+    return [domain], [], query
+
+
+def _triangle_batches(n: int, domain: int) -> List[int]:
+    """Batch l: the l-th slice of each of the n^(1/5) parts Q_k (disjoint,
+    so their masks sum to their union)."""
+    q_parts = id_ranges(n, ceil_pow(n, Fraction(1, 5)))
+    sizes = [ceil_div(len(part), domain) for part in q_parts]
+    return [sum(range_mask(part[ell * size:(ell + 1) * size])
+                for part, size in zip(q_parts, sizes))
+            for ell in range(domain)]
 
 
 def detect_triangle_quintic(
@@ -168,37 +184,19 @@ def detect_triangle_quintic(
     params: QuantumCostParams = DEFAULT_PARAMS,
 ) -> bool:
     """Shard V^3 over nodes, learn A_i x A_j, search Q_k in batches."""
-    n = graph.n
-    if n < 32:
-        raise ValueError("triangle detection needs n >= 32")
-    warmup, domain, query_rounds = _triangle_costs(n, graph.m)
-    ledger.charge("triangle/warmup", "clique", "route", warmup)
-    n_q = ceil_pow(n, Fraction(1, 5))
-    q_parts = id_ranges(n, n_q)
-    batch_masks: List[int] = []
-    for ell in range(domain):
-        mask = 0
-        for part in q_parts:
-            size = ceil_div(len(part), domain) if len(part) else 0
-            lo = ell * size
-            for v in part[lo : lo + size]:
-                mask |= 1 << v
-        batch_masks.append(mask)
-    apex = triangle_nodes(graph.adj_masks())
-
-    def checker(ell: int) -> Tuple[bool, int]:
-        return bool(apex & batch_masks[ell]), query_rounds
-
-    return run_search(domain, checker, ledger, params, seed=seed,
-                      phase="triangle/search").found
+    _require("triangle15", graph.n, 2, 1)
+    _charge_triangle_warmup(graph.n, graph.m, ledger)
+    costs, adj = _triangle_costs(graph.n, graph.m), graph.adj_masks()
+    parts = [_triangle_batches(graph.n, costs[0][0])]
+    return _constrained_search(adj, 2, triangle_nodes(adj), parts, costs, ledger, seed,
+                               params, "triangle/search")
 
 
 def triangle_cost_only(
     n: int, m: int, ledger: CostLedger, params: QuantumCostParams = DEFAULT_PARAMS
 ) -> None:
-    warmup, domain, query_rounds = _triangle_costs(n, m)
-    ledger.charge("triangle/warmup", "clique", "route", warmup)
-    charge_search(ledger, domain, query_rounds, params, "clique", "triangle/search")
+    _charge_triangle_warmup(n, m, ledger)
+    _charge_search(ledger, "triangle/search", _triangle_costs(n, m), params)
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +204,12 @@ def triangle_cost_only(
 # ---------------------------------------------------------------------------
 
 
-def _plus1_costs(n: int, m: int, p: int) -> Tuple[int, int]:
-    """(search domain, per-query rounds) for the +1 extension search."""
-    rho = density(n, m)
+def _plus1_costs(n: int, m: int, p: int) -> Costs:
+    """One level of n^(1-1/p) node batches; no setup; the per-query rounds."""
     domain = ceil_pow(n, Fraction(p - 1, p))
     # query: each owner learns E(T^v, Q_i): p * n^(1-1/p) * n^(1/p) * rho words
-    query = ceil_scaled_pow(n, 0, p * rho) + 1
-    return domain, query
+    query = ceil_scaled_pow(n, 0, p * density(n, m)) + 1
+    return [domain], [], query
 
 
 def detect_plus1(
@@ -224,20 +221,11 @@ def detect_plus1(
     inv: Optional[CliqueInventory] = None,
 ) -> bool:
     """List K_p, then one flat search over node batches for the +1 node."""
-    n = graph.n
-    if p < 2:
-        raise ValueError("p must be >= 2")
-    if n < 2**p:
-        raise ValueError(f"plus1 needs n >= 2^p = {2**p}")
-    reach = _inventory(graph, p, ledger, inv).reach()
-    domain, query_rounds = _plus1_costs(n, graph.m, p)
-    batch_masks = [range_mask(r) for r in id_ranges(n, domain)]
-
-    def checker(i: int) -> Tuple[bool, int]:
-        return bool(reach & batch_masks[i]), query_rounds
-
-    return run_search(domain, checker, ledger, params, seed=seed,
-                      phase="plus1/search").found
+    _require("plus1", graph.n, p, 1)
+    inv = _inventory(graph, p, ledger, inv)
+    costs = _plus1_costs(graph.n, graph.m, p)
+    return _constrained_search(inv.adj, p, inv.reach(), _id_parts(graph.n, costs[0]), costs,
+                               ledger, seed, params, "plus1/search")
 
 
 def plus1_cost_only(
@@ -245,8 +233,7 @@ def plus1_cost_only(
     params: QuantumCostParams = DEFAULT_PARAMS,
 ) -> None:
     charge_listing(n, m, p, ledger)
-    domain, query_rounds = _plus1_costs(n, m, p)
-    charge_search(ledger, domain, query_rounds, params, "clique", "plus1/search")
+    _charge_search(ledger, "plus1/search", _plus1_costs(n, m, p), params)
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +241,7 @@ def plus1_cost_only(
 # ---------------------------------------------------------------------------
 
 
-def nested_feasible(p: int, t: int) -> bool:
-    """The level-exponent system balances only when t <= 1 + log2(p-1)."""
-    return p >= 2 and t >= 1 and 2 ** (t - 1) <= p - 1
-
-
-def _nested_costs(n: int, m: int, p: int, t: int) -> Tuple[List[int], List[int], int]:
+def _nested_costs(n: int, m: int, p: int, t: int) -> Costs:
     """(level domain sizes, setup rounds s_1..s_{t-1}, check rounds)."""
     rho = density(n, m)
     sizes: List[int] = []
@@ -284,28 +266,20 @@ def detect_nested(
     inv: Optional[CliqueInventory] = None,
 ) -> bool:
     """List K_p, then run the depth-t nested search for the t extra nodes."""
-    if not nested_feasible(p, t):
-        raise ValueError(
-            f"(p={p}, t={t}) violates the constraint t <= 1 + log2(p-1)"
-        )
+    _require("nested", graph.n, p, t)
     inv = _inventory(graph, p, ledger, inv)
-    sizes, setups, check = _nested_costs(graph.n, graph.m, p, t)
-    return _constrained_search(inv, _id_parts(graph.n, sizes), setups, check, ledger,
-                               seed, params, "nested/search")
+    costs = _nested_costs(graph.n, graph.m, p, t)
+    return _constrained_search(inv.adj, p, inv.reach(), _id_parts(graph.n, costs[0]), costs,
+                               ledger, seed, params, "nested/search")
 
 
 def nested_cost_only(
     n: int, m: int, p: int, t: int, ledger: CostLedger,
     params: QuantumCostParams = DEFAULT_PARAMS,
 ) -> None:
-    if not nested_feasible(p, t):
-        raise ValueError(
-            f"(p={p}, t={t}) violates the constraint t <= 1 + log2(p-1)"
-        )
+    _require("nested", n, p, t)
     charge_listing(n, m, p, ledger)
-    sizes, setups, check = _nested_costs(n, m, p, t)
-    rounds = nested_cost_predict(sizes, setups, check, params)
-    ledger.charge("nested/search", "clique", "quantum", rounds)
+    _charge_search(ledger, "nested/search", _nested_costs(n, m, p, t), params)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +287,7 @@ def nested_cost_only(
 # ---------------------------------------------------------------------------
 
 
-def _blackbox_costs(n: int, t: int, packing: bool) -> Tuple[List[int], List[int], int]:
+def _blackbox_costs(n: int, t: int, packing: bool) -> Costs:
     """(level domain sizes, setup rounds s_1..s_t, check rounds).
 
     Level l splits V into n^(1/2^(t-l)) parts; its setup broadcasts each
@@ -341,12 +315,11 @@ def extend_blackbox(
     packing: bool = True,
 ) -> bool:
     """Nested search growing the inventory one level-part node at a time."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    _require("blackbox", graph.n, inv.p, t)
     inv.check_graph(graph)
-    sizes, setups, check = _blackbox_costs(graph.n, t, packing)
-    return _constrained_search(inv, _id_parts(graph.n, sizes), setups, check, ledger,
-                               seed, params, "blackbox/search")
+    costs = _blackbox_costs(graph.n, t, packing)
+    return _constrained_search(inv.adj, inv.p, inv.reach(), _id_parts(graph.n, costs[0]), costs,
+                               ledger, seed, params, "blackbox/search")
 
 
 def blackbox_cost_only(
@@ -354,9 +327,7 @@ def blackbox_cost_only(
     params: QuantumCostParams = DEFAULT_PARAMS,
     packing: bool = True,
 ) -> None:
-    sizes, setups, check = _blackbox_costs(n, t, packing)
-    rounds = nested_cost_predict(sizes, setups, check, params)
-    ledger.charge("blackbox/search", "clique", "quantum", rounds)
+    _charge_search(ledger, "blackbox/search", _blackbox_costs(n, t, packing), params)
 
 
 # ---------------------------------------------------------------------------
@@ -382,14 +353,17 @@ def degree_batching(degrees: Sequence[int], target: int) -> Tuple[Tuple[int, ...
     return tuple(batches)
 
 
-def _sparse_costs(n: int, m: int, t: int) -> Tuple[List[int], List[int], int]:
+def _sparse_costs(n: int, m: int, t: int) -> Costs:
     """(level domain sizes, setup rounds s_1..s_{t-1}, check rounds).
 
     Level i < t searches x_i = mu^(1/2^(t-i)) degree batches (one if
     mu <= 1), and its setup broadcasts a batch's m/x_i edges; the last
     level searches y = 2m/n batches of degree sum about n, and its check
-    broadcasts a batch's incident edges and converges.
+    broadcasts a batch's incident edges and converges.  Without edges
+    there is nothing to search, and the triple prices to zero.
     """
+    if m == 0:
+        return [1], [], 0
     mu = Fraction(m, n)
     sizes: List[int] = []
     setups: List[int] = []
@@ -399,13 +373,6 @@ def _sparse_costs(n: int, m: int, t: int) -> Tuple[List[int], List[int], int]:
         setups.append(ceil_div(m, n * x))
     sizes.append(max(1, ceil_div(2 * m, n)))
     return sizes, setups, 2
-
-
-def _batch_mask(batch: Tuple[int, ...]) -> int:
-    mask = 0
-    for v in batch:
-        mask |= 1 << v
-    return mask
 
 
 def extend_sparse(
@@ -424,22 +391,21 @@ def extend_sparse(
     batches of degree sum about n.  The last level's size is that measured
     batch count, not the analytic y = 2m/n that sparse_cost_only charges.
     """
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    _require("sparse", graph.n, inv.p, t)
     inv.check_graph(graph)
     n, m = graph.n, graph.m
     if m == 0:
         return False
-    sizes, setups, check = _sparse_costs(n, m, t)
+    costs = _sparse_costs(n, m, t)
     degrees = graph.degrees()
     parts: List[List[int]] = []
-    for x in sizes[:-1]:
+    for x in costs[0][:-1]:
         batches = degree_batching(degrees, target=max(1, ceil_div(2 * m, x)))
-        masks = [_batch_mask(b) for b in batches[:x]]
+        masks = [sum(1 << v for v in b) for b in batches[:x]]
         parts.append(masks + [0] * (x - len(masks)))
-    parts.append([_batch_mask(b) for b in degree_batching(degrees, target=n)])
-    return _constrained_search(inv, parts, setups, check, ledger, seed, params,
-                               "sparse/search")
+    parts.append([sum(1 << v for v in b) for b in degree_batching(degrees, target=n)])
+    return _constrained_search(inv.adj, inv.p, inv.reach(), parts, costs, ledger, seed,
+                               params, "sparse/search")
 
 
 def sparse_cost_only(
@@ -447,45 +413,71 @@ def sparse_cost_only(
     params: QuantumCostParams = DEFAULT_PARAMS,
 ) -> None:
     """Analytic extension-search rounds, mu-scaled: ~ mu^(1-1/2^t)."""
-    rounds = nested_cost_predict(*_sparse_costs(n, m, t), params) if m > 0 else 0
-    ledger.charge("sparse/search", "clique", "quantum", rounds)
+    _charge_search(ledger, "sparse/search", _sparse_costs(n, m, t), params)
 
 
 # ---------------------------------------------------------------------------
-# strategy planner and dispatcher
+# the applicability rule, strategy planner and dispatcher
 # ---------------------------------------------------------------------------
+
+
+def _below_listing(n: int, p: int) -> bool:
+    """n < 2^p: too few nodes for the K_p listing partition."""
+    return n.bit_length() <= p
+
+
+def inapplicable(strategy: str, n: int, p: int, t: int) -> Optional[str]:
+    """Why the plan (strategy, p, t) cannot run on n nodes, or None if it can."""
+    if strategy not in STRATEGIES:
+        return f"unknown strategy {strategy!r}"
+    if p < 2 or t < 1:
+        return f"{strategy} needs p >= 2 and t >= 1, got p={p}, t={t}"
+    if strategy == "triangle15":
+        if (p, t) != (2, 1):
+            return f"triangle15 detects triangles (p=2, t=1), got p={p}, t={t}"
+        if n < 32:
+            return "triangle detection needs n >= 32"
+    if strategy == "plus1":
+        if t != 1 or p < 3:
+            return f"plus1 needs t = 1 and p >= 3, got p={p}, t={t}"
+        if _below_listing(n, p):
+            return f"plus1 needs n >= 2^{p}"
+    if strategy == "nested" and (p - 1).bit_length() < t:  # 2^(t-1) > p-1
+        return f"(p={p}, t={t}) violates the constraint t <= 1 + log2(p-1)"
+    return None
+
+
+def _require(strategy: str, n: int, p: int, t: int) -> None:
+    reason = inapplicable(strategy, n, p, t)
+    if reason:
+        raise ValueError(reason)
 
 
 def _candidate_plans(
     n: int, m: int, q: int, listing_gate: bool = True
 ) -> List[Tuple[Tuple, DetectionPlan]]:
+    """Every plan for q that the rule accepts, keyed by predicted exponent
+    (the larger of the listing's (p-2)/p and the search's); listing_gate
+    drops the splits whose listing degenerates."""
     mu = Fraction(m, n) if n else Fraction(0)
     log_mu_over_log_n = (
         math.log(float(mu)) / math.log(n) if mu > 1 and n > 1 else 0.0
     )
-    pref = {s: i for i, s in enumerate(STRATEGIES)}
     out: List[Tuple[Tuple, DetectionPlan]] = []
-
-    def push(strategy: str, p: int, t: int, exponent: float) -> None:
-        plan = DetectionPlan(q=q, strategy=strategy, p=p, t=t,
-                             predicted_exponent=exponent)
-        out.append(((exponent, t, p, pref[strategy]), plan))
-
-    if q == 3 and n >= 32:
-        push("triangle15", 2, 1, 0.2)
     for p in range(2, q):
         t = q - p
-        if listing_gate and 2**p > n:
-            continue  # listing degenerates below n = 2^p
-        listing = float(Fraction(p - 2, p))
-        if t == 1 and p >= 3 and 2**p <= n:  # detect_plus1 refuses n < 2^p
-            push("plus1", p, 1, max(listing, float(Fraction(p - 1, 2 * p))))
-        if nested_feasible(p, t):
-            search = float(Fraction(p - 1, p) * (1 - Fraction(1, 2**t)))
-            push("nested", p, t, max(listing, search))
-        push("blackbox", p, t, max(listing, float(1 - Fraction(1, 2**t))))
-        sparse_search = (1 - 1.0 / 2**t) * log_mu_over_log_n
-        push("sparse", p, t, max(listing, sparse_search))
+        if listing_gate and _below_listing(n, p):
+            continue
+        # int / int rounds the exact rational once, as float(Fraction) does
+        half = 2**t
+        search = {"triangle15": 0.2, "plus1": (p - 1) / (2 * p),
+                  "nested": (p - 1) * (half - 1) / (p * half), "blackbox": (half - 1) / half,
+                  "sparse": (1 - 1.0 / half) * log_mu_over_log_n}
+        for pref, strategy in enumerate(STRATEGIES):
+            if inapplicable(strategy, n, p, t) is None:
+                exponent = max((p - 2) / p, search[strategy])
+                out.append(((exponent, t, p, pref),
+                            DetectionPlan(q, strategy, p, t, exponent)))
     return out
 
 
@@ -573,15 +565,17 @@ def clique_cost_only(
     """Charge what detect_clique charges for the plan (strategy, p, t),
     from n and m alone; q = p + t, so triangle15 takes p = 2, t = 1.
 
-    The rules are detect_clique's: a degenerate q charges nothing, and
-    blackbox and sparse charge the K_p listing before their search.  The
-    ledger is a full run's on any graph with n nodes and m edges, except
-    sparse's search row, whose last level full runs measure.
+    The rules are detect_clique's: a degenerate q charges nothing, a plan
+    that inapplicable() refuses raises ValueError, and blackbox and sparse
+    charge the K_p listing before their search.  The ledger is a full
+    run's on any graph with n nodes and m edges, except sparse's search
+    row, whose last level full runs measure.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     if degenerate(n, m, p + t):
         return
+    _require(strategy, n, p, t)
     if strategy == "triangle15":
         triangle_cost_only(n, m, ledger, params)
     elif strategy == "plus1":

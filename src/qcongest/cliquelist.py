@@ -116,8 +116,8 @@ class CliqueInventory:
         owner and u1 < ... < up its members, sorted by owner, then members."""
         ta = self._assignment
         size = len(ta.groups[0])  # group i holds nodes i*size .. (i+1)*size - 1
-        by_signature = {ms: ta.owner(rank) for rank, ms in enumerate(ta.multisets)}
-        entries = sorted((by_signature[tuple(v // size for v in clique)], clique)
+        rank = {ms: r for r, ms in enumerate(ta.multisets)}
+        entries = sorted((ta.owner(rank[tuple(v // size for v in clique)]), clique)
                          for clique in (tuple(_bits(mask)) for mask in self._listing()[0]))
         return "".join(f"{owner}: " + " ".join(map(str, clique)) + "\n"
                        for owner, clique in entries)
@@ -127,9 +127,9 @@ def tuple_assignment(n: int, p: int) -> TupleAssignment:
     """Deterministic group partition and multiset ownership for K_p listing."""
     if p < 2:
         raise ValueError("p must be >= 2")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    s = ceil_root(n, p)
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    s = max(ceil_root(n, p), 1)  # one (empty) group when n = 0
     size = ceil_div(n, s)
     groups = tuple(range(i * size, min((i + 1) * size, n)) for i in range(s))
     multisets = tuple(combinations_with_replacement(range(s), p))

@@ -112,8 +112,14 @@ class GenSpec:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if not 0.0 <= self.edge_prob <= 1.0:
             raise ValueError("edge_prob must be in [0,1]")
+        if self.n < 0:
+            raise ValueError("n must be non-negative")
+        if self.kind == "cycle" and self.n < 3:
+            raise ValueError("cycle needs n >= 3")
         if self.kind.startswith("planted") and not 0 < self.planted_size <= self.n:
             raise ValueError("planted_size must be in 1..n")
+        if self.kind == "planted_cycle" and self.planted_size < 3:
+            raise ValueError("planted cycle needs planted_size >= 3")
 
 
 @dataclass(frozen=True)
@@ -142,16 +148,12 @@ def generate(spec: GenSpec) -> Graph:
     if spec.kind == "path":
         return Graph(n, [(i, i + 1) for i in range(n - 1)])
     if spec.kind == "cycle":
-        if n < 3:
-            raise ValueError("cycle needs n >= 3")
         return Graph(n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
     if spec.kind == "planted_clique":
         s = spec.planted_size
         planted = {(u, v) for u in range(s) for v in range(u + 1, s)}
     elif spec.kind == "planted_cycle":
         s = spec.planted_size
-        if s < 3:
-            raise ValueError("planted cycle needs planted_size >= 3")
         planted = {(min(i, (i + 1) % s), max(i, (i + 1) % s)) for i in range(s)}
     rng = random.Random(spec.seed)
     edges = []

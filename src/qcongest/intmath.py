@@ -21,18 +21,17 @@ def ceil_div(a: int, b: int) -> int:
 
 
 def floor_root(x: int, k: int) -> int:
-    """Largest r >= 0 with r**k <= x."""
+    """Largest r >= 0 with r**k <= x, by integer Newton steps from above."""
     if x < 0 or k < 1:
         raise ValueError("floor_root needs x >= 0, k >= 1")
     if x in (0, 1) or k == 1:
         return x
-    r = int(round(x ** (1.0 / k)))
-    r = max(r, 1)
-    while r**k > x:
-        r -= 1
-    while (r + 1) ** k <= x:
-        r += 1
-    return r
+    r = 1 << -(-x.bit_length() // k)  # a power of two above the root
+    while True:
+        s = ((k - 1) * r + x // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def ceil_root(x: int, k: int) -> int:
@@ -67,8 +66,12 @@ def ceil_scaled_pow(base: Rational, exp: Rational, scale: Rational = 1) -> int:
     def ok(k: int) -> bool:
         return k >= 0 and (k * sd) ** q * lhs_unit >= rhs
 
-    k = int(float(scale) * float(base) ** float(exp))
-    k = max(k, 0)
+    try:  # a float seed below 2^40 is off by a few units at most
+        k = int(float(scale) * float(base) ** float(exp))
+    except OverflowError:  # beyond the float range
+        k = 1 << 40
+    if k >= 1 << 40:  # seed with the exact integer root instead
+        k = floor_root(rhs // (sd**q * lhs_unit), q)
     while not ok(k):
         k += 1
     while k > 0 and ok(k - 1):

@@ -152,7 +152,7 @@ def run_search(
     if domain_size < 1:
         raise ValueError("domain_size must be >= 1")
     plan = NestedSearchPlan([SearchLevel(domain_size)], lambda tup: checker(tup[0]), params)
-    return _search(plan, ledger, seed, "search-fail", model, phase)
+    return _search(plan, ledger, seed, model, phase)
 
 
 def run_nested_search(
@@ -169,14 +169,13 @@ def run_nested_search(
     level, inside the nesting formula, since quantum queries reuse the same
     distributed setup.  Setup costs must be homogeneous within a level.
     """
-    return _search(plan, ledger, seed, "nested-fail", model, phase)
+    return _search(plan, ledger, seed, model, phase)
 
 
 def _search(
     plan: NestedSearchPlan,
     ledger: CostLedger,
     seed: int,
-    fail_tag: str,
     model: str,
     phase: str,
 ) -> SearchOutcome:
@@ -185,8 +184,8 @@ def _search(
     Neither public name calls the other, so a tracer that wraps both counts
     each search once.  The leaf checks run are added to
     ledger.counts["queries"].  A found witness is dropped with probability
-    fail_prob, drawn from _derive_seed(seed, fail_tag); the charge stays
-    the same.
+    fail_prob, drawn from _derive_seed(seed, "search-fail") for flat and
+    nested searches alike; the charge stays the same.
     """
     k = len(plan.levels)
     setup_costs: List[Optional[int]] = [None] * k
@@ -235,7 +234,7 @@ def _search(
     ledger.charge(phase, model, "quantum", charged)
     ledger.counts["queries"] += queries
     if found and plan.params.fail_prob > 0.0:
-        rng = random.Random(_derive_seed(seed, fail_tag))
+        rng = random.Random(_derive_seed(seed, "search-fail"))
         if rng.random() < plan.params.fail_prob:
             found, witness = False, None
     return SearchOutcome(found, witness, charged, queries)

@@ -55,6 +55,14 @@ USAGE_ERRORS = [
     ["verify", "--q", "4", "--trials", "0"],
     ["detect-clique", "--gen", "gnp,40,0.5,0,1", "--q", "7", "--strategy", "plus1"],
     ["verify", "--q", "7", "--strategy", "plus1", "--trials", "3"],
+    # cost-only plans that full runs refuse
+    ["sweep", "--algo", "plus1", "--n-list", "4"],
+    ["sweep", "--algo", "triangle15", "--n-list", "3,16"],
+    ["sweep", "--algo", "plus1", "--p", "2", "--n-list", "64"],
+    # --gen specs that generate cannot build
+    ["detect-clique", "--gen", "gnp,-1,0.5,0,1", "--q", "3"],
+    ["detect-cycle", "--gen", "cycle,2,0,0,0", "--ell", "4"],
+    ["detect-cycle", "--gen", "planted_cycle,8,0.0,2,1", "--ell", "5"],
 ]
 
 
@@ -122,6 +130,10 @@ class TestCommands:
         out = capsys.readouterr().out
         lines = [l for l in out.splitlines() if ": " in l]
         assert len(lines) == 4  # K4 has 4 triangles
+
+    def test_list_of_the_empty_graph(self, capsys):
+        assert main(["list", "--gen", "empty,0,0,0,0", "--p", "3"]) == 0
+        assert capsys.readouterr().out == ""
 
     def test_sweep_monotone_and_fit(self, tmp_path, capsys):
         out = tmp_path / "tri.csv"
@@ -235,7 +247,8 @@ class TestCostParamFlags:
         from qcongest.cliquedetect import _triangle_costs
         from qcongest.qsearch import QuantumCostParams, grover_cost
 
-        _, domain, query = _triangle_costs(4096, 4096 * 4095 // 2)
+        (domain,), setups, query = _triangle_costs(4096, 4096 * 4095 // 2)
+        assert setups == []  # one flat level: the triple prices as grover_cost
         assert b.rounds_quantum == grover_cost(domain, query)
         assert s.rounds_quantum == grover_cost(
             domain, query, QuantumCostParams(c_grover=2, reps=3)

@@ -9,7 +9,8 @@ holds criterion 11's four commands, `detect-clique` under every strategy on
 one graph (and with q > n), `detect-cycle` for ell = 4..7 (plus cycle-free
 and exit-3 cases), a cost-only sweep of every algo (blackbox also with
 `--packing off`, plus1 also with degenerate n), full-mode sweeps of cliques and of both cycle parities,
-`list --p 3` as text and as `--json`, `--json` and `--out` for every
+`list --p 3` as text and as `--json`, `detect-clique` under every strategy
+and one `detect-cycle` with every cost flag set, `--json` and `--out` for every
 row-writing command, `gen --out --json`, and `fit` as text and as `--json`
 on a CSV that a sweep wrote.  A refactor must leave every entry identical.
 
@@ -35,6 +36,7 @@ GOLDEN = Path(__file__).with_name("cli_golden.json")
 CLIQUE_GRAPH = ["--gen", "gnp,48,0.5,0,9", "--seed", "3"]
 CYCLE_GRAPH = ["--gen", "gnp,24,0.15,0,4", "--seed", "1"]
 SWEEP_NS = ["--n-list", "64,256,1024,4096"]
+COST_FLAGS = ["--fail-prob", "0.5", "--reps", "2", "--c-grover", "3/2"]
 
 CASES = {
     "c11-detect-clique": ["detect-clique", "--gen", "gnp,48,0.5,0,9", "--q", "5",
@@ -98,6 +100,11 @@ CASES = {
     "fit-text": ["fit", "--in", "rows.csv"],
     "fit-json": ["fit", "--in", "rows.csv", "--x-col", "n", "--y-col", "rounds_quantum",
                  "--json"],
+    # every cost flag at once; fail-prob draws differ in found only
+    **{f"flags-clique-{s}": ["detect-clique", *CLIQUE_GRAPH, "--q",
+                             "3" if s == "triangle15" else "5", "--strategy", s, *COST_FLAGS]
+       for s in ("triangle15", "plus1", "nested", "blackbox", "sparse")},
+    "flags-cycle-5": ["detect-cycle", *CYCLE_GRAPH, "--ell", "5", *COST_FLAGS],
 }
 
 # commands run (unrecorded) in the case's working directory before the case

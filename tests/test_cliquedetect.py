@@ -22,6 +22,8 @@ from qcongest.cliquedetect import (
     detect_triangle_quintic,
     extend_blackbox,
     extend_sparse,
+    _candidate_plans,
+    inapplicable,
     _nested_costs,
     nested_cost_only,
     plan_strategy,
@@ -280,6 +282,53 @@ class TestDetectNested:
         assert g1.m == g2.m
         assert led1.entries == led2.entries
         assert r1  # sanity: answers may differ, charges may not
+
+
+class TestApplicabilityRule:
+    """inapplicable() is the one rule: the planner proposes, and cost-only
+    runs accept, exactly the plans it passes."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 33, 63, 64, 70])
+    def test_grid(self, n):
+        for m in (0, n * (n - 1) // 2):
+            for q in range(3, 11):
+                proposed = {(plan.strategy, plan.p, plan.t)
+                            for _, plan in _candidate_plans(n, m, q, listing_gate=False)}
+                accepted = {(s, p, q - p) for s in STRATEGIES for p in range(2, q)
+                            if inapplicable(s, n, p, q - p) is None}
+                assert proposed == accepted, (n, m, q)
+            for strategy in STRATEGIES:
+                for p in range(2, 7):
+                    for t in range(1, 5):
+                        refused = inapplicable(strategy, n, p, t) is not None
+                        try:
+                            clique_cost_only(strategy, n, m, p, t, CostLedger())
+                            raised = False
+                        except ValueError:
+                            raised = True
+                        assert raised == (refused and not degenerate(n, m, p + t)), \
+                            (strategy, n, m, p, t)
+
+    def test_reasons(self):
+        assert "n >= 32" in inapplicable("triangle15", 31, 2, 1)
+        assert inapplicable("triangle15", 32, 2, 1) is None
+        assert inapplicable("triangle15", 64, 3, 1)
+        assert "2^3" in inapplicable("plus1", 7, 3, 1)
+        assert inapplicable("plus1", 8, 3, 1) is None
+        assert inapplicable("plus1", 64, 2, 1) and inapplicable("plus1", 64, 3, 2)
+        assert "violates the constraint" in inapplicable("nested", 64, 4, 3)
+        assert inapplicable("nested", 64, 5, 3) is None
+        assert inapplicable("blackbox", 64, 1, 1) and inapplicable("sparse", 64, 2, 0)
+        assert "unknown" in inapplicable("nosuch", 64, 2, 1)
+
+    def test_detectors_refuse_what_the_rule_refuses(self):
+        g = gnp(40, 0.5, 0)
+        with pytest.raises(ValueError, match="p >= 3"):
+            detect_plus1(g, 2, CostLedger())
+        with pytest.raises(ValueError, match="2\\^6"):
+            detect_plus1(g, 6, CostLedger())
+        with pytest.raises(ValueError, match="t >= 1"):
+            extend_blackbox(g, list_kp(g, 2, CostLedger()), 0, CostLedger())
 
 
 class TestPlanner:

@@ -120,6 +120,15 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(GenSpec(kind="planted_clique", n=4, planted_size=5, seed=0))
 
+    @pytest.mark.parametrize("spec", [
+        GenSpec(kind="gnp", n=-1, edge_prob=0.5),
+        GenSpec(kind="cycle", n=2),
+        GenSpec(kind="planted_cycle", n=8, planted_size=2),
+    ], ids=["negative-n", "short-cycle", "short-planted-cycle"])
+    def test_validate_makes_the_size_checks(self, spec):
+        with pytest.raises(ValueError):
+            spec.validate()
+
     @given(st.integers(0, 2**64 - 1), st.integers(4, 24),
            st.floats(0.0, 1.0, allow_nan=False))
     @settings(max_examples=30, deadline=None)

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcongest.intmath import (
@@ -54,6 +54,33 @@ class TestCeilScaledPow:
 
         assert at_least(got)
         assert got == 0 or not at_least(got - 1)
+
+    @given(
+        st.integers(1, 10**6),
+        st.integers(1, 8), st.integers(1, 8),
+        st.integers(1, 10**400), st.integers(1, 10**6),
+    )
+    @example(1000, 1, 2, 10**22, 1)  # its float seed is off by about 10^8 units
+    @example(12, 1, 2, 10**400, 1)  # its float seed overflows
+    @settings(max_examples=300, deadline=None)
+    def test_definition_at_large_scales(self, n, en, ed, sn, sd):
+        # scales far beyond a float's exact range (and beyond its range)
+        exp, scale = Fraction(en, ed), Fraction(sn, sd)
+        got = ceil_scaled_pow(n, exp, scale)
+        p, q = exp.numerator, exp.denominator
+        rhs = scale.numerator**q * n**p
+
+        def at_least(k):  # k >= scale * n**(p/q)
+            return (k * scale.denominator) ** q >= rhs
+
+        assert at_least(got)
+        assert got == 0 or not at_least(got - 1)
+
+    @given(st.integers(0, 10**800), st.integers(1, 9))
+    @settings(max_examples=300, deadline=None)
+    def test_roots_of_large_integers(self, x, k):
+        f = floor_root(x, k)
+        assert f**k <= x < (f + 1) ** k
 
     def test_power_of_two_boundaries(self):
         # the float-pow trap: 32768**0.2 is not exactly 8.0 in floats
