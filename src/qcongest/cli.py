@@ -177,17 +177,14 @@ def clique_row(args: argparse.Namespace, graph: Graph, q: int, strategy: Optiona
     A run that charges nothing (q > n or no edges) is labelled `degenerate`;
     a --strategy that cannot run on graph is a usage error.
     """
-    plan = None
+    plan, found, ledger = None, False, CostLedger()
     if not cliquedetect.degenerate(graph.n, graph.m, q):
         try:
             plan = cliquedetect.plan_strategy(graph.n, graph.m, q, strategy)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-    ledger = CostLedger()
-    found = cliquedetect.detect_clique(
-        graph, q, ledger, strategy=strategy, seed=seed, params=args.params,
-        packing=args.packing == "on",
-    )
+        found = cliquedetect.run_plan(graph, plan, ledger, seed=seed, params=args.params,
+                                      packing=args.packing == "on")
     algo = plan.strategy if plan else "degenerate"
     ptext = _params_text(args, q=q, strategy=algo, p=plan.p if plan else 0,
                          t=plan.t if plan else 0, **extra)
@@ -277,8 +274,8 @@ def run_sweep(args: argparse.Namespace) -> int:
         cycle = args.algo in ("odd-cycle", "even-cycle")
         if not cycle and args.algo not in cliquedetect.STRATEGIES:
             raise UsageError(f"unknown sweep algo {args.algo!r}")
-        p = 2 if args.algo == "triangle15" else args.p or 3
-        t = 1 if args.algo in ("triangle15", "plus1") else args.t or 1
+        p = args.p or (2 if args.algo == "triangle15" else 3)
+        t = args.t or 1
         extra = ({"ell": ell} if cycle else {"q": 3} if args.algo == "triangle15"
                  else {"p": p} if args.algo == "plus1" else {"p": p, "t": t})
         for n, m in _sweep_pairs(args):

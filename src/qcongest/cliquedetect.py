@@ -25,6 +25,10 @@ setups, the flat grover_cost).  Cost and answer never interact.  One
 rule, inapplicable(), says which plans (strategy, p, t) can run on n
 nodes: the planner proposes, and the detectors accept, exactly those.
 
+plan_strategy picks one DetectionPlan in one pass over the candidate
+splits, and run_plan is the one dispatch from a plan to its detector:
+detect_clique plans and runs, and the CLI's rows do the same.
+
 clique_cost_only charges a plan from (n, m) alone under detect_clique's
 rules: a degenerate question (q > n or no edges) charges nothing, a plan
 the rule refuses raises ValueError, and every strategy but triangle15
@@ -453,12 +457,11 @@ def _require(strategy: str, n: int, p: int, t: int) -> None:
         raise ValueError(reason)
 
 
-def _candidate_plans(
-    n: int, m: int, q: int, listing_gate: bool = True
-) -> List[Tuple[Tuple, DetectionPlan]]:
-    """Every plan for q that the rule accepts, keyed by predicted exponent
-    (the larger of the listing's (p-2)/p and the search's); listing_gate
-    drops the splits whose listing degenerates."""
+def _candidate_plans(n: int, m: int, q: int) -> List[Tuple[Tuple, DetectionPlan]]:
+    """Every plan for q that the rule accepts, keyed by (listing degenerates,
+    predicted exponent, t, p, preference).  The exponent is the larger of
+    the listing's (p-2)/p and the search's; a split whose listing
+    degenerates (n < 2^p) sorts after every other split."""
     mu = Fraction(m, n) if n else Fraction(0)
     log_mu_over_log_n = (
         math.log(float(mu)) / math.log(n) if mu > 1 and n > 1 else 0.0
@@ -466,8 +469,6 @@ def _candidate_plans(
     out: List[Tuple[Tuple, DetectionPlan]] = []
     for p in range(2, q):
         t = q - p
-        if listing_gate and _below_listing(n, p):
-            continue
         # int / int rounds the exact rational once, as float(Fraction) does
         half = 2**t
         search = {"triangle15": 0.2, "plus1": (p - 1) / (2 * p),
@@ -476,7 +477,7 @@ def _candidate_plans(
         for pref, strategy in enumerate(STRATEGIES):
             if inapplicable(strategy, n, p, t) is None:
                 exponent = max((p - 2) / p, search[strategy])
-                out.append(((exponent, t, p, pref),
+                out.append(((_below_listing(n, p), exponent, t, p, pref),
                             DetectionPlan(q, strategy, p, t, exponent)))
     return out
 
@@ -484,29 +485,28 @@ def _candidate_plans(
 def plan_strategy(n: int, m: int, q: int, strategy: Optional[str] = None) -> DetectionPlan:
     """Pick the (strategy, p, t) with the smallest predicted round exponent.
 
-    Ties break toward smaller t, then smaller p.  With `strategy` given,
-    only that strategy's parameterizations compete.
+    Splits whose listing degenerates compete only when no other split
+    applies.  Ties break toward smaller t, then smaller p.  With `strategy`
+    given, only that strategy's parameterizations compete.
     """
     if q < 3:
         raise ValueError("q must be >= 3")
     if strategy is not None and strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    for gate in (True, False):
-        candidates = _candidate_plans(n, m, q, listing_gate=gate)
-        if strategy is not None:
-            candidates = [c for c in candidates if c[1].strategy == strategy]
-        if candidates:
-            candidates.sort(key=lambda c: c[0])
-            return candidates[0][1]
-    raise ValueError(f"no applicable strategy for q={q}, n={n}")
+    candidates = [c for c in _candidate_plans(n, m, q)
+                  if strategy in (None, c[1].strategy)]
+    if not candidates:
+        raise ValueError(f"no applicable strategy for q={q}, n={n}")
+    return min(candidates, key=lambda c: c[0])[1]
 
 
 def applicable_strategies(n: int, m: int, q: int) -> List[DetectionPlan]:
-    """Best parameterization of every strategy that applies to (n, m, q)."""
+    """Best parameterization of every strategy that applies to (n, m, q)
+    with a listing that does not degenerate."""
     best: Dict[str, Tuple[Tuple, DetectionPlan]] = {}
     for key, plan in _candidate_plans(n, m, q):
         cur = best.get(plan.strategy)
-        if cur is None or key < cur[0]:
+        if not key[0] and (cur is None or key < cur[0]):
             best[plan.strategy] = (key, plan)
     return [best[s][1] for s in STRATEGIES if s in best]
 
@@ -519,25 +519,16 @@ def degenerate(n: int, m: int, q: int) -> bool:
     return q > n or m == 0
 
 
-def detect_clique(
+def run_plan(
     graph: Graph,
-    q: int,
+    plan: DetectionPlan,
     ledger: CostLedger,
-    strategy: Optional[str] = None,
     seed: int = 0,
     params: QuantumCostParams = DEFAULT_PARAMS,
     inv: Optional[CliqueInventory] = None,
     packing: bool = True,
 ) -> bool:
-    """Dispatch to the planned (or requested) strategy.
-
-    Degenerate inputs short-circuit to False and charge nothing.
-    """
-    if q < 3:
-        raise ValueError("q must be >= 3")
-    if degenerate(graph.n, graph.m, q):
-        return False
-    plan = plan_strategy(graph.n, graph.m, q, strategy)
+    """Run the plan's detector on graph; inv, if given, is its K_p inventory."""
     if plan.strategy == "triangle15":
         return detect_triangle_quintic(graph, ledger, seed=seed, params=params)
     if plan.strategy == "plus1":
@@ -550,6 +541,28 @@ def detect_clique(
         return extend_blackbox(graph, inv, plan.t, ledger, seed=seed, params=params,
                                packing=packing)
     return extend_sparse(graph, inv, plan.t, ledger, seed=seed, params=params)
+
+
+def detect_clique(
+    graph: Graph,
+    q: int,
+    ledger: CostLedger,
+    strategy: Optional[str] = None,
+    seed: int = 0,
+    params: QuantumCostParams = DEFAULT_PARAMS,
+    inv: Optional[CliqueInventory] = None,
+    packing: bool = True,
+) -> bool:
+    """Run the planned (or requested) strategy.
+
+    Degenerate inputs short-circuit to False and charge nothing.
+    """
+    if q < 3:
+        raise ValueError("q must be >= 3")
+    if degenerate(graph.n, graph.m, q):
+        return False
+    return run_plan(graph, plan_strategy(graph.n, graph.m, q, strategy), ledger, seed=seed,
+                    params=params, inv=inv, packing=packing)
 
 
 def clique_cost_only(

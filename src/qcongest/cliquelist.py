@@ -71,11 +71,10 @@ class CliqueInventory:
     signature under the list_kp partition.
     """
 
-    def __init__(self, adj: List[int], p: int, assignment: TupleAssignment):
+    def __init__(self, adj: List[int], p: int):
         self.adj = adj
         self.p = p
         self.n = len(adj)
-        self._assignment = assignment
         self._listed: Optional[Tuple[List[int], List[int]]] = None
         self._reach: Optional[int] = None
 
@@ -114,7 +113,7 @@ class CliqueInventory:
     def dump(self) -> str:
         """Debug format: one line 'v: u1 u2 ... up' per listed clique, v its
         owner and u1 < ... < up its members, sorted by owner, then members."""
-        ta = self._assignment
+        ta = tuple_assignment(self.n, self.p)
         size = len(ta.groups[0])  # group i holds nodes i*size .. (i+1)*size - 1
         rank = {ms: r for r, ms in enumerate(ta.multisets)}
         entries = sorted((ta.owner(rank[tuple(v // size for v in clique)]), clique)
@@ -168,7 +167,7 @@ def list_kp(graph: Graph, p: int, ledger: CostLedger) -> CliqueInventory:
     if p < 2:
         raise ValueError("p must be >= 2")
     charge_listing(graph.n, graph.m, p, ledger)
-    return CliqueInventory(graph.adj_masks(), p, tuple_assignment(graph.n, p))
+    return CliqueInventory(graph.adj_masks(), p)
 
 
 def _list_cliques(

@@ -166,8 +166,6 @@ def protocol_detect_once(
     graph: Graph,
     cfg: ColorBfsConfig,
     colors: Mapping[int, int],
-    net: Optional[CongestNet] = None,
-    ledger: Optional[CostLedger] = None,
 ) -> bool:
     """One repetition with fixed colors, message by message.
 
@@ -176,16 +174,13 @@ def protocol_detect_once(
     color-(len/2) node holding the same id from both chains; for odd
     lengths, an edge between the two chain endpoints holding a common id.
 
-    Steps that would carry no word are not simulated, so `ledger` is
-    charged only for the steps that can move one: nothing when no source
+    Steps that would carry no word are not simulated: none when no source
     has color 0, and per phase as many steps as the longest forward queue
     (at most M).  The caller charges the protocol's full rounds.
     """
     ell = cfg.cycle_len
     if not any(colors.get(v) == 0 for v in cfg.sources):
         return False
-    ledger = ledger if ledger is not None else CostLedger()
-    net = net if net is not None else CongestNet(graph)
     m_bound = cfg.congestion_bound
 
     def color(v: int) -> Optional[int]:
@@ -206,7 +201,7 @@ def protocol_detect_once(
             cw = color(w)
             if cw in (1, ell - 1) and cfg.height(w) <= cfg.height(v):
                 outbox.append((v, w, v))
-    inbox = congest_step(net, outbox, ledger, phase="color-bfs")
+    inbox = congest_step(graph, outbox)
     for (u, v), word in sorted(inbox.items()):
         if word not in received[v]:
             received[v].append(word)
@@ -233,7 +228,7 @@ def protocol_detect_once(
                 for w in graph.neighbors(v):
                     if color(w) == nxt:
                         outbox.append((v, w, word))
-            inbox = congest_step(net, outbox, ledger, phase="color-bfs")
+            inbox = congest_step(graph, outbox)
             for (u, v) in sorted(inbox):
                 word = inbox[(u, v)]
                 if word not in received[v]:
@@ -420,13 +415,12 @@ def _event_found(
     return False, hits
 
 
-def _protocol_found(net: CongestNet, cfg: ColorBfsConfig, seed_parts: Tuple) -> bool:
+def _protocol_found(graph: Graph, cfg: ColorBfsConfig, seed_parts: Tuple) -> bool:
     """Did any of cfg.repetitions random colorings detect, hop by hop?"""
     rng = random.Random(_derive_seed("color-bfs-protocol", _derive_seed(*seed_parts)))
-    scratch = CostLedger()
     for _ in range(cfg.repetitions):
         colors = {v: rng.randrange(cfg.cycle_len) for v in sorted(cfg.active)}
-        if protocol_detect_once(net.graph, cfg, colors, net=net, ledger=scratch):
+        if protocol_detect_once(graph, cfg, colors):
             return True
     return False
 
@@ -480,7 +474,7 @@ def _stage_search(
             if hits:  # rare; an empty update costs more than the check
                 ledger.counts.update(hits)
         else:
-            found = _protocol_found(net, cfg, (tag, seed, label))
+            found = _protocol_found(graph, cfg, (tag, seed, label))
         if found:
             net.require_reachable(sorted(sources)[:1])
         return found, query_rounds

@@ -62,21 +62,9 @@ def ceil_scaled_pow(base: Rational, exp: Rational, scale: Rational = 1) -> int:
     # k >= scale * base**(p/q)  <=>  (k*sd)**q * bd**p >= sn**q * bn**p
     rhs = sn**q * bn**p
     lhs_unit = bd**p
-
-    def ok(k: int) -> bool:
-        return k >= 0 and (k * sd) ** q * lhs_unit >= rhs
-
-    try:  # a float seed below 2^40 is off by a few units at most
-        k = int(float(scale) * float(base) ** float(exp))
-    except OverflowError:  # beyond the float range
-        k = 1 << 40
-    if k >= 1 << 40:  # seed with the exact integer root instead
-        k = floor_root(rhs // (sd**q * lhs_unit), q)
-    while not ok(k):
-        k += 1
-    while k > 0 and ok(k - 1):
-        k -= 1
-    return k
+    # floor(scale * base**exp), since floor(floor(x)**(1/q)) = floor(x**(1/q))
+    k = floor_root(rhs // (sd**q * lhs_unit), q)
+    return k if (k * sd) ** q * lhs_unit >= rhs else k + 1
 
 
 def ceil_pow(n: Rational, exp: Rational) -> int:

@@ -10,9 +10,10 @@ Lenzen routing charge of the K_p listing lives in cliquelist) and hand the
 rounds to a CostLedger.  The ledger is the whole record of a run: beside
 its entries it counts what the run did without charging it (the leaf
 checks of every search, and the cycle queries whose candidate patterns
-were truncated, capped or dropped for congestion).  This module adds the CONGEST leader convergecast
-(CongestNet) and the hop-by-hop steps of the cycle protocols
-(congest_step), the only place where payloads are materialized.
+were truncated, capped or dropped for congestion).  This module adds the
+CONGEST leader convergecast (CongestNet) and the hop-by-hop steps of the
+cycle protocols (congest_step), the only place where payloads are
+materialized; a step charges nothing, its detector charges the rounds.
 """
 
 from __future__ import annotations
@@ -117,22 +118,18 @@ class CongestNet:
 
 
 def congest_step(
-    net: CongestNet,
-    outboxes: Iterable[Tuple[int, int, object]],
-    ledger: CostLedger,
-    phase: str = "congest-step",
+    graph, outboxes: Iterable[Tuple[int, int, object]]
 ) -> Dict[Tuple[int, int], object]:
-    """Deliver at most one word per directed edge; charges exactly 1 round.
+    """Deliver at most one word per directed edge of graph, in one round.
 
     `outboxes` holds (sender, receiver, word) triples; the result maps
-    (sender, receiver) to the delivered word.
+    (sender, receiver) to the delivered word.  The caller charges the rounds.
     """
     inboxes: Dict[Tuple[int, int], object] = {}
     for u, v, payload in outboxes:
-        if not net.graph.has_edge(u, v):
+        if not graph.has_edge(u, v):
             raise ValueError(f"no edge {u}-{v} to send on")
         if (u, v) in inboxes:
             raise ValueError(f"two words on directed edge ({u},{v}) in one step")
         inboxes[(u, v)] = payload
-    ledger.charge(phase, "congest", "route", 1)
     return inboxes

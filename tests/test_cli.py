@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qcongest import cliquedetect
 from qcongest.cli import (
     CSV_HEADER,
     ResultRow,
@@ -59,6 +60,8 @@ USAGE_ERRORS = [
     ["sweep", "--algo", "plus1", "--n-list", "4"],
     ["sweep", "--algo", "triangle15", "--n-list", "3,16"],
     ["sweep", "--algo", "plus1", "--p", "2", "--n-list", "64"],
+    ["sweep", "--algo", "plus1", "--t", "3", "--n-list", "64"],
+    ["sweep", "--algo", "triangle15", "--p", "5", "--t", "2", "--n-list", "64"],
     # --gen specs that generate cannot build
     ["detect-clique", "--gen", "gnp,-1,0.5,0,1", "--q", "3"],
     ["detect-cycle", "--gen", "cycle,2,0,0,0", "--ell", "4"],
@@ -185,6 +188,18 @@ class TestCommands:
         assert main(["sweep", "--algo", "auto", "--mode", "full", *extra]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    def test_a_detection_row_plans_once(self, monkeypatch, capsys):
+        calls = []
+        candidates = cliquedetect._candidate_plans
+
+        def counted(*args):
+            calls.append(args)
+            return candidates(*args)
+
+        monkeypatch.setattr(cliquedetect, "_candidate_plans", counted)
+        assert main(["detect-clique", "--gen", "gnp,48,0.5,0,9", "--q", "5"]) == 0
+        assert len(calls) == 1  # the row plans once, and runs that plan
 
     def test_determinism_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -293,7 +293,7 @@ class TestApplicabilityRule:
         for m in (0, n * (n - 1) // 2):
             for q in range(3, 11):
                 proposed = {(plan.strategy, plan.p, plan.t)
-                            for _, plan in _candidate_plans(n, m, q, listing_gate=False)}
+                            for _, plan in _candidate_plans(n, m, q)}
                 accepted = {(s, p, q - p) for s in STRATEGIES for p in range(2, q)
                             if inapplicable(s, n, p, q - p) is None}
                 assert proposed == accepted, (n, m, q)
@@ -332,6 +332,26 @@ class TestApplicabilityRule:
 
 
 class TestPlanner:
+    @pytest.mark.parametrize("n", range(1, 71))
+    def test_definition(self, n):
+        """The best split whose listing does not degenerate (n >= 2^p), else
+        the best split overall; best is the smallest (exponent, t, p, order)."""
+        def best(plans):
+            return min(plans, key=lambda pl: (pl.predicted_exponent, pl.t, pl.p,
+                                              STRATEGIES.index(pl.strategy)))
+
+        for m in (0, n, n * (n - 1) // 2):
+            for q in range(3, 9):
+                for strategy in (None,) + STRATEGIES:
+                    plans = [pl for _, pl in _candidate_plans(n, m, q)
+                             if strategy in (None, pl.strategy)]
+                    if not plans:
+                        with pytest.raises(ValueError, match="no applicable strategy"):
+                            plan_strategy(n, m, q, strategy)
+                        continue
+                    listed = [pl for pl in plans if n >= 2**pl.p]
+                    assert plan_strategy(n, m, q, strategy) == best(listed or plans)
+
     def test_q5_dense(self):
         n = 64
         plan = plan_strategy(n, n * (n - 1) // 2, 5)
