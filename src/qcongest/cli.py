@@ -192,9 +192,10 @@ def clique_row(args: argparse.Namespace, graph: Graph, q: int, strategy: Optiona
 
 
 def cycle_row(args: argparse.Namespace, graph: Graph, ell: int, seed: int) -> ResultRow:
-    """Detect a C_ell under the cost flags: the odd or the even detector by parity."""
-    if ell > graph.n:
-        raise UsageError(f"--ell {ell} exceeds the graph's n = {graph.n}")
+    """Detect a C_ell under the cost flags by parity; a refused length is a usage error."""
+    reason = cycledetect.inapplicable(graph.n, ell)
+    if reason:
+        raise UsageError(f"--ell: {reason}")
     ledger = CostLedger()
     if ell % 2 == 1:
         detect, algo = cycledetect.detect_odd_cycle, "odd-cycle"
@@ -259,50 +260,50 @@ def _sweep_pairs(args: argparse.Namespace) -> List[Tuple[int, int]]:
 
 
 def run_sweep(args: argparse.Namespace) -> int:
-    if args.ell is not None and args.algo in ("odd-cycle", "even-cycle") \
+    cycle = args.algo in ("odd-cycle", "even-cycle")
+    full = args.mode == "full"
+    # the plan flags each kind of sweep reads: a flag it would ignore is refused
+    for flag, read in (("p", not (cycle or full)), ("t", not (cycle or full)),
+                       ("q", full and not cycle), ("ell", cycle)):
+        if getattr(args, flag) is not None and not read:
+            raise UsageError(f"a {args.mode} {args.algo} sweep takes no --{flag}")
+    if cycle and args.ell is not None \
             and args.algo != ("odd-cycle" if args.ell % 2 else "even-cycle"):
         parity = args.algo.split("-")[0]
         raise UsageError(f"--algo {args.algo} needs an {parity} --ell, got {args.ell}")
     if not args.n_list:
         raise UsageError("sweep needs --n-list")
-    if args.mode == "full" and args.m_list:
+    if full and args.m_list:
         raise UsageError("full-mode sweeps draw G(n, --edge-prob) and take no --m-list")
     params = args.params
-    ell = args.ell or (5 if args.algo == "odd-cycle" else 4)
+    ell = args.ell if args.ell is not None else (5 if args.algo == "odd-cycle" else 4)
     rows: List[ResultRow] = []
-    if args.mode == "cost-only":
-        cycle = args.algo in ("odd-cycle", "even-cycle")
+    if not full:
         if not cycle and args.algo not in cliquedetect.STRATEGIES:
             raise UsageError(f"unknown sweep algo {args.algo!r}")
         p = args.p or (2 if args.algo == "triangle15" else 3)
         t = args.t or 1
-        extra = ({"ell": ell} if cycle else {"q": 3} if args.algo == "triangle15"
-                 else {"p": p} if args.algo == "plus1" else {"p": p, "t": t})
+        ptext = _params_text(args, ell=ell) if cycle else _params_text(args, p=p, t=t)
         for n, m in _sweep_pairs(args):
-            if cycle and ell > n:
-                raise UsageError(f"--ell {ell} exceeds the --n-list entry {n}")
             ledger = CostLedger()
             found: Optional[bool] = None
             algo = args.algo
-            if args.algo == "odd-cycle":
-                cycledetect.odd_cycle_cost_only(n, ell, ledger, params)
-            elif args.algo == "even-cycle":
-                found = cycledetect.even_cycle_cost_only(n, m, ell, ledger, params)
-            else:
-                try:
+            try:  # a question that full runs refuse is a usage error
+                if cycle:
+                    found = cycledetect.cycle_cost_only(n, m, ell, ledger, params)
+                else:
                     cliquedetect.clique_cost_only(args.algo, n, m, p, t, ledger, params,
                                                   packing=args.packing == "on")
-                except ValueError as exc:  # a plan that full runs refuse
-                    raise UsageError(f"{exc} (--n-list entry {n})") from None
-                if cliquedetect.degenerate(n, m, p + t):
-                    algo = "degenerate"
-            rows.append(ResultRow.from_ledger(n, m, algo, _params_text(args, **extra),
-                                              ledger, found, args.seed))
+            except ValueError as exc:
+                raise UsageError(f"{exc} (--n-list entry {n})") from None
+            if not cycle and cliquedetect.degenerate(n, m, p + t):
+                algo = "degenerate"
+            rows.append(ResultRow.from_ledger(n, m, algo, ptext, ledger, found, args.seed))
     else:
         for n in args.n_list:
             graph = generate(GenSpec(kind="gnp", n=n, edge_prob=args.edge_prob,
                                      seed=args.seed))
-            if args.algo in ("odd-cycle", "even-cycle"):
+            if cycle:
                 rows.append(cycle_row(args, graph, ell, args.seed))
             else:
                 strategy = None if args.algo == "auto" else args.algo
@@ -393,28 +394,30 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="Congested-clique / CONGEST round-cost simulator")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def command(name: str, run, summary: str, graph_source: bool = True) -> argparse.ArgumentParser:
+    def command(name: str, run, summary: str, graph_source: bool = True,
+                search: bool = True) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
         p.set_defaults(run=run)
         if graph_source:
             p.add_argument("--graph")
             p.add_argument("--gen")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--c-grover", default="1")
-        p.add_argument("--reps", type=int, default=1)
-        p.add_argument("--fail-prob", type=float, default=0.0)
-        p.add_argument("--packing", choices=("on", "off"), default="on")
+        if search:
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--c-grover", default="1")
+            p.add_argument("--reps", type=int, default=1)
+            p.add_argument("--fail-prob", type=float, default=0.0)
+            p.add_argument("--packing", choices=("on", "off"), default="on")
         p.add_argument("--out")
         p.add_argument("--json", action="store_true")
         return p
 
-    command("gen", run_gen, "generate a graph file")
+    command("gen", run_gen, "generate a graph file", search=False)
     p = command("detect-clique", run_detect_clique, "run clique detection")
     p.add_argument("--q", type=int)
     p.add_argument("--strategy", choices=cliquedetect.STRATEGIES)
     p = command("detect-cycle", run_detect_cycle, "run cycle detection")
     p.add_argument("--ell", type=int)
-    p = command("list", run_list, "list p-cliques and dump the inventory")
+    p = command("list", run_list, "list p-cliques and dump the inventory", search=False)
     p.add_argument("--p", type=int)
     p = command("sweep", run_sweep, "cost sweeps over n", graph_source=False)
     p.add_argument("--algo", required=True)
@@ -451,9 +454,6 @@ def validate_args(args: argparse.Namespace) -> None:
         raise UsageError("--t must be >= 1")
     if flags.get("trials") is not None and args.trials < 1:
         raise UsageError("--trials must be >= 1")
-    ell = flags.get("ell")
-    if ell is not None and ell < (5 if ell % 2 else 4):
-        raise UsageError("--ell must be even and >= 4, or odd and >= 5")
     if flags.get("gen"):
         args.gen = parse_gen_spec(args.gen)
     if "c_grover" in flags:

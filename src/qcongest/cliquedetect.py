@@ -20,10 +20,10 @@ check rounds), exact-integer functions of (n, m) and the strategy
 parameters from the idealized partition sizes scaled by density, and
 part masks of the real adjacency that a full run searches through one
 constrained search (_constrained_search).  Full and cost-only runs alike
-charge qsearch.nested_cost_predict on the triple (for one level without
-setups, the flat grover_cost).  Cost and answer never interact.  One
-rule, inapplicable(), says which plans (strategy, p, t) can run on n
-nodes: the planner proposes, and the detectors accept, exactly those.
+charge the triple through qsearch.charge_search.  Cost and answer never
+interact.  One rule, inapplicable(), says which plans (strategy, p, t)
+can run on n nodes: the planner proposes, and the detectors accept,
+exactly those.
 
 plan_strategy picks one DetectionPlan in one pass over the candidate
 splits, and run_plan is the one dispatch from a plan to its detector:
@@ -49,17 +49,15 @@ from .intmath import ceil_div, ceil_pow, ceil_scaled_pow
 from .netsim import CostLedger, word_capacity
 from .qsearch import (
     DEFAULT_PARAMS,
+    Costs,
     NestedSearchPlan,
     QuantumCostParams,
     SearchLevel,
-    nested_cost_predict,
+    charge_search,
     run_nested_search,
 )
 
 STRATEGIES = ("triangle15", "plus1", "nested", "blackbox", "sparse")
-
-# (level domain sizes, setup rounds s_1..s_{t-1} or s_1..s_t, check rounds)
-Costs = Tuple[List[int], List[int], int]
 
 
 @dataclass(frozen=True)
@@ -146,12 +144,6 @@ def _constrained_search(adj: List[int], p: int, reach: int, parts: Sequence[Sequ
     return run_nested_search(plan, ledger, seed=seed, phase=phase).found
 
 
-def _charge_search(ledger: CostLedger, phase: str, costs: Costs,
-                   params: QuantumCostParams) -> None:
-    """Charge a search from its cost triple alone, as a full run charges it."""
-    ledger.charge(phase, "clique", "quantum", nested_cost_predict(*costs, params))
-
-
 # ---------------------------------------------------------------------------
 # triangle detection in ~n^(1/5) rounds
 # ---------------------------------------------------------------------------
@@ -200,7 +192,7 @@ def triangle_cost_only(
     n: int, m: int, ledger: CostLedger, params: QuantumCostParams = DEFAULT_PARAMS
 ) -> None:
     _charge_triangle_warmup(n, m, ledger)
-    _charge_search(ledger, "triangle/search", _triangle_costs(n, m), params)
+    charge_search(ledger, _triangle_costs(n, m), params, "clique", "triangle/search")
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +229,7 @@ def plus1_cost_only(
     params: QuantumCostParams = DEFAULT_PARAMS,
 ) -> None:
     charge_listing(n, m, p, ledger)
-    _charge_search(ledger, "plus1/search", _plus1_costs(n, m, p), params)
+    charge_search(ledger, _plus1_costs(n, m, p), params, "clique", "plus1/search")
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +275,7 @@ def nested_cost_only(
 ) -> None:
     _require("nested", n, p, t)
     charge_listing(n, m, p, ledger)
-    _charge_search(ledger, "nested/search", _nested_costs(n, m, p, t), params)
+    charge_search(ledger, _nested_costs(n, m, p, t), params, "clique", "nested/search")
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +323,7 @@ def blackbox_cost_only(
     params: QuantumCostParams = DEFAULT_PARAMS,
     packing: bool = True,
 ) -> None:
-    _charge_search(ledger, "blackbox/search", _blackbox_costs(n, t, packing), params)
+    charge_search(ledger, _blackbox_costs(n, t, packing), params, "clique", "blackbox/search")
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +409,7 @@ def sparse_cost_only(
     params: QuantumCostParams = DEFAULT_PARAMS,
 ) -> None:
     """Analytic extension-search rounds, mu-scaled: ~ mu^(1-1/2^t)."""
-    _charge_search(ledger, "sparse/search", _sparse_costs(n, m, t), params)
+    charge_search(ledger, _sparse_costs(n, m, t), params, "clique", "sparse/search")
 
 
 # ---------------------------------------------------------------------------

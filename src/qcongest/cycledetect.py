@@ -14,10 +14,12 @@ _stage_search over its source sets: every node for odd cycles, each heavy
 node, then each light index class.  A query runs the colour BFS from one
 source set and reports to the leader; _query_rounds prices it at
 reps * (1 + (floor(len/2)-1) * M) plus an eccentricity-long convergecast.
-Full runs price it at the measured eccentricity and M; cost-only runs at
-eccentricity 1 and M = 1.  The ledger also counts the queries run and the
-queries whose candidate cycles were truncated, capped or dropped for
-congestion (CostLedger.counts).
+Full runs price it at the measured eccentricity and M; cycle_cost_only,
+the cost-only entry of both parities, at eccentricity 1 and M = 1, and
+charges each stage's triple ([domain], [], query) via charge_search.  Both
+detectors and cycle_cost_only refuse exactly the lengths inapplicable()
+refuses.  The ledger also counts the queries run and the queries whose
+candidate cycles were truncated, capped or dropped for congestion.
 
 Two engines compute the same detection event:
 
@@ -90,7 +92,6 @@ class EvenCycleParams:
     k: int
     delta: Fraction = None  # type: ignore[assignment]
     alpha: Fraction = None  # type: ignore[assignment]
-    prune_const: int = None  # type: ignore[assignment]
     a_cong: int = 4
 
     def __post_init__(self):
@@ -102,8 +103,6 @@ class EvenCycleParams:
             object.__setattr__(
                 self, "alpha", Fraction(1, self.k) + (self.k - 2) * self.delta
             )
-        if self.prune_const is None:
-            object.__setattr__(self, "prune_const", 100 * self.k)
         if not 0 <= self.delta < 1:
             raise ValueError("delta must be in [0,1)")
         if not 0 < self.alpha <= 1:
@@ -126,15 +125,6 @@ def single_rep_success(ell: int) -> Fraction:
     if ell < 3:
         raise ValueError("ell must be >= 3")
     return Fraction(2, ell**ell)
-
-
-def _canonical_cycle(cyc: Sequence[int]) -> Tuple[int, ...]:
-    """Rotation/reflection-invariant representative of a cycle sequence."""
-    ell = len(cyc)
-    i = min(range(ell), key=lambda j: cyc[j])
-    fwd = tuple(cyc[(i + j) % ell] for j in range(ell))
-    bwd = tuple(cyc[(i - j) % ell] for j in range(ell))
-    return min(fwd, bwd)
 
 
 def repetitions_for(p_success: Fraction, failure_target: float) -> int:
@@ -308,7 +298,9 @@ def _qualifying_patterns(
 
     `core` is a mask of active nodes that holds every cycle of the active
     subgraph, such as its 2-core; the enumeration runs inside it.  Without
-    it, the enumeration runs over the whole active set.  Congestion is
+    it, the enumeration runs over the whole active set.  Sources enumerate
+    in id order, and each leaves the mask once done, so a cycle is
+    enumerated once, through its smallest source.  Congestion is
     measured only when there are more than M sources: m(v) <= |sources|,
     so with at most M sources no cycle is dropped.  The counters hit name
     how the patterns were cut short: `congestion_dropped` when a cycle was
@@ -324,16 +316,10 @@ def _qualifying_patterns(
                   if len(cfg.sources) > cfg.congestion_bound else None)
     out: List[Tuple[Tuple[int, ...], int]] = []
     hits: Set[str] = set()
-    seen: Set[Tuple[int, ...]] = set()
     for src in sorted(cfg.sources):
         try:
             for cyc in iter_cycles(graph, ell, active_mask=core,
                                    through=src, limit=CYCLE_ENUM_LIMIT):
-                # distinct cycles may share a node set; canonicalize the sequence
-                canon = _canonical_cycle(cyc)
-                if canon in seen:
-                    continue
-                seen.add(canon)
                 if congestion is not None and any(
                         congestion[v] > cfg.congestion_bound for v in cyc):
                     hits.add("congestion_dropped")
@@ -351,6 +337,7 @@ def _qualifying_patterns(
             # keep the cycles gathered so far: sampling over a subset of the
             # detection events stays sound, only completeness is understated
             hits.add("enumeration_truncated")
+        core &= ~(1 << src)  # later sources skip the cycles through src
         if len(out) >= _PATTERN_CAP:
             hits.add("pattern_capped")
             break
@@ -430,6 +417,23 @@ def _protocol_found(graph: Graph, cfg: ColorBfsConfig, seed_parts: Tuple) -> boo
 # ---------------------------------------------------------------------------
 
 
+def inapplicable(n: int, ell: int) -> Optional[str]:
+    """Why no detector here looks for a C_ell on n nodes, or None if one does:
+    the colour BFS needs floor(ell/2) - 1 >= 1 phases, so ell >= 4 even or
+    ell >= 5 odd, and a cycle has at most n nodes."""
+    if ell < 4 or (ell % 2 and ell < 5):
+        return f"ell must be even and >= 4, or odd and >= 5, got {ell}"
+    if ell > n:
+        return f"ell = {ell} exceeds n = {n}"
+    return None
+
+
+def _require(n: int, ell: int) -> None:
+    reason = inapplicable(n, ell)
+    if reason:
+        raise ValueError(reason)
+
+
 def _check_engine(engine: str) -> None:
     if engine not in ("event", "protocol"):
         raise ValueError(f"unknown engine {engine!r}")
@@ -505,23 +509,12 @@ def detect_odd_cycle(
     if ell % 2 == 0:
         raise ValueError("even length: use detect_even_cycle")
     _check_engine(engine)
-    if not 5 <= ell <= graph.n:
-        raise ValueError(f"need 5 <= ell <= n, got ell={ell}, n={graph.n}")
+    _require(graph.n, ell)
     n = graph.n
     shared = ColorBfsConfig(ell, frozenset(range(n)), frozenset(),
                             repetitions=odd_cycle_repetitions(n, ell))
     return _stage_search(CongestNet(graph), [(frozenset({v}), v) for v in range(n)],
                          shared, "odd", "odd-cycle/search", ledger, seed, params, engine)
-
-
-def odd_cycle_cost_only(
-    n: int,
-    ell: int,
-    ledger: CostLedger,
-    params: QuantumCostParams = DEFAULT_PARAMS,
-) -> None:
-    query_rounds = _query_rounds(ell, odd_cycle_repetitions(n, ell), 1, 1)
-    charge_search(ledger, n, query_rounds, params, "congest", "odd-cycle/search")
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +575,20 @@ def even_cycle_repetitions(two_k: int) -> int:
     return repetitions_for(single_rep_success(two_k), 0.01)
 
 
+def _even_params(two_k: int, ec_params: Optional[EvenCycleParams]) -> EvenCycleParams:
+    """ec_params, or the defaults for k = two_k / 2; a k that disagrees raises."""
+    ecp = ec_params if ec_params is not None else EvenCycleParams(k=two_k // 2)
+    if ecp.k != two_k // 2:
+        raise ValueError("EvenCycleParams.k disagrees with two_k")
+    return ecp
+
+
+def _prune_fires(n: int, m: int, k: int) -> bool:
+    """The edge prune: more than 100k * n^(1+1/k) edges force a C_{2k}
+    (Bondy-Simonovits: ex(n, C_{2k}) = O(k n^(1+1/k)))."""
+    return m > 100 * k * ceil_pow(n, 1 + Fraction(1, k))
+
+
 def detect_even_cycle(
     graph: Graph,
     two_k: int,
@@ -599,19 +606,16 @@ def detect_even_cycle(
     if two_k % 2 == 1:
         raise ValueError("odd length: use detect_odd_cycle")
     _check_engine(engine)
-    if not 4 <= two_k <= graph.n:
-        raise ValueError(f"need 4 <= two_k <= n, got {two_k}, n={graph.n}")
+    _require(graph.n, two_k)
     k = two_k // 2
-    ecp = ec_params if ec_params is not None else EvenCycleParams(k=k)
-    if ecp.k != k:
-        raise ValueError("EvenCycleParams.k disagrees with two_k")
+    ecp = _even_params(two_k, ec_params)
     n = graph.n
     net = CongestNet(graph)
     reps = even_cycle_repetitions(two_k)
 
     # stage 1: the leader counts edges; too many for C_{2k}-freeness -> yes
-    ledger.charge("even-cycle/prune", "congest", "converge", net.converge_cost(net.capacity))
-    if graph.m > ecp.prune_const * ceil_pow(n, 1 + Fraction(1, k)):
+    ledger.charge("even-cycle/prune", "congest", "converge", net.eccentricity)
+    if _prune_fires(n, graph.m, k):
         return True
 
     # stage 2: heavy cycles (single-source queries over the measured heavy set)
@@ -641,37 +645,41 @@ def detect_even_cycle(
     return heavy_found or light_found
 
 
-def even_cycle_cost_only(
+def cycle_cost_only(
     n: int,
     m: int,
-    two_k: int,
+    ell: int,
     ledger: CostLedger,
     params: QuantumCostParams = DEFAULT_PARAMS,
     ec_params: Optional[EvenCycleParams] = None,
 ) -> Optional[bool]:
-    """Charge the even-cycle stages from analytic sizes.
+    """Charge what the detector of ell's parity charges, from n and m alone.
 
-    Where full runs measure, this takes the analytic value: the heavy-set
-    size is the extremal bound n^(1 - 1/k - delta); every convergecast
-    crosses eccentricity 1 (the prune's one word included); the light
-    phase runs at its expected congestion M = 1 (the index partition is
-    sized to make expected congestion constant); and the forest
-    decomposition peels all _forest_layers(n) layers.
-    Returns True when the edge prune alone decides, else None.
+    A length inapplicable() refuses, or an ec_params whose k is not ell/2,
+    raises ValueError, as in a full run; odd ell reads no ec_params.  Where
+    full runs measure, this takes the analytic value: every convergecast
+    (the prune's one word included) crosses eccentricity 1, queries run at
+    M = 1 (the light index partition is sized to make expected congestion
+    constant), the heavy set has the extremal size n^(1 - 1/k - delta), and
+    the forest decomposition peels all _forest_layers(n) layers.  True when
+    the edge prune decides, else None.
     """
-    k = two_k // 2
-    if two_k % 2 or k < 2:
-        raise ValueError("two_k must be even and >= 4")
-    ecp = ec_params if ec_params is not None else EvenCycleParams(k=k)
-    query_rounds = _query_rounds(two_k, even_cycle_repetitions(two_k), 1, 1)
+    _require(n, ell)
+    if ell % 2:
+        query_rounds = _query_rounds(ell, odd_cycle_repetitions(n, ell), 1, 1)
+        charge_search(ledger, ([n], [], query_rounds), params, "congest", "odd-cycle/search")
+        return None
+    k = ell // 2
+    ecp = _even_params(ell, ec_params)
+    query_rounds = _query_rounds(ell, even_cycle_repetitions(ell), 1, 1)
     ledger.charge("even-cycle/prune", "congest", "converge", 1)
-    if m > ecp.prune_const * ceil_pow(n, 1 + Fraction(1, k)):
+    if _prune_fires(n, m, k):
         return True
     heavy_domain = max(1, ceil_pow(n, 1 - Fraction(1, k) - ecp.delta))
-    charge_search(ledger, heavy_domain, query_rounds, params, "congest",
+    charge_search(ledger, ([heavy_domain], [], query_rounds), params, "congest",
                   "even-cycle/heavy-search")
     ledger.charge("forest-decomposition", "congest", "route", _forest_layers(n))
     light_domain = max(1, ceil_pow(n, ecp.alpha))
-    charge_search(ledger, light_domain, query_rounds, params, "congest",
+    charge_search(ledger, ([light_domain], [], query_rounds), params, "congest",
                   "even-cycle/light-search")
     return None

@@ -132,9 +132,6 @@ class CliqueSet:
     def __len__(self) -> int:
         return len(self.members)
 
-    def nonempty(self) -> bool:
-        return bool(self.members)
-
 
 def generate(spec: GenSpec) -> Graph:
     """Build the graph described by `spec`; a pure function of the spec."""

@@ -22,8 +22,6 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
-from .intmath import ceil_div
-
 KINDS = ("route", "broadcast", "converge", "quantum", "local")
 MODELS = ("clique", "congest")
 
@@ -76,23 +74,21 @@ class CostLedger:
 class CongestNet:
     """CONGEST instance: messages travel only along graph edges.
 
-    The leader is node 0 by convention; aggregation happens along a
-    precomputed BFS tree of the leader's component.
+    The leader is node 0 by convention; aggregation happens along a BFS
+    tree of the leader's component.  dist[v] is v's hop distance from the
+    leader (-1 outside its component), and a one-word convergecast takes
+    eccentricity rounds.
     """
 
     def __init__(self, graph) -> None:
         self.graph = graph
-        self.n = graph.n
-        self.capacity = word_capacity(graph.n)
-        self.leader = 0
         self.dist = self._bfs_from_leader()
-        reach = [d for d in self.dist if d >= 0]
-        self.eccentricity = max(reach) if reach else 0
+        self.eccentricity = max(self.dist)
 
     def _bfs_from_leader(self) -> List[int]:
-        dist = [-1] * self.n
-        dist[self.leader] = 0
-        q = deque([self.leader])
+        dist = [-1] * self.graph.n
+        dist[0] = 0
+        q = deque([0])
         while q:
             v = q.popleft()
             for u in self.graph.neighbors(v):
@@ -101,20 +97,12 @@ class CongestNet:
                     q.append(u)
         return dist
 
-    def reachable(self, v: int) -> bool:
-        return self.dist[v] >= 0
-
     def require_reachable(self, nodes: Iterable[int]) -> None:
-        bad = [v for v in nodes if not self.reachable(v)]
+        bad = [v for v in nodes if self.dist[v] < 0]
         if bad:
             raise RuntimeError(
                 f"leader cannot aggregate: nodes {bad} are disconnected from node 0"
             )
-
-    def converge_cost(self, bits_per_node: int) -> int:
-        if bits_per_node <= 0:
-            return 0
-        return self.eccentricity * ceil_div(bits_per_node, self.capacity)
 
 
 def congest_step(

@@ -11,7 +11,11 @@ search, so both enumerate, check cost homogeneity and inject failures the
 same way.
 
 Cost and answer are fully separated: which element is marked never changes
-the rounds charged.
+the rounds charged.  A search's price is a function of its cost triple
+(level sizes, setup rounds, check rounds) alone, and charge_search charges
+that price: a full search charges the triple it measured, and a cost-only
+run the triple its closed form predicts (one level without setups is the
+flat grover_cost).
 """
 
 from __future__ import annotations
@@ -56,6 +60,8 @@ DEFAULT_PARAMS = QuantumCostParams()
 Checker = Callable[[int], Tuple[bool, int]]
 TupleChecker = Callable[[Tuple[int, ...]], Tuple[bool, int]]
 Setup = Callable[[Tuple[int, ...]], int]
+# (level domain sizes, setup rounds s_1..s_{k-1} or s_1..s_k, check rounds)
+Costs = Tuple[List[int], List[int], int]
 
 
 @dataclass(frozen=True)
@@ -123,13 +129,13 @@ def nested_cost_predict(
 
 def charge_search(
     ledger: CostLedger,
-    domain_size: int,
-    query_rounds: int,
+    costs: Costs,
     params: QuantumCostParams,
     model: str,
     phase: str,
 ) -> int:
-    rounds = grover_cost(domain_size, query_rounds, params)
+    """Charge a search from its cost triple alone, as a full run charges it."""
+    rounds = nested_cost_predict(*costs, params)
     ledger.charge(phase, model, "quantum", rounds)
     return rounds
 
@@ -228,10 +234,9 @@ def _search(
 
     found = descend(0, ())
     del descend  # it refers to itself; freeing it here keeps searches out of the cyclic GC
-    sizes = [lv.domain_size for lv in plan.levels]
-    costs = [c or 0 for c in setup_costs]
-    charged = nested_cost_predict(sizes, costs, check_cost or 0, plan.params)
-    ledger.charge(phase, model, "quantum", charged)
+    costs = ([lv.domain_size for lv in plan.levels], [c or 0 for c in setup_costs],
+             check_cost or 0)
+    charged = charge_search(ledger, costs, plan.params, model, phase)
     ledger.counts["queries"] += queries
     if found and plan.params.fail_prob > 0.0:
         rng = random.Random(_derive_seed(seed, "search-fail"))

@@ -20,9 +20,9 @@ from qcongest.cliquedetect import (
 from qcongest.cliquelist import list_kp
 from qcongest.cycledetect import (
     ColorBfsConfig,
+    cycle_cost_only,
     detect_even_cycle,
     detect_odd_cycle,
-    even_cycle_cost_only,
     protocol_detect_once,
 )
 from qcongest.graph import GenSpec, generate, oracle_cliques, oracle_has_clique
@@ -265,7 +265,7 @@ def test_criterion_10_c4_exponent():
     ys = []
     for n in SWEEP_NS:
         led = CostLedger()
-        even_cycle_cost_only(n, n, 4, led)
+        cycle_cost_only(n, n, 4, led)
         ys.append(led.total())
     slope = fit_slope(SWEEP_NS, ys)
     report("criterion 10: C4 detection exponent in [0.19, 0.31]",

@@ -62,6 +62,15 @@ USAGE_ERRORS = [
     ["sweep", "--algo", "plus1", "--p", "2", "--n-list", "64"],
     ["sweep", "--algo", "plus1", "--t", "3", "--n-list", "64"],
     ["sweep", "--algo", "triangle15", "--p", "5", "--t", "2", "--n-list", "64"],
+    # plan flags that the sweep's run would not read
+    ["sweep", "--mode", "full", "--algo", "nested", "--p", "3", "--t", "2", "--n-list", "40"],
+    ["sweep", "--algo", "nested", "--q", "6", "--n-list", "64"],
+    ["sweep", "--algo", "plus1", "--ell", "2", "--n-list", "64"],
+    ["sweep", "--algo", "even-cycle", "--t", "2", "--n-list", "64"],
+    # lengths that cycledetect.inapplicable refuses
+    ["detect-cycle", "--ell", "0", "--gen", "planted_cycle,8,0.0,5,1"],
+    ["sweep", "--algo", "even-cycle", "--ell", "0", "--n-list", "64"],
+    ["sweep", "--algo", "odd-cycle", "--mode", "full", "--ell", "3", "--n-list", "16"],
     # --gen specs that generate cannot build
     ["detect-clique", "--gen", "gnp,-1,0.5,0,1", "--q", "3"],
     ["detect-cycle", "--gen", "cycle,2,0,0,0", "--ell", "4"],
@@ -137,6 +146,18 @@ class TestCommands:
     def test_list_of_the_empty_graph(self, capsys):
         assert main(["list", "--gen", "empty,0,0,0,0", "--p", "3"]) == 0
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", [["gen", "--out", "g.txt"], ["list", "--p", "3"]])
+    @pytest.mark.parametrize("flag", [["--seed", "1"], ["--c-grover", "2"], ["--reps", "7"],
+                                      ["--fail-prob", "0.5"], ["--packing", "off"]])
+    def test_gen_and_list_take_no_search_flags(self, tmp_path, monkeypatch, capsys,
+                                               command, flag):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:  # argparse's own usage error
+            main([*command, "--gen", "gnp,10,0.5,0,1", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "g.txt").exists()
 
     def test_sweep_monotone_and_fit(self, tmp_path, capsys):
         out = tmp_path / "tri.csv"

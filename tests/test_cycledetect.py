@@ -11,21 +11,22 @@ from qcongest.cli import fit_slope
 from qcongest.cycledetect import (
     ColorBfsConfig,
     EvenCycleParams,
+    _qualifying_patterns,
     _stage_search,
     color_bfs_rep_rounds,
+    cycle_cost_only,
     detect_even_cycle,
     detect_odd_cycle,
-    even_cycle_cost_only,
     event_detect_once,
     forest_decomposition,
+    inapplicable,
     measure_congestion,
-    odd_cycle_cost_only,
     odd_cycle_repetitions,
     protocol_detect_once,
     repetitions_for,
     single_rep_success,
 )
-from qcongest.graph import GenSpec, Graph, generate, oracle_has_cycle, two_core
+from qcongest.graph import GenSpec, Graph, generate, iter_cycles, oracle_has_cycle, two_core
 from qcongest.netsim import CongestNet, CostLedger, word_capacity
 from qcongest.qsearch import DEFAULT_PARAMS, grover_cost
 
@@ -156,7 +157,7 @@ class TestColorBfs:
         led = CostLedger()
         stage_found(g, cfg, 2, "event", led)
         # one query: the search charges exactly its price
-        assert led.total() == 7 * color_bfs_rep_rounds(6, 3) + net.converge_cost(1)
+        assert led.total() == 7 * color_bfs_rep_rounds(6, 3) + net.eccentricity
 
     def test_c6_amplified_detection_rate(self):
         g = cycle_graph(6)
@@ -268,7 +269,7 @@ class TestDetectOddCycle:
         led = CostLedger()
         detect_odd_cycle(g, 5, led, seed=3)
         reps = odd_cycle_repetitions(24, 5)
-        query = reps * color_bfs_rep_rounds(5, 1) + net.converge_cost(1)
+        query = reps * color_bfs_rep_rounds(5, 1) + net.eccentricity
         assert led.total() == grover_cost(24, query)
 
 
@@ -310,7 +311,7 @@ class TestDetectEvenCycle:
     def test_prune_path_cost_only(self):
         led = CostLedger()
         # synthetic m beyond the extremal bound: immediate yes at 1 round
-        got = even_cycle_cost_only(64, 10**9, 4, led)
+        got = cycle_cost_only(64, 10**9, 4, led)
         assert got is True
         assert led.total() == 1
 
@@ -318,7 +319,7 @@ class TestDetectEvenCycle:
         g = generate(GenSpec(kind="gnp", n=64, edge_prob=0.9, seed=1))
         assert g.m <= 100 * 2 * 64 ** 1.5
         led = CostLedger()
-        got = even_cycle_cost_only(g.n, g.m, 4, led)
+        got = cycle_cost_only(g.n, g.m, 4, led)
         assert got is None
 
     def test_cost_only_slope_k2(self):
@@ -326,14 +327,14 @@ class TestDetectEvenCycle:
         ys = []
         for n in ns:
             led = CostLedger()
-            even_cycle_cost_only(n, n, 4, led)
+            cycle_cost_only(n, n, 4, led)
             ys.append(led.total())
         slope = fit_slope(ns, ys)
         assert 0.19 <= slope <= 0.31
 
     def test_odd_cost_only_charges(self):
         led = CostLedger()
-        odd_cycle_cost_only(1024, 5, led)
+        cycle_cost_only(1024, 1024, 5, led)
         assert led.total() == grover_cost(
             1024, odd_cycle_repetitions(1024, 5) * color_bfs_rep_rounds(5, 1) + 1
         )
@@ -385,7 +386,7 @@ class TestNonPlantedAgreement:
     @staticmethod
     def _connected(g):
         net = CongestNet(g)
-        return all(net.reachable(v) for v in range(g.n))
+        return all(d >= 0 for d in net.dist)
 
     def test_even_c4_on_random_graphs(self):
         from qcongest.graph import oracle_has_cycle
@@ -505,7 +506,7 @@ class TestSingleQueryPrice:
             for ell in (5, 7):
                 full, cost_only = CostLedger(), CostLedger()
                 detect_odd_cycle(g, ell, full, seed=g.n)
-                odd_cycle_cost_only(g.n, ell, cost_only)
+                cycle_cost_only(g.n, g.m, ell, cost_only)
                 assert full.entries == cost_only.entries, (g.n, ell)
 
     def test_light_bound_is_a_cong_words(self):
@@ -659,3 +660,65 @@ class TestTruncationCounters:
         assert detect_odd_cycle(g, 5, ledger, seed=0)
         assert ledger.counts["enumeration_truncated"] >= 1
         assert ledger.counts["enumeration_truncated"] <= ledger.counts["queries"]
+
+
+class TestLengthRule:
+    """One rule says which lengths the detectors and cycle_cost_only take."""
+
+    def test_callers_raise_exactly_when_refused(self):
+        for n in range(1, 13):
+            g = Graph(n, [])
+            for ell in range(3, 15):
+                refused = inapplicable(n, ell) is not None
+                assert refused == (ell > n or ell < (5 if ell % 2 else 4)), (n, ell)
+                detect = detect_odd_cycle if ell % 2 else detect_even_cycle
+                for run in (lambda led: detect(g, ell, led),
+                            lambda led: cycle_cost_only(n, 0, ell, led)):
+                    led = CostLedger()
+                    if refused:
+                        with pytest.raises(ValueError):
+                            run(led)
+                        assert led.entries == [], (n, ell)
+                    else:
+                        run(led)
+                        assert led.entries, (n, ell)
+
+    def test_even_params_must_match_the_length(self):
+        g, wrong = cycle_graph(6, n=12), EvenCycleParams(k=2)
+        for run in (lambda led: detect_even_cycle(g, 6, led, ec_params=wrong),
+                    lambda led: cycle_cost_only(12, 12, 6, led, ec_params=wrong)):
+            led = CostLedger()
+            with pytest.raises(ValueError, match="disagrees"):
+                run(led)
+            assert led.entries == []
+
+
+class TestPatternDedupe:
+    """Each cycle through a source is a candidate once, whatever the sources."""
+
+    @staticmethod
+    def canonical(cyc):
+        ell = len(cyc)
+        i = cyc.index(min(cyc))
+        fwd = tuple(cyc[(i + j) % ell] for j in range(ell))
+        bwd = tuple(cyc[(i - j) % ell] for j in range(ell))
+        return min(fwd, bwd)
+
+    def test_each_cycle_once_and_every_cycle_covered(self):
+        graphs = ([generate(GenSpec(kind="complete", n=n)) for n in (6, 7, 8)]
+                  + [generate(GenSpec(kind="gnp", n=12, edge_prob=0.4, seed=s))
+                     for s in range(3)])
+        for g in graphs:
+            for ell in (4, 5, 6):
+                for sources in ([0, 1], [1, 3, 4], [0, 2, 5]):
+                    cfg = all_active_cfg(g, ell, sources=sources, m=len(sources))
+                    patterns, hits = _qualifying_patterns(g, cfg)
+                    assert hits == set()
+                    cycles = list(dict.fromkeys(cyc for cyc, _ in patterns))
+                    canon = [self.canonical(cyc) for cyc in cycles]
+                    assert len(set(canon)) == len(canon), (g.n, g.m, ell, sources)
+                    brute = {self.canonical(cyc) for cyc in iter_cycles(g, ell)
+                             if set(cyc) & set(sources)}
+                    assert set(canon) == brute, (g.n, g.m, ell, sources)
+                    # no heights: every source on a cycle anchors it once
+                    assert len(patterns) == sum(len(set(c) & set(sources)) for c in brute)

@@ -34,15 +34,14 @@ class TestLedger:
 
 class TestConverge:
     def test_congest_path(self):
+        # a one-word convergecast crosses the leader's eccentricity
         net = CongestNet(generate(GenSpec(kind="path", n=5)))
-        assert net.converge_cost(1) == 4
-        # words of capacity ceil(log2 5) = 3 bits, one per hop per round
-        assert net.converge_cost(net.capacity + 1) == 8
-        assert net.converge_cost(0) == 0
+        assert net.eccentricity == 4
+        assert net.dist == [0, 1, 2, 3, 4]
 
     def test_congest_star(self):
         net = CongestNet(Graph(5, [(0, i) for i in range(1, 5)]))
-        assert net.converge_cost(1) == 1
+        assert net.eccentricity == 1
 
     def test_disconnected_reporting_errors(self):
         net = CongestNet(Graph(4, [(0, 1)]))
