@@ -575,14 +575,6 @@ def even_cycle_repetitions(two_k: int) -> int:
     return repetitions_for(single_rep_success(two_k), 0.01)
 
 
-def _even_params(two_k: int, ec_params: Optional[EvenCycleParams]) -> EvenCycleParams:
-    """ec_params, or the defaults for k = two_k / 2; a k that disagrees raises."""
-    ecp = ec_params if ec_params is not None else EvenCycleParams(k=two_k // 2)
-    if ecp.k != two_k // 2:
-        raise ValueError("EvenCycleParams.k disagrees with two_k")
-    return ecp
-
-
 def _prune_fires(n: int, m: int, k: int) -> bool:
     """The edge prune: more than 100k * n^(1+1/k) edges force a C_{2k}
     (Bondy-Simonovits: ex(n, C_{2k}) = O(k n^(1+1/k)))."""
@@ -608,7 +600,9 @@ def detect_even_cycle(
     _check_engine(engine)
     _require(graph.n, two_k)
     k = two_k // 2
-    ecp = _even_params(two_k, ec_params)
+    ecp = ec_params if ec_params is not None else EvenCycleParams(k=k)
+    if ecp.k != k:
+        raise ValueError("EvenCycleParams.k disagrees with two_k")
     n = graph.n
     net = CongestNet(graph)
     reps = even_cycle_repetitions(two_k)
@@ -651,18 +645,17 @@ def cycle_cost_only(
     ell: int,
     ledger: CostLedger,
     params: QuantumCostParams = DEFAULT_PARAMS,
-    ec_params: Optional[EvenCycleParams] = None,
 ) -> Optional[bool]:
     """Charge what the detector of ell's parity charges, from n and m alone.
 
-    A length inapplicable() refuses, or an ec_params whose k is not ell/2,
-    raises ValueError, as in a full run; odd ell reads no ec_params.  Where
-    full runs measure, this takes the analytic value: every convergecast
-    (the prune's one word included) crosses eccentricity 1, queries run at
-    M = 1 (the light index partition is sized to make expected congestion
-    constant), the heavy set has the extremal size n^(1 - 1/k - delta), and
-    the forest decomposition peels all _forest_layers(n) layers.  True when
-    the edge prune decides, else None.
+    A length inapplicable() refuses raises ValueError, as in a full run;
+    even ell takes the default EvenCycleParams.  Where full runs measure,
+    this takes the analytic value: every convergecast (the prune's one word
+    included) crosses eccentricity 1, queries run at M = 1 (the light index
+    partition is sized to make expected congestion constant), the heavy set
+    has the extremal size n^(1 - 1/k - delta), and the forest decomposition
+    peels all _forest_layers(n) layers.  True when the edge prune decides,
+    else None.
     """
     _require(n, ell)
     if ell % 2:
@@ -670,7 +663,7 @@ def cycle_cost_only(
         charge_search(ledger, ([n], [], query_rounds), params, "congest", "odd-cycle/search")
         return None
     k = ell // 2
-    ecp = _even_params(ell, ec_params)
+    ecp = EvenCycleParams(k=k)
     query_rounds = _query_rounds(ell, even_cycle_repetitions(ell), 1, 1)
     ledger.charge("even-cycle/prune", "congest", "converge", 1)
     if _prune_fires(n, m, k):

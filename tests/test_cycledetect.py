@@ -684,13 +684,10 @@ class TestLengthRule:
                         assert led.entries, (n, ell)
 
     def test_even_params_must_match_the_length(self):
-        g, wrong = cycle_graph(6, n=12), EvenCycleParams(k=2)
-        for run in (lambda led: detect_even_cycle(g, 6, led, ec_params=wrong),
-                    lambda led: cycle_cost_only(12, 12, 6, led, ec_params=wrong)):
-            led = CostLedger()
-            with pytest.raises(ValueError, match="disagrees"):
-                run(led)
-            assert led.entries == []
+        led = CostLedger()
+        with pytest.raises(ValueError, match="disagrees"):
+            detect_even_cycle(cycle_graph(6, n=12), 6, led, ec_params=EvenCycleParams(k=2))
+        assert led.entries == []
 
 
 class TestPatternDedupe:
@@ -722,3 +719,25 @@ class TestPatternDedupe:
                     assert set(canon) == brute, (g.n, g.m, ell, sources)
                     # no heights: every source on a cycle anchors it once
                     assert len(patterns) == sum(len(set(c) & set(sources)) for c in brute)
+
+    def test_each_source_counts_only_the_cycles_it_enumerates(self, monkeypatch):
+        # a source's CYCLE_ENUM_LIMIT counts the cycles whose smallest source
+        # it is; on K7 with C4 and limit 10, sources 0..2 (60, 30 and 12 such
+        # cycles) are cut short and source 3 (3 such, 60 through it) is not
+        from qcongest import cycledetect
+
+        monkeypatch.setattr(cycledetect, "CYCLE_ENUM_LIMIT", 10)
+        g, ell, sources = generate(GenSpec(kind="complete", n=7)), 4, [0, 1, 2, 3]
+        patterns, hits = _qualifying_patterns(g, all_active_cfg(g, ell, sources=sources,
+                                                                m=len(sources)))
+        assert hits == {"enumeration_truncated"}
+        cycles = list(dict.fromkeys(cyc for cyc, _ in patterns))
+        canon = [self.canonical(cyc) for cyc in cycles]
+        assert len(set(canon)) == len(canon)
+        for cyc, pos in patterns:
+            assert len(set(cyc)) == ell and cyc[pos] in sources
+            assert all(g.has_edge(cyc[i], cyc[(i + 1) % ell]) for i in range(ell))
+        owned = [sum(min(set(c) & set(sources)) == s for c in iter_cycles(g, ell))
+                 for s in sources]
+        assert owned == [60, 30, 12, 3]
+        assert len(cycles) == sum(min(c, 10) for c in owned)
