@@ -129,7 +129,7 @@ def _params_text(args: argparse.Namespace, **extra) -> str:
     bits = [f"{key}={val}" for key, val in extra.items()]
     bits.append(f"cg={args.c_grover}")
     bits.append(f"reps={args.reps}")
-    bits.append(f"fp={args.fail_prob:g}")
+    bits.append(f"fp={args.params.fail_prob:g}")
     bits.append(f"packing={args.packing}")
     return ";".join(bits)
 
@@ -262,19 +262,19 @@ def _sweep_pairs(args: argparse.Namespace) -> List[Tuple[int, int]]:
 def run_sweep(args: argparse.Namespace) -> int:
     cycle = args.algo in ("odd-cycle", "even-cycle")
     full = args.mode == "full"
-    # the plan flags each kind of sweep reads: a flag it would ignore is refused
+    # the flags each kind of sweep reads: a flag it would ignore is refused
     for flag, read in (("p", not (cycle or full)), ("t", not (cycle or full)),
-                       ("q", full and not cycle), ("ell", cycle)):
+                       ("q", full and not cycle), ("ell", cycle), ("m_list", not full),
+                       ("edge_prob", full), ("fail_prob", full)):
         if getattr(args, flag) is not None and not read:
-            raise UsageError(f"a {args.mode} {args.algo} sweep takes no --{flag}")
+            raise UsageError(f"a {args.mode} {args.algo} sweep takes no "
+                             f"--{flag.replace('_', '-')}")
     if cycle and args.ell is not None \
             and args.algo != ("odd-cycle" if args.ell % 2 else "even-cycle"):
         parity = args.algo.split("-")[0]
         raise UsageError(f"--algo {args.algo} needs an {parity} --ell, got {args.ell}")
     if not args.n_list:
         raise UsageError("sweep needs --n-list")
-    if full and args.m_list:
-        raise UsageError("full-mode sweeps draw G(n, --edge-prob) and take no --m-list")
     params = args.params
     ell = args.ell if args.ell is not None else (5 if args.algo == "odd-cycle" else 4)
     rows: List[ResultRow] = []
@@ -300,9 +300,9 @@ def run_sweep(args: argparse.Namespace) -> int:
                 algo = "degenerate"
             rows.append(ResultRow.from_ledger(n, m, algo, ptext, ledger, found, args.seed))
     else:
+        prob = 0.5 if args.edge_prob is None else args.edge_prob
         for n in args.n_list:
-            graph = generate(GenSpec(kind="gnp", n=n, edge_prob=args.edge_prob,
-                                     seed=args.seed))
+            graph = generate(GenSpec(kind="gnp", n=n, edge_prob=prob, seed=args.seed))
             if cycle:
                 rows.append(cycle_row(args, graph, ell, args.seed))
             else:
@@ -405,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=0)
             p.add_argument("--c-grover", default="1")
             p.add_argument("--reps", type=int, default=1)
-            p.add_argument("--fail-prob", type=float, default=0.0)
+            p.add_argument("--fail-prob", type=float)
             p.add_argument("--packing", choices=("on", "off"), default="on")
         p.add_argument("--out")
         p.add_argument("--json", action="store_true")
@@ -423,12 +423,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", required=True)
     p.add_argument("--mode", choices=("full", "cost-only"), default="cost-only")
     p.add_argument("--n-list", default="")
-    p.add_argument("--m-list", default="")
+    p.add_argument("--m-list")
     p.add_argument("--p", type=int)
     p.add_argument("--t", type=int)
     p.add_argument("--q", type=int)
     p.add_argument("--ell", type=int)
-    p.add_argument("--edge-prob", type=float, default=0.5)
+    p.add_argument("--edge-prob", type=float)
     p = command("verify", run_verify, "compare detection against the oracle",
                 graph_source=False)
     p.add_argument("--q", type=int)
@@ -454,18 +454,21 @@ def validate_args(args: argparse.Namespace) -> None:
         raise UsageError("--t must be >= 1")
     if flags.get("trials") is not None and args.trials < 1:
         raise UsageError("--trials must be >= 1")
+    if flags.get("edge_prob") is not None and not 0 <= args.edge_prob <= 1:
+        raise UsageError("--edge-prob must be in [0, 1]")
     if flags.get("gen"):
         args.gen = parse_gen_spec(args.gen)
     if "c_grover" in flags:
         args.c_grover = args.c_grover or "1"  # an empty --c-grover keeps the default
         try:
-            args.params = QuantumCostParams(c_grover=Fraction(args.c_grover),
-                                            reps=args.reps, fail_prob=args.fail_prob)
+            args.params = QuantumCostParams(c_grover=Fraction(args.c_grover), reps=args.reps,
+                                            fail_prob=args.fail_prob or 0.0)
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"bad --c-grover, --reps or --fail-prob: {exc}") from None
     if "n_list" in flags:
         args.n_list = _int_list(args.n_list)
-        args.m_list = _int_list(args.m_list)
+        if args.m_list is not None:
+            args.m_list = _int_list(args.m_list)
         if any(n < 1 for n in args.n_list):
             raise UsageError("--n-list entries must be >= 1")
 

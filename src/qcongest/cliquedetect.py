@@ -114,7 +114,7 @@ def _id_parts(n: int, sizes: Sequence[int]) -> List[List[int]]:
     return [[range_mask(r) for r in id_ranges(n, size)] for size in sizes]
 
 
-def _constrained_search(adj: List[int], p: int, reach: int, parts: Sequence[Sequence[int]],
+def _constrained_search(adj: Sequence[int], p: int, reach: int, parts: Sequence[Sequence[int]],
                         costs: Costs, ledger: CostLedger, seed: int,
                         params: QuantumCostParams, phase: str) -> bool:
     """Depth-t nested search, t = len(parts), over the part masks of each level.
@@ -182,9 +182,9 @@ def detect_triangle_quintic(
     """Shard V^3 over nodes, learn A_i x A_j, search Q_k in batches."""
     _require("triangle15", graph.n, 2, 1)
     _charge_triangle_warmup(graph.n, graph.m, ledger)
-    costs, adj = _triangle_costs(graph.n, graph.m), graph.adj_masks()
+    costs = _triangle_costs(graph.n, graph.m)
     parts = [_triangle_batches(graph.n, costs[0][0])]
-    return _constrained_search(adj, 2, triangle_nodes(adj), parts, costs, ledger, seed,
+    return _constrained_search(graph.adj, 2, triangle_nodes(graph.adj), parts, costs, ledger, seed,
                                params, "triangle/search")
 
 

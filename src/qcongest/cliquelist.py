@@ -40,7 +40,7 @@ from itertools import combinations_with_replacement
 from math import comb
 from typing import List, Optional, Sequence, Tuple
 
-from .graph import CliqueSet, Graph, _bits, density, triangle_nodes
+from .graph import CliqueSet, Graph, bits, density, triangle_nodes
 from .intmath import ceil_div, ceil_root, ceil_scaled_pow
 from .netsim import CostLedger
 
@@ -62,16 +62,16 @@ class TupleAssignment:
 class CliqueInventory:
     """The p-cliques of one graph, listed only when a view asks for them.
 
-    The inventory holds its graph's adjacency masks and p.  The detection
-    strategies never list: they ask reach() (and clique_reach) whether
-    constrained cliques exist.  The views (mask_list, union, dump) list
-    every p-clique once, on the first request, and keep the result: per
-    clique its member mask and its common mask, the nodes adjacent to
-    every member.  Each clique is owned by the owner of its group
-    signature under the list_kp partition.
+    The inventory shares its graph's adjacency tuple (Graph.adj) and holds
+    p.  The detection strategies never list: they ask reach() (and
+    clique_reach) whether constrained cliques exist.  The views (mask_list,
+    union, dump) list every p-clique once, on the first request, and keep
+    the result: per clique its member mask and its common mask, the nodes
+    adjacent to every member.  Each clique is owned by the owner of its
+    group signature under the list_kp partition.
     """
 
-    def __init__(self, adj: List[int], p: int):
+    def __init__(self, adj: Sequence[int], p: int):
         self.adj = adj
         self.p = p
         self.n = len(adj)
@@ -80,7 +80,7 @@ class CliqueInventory:
 
     def check_graph(self, graph: Graph) -> None:
         """Raise ValueError unless the inventory was made from this graph's edges."""
-        if self.adj != graph.adj_masks():
+        if self.adj != graph.adj:
             raise ValueError("the clique inventory belongs to another graph")
 
     def _listing(self) -> Tuple[List[int], List[int]]:
@@ -107,7 +107,7 @@ class CliqueInventory:
         return self._reach
 
     def union(self) -> CliqueSet:
-        return CliqueSet(p=self.p, members=frozenset(tuple(_bits(mask))
+        return CliqueSet(p=self.p, members=frozenset(tuple(bits(mask))
                                                      for mask in self._listing()[0]))
 
     def dump(self) -> str:
@@ -117,7 +117,7 @@ class CliqueInventory:
         size = len(ta.groups[0])  # group i holds nodes i*size .. (i+1)*size - 1
         rank = {ms: r for r, ms in enumerate(ta.multisets)}
         entries = sorted((ta.owner(rank[tuple(v // size for v in clique)]), clique)
-                         for clique in (tuple(_bits(mask)) for mask in self._listing()[0]))
+                         for clique in (tuple(bits(mask)) for mask in self._listing()[0]))
         return "".join(f"{owner}: " + " ".join(map(str, clique)) + "\n"
                        for owner, clique in entries)
 
@@ -167,11 +167,11 @@ def list_kp(graph: Graph, p: int, ledger: CostLedger) -> CliqueInventory:
     if p < 2:
         raise ValueError("p must be >= 2")
     charge_listing(graph.n, graph.m, p, ledger)
-    return CliqueInventory(graph.adj_masks(), p)
+    return CliqueInventory(graph.adj, p)
 
 
 def _list_cliques(
-    adj: List[int],
+    adj: Sequence[int],
     p: int,
     member_masks: List[int],
     commons: List[int],

@@ -44,16 +44,10 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 
 import numpy as np
 
-from .graph import CycleEnumerationLimit, Graph, iter_cycles, two_core
+from .graph import CycleEnumerationLimit, Graph, bits, iter_cycles, mask_of, two_core
 from .intmath import ceil_pow, ceil_scaled_pow
 from .netsim import CongestNet, CostLedger, congest_step, word_capacity
-from .qsearch import (
-    DEFAULT_PARAMS,
-    QuantumCostParams,
-    charge_search,
-    run_search,
-    _derive_seed,
-)
+from .qsearch import DEFAULT_PARAMS, QuantumCostParams, charge_search, derive_seed, run_search
 
 CYCLE_ENUM_LIMIT = 200_000
 _PATTERN_CAP = 4096  # anchored cycles per query; a subset is still sound
@@ -172,79 +166,72 @@ def protocol_detect_once(
     if not any(colors.get(v) == 0 for v in cfg.sources):
         return False
     m_bound = cfg.congestion_bound
-
-    def color(v: int) -> Optional[int]:
-        return colors.get(v) if v in cfg.active else None
+    adj = graph.adj
+    # by_colour[c]: the active nodes of colour c; a word's receivers are
+    # adj[sender] & by_colour[c], ascending, so every step's triples come
+    # senders ascending, then receivers ascending
+    by_colour = [0] * ell
+    for v in cfg.active:
+        c = colors.get(v)
+        if c is not None and 0 <= c < ell:
+            by_colour[c] |= 1 << v
 
     # received[v]: ids in arrival order; from_up/from_down: chain-tagged ids
-    # at the meeting color (even lengths only)
-    received: Dict[int, List[int]] = {v: [] for v in cfg.active}
-    from_up: Dict[int, Set[int]] = {v: set() for v in cfg.active}
-    from_down: Dict[int, Set[int]] = {v: set() for v in cfg.active}
+    # at the meeting color ell/2 (even lengths only), sent from ell/2 - 1
+    # and ell/2 + 1
+    received: Dict[int, List[int]] = {}
+    from_up: Dict[int, Set[int]] = {}
+    from_down: Dict[int, Set[int]] = {}
+    meet = by_colour[ell // 2] if ell % 2 == 0 else 0
+
+    def deliver(inbox: Dict[Tuple[int, int], object]) -> None:
+        # inbox keeps its outbox's order: (sender, receiver) ascending
+        for (u, v), word in inbox.items():
+            got = received.setdefault(v, [])
+            if word not in got:
+                got.append(word)
+            if meet >> v & 1:
+                if by_colour[ell // 2 - 1] >> u & 1:
+                    from_up.setdefault(v, set()).add(word)
+                elif by_colour[ell // 2 + 1] >> u & 1:
+                    from_down.setdefault(v, set()).add(word)
 
     # initial send: color-0 sources to color 1 / ell-1 neighbors, downhill
+    ends = by_colour[1] | by_colour[ell - 1]
     outbox = []
-    for v in sorted(cfg.sources):
-        if color(v) != 0:
-            continue
-        for w in graph.neighbors(v):
-            cw = color(w)
-            if cw in (1, ell - 1) and cfg.height(w) <= cfg.height(v):
+    for v in bits(by_colour[0] & mask_of(cfg.sources)):
+        for w in bits(adj[v] & ends):
+            if cfg.height(w) <= cfg.height(v):
                 outbox.append((v, w, v))
-    inbox = congest_step(graph, outbox)
-    for (u, v), word in sorted(inbox.items()):
-        if word not in received[v]:
-            received[v].append(word)
+    deliver(congest_step(graph, outbox))
 
     phases = ell // 2 - 1
     for phase_i in range(1, phases + 1):
         up_color, up_next = phase_i, phase_i + 1
         down_color, down_next = ell - phase_i, ell - phase_i - 1
-        # snapshot forward queues: first M ids received before this phase
-        queues: Dict[int, List[int]] = {}
-        for v in cfg.active:
-            cv = color(v)
-            if cv in (up_color, down_color):
-                queues[v] = received[v][:m_bound]
-        for step in range(max(map(len, queues.values()), default=0)):
+        # snapshot forward queues: per node with ids, the first M ids
+        # received before this phase and the nodes of the next colour
+        queues: Dict[int, Tuple[List[int], int]] = {}
+        for v in bits(by_colour[up_color] | by_colour[down_color]):
+            if v in received:
+                nxt = up_next if by_colour[up_color] >> v & 1 else down_next
+                queues[v] = (received[v][:m_bound], by_colour[nxt])
+        for step in range(max((len(q) for q, _ in queues.values()), default=0)):
             outbox = []
-            for v in sorted(queues):
-                q = queues[v]
-                if step >= len(q):
-                    continue
-                word = q[step]
-                cv = color(v)
-                nxt = up_next if cv == up_color else down_next
-                for w in graph.neighbors(v):
-                    if color(w) == nxt:
-                        outbox.append((v, w, word))
-            inbox = congest_step(graph, outbox)
-            for (u, v) in sorted(inbox):
-                word = inbox[(u, v)]
-                if word not in received[v]:
-                    received[v].append(word)
-                cu = color(u)
-                if ell % 2 == 0 and color(v) == ell // 2:
-                    if cu == ell // 2 - 1:
-                        from_up[v].add(word)
-                    elif cu == ell // 2 + 1:
-                        from_down[v].add(word)
+            for v, (q, targets) in queues.items():
+                if step < len(q):
+                    outbox.extend((v, w, q[step]) for w in bits(adj[v] & targets))
+            deliver(congest_step(graph, outbox))
 
     if ell % 2 == 0:
-        mid = ell // 2
-        for v in cfg.active:
-            if color(v) == mid and from_up[v] & from_down[v]:
-                return True
-        return False
+        return any(ids & from_down.get(v, set()) for v, ids in from_up.items())
     lo, hi = (ell - 1) // 2, (ell + 1) // 2
-    for a in cfg.active:
-        if color(a) != lo:
+    for a in bits(by_colour[lo]):
+        if a not in received:
             continue
         held_a = set(received[a])
-        if not held_a:
-            continue
-        for b in graph.neighbors(a):
-            if color(b) == hi and held_a & set(received[b]):
+        for b in bits(adj[a] & by_colour[hi]):
+            if not held_a.isdisjoint(received.get(b, ())):
                 return True
     return False
 
@@ -264,22 +251,17 @@ def measure_congestion(graph: Graph, cfg: ColorBfsConfig) -> Dict[int, int]:
     counts = {v: 0 for v in cfg.active}
     if hops < 1:
         return counts
+    adj, active = graph.adj, mask_of(cfg.active)
     for w in cfg.sources:
-        frontier = {
-            u
-            for u in graph.neighbors(w)
-            if u in cfg.active and cfg.height(u) <= cfg.height(w)
-        }
-        reached = set(frontier)
+        frontier = mask_of(u for u in bits(adj[w] & active) if cfg.height(u) <= cfg.height(w))
+        reached = frontier
         for _ in range(hops - 1):
-            nxt = set()
-            for u in frontier:
-                for x in graph.neighbors(u):
-                    if x in cfg.active and x not in reached:
-                        nxt.add(x)
-            reached |= nxt
-            frontier = nxt
-        for v in reached:
+            nxt = 0
+            for u in bits(frontier):
+                nxt |= adj[u]
+            frontier = nxt & active & ~reached
+            reached |= frontier
+        for v in bits(reached):
             counts[v] += 1
     return counts
 
@@ -309,9 +291,7 @@ def _qualifying_patterns(
     """
     ell = cfg.cycle_len
     if core is None:
-        core = 0
-        for v in cfg.active:
-            core |= 1 << v
+        core = mask_of(cfg.active)
     congestion = (measure_congestion(graph, cfg)
                   if len(cfg.sources) > cfg.congestion_bound else None)
     out: List[Tuple[Tuple[int, ...], int]] = []
@@ -391,7 +371,7 @@ def _event_found(
         return False, hits
     ell = cfg.cycle_len
     relevant, specs = _pattern_specs(patterns, ell)
-    rng = np.random.default_rng(_derive_seed(*seed_parts))
+    rng = np.random.default_rng(derive_seed(*seed_parts))
     remaining = cfg.repetitions
     while remaining > 0:
         block = min(remaining, _SAMPLE_BLOCK)
@@ -404,9 +384,10 @@ def _event_found(
 
 def _protocol_found(graph: Graph, cfg: ColorBfsConfig, seed_parts: Tuple) -> bool:
     """Did any of cfg.repetitions random colorings detect, hop by hop?"""
-    rng = random.Random(_derive_seed("color-bfs-protocol", _derive_seed(*seed_parts)))
+    rng = random.Random(derive_seed("color-bfs-protocol", derive_seed(*seed_parts)))
+    order = sorted(cfg.active)
     for _ in range(cfg.repetitions):
-        colors = {v: rng.randrange(cfg.cycle_len) for v in sorted(cfg.active)}
+        colors = {v: rng.randrange(cfg.cycle_len) for v in order}
         if protocol_detect_once(graph, cfg, colors):
             return True
     return False
@@ -467,7 +448,7 @@ def _stage_search(
     ell, active, heights = shared.cycle_len, shared.active, shared.heights
     m_bound, reps = shared.congestion_bound, shared.repetitions
     graph = net.graph
-    core = two_core(graph, sum(1 << v for v in active))
+    core = two_core(graph, mask_of(active))
     query_rounds = _query_rounds(ell, reps, m_bound, net.eccentricity)
 
     def checker(i: int) -> Tuple[bool, int]:
@@ -542,24 +523,19 @@ def forest_decomposition(
     """
     if a < 1:
         raise ValueError("a must be >= 1")
-    alive = set(nodes)
-    residual = {v: sum(1 for u in graph.neighbors(v) if u in alive) for v in alive}
+    adj, alive = graph.adj, mask_of(nodes)
     layers: Dict[int, int] = {}
     max_layers = _forest_layers(graph.n)
     layer = 0
     while alive and layer < max_layers:
         layer += 1
         ledger.charge("forest-decomposition", "congest", "route", 1)
-        peel = [v for v in alive if residual[v] <= 2 * a]
+        peel = mask_of(v for v in bits(alive) if (adj[v] & alive).bit_count() <= 2 * a)
         if not peel:
             return None
-        for v in peel:
+        for v in bits(peel):
             layers[v] = layer
-            alive.discard(v)
-        for v in peel:
-            for u in graph.neighbors(v):
-                if u in alive:
-                    residual[u] -= 1
+        alive &= ~peel
     if alive:
         return None
     return layers
@@ -614,20 +590,20 @@ def detect_even_cycle(
 
     # stage 2: heavy cycles (single-source queries over the measured heavy set)
     heavy_threshold = ceil_pow(n, ecp.delta)
-    heavy = [v for v in range(n) if graph.degree(v) >= heavy_threshold]
+    heavy = [v for v in range(n) if graph.adj[v].bit_count() >= heavy_threshold]
     shared = ColorBfsConfig(two_k, frozenset(range(n)), frozenset(), repetitions=reps)
     heavy_found = _stage_search(net, [(frozenset({v}), v) for v in heavy], shared,
                                 "even-heavy", "even-cycle/heavy-search", ledger, seed, params,
                                 engine)
 
     # stage 3: light cycles via forest decomposition + index batching
-    light = [v for v in range(n) if graph.degree(v) < heavy_threshold]
+    light = [v for v in range(n) if graph.adj[v].bit_count() < heavy_threshold]
     a = ceil_scaled_pow(n, Fraction(1, k), 4)
     heights = forest_decomposition(graph, light, a, ledger)
     if heights is None:
         return True  # C_{2k}-free graphs admit the decomposition; reject
     n_idx = ceil_pow(n, ecp.alpha)
-    rng = random.Random(_derive_seed("even-light-index", seed))
+    rng = random.Random(derive_seed("even-light-index", seed))
     by_index: List[List[int]] = [[] for _ in range(n_idx)]
     for v in sorted(light):
         by_index[rng.randrange(n_idx)].append(v)

@@ -1,5 +1,9 @@
 """Simple undirected graphs, deterministic generators, and brute-force oracles.
 
+A graph's adjacency is one tuple of per-node bitmasks (Graph.adj); every
+layer of the simulator reads it, and bits/mask_of convert between node
+masks and ascending node ids.
+
 The oracles are the ground truth every detection algorithm is checked
 against; they are desk-scale tools (clique enumeration refuses instances
 whose estimated work exceeds 1e9 subsets).
@@ -25,11 +29,12 @@ class GraphFormatError(ValueError):
 class Graph:
     """Immutable simple undirected graph on nodes 0..n-1.
 
-    Adjacency is kept both as sorted neighbor tuples and as per-node
-    bitmasks (int), which make clique checks single AND operations.
+    `adj` is the one adjacency: a tuple of per-node bitmasks, bit u of
+    adj[v] set iff u-v is an edge.  A clique check is one AND, a degree is
+    adj[v].bit_count(), and bits(adj[v]) lists the neighbours ascending.
     """
 
-    __slots__ = ("n", "_adj_masks", "_neighbors", "m")
+    __slots__ = ("n", "adj", "m")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]]):
         if n < 0:
@@ -47,41 +52,36 @@ class Graph:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
             count += 1
-        self._adj_masks = masks
-        self._neighbors = [tuple(_bits(mask)) for mask in masks]
+        self.adj = tuple(masks)
         self.m = count
 
-    def degree(self, v: int) -> int:
-        return len(self._neighbors[v])
-
-    def neighbors(self, v: int) -> Tuple[int, ...]:
-        return self._neighbors[v]
-
-    def adj_mask(self, v: int) -> int:
-        return self._adj_masks[v]
-
-    def adj_masks(self) -> List[int]:
-        """Every node's adjacency bitmask, indexed by node (a fresh list)."""
-        return list(self._adj_masks)
-
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self._adj_masks[u] >> v & 1)
+        return bool(self.adj[u] >> v & 1)
 
     def edges(self) -> List[Tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in self._neighbors[u] if u < v]
+        return [(u, v) for u, mask in enumerate(self.adj) for v in bits(mask & ~((2 << u) - 1))]
 
     def degrees(self) -> List[int]:
-        return [len(nb) for nb in self._neighbors]
+        return [mask.bit_count() for mask in self.adj]
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _bits(mask: int) -> Iterator[int]:
+def bits(mask: int) -> Iterator[int]:
+    """The set bits of mask (the nodes of a node mask), ascending."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def mask_of(nodes: Iterable[int]) -> int:
+    """The node mask of an iterable of node ids (the inverse of bits)."""
+    mask = 0
+    for v in nodes:
+        mask |= 1 << v
+    return mask
 
 
 def density(n: int, m: int) -> Fraction:
@@ -232,7 +232,7 @@ def iter_cliques(graph: Graph, p: int) -> Iterator[Tuple[int, ...]]:
     """Yield all p-cliques as ascending tuples (backtracking enumeration)."""
     if p < 1 or p > graph.n:
         return
-    masks = [graph.adj_mask(v) for v in range(graph.n)]
+    adj = graph.adj
     full = (1 << graph.n) - 1
 
     def rec(chosen: Tuple[int, ...], cand: int) -> Iterator[Tuple[int, ...]]:
@@ -245,7 +245,7 @@ def iter_cliques(graph: Graph, p: int) -> Iterator[Tuple[int, ...]]:
             v = low.bit_length() - 1
             mm ^= low
             # nodes below v stay excluded: ascending order kills duplicates
-            yield from rec(chosen + (v,), mm & masks[v])
+            yield from rec(chosen + (v,), mm & adj[v])
 
     yield from rec((), full)
 
@@ -279,7 +279,7 @@ def oracle_has_extension(graph: Graph, inv, t: int) -> bool:
     for members in inv.union().members:
         common = (1 << graph.n) - 1
         for v in members:
-            common &= graph.adj_mask(v)
+            common &= graph.adj[v]
         if _has_clique_in_mask(graph, common, t):
             return True
     return False
@@ -288,6 +288,7 @@ def oracle_has_extension(graph: Graph, inv, t: int) -> bool:
 def _has_clique_in_mask(graph: Graph, mask: int, t: int) -> bool:
     if t == 0:
         return True
+    adj = graph.adj
 
     def rec(cand: int, need: int) -> bool:
         if need == 0:
@@ -297,7 +298,7 @@ def _has_clique_in_mask(graph: Graph, mask: int, t: int) -> bool:
             low = mm & -mm
             v = low.bit_length() - 1
             mm ^= low
-            if rec(mm & graph.adj_mask(v), need - 1):
+            if rec(mm & adj[v], need - 1):
                 return True
         return False
 
@@ -338,7 +339,7 @@ def iter_cycles(
     if length < 3:
         return
     n = graph.n
-    adj = graph._adj_masks
+    adj = graph.adj
     full = (1 << n) - 1
     active = full if active_mask is None else active_mask & full
     count = 0
@@ -394,7 +395,7 @@ def iter_cycles(
         if active >> through & 1:
             yield from from_anchor(through, active & ~(1 << through))
     else:
-        for s in _bits(active):
+        for s in bits(active):
             # min-node anchoring: only use nodes above s
             yield from from_anchor(s, active & ~((2 << s) - 1))
 
@@ -405,17 +406,17 @@ def two_core(graph: Graph, mask: int) -> int:
     Peels nodes of degree < 2 with one queue (Batagelj and Zaversnik,
     2003).  Every cycle of the induced subgraph lies inside its 2-core.
     """
-    adj = graph._adj_masks
+    adj = graph.adj
     degree = {}
     queue = []
-    for v in _bits(mask):
+    for v in bits(mask):
         degree[v] = d = (adj[v] & mask).bit_count()
         if d < 2:
             queue.append(v)
     core = mask
     for v in queue:
         core &= ~(1 << v)
-        for u in _bits(adj[v] & core):
+        for u in bits(adj[v] & core):
             degree[u] -= 1
             if degree[u] == 1:
                 queue.append(u)

@@ -11,16 +11,19 @@ rounds to a CostLedger.  The ledger is the whole record of a run: beside
 its entries it counts what the run did without charging it (the leaf
 checks of every search, and the cycle queries whose candidate patterns
 were truncated, capped or dropped for congestion).  This module adds the
-CONGEST leader convergecast (CongestNet) and the hop-by-hop steps of the
-cycle protocols (congest_step), the only place where payloads are
-materialized; a step charges nothing, its detector charges the rounds.
+CONGEST leader convergecast (CongestNet, whose BFS reads the graph's
+adjacency masks) and the hop-by-hop steps of the cycle protocols
+(congest_step), the only place where payloads are materialized; a step
+charges nothing, its detector charges the rounds.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
+
+from .graph import bits
 
 KINDS = ("route", "broadcast", "converge", "quantum", "local")
 MODELS = ("clique", "congest")
@@ -76,8 +79,8 @@ class CongestNet:
 
     The leader is node 0 by convention; aggregation happens along a BFS
     tree of the leader's component.  dist[v] is v's hop distance from the
-    leader (-1 outside its component), and a one-word convergecast takes
-    eccentricity rounds.
+    leader (-1 outside its component), found by a BFS over frontier masks
+    of graph.adj, and a one-word convergecast takes eccentricity rounds.
     """
 
     def __init__(self, graph) -> None:
@@ -86,15 +89,18 @@ class CongestNet:
         self.eccentricity = max(self.dist)
 
     def _bfs_from_leader(self) -> List[int]:
+        adj = self.graph.adj
         dist = [-1] * self.graph.n
-        dist[0] = 0
-        q = deque([0])
-        while q:
-            v = q.popleft()
-            for u in self.graph.neighbors(v):
-                if dist[u] < 0:
-                    dist[u] = dist[v] + 1
-                    q.append(u)
+        seen = frontier = 1  # node 0
+        hops = 0
+        while frontier:
+            nxt = 0
+            for v in bits(frontier):
+                dist[v] = hops
+                nxt |= adj[v]
+            frontier = nxt & ~seen
+            seen |= frontier
+            hops += 1
         return dist
 
     def require_reachable(self, nodes: Iterable[int]) -> None:

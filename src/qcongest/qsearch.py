@@ -190,7 +190,7 @@ def _search(
     Neither public name calls the other, so a tracer that wraps both counts
     each search once.  The leaf checks run are added to
     ledger.counts["queries"].  A found witness is dropped with probability
-    fail_prob, drawn from _derive_seed(seed, "search-fail") for flat and
+    fail_prob, drawn from derive_seed(seed, "search-fail") for flat and
     nested searches alike; the charge stays the same.
     """
     k = len(plan.levels)
@@ -239,13 +239,13 @@ def _search(
     charged = charge_search(ledger, costs, plan.params, model, phase)
     ledger.counts["queries"] += queries
     if found and plan.params.fail_prob > 0.0:
-        rng = random.Random(_derive_seed(seed, "search-fail"))
+        rng = random.Random(derive_seed(seed, "search-fail"))
         if rng.random() < plan.params.fail_prob:
             found, witness = False, None
     return SearchOutcome(found, witness, charged, queries)
 
 
-def _derive_seed(*parts) -> int:
+def derive_seed(*parts) -> int:
     """Stable integer seed from mixed parts (independent of PYTHONHASHSEED)."""
     text = "|".join(repr(p) for p in parts)
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")

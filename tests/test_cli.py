@@ -67,6 +67,13 @@ USAGE_ERRORS = [
     ["sweep", "--algo", "nested", "--q", "6", "--n-list", "64"],
     ["sweep", "--algo", "plus1", "--ell", "2", "--n-list", "64"],
     ["sweep", "--algo", "even-cycle", "--t", "2", "--n-list", "64"],
+    # flags that a cost-only sweep would not read, and --m-list in full mode
+    ["sweep", "--algo", "triangle15", "--edge-prob", "0.9", "--n-list", "64"],
+    ["sweep", "--algo", "triangle15", "--fail-prob", "0.5", "--n-list", "64"],
+    ["sweep", "--algo", "odd-cycle", "--fail-prob", "0", "--n-list", "64"],
+    ["sweep", "--algo", "even-cycle", "--edge-prob", "0.5", "--n-list", "64"],
+    ["sweep", "--mode", "full", "--algo", "triangle15", "--n-list", "16", "--m-list", "5"],
+    ["sweep", "--mode", "full", "--algo", "auto", "--edge-prob", "1.5", "--n-list", "16"],
     # lengths that cycledetect.inapplicable refuses
     ["detect-cycle", "--ell", "0", "--gen", "planted_cycle,8,0.0,5,1"],
     ["sweep", "--algo", "even-cycle", "--ell", "0", "--n-list", "64"],
@@ -203,7 +210,7 @@ class TestCommands:
 
     @pytest.mark.parametrize("extra,message", [
         ((), "sweep needs --n-list"),
-        (("--n-list", "40", "--m-list", "5"), "take no --m-list"),
+        (("--n-list", "40", "--m-list", "5"), "takes no --m-list"),
     ], ids=["no-n-list", "m-list"])
     def test_full_mode_sweep_usage_errors(self, capsys, extra, message):
         assert main(["sweep", "--algo", "auto", "--mode", "full", *extra]) == 2

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qcongest import cliquelist
 from qcongest.cli import fit_slope
 from qcongest.cliquelist import list_kp, listing_route_rounds, tuple_assignment
-from qcongest.graph import GenSpec, Graph, _bits, generate, oracle_cliques, range_mask
+from qcongest.graph import GenSpec, Graph, bits, generate, oracle_cliques, range_mask
 from qcongest.netsim import CostLedger
 
 
@@ -32,7 +32,7 @@ def listed(inv, graph):
 
 def triples_view(triples):
     """listed() of (owner, member mask, common mask) triples."""
-    return (sorted((owner, tuple(_bits(members))) for owner, members, _ in triples),
+    return (sorted((owner, tuple(bits(members))) for owner, members, _ in triples),
             sorted(common for _, _, common in triples))
 
 
@@ -121,7 +121,7 @@ class TestListKp:
         for clique in oracle_cliques(g, p).members:
             common = (1 << n) - 1
             for v in clique:
-                common &= g.adj_mask(v)
+                common &= g.adj[v]
             owner = ta.owner(rank[tuple(sorted(group_of[v] for v in clique))])
             expected.add((owner, sum(1 << v for v in clique), common))
         inv = list_kp(g, p, CostLedger())
@@ -145,7 +145,7 @@ def reference_listing(graph, p):
     """
     n = graph.n
     ta = tuple_assignment(n, p)
-    adj = [graph.adj_mask(v) for v in range(n)]
+    adj = graph.adj
     out = []
 
     def rec(slots, owner, slot, chosen, common, prev):

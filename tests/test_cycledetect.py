@@ -26,8 +26,8 @@ from qcongest.cycledetect import (
     repetitions_for,
     single_rep_success,
 )
-from qcongest.graph import GenSpec, Graph, generate, iter_cycles, oracle_has_cycle, two_core
-from qcongest.netsim import CongestNet, CostLedger, word_capacity
+from qcongest.graph import GenSpec, Graph, bits, generate, iter_cycles, oracle_has_cycle, two_core
+from qcongest.netsim import CongestNet, CostLedger, congest_step, word_capacity
 from qcongest.qsearch import DEFAULT_PARAMS, grover_cost
 
 
@@ -48,6 +48,16 @@ def all_active_cfg(g, ell, sources=None, reps=1, m=1, heights=None):
         congestion_bound=m,
         repetitions=reps,
     )
+
+
+def patch_cycledetect(monkeypatch, name, value):
+    """Set a module constant of cycledetect where this file's functions read it.
+
+    A test module that imports qcongest afresh leaves a newer module under
+    `qcongest.cycledetect` than the one these functions were imported from,
+    so the constant is set in their own globals.
+    """
+    monkeypatch.setitem(detect_odd_cycle.__globals__, name, value)
 
 
 def stage_found(g, cfg, seed, engine, ledger=None):
@@ -189,6 +199,154 @@ class TestColorBfs:
         assert abs(hits / trials - exact) < 0.15 * exact
 
 
+def reference_congestion(graph, cfg):
+    """measure_congestion as set-based BFS over ascending neighbours."""
+    hops = cfg.cycle_len // 2 - 1
+    counts = {v: 0 for v in cfg.active}
+    if hops < 1:
+        return counts
+    for w in cfg.sources:
+        frontier = {u for u in bits(graph.adj[w])
+                    if u in cfg.active and cfg.height(u) <= cfg.height(w)}
+        reached = set(frontier)
+        for _ in range(hops - 1):
+            nxt = {x for u in frontier for x in bits(graph.adj[u])
+                   if x in cfg.active and x not in reached}
+            reached |= nxt
+            frontier = nxt
+        for v in reached:
+            counts[v] += 1
+    return counts
+
+
+def reference_forest(graph, nodes, a, ledger):
+    """forest_decomposition as a set peel with per-node residual degrees."""
+    alive = set(nodes)
+    residual = {v: sum(1 for u in bits(graph.adj[v]) if u in alive) for v in alive}
+    layers = {}
+    layer = 0
+    while alive and layer < max(1, math.ceil(2 * math.log2(max(graph.n, 2)))):
+        layer += 1
+        ledger.charge("forest-decomposition", "congest", "route", 1)
+        peel = [v for v in alive if residual[v] <= 2 * a]
+        if not peel:
+            return None
+        for v in peel:
+            layers[v] = layer
+            alive.discard(v)
+        for v in peel:
+            for u in bits(graph.adj[v]):
+                if u in alive:
+                    residual[u] -= 1
+    return None if alive else layers
+
+
+def reference_protocol(graph, cfg, colors, step):
+    """protocol_detect_once with a colour lookup per node, sending through step."""
+    ell, m_bound = cfg.cycle_len, cfg.congestion_bound
+    if not any(colors.get(v) == 0 for v in cfg.sources):
+        return False
+
+    def color(v):
+        return colors.get(v) if v in cfg.active else None
+
+    received = {v: [] for v in cfg.active}
+    from_up = {v: set() for v in cfg.active}
+    from_down = {v: set() for v in cfg.active}
+    outbox = [(v, w, v) for v in sorted(cfg.sources) if color(v) == 0
+              for w in bits(graph.adj[v])
+              if color(w) in (1, ell - 1) and cfg.height(w) <= cfg.height(v)]
+    for (u, v), word in sorted(step(graph, outbox).items()):
+        if word not in received[v]:
+            received[v].append(word)
+    for phase_i in range(1, ell // 2):
+        up_color, down_color = phase_i, ell - phase_i
+        queues = {v: received[v][:m_bound] for v in cfg.active
+                  if color(v) in (up_color, down_color)}
+        for k in range(max(map(len, queues.values()), default=0)):
+            outbox = []
+            for v in sorted(queues):
+                if k < len(queues[v]):
+                    nxt = phase_i + 1 if color(v) == up_color else ell - phase_i - 1
+                    outbox += [(v, w, queues[v][k]) for w in bits(graph.adj[v])
+                               if color(w) == nxt]
+            inbox = step(graph, outbox)
+            for (u, v) in sorted(inbox):
+                word = inbox[(u, v)]
+                if word not in received[v]:
+                    received[v].append(word)
+                if ell % 2 == 0 and color(v) == ell // 2:
+                    if color(u) == ell // 2 - 1:
+                        from_up[v].add(word)
+                    elif color(u) == ell // 2 + 1:
+                        from_down[v].add(word)
+    if ell % 2 == 0:
+        return any(color(v) == ell // 2 and from_up[v] & from_down[v] for v in cfg.active)
+    lo, hi = (ell - 1) // 2, (ell + 1) // 2
+    return any(color(a) == lo and color(b) == hi and set(received[a]) & set(received[b])
+               for a in cfg.active for b in bits(graph.adj[a]))
+
+
+def random_cfg(rng, g, ell, heights=False):
+    """A config on g with random active nodes, sources among them, M and heights."""
+    active = frozenset(v for v in range(g.n) if rng.random() < 0.8)
+    sources = frozenset(v for v in active if rng.random() < 0.4)
+    hts = {v: rng.randrange(3) for v in active} if heights else None
+    return ColorBfsConfig(ell, active, sources, hts, rng.randint(1, 3), 1)
+
+
+class TestMaskRewritesMatchReferences:
+    """The mask BFS and peel give what the set-based versions gave."""
+
+    def test_congestion(self):
+        rng = random.Random(7)
+        for seed in range(40):
+            g = generate(GenSpec(kind="gnp", n=rng.randint(2, 30),
+                                 edge_prob=rng.choice([0.1, 0.2, 0.4]), seed=seed))
+            cfg = random_cfg(rng, g, rng.randint(4, 9), heights=seed % 2 == 0)
+            assert measure_congestion(g, cfg) == reference_congestion(g, cfg), seed
+
+    def test_forest_decomposition_including_failures(self):
+        rng = random.Random(8)
+        outcomes = set()
+        for seed in range(60):
+            g = generate(GenSpec(kind="gnp", n=rng.randint(1, 40),
+                                 edge_prob=rng.choice([0.05, 0.15, 0.3, 0.6]), seed=seed))
+            nodes = [v for v in range(g.n) if rng.random() < 0.85]
+            a = rng.randint(1, 3)
+            got_led, ref_led = CostLedger(), CostLedger()
+            got = forest_decomposition(g, nodes, a, got_led)
+            assert got == reference_forest(g, nodes, a, ref_led), seed
+            assert got_led.entries == ref_led.entries, seed
+            outcomes.add(got is None)
+        assert outcomes == {True, False}  # both the peel and its failure are compared
+
+    def test_protocol_answers_and_steps(self, monkeypatch):
+        rng = random.Random(9)
+        sent = []
+
+        def recording_step(graph, outbox):
+            sent.append(list(outbox))
+            return congest_step(graph, outbox)
+
+        monkeypatch.setitem(protocol_detect_once.__globals__, "congest_step", recording_step)
+        answers = set()
+        for seed in range(150):
+            g = generate(GenSpec(kind="gnp", n=rng.randint(4, 14),
+                                 edge_prob=rng.choice([0.2, 0.35, 0.6]), seed=seed))
+            ell = rng.randint(4, min(g.n, 8))
+            cfg = random_cfg(rng, g, ell, heights=seed % 3 == 0)
+            colors = {v: rng.randrange(ell) for v in sorted(cfg.active)}
+            sent.clear()
+            got = protocol_detect_once(g, cfg, colors)
+            got_sent = list(sent)
+            sent.clear()
+            assert got == reference_protocol(g, cfg, colors, recording_step), seed
+            assert got_sent == sent, seed
+            answers.add(got)
+        assert answers == {True, False}
+
+
 class TestCongestionMeasurement:
     def test_star_congestion(self):
         # sources = leaves; the center may need to forward every leaf id
@@ -231,7 +389,7 @@ class TestForestDecomposition:
         assert fd is not None
         for v in range(200):
             higher = sum(
-                1 for u in g.neighbors(v) if fd[u] >= fd[v]
+                1 for u in bits(g.adj[v]) if fd[u] >= fd[v]
             )
             assert higher <= 16
 
@@ -531,7 +689,7 @@ class TestEvenHeavyStage:
                 leaf += 1
         g = Graph(n, sorted(set(edges)))
         threshold = math.ceil(n ** (1 / 6))
-        assert all(g.degree(v) >= threshold for v in range(6))
+        assert all(g.adj[v].bit_count() >= threshold for v in range(6))
         hits = sum(
             detect_even_cycle(g, 6, CostLedger(), seed=s) for s in range(50)
         )
@@ -629,32 +787,24 @@ class TestCycleRichSoundness:
 
 class TestTruncationCounters:
     def test_enumeration_limit_is_counted(self, monkeypatch):
-        from qcongest import cycledetect
-        from qcongest.cycledetect import _qualifying_patterns
-
         g = generate(GenSpec(kind="complete", n=9))
         cfg = all_active_cfg(g, 5, sources=[0, 1], m=9)
         patterns, hits = _qualifying_patterns(g, cfg)
         assert hits == set() and len(patterns) > 20
-        monkeypatch.setattr(cycledetect, "CYCLE_ENUM_LIMIT", 10)
+        patch_cycledetect(monkeypatch, "CYCLE_ENUM_LIMIT", 10)
         patterns, hits = _qualifying_patterns(g, cfg)
         assert hits == {"enumeration_truncated"}
         assert 0 < len(patterns) <= 2 * 10 * 2  # two sources, two anchors each at most
 
     def test_pattern_cap_is_counted(self, monkeypatch):
-        from qcongest import cycledetect
-        from qcongest.cycledetect import _qualifying_patterns
-
-        monkeypatch.setattr(cycledetect, "_PATTERN_CAP", 8)
+        patch_cycledetect(monkeypatch, "_PATTERN_CAP", 8)
         g = generate(GenSpec(kind="complete", n=9))
         patterns, hits = _qualifying_patterns(g, all_active_cfg(g, 5, m=9))
         assert len(patterns) == 8
         assert hits == {"pattern_capped"}
 
     def test_detector_reports_truncation(self, monkeypatch):
-        from qcongest import cycledetect
-
-        monkeypatch.setattr(cycledetect, "CYCLE_ENUM_LIMIT", 3)
+        patch_cycledetect(monkeypatch, "CYCLE_ENUM_LIMIT", 3)
         g = generate(GenSpec(kind="complete", n=9))
         ledger = CostLedger()
         assert detect_odd_cycle(g, 5, ledger, seed=0)
@@ -724,9 +874,7 @@ class TestPatternDedupe:
         # a source's CYCLE_ENUM_LIMIT counts the cycles whose smallest source
         # it is; on K7 with C4 and limit 10, sources 0..2 (60, 30 and 12 such
         # cycles) are cut short and source 3 (3 such, 60 through it) is not
-        from qcongest import cycledetect
-
-        monkeypatch.setattr(cycledetect, "CYCLE_ENUM_LIMIT", 10)
+        patch_cycledetect(monkeypatch, "CYCLE_ENUM_LIMIT", 10)
         g, ell, sources = generate(GenSpec(kind="complete", n=7)), 4, [0, 1, 2, 3]
         patterns, hits = _qualifying_patterns(g, all_active_cfg(g, ell, sources=sources,
                                                                 m=len(sources)))

@@ -13,9 +13,11 @@ from qcongest.graph import (
     GenSpec,
     Graph,
     GraphFormatError,
+    bits,
     generate,
     iter_cycles,
     load_graph,
+    mask_of,
     oracle_cliques,
     oracle_has_clique,
     oracle_has_cycle,
@@ -32,6 +34,26 @@ def gnp(n, p, seed):
 def inventory(p, cliques):
     """A stand-in for a list_kp inventory that holds only the given p-cliques."""
     return SimpleNamespace(union=lambda: CliqueSet(p, frozenset(cliques)))
+
+
+class TestGraph:
+    """adj is the one adjacency; has_edge, edges, degrees and m agree with it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 16), data=st.data())
+    def test_views_agree_with_the_edge_list(self, n, data):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        edges = [e for e, k in zip(pairs, keep) if k]
+        g = Graph(n, [(v, u) if i % 2 else (u, v) for i, (u, v) in enumerate(edges)])
+        assert isinstance(g.adj, tuple) and len(g.adj) == n
+        assert g.edges() == edges and g.m == len(edges)
+        for u, v in pairs:
+            assert g.has_edge(u, v) == g.has_edge(v, u) == ((u, v) in edges)
+        neighbours = [sorted({x for e in edges if v in e for x in e} - {v}) for v in range(n)]
+        assert [list(bits(mask)) for mask in g.adj] == neighbours
+        assert g.degrees() == [len(nb) for nb in neighbours]
+        assert [mask_of(nb) for nb in neighbours] == list(g.adj)
 
 
 class TestLoadGraph:
@@ -229,7 +251,7 @@ class TestOracleCycles:
         pairs = 0
         for u in range(48):
             for v in range(u + 1, 48):
-                common = bin(g.adj_mask(u) & g.adj_mask(v)).count("1")
+                common = (g.adj[u] & g.adj[v]).bit_count()
                 pairs += common * (common - 1) // 2
         assert oracle_has_cycle(g, 4) == (pairs > 0)
 
@@ -247,7 +269,7 @@ class TestOracleCycles:
 
 
 def reference_cycles(graph, length, active_mask=None, through=None, limit=None):
-    """Plain DFS over sorted neighbor tuples, no pruning: the reference order."""
+    """Plain DFS over ascending neighbours, no pruning: the reference order."""
     if length < 3:
         return
     active = (1 << graph.n) - 1 if active_mask is None else active_mask
@@ -262,7 +284,7 @@ def reference_cycles(graph, length, active_mask=None, through=None, limit=None):
                     raise CycleEnumerationLimit(f"more than {limit}")
                 yield tuple(path)
             return
-        for u in graph.neighbors(path[-1]):
+        for u in bits(graph.adj[path[-1]]):
             if u <= low_floor or visited >> u & 1 or not active >> u & 1:
                 continue
             path.append(u)
@@ -331,7 +353,7 @@ class TestTwoCore:
     def reference_core(g, mask):
         alive = {v for v in range(g.n) if mask >> v & 1}
         while True:
-            low = {v for v in alive if sum(u in alive for u in g.neighbors(v)) < 2}
+            low = {v for v in alive if sum(u in alive for u in bits(g.adj[v])) < 2}
             if not low:
                 return sum(1 << v for v in alive)
             alive -= low

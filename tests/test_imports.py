@@ -1,8 +1,11 @@
-"""Every module of qcongest uses each name it imports.
+"""Every module of qcongest uses each name it imports, and imports no
+private name of another qcongest module.
 
 No linter runs in tier-1, and a deletion easily leaves an import behind;
 this check reads each module's syntax tree instead.  __init__.py is left
-out, since it imports names only to re-export them.
+out of the unused-import check, since it imports names only to re-export
+them.  A helper that several modules share (graph.bits, qsearch.derive_seed)
+is public, so a `_`-prefixed name stays private to its module.
 """
 
 import ast
@@ -12,6 +15,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qcongest"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source: str):
@@ -27,6 +31,14 @@ def unused_imports(source: str):
     return sorted(imported - used)
 
 
+def private_imports(source: str):
+    """The `_`-prefixed names that source imports from a qcongest module."""
+    return sorted(a.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.level > 0 or (node.module or "").split(".")[0] == "qcongest")
+                  for a in node.names if a.name.startswith("_"))
+
+
 def test_checker_finds_an_unused_import():
     source = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
               "from x import a, b as c\nnp.zeros(c)\n")
@@ -36,3 +48,15 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_checker_finds_a_private_import():
+    source = ("from __future__ import annotations\nfrom ._x import a\n"
+              "from .graph import _bits, bits\nfrom qcongest.qsearch import _seed\n"
+              "from os import _exit\nfrom . import _private\n")
+    assert private_imports(source) == ["_bits", "_private", "_seed"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_private_imports(path):
+    assert private_imports(path.read_text()) == []

@@ -1,8 +1,9 @@
 """Round accounting: ledger, word capacity, convergecast, CONGEST steps."""
 
+import networkx as nx
 import pytest
 
-from qcongest.graph import GenSpec, Graph, generate
+from qcongest.graph import GenSpec, Graph, bits, generate
 from qcongest.netsim import CongestNet, CostLedger, congest_step, word_capacity
 
 
@@ -51,6 +52,23 @@ class TestConverge:
         net.require_reachable([1])
 
 
+    def test_dist_matches_networkx_on_disconnected_graphs(self):
+        disconnected = 0
+        for seed in range(40):
+            n = 1 + seed % 30
+            g = generate(GenSpec(kind="gnp", n=n, edge_prob=min(1, (1 + seed % 4) / (2 * n)),
+                                 seed=seed))
+            ref = nx.Graph()
+            ref.add_nodes_from(range(n))
+            ref.add_edges_from(g.edges())
+            hops = nx.single_source_shortest_path_length(ref, 0)
+            net = CongestNet(g)
+            assert net.dist == [hops.get(v, -1) for v in range(n)], seed
+            assert net.eccentricity == max(hops.values())
+            disconnected += -1 in net.dist
+        assert disconnected > 20  # most draws leave nodes outside node 0's component
+
+
 class TestCongestStep:
     def test_delivery(self):
         g = generate(GenSpec(kind="path", n=3))
@@ -64,7 +82,7 @@ class TestCongestStep:
         g = generate(GenSpec(kind="cycle", n=4))
         out = []
         for v in range(4):
-            for u in g.neighbors(v):
+            for u in bits(g.adj[v]):
                 out.append((v, u, v))
         inbox = congest_step(g, out)
         assert len(inbox) == 8

@@ -156,7 +156,7 @@ class TestFlatIsOneLevelNested:
         from qcongest.graph import GenSpec, generate
 
         g = generate(GenSpec(kind="gnp", n=40, edge_prob=0.5, seed=2))
-        adj = g.adj_masks()
+        adj = g.adj
         cyc = generate(GenSpec(kind="planted_cycle", n=12, edge_prob=0.1,
                                planted_size=6, seed=1))
         # sparse enough for sparse plans with t >= 2, and a light stage
