@@ -126,12 +126,18 @@ def fit_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 
 def _params_text(args: argparse.Namespace, **extra) -> str:
+    """The params column of a row: `extra`, then the cost flags."""
     bits = [f"{key}={val}" for key, val in extra.items()]
     bits.append(f"cg={args.c_grover}")
     bits.append(f"reps={args.reps}")
     bits.append(f"fp={args.params.fail_prob:g}")
-    bits.append(f"packing={args.packing}")
     return ";".join(bits)
+
+
+def _clique_params_text(args: argparse.Namespace, **extra) -> str:
+    """The params column of a clique row, which ends with its --packing
+    (on unless set to off); only clique runs read --packing."""
+    return _params_text(args, **extra) + f";packing={args.packing or 'on'}"
 
 
 def _resolve_graph(args: argparse.Namespace) -> Graph:
@@ -184,10 +190,10 @@ def clique_row(args: argparse.Namespace, graph: Graph, q: int, strategy: Optiona
         except ValueError as exc:
             raise UsageError(str(exc)) from None
         found = cliquedetect.run_plan(graph, plan, ledger, seed=seed, params=args.params,
-                                      packing=args.packing == "on")
+                                      packing=args.packing != "off")
     algo = plan.strategy if plan else "degenerate"
-    ptext = _params_text(args, q=q, strategy=algo, p=plan.p if plan else 0,
-                         t=plan.t if plan else 0, **extra)
+    ptext = _clique_params_text(args, q=q, strategy=algo, p=plan.p if plan else 0,
+                                t=plan.t if plan else 0, **extra)
     return ResultRow.from_ledger(graph.n, graph.m, algo, ptext, ledger, found, seed)
 
 
@@ -227,6 +233,8 @@ def run_detect_clique(args: argparse.Namespace) -> int:
 def run_detect_cycle(args: argparse.Namespace) -> int:
     if args.ell is None:
         raise UsageError("detect-cycle needs --ell")
+    if args.packing is not None:
+        raise UsageError("detect-cycle takes no --packing")
     graph = _resolve_graph(args)
     return _emit_detection(args, cycle_row(args, graph, args.ell, args.seed))
 
@@ -265,7 +273,7 @@ def run_sweep(args: argparse.Namespace) -> int:
     # the flags each kind of sweep reads: a flag it would ignore is refused
     for flag, read in (("p", not (cycle or full)), ("t", not (cycle or full)),
                        ("q", full and not cycle), ("ell", cycle), ("m_list", not full),
-                       ("edge_prob", full), ("fail_prob", full)):
+                       ("edge_prob", full), ("fail_prob", full), ("packing", not cycle)):
         if getattr(args, flag) is not None and not read:
             raise UsageError(f"a {args.mode} {args.algo} sweep takes no "
                              f"--{flag.replace('_', '-')}")
@@ -283,7 +291,7 @@ def run_sweep(args: argparse.Namespace) -> int:
             raise UsageError(f"unknown sweep algo {args.algo!r}")
         p = args.p or (2 if args.algo == "triangle15" else 3)
         t = args.t or 1
-        ptext = _params_text(args, ell=ell) if cycle else _params_text(args, p=p, t=t)
+        ptext = _params_text(args, ell=ell) if cycle else _clique_params_text(args, p=p, t=t)
         for n, m in _sweep_pairs(args):
             ledger = CostLedger()
             found: Optional[bool] = None
@@ -293,7 +301,7 @@ def run_sweep(args: argparse.Namespace) -> int:
                     found = cycledetect.cycle_cost_only(n, m, ell, ledger, params)
                 else:
                     cliquedetect.clique_cost_only(args.algo, n, m, p, t, ledger, params,
-                                                  packing=args.packing == "on")
+                                                  packing=args.packing != "off")
             except ValueError as exc:
                 raise UsageError(f"{exc} (--n-list entry {n})") from None
             if not cycle and cliquedetect.degenerate(n, m, p + t):
@@ -406,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--c-grover", default="1")
             p.add_argument("--reps", type=int, default=1)
             p.add_argument("--fail-prob", type=float)
-            p.add_argument("--packing", choices=("on", "off"), default="on")
+            p.add_argument("--packing", choices=("on", "off"))
         p.add_argument("--out")
         p.add_argument("--json", action="store_true")
         return p

@@ -19,7 +19,10 @@ the cost-only entry of both parities, at eccentricity 1 and M = 1, and
 charges each stage's triple ([domain], [], query) via charge_search.  Both
 detectors and cycle_cost_only refuse exactly the lengths inapplicable()
 refuses.  The ledger also counts the queries run and the queries whose
-candidate cycles were truncated, capped or dropped for congestion.
+candidate cycles were truncated, capped or dropped for congestion.  Every
+node set (active nodes, sources, the heavy and light sets, the light index
+classes) is an int mask over node ids, as graph.adj is, and is walked in
+ascending order with bits().
 
 Two engines compute the same detection event:
 
@@ -40,7 +43,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -56,11 +59,12 @@ _SAMPLE_BLOCK = 1 << 15
 
 @dataclass(frozen=True)
 class ColorBfsConfig:
-    """Inputs of one color-coded BFS invocation."""
+    """Inputs of one color-coded BFS invocation; active and sources are
+    node masks."""
 
     cycle_len: int
-    active: FrozenSet[int]
-    sources: FrozenSet[int]
+    active: int
+    sources: int
     heights: Optional[Mapping[int, int]] = None
     congestion_bound: int = 1
     repetitions: int = 1
@@ -68,7 +72,7 @@ class ColorBfsConfig:
     def __post_init__(self):
         if self.cycle_len < 3:
             raise ValueError("cycle_len must be >= 3")
-        if not self.sources <= self.active:
+        if self.sources & ~self.active:
             raise ValueError("sources must be a subset of active nodes")
         if self.congestion_bound < 1:
             raise ValueError("congestion bound M must be >= 1")
@@ -163,7 +167,7 @@ def protocol_detect_once(
     (at most M).  The caller charges the protocol's full rounds.
     """
     ell = cfg.cycle_len
-    if not any(colors.get(v) == 0 for v in cfg.sources):
+    if not any(colors.get(v) == 0 for v in bits(cfg.sources)):
         return False
     m_bound = cfg.congestion_bound
     adj = graph.adj
@@ -171,7 +175,7 @@ def protocol_detect_once(
     # adj[sender] & by_colour[c], ascending, so every step's triples come
     # senders ascending, then receivers ascending
     by_colour = [0] * ell
-    for v in cfg.active:
+    for v in bits(cfg.active):
         c = colors.get(v)
         if c is not None and 0 <= c < ell:
             by_colour[c] |= 1 << v
@@ -199,7 +203,7 @@ def protocol_detect_once(
     # initial send: color-0 sources to color 1 / ell-1 neighbors, downhill
     ends = by_colour[1] | by_colour[ell - 1]
     outbox = []
-    for v in bits(by_colour[0] & mask_of(cfg.sources)):
+    for v in bits(by_colour[0] & cfg.sources):
         for w in bits(adj[v] & ends):
             if cfg.height(w) <= cfg.height(v):
                 outbox.append((v, w, v))
@@ -248,11 +252,11 @@ def measure_congestion(graph: Graph, cfg: ColorBfsConfig) -> Dict[int, int]:
     (h(w_1) <= h(w_0)).
     """
     hops = cfg.cycle_len // 2 - 1
-    counts = {v: 0 for v in cfg.active}
+    counts = {v: 0 for v in bits(cfg.active)}
     if hops < 1:
         return counts
-    adj, active = graph.adj, mask_of(cfg.active)
-    for w in cfg.sources:
+    adj, active = graph.adj, cfg.active
+    for w in bits(cfg.sources):
         frontier = mask_of(u for u in bits(adj[w] & active) if cfg.height(u) <= cfg.height(w))
         reached = frontier
         for _ in range(hops - 1):
@@ -291,12 +295,12 @@ def _qualifying_patterns(
     """
     ell = cfg.cycle_len
     if core is None:
-        core = mask_of(cfg.active)
+        core = cfg.active
     congestion = (measure_congestion(graph, cfg)
-                  if len(cfg.sources) > cfg.congestion_bound else None)
+                  if cfg.sources.bit_count() > cfg.congestion_bound else None)
     out: List[Tuple[Tuple[int, ...], int]] = []
     hits: Set[str] = set()
-    for src in sorted(cfg.sources):
+    for src in bits(cfg.sources):
         try:
             for cyc in iter_cycles(graph, ell, active_mask=core,
                                    through=src, limit=CYCLE_ENUM_LIMIT):
@@ -305,7 +309,7 @@ def _qualifying_patterns(
                     hits.add("congestion_dropped")
                     continue
                 for pos, v in enumerate(cyc):
-                    if v not in cfg.sources:
+                    if not cfg.sources >> v & 1:
                         continue
                     prv = cyc[(pos - 1) % ell]
                     nxt = cyc[(pos + 1) % ell]
@@ -328,7 +332,7 @@ def _pattern_specs(patterns: Sequence[Tuple[Tuple[int, ...], int]],
                    ell: int) -> Tuple[List[int], List[np.ndarray]]:
     """(relevant nodes, specs).  There is one spec per orientation of each
     pattern: the positions in relevant of its nodes, read from the anchor."""
-    relevant = sorted({v for cyc, _ in patterns for v in cyc})
+    relevant = list(bits(mask_of(v for cyc, _ in patterns for v in cyc)))
     index = {v: i for i, v in enumerate(relevant)}
     specs = [np.array([index[cyc[(pos + orient * j) % ell]] for j in range(ell)],
                       dtype=np.int64)
@@ -341,17 +345,6 @@ def _fires(colors: np.ndarray, specs: Sequence[np.ndarray]) -> bool:
     along some spec?"""
     expected = np.arange(len(specs[0]), dtype=np.uint8)
     return any(bool((colors[:, idx] == expected).all(axis=1).any()) for idx in specs)
-
-
-def event_detect_once(
-    graph: Graph, cfg: ColorBfsConfig, colors: Mapping[int, int]
-) -> bool:
-    """Single-repetition detection under the event engine, fixed colors."""
-    patterns, _ = _qualifying_patterns(graph, cfg)
-    if not patterns:
-        return False
-    relevant, specs = _pattern_specs(patterns, cfg.cycle_len)
-    return _fires(np.array([[colors[v] for v in relevant]], dtype=np.uint8), specs)
 
 
 def _event_found(
@@ -385,7 +378,7 @@ def _event_found(
 def _protocol_found(graph: Graph, cfg: ColorBfsConfig, seed_parts: Tuple) -> bool:
     """Did any of cfg.repetitions random colorings detect, hop by hop?"""
     rng = random.Random(derive_seed("color-bfs-protocol", derive_seed(*seed_parts)))
-    order = sorted(cfg.active)
+    order = list(bits(cfg.active))
     for _ in range(cfg.repetitions):
         colors = {v: rng.randrange(cfg.cycle_len) for v in order}
         if protocol_detect_once(graph, cfg, colors):
@@ -422,7 +415,7 @@ def _check_engine(engine: str) -> None:
 
 def _stage_search(
     net: CongestNet,
-    queries: Sequence[Tuple[FrozenSet[int], int]],
+    queries: Sequence[Tuple[int, int]],
     shared: ColorBfsConfig,
     tag: str,
     phase: str,
@@ -435,10 +428,10 @@ def _stage_search(
 
     Query i runs the colour BFS of `shared` (its length, active nodes,
     heights, M and repetitions; its sources are not read) from the source
-    set queries[i][0], seeded by (tag, seed, queries[i][1]).  The event
+    mask queries[i][0], seeded by (tag, seed, queries[i][1]).  The event
     engine samples the detection event inside the 2-core of the active
     nodes; the protocol engine runs the protocol hop by hop.  A detection
-    is reported to the leader by the query's first source.  Every query is
+    is reported to the leader by the query's lowest source.  Every query is
     priced by _query_rounds at the measured eccentricity, and the event
     engine's truncation and congestion counters go to ledger.counts.  A
     stage with no source sets searches nothing and charges nothing.
@@ -448,7 +441,7 @@ def _stage_search(
     ell, active, heights = shared.cycle_len, shared.active, shared.heights
     m_bound, reps = shared.congestion_bound, shared.repetitions
     graph = net.graph
-    core = two_core(graph, mask_of(active))
+    core = two_core(graph, active)
     query_rounds = _query_rounds(ell, reps, m_bound, net.eccentricity)
 
     def checker(i: int) -> Tuple[bool, int]:
@@ -461,7 +454,7 @@ def _stage_search(
         else:
             found = _protocol_found(graph, cfg, (tag, seed, label))
         if found:
-            net.require_reachable(sorted(sources)[:1])
+            net.require_reachable([(sources & -sources).bit_length() - 1])
         return found, query_rounds
 
     return run_search(len(queries), checker, ledger, params, seed=seed,
@@ -492,9 +485,8 @@ def detect_odd_cycle(
     _check_engine(engine)
     _require(graph.n, ell)
     n = graph.n
-    shared = ColorBfsConfig(ell, frozenset(range(n)), frozenset(),
-                            repetitions=odd_cycle_repetitions(n, ell))
-    return _stage_search(CongestNet(graph), [(frozenset({v}), v) for v in range(n)],
+    shared = ColorBfsConfig(ell, (1 << n) - 1, 0, repetitions=odd_cycle_repetitions(n, ell))
+    return _stage_search(CongestNet(graph), [(1 << v, v) for v in range(n)],
                          shared, "odd", "odd-cycle/search", ledger, seed, params, engine)
 
 
@@ -510,11 +502,12 @@ def _forest_layers(n: int) -> int:
 
 def forest_decomposition(
     graph: Graph,
-    nodes: Iterable[int],
+    nodes: int,
     a: int,
     ledger: CostLedger,
 ) -> Optional[Dict[int, int]]:
-    """Iterative peel: layer i takes nodes of residual degree <= 2a.
+    """Iterative peel of the node mask `nodes`: layer i takes nodes of
+    residual degree <= 2a.
 
     Returns node -> layer index (1-based), so each node has at most 2a
     neighbours in its own or a higher layer.  Up to _forest_layers(n)
@@ -523,7 +516,7 @@ def forest_decomposition(
     """
     if a < 1:
         raise ValueError("a must be >= 1")
-    adj, alive = graph.adj, mask_of(nodes)
+    adj, alive = graph.adj, nodes
     layers: Dict[int, int] = {}
     max_layers = _forest_layers(graph.n)
     layer = 0
@@ -590,26 +583,26 @@ def detect_even_cycle(
 
     # stage 2: heavy cycles (single-source queries over the measured heavy set)
     heavy_threshold = ceil_pow(n, ecp.delta)
-    heavy = [v for v in range(n) if graph.adj[v].bit_count() >= heavy_threshold]
-    shared = ColorBfsConfig(two_k, frozenset(range(n)), frozenset(), repetitions=reps)
-    heavy_found = _stage_search(net, [(frozenset({v}), v) for v in heavy], shared,
+    everyone = (1 << n) - 1
+    heavy = mask_of(v for v in range(n) if graph.adj[v].bit_count() >= heavy_threshold)
+    shared = ColorBfsConfig(two_k, everyone, 0, repetitions=reps)
+    heavy_found = _stage_search(net, [(1 << v, v) for v in bits(heavy)], shared,
                                 "even-heavy", "even-cycle/heavy-search", ledger, seed, params,
                                 engine)
 
     # stage 3: light cycles via forest decomposition + index batching
-    light = [v for v in range(n) if graph.adj[v].bit_count() < heavy_threshold]
+    light = everyone & ~heavy
     a = ceil_scaled_pow(n, Fraction(1, k), 4)
     heights = forest_decomposition(graph, light, a, ledger)
     if heights is None:
         return True  # C_{2k}-free graphs admit the decomposition; reject
     n_idx = ceil_pow(n, ecp.alpha)
     rng = random.Random(derive_seed("even-light-index", seed))
-    by_index: List[List[int]] = [[] for _ in range(n_idx)]
-    for v in sorted(light):
-        by_index[rng.randrange(n_idx)].append(v)
-    shared = ColorBfsConfig(two_k, frozenset(light), frozenset(), heights,
-                            ecp.a_cong * word_capacity(n), reps)
-    light_found = _stage_search(net, [(frozenset(vs), i) for i, vs in enumerate(by_index)],
+    by_index = [0] * n_idx  # the light index classes, as node masks
+    for v in bits(light):
+        by_index[rng.randrange(n_idx)] |= 1 << v
+    shared = ColorBfsConfig(two_k, light, 0, heights, ecp.a_cong * word_capacity(n), reps)
+    light_found = _stage_search(net, [(vs, i) for i, vs in enumerate(by_index)],
                                 shared, "even-light", "even-cycle/light-search", ledger, seed,
                                 params, engine)
     return heavy_found or light_found

@@ -237,11 +237,11 @@ def test_criterion_08_cycle_correctness():
 
 
 def test_criterion_09_color_bfs_single_rep_rate():
-    from qcongest.graph import Graph
+    from qcongest.graph import Graph, mask_of
 
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    cfg = ColorBfsConfig(cycle_len=4, active=frozenset(range(4)),
-                         sources=frozenset(range(4)), congestion_bound=4,
+    cfg = ColorBfsConfig(cycle_len=4, active=mask_of(range(4)),
+                         sources=mask_of(range(4)), congestion_bound=4,
                          repetitions=1)
     exact_hits = sum(
         protocol_detect_once(g, cfg, dict(enumerate(colors)))

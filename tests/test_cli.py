@@ -74,6 +74,10 @@ USAGE_ERRORS = [
     ["sweep", "--algo", "even-cycle", "--edge-prob", "0.5", "--n-list", "64"],
     ["sweep", "--mode", "full", "--algo", "triangle15", "--n-list", "16", "--m-list", "5"],
     ["sweep", "--mode", "full", "--algo", "auto", "--edge-prob", "1.5", "--n-list", "16"],
+    # --packing is a clique flag: cycle rows and cycle sweeps refuse it
+    ["detect-cycle", "--ell", "5", "--packing", "off", "--gen", "planted_cycle,8,0.0,5,1"],
+    ["sweep", "--algo", "odd-cycle", "--packing", "off", "--n-list", "64"],
+    ["sweep", "--mode", "full", "--algo", "even-cycle", "--packing", "on", "--n-list", "16"],
     # lengths that cycledetect.inapplicable refuses
     ["detect-cycle", "--ell", "0", "--gen", "planted_cycle,8,0.0,5,1"],
     ["sweep", "--algo", "even-cycle", "--ell", "0", "--n-list", "64"],

@@ -5,19 +5,21 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qcongest.cli import fit_slope
 from qcongest.cycledetect import (
     ColorBfsConfig,
     EvenCycleParams,
+    _fires,
+    _pattern_specs,
     _qualifying_patterns,
     _stage_search,
     color_bfs_rep_rounds,
     cycle_cost_only,
     detect_even_cycle,
     detect_odd_cycle,
-    event_detect_once,
     forest_decomposition,
     inapplicable,
     measure_congestion,
@@ -26,7 +28,8 @@ from qcongest.cycledetect import (
     repetitions_for,
     single_rep_success,
 )
-from qcongest.graph import GenSpec, Graph, bits, generate, iter_cycles, oracle_has_cycle, two_core
+from qcongest.graph import (GenSpec, Graph, bits, generate, iter_cycles, mask_of,
+                            oracle_has_cycle, two_core)
 from qcongest.netsim import CongestNet, CostLedger, congest_step, word_capacity
 from qcongest.qsearch import DEFAULT_PARAMS, grover_cost
 
@@ -39,11 +42,11 @@ def cycle_graph(ell, n=None):
 
 
 def all_active_cfg(g, ell, sources=None, reps=1, m=1, heights=None):
-    active = frozenset(range(g.n))
+    active = mask_of(range(g.n))
     return ColorBfsConfig(
         cycle_len=ell,
         active=active,
-        sources=frozenset(sources) if sources is not None else active,
+        sources=mask_of(sources) if sources is not None else active,
         heights=heights,
         congestion_bound=m,
         repetitions=reps,
@@ -58,6 +61,17 @@ def patch_cycledetect(monkeypatch, name, value):
     so the constant is set in their own globals.
     """
     monkeypatch.setitem(detect_odd_cycle.__globals__, name, value)
+
+
+def event_detect_once(graph, cfg, colors):
+    """One repetition of the event engine with fixed colours: does some
+    qualifying pattern read 0..ell-1 from its anchor?  The event side of
+    the fixed-colour agreement tests."""
+    patterns, _ = _qualifying_patterns(graph, cfg)
+    if not patterns:
+        return False
+    relevant, specs = _pattern_specs(patterns, cfg.cycle_len)
+    return _fires(np.array([[colors[v] for v in relevant]], dtype=np.uint8), specs)
 
 
 def stage_found(g, cfg, seed, engine, ledger=None):
@@ -137,15 +151,15 @@ class TestEngineAgreement:
     def test_heights_constrain_first_hop(self):
         g = cycle_graph(4)
         heights = {0: 0, 1: 1, 2: 0, 3: 1}
-        cfg = ColorBfsConfig(cycle_len=4, active=frozenset(range(4)),
-                             sources=frozenset({0}), heights=heights,
+        cfg = ColorBfsConfig(cycle_len=4, active=mask_of(range(4)),
+                             sources=mask_of({0}), heights=heights,
                              congestion_bound=4, repetitions=1)
         colors = {0: 0, 1: 1, 2: 2, 3: 3}
         # both neighbors of the source sit higher: no send, no detection
         assert not protocol_detect_once(g, cfg, colors)
         assert not event_detect_once(g, cfg, colors)
-        cfg2 = ColorBfsConfig(cycle_len=4, active=frozenset(range(4)),
-                              sources=frozenset({1}), heights=heights,
+        cfg2 = ColorBfsConfig(cycle_len=4, active=mask_of(range(4)),
+                              sources=mask_of({1}), heights=heights,
                               congestion_bound=4, repetitions=1)
         colors2 = {1: 0, 2: 1, 3: 2, 0: 3}
         assert protocol_detect_once(g, cfg2, colors2)
@@ -202,16 +216,17 @@ class TestColorBfs:
 def reference_congestion(graph, cfg):
     """measure_congestion as set-based BFS over ascending neighbours."""
     hops = cfg.cycle_len // 2 - 1
-    counts = {v: 0 for v in cfg.active}
+    active = set(bits(cfg.active))
+    counts = {v: 0 for v in active}
     if hops < 1:
         return counts
-    for w in cfg.sources:
+    for w in bits(cfg.sources):
         frontier = {u for u in bits(graph.adj[w])
-                    if u in cfg.active and cfg.height(u) <= cfg.height(w)}
+                    if u in active and cfg.height(u) <= cfg.height(w)}
         reached = set(frontier)
         for _ in range(hops - 1):
             nxt = {x for u in frontier for x in bits(graph.adj[u])
-                   if x in cfg.active and x not in reached}
+                   if x in active and x not in reached}
             reached |= nxt
             frontier = nxt
         for v in reached:
@@ -244,16 +259,17 @@ def reference_forest(graph, nodes, a, ledger):
 def reference_protocol(graph, cfg, colors, step):
     """protocol_detect_once with a colour lookup per node, sending through step."""
     ell, m_bound = cfg.cycle_len, cfg.congestion_bound
-    if not any(colors.get(v) == 0 for v in cfg.sources):
+    active, sources = set(bits(cfg.active)), set(bits(cfg.sources))
+    if not any(colors.get(v) == 0 for v in sources):
         return False
 
     def color(v):
-        return colors.get(v) if v in cfg.active else None
+        return colors.get(v) if v in active else None
 
-    received = {v: [] for v in cfg.active}
-    from_up = {v: set() for v in cfg.active}
-    from_down = {v: set() for v in cfg.active}
-    outbox = [(v, w, v) for v in sorted(cfg.sources) if color(v) == 0
+    received = {v: [] for v in active}
+    from_up = {v: set() for v in active}
+    from_down = {v: set() for v in active}
+    outbox = [(v, w, v) for v in sorted(sources) if color(v) == 0
               for w in bits(graph.adj[v])
               if color(w) in (1, ell - 1) and cfg.height(w) <= cfg.height(v)]
     for (u, v), word in sorted(step(graph, outbox).items()):
@@ -261,7 +277,7 @@ def reference_protocol(graph, cfg, colors, step):
             received[v].append(word)
     for phase_i in range(1, ell // 2):
         up_color, down_color = phase_i, ell - phase_i
-        queues = {v: received[v][:m_bound] for v in cfg.active
+        queues = {v: received[v][:m_bound] for v in active
                   if color(v) in (up_color, down_color)}
         for k in range(max(map(len, queues.values()), default=0)):
             outbox = []
@@ -281,17 +297,17 @@ def reference_protocol(graph, cfg, colors, step):
                     elif color(u) == ell // 2 + 1:
                         from_down[v].add(word)
     if ell % 2 == 0:
-        return any(color(v) == ell // 2 and from_up[v] & from_down[v] for v in cfg.active)
+        return any(color(v) == ell // 2 and from_up[v] & from_down[v] for v in active)
     lo, hi = (ell - 1) // 2, (ell + 1) // 2
     return any(color(a) == lo and color(b) == hi and set(received[a]) & set(received[b])
-               for a in cfg.active for b in bits(graph.adj[a]))
+               for a in active for b in bits(graph.adj[a]))
 
 
 def random_cfg(rng, g, ell, heights=False):
     """A config on g with random active nodes, sources among them, M and heights."""
-    active = frozenset(v for v in range(g.n) if rng.random() < 0.8)
-    sources = frozenset(v for v in active if rng.random() < 0.4)
-    hts = {v: rng.randrange(3) for v in active} if heights else None
+    active = mask_of(v for v in range(g.n) if rng.random() < 0.8)
+    sources = mask_of(v for v in bits(active) if rng.random() < 0.4)
+    hts = {v: rng.randrange(3) for v in bits(active)} if heights else None
     return ColorBfsConfig(ell, active, sources, hts, rng.randint(1, 3), 1)
 
 
@@ -315,7 +331,7 @@ class TestMaskRewritesMatchReferences:
             nodes = [v for v in range(g.n) if rng.random() < 0.85]
             a = rng.randint(1, 3)
             got_led, ref_led = CostLedger(), CostLedger()
-            got = forest_decomposition(g, nodes, a, got_led)
+            got = forest_decomposition(g, mask_of(nodes), a, got_led)
             assert got == reference_forest(g, nodes, a, ref_led), seed
             assert got_led.entries == ref_led.entries, seed
             outcomes.add(got is None)
@@ -336,7 +352,7 @@ class TestMaskRewritesMatchReferences:
                                  edge_prob=rng.choice([0.2, 0.35, 0.6]), seed=seed))
             ell = rng.randint(4, min(g.n, 8))
             cfg = random_cfg(rng, g, ell, heights=seed % 3 == 0)
-            colors = {v: rng.randrange(ell) for v in sorted(cfg.active)}
+            colors = {v: rng.randrange(ell) for v in bits(cfg.active)}
             sent.clear()
             got = protocol_detect_once(g, cfg, colors)
             got_sent = list(sent)
@@ -351,8 +367,8 @@ class TestCongestionMeasurement:
     def test_star_congestion(self):
         # sources = leaves; the center may need to forward every leaf id
         g = Graph(6, [(0, i) for i in range(1, 6)])
-        cfg = ColorBfsConfig(cycle_len=6, active=frozenset(range(6)),
-                             sources=frozenset(range(1, 6)),
+        cfg = ColorBfsConfig(cycle_len=6, active=mask_of(range(6)),
+                             sources=mask_of(range(1, 6)),
                              congestion_bound=1, repetitions=1)
         m = measure_congestion(g, cfg)
         assert m[0] == 5
@@ -363,8 +379,8 @@ class TestCongestionMeasurement:
     def test_height_gate(self):
         g = Graph(3, [(0, 1), (1, 2)])
         heights = {0: 0, 1: 5, 2: 0}
-        cfg = ColorBfsConfig(cycle_len=6, active=frozenset(range(3)),
-                             sources=frozenset({0}), heights=heights,
+        cfg = ColorBfsConfig(cycle_len=6, active=mask_of(range(3)),
+                             sources=mask_of({0}), heights=heights,
                              congestion_bound=1, repetitions=1)
         m = measure_congestion(g, cfg)
         assert m[1] == 0  # first hop must go downhill
@@ -374,18 +390,18 @@ class TestForestDecomposition:
     def test_star_two_layers(self):
         g = Graph(11, [(0, i) for i in range(1, 11)])
         led = CostLedger()
-        fd = forest_decomposition(g, range(11), 1, led)
+        fd = forest_decomposition(g, mask_of(range(11)), 1, led)
         assert fd is not None
         assert all(fd[i] == 1 for i in range(1, 11))
         assert fd[0] == 2
 
     def test_k8_fails(self):
         g = generate(GenSpec(kind="complete", n=8))
-        assert forest_decomposition(g, range(8), 1, CostLedger()) is None
+        assert forest_decomposition(g, mask_of(range(8)), 1, CostLedger()) is None
 
     def test_sparse_gnp_layer_property(self):
         g = generate(GenSpec(kind="gnp", n=200, edge_prob=4 / 200, seed=6))
-        fd = forest_decomposition(g, range(200), 8, CostLedger())
+        fd = forest_decomposition(g, mask_of(range(200)), 8, CostLedger())
         assert fd is not None
         for v in range(200):
             higher = sum(
@@ -602,14 +618,14 @@ class TestLightStageEngineAgreement:
                 if rng.random() < 0.25
             ]
             g = Graph(n, edges)
-            fd = forest_decomposition(g, range(n), a=2, ledger=CostLedger())
+            fd = forest_decomposition(g, mask_of(range(n)), a=2, ledger=CostLedger())
             if fd is None:
                 continue
             heights = fd
-            sources = frozenset(v for v in range(n) if rng.random() < 0.5)
+            sources = mask_of(v for v in range(n) if rng.random() < 0.5)
             for two_k in (4, 6):
                 cfg = ColorBfsConfig(
-                    cycle_len=two_k, active=frozenset(range(n)),
+                    cycle_len=two_k, active=mask_of(range(n)),
                     sources=sources, heights=heights,
                     congestion_bound=n * n, repetitions=1,
                 )

@@ -2,9 +2,9 @@
 private name of another qcongest module.
 
 No linter runs in tier-1, and a deletion easily leaves an import behind;
-this check reads each module's syntax tree instead.  __init__.py is left
-out of the unused-import check, since it imports names only to re-export
-them.  A helper that several modules share (graph.bits, qsearch.derive_seed)
+this check reads each module's syntax tree instead.  The package root
+re-exports nothing, so __init__.py is checked like every other module.
+A helper that several modules share (graph.bits, qsearch.derive_seed)
 is public, so a `_`-prefixed name stays private to its module.
 """
 
@@ -14,8 +14,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qcongest"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-ALL_MODULES = sorted(SRC.glob("*.py"))
+MODULES = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source: str):
@@ -57,6 +56,6 @@ def test_checker_finds_a_private_import():
     assert private_imports(source) == ["_bits", "_private", "_seed"]
 
 
-@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_imports(path):
     assert private_imports(path.read_text()) == []
