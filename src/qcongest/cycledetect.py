@@ -175,10 +175,10 @@ def protocol_detect_once(
     # adj[sender] & by_colour[c], ascending, so every step's triples come
     # senders ascending, then receivers ascending
     by_colour = [0] * ell
-    for v in bits(cfg.active):
-        c = colors.get(v)
-        if c is not None and 0 <= c < ell:
+    for v, c in colors.items():
+        if 0 <= c < ell:
             by_colour[c] |= 1 << v
+    by_colour = [nodes & cfg.active for nodes in by_colour]
 
     # received[v]: ids in arrival order; from_up/from_down: chain-tagged ids
     # at the meeting color ell/2 (even lengths only), sent from ell/2 - 1

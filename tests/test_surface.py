@@ -8,9 +8,9 @@ reaches its dunder methods, which Python calls implicitly.  Tests are not
 roots: code that only its own tests call is deleted with those tests, or
 moved into them as a reference.
 
-Names are matched by spelling, not resolved, so a read of `union` anywhere
-reaches every definition called `union`; the check can miss dead code but
-never flags live code.  Strings that are identifiers count as reads in
+Names are matched by spelling, not resolved: a read of `union` anywhere
+reaches every definition called `union`, so dead code that shares a live
+name goes unflagged.  Strings that are identifiers count as reads in
 perfbench/ and tools/, since the benchmark's tracer looks its functions up
 by name.
 """
