@@ -28,11 +28,15 @@ Two engines compute the same detection event:
 
 * "protocol": faithful hop-by-hop simulation over congest_step, including
   the congestion cap M (forward only the first M ids received).
-* "event": exact sampling of the detection event over the enumerated
+* "event": an exact draw of the detection event over the enumerated
   candidate cycles.  A repetition detects iff some qualifying (cycle,
   anchor) pair is pattern-colored; runs whose cycle nodes exceed the
   congestion bound are conservatively counted as misses, per the
-  completeness accounting.
+  completeness accounting.  A query with at most _EXACT_CAP patterns
+  gets its per-repetition success probability P by inclusion-exclusion
+  and detects on one uniform below 1 - (1 - P)^reps; a query with more
+  samples its repetitions' colours in blocks and is counted as
+  `pattern_sampled`.
 
 Both engines charge identical rounds.
 """
@@ -54,6 +58,7 @@ from .qsearch import DEFAULT_PARAMS, QuantumCostParams, charge_search, derive_se
 
 CYCLE_ENUM_LIMIT = 200_000
 _PATTERN_CAP = 4096  # anchored cycles per query; a subset is still sound
+_EXACT_CAP = 6  # patterns of a query whose P is exact: at most 3^6 - 1 terms
 _SAMPLE_BLOCK = 1 << 15
 
 
@@ -126,7 +131,11 @@ def single_rep_success(ell: int) -> Fraction:
 
 
 def repetitions_for(p_success: Fraction, failure_target: float) -> int:
-    """Smallest R with (1 - p)^R <= failure_target, via R >= ln(1/f)/p."""
+    """R = ceil(ln(1/f) / p), so (1 - p)^R <= e^(-pR) <= f = failure_target.
+
+    This may exceed the smallest such R by a little, since ln(1/(1 - p))
+    is slightly above p.
+    """
     if not 0 < p_success <= 1:
         raise ValueError("p_success must be in (0,1]")
     if not 0 < failure_target < 1:
@@ -347,24 +356,63 @@ def _fires(colors: np.ndarray, specs: Sequence[np.ndarray]) -> bool:
     return any(bool((colors[:, idx] == expected).all(axis=1).any()) for idx in specs)
 
 
+def _success_probability(patterns: Sequence[Tuple[Tuple[int, ...], int]],
+                         ell: int) -> Fraction:
+    """P(one uniform colouring fires some pattern), by inclusion-exclusion.
+
+    Each orientation of a pattern is the event that its ell nodes read
+    colours 0..ell-1 from the anchor.  The two orientations of a pattern
+    give the anchor's neighbours colours 1 and ell-1 in opposite order, so
+    they are disjoint and a set of events takes at most one of them.  A set
+    that gives some node two colours is empty, and so is every superset;
+    any other set of j events colouring c nodes adds (-1)^(j+1) ell^(-c).
+    The walk extends only nonempty sets, with an explicit stack.
+    """
+    events = [[tuple((cyc[(pos + orient * j) % ell], j) for j in range(ell))
+               for orient in (1, -1)]
+              for cyc, pos in patterns]
+    nodes = len({v for cyc, _ in patterns for v in cyc})
+    count = 0  # the terms times ell^nodes: fired colourings of the pattern nodes
+    stack = [(0, {}, -1)]  # (next pattern, colours the set demands, its sign)
+    while stack:
+        first, demand, sign = stack.pop()
+        for i in range(first, len(events)):
+            for event in events[i]:
+                merged = dict(demand)
+                if all(merged.setdefault(v, c) == c for v, c in event):
+                    count -= sign * ell ** (nodes - len(merged))
+                    stack.append((i + 1, merged, -sign))
+    return Fraction(count, ell ** nodes)
+
+
 def _event_found(
     graph: Graph, cfg: ColorBfsConfig, seed_parts: Tuple,
     core: Optional[int] = None,
 ) -> Tuple[bool, Set[str]]:
     """(did any of cfg.repetitions random colorings detect?, counters hit).
 
-    Exact sampling.  Only colors of nodes on qualifying cycles matter;
-    everything else is independent of the detection event, so the sampling
-    restricts to them.  The counters hit are those of
-    `_qualifying_patterns`, whose enumeration `core` restricts: cycles
-    dropped for congestion reduce completeness, never soundness.
+    Exact.  Repetitions are independent, so with per-repetition success P
+    some repetition detects with probability q = 1 - (1 - P)^reps.  With at
+    most _EXACT_CAP patterns, P is exact (_success_probability) and one
+    uniform of the query's stream is compared with q.  With more, the
+    query samples colourings in blocks of _SAMPLE_BLOCK repetitions and
+    adds `pattern_sampled` to the counters hit.  Only colors of nodes on
+    qualifying cycles matter; everything else is independent of the
+    detection event, so the sampling restricts to them.  The other counters
+    hit are those of `_qualifying_patterns`, whose enumeration `core`
+    restricts: cycles dropped for congestion reduce completeness, never
+    soundness, and no pattern means P = 0.
     """
     patterns, hits = _qualifying_patterns(graph, cfg, core)
     if not patterns:
         return False, hits
     ell = cfg.cycle_len
-    relevant, specs = _pattern_specs(patterns, ell)
     rng = np.random.default_rng(derive_seed(*seed_parts))
+    if len(patterns) <= _EXACT_CAP:
+        p = float(_success_probability(patterns, ell))
+        return bool(rng.random() < -math.expm1(cfg.repetitions * math.log1p(-p))), hits
+    hits.add("pattern_sampled")
+    relevant, specs = _pattern_specs(patterns, ell)
     remaining = cfg.repetitions
     while remaining > 0:
         block = min(remaining, _SAMPLE_BLOCK)

@@ -47,7 +47,9 @@ class CostLedger:
 
     `counts` holds "queries" (leaf checks over every search of the run)
     and, for cycle detection, "enumeration_truncated", "pattern_capped"
-    and "congestion_dropped" (queries whose patterns were cut short).
+    and "congestion_dropped" (queries whose patterns were cut short), and
+    "pattern_sampled" (queries with too many patterns for an exact
+    detection probability, whose colourings were sampled).
     """
 
     def __init__(self) -> None:

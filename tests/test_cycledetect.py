@@ -10,12 +10,15 @@ import pytest
 
 from qcongest.cli import fit_slope
 from qcongest.cycledetect import (
+    _EXACT_CAP,
     ColorBfsConfig,
     EvenCycleParams,
+    _event_found,
     _fires,
     _pattern_specs,
     _qualifying_patterns,
     _stage_search,
+    _success_probability,
     color_bfs_rep_rounds,
     cycle_cost_only,
     detect_even_cycle,
@@ -74,6 +77,25 @@ def event_detect_once(graph, cfg, colors):
     return _fires(np.array([[colors[v] for v in relevant]], dtype=np.uint8), specs)
 
 
+def fired_colourings(graph, cfg):
+    """(colourings of the nodes on cfg's qualifying patterns on which one
+    event-engine repetition fires, all such colourings), by enumerating
+    every colouring; event_detect_once agrees on a sample of them."""
+    patterns, _ = _qualifying_patterns(graph, cfg)
+    ell = cfg.cycle_len
+    relevant, specs = _pattern_specs(patterns, ell)
+    grid = np.indices((ell,) * len(relevant), dtype=np.uint8).reshape(len(relevant), -1).T
+    fires = np.zeros(len(grid), dtype=bool)
+    for idx in specs:
+        fires |= (grid[:, idx] == np.arange(ell, dtype=np.uint8)).all(axis=1)
+    rng = np.random.default_rng(0)
+    sample = np.concatenate([rng.choice(len(grid), 32), rng.choice(np.flatnonzero(fires), 32)])
+    for row in sample:
+        colors = dict(zip(relevant, grid[row].tolist()))
+        assert event_detect_once(graph, cfg, colors) == fires[row]
+    return int(fires.sum()), len(grid)
+
+
 def stage_found(g, cfg, seed, engine, ledger=None):
     """A search stage of one query: cfg's colour BFS from all of cfg.sources."""
     return _stage_search(CongestNet(g), [(cfg.sources, 0)], cfg, "test", "color-bfs",
@@ -106,6 +128,98 @@ class TestSingleRepSuccess:
         p, f = Fraction(2, 625), 0.01
         r = repetitions_for(p, f)
         assert (1 - float(p)) ** r <= f < (1 - float(p)) ** max(r - 10, 1)
+
+
+class TestExactSuccess:
+    """The event engine's exact P equals the share of colourings that fire."""
+
+    @staticmethod
+    def assert_exact(g, cfg):
+        patterns, _ = _qualifying_patterns(g, cfg)
+        assert patterns
+        fired, total = fired_colourings(g, cfg)
+        assert _success_probability(patterns, cfg.cycle_len) == Fraction(fired, total)
+
+    @pytest.mark.parametrize("ell", [4, 5, 6, 7])
+    def test_lone_cycle_gives_single_rep_success(self, ell):
+        g = cycle_graph(ell)
+        cfg = all_active_cfg(g, ell, sources=[0])
+        patterns, _ = _qualifying_patterns(g, cfg)
+        assert _success_probability(patterns, ell) == single_rep_success(ell)
+        self.assert_exact(g, cfg)
+
+    @pytest.mark.parametrize("edges", [
+        # C4s 0-1-2-3 and 0-1-4-3 share the path 3-0-1, so orientations of
+        # the two can fire together
+        [(0, 1), (1, 2), (2, 3), (0, 3), (1, 4), (3, 4)],
+        # a bowtie: the C4s share only the anchor
+        [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (4, 5), (5, 6), (0, 6)],
+    ])
+    def test_two_cycles_sharing_the_anchor(self, edges):
+        g = Graph(max(max(e) for e in edges) + 1, edges)
+        cfg = all_active_cfg(g, 4, sources=[0])
+        assert len(_qualifying_patterns(g, cfg)[0]) == 2
+        self.assert_exact(g, cfg)
+
+    @pytest.mark.parametrize("n, ell, sources", [(4, 4, [0, 1, 2]), (5, 4, [0, 1]),
+                                                 (5, 5, [0, 1])])
+    def test_complete_graphs_with_several_sources(self, n, ell, sources):
+        g = generate(GenSpec(kind="complete", n=n))
+        self.assert_exact(g, all_active_cfg(g, ell, sources=sources, m=len(sources)))
+
+    def test_heights(self):
+        # anchors 0, 2 and 4 have both cycle neighbours at or below them;
+        # anchors 1 and 3 do not
+        g = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 4), (3, 4)])
+        heights = {0: 1, 1: 0, 2: 1, 3: 0, 4: 0}
+        cfg = all_active_cfg(g, 4, m=5, heights=heights)
+        anchors = {cyc[pos] for cyc, pos in _qualifying_patterns(g, cfg)[0]}
+        assert anchors == {0, 2, 4}
+        self.assert_exact(g, cfg)
+
+
+class TestEventDraw:
+    """Both draws of the event engine detect with probability 1 - (1 - P)^reps."""
+
+    SEEDS = 2000
+
+    def test_exact_draw_and_block_sampler_hit_at_q(self, monkeypatch):
+        # sources 0 and 2 on the C4s 0-1-2-3, 0-1-4-3 and 1-2-3-4: four
+        # patterns, some of whose events intersect
+        g = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 4), (3, 4)])
+        patterns, _ = _qualifying_patterns(g, all_active_cfg(g, 4, sources=[0, 2], m=2))
+        assert len(patterns) == 4 <= _EXACT_CAP
+        p = _success_probability(patterns, 4)
+        reps = round(math.log(2) / p)
+        q = float(1 - (1 - p) ** reps)
+        assert 0.3 <= q <= 0.7
+        cfg = all_active_cfg(g, 4, sources=[0, 2], m=2, reps=reps)
+        bound = 4 * math.sqrt(q * (1 - q) / self.SEEDS)
+        for cap, counter in ((_EXACT_CAP, set()), (0, {"pattern_sampled"})):
+            patch_cycledetect(monkeypatch, "_EXACT_CAP", cap)
+            draws = [_event_found(g, cfg, ("draw", s)) for s in range(self.SEEDS)]
+            assert all(hits == counter for _, hits in draws)
+            rate = sum(found for found, _ in draws) / self.SEEDS
+            assert abs(rate - q) <= bound, (cap, rate, q)
+
+    def test_above_the_cap_keeps_the_block_sampler(self):
+        # K5, C4, sources 0 and 1: 24 patterns, P = 57/512, q = 0.507 at 6
+        # reps.  The answers are those of the block sampler before exact
+        # draws existed, seed by seed.
+        g = generate(GenSpec(kind="complete", n=5))
+        cfg = all_active_cfg(g, 4, sources=[0, 1], m=2, reps=6)
+        assert len(_qualifying_patterns(g, cfg)[0]) == 24 > _EXACT_CAP
+        answers = "".join(str(int(_event_found(g, cfg, ("sampled", s))[0]))
+                          for s in range(32))
+        assert answers == "01011111010111100110100011001100"
+        ledger = CostLedger()
+        stage_found(g, cfg, 0, "event", ledger)
+        assert ledger.counts["pattern_sampled"] == ledger.counts["queries"] == 1
+        # a query at or below the cap is not counted
+        ledger = CostLedger()
+        g = cycle_graph(4)
+        assert stage_found(g, all_active_cfg(g, 4, sources=[0], reps=2000), 0, "event", ledger)
+        assert ledger.counts["pattern_sampled"] == 0
 
 
 class TestEngineAgreement:
@@ -516,8 +630,6 @@ class TestDetectEvenCycle:
 
 class TestCongestionDrops:
     def test_exceeded_runs_recorded_and_conservative(self):
-        from qcongest.cycledetect import _event_found
-
         g = cycle_graph(4)
         # four sources, M=1: every node may need to forward two ids
         cfg = all_active_cfg(g, 4, reps=5000, m=1)
@@ -529,8 +641,6 @@ class TestCongestionDrops:
         # C4 on 0..3 plus leaves 4, 5 at node 0: with ell = 4 a node's
         # congestion is its number of source neighbours, and node 0 has
         # four, one more than M = 3, so the only C4 is dropped
-        from qcongest.cycledetect import _event_found
-
         g = Graph(6, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (0, 5)])
         cfg = all_active_cfg(g, 4, sources=[1, 3, 4, 5], reps=5000, m=3)
         assert measure_congestion(g, cfg)[0] == 4
@@ -540,8 +650,6 @@ class TestCongestionDrops:
         assert _event_found(g, cfg, ("drop-test-3",)) == (True, set())
 
     def test_single_source_never_exceeds_m1(self):
-        from qcongest.cycledetect import _event_found
-
         g = cycle_graph(4)
         cfg = all_active_cfg(g, 4, sources=[0], reps=2000, m=1)
         found, hits = _event_found(g, cfg, ("drop-test-2",))
