@@ -15,7 +15,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -25,11 +25,6 @@ from .graph import GenSpec, Graph, GraphFormatError, generate, load_graph, oracl
 from .netsim import CostLedger
 from .qsearch import QuantumCostParams
 
-CSV_HEADER = (
-    "n,m,algo,params,rounds_total,rounds_route,rounds_broadcast,"
-    "rounds_quantum,rounds_converge,queries,found,seed"
-)
-
 
 class UsageError(ValueError):
     """Bad flag combination; maps to exit code 2."""
@@ -37,6 +32,8 @@ class UsageError(ValueError):
 
 @dataclass
 class ResultRow:
+    """One CSV row; its fields, in order, are the CSV columns."""
+
     n: int
     m: int
     algo: str
@@ -51,12 +48,7 @@ class ResultRow:
     seed: int
 
     def to_csv_line(self) -> str:
-        found = "" if self.found is None else str(int(self.found))
-        return (
-            f"{self.n},{self.m},{self.algo},{self.params},{self.rounds_total},"
-            f"{self.rounds_route},{self.rounds_broadcast},{self.rounds_quantum},"
-            f"{self.rounds_converge},{self.queries},{found},{self.seed}"
-        )
+        return ",".join(_csv_cell(getattr(self, f.name)) for f in fields(self))
 
     @classmethod
     def from_ledger(
@@ -75,6 +67,19 @@ class ResultRow:
         )
 
 
+CSV_HEADER = ",".join(f.name for f in fields(ResultRow))
+
+# a CSV cell back to its field's value, by the field's annotation
+_PARSE_CELL = {"int": int, "str": str,
+               "Optional[bool]": lambda cell: None if cell == "" else bool(int(cell))}
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    return str(int(value)) if isinstance(value, bool) else str(value)
+
+
 def rows_to_csv(rows: Sequence[ResultRow]) -> str:
     buf = io.StringIO()
     buf.write(CSV_HEADER + "\n")
@@ -84,24 +89,8 @@ def rows_to_csv(rows: Sequence[ResultRow]) -> str:
 
 
 def rows_from_csv(text: str) -> List[ResultRow]:
-    reader = csv.DictReader(io.StringIO(text))
-    rows = []
-    for rec in reader:
-        rows.append(
-            ResultRow(
-                n=int(rec["n"]), m=int(rec["m"]), algo=rec["algo"],
-                params=rec["params"],
-                rounds_total=int(rec["rounds_total"]),
-                rounds_route=int(rec["rounds_route"]),
-                rounds_broadcast=int(rec["rounds_broadcast"]),
-                rounds_quantum=int(rec["rounds_quantum"]),
-                rounds_converge=int(rec["rounds_converge"]),
-                queries=int(rec["queries"]),
-                found=None if rec["found"] == "" else bool(int(rec["found"])),
-                seed=int(rec["seed"]),
-            )
-        )
-    return rows
+    return [ResultRow(**{f.name: _PARSE_CELL[f.type](rec[f.name]) for f in fields(ResultRow)})
+            for rec in csv.DictReader(io.StringIO(text))]
 
 
 def fit_slope(xs: Sequence[float], ys: Sequence[float]) -> float:

@@ -27,7 +27,8 @@ ascending order with bits().
 Two engines compute the same detection event:
 
 * "protocol": faithful hop-by-hop simulation over congest_step, including
-  the congestion cap M (forward only the first M ids received).
+  the congestion cap M (forward only the first M ids received).  Each
+  repetition's colouring is ell colour masks, one per colour.
 * "event": an exact draw of the detection event over the enumerated
   candidate cycles.  A repetition detects iff some qualifying (cycle,
   anchor) pair is pattern-colored; runs whose cycle nodes exceed the
@@ -162,32 +163,29 @@ def _query_rounds(ell: int, reps: int, m_bound: int, ecc: int) -> int:
 def protocol_detect_once(
     graph: Graph,
     cfg: ColorBfsConfig,
-    colors: Mapping[int, int],
+    by_colour: Sequence[int],
 ) -> bool:
     """One repetition with fixed colors, message by message.
 
-    Ids received in a round are ordered by sender id; each node forwards
-    only the first M ids it has received.  For even lengths, detection is a
-    color-(len/2) node holding the same id from both chains; for odd
-    lengths, an edge between the two chain endpoints holding a common id.
+    The colouring is given as ell node masks: by_colour[c] holds the
+    active nodes of colour c, so the masks partition cfg.active.  A word's
+    receivers are adj[sender] & by_colour[c], ascending, so every step's
+    triples come senders ascending, then receivers ascending.  Ids received
+    in a round are ordered by sender id; each node forwards only the first
+    M ids it has received.  For even lengths, detection is a color-(len/2)
+    node holding the same id from both chains; for odd lengths, an edge
+    between the two chain endpoints holding a common id.
 
     Steps that would carry no word are not simulated: none when no source
     has color 0, and per phase as many steps as the longest forward queue
     (at most M).  The caller charges the protocol's full rounds.
     """
     ell = cfg.cycle_len
-    if not any(colors.get(v) == 0 for v in bits(cfg.sources)):
+    starts = by_colour[0] & cfg.sources
+    if not starts:
         return False
     m_bound = cfg.congestion_bound
     adj = graph.adj
-    # by_colour[c]: the active nodes of colour c; a word's receivers are
-    # adj[sender] & by_colour[c], ascending, so every step's triples come
-    # senders ascending, then receivers ascending
-    by_colour = [0] * ell
-    for v, c in colors.items():
-        if 0 <= c < ell:
-            by_colour[c] |= 1 << v
-    by_colour = [nodes & cfg.active for nodes in by_colour]
 
     # received[v]: ids in arrival order; from_up/from_down: chain-tagged ids
     # at the meeting color ell/2 (even lengths only), sent from ell/2 - 1
@@ -212,7 +210,7 @@ def protocol_detect_once(
     # initial send: color-0 sources to color 1 / ell-1 neighbors, downhill
     ends = by_colour[1] | by_colour[ell - 1]
     outbox = []
-    for v in bits(by_colour[0] & cfg.sources):
+    for v in bits(starts):
         for w in bits(adj[v] & ends):
             if cfg.height(w) <= cfg.height(v):
                 outbox.append((v, w, v))
@@ -282,7 +280,7 @@ def measure_congestion(graph: Graph, cfg: ColorBfsConfig) -> Dict[int, int]:
 def _qualifying_patterns(
     graph: Graph,
     cfg: ColorBfsConfig,
-    core: Optional[int] = None,
+    core: int,
 ) -> Tuple[List[Tuple[Tuple[int, ...], int]], Set[str]]:
     """(anchored cycles that can fire, the ledger counters the query hit).
 
@@ -292,48 +290,41 @@ def _qualifying_patterns(
     dropped (counted against completeness, never soundness).
 
     `core` is a mask of active nodes that holds every cycle of the active
-    subgraph, such as its 2-core; the enumeration runs inside it.  Without
-    it, the enumeration runs over the whole active set.  Sources enumerate
-    in id order, and each leaves the mask once done, so a cycle is
-    enumerated once, through its smallest source.  Congestion is
-    measured only when there are more than M sources: m(v) <= |sources|,
-    so with at most M sources no cycle is dropped.  The counters hit name
-    how the patterns were cut short: `congestion_dropped` when a cycle was
-    dropped, `enumeration_truncated` when a source hit CYCLE_ENUM_LIMIT,
-    `pattern_capped` when _PATTERN_CAP stopped the enumeration.
+    subgraph, such as its 2-core (or the active set itself); one
+    iter_cycles call inside it, anchored at the sources, enumerates each
+    cycle through a source once, through its smallest source.  Congestion
+    is measured only when there are more than M sources: m(v) <=
+    |sources|, so with at most M sources no cycle is dropped.  The counters
+    hit name how the patterns were cut short: `congestion_dropped` when a
+    cycle was dropped, `enumeration_truncated` when the query's enumeration
+    hit CYCLE_ENUM_LIMIT, `pattern_capped` when _PATTERN_CAP stopped it.
     """
     ell = cfg.cycle_len
-    if core is None:
-        core = cfg.active
     congestion = (measure_congestion(graph, cfg)
                   if cfg.sources.bit_count() > cfg.congestion_bound else None)
     out: List[Tuple[Tuple[int, ...], int]] = []
     hits: Set[str] = set()
-    for src in bits(cfg.sources):
-        try:
-            for cyc in iter_cycles(graph, ell, active_mask=core,
-                                   through=src, limit=CYCLE_ENUM_LIMIT):
-                if congestion is not None and any(
-                        congestion[v] > cfg.congestion_bound for v in cyc):
-                    hits.add("congestion_dropped")
+    try:
+        for cyc in iter_cycles(graph, ell, active_mask=core, anchors=cfg.sources,
+                               limit=CYCLE_ENUM_LIMIT):
+            if congestion is not None and any(
+                    congestion[v] > cfg.congestion_bound for v in cyc):
+                hits.add("congestion_dropped")
+                continue
+            for pos, v in enumerate(cyc):
+                if not cfg.sources >> v & 1:
                     continue
-                for pos, v in enumerate(cyc):
-                    if not cfg.sources >> v & 1:
-                        continue
-                    prv = cyc[(pos - 1) % ell]
-                    nxt = cyc[(pos + 1) % ell]
-                    if cfg.height(prv) <= cfg.height(v) and cfg.height(nxt) <= cfg.height(v):
-                        out.append((cyc, pos))
-                if len(out) >= _PATTERN_CAP:
-                    break
-        except CycleEnumerationLimit:
-            # keep the cycles gathered so far: sampling over a subset of the
-            # detection events stays sound, only completeness is understated
-            hits.add("enumeration_truncated")
-        core &= ~(1 << src)  # later sources skip the cycles through src
-        if len(out) >= _PATTERN_CAP:
-            hits.add("pattern_capped")
-            break
+                prv = cyc[(pos - 1) % ell]
+                nxt = cyc[(pos + 1) % ell]
+                if cfg.height(prv) <= cfg.height(v) and cfg.height(nxt) <= cfg.height(v):
+                    out.append((cyc, pos))
+            if len(out) >= _PATTERN_CAP:
+                hits.add("pattern_capped")
+                break
+    except CycleEnumerationLimit:
+        # keep the cycles gathered so far: sampling over a subset of the
+        # detection events stays sound, only completeness is understated
+        hits.add("enumeration_truncated")
     return out[:_PATTERN_CAP], hits
 
 
@@ -386,8 +377,7 @@ def _success_probability(patterns: Sequence[Tuple[Tuple[int, ...], int]],
 
 
 def _event_found(
-    graph: Graph, cfg: ColorBfsConfig, seed_parts: Tuple,
-    core: Optional[int] = None,
+    graph: Graph, cfg: ColorBfsConfig, seed_parts: Tuple, core: int,
 ) -> Tuple[bool, Set[str]]:
     """(did any of cfg.repetitions random colorings detect?, counters hit).
 
@@ -426,10 +416,13 @@ def _event_found(
 def _protocol_found(graph: Graph, cfg: ColorBfsConfig, seed_parts: Tuple) -> bool:
     """Did any of cfg.repetitions random colorings detect, hop by hop?"""
     rng = random.Random(derive_seed("color-bfs-protocol", derive_seed(*seed_parts)))
-    order = list(bits(cfg.active))
+    ell = cfg.cycle_len
+    node_bits = [1 << v for v in bits(cfg.active)]
     for _ in range(cfg.repetitions):
-        colors = {v: rng.randrange(cfg.cycle_len) for v in order}
-        if protocol_detect_once(graph, cfg, colors):
+        by_colour = [0] * ell
+        for bit in node_bits:
+            by_colour[rng.randrange(ell)] |= bit
+        if protocol_detect_once(graph, cfg, by_colour):
             return True
     return False
 
@@ -609,8 +602,10 @@ def detect_even_cycle(
 ) -> bool:
     """Edge prune, then heavy-node search, then index-batched light search.
 
-    All stages run (and charge) unconditionally so the ledger never depends
-    on the answer; the result is their disjunction.
+    A firing edge prune and a failed forest decomposition each answer True
+    at once, and the stages after them neither run nor charge.  Otherwise
+    both searches run (and charge) whatever the heavy search found, and the
+    result is their disjunction.
     """
     if two_k % 2 == 1:
         raise ValueError("odd length: use detect_odd_cycle")

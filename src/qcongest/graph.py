@@ -318,16 +318,20 @@ def iter_cycles(
     graph: Graph,
     length: int,
     active_mask: Optional[int] = None,
-    through: Optional[int] = None,
+    anchors: Optional[int] = None,
     limit: Optional[int] = None,
 ) -> Iterator[Tuple[int, ...]]:
     """Yield simple cycles of exactly `length` as node sequences, each once.
 
-    With `through`, only cycles containing that node, anchored there;
-    otherwise anchored at their minimum node.  Direction is canonicalized by
-    requiring the second node to be smaller than the last.  Cycles come out
-    in the order of a depth-first search that tries neighbors in ascending
-    order.
+    Only the cycles of the active subgraph that hold a node of the mask
+    `anchors` (default: every active node) come out, each anchored at its
+    smallest anchor: anchors are taken in ascending order, and each leaves
+    the active set before its search starts.  So anchors=1 << v gives the
+    cycles through v, and the default gives every cycle, anchored at its
+    minimum node.  Direction is canonicalized by requiring the second node
+    to be smaller than the last.  Cycles come out in the order of a
+    depth-first search that tries neighbors in ascending order, and
+    `limit` bounds the cycles of the whole call.
 
     The search is over bitmasks and prunes exactly: the node at path
     position k lies within length - k hops of the anchor (the rest of the
@@ -391,13 +395,9 @@ def iter_cycles(
             else:
                 stack.append(nxt)
 
-    if through is not None:
-        if active >> through & 1:
-            yield from from_anchor(through, active & ~(1 << through))
-    else:
-        for s in bits(active):
-            # min-node anchoring: only use nodes above s
-            yield from from_anchor(s, active & ~((2 << s) - 1))
+    for s in bits(active if anchors is None else active & anchors):
+        active &= ~(1 << s)
+        yield from from_anchor(s, active)
 
 
 def two_core(graph: Graph, mask: int) -> int:

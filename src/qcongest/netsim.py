@@ -25,7 +25,7 @@ from typing import Dict, Iterable, List, Tuple
 
 from .graph import bits
 
-KINDS = ("route", "broadcast", "converge", "quantum", "local")
+KINDS = ("route", "broadcast", "converge", "quantum")
 MODELS = ("clique", "congest")
 
 

@@ -66,11 +66,18 @@ def patch_cycledetect(monkeypatch, name, value):
     monkeypatch.setitem(detect_odd_cycle.__globals__, name, value)
 
 
+def colour_masks(cfg, colors):
+    """The colour masks protocol_detect_once takes, from a node -> colour
+    dict: mask c holds the active nodes of colour c."""
+    return [mask_of(v for v in bits(cfg.active) if colors.get(v) == c)
+            for c in range(cfg.cycle_len)]
+
+
 def event_detect_once(graph, cfg, colors):
     """One repetition of the event engine with fixed colours: does some
     qualifying pattern read 0..ell-1 from its anchor?  The event side of
     the fixed-colour agreement tests."""
-    patterns, _ = _qualifying_patterns(graph, cfg)
+    patterns, _ = _qualifying_patterns(graph, cfg, cfg.active)
     if not patterns:
         return False
     relevant, specs = _pattern_specs(patterns, cfg.cycle_len)
@@ -81,7 +88,7 @@ def fired_colourings(graph, cfg):
     """(colourings of the nodes on cfg's qualifying patterns on which one
     event-engine repetition fires, all such colourings), by enumerating
     every colouring; event_detect_once agrees on a sample of them."""
-    patterns, _ = _qualifying_patterns(graph, cfg)
+    patterns, _ = _qualifying_patterns(graph, cfg, cfg.active)
     ell = cfg.cycle_len
     relevant, specs = _pattern_specs(patterns, ell)
     grid = np.indices((ell,) * len(relevant), dtype=np.uint8).reshape(len(relevant), -1).T
@@ -111,7 +118,7 @@ class TestSingleRepSuccess:
         cfg = all_active_cfg(g, ell, sources=[0])
         count = 0
         for colors in itertools.product(range(ell), repeat=ell):
-            if protocol_detect_once(g, cfg, dict(enumerate(colors))):
+            if protocol_detect_once(g, cfg, colour_masks(cfg, dict(enumerate(colors)))):
                 count += 1
         assert Fraction(count, ell**ell) == single_rep_success(ell)
 
@@ -135,7 +142,7 @@ class TestExactSuccess:
 
     @staticmethod
     def assert_exact(g, cfg):
-        patterns, _ = _qualifying_patterns(g, cfg)
+        patterns, _ = _qualifying_patterns(g, cfg, cfg.active)
         assert patterns
         fired, total = fired_colourings(g, cfg)
         assert _success_probability(patterns, cfg.cycle_len) == Fraction(fired, total)
@@ -144,7 +151,7 @@ class TestExactSuccess:
     def test_lone_cycle_gives_single_rep_success(self, ell):
         g = cycle_graph(ell)
         cfg = all_active_cfg(g, ell, sources=[0])
-        patterns, _ = _qualifying_patterns(g, cfg)
+        patterns, _ = _qualifying_patterns(g, cfg, cfg.active)
         assert _success_probability(patterns, ell) == single_rep_success(ell)
         self.assert_exact(g, cfg)
 
@@ -158,7 +165,7 @@ class TestExactSuccess:
     def test_two_cycles_sharing_the_anchor(self, edges):
         g = Graph(max(max(e) for e in edges) + 1, edges)
         cfg = all_active_cfg(g, 4, sources=[0])
-        assert len(_qualifying_patterns(g, cfg)[0]) == 2
+        assert len(_qualifying_patterns(g, cfg, cfg.active)[0]) == 2
         self.assert_exact(g, cfg)
 
     @pytest.mark.parametrize("n, ell, sources", [(4, 4, [0, 1, 2]), (5, 4, [0, 1]),
@@ -173,7 +180,7 @@ class TestExactSuccess:
         g = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 4), (3, 4)])
         heights = {0: 1, 1: 0, 2: 1, 3: 0, 4: 0}
         cfg = all_active_cfg(g, 4, m=5, heights=heights)
-        anchors = {cyc[pos] for cyc, pos in _qualifying_patterns(g, cfg)[0]}
+        anchors = {cyc[pos] for cyc, pos in _qualifying_patterns(g, cfg, cfg.active)[0]}
         assert anchors == {0, 2, 4}
         self.assert_exact(g, cfg)
 
@@ -187,7 +194,8 @@ class TestEventDraw:
         # sources 0 and 2 on the C4s 0-1-2-3, 0-1-4-3 and 1-2-3-4: four
         # patterns, some of whose events intersect
         g = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 4), (3, 4)])
-        patterns, _ = _qualifying_patterns(g, all_active_cfg(g, 4, sources=[0, 2], m=2))
+        cfg = all_active_cfg(g, 4, sources=[0, 2], m=2)
+        patterns, _ = _qualifying_patterns(g, cfg, cfg.active)
         assert len(patterns) == 4 <= _EXACT_CAP
         p = _success_probability(patterns, 4)
         reps = round(math.log(2) / p)
@@ -197,7 +205,7 @@ class TestEventDraw:
         bound = 4 * math.sqrt(q * (1 - q) / self.SEEDS)
         for cap, counter in ((_EXACT_CAP, set()), (0, {"pattern_sampled"})):
             patch_cycledetect(monkeypatch, "_EXACT_CAP", cap)
-            draws = [_event_found(g, cfg, ("draw", s)) for s in range(self.SEEDS)]
+            draws = [_event_found(g, cfg, ("draw", s), cfg.active) for s in range(self.SEEDS)]
             assert all(hits == counter for _, hits in draws)
             rate = sum(found for found, _ in draws) / self.SEEDS
             assert abs(rate - q) <= bound, (cap, rate, q)
@@ -208,8 +216,8 @@ class TestEventDraw:
         # draws existed, seed by seed.
         g = generate(GenSpec(kind="complete", n=5))
         cfg = all_active_cfg(g, 4, sources=[0, 1], m=2, reps=6)
-        assert len(_qualifying_patterns(g, cfg)[0]) == 24 > _EXACT_CAP
-        answers = "".join(str(int(_event_found(g, cfg, ("sampled", s))[0]))
+        assert len(_qualifying_patterns(g, cfg, cfg.active)[0]) == 24 > _EXACT_CAP
+        answers = "".join(str(int(_event_found(g, cfg, ("sampled", s), cfg.active)[0]))
                           for s in range(32))
         assert answers == "01011111010111100110100011001100"
         ledger = CostLedger()
@@ -239,9 +247,8 @@ class TestEngineAgreement:
             g = Graph(n, edges)
             cfg = all_active_cfg(g, ell, m=n)  # M large: no congestion drops
             colors = {v: rng.randrange(ell) for v in range(n)}
-            assert protocol_detect_once(g, cfg, colors) == event_detect_once(
-                g, cfg, colors
-            ), (n, edges, colors)
+            assert protocol_detect_once(g, cfg, colour_masks(cfg, colors)) == (
+                event_detect_once(g, cfg, colors)), (n, edges, colors)
 
     @pytest.mark.parametrize("ell", [4, 5])
     def test_agreement_single_source(self, ell):
@@ -258,9 +265,8 @@ class TestEngineAgreement:
             src = rng.randrange(n)
             cfg = all_active_cfg(g, ell, sources=[src], m=n)
             colors = {v: rng.randrange(ell) for v in range(n)}
-            assert protocol_detect_once(g, cfg, colors) == event_detect_once(
-                g, cfg, colors
-            )
+            assert protocol_detect_once(g, cfg, colour_masks(cfg, colors)) == (
+                event_detect_once(g, cfg, colors))
 
     def test_heights_constrain_first_hop(self):
         g = cycle_graph(4)
@@ -270,13 +276,13 @@ class TestEngineAgreement:
                              congestion_bound=4, repetitions=1)
         colors = {0: 0, 1: 1, 2: 2, 3: 3}
         # both neighbors of the source sit higher: no send, no detection
-        assert not protocol_detect_once(g, cfg, colors)
+        assert not protocol_detect_once(g, cfg, colour_masks(cfg, colors))
         assert not event_detect_once(g, cfg, colors)
         cfg2 = ColorBfsConfig(cycle_len=4, active=mask_of(range(4)),
                               sources=mask_of({1}), heights=heights,
                               congestion_bound=4, repetitions=1)
         colors2 = {1: 0, 2: 1, 3: 2, 0: 3}
-        assert protocol_detect_once(g, cfg2, colors2)
+        assert protocol_detect_once(g, cfg2, colour_masks(cfg2, colors2))
         assert event_detect_once(g, cfg2, colors2)
 
 
@@ -314,14 +320,15 @@ class TestColorBfs:
         g = cycle_graph(4)
         cfg = all_active_cfg(g, 4, m=4)
         exact_hits = sum(
-            protocol_detect_once(g, cfg, dict(enumerate(c)))
+            protocol_detect_once(g, cfg, colour_masks(cfg, dict(enumerate(c))))
             for c in itertools.product(range(4), repeat=4)
         )
         exact = exact_hits / 256
         rng = random.Random(0)
         trials = 20_000
         hits = sum(
-            protocol_detect_once(g, cfg, {v: rng.randrange(4) for v in range(4)})
+            protocol_detect_once(g, cfg,
+                                 colour_masks(cfg, {v: rng.randrange(4) for v in range(4)}))
             for _ in range(trials)
         )
         assert abs(hits / trials - exact) < 0.15 * exact
@@ -468,7 +475,7 @@ class TestMaskRewritesMatchReferences:
             cfg = random_cfg(rng, g, ell, heights=seed % 3 == 0)
             colors = {v: rng.randrange(ell) for v in bits(cfg.active)}
             sent.clear()
-            got = protocol_detect_once(g, cfg, colors)
+            got = protocol_detect_once(g, cfg, colour_masks(cfg, colors))
             got_sent = list(sent)
             sent.clear()
             assert got == reference_protocol(g, cfg, colors, recording_step), seed
@@ -633,7 +640,7 @@ class TestCongestionDrops:
         g = cycle_graph(4)
         # four sources, M=1: every node may need to forward two ids
         cfg = all_active_cfg(g, 4, reps=5000, m=1)
-        found, hits = _event_found(g, cfg, ("drop-test",))
+        found, hits = _event_found(g, cfg, ("drop-test",), cfg.active)
         assert hits == {"congestion_dropped"}
         assert not found  # dropped cycles count against completeness only
 
@@ -644,15 +651,16 @@ class TestCongestionDrops:
         g = Graph(6, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (0, 5)])
         cfg = all_active_cfg(g, 4, sources=[1, 3, 4, 5], reps=5000, m=3)
         assert measure_congestion(g, cfg)[0] == 4
-        assert _event_found(g, cfg, ("drop-test-3",)) == (False, {"congestion_dropped"})
+        assert _event_found(g, cfg, ("drop-test-3",), cfg.active) == (
+            False, {"congestion_dropped"})
         # one source fewer: m(v) <= |sources| = M, nothing is dropped
         cfg = all_active_cfg(g, 4, sources=[1, 3, 4], reps=5000, m=3)
-        assert _event_found(g, cfg, ("drop-test-3",)) == (True, set())
+        assert _event_found(g, cfg, ("drop-test-3",), cfg.active) == (True, set())
 
     def test_single_source_never_exceeds_m1(self):
         g = cycle_graph(4)
         cfg = all_active_cfg(g, 4, sources=[0], reps=2000, m=1)
-        found, hits = _event_found(g, cfg, ("drop-test-2",))
+        found, hits = _event_found(g, cfg, ("drop-test-2",), cfg.active)
         assert "congestion_dropped" not in hits
         assert found
 
@@ -738,9 +746,9 @@ class TestLightStageEngineAgreement:
                     congestion_bound=n * n, repetitions=1,
                 )
                 colors = {v: rng.randrange(two_k) for v in range(n)}
-                assert protocol_detect_once(g, cfg, colors) == event_detect_once(
-                    g, cfg, colors
-                ), (n, edges, sources, heights, colors, two_k)
+                assert protocol_detect_once(g, cfg, colour_masks(cfg, colors)) == (
+                    event_detect_once(g, cfg, colors)), (n, edges, sources, heights, colors,
+                                                          two_k)
                 checked += 1
         assert checked >= 20
 
@@ -913,17 +921,18 @@ class TestTruncationCounters:
     def test_enumeration_limit_is_counted(self, monkeypatch):
         g = generate(GenSpec(kind="complete", n=9))
         cfg = all_active_cfg(g, 5, sources=[0, 1], m=9)
-        patterns, hits = _qualifying_patterns(g, cfg)
+        patterns, hits = _qualifying_patterns(g, cfg, cfg.active)
         assert hits == set() and len(patterns) > 20
         patch_cycledetect(monkeypatch, "CYCLE_ENUM_LIMIT", 10)
-        patterns, hits = _qualifying_patterns(g, cfg)
+        patterns, hits = _qualifying_patterns(g, cfg, cfg.active)
         assert hits == {"enumeration_truncated"}
-        assert 0 < len(patterns) <= 2 * 10 * 2  # two sources, two anchors each at most
+        assert 0 < len(patterns) <= 10 * 2  # 10 cycles in the query, two anchors each at most
 
     def test_pattern_cap_is_counted(self, monkeypatch):
         patch_cycledetect(monkeypatch, "_PATTERN_CAP", 8)
         g = generate(GenSpec(kind="complete", n=9))
-        patterns, hits = _qualifying_patterns(g, all_active_cfg(g, 5, m=9))
+        cfg = all_active_cfg(g, 5, m=9)
+        patterns, hits = _qualifying_patterns(g, cfg, cfg.active)
         assert len(patterns) == 8
         assert hits == {"pattern_capped"}
 
@@ -983,7 +992,7 @@ class TestPatternDedupe:
             for ell in (4, 5, 6):
                 for sources in ([0, 1], [1, 3, 4], [0, 2, 5]):
                     cfg = all_active_cfg(g, ell, sources=sources, m=len(sources))
-                    patterns, hits = _qualifying_patterns(g, cfg)
+                    patterns, hits = _qualifying_patterns(g, cfg, cfg.active)
                     assert hits == set()
                     cycles = list(dict.fromkeys(cyc for cyc, _ in patterns))
                     canon = [self.canonical(cyc) for cyc in cycles]
@@ -994,22 +1003,25 @@ class TestPatternDedupe:
                     # no heights: every source on a cycle anchors it once
                     assert len(patterns) == sum(len(set(c) & set(sources)) for c in brute)
 
-    def test_each_source_counts_only_the_cycles_it_enumerates(self, monkeypatch):
-        # a source's CYCLE_ENUM_LIMIT counts the cycles whose smallest source
-        # it is; on K7 with C4 and limit 10, sources 0..2 (60, 30 and 12 such
-        # cycles) are cut short and source 3 (3 such, 60 through it) is not
-        patch_cycledetect(monkeypatch, "CYCLE_ENUM_LIMIT", 10)
+    def test_the_limit_bounds_the_whole_query(self, monkeypatch):
+        # CYCLE_ENUM_LIMIT counts the cycles of the query's one enumeration,
+        # whichever source anchors them.  On K7 with C4 and sources 0..3,
+        # 60, 30, 12 and 3 cycles have smallest source 0, 1, 2 and 3, and
+        # the enumeration yields them in that order: limit 10 stops inside
+        # source 0's cycles, 100 inside source 2's
         g, ell, sources = generate(GenSpec(kind="complete", n=7)), 4, [0, 1, 2, 3]
-        patterns, hits = _qualifying_patterns(g, all_active_cfg(g, ell, sources=sources,
-                                                                m=len(sources)))
-        assert hits == {"enumeration_truncated"}
-        cycles = list(dict.fromkeys(cyc for cyc, _ in patterns))
-        canon = [self.canonical(cyc) for cyc in cycles]
-        assert len(set(canon)) == len(canon)
-        for cyc, pos in patterns:
-            assert len(set(cyc)) == ell and cyc[pos] in sources
-            assert all(g.has_edge(cyc[i], cyc[(i + 1) % ell]) for i in range(ell))
+        cfg = all_active_cfg(g, ell, sources=sources, m=len(sources))
         owned = [sum(min(set(c) & set(sources)) == s for c in iter_cycles(g, ell))
                  for s in sources]
         assert owned == [60, 30, 12, 3]
-        assert len(cycles) == sum(min(c, 10) for c in owned)
+        enumeration = list(iter_cycles(g, ell, anchors=mask_of(sources)))
+        assert [c[0] for c in enumeration] == [s for s, k in zip(sources, owned)
+                                               for _ in range(k)]
+        for limit in (10, 100, 104, 105):
+            patch_cycledetect(monkeypatch, "CYCLE_ENUM_LIMIT", limit)
+            patterns, hits = _qualifying_patterns(g, cfg, cfg.active)
+            assert hits == ({"enumeration_truncated"} if limit < 105 else set()), limit
+            assert list(dict.fromkeys(cyc for cyc, _ in patterns)) == enumeration[:limit]
+            for cyc, pos in patterns:
+                assert len(set(cyc)) == ell and cyc[pos] in sources
+                assert all(g.has_edge(cyc[i], cyc[(i + 1) % ell]) for i in range(ell))

@@ -257,7 +257,7 @@ class TestOracleCycles:
 
     def test_iter_cycles_through_counts_each_once(self):
         g = generate(GenSpec(kind="cycle", n=5))
-        cycles = list(iter_cycles(g, 5, through=0))
+        cycles = list(iter_cycles(g, 5, anchors=1 << 0))
         assert len(cycles) == 1
         assert set(cycles[0]) == set(range(5))
 
@@ -268,14 +268,19 @@ class TestOracleCycles:
         assert len(list(iter_cycles(g, 3))) == 4
 
 
-def reference_cycles(graph, length, active_mask=None, through=None, limit=None):
-    """Plain DFS over ascending neighbours, no pruning: the reference order."""
+def reference_cycles(graph, length, active_mask=None, anchors=None, limit=None):
+    """Plain DFS over ascending neighbours, no pruning: the reference order.
+
+    Each cycle holding an anchor comes out once, from its smallest anchor:
+    the DFS from an anchor skips every smaller anchor."""
     if length < 3:
         return
     active = (1 << graph.n) - 1 if active_mask is None else active_mask
+    if anchors is None:
+        anchors = active
     count = 0
 
-    def dfs(anchor, path, visited, low_floor):
+    def dfs(anchor, path, visited):
         nonlocal count
         if len(path) == length:
             if graph.has_edge(path[-1], anchor) and path[1] < path[-1]:
@@ -285,19 +290,22 @@ def reference_cycles(graph, length, active_mask=None, through=None, limit=None):
                 yield tuple(path)
             return
         for u in bits(graph.adj[path[-1]]):
-            if u <= low_floor or visited >> u & 1 or not active >> u & 1:
+            if visited >> u & 1 or not active >> u & 1 or (anchors >> u & 1 and u < anchor):
                 continue
             path.append(u)
-            yield from dfs(anchor, path, visited | (1 << u), low_floor)
+            yield from dfs(anchor, path, visited | (1 << u))
             path.pop()
 
-    if through is not None:
-        if active >> through & 1:
-            yield from dfs(through, [through], 1 << through, -1)
-    else:
-        for s in range(graph.n):
-            if active >> s & 1:
-                yield from dfs(s, [s], 1 << s, s)
+    for s in range(graph.n):
+        if active >> s & 1 and anchors >> s & 1:
+            yield from dfs(s, [s], 1 << s)
+
+
+def canonical(cyc):
+    """The cycle's node sequence from its minimum node, in its smaller direction."""
+    i = cyc.index(min(cyc))
+    fwd = cyc[i:] + cyc[:i]
+    return min(fwd, fwd[:1] + fwd[:0:-1])
 
 
 def drain(cycles):
@@ -316,9 +324,9 @@ class TestIterCyclesMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 10**6), n=st.integers(1, 13),
            length=st.integers(3, 8), prob=st.sampled_from([0.2, 0.35, 0.6]),
-           through=st.booleans(), masked=st.booleans(),
+           one_anchor=st.booleans(), masked=st.booleans(),
            limit=st.sampled_from([None, 1, 4, 25]))
-    def test_same_tuples_same_order(self, seed, n, length, prob, through, masked, limit):
+    def test_same_tuples_same_order(self, seed, n, length, prob, one_anchor, masked, limit):
         import random
 
         rng = random.Random(seed)
@@ -326,16 +334,37 @@ class TestIterCyclesMatchesReference:
         kwargs = {"limit": limit}
         if masked:
             kwargs["active_mask"] = rng.getrandbits(n)
-        if through:
-            kwargs["through"] = rng.randrange(n)
+        if one_anchor:
+            kwargs["anchors"] = 1 << rng.randrange(n)
         assert drain(iter_cycles(g, length, **kwargs)) == drain(
             reference_cycles(g, length, **kwargs))
 
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 13),
+           length=st.integers(3, 8), prob=st.sampled_from([0.2, 0.35, 0.6]),
+           masked=st.booleans(), limit=st.sampled_from([None, 1, 4, 25]))
+    def test_anchor_masks(self, seed, n, length, prob, masked, limit):
+        import random
+
+        rng = random.Random(seed)
+        g = gnp(n, prob, seed)
+        active = rng.getrandbits(n) if masked else None
+        anchors = rng.getrandbits(n)
+        got = drain(iter_cycles(g, length, active, anchors, limit))
+        assert got == drain(reference_cycles(g, length, active, anchors, limit))
+        cycles = [c for c in got if c != "limit"]
+        for c in cycles:  # anchored at its smallest anchor
+            assert c[0] == min(v for v in c if anchors >> v & 1)
+        if got[-1:] != ["limit"]:  # every cycle holding an anchor, once
+            every = iter_cycles(g, length, active)
+            assert sorted(map(canonical, cycles)) == sorted(
+                canonical(c) for c in every if mask_of(c) & anchors)
+
     def test_small_limit_raises_at_the_same_cycle(self):
         g = generate(GenSpec(kind="complete", n=8))
-        for through in (None, 3):
-            got = drain(iter_cycles(g, 5, through=through, limit=7))
-            assert got == drain(reference_cycles(g, 5, through=through, limit=7))
+        for anchors in (None, 1 << 3, 0b10110100):
+            got = drain(iter_cycles(g, 5, anchors=anchors, limit=7))
+            assert got == drain(reference_cycles(g, 5, anchors=anchors, limit=7))
             assert len(got) == 8 and got[-1] == "limit"
 
     def test_sparse_graphs_with_long_cycles(self):
@@ -344,8 +373,8 @@ class TestIterCyclesMatchesReference:
             for length in (4, 5, 6, 7, 9):
                 assert list(iter_cycles(g, length)) == list(reference_cycles(g, length))
                 for v in range(0, 40, 7):
-                    assert list(iter_cycles(g, length, through=v)) == list(
-                        reference_cycles(g, length, through=v))
+                    assert list(iter_cycles(g, length, anchors=1 << v)) == list(
+                        reference_cycles(g, length, anchors=1 << v))
 
 
 class TestTwoCore:

@@ -3,8 +3,9 @@
 import networkx as nx
 import pytest
 
+from qcongest.cli import CSV_HEADER
 from qcongest.graph import GenSpec, Graph, bits, generate
-from qcongest.netsim import CongestNet, CostLedger, congest_step, word_capacity
+from qcongest.netsim import KINDS, CongestNet, CostLedger, congest_step, word_capacity
 
 
 class TestWord:
@@ -21,14 +22,19 @@ class TestLedger:
         led = CostLedger()
         led.charge("a", "clique", "route", 3)
         led.charge("b", "clique", "quantum", 5)
-        led.charge("c", "congest", "local", 0)
+        led.charge("c", "congest", "converge", 0)
         assert led.total() == 8
-        assert led.total_by_kind()["route"] == 3
+        assert led.total_by_kind() == {"route": 3, "broadcast": 0, "converge": 0, "quantum": 5}
+        # the kinds are exactly the CSV's per-kind round columns, so those
+        # columns sum to rounds_total
+        per_kind = {c for c in CSV_HEADER.split(",") if c.startswith("rounds_")} - {"rounds_total"}
+        assert {f"rounds_{k}" for k in KINDS} == per_kind and len(KINDS) == 4
 
     def test_rejects_bad_kind(self):
         led = CostLedger()
-        with pytest.raises(ValueError):
-            led.charge("x", "clique", "teleport", 1)
+        for kind in ("teleport", "local"):
+            with pytest.raises(ValueError):
+                led.charge("x", "clique", kind, 1)
         with pytest.raises(ValueError):
             led.charge("x", "clique", "route", -1)
 

@@ -1,0 +1,49 @@
+"""tools/bench_pairs.py: seed lists and the per-metric summary of paired runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def pair(metric, parent, change, unit="u"):
+    """One pair of runs, each reporting `metric` only."""
+    return {side: {"metrics": {metric: {"value": value, "unit": unit}}}
+            for side, value in (("parent", parent), ("change", change))}
+
+
+class TestParseSeeds:
+    def test_ranges_and_single_seeds(self):
+        assert bench_pairs.parse_seeds("301-303,7") == [301, 302, 303, 7]
+        assert bench_pairs.parse_seeds("5") == [5]
+
+    def test_bad_item_raises(self):
+        with pytest.raises(ValueError):
+            bench_pairs.parse_seeds("3-x")
+
+
+class TestSummarise:
+    @pytest.mark.parametrize("better, change_wins, parent_wins",
+                             [("higher", 2, 1), ("lower", 1, 2)])
+    def test_wins_follow_the_direction_and_ties_count_for_neither(
+            self, better, change_wins, parent_wins):
+        # the change is higher in pairs 1 and 2, lower in pair 3, tied in pair 4
+        pairs = [pair("x", 1.0, 2.0), pair("x", 3.0, 5.0), pair("x", 4.0, 1.0),
+                 pair("x", 2.0, 2.0)]
+        got = bench_pairs.summarise(pairs, {"x": better})["x"]
+        assert (got["change_wins"], got["parent_wins"]) == (change_wins, parent_wins)
+        assert got["pairs"] == 4 and got["better"] == better and got["unit"] == "u"
+        assert got["parent"]["runs"] == [1.0, 3.0, 4.0, 2.0]
+        assert got["change"]["runs"] == [2.0, 5.0, 1.0, 2.0]
+        assert got["parent"]["median"] == 2.5 and got["change"]["median"] == 2.0
+
+    def test_one_pair_gives_its_value_as_every_quartile(self):
+        got = bench_pairs.summarise([pair("x", 7.0, 9.0)], {"x": "lower"})["x"]
+        for side, value in (("parent", 7.0), ("change", 9.0)):
+            assert got[side]["q1"] == got[side]["median"] == got[side]["q3"] == value
+        assert (got["change_wins"], got["parent_wins"]) == (0, 1)
