@@ -28,16 +28,22 @@ Two engines compute the same detection event:
 
 * "protocol": faithful hop-by-hop simulation over congest_step, including
   the congestion cap M (forward only the first M ids received).  Each
-  repetition's colouring is ell colour masks, one per colour.
+  repetition's colouring is ell colour masks, one per colour.  Only
+  repetitions in which a source has colour 0 send a word: the idle ones
+  are skipped in one geometric draw, a live one draws its source colours
+  conditioned on being live, and only nodes within floor(len/2) hops of a
+  source, as far as a word travels, draw a colour.
 * "event": an exact draw of the detection event over the enumerated
   candidate cycles.  A repetition detects iff some qualifying (cycle,
   anchor) pair is pattern-colored; runs whose cycle nodes exceed the
   congestion bound are conservatively counted as misses, per the
-  completeness accounting.  A query with at most _EXACT_CAP patterns
-  gets its per-repetition success probability P by inclusion-exclusion
-  and detects on one uniform below 1 - (1 - P)^reps; a query with more
-  samples its repetitions' colours in blocks and is counted as
-  `pattern_sampled`.
+  completeness accounting.  Each stage enumerates its candidate cycles
+  once, lazily, into one _CycleIndex that serves every query, and
+  CYCLE_ENUM_LIMIT bounds that one enumeration.  A query with at most
+  _EXACT_CAP patterns gets its per-repetition success probability P by
+  inclusion-exclusion and detects on one uniform below 1 - (1 - P)^reps;
+  a query with more samples its repetitions' colours in blocks and is
+  counted as `pattern_sampled`.
 
 Both engines charge identical rounds.
 """
@@ -57,7 +63,7 @@ from .intmath import ceil_pow, ceil_scaled_pow
 from .netsim import CongestNet, CostLedger, congest_step, word_capacity
 from .qsearch import DEFAULT_PARAMS, QuantumCostParams, charge_search, derive_seed, run_search
 
-CYCLE_ENUM_LIMIT = 200_000
+CYCLE_ENUM_LIMIT = 200_000  # cycles of one search stage's enumeration
 _PATTERN_CAP = 4096  # anchored cycles per query; a subset is still sound
 _EXACT_CAP = 6  # patterns of a query whose P is exact: at most 3^6 - 1 terms
 _SAMPLE_BLOCK = 1 << 15
@@ -167,8 +173,10 @@ def protocol_detect_once(
 ) -> bool:
     """One repetition with fixed colors, message by message.
 
-    The colouring is given as ell node masks: by_colour[c] holds the
-    active nodes of colour c, so the masks partition cfg.active.  A word's
+    The colouring is given as ell disjoint node masks: by_colour[c] holds
+    the active nodes of colour c.  A node in no mask never receives a word,
+    so nodes more than floor(ell/2) hops from every source, which no word
+    reaches, may be left out.  A word's
     receivers are adj[sender] & by_colour[c], ascending, so every step's
     triples come senders ascending, then receivers ascending.  Ids received
     in a round are ordered by sender id; each node forwards only the first
@@ -277,73 +285,147 @@ def measure_congestion(graph: Graph, cfg: ColorBfsConfig) -> Dict[int, int]:
     return counts
 
 
-def _qualifying_patterns(
-    graph: Graph,
-    cfg: ColorBfsConfig,
-    core: int,
-) -> Tuple[List[Tuple[Tuple[int, ...], int]], Set[str]]:
-    """(anchored cycles that can fire, the ledger counters the query hit).
+class _CycleIndex:
+    """The qualifying patterns of one search stage, enumerated once, lazily.
 
-    An anchored cycle qualifies when the anchor is a source whose two cycle
-    neighbors sit at height <= the anchor's, all nodes are active, and no
-    cycle node's measured congestion exceeds M.  Congestion-hit cycles are
-    dropped (counted against completeness, never soundness).
+    One iter_cycles generator, anchored at the union of the stage's source
+    sets inside `core` (see _stage_search), yields each cycle through a
+    source once, anchored at its smallest source, in ascending
+    (lexicographic) order.  Each yielded cycle is filed under every source
+    on it that anchors a qualifying pattern: a source whose two cycle
+    neighbours sit at height <= its own.  A query reads the lists of its
+    own sources, so it sees the patterns that one enumeration anchored at
+    its sources alone would give, whatever the order of the queries.
 
-    `core` is a mask of active nodes that holds every cycle of the active
-    subgraph, such as its 2-core (or the active set itself); one
-    iter_cycles call inside it, anchored at the sources, enumerates each
-    cycle through a source once, through its smallest source.  Congestion
-    is measured only when there are more than M sources: m(v) <=
-    |sources|, so with at most M sources no cycle is dropped.  The counters
-    hit name how the patterns were cut short: `congestion_dropped` when a
-    cycle was dropped, `enumeration_truncated` when the query's enumeration
-    hit CYCLE_ENUM_LIMIT, `pattern_capped` when _PATTERN_CAP stopped it.
+    Cycles are pulled only as far as a query needs: until the enumeration
+    has passed the query's highest source t (every cycle through a source
+    <= t has then been filed), or until the query's sources hold more than
+    _PATTERN_CAP patterns that survive its congestion filter.
+    CYCLE_ENUM_LIMIT bounds the whole stage's enumeration.
     """
-    ell = cfg.cycle_len
-    congestion = (measure_congestion(graph, cfg)
-                  if cfg.sources.bit_count() > cfg.congestion_bound else None)
-    out: List[Tuple[Tuple[int, ...], int]] = []
-    hits: Set[str] = set()
-    try:
-        for cyc in iter_cycles(graph, ell, active_mask=core, anchors=cfg.sources,
-                               limit=CYCLE_ENUM_LIMIT):
-            if congestion is not None and any(
-                    congestion[v] > cfg.congestion_bound for v in cyc):
-                hits.add("congestion_dropped")
-                continue
-            for pos, v in enumerate(cyc):
-                if not cfg.sources >> v & 1:
-                    continue
-                prv = cyc[(pos - 1) % ell]
-                nxt = cyc[(pos + 1) % ell]
-                if cfg.height(prv) <= cfg.height(v) and cfg.height(nxt) <= cfg.height(v):
-                    out.append((cyc, pos))
-            if len(out) >= _PATTERN_CAP:
-                hits.add("pattern_capped")
+
+    def __init__(self, graph: Graph, cfg: ColorBfsConfig, core: int, anchors: int):
+        self._graph, self._cfg, self._core, self._anchors = graph, cfg, core, anchors
+        self._cycles = iter_cycles(graph, cfg.cycle_len, active_mask=core, anchors=anchors,
+                                   limit=CYCLE_ENUM_LIMIT)
+        self._through: Dict[int, List[Tuple[int, ...]]] = {}  # source -> cycles it anchors
+        self._front = 0  # every cycle anchored below _front has been filed
+        self._end = graph.n  # _front once the enumeration has ended
+        self._truncated_at: Optional[int] = None  # _front when the limit raised
+
+    def _fill(self, sources: int, hot: int, top: int, have: int) -> None:
+        """File cycles until one anchored above top has been filed, or the
+        query's sources hold more than _PATTERN_CAP patterns that touch no
+        node of hot (`have` of them are filed already), or the enumeration
+        ends."""
+        anchors, heights, through = self._anchors, self._cfg.heights, self._through
+        try:
+            for cyc in self._cycles:
+                self._front = cyc[0]
+                ell, mine = len(cyc), 0
+                for pos, v in enumerate(cyc):
+                    if not anchors >> v & 1:
+                        continue
+                    if heights:
+                        h = heights.get(v, 0)
+                        if (heights.get(cyc[pos - 1], 0) > h
+                                or heights.get(cyc[pos + 1 - ell], 0) > h):
+                            continue
+                    filed = through.get(v)
+                    if filed is None:
+                        through[v] = [cyc]
+                    else:
+                        filed.append(cyc)
+                    mine += sources >> v & 1
+                if mine and not (hot and any(hot >> u & 1 for u in cyc)):
+                    have += mine
+                if have > _PATTERN_CAP or cyc[0] > top:
+                    return
+        except CycleEnumerationLimit:
+            # keep the cycles filed so far: a subset of the detection
+            # events stays sound, only completeness is understated
+            self._truncated_at = self._front
+        self._front = self._end
+
+    def _read(self, sources: int, hot: int,
+              k: int) -> Tuple[List[Tuple[Tuple[int, ...], int]], bool]:
+        """(the first k filed patterns at sources, in enumeration order, that
+        touch no node of the mask hot; whether a pattern before the k-th
+        one touched hot and was dropped)."""
+        candidates = []
+        for v in bits(sources):
+            left = k
+            for cyc in self._through.get(v, ()):
+                candidates.append((cyc, cyc.index(v)))
+                if not (hot and any(hot >> u & 1 for u in cyc)):
+                    left -= 1
+                    if not left:
+                        break
+        candidates.sort()  # merges the sources' lists, each in enumeration order
+        out, dropped = [], False
+        for cyc, pos in candidates:
+            if len(out) == k:
                 break
-    except CycleEnumerationLimit:
-        # keep the cycles gathered so far: sampling over a subset of the
-        # detection events stays sound, only completeness is understated
-        hits.add("enumeration_truncated")
-    return out[:_PATTERN_CAP], hits
+            if hot and any(hot >> u & 1 for u in cyc):
+                dropped = True
+            else:
+                out.append((cyc, pos))
+        return out, dropped
+
+    def patterns(self, sources: int) -> Tuple[List[Tuple[Tuple[int, ...], int]], Set[str]]:
+        """(the anchored cycles of the query from the source mask `sources`
+        that can fire, the ledger counters the query hit).
+
+        A pattern qualifies when its anchor is a source whose two cycle
+        neighbours sit at height <= the anchor's, and no node of its cycle
+        has measured congestion above M.  Congestion is measured only when
+        there are more than M sources: m(v) <= |sources|, so with at most M
+        sources no cycle is dropped.  Congestion-hit cycles are dropped
+        (counted against completeness, never soundness).  The counters
+        name how the patterns were cut short: `congestion_dropped` when a
+        pattern was dropped, `pattern_capped` when more than _PATTERN_CAP
+        remained (the first _PATTERN_CAP in enumeration order are kept),
+        and `enumeration_truncated` when the query needed cycles past the
+        point where the stage's enumeration hit CYCLE_ENUM_LIMIT.
+        """
+        cfg, cap = self._cfg, _PATTERN_CAP
+        hot = 0
+        if sources.bit_count() > cfg.congestion_bound:
+            query = ColorBfsConfig(cfg.cycle_len, cfg.active, sources, cfg.heights,
+                                   cfg.congestion_bound, cfg.repetitions)
+            hot = mask_of(v for v, m in measure_congestion(self._graph, query).items()
+                          if m > cfg.congestion_bound)
+        top = (sources & self._core).bit_length() - 1  # a source off the core is on no cycle
+        if self._front <= top:
+            self._fill(sources, hot, top, len(self._read(sources, hot, cap + 1)[0]))
+        out, dropped = self._read(sources, hot, cap + 1)
+        hits = {"congestion_dropped"} if dropped else set()
+        if len(out) > cap:
+            hits.add("pattern_capped")
+            del out[cap:]
+        elif self._truncated_at is not None and top >= self._truncated_at:
+            hits.add("enumeration_truncated")
+        return out, hits
 
 
 def _pattern_specs(patterns: Sequence[Tuple[Tuple[int, ...], int]],
-                   ell: int) -> Tuple[List[int], List[np.ndarray]]:
-    """(relevant nodes, specs).  There is one spec per orientation of each
-    pattern: the positions in relevant of its nodes, read from the anchor."""
+                   ell: int) -> Tuple[List[int], np.ndarray]:
+    """(relevant nodes, specs).  specs has one row per orientation of each
+    pattern: the positions in relevant of its nodes, read from the anchor.
+    One array, not an array per row, keeps the specs of thousands of
+    patterns small."""
     relevant = list(bits(mask_of(v for cyc, _ in patterns for v in cyc)))
     index = {v: i for i, v in enumerate(relevant)}
-    specs = [np.array([index[cyc[(pos + orient * j) % ell]] for j in range(ell)],
-                      dtype=np.int64)
-             for cyc, pos in patterns for orient in (1, -1)]
-    return relevant, specs
+    specs = np.fromiter((index[cyc[(pos + orient * j) % ell]]
+                         for cyc, pos in patterns for orient in (1, -1) for j in range(ell)),
+                        dtype=np.int64, count=2 * ell * len(patterns))
+    return relevant, specs.reshape(-1, ell)
 
 
-def _fires(colors: np.ndarray, specs: Sequence[np.ndarray]) -> bool:
+def _fires(colors: np.ndarray, specs: np.ndarray) -> bool:
     """Does some row of colors (repetitions x relevant nodes) read 0..ell-1
-    along some spec?"""
-    expected = np.arange(len(specs[0]), dtype=np.uint8)
+    along some row of specs?"""
+    expected = np.arange(specs.shape[1], dtype=np.uint8)
     return any(bool((colors[:, idx] == expected).all(axis=1).any()) for idx in specs)
 
 
@@ -376,55 +458,93 @@ def _success_probability(patterns: Sequence[Tuple[Tuple[int, ...], int]],
     return Fraction(count, ell ** nodes)
 
 
-def _event_found(
-    graph: Graph, cfg: ColorBfsConfig, seed_parts: Tuple, core: int,
-) -> Tuple[bool, Set[str]]:
-    """(did any of cfg.repetitions random colorings detect?, counters hit).
+def _event_found(patterns: Sequence[Tuple[Tuple[int, ...], int]], cfg: ColorBfsConfig,
+                 seed_parts: Tuple) -> Tuple[bool, bool]:
+    """(did any of cfg.repetitions random colourings fire one of the
+    query's qualifying patterns?, was the detection sampled?).
 
     Exact.  Repetitions are independent, so with per-repetition success P
     some repetition detects with probability q = 1 - (1 - P)^reps.  With at
     most _EXACT_CAP patterns, P is exact (_success_probability) and one
     uniform of the query's stream is compared with q.  With more, the
-    query samples colourings in blocks of _SAMPLE_BLOCK repetitions and
-    adds `pattern_sampled` to the counters hit.  Only colors of nodes on
+    query samples colourings in blocks of _SAMPLE_BLOCK repetitions, and
+    the caller counts it as `pattern_sampled`.  Only colors of nodes on
     qualifying cycles matter; everything else is independent of the
-    detection event, so the sampling restricts to them.  The other counters
-    hit are those of `_qualifying_patterns`, whose enumeration `core`
-    restricts: cycles dropped for congestion reduce completeness, never
-    soundness, and no pattern means P = 0.
+    detection event, so the sampling restricts to them.  No pattern means
+    P = 0.
     """
-    patterns, hits = _qualifying_patterns(graph, cfg, core)
     if not patterns:
-        return False, hits
+        return False, False
     ell = cfg.cycle_len
     rng = np.random.default_rng(derive_seed(*seed_parts))
     if len(patterns) <= _EXACT_CAP:
         p = float(_success_probability(patterns, ell))
-        return bool(rng.random() < -math.expm1(cfg.repetitions * math.log1p(-p))), hits
-    hits.add("pattern_sampled")
+        return bool(rng.random() < -math.expm1(cfg.repetitions * math.log1p(-p))), False
     relevant, specs = _pattern_specs(patterns, ell)
     remaining = cfg.repetitions
     while remaining > 0:
         block = min(remaining, _SAMPLE_BLOCK)
         colors = rng.integers(0, ell, size=(block, len(relevant)), dtype=np.uint8)
         if _fires(colors, specs):
-            return True, hits
+            return True, True
         remaining -= block
-    return False, hits
+    return False, True
+
+
+def _live_source_colours(rng: random.Random, k: int, ell: int) -> List[int]:
+    """Colours of k sources, uniform given that at least one has colour 0.
+
+    The first source of colour 0 is source j with probability proportional
+    to (1 - 1/ell)^j, drawn by inverting its distribution function; the
+    sources before it draw from 1..ell-1, and those after it from 0..ell-1.
+    """
+    r = 1 - 1 / ell
+    u = rng.random()
+    first = min(k - 1, int(math.log1p(-u * (1 - r**k)) / math.log(r)))
+    return ([rng.randrange(1, ell) for _ in range(first)] + [0]
+            + [rng.randrange(ell) for _ in range(k - first - 1)])
 
 
 def _protocol_found(graph: Graph, cfg: ColorBfsConfig, seed_parts: Tuple) -> bool:
-    """Did any of cfg.repetitions random colorings detect, hop by hop?"""
+    """Did any of cfg.repetitions random colourings detect, hop by hop?
+
+    Only a repetition in which some source has colour 0 sends a word, so
+    the idle repetitions before each live one are skipped in one
+    geometric draw (a repetition is idle with probability
+    (1 - 1/ell)^|sources|), and a live repetition draws its source colours
+    conditioned on being live (_live_source_colours).  A word travels at
+    most floor(ell/2) hops, so only the active nodes within that many hops
+    of a source draw a colour; the others are in no colour mask, which
+    changes no answer.  Each colouring fires with the probability of a
+    uniform one, so `found` has the law of cfg.repetitions uniform
+    colourings.
+    """
+    source_bits = [1 << v for v in bits(cfg.sources)]
+    if not source_bits:
+        return False
     rng = random.Random(derive_seed("color-bfs-protocol", derive_seed(*seed_parts)))
-    ell = cfg.cycle_len
-    node_bits = [1 << v for v in bits(cfg.active)]
-    for _ in range(cfg.repetitions):
+    ell, adj, active = cfg.cycle_len, graph.adj, cfg.active
+    ball = frontier = cfg.sources
+    for _ in range(ell // 2):
+        nxt = 0
+        for v in bits(frontier):
+            nxt |= adj[v]
+        frontier = nxt & active & ~ball
+        ball |= frontier
+    other_bits = [1 << v for v in bits(ball & ~cfg.sources)]
+    log_idle = len(source_bits) * math.log(1 - 1 / ell)
+    remaining = cfg.repetitions
+    while True:
+        remaining -= 1 + int(math.log1p(-rng.random()) / log_idle)
+        if remaining < 0:
+            return False
         by_colour = [0] * ell
-        for bit in node_bits:
+        for bit, c in zip(source_bits, _live_source_colours(rng, len(source_bits), ell)):
+            by_colour[c] |= bit
+        for bit in other_bits:
             by_colour[rng.randrange(ell)] |= bit
         if protocol_detect_once(graph, cfg, by_colour):
             return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +589,10 @@ def _stage_search(
 
     Query i runs the colour BFS of `shared` (its length, active nodes,
     heights, M and repetitions; its sources are not read) from the source
-    mask queries[i][0], seeded by (tag, seed, queries[i][1]).  The event
-    engine samples the detection event inside the 2-core of the active
+    mask queries[i][0], seeded by (tag, seed, queries[i][1]).  `shared` was
+    validated when it was built, and each query's sources are a subset of
+    its active nodes.  The event engine serves every query from one
+    _CycleIndex of the stage, enumerated inside the 2-core of the active
     nodes; the protocol engine runs the protocol hop by hop.  A detection
     is reported to the leader by the query's lowest source.  Every query is
     priced by _query_rounds at the measured eccentricity, and the event
@@ -482,17 +604,25 @@ def _stage_search(
     ell, active, heights = shared.cycle_len, shared.active, shared.heights
     m_bound, reps = shared.congestion_bound, shared.repetitions
     graph = net.graph
-    core = two_core(graph, active)
     query_rounds = _query_rounds(ell, reps, m_bound, net.eccentricity)
+    if engine == "event":
+        anchors = 0
+        for sources, _ in queries:
+            anchors |= sources
+        index = _CycleIndex(graph, shared, two_core(graph, active), anchors)
 
     def checker(i: int) -> Tuple[bool, int]:
         sources, label = queries[i]
-        cfg = ColorBfsConfig(ell, active, sources, heights, m_bound, reps)
         if engine == "event":
-            found, hits = _event_found(graph, cfg, (tag, seed, label), core)
+            patterns, hits = index.patterns(sources)
+            found, sampled = _event_found(patterns, shared, (tag, seed, label))
+            if sampled:
+                hits.add("pattern_sampled")
             if hits:  # rare; an empty update costs more than the check
                 ledger.counts.update(hits)
         else:
+            # protocol_detect_once reads the sources from its config
+            cfg = ColorBfsConfig(ell, active, sources, heights, m_bound, reps)
             found = _protocol_found(graph, cfg, (tag, seed, label))
         if found:
             net.require_reachable([(sources & -sources).bit_length() - 1])

@@ -3,20 +3,25 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcongest.cli import fit_slope
 from qcongest.cycledetect import (
     _EXACT_CAP,
     ColorBfsConfig,
     EvenCycleParams,
+    _CycleIndex,
     _event_found,
     _fires,
+    _live_source_colours,
     _pattern_specs,
-    _qualifying_patterns,
+    _protocol_found,
     _stage_search,
     _success_probability,
     color_bfs_rep_rounds,
@@ -34,7 +39,7 @@ from qcongest.cycledetect import (
 from qcongest.graph import (GenSpec, Graph, bits, generate, iter_cycles, mask_of,
                             oracle_has_cycle, two_core)
 from qcongest.netsim import CongestNet, CostLedger, congest_step, word_capacity
-from qcongest.qsearch import DEFAULT_PARAMS, grover_cost
+from qcongest.qsearch import DEFAULT_PARAMS, derive_seed, grover_cost
 
 
 def cycle_graph(ell, n=None):
@@ -73,11 +78,24 @@ def colour_masks(cfg, colors):
             for c in range(cfg.cycle_len)]
 
 
+def query_patterns(graph, cfg):
+    """The patterns and counters of a one-query stage from cfg.sources,
+    enumerated inside the active nodes."""
+    return _CycleIndex(graph, cfg, cfg.active, cfg.sources).patterns(cfg.sources)
+
+
+def event_found(graph, cfg, seed_parts):
+    """(found, counters hit) of a one-query stage on the event engine."""
+    patterns, hits = query_patterns(graph, cfg)
+    found, sampled = _event_found(patterns, cfg, seed_parts)
+    return found, hits | ({"pattern_sampled"} if sampled else set())
+
+
 def event_detect_once(graph, cfg, colors):
     """One repetition of the event engine with fixed colours: does some
     qualifying pattern read 0..ell-1 from its anchor?  The event side of
     the fixed-colour agreement tests."""
-    patterns, _ = _qualifying_patterns(graph, cfg, cfg.active)
+    patterns, _ = query_patterns(graph, cfg)
     if not patterns:
         return False
     relevant, specs = _pattern_specs(patterns, cfg.cycle_len)
@@ -88,7 +106,7 @@ def fired_colourings(graph, cfg):
     """(colourings of the nodes on cfg's qualifying patterns on which one
     event-engine repetition fires, all such colourings), by enumerating
     every colouring; event_detect_once agrees on a sample of them."""
-    patterns, _ = _qualifying_patterns(graph, cfg, cfg.active)
+    patterns, _ = query_patterns(graph, cfg)
     ell = cfg.cycle_len
     relevant, specs = _pattern_specs(patterns, ell)
     grid = np.indices((ell,) * len(relevant), dtype=np.uint8).reshape(len(relevant), -1).T
@@ -142,7 +160,7 @@ class TestExactSuccess:
 
     @staticmethod
     def assert_exact(g, cfg):
-        patterns, _ = _qualifying_patterns(g, cfg, cfg.active)
+        patterns, _ = query_patterns(g, cfg)
         assert patterns
         fired, total = fired_colourings(g, cfg)
         assert _success_probability(patterns, cfg.cycle_len) == Fraction(fired, total)
@@ -151,7 +169,7 @@ class TestExactSuccess:
     def test_lone_cycle_gives_single_rep_success(self, ell):
         g = cycle_graph(ell)
         cfg = all_active_cfg(g, ell, sources=[0])
-        patterns, _ = _qualifying_patterns(g, cfg, cfg.active)
+        patterns, _ = query_patterns(g, cfg)
         assert _success_probability(patterns, ell) == single_rep_success(ell)
         self.assert_exact(g, cfg)
 
@@ -165,7 +183,7 @@ class TestExactSuccess:
     def test_two_cycles_sharing_the_anchor(self, edges):
         g = Graph(max(max(e) for e in edges) + 1, edges)
         cfg = all_active_cfg(g, 4, sources=[0])
-        assert len(_qualifying_patterns(g, cfg, cfg.active)[0]) == 2
+        assert len(query_patterns(g, cfg)[0]) == 2
         self.assert_exact(g, cfg)
 
     @pytest.mark.parametrize("n, ell, sources", [(4, 4, [0, 1, 2]), (5, 4, [0, 1]),
@@ -180,7 +198,7 @@ class TestExactSuccess:
         g = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 4), (3, 4)])
         heights = {0: 1, 1: 0, 2: 1, 3: 0, 4: 0}
         cfg = all_active_cfg(g, 4, m=5, heights=heights)
-        anchors = {cyc[pos] for cyc, pos in _qualifying_patterns(g, cfg, cfg.active)[0]}
+        anchors = {cyc[pos] for cyc, pos in query_patterns(g, cfg)[0]}
         assert anchors == {0, 2, 4}
         self.assert_exact(g, cfg)
 
@@ -195,7 +213,7 @@ class TestEventDraw:
         # patterns, some of whose events intersect
         g = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 4), (3, 4)])
         cfg = all_active_cfg(g, 4, sources=[0, 2], m=2)
-        patterns, _ = _qualifying_patterns(g, cfg, cfg.active)
+        patterns, _ = query_patterns(g, cfg)
         assert len(patterns) == 4 <= _EXACT_CAP
         p = _success_probability(patterns, 4)
         reps = round(math.log(2) / p)
@@ -205,7 +223,7 @@ class TestEventDraw:
         bound = 4 * math.sqrt(q * (1 - q) / self.SEEDS)
         for cap, counter in ((_EXACT_CAP, set()), (0, {"pattern_sampled"})):
             patch_cycledetect(monkeypatch, "_EXACT_CAP", cap)
-            draws = [_event_found(g, cfg, ("draw", s), cfg.active) for s in range(self.SEEDS)]
+            draws = [event_found(g, cfg, ("draw", s)) for s in range(self.SEEDS)]
             assert all(hits == counter for _, hits in draws)
             rate = sum(found for found, _ in draws) / self.SEEDS
             assert abs(rate - q) <= bound, (cap, rate, q)
@@ -216,8 +234,8 @@ class TestEventDraw:
         # draws existed, seed by seed.
         g = generate(GenSpec(kind="complete", n=5))
         cfg = all_active_cfg(g, 4, sources=[0, 1], m=2, reps=6)
-        assert len(_qualifying_patterns(g, cfg, cfg.active)[0]) == 24 > _EXACT_CAP
-        answers = "".join(str(int(_event_found(g, cfg, ("sampled", s), cfg.active)[0]))
+        assert len(query_patterns(g, cfg)[0]) == 24 > _EXACT_CAP
+        answers = "".join(str(int(event_found(g, cfg, ("sampled", s))[0]))
                           for s in range(32))
         assert answers == "01011111010111100110100011001100"
         ledger = CostLedger()
@@ -422,6 +440,55 @@ def reference_protocol(graph, cfg, colors, step):
     lo, hi = (ell - 1) // 2, (ell + 1) // 2
     return any(color(a) == lo and color(b) == hi and set(received[a]) & set(received[b])
                for a in active for b in bits(graph.adj[a]))
+
+
+def reference_patterns(graph, cfg, core):
+    """The qualifying patterns of one query from cfg.sources, by its own
+    enumeration: one iter_cycles call inside core anchored at the query's
+    sources, with no limit and no cap, and the congestion filter of more
+    than M sources.  The per-query path that the stage's _CycleIndex
+    replaced; (patterns in that enumeration's order, whether a cycle was
+    dropped for congestion)."""
+    ell = cfg.cycle_len
+    congestion = (measure_congestion(graph, cfg)
+                  if cfg.sources.bit_count() > cfg.congestion_bound else None)
+    out, dropped = [], False
+    for cyc in iter_cycles(graph, ell, active_mask=core, anchors=cfg.sources):
+        if congestion is not None and any(congestion[v] > cfg.congestion_bound for v in cyc):
+            dropped = True
+            continue
+        for pos, v in enumerate(cyc):
+            if not cfg.sources >> v & 1:
+                continue
+            prv, nxt = cyc[(pos - 1) % ell], cyc[(pos + 1) % ell]
+            if cfg.height(prv) <= cfg.height(v) and cfg.height(nxt) <= cfg.height(v):
+                out.append((cyc, pos))
+    return out, dropped
+
+
+def reference_protocol_found(graph, cfg, seed_parts):
+    """The protocol engine before it skipped idle repetitions: every
+    repetition draws a colour for every active node, in id order."""
+    rng = random.Random(derive_seed("color-bfs-protocol", derive_seed(*seed_parts)))
+    ell = cfg.cycle_len
+    node_bits = [1 << v for v in bits(cfg.active)]
+    for _ in range(cfg.repetitions):
+        by_colour = [0] * ell
+        for bit in node_bits:
+            by_colour[rng.randrange(ell)] |= bit
+        if protocol_detect_once(graph, cfg, by_colour):
+            return True
+    return False
+
+
+def anchored(pattern):
+    """A pattern as its anchored cycle, the same for every rotation and
+    direction that names it: the smaller of its two readings from the
+    anchor."""
+    cyc, pos = pattern
+    ell = len(cyc)
+    return min(tuple(cyc[(pos + j) % ell] for j in range(ell)),
+               tuple(cyc[(pos - j) % ell] for j in range(ell)))
 
 
 def random_cfg(rng, g, ell, heights=False):
@@ -640,7 +707,7 @@ class TestCongestionDrops:
         g = cycle_graph(4)
         # four sources, M=1: every node may need to forward two ids
         cfg = all_active_cfg(g, 4, reps=5000, m=1)
-        found, hits = _event_found(g, cfg, ("drop-test",), cfg.active)
+        found, hits = event_found(g, cfg, ("drop-test",))
         assert hits == {"congestion_dropped"}
         assert not found  # dropped cycles count against completeness only
 
@@ -651,16 +718,16 @@ class TestCongestionDrops:
         g = Graph(6, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (0, 5)])
         cfg = all_active_cfg(g, 4, sources=[1, 3, 4, 5], reps=5000, m=3)
         assert measure_congestion(g, cfg)[0] == 4
-        assert _event_found(g, cfg, ("drop-test-3",), cfg.active) == (
+        assert event_found(g, cfg, ("drop-test-3",)) == (
             False, {"congestion_dropped"})
         # one source fewer: m(v) <= |sources| = M, nothing is dropped
         cfg = all_active_cfg(g, 4, sources=[1, 3, 4], reps=5000, m=3)
-        assert _event_found(g, cfg, ("drop-test-3",), cfg.active) == (True, set())
+        assert event_found(g, cfg, ("drop-test-3",)) == (True, set())
 
     def test_single_source_never_exceeds_m1(self):
         g = cycle_graph(4)
         cfg = all_active_cfg(g, 4, sources=[0], reps=2000, m=1)
-        found, hits = _event_found(g, cfg, ("drop-test-2",), cfg.active)
+        found, hits = event_found(g, cfg, ("drop-test-2",))
         assert "congestion_dropped" not in hits
         assert found
 
@@ -918,21 +985,33 @@ class TestCycleRichSoundness:
 
 
 class TestTruncationCounters:
+    """The enumeration limit bounds a stage, and the counters name the
+    queries that lost patterns to it or to the pattern cap."""
+
     def test_enumeration_limit_is_counted(self, monkeypatch):
+        # K9, C5, one stage of the queries {0, 1} and {5, 6}: its
+        # enumeration, anchored at 0, 1, 5 and 6, first yields hundreds of
+        # cycles through 0, so a limit of 10 leaves both queries short
         g = generate(GenSpec(kind="complete", n=9))
-        cfg = all_active_cfg(g, 5, sources=[0, 1], m=9)
-        patterns, hits = _qualifying_patterns(g, cfg, cfg.active)
-        assert hits == set() and len(patterns) > 20
+        cfg = all_active_cfg(g, 5, sources=[0, 1, 5, 6], m=9)
+        queries = [mask_of([0, 1]), mask_of([5, 6])]
+        index = _CycleIndex(g, cfg, cfg.active, cfg.sources)
+        assert all(len(index.patterns(q)[0]) > 20 and not index.patterns(q)[1]
+                   for q in queries)
         patch_cycledetect(monkeypatch, "CYCLE_ENUM_LIMIT", 10)
-        patterns, hits = _qualifying_patterns(g, cfg, cfg.active)
-        assert hits == {"enumeration_truncated"}
-        assert 0 < len(patterns) <= 10 * 2  # 10 cycles in the query, two anchors each at most
+        index = _CycleIndex(g, cfg, cfg.active, cfg.sources)
+        first = list(itertools.islice(iter_cycles(g, 5, anchors=cfg.sources), 10))
+        for q in queries:
+            patterns, hits = index.patterns(q)
+            assert hits == {"enumeration_truncated"}
+            # the patterns at the query's sources on the stage's first 10 cycles
+            assert patterns == sorted((c, c.index(v)) for c in first for v in c if q >> v & 1)
 
     def test_pattern_cap_is_counted(self, monkeypatch):
         patch_cycledetect(monkeypatch, "_PATTERN_CAP", 8)
         g = generate(GenSpec(kind="complete", n=9))
         cfg = all_active_cfg(g, 5, m=9)
-        patterns, hits = _qualifying_patterns(g, cfg, cfg.active)
+        patterns, hits = query_patterns(g, cfg)
         assert len(patterns) == 8
         assert hits == {"pattern_capped"}
 
@@ -943,6 +1022,172 @@ class TestTruncationCounters:
         assert detect_odd_cycle(g, 5, ledger, seed=0)
         assert ledger.counts["enumeration_truncated"] >= 1
         assert ledger.counts["enumeration_truncated"] <= ledger.counts["queries"]
+
+
+class TestCycleIndex:
+    """One lazy index per stage serves each query what the query's own
+    enumeration gave."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_each_query_gets_the_reference_patterns(self, data):
+        n = data.draw(st.integers(4, 11), label="n")
+        prob = data.draw(st.sampled_from([0.3, 0.5, 0.8]), label="edge_prob")
+        g = generate(GenSpec(kind="gnp", n=n, edge_prob=prob,
+                             seed=data.draw(st.integers(0, 10**6), label="seed")))
+        ell = data.draw(st.integers(4, min(n, 7)), label="ell")
+        active = mask_of(v for v in range(n) if data.draw(st.booleans(), label=f"active {v}"))
+        heights = (data.draw(st.fixed_dictionaries({v: st.integers(0, 2) for v in bits(active)}),
+                             label="heights") if data.draw(st.booleans(), label="heighted")
+                   else None)
+        # a partition of some active nodes into source sets
+        classes = data.draw(st.integers(1, 4), label="classes")
+        queries = [0] * classes
+        for v in bits(active):
+            i = data.draw(st.integers(-1, classes - 1), label=f"class of {v}")
+            if i >= 0:
+                queries[i] |= 1 << v
+        m_bound = data.draw(st.integers(1, 3), label="M")
+        core = data.draw(st.sampled_from([active, two_core(g, active)]), label="core")
+        union = mask_of(v for q in queries for v in bits(q))
+        shared = ColorBfsConfig(ell, active, 0, heights, m_bound, 1)
+        index = _CycleIndex(g, shared, core, union)
+        for i in data.draw(st.permutations(range(classes)), label="query order"):
+            q = queries[i]
+            want, dropped = reference_patterns(
+                g, ColorBfsConfig(ell, active, q, heights, m_bound, 1), core)
+            got, hits = index.patterns(q)
+            assert Counter(map(anchored, got)) == Counter(map(anchored, want))
+            assert got == sorted(got)  # enumeration order, which is lexicographic
+            assert hits <= {"congestion_dropped"}
+            assert dropped or not hits  # a dropped pattern is a dropped cycle
+
+    @pytest.mark.parametrize("graph, ell, sources", [
+        (cycle_graph(4), 4, [0]),  # one pattern
+        (generate(GenSpec(kind="complete", n=6)), 5, [0, 3]),  # 2 * 60 patterns
+    ])
+    def test_the_cap_counts_only_what_it_cuts(self, monkeypatch, graph, ell, sources):
+        cfg = all_active_cfg(graph, ell, sources=sources, m=len(sources))
+        every, hits = query_patterns(graph, cfg)
+        assert hits == set()
+        patch_cycledetect(monkeypatch, "_PATTERN_CAP", len(every))
+        assert query_patterns(graph, cfg) == (every, set())
+        patch_cycledetect(monkeypatch, "_PATTERN_CAP", len(every) - 1)
+        assert query_patterns(graph, cfg) == (every[:-1], {"pattern_capped"})
+
+    def test_a_capped_query_keeps_its_first_patterns_whatever_the_order(self, monkeypatch):
+        # K7, C5, queries {0}, {1, 4}, {2}, {3, 5, 6}: each keeps the first
+        # _PATTERN_CAP of its patterns in enumeration order, asked first or last
+        g = generate(GenSpec(kind="complete", n=7))
+        cfg = all_active_cfg(g, 5, m=3)
+        queries = [mask_of([0]), mask_of([1, 4]), mask_of([2]), mask_of([3, 5, 6])]
+        every = [_CycleIndex(g, cfg, cfg.active, cfg.active).patterns(q)[0] for q in queries]
+        assert all(len(p) > 30 for p in every)
+        patch_cycledetect(monkeypatch, "_PATTERN_CAP", 30)
+        for order in (range(4), range(3, -1, -1), (2, 0, 3, 1)):
+            index = _CycleIndex(g, cfg, cfg.active, cfg.active)
+            for i in order:
+                assert index.patterns(queries[i]) == (every[i][:30], {"pattern_capped"})
+
+    def test_the_cap_stops_the_enumeration(self, monkeypatch):
+        # a capped query pulls just past its cap, not up to its highest source
+        g = generate(GenSpec(kind="complete", n=9))
+        cfg = all_active_cfg(g, 6, m=9)
+        patch_cycledetect(monkeypatch, "_PATTERN_CAP", 5)
+        index = _CycleIndex(g, cfg, cfg.active, cfg.active)
+        assert index.patterns(mask_of([0]))[1] == {"pattern_capped"}
+        assert sum(map(len, index._through.values())) == 6 * 6  # six cycles, six sources each
+
+
+class TestProtocolDraws:
+    """The protocol engine skips idle repetitions and draws only the colours
+    a word can read, without changing the law of `found`."""
+
+    @staticmethod
+    def ball(g, cfg):
+        """Active nodes within floor(ell/2) hops of a source, through active nodes."""
+        near = frontier = set(bits(cfg.sources))
+        for _ in range(cfg.cycle_len // 2):
+            frontier = {u for v in frontier for u in bits(g.adj[v] & cfg.active)} - near
+            near |= frontier
+        return near
+
+    def test_colours_beyond_the_ball_change_nothing(self):
+        rng = random.Random(11)
+        far_graphs = answers = 0
+        for seed in range(200):
+            g = generate(GenSpec(kind="gnp", n=rng.randint(5, 16),
+                                 edge_prob=rng.choice([0.15, 0.25, 0.4]), seed=seed))
+            ell = rng.randint(4, min(g.n, 8))
+            cfg = random_cfg(rng, g, ell, heights=seed % 2 == 0)
+            colors = {v: rng.randrange(ell) for v in bits(cfg.active)}
+            patterns, _ = reference_patterns(g, cfg, cfg.active)
+            if patterns:  # colour one pattern to fire, so that many answers are True
+                cyc, pos = rng.choice(patterns)
+                colors.update((cyc[(pos + j) % ell], j) for j in range(ell))
+            got = protocol_detect_once(g, cfg, colour_masks(cfg, colors))
+            near = self.ball(g, cfg)
+            far_graphs += any(v not in near for v in bits(cfg.active))
+            answers += got
+            for _ in range(3):
+                recoloured = {v: (c if v in near else rng.randrange(ell))
+                              for v, c in colors.items()}
+                assert protocol_detect_once(g, cfg, colour_masks(cfg, recoloured)) == got
+            # uncoloured, as the engine leaves them
+            uncoloured = {v: c for v, c in colors.items() if v in near}
+            assert protocol_detect_once(g, cfg, colour_masks(cfg, uncoloured)) == got
+        assert far_graphs > 50 and answers > 30
+
+    @pytest.mark.parametrize("k, ell", [(1, 4), (2, 4), (3, 4), (2, 5)])
+    def test_live_source_colours_match_brute_force(self, k, ell):
+        live = [c for c in itertools.product(range(ell), repeat=k) if 0 in c]
+        rng = random.Random(k * 10 + ell)
+        draws = 12_000
+        counts = Counter(tuple(_live_source_colours(rng, k, ell)) for _ in range(draws))
+        assert set(counts) <= set(live)
+        p = 1 / len(live)
+        bound = 5 * math.sqrt(draws * p * (1 - p))
+        assert all(abs(counts[c] - draws * p) <= bound for c in live), counts
+
+    def test_no_sources_never_detect(self):
+        g = cycle_graph(4)
+        assert not _protocol_found(g, all_active_cfg(g, 4, sources=[], reps=10**6), ("none",))
+
+    @staticmethod
+    def exact_p(g, cfg):
+        """The share of all colourings of the active nodes on which one
+        repetition detects."""
+        nodes = list(bits(cfg.active))
+        fired = sum(protocol_detect_once(g, cfg, colour_masks(cfg, dict(zip(nodes, c))))
+                    for c in itertools.product(range(cfg.cycle_len), repeat=len(nodes)))
+        return fired / cfg.cycle_len ** len(nodes)
+
+    @pytest.mark.parametrize("name", ["c4-one-source", "c4-with-tail", "c5-all-sources",
+                                      "k4-two-sources", "heights"])
+    def test_detection_rate_matches_the_reference(self, name):
+        g, ell, sources, m, heights = {
+            "c4-one-source": (cycle_graph(4), 4, [0], 1, None),
+            # nodes 4..7 of the tail lie beyond the source's ball
+            "c4-with-tail": (Graph(8, [(0, 1), (1, 2), (2, 3), (0, 3), (2, 4), (4, 5),
+                                       (5, 6), (6, 7)]), 4, [0], 1, None),
+            "c5-all-sources": (cycle_graph(5), 5, range(5), 5, None),
+            "k4-two-sources": (generate(GenSpec(kind="complete", n=4)), 4, [0, 1], 2, None),
+            "heights": (Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 4), (3, 4)]), 4,
+                        range(5), 5, {0: 1, 1: 0, 2: 1, 3: 0, 4: 0}),
+        }[name]
+        cfg = all_active_cfg(g, ell, sources=sources, m=m, heights=heights)
+        if name == "c4-with-tail":  # the tail's colours change nothing: enumerate the C4
+            p = self.exact_p(cycle_graph(4), all_active_cfg(cycle_graph(4), 4, sources=[0]))
+        else:
+            p = self.exact_p(g, cfg)
+        reps = max(1, round(math.log(2) / p))
+        cfg = all_active_cfg(g, ell, sources=sources, m=m, heights=heights, reps=reps)
+        q = 1 - (1 - p) ** reps
+        seeds = 400
+        bound = 4 * math.sqrt(q * (1 - q) / seeds)
+        for found in (_protocol_found, reference_protocol_found):
+            rate = sum(found(g, cfg, ("rate", name, s)) for s in range(seeds)) / seeds
+            assert abs(rate - q) <= bound, (found.__name__, rate, q)
 
 
 class TestLengthRule:
@@ -992,7 +1237,7 @@ class TestPatternDedupe:
             for ell in (4, 5, 6):
                 for sources in ([0, 1], [1, 3, 4], [0, 2, 5]):
                     cfg = all_active_cfg(g, ell, sources=sources, m=len(sources))
-                    patterns, hits = _qualifying_patterns(g, cfg, cfg.active)
+                    patterns, hits = query_patterns(g, cfg)
                     assert hits == set()
                     cycles = list(dict.fromkeys(cyc for cyc, _ in patterns))
                     canon = [self.canonical(cyc) for cyc in cycles]
@@ -1004,24 +1249,29 @@ class TestPatternDedupe:
                     assert len(patterns) == sum(len(set(c) & set(sources)) for c in brute)
 
     def test_the_limit_bounds_the_whole_query(self, monkeypatch):
-        # CYCLE_ENUM_LIMIT counts the cycles of the query's one enumeration,
-        # whichever source anchors them.  On K7 with C4 and sources 0..3,
-        # 60, 30, 12 and 3 cycles have smallest source 0, 1, 2 and 3, and
-        # the enumeration yields them in that order: limit 10 stops inside
-        # source 0's cycles, 100 inside source 2's
+        # CYCLE_ENUM_LIMIT counts the cycles of the stage's one enumeration,
+        # whichever source anchors them.  On K7 with C4 and the single-source
+        # queries 0..3, 60, 30, 12 and 3 cycles have smallest source 0, 1, 2
+        # and 3, and the enumeration yields them in that order.  A query is
+        # complete once the enumeration has passed its source, so limit 10
+        # leaves every query short, 100 the queries 2 and 3, 104 query 3
+        # only, and 105 none
         g, ell, sources = generate(GenSpec(kind="complete", n=7)), 4, [0, 1, 2, 3]
-        cfg = all_active_cfg(g, ell, sources=sources, m=len(sources))
+        cfg = all_active_cfg(g, ell, sources=sources, m=1)
         owned = [sum(min(set(c) & set(sources)) == s for c in iter_cycles(g, ell))
                  for s in sources]
         assert owned == [60, 30, 12, 3]
         enumeration = list(iter_cycles(g, ell, anchors=mask_of(sources)))
         assert [c[0] for c in enumeration] == [s for s, k in zip(sources, owned)
                                                for _ in range(k)]
-        for limit in (10, 100, 104, 105):
+        for limit, short in ((10, {0, 1, 2, 3}), (100, {2, 3}), (104, {3}), (105, set())):
             patch_cycledetect(monkeypatch, "CYCLE_ENUM_LIMIT", limit)
-            patterns, hits = _qualifying_patterns(g, cfg, cfg.active)
-            assert hits == ({"enumeration_truncated"} if limit < 105 else set()), limit
-            assert list(dict.fromkeys(cyc for cyc, _ in patterns)) == enumeration[:limit]
-            for cyc, pos in patterns:
-                assert len(set(cyc)) == ell and cyc[pos] in sources
-                assert all(g.has_edge(cyc[i], cyc[(i + 1) % ell]) for i in range(ell))
+            for order in (sources, sources[::-1]):
+                index = _CycleIndex(g, cfg, cfg.active, cfg.sources)
+                for s in order:
+                    patterns, hits = index.patterns(1 << s)
+                    assert hits == ({"enumeration_truncated"} if s in short else set()), limit
+                    assert patterns == [(c, c.index(s)) for c in enumeration[:limit] if s in c]
+                    for cyc, pos in patterns:
+                        assert len(set(cyc)) == ell and cyc[pos] == s
+                        assert all(g.has_edge(cyc[i], cyc[(i + 1) % ell]) for i in range(ell))

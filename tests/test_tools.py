@@ -47,3 +47,39 @@ class TestSummarise:
         for side, value in (("parent", 7.0), ("change", 9.0)):
             assert got[side]["q1"] == got[side]["median"] == got[side]["q3"] == value
         assert (got["change_wins"], got["parent_wins"]) == (0, 1)
+
+
+class TestInProcess:
+    def test_ratio_interval_of_equal_sides_is_one(self):
+        got = bench_pairs.ratio_interval([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+        assert got["ratio"] == 1.0 and got["lo"] <= 1.0 <= got["hi"]
+        got = bench_pairs.ratio_interval([2.0] * 4, [1.0] * 4)
+        assert got == {"ratio": 0.5, "lo": 0.5, "hi": 0.5}
+
+    def test_a_a_run_on_the_tiny_pool(self):
+        # the same checkout on both sides: every op freezes alike, and each
+        # part's interval holds its ratio
+        root = _PATH.parent.parent
+        got = bench_pairs.inprocess({"parent": root, "change": root}, "cycle", 3, 2, tiny=True)
+        assert got["freeze_equal"] and got["passes_per_side"] == 2
+        assert set(got["parts"]) == {"cycle-detect", "cycle-protocol", "pass"}
+        for part in got["parts"].values():
+            for side in ("parent", "change"):
+                assert len(part[side]["runs_s"]) == 2
+                assert part[side]["min_s"] <= part[side]["median_s"]
+            assert part["lo"] <= part["ratio"] <= part["hi"]
+            assert 0.2 < part["ratio"] < 5
+
+    def test_answers_that_differ_between_the_sides_raise(self, tmp_path):
+        # a change whose detectors always answer True: its ops freeze differently
+        root = _PATH.parent.parent
+        change = tmp_path / "change"
+        for sub in ("src/qcongest", "perfbench"):
+            (change / sub).mkdir(parents=True)
+            for f in (root / sub).glob("*.py"):
+                (change / sub / f.name).write_text(f.read_text())
+        cyc = change / "src" / "qcongest" / "cycledetect.py"
+        cyc.write_text(cyc.read_text().replace(
+            "    return heavy_found or light_found", "    return True"))
+        with pytest.raises(AssertionError, match="freeze differently"):
+            bench_pairs.inprocess({"parent": root, "change": change}, "cycle", 3, 1, tiny=True)

@@ -17,19 +17,40 @@ for neither side; the direction comes from BENCHMARK.json), plus each
 run's failed/attempted/correct, the traced runs, the seeds and the
 machine.  It is rewritten after every run, so an interrupted session
 keeps the pairs it finished.
+
+    python3 tools/bench_pairs.py --parent ../parent-checkout --workload cycle \
+        --inprocess-passes 8 --inprocess-seed 1 --out BENCH_20.json
+
+With --inprocess-passes N, each workload also gets an in-process,
+interleaved A/B comparison (`inprocess`): both checkouts' `qcongest` and
+`perfbench/workloads.py` are imported into this one process, each side
+prepares and builds its pool at --inprocess-seed and runs one discarded
+warm-up pass, and then the sides alternate whole passes in ABBA order, N
+per side.  It reports, per part of the workload and for the whole pass,
+each side's minimum and median pass time and the change/parent ratio of
+the medians with a bootstrap 95% interval over passes, and it raises if any
+op's `freeze` (answer and ledgers, or the exception it raised) differs
+between the sides or between passes.  Alternating the order keeps drift
+and warm-up from landing on one side (Mytkowicz et al., ASPLOS 2009;
+Kalibera and Jones, ISMM 2013).
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import importlib
+import importlib.util
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Dict, List, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -116,6 +137,109 @@ def machine() -> dict:
     return facts
 
 
+def load_side(directory: Path, tag: str) -> SimpleNamespace:
+    """One checkout's `qcongest` modules and `perfbench/workloads.py`.
+
+    `qcongest` is imported from the checkout's src/, and sys.modules gets
+    back the `qcongest` modules it held before, so that the other checkout
+    can import its own; the modules stay alive through the returned
+    namespace, and none of them imports anything after import time.
+    """
+    def take() -> Dict[str, object]:
+        return {m: sys.modules.pop(m) for m in list(sys.modules)
+                if m == "qcongest" or m.startswith("qcongest.")}
+
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")  # as perfbench/run.py: numpy starts no BLAS pool
+    src = str(directory / "src")
+    before = take()
+    sys.path.insert(0, src)
+    try:
+        importlib.import_module("qcongest")
+        qc = SimpleNamespace(**{p.stem: importlib.import_module(f"qcongest.{p.stem}")
+                                for p in sorted((directory / "src" / "qcongest").glob("*.py"))
+                                if p.stem != "__init__"})
+    finally:
+        sys.path.remove(src)
+        take()
+        sys.modules.update(before)
+    spec = importlib.util.spec_from_file_location(f"workloads_{tag}",
+                                                  directory / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return SimpleNamespace(qc=qc, workloads=workloads)
+
+
+def ratio_interval(parent: List[float], change: List[float], resamples: int = 2000,
+                   seed: int = 0) -> Dict[str, float]:
+    """Change/parent ratio of the median pass times, with a bootstrap 95%
+    interval: both sides' passes resampled with replacement."""
+    rng = random.Random(seed)
+    ratios = sorted(statistics.median(rng.choices(change, k=len(change)))
+                    / statistics.median(rng.choices(parent, k=len(parent)))
+                    for _ in range(resamples))
+    return {"ratio": statistics.median(change) / statistics.median(parent),
+            "lo": ratios[int(0.025 * resamples)], "hi": ratios[int(0.975 * resamples) - 1]}
+
+
+def inprocess(sides: Dict[str, Path], workload: str, seed: Optional[int], passes: int,
+              tiny: bool = False) -> dict:
+    """The in-process interleaved comparison of the parent and the change
+    (see the module docstring): per part and for the whole pass, each
+    side's pass times, their minimum and median, and the ratio."""
+    loaded = {side: load_side(d, side) for side, d in sides.items()}
+    pools = {}
+    for side, ns in loaded.items():
+        work = ns.workloads.WORKLOADS[workload]
+        pool = work.prepare(ns.qc, seed, tiny)
+        ns.workloads.build(ns.qc, pool)
+        work.warm(ns.qc)
+        pools[side] = (work, pool)
+
+    def one_pass(side: str):
+        work, pool = pools[side]
+        qc, freeze = loaded[side].qc, loaded[side].workloads.freeze
+        times: Dict[str, float] = {}
+        frozen = []
+        gc.collect()
+        for inst in pool:
+            t0 = time.perf_counter()
+            try:
+                answer = work.execute(qc, inst)
+            except Exception as exc:  # an op that raises must raise alike on both sides
+                answer = exc
+            times[inst.part] = times.get(inst.part, 0.0) + time.perf_counter() - t0
+            frozen.append(f"{type(answer).__name__}: {answer}"
+                          if isinstance(answer, Exception) else freeze(answer))
+        times["pass"] = sum(times.values())
+        return times, frozen
+
+    first = {side: one_pass(side)[1] for side in sides}  # the warm-up passes
+    differ = [i for i, (a, b) in enumerate(zip(first["parent"], first["change"])) if a != b]
+    if differ or len(first["parent"]) != len(first["change"]):
+        raise AssertionError(f"{workload}: ops {differ[:20]} freeze differently on the two sides")
+    runs: Dict[str, Dict[str, List[float]]] = {side: {} for side in sides}
+    for i in range(passes):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            times, frozen = one_pass(side)
+            if frozen != first[side]:
+                raise AssertionError(f"{workload}: {side}'s answers changed in pass {i}")
+            for part, t in times.items():
+                runs[side].setdefault(part, []).append(t)
+    parts = {}
+    for part in runs["parent"]:
+        parent, change = runs["parent"][part], runs["change"][part]
+        parts[part] = {
+            **{side: {"min_s": min(r), "median_s": statistics.median(r), "runs_s": r}
+               for side, r in (("parent", parent), ("change", change))},
+            **ratio_interval(parent, change),
+        }
+    return {"seed": seed, "passes_per_side": passes, "ops_per_pass": len(first["parent"]),
+            "order": "warm-up pass per side, then ABBA: pass i runs the parent first "
+                     "when i is even", "freeze_equal": True, "parts": parts}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True,
@@ -124,13 +248,19 @@ def main(argv=None) -> int:
                         help="checkout of the change (default: this one)")
     parser.add_argument("--workload", action="append", required=True,
                         help="perfbench workload; repeat for several")
-    parser.add_argument("--seeds", type=parse_seeds, required=True,
-                        help="one pair per seed, e.g. 301-310")
+    parser.add_argument("--seeds", type=parse_seeds, default=[],
+                        help="one pair per seed, e.g. 301-310 (omitted: no pairs)")
     parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--trace-seed", type=int, default=None,
                         help="seed of one traced run per side and workload (omitted: none)")
+    parser.add_argument("--inprocess-passes", type=int, default=0,
+                        help="passes per side of the in-process A/B comparison (0: none)")
+    parser.add_argument("--inprocess-seed", type=int, default=1,
+                        help="pool seed of the in-process comparison")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    if not args.seeds and args.inprocess_passes < 1:
+        parser.error("give --seeds, --inprocess-passes or both")
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     directions = {m["name"]: m["better"] for m in bench["end_to_end"]}
@@ -168,6 +298,15 @@ def main(argv=None) -> int:
                 entry["trace"][side] = run_side(sides[side], workload, args.trace_seed,
                                                 args.seconds, trace=True)
                 write()
+        if args.inprocess_passes > 0:
+            entry["inprocess"] = inprocess(sides, workload, args.inprocess_seed,
+                                           args.inprocess_passes)
+            for part, got in entry["inprocess"]["parts"].items():
+                print(f"{workload} in-process {part}: median "
+                      f"{got['parent']['median_s']:.4f} -> {got['change']['median_s']:.4f} s, "
+                      f"ratio {got['ratio']:.3f} [{got['lo']:.3f}, {got['hi']:.3f}]",
+                      file=sys.stderr, flush=True)
+            write()
     write()
     return 0
 
