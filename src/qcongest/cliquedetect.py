@@ -44,7 +44,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cliquelist import CliqueInventory, charge_listing, clique_reach, list_kp
-from .graph import Graph, density, range_mask, triangle_nodes
+from .graph import Graph, density, range_mask
 from .intmath import ceil_div, ceil_pow, ceil_scaled_pow
 from .netsim import CostLedger, word_capacity
 from .qsearch import (
@@ -184,7 +184,7 @@ def detect_triangle_quintic(
     _charge_triangle_warmup(graph.n, graph.m, ledger)
     costs = _triangle_costs(graph.n, graph.m)
     parts = [_triangle_batches(graph.n, costs[0][0])]
-    return _constrained_search(graph.adj, 2, triangle_nodes(graph.adj), parts, costs, ledger, seed,
+    return _constrained_search(graph.adj, 2, graph.triangle_nodes(), parts, costs, ledger, seed,
                                params, "triangle/search")
 
 

@@ -40,7 +40,7 @@ from itertools import combinations_with_replacement
 from math import comb
 from typing import List, Optional, Sequence, Tuple
 
-from .graph import CliqueSet, Graph, bits, density, triangle_nodes
+from .graph import CliqueSet, Graph, bits, density
 from .intmath import ceil_div, ceil_root, ceil_scaled_pow
 from .netsim import CostLedger
 
@@ -62,8 +62,8 @@ class TupleAssignment:
 class CliqueInventory:
     """The p-cliques of one graph, listed only when a view asks for them.
 
-    The inventory shares its graph's adjacency tuple (Graph.adj) and holds
-    p.  The detection strategies never list: they ask reach() (and
+    The inventory holds its graph, that graph's adjacency tuple (Graph.adj)
+    and p.  The detection strategies never list: they ask reach() (and
     clique_reach) whether constrained cliques exist.  The views (mask_list,
     union, dump) list every p-clique once, on the first request, and keep
     the result: per clique its member mask and its common mask, the nodes
@@ -71,10 +71,11 @@ class CliqueInventory:
     group signature under the list_kp partition.
     """
 
-    def __init__(self, adj: Sequence[int], p: int):
-        self.adj = adj
+    def __init__(self, graph: Graph, p: int):
+        self.graph = graph
+        self.adj = graph.adj
         self.p = p
-        self.n = len(adj)
+        self.n = graph.n
         self._listed: Optional[Tuple[List[int], List[int]]] = None
         self._reach: Optional[int] = None
 
@@ -99,11 +100,14 @@ class CliqueInventory:
     def reach(self) -> int:
         """Every node that lies on some (p+1)-clique: the OR of the common masks.
 
-        Answered by clique_reach without listing, once per inventory, so
-        the strategies that share one inventory share its reach.
+        Answered without listing, once per inventory, so the strategies that
+        share one inventory share its reach: for p = 2 it is the graph's
+        triangle nodes, and for larger p clique_reach searches inside them.
         """
         if self._reach is None:
-            self._reach = clique_reach(self.adj, (), self.p, (1 << self.n) - 1)
+            triangles = self.graph.triangle_nodes()
+            self._reach = (triangles if self.p == 2
+                           else clique_reach(self.adj, (), self.p, triangles))
         return self._reach
 
     def union(self) -> CliqueSet:
@@ -167,7 +171,7 @@ def list_kp(graph: Graph, p: int, ledger: CostLedger) -> CliqueInventory:
     if p < 2:
         raise ValueError("p must be >= 2")
     charge_listing(graph.n, graph.m, p, ledger)
-    return CliqueInventory(graph.adj, p)
+    return CliqueInventory(graph, p)
 
 
 def _list_cliques(
@@ -225,15 +229,14 @@ def clique_reach(adj: Sequence[int], parts: Sequence[int], p: int, ceiling: int)
     inventory's common masks; with parts it is the OR of the common masks
     of the one-node extensions drawn from each part in turn.  Every node of
     such a clique lies on a (p+1)-clique, so the search stays inside
-    ceiling, which must hold all of those nodes (the no-part reach, or
-    every node).
+    ceiling, which must hold all of those nodes (the no-part reach, the
+    graph's triangle nodes when p >= 2, or every node).
 
-    Two exact prefilters bound the x to search: x is adjacent to some node
-    of ceiling & part for every part (its w), and with no parts and p >= 2
-    x lies on a triangle.  Each x is then one early-exit search: draw w_i
-    from the common neighbours and parts[i], then look for a p-clique in
-    what stays common (_has_clique).  A branch whose common mask holds
-    fewer nodes than it still needs is dropped.  Nothing is listed.
+    One exact prefilter bounds the x to search: x is adjacent to some node
+    of ceiling & part for every part (its w).  Each x is then one early-exit
+    search: draw w_i from the common neighbours and parts[i], then look for
+    a p-clique in what stays common (_has_clique).  A branch whose common
+    mask holds fewer nodes than it still needs is dropped.  Nothing is listed.
     """
     k = len(parts)
     xs = ceiling
@@ -245,8 +248,6 @@ def clique_reach(adj: Sequence[int], parts: Sequence[int], p: int, ceiling: int)
             cand ^= low
             near |= adj[low.bit_length() - 1]
         xs &= near
-    if not parts and p >= 2:
-        xs &= triangle_nodes(adj)
 
     def extends(common: int, i: int) -> bool:
         # common: the nodes of ceiling adjacent to x and w_1..w_i

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 GEN_KINDS = ("gnp", "planted_clique", "planted_cycle", "complete", "path", "cycle", "empty")
 
@@ -32,9 +32,11 @@ class Graph:
     `adj` is the one adjacency: a tuple of per-node bitmasks, bit u of
     adj[v] set iff u-v is an edge.  A clique check is one AND, a degree is
     adj[v].bit_count(), and bits(adj[v]) lists the neighbours ascending.
+    One fact is stored lazily: triangle_nodes(), computed on first use and
+    kept, which is sound because the graph never changes.
     """
 
-    __slots__ = ("n", "adj", "m")
+    __slots__ = ("n", "adj", "m", "_triangle_nodes")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]]):
         if n < 0:
@@ -54,6 +56,7 @@ class Graph:
             count += 1
         self.adj = tuple(masks)
         self.m = count
+        self._triangle_nodes: Optional[int] = None
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -63,6 +66,24 @@ class Graph:
 
     def degrees(self) -> List[int]:
         return [mask.bit_count() for mask in self.adj]
+
+    def triangle_nodes(self) -> int:
+        """Bitmask of the nodes that lie on some triangle.
+
+        One pass over the edges u < v on first use, O(m) mask operations:
+        the nodes adjacent to both ends of an edge are exactly the apexes
+        of its triangles.
+        """
+        if self._triangle_nodes is None:
+            adj, apex = self.adj, 0
+            for u, adj_u in enumerate(adj):
+                higher = adj_u >> (u + 1)
+                while higher:
+                    low = higher & -higher
+                    higher ^= low
+                    apex |= adj_u & adj[u + low.bit_length()]
+            self._triangle_nodes = apex
+        return self._triangle_nodes
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -421,23 +442,6 @@ def two_core(graph: Graph, mask: int) -> int:
             if degree[u] == 1:
                 queue.append(u)
     return core
-
-
-def triangle_nodes(adj: Sequence[int]) -> int:
-    """Bitmask of the nodes that lie on some triangle, from adjacency masks.
-
-    One pass over the edges u < v: the nodes adjacent to both ends of an
-    edge are exactly the apexes of its triangles.  Computed per call, in
-    O(m) mask operations.
-    """
-    apex = 0
-    for u, adj_u in enumerate(adj):
-        higher = adj_u >> (u + 1)
-        while higher:
-            low = higher & -higher
-            higher ^= low
-            apex |= adj_u & adj[u + low.bit_length()]
-    return apex
 
 
 class CycleEnumerationLimit(RuntimeError):

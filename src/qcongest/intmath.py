@@ -47,18 +47,22 @@ def ceil_scaled_pow(base: Rational, exp: Rational, scale: Rational = 1) -> int:
     (e.g. the average degree m/n) and scale carries density or multiplicity
     factors.
     """
-    base = Fraction(base)
-    exp = Fraction(exp)
-    scale = Fraction(scale)
-    if base < 0 or scale < 0 or exp < 0:
-        raise ValueError("ceil_scaled_pow expects non-negative arguments")
-    if scale == 0 or base == 0:
-        return 0
-    if exp == 0:
-        return ceil_div(scale.numerator, scale.denominator)
-    p, q = exp.numerator, exp.denominator
+    # ints and Fractions are read as they are (denominator > 0); others converted
+    if not isinstance(base, (int, Fraction)):
+        base = Fraction(base)
+    if not isinstance(exp, (int, Fraction)):
+        exp = Fraction(exp)
+    if not isinstance(scale, (int, Fraction)):
+        scale = Fraction(scale)
     bn, bd = base.numerator, base.denominator
+    p, q = exp.numerator, exp.denominator
     sn, sd = scale.numerator, scale.denominator
+    if bn < 0 or sn < 0 or p < 0:
+        raise ValueError("ceil_scaled_pow expects non-negative arguments")
+    if sn == 0 or bn == 0:
+        return 0
+    if p == 0:
+        return ceil_div(sn, sd)
     # k >= scale * base**(p/q)  <=>  (k*sd)**q * bd**p >= sn**q * bn**p
     rhs = sn**q * bn**p
     lhs_unit = bd**p

@@ -480,6 +480,40 @@ class TestSharedInventory:
         assert isinstance(entry(g, list_kp(g, 3, CostLedger())), bool)
 
 
+class TestTriangleNodesOnce:
+    """Every reach and triangle15 read the graph's one stored triangle mask."""
+
+    @pytest.mark.parametrize("graph", [
+        gnp(40, 0.3, 5),
+        Graph(64, [(u, v) for u in range(32) for v in range(32, 64) if (u + v) % 5 == 0]),
+    ], ids=["gnp", "bipartite"])
+    def test_one_computation_per_graph(self, monkeypatch, graph):
+        computed = []
+        real = Graph.triangle_nodes
+
+        def counting(g):
+            if g._triangle_nodes is None:
+                computed.append(g)
+            return real(g)
+
+        monkeypatch.setattr(Graph, "triangle_nodes", counting)
+        g = Graph(graph.n, graph.edges())  # a fresh graph: nothing stored yet
+        for p in (2, 3, 4):
+            list_kp(g, p, CostLedger()).reach()
+        detect_triangle_quintic(g, CostLedger())
+        strategies = set()
+        for q in (3, 4, 5):
+            for plan in applicable_strategies(g.n, g.m, q):
+                strategies.add(plan.strategy)
+                detect_clique(g, q, CostLedger(), strategy=plan.strategy, seed=2)
+        assert strategies == set(STRATEGIES)
+        assert computed == [g]
+
+    def test_reach_of_p_2_is_the_triangle_mask(self):
+        for g in (gnp(40, 0.2, 3), gnp(36, 0.05, 4), Graph(40, [(0, 1)])):
+            assert list_kp(g, 2, CostLedger()).reach() == g.triangle_nodes()
+
+
 class TestCostOnlySlopes:
     def test_blackbox_extension_exponents(self):
         for t in (1, 2):

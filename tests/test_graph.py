@@ -56,6 +56,40 @@ class TestGraph:
         assert [mask_of(nb) for nb in neighbours] == list(g.adj)
 
 
+def triangle_scan(graph):
+    """Bitmask of the nodes on a triangle, by a scan of every node triple."""
+    mask = 0
+    for u, v, w in itertools.combinations(range(graph.n), 3):
+        if graph.has_edge(u, v) and graph.has_edge(v, w) and graph.has_edge(u, w):
+            mask |= 1 << u | 1 << v | 1 << w
+    return mask
+
+
+class TestTriangleNodes:
+    """triangle_nodes() is the triple scan, stored on the graph it describes."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(0, 14), prob=st.sampled_from([0.0, 0.2, 0.5, 0.9, 1.0]),
+           seed=st.integers(0, 10**6))
+    def test_equals_a_triple_scan(self, n, prob, seed):
+        g = gnp(n, prob, seed)
+        assert g.triangle_nodes() == triangle_scan(g)
+        assert g.triangle_nodes() == triangle_scan(g)  # the stored value
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 9])
+    def test_empty_and_complete_graphs(self, n):
+        assert generate(GenSpec(kind="empty", n=n)).triangle_nodes() == 0
+        full = (1 << n) - 1 if n >= 3 else 0
+        assert generate(GenSpec(kind="complete", n=n)).triangle_nodes() == full
+
+    def test_each_graph_keeps_its_own_mask(self):
+        # a triangle on 0..2 beside one on 3..5, and alternating reads
+        a = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4)])
+        b = Graph(6, [(3, 4), (4, 5), (3, 5), (0, 1)])
+        for _ in range(2):
+            assert (a.triangle_nodes(), b.triangle_nodes()) == (0b000111, 0b111000)
+
+
 class TestLoadGraph:
     def test_path_readback(self, tmp_path):
         f = tmp_path / "g.txt"

@@ -105,3 +105,57 @@ class TestCeilScaledPow:
             ceil_scaled_pow(4, Fraction(-1, 2))
         with pytest.raises(ValueError):
             ceil_div(1, 0)
+
+
+def reference_ceil_scaled_pow(base, exp, scale=1):
+    """ceil_scaled_pow as it was written before it read ints and Fractions
+    without converting them: every argument becomes a Fraction first."""
+    base = Fraction(base)
+    exp = Fraction(exp)
+    scale = Fraction(scale)
+    if base < 0 or scale < 0 or exp < 0:
+        raise ValueError("ceil_scaled_pow expects non-negative arguments")
+    if scale == 0 or base == 0:
+        return 0
+    if exp == 0:
+        return ceil_div(scale.numerator, scale.denominator)
+    p, q = exp.numerator, exp.denominator
+    bn, bd = base.numerator, base.denominator
+    sn, sd = scale.numerator, scale.denominator
+    rhs = sn**q * bn**p
+    lhs_unit = bd**p
+    k = floor_root(rhs // (sd**q * lhs_unit), q)
+    return k if (k * sd) ** q * lhs_unit >= rhs else k + 1
+
+
+def rationals(lo):
+    """ints, and Fractions with numerator >= lo, some of them whole."""
+    return st.one_of(st.integers(lo, 10**6),
+                     st.builds(Fraction, st.integers(lo, 10**6), st.integers(1, 64)))
+
+
+class TestCeilScaledPowMatchesReference:
+    @given(rationals(-3), st.one_of(st.integers(-1, 3), st.builds(
+        Fraction, st.integers(-2, 24), st.integers(1, 12))), rationals(-3))
+    @example(0, 0, 5)  # a zero base wins over exp = 0
+    @example(7, 0, Fraction(7, 2))  # exp = 0: ceil(scale)
+    @example(7, Fraction(0, 3), 0)
+    @example(Fraction(0, 5), Fraction(1, 2), Fraction(3, 4))
+    @example(-1, Fraction(1, 2), 0)  # a negative base raises before the zero scale returns
+    @example(4, Fraction(-1, 2), 1)
+    @example(4, Fraction(1, 2), Fraction(-1, 3))
+    @example(True, 1, 3)  # bool is an int
+    @settings(max_examples=500, deadline=None)
+    def test_same_value_or_same_error(self, base, exp, scale):
+        try:
+            want = reference_ceil_scaled_pow(base, exp, scale)
+        except ValueError:
+            with pytest.raises(ValueError, match="non-negative"):
+                ceil_scaled_pow(base, exp, scale)
+            return
+        assert ceil_scaled_pow(base, exp, scale) == want
+
+    @pytest.mark.parametrize("base, exp, scale", [
+        (2.5, 0.5, 1), ("9/4", "1/2", 2), (10, 0.0, 3.5), (0.0, 1, 1)])
+    def test_other_types_are_converted(self, base, exp, scale):
+        assert ceil_scaled_pow(base, exp, scale) == reference_ceil_scaled_pow(base, exp, scale)

@@ -70,6 +70,21 @@ class TestInProcess:
             assert part["lo"] <= part["ratio"] <= part["hi"]
             assert 0.2 < part["ratio"] < 5
 
+    def test_a_a_run_reports_each_sides_first_pass(self):
+        # the warm-up pass over freshly built graphs is kept apart from the
+        # passes that the medians summarise
+        root = _PATH.parent.parent
+        got = bench_pairs.inprocess({"parent": root, "change": root}, "clique", 3, 1, tiny=True)
+        assert set(got["parts"]) == {"clique-verify", "clique-scale", "pass"}
+        for part in got["parts"].values():
+            for side in ("parent", "change"):
+                assert part[side]["first_pass_s"] > 0
+                assert len(part[side]["runs_s"]) == 1
+        for side in ("parent", "change"):
+            whole = got["parts"]["pass"][side]["first_pass_s"]
+            assert whole == pytest.approx(sum(got["parts"][part][side]["first_pass_s"]
+                                              for part in ("clique-verify", "clique-scale")))
+
     def test_answers_that_differ_between_the_sides_raise(self, tmp_path):
         # a change whose detectors always answer True: its ops freeze differently
         root = _PATH.parent.parent

@@ -24,11 +24,13 @@ keeps the pairs it finished.
 With --inprocess-passes N, each workload also gets an in-process,
 interleaved A/B comparison (`inprocess`): both checkouts' `qcongest` and
 `perfbench/workloads.py` are imported into this one process, each side
-prepares and builds its pool at --inprocess-seed and runs one discarded
-warm-up pass, and then the sides alternate whole passes in ABBA order, N
-per side.  It reports, per part of the workload and for the whole pass,
-each side's minimum and median pass time and the change/parent ratio of
-the medians with a bootstrap 95% interval over passes, and it raises if any
+prepares and builds its pool at --inprocess-seed and runs one warm-up
+pass, and then the sides alternate whole passes in ABBA order, N per side.
+It reports, per part of the workload and for the whole pass, each side's
+warm-up pass time (`first_pass_s`: the first pass over freshly built
+graphs, so it holds whatever a per-graph cache computes once), its minimum
+and median time over the N passes, and the change/parent ratio of the
+medians with a bootstrap 95% interval over passes, and it raises if any
 op's `freeze` (answer and ledgers, or the exception it raised) differs
 between the sides or between passes.  Alternating the order keeps drift
 and warm-up from landing on one side (Mytkowicz et al., ASPLOS 2009;
@@ -187,7 +189,8 @@ def inprocess(sides: Dict[str, Path], workload: str, seed: Optional[int], passes
               tiny: bool = False) -> dict:
     """The in-process interleaved comparison of the parent and the change
     (see the module docstring): per part and for the whole pass, each
-    side's pass times, their minimum and median, and the ratio."""
+    side's warm-up and later pass times, their minimum and median, and the
+    ratio."""
     loaded = {side: load_side(d, side) for side, d in sides.items()}
     pools = {}
     for side, ns in loaded.items():
@@ -215,7 +218,9 @@ def inprocess(sides: Dict[str, Path], workload: str, seed: Optional[int], passes
         times["pass"] = sum(times.values())
         return times, frozen
 
-    first = {side: one_pass(side)[1] for side in sides}  # the warm-up passes
+    first_times, first = {}, {}
+    for side in sides:  # the warm-up passes
+        first_times[side], first[side] = one_pass(side)
     differ = [i for i, (a, b) in enumerate(zip(first["parent"], first["change"])) if a != b]
     if differ or len(first["parent"]) != len(first["change"]):
         raise AssertionError(f"{workload}: ops {differ[:20]} freeze differently on the two sides")
@@ -231,7 +236,8 @@ def inprocess(sides: Dict[str, Path], workload: str, seed: Optional[int], passes
     for part in runs["parent"]:
         parent, change = runs["parent"][part], runs["change"][part]
         parts[part] = {
-            **{side: {"min_s": min(r), "median_s": statistics.median(r), "runs_s": r}
+            **{side: {"first_pass_s": first_times[side][part], "min_s": min(r),
+                      "median_s": statistics.median(r), "runs_s": r}
                for side, r in (("parent", parent), ("change", change))},
             **ratio_interval(parent, change),
         }
@@ -304,7 +310,9 @@ def main(argv=None) -> int:
             for part, got in entry["inprocess"]["parts"].items():
                 print(f"{workload} in-process {part}: median "
                       f"{got['parent']['median_s']:.4f} -> {got['change']['median_s']:.4f} s, "
-                      f"ratio {got['ratio']:.3f} [{got['lo']:.3f}, {got['hi']:.3f}]",
+                      f"ratio {got['ratio']:.3f} [{got['lo']:.3f}, {got['hi']:.3f}]; "
+                      f"first pass {got['parent']['first_pass_s']:.4f} -> "
+                      f"{got['change']['first_pass_s']:.4f} s",
                       file=sys.stderr, flush=True)
             write()
     write()
