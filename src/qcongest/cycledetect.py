@@ -39,7 +39,8 @@ Two engines compute the same detection event:
   congestion bound are conservatively counted as misses, per the
   completeness accounting.  Each stage enumerates its candidate cycles
   once, lazily, into one _CycleIndex that serves every query, and
-  CYCLE_ENUM_LIMIT bounds that one enumeration.  A query with at most
+  CYCLE_ENUM_LIMIT bounds that one enumeration; a query whose sources
+  anchor no pattern answers False from one mask test.  A query with at most
   _EXACT_CAP patterns gets its per-repetition success probability P by
   inclusion-exclusion and detects on one uniform below 1 - (1 - P)^reps;
   a query with more samples its repetitions' colours in blocks and is
@@ -302,6 +303,10 @@ class _CycleIndex:
     <= t has then been filed), or until the query's sources hold more than
     _PATTERN_CAP patterns that survive its congestion filter.
     CYCLE_ENUM_LIMIT bounds the whole stage's enumeration.
+
+    `_filed` is the mask of the sources that anchor a filed pattern, so
+    silent() tells a query that cannot fire with one mask test, without
+    measuring its congestion or reading any list.
     """
 
     def __init__(self, graph: Graph, cfg: ColorBfsConfig, core: int, anchors: int):
@@ -309,15 +314,15 @@ class _CycleIndex:
         self._cycles = iter_cycles(graph, cfg.cycle_len, active_mask=core, anchors=anchors,
                                    limit=CYCLE_ENUM_LIMIT)
         self._through: Dict[int, List[Tuple[int, ...]]] = {}  # source -> cycles it anchors
+        self._filed = 0  # the mask of the keys of _through
         self._front = 0  # every cycle anchored below _front has been filed
         self._end = graph.n  # _front once the enumeration has ended
         self._truncated_at: Optional[int] = None  # _front when the limit raised
 
-    def _fill(self, sources: int, hot: int, top: int, have: int) -> None:
+    def _fill(self, sources: int, hot: int, top: int, have: int, cap: int) -> None:
         """File cycles until one anchored above top has been filed, or the
-        query's sources hold more than _PATTERN_CAP patterns that touch no
-        node of hot (`have` of them are filed already), or the enumeration
-        ends."""
+        query's sources hold more than cap patterns that touch no node of
+        hot (`have` of them are filed already), or the enumeration ends."""
         anchors, heights, through = self._anchors, self._cfg.heights, self._through
         try:
             for cyc in self._cycles:
@@ -334,12 +339,13 @@ class _CycleIndex:
                     filed = through.get(v)
                     if filed is None:
                         through[v] = [cyc]
+                        self._filed |= 1 << v
                     else:
                         filed.append(cyc)
                     mine += sources >> v & 1
                 if mine and not (hot and any(hot >> u & 1 for u in cyc)):
                     have += mine
-                if have > _PATTERN_CAP or cyc[0] > top:
+                if have > cap or cyc[0] > top:
                     return
         except CycleEnumerationLimit:
             # keep the cycles filed so far: a subset of the detection
@@ -397,7 +403,7 @@ class _CycleIndex:
                           if m > cfg.congestion_bound)
         top = (sources & self._core).bit_length() - 1  # a source off the core is on no cycle
         if self._front <= top:
-            self._fill(sources, hot, top, len(self._read(sources, hot, cap + 1)[0]))
+            self._fill(sources, hot, top, len(self._read(sources, hot, cap + 1)[0]), cap)
         out, dropped = self._read(sources, hot, cap + 1)
         hits = {"congestion_dropped"} if dropped else set()
         if len(out) > cap:
@@ -406,6 +412,22 @@ class _CycleIndex:
         elif self._truncated_at is not None and top >= self._truncated_at:
             hits.add("enumeration_truncated")
         return out, hits
+
+    def silent(self, sources: int) -> bool:
+        """Does the query from `sources` have no pattern and no counter, so
+        that patterns() would give ([], set())?
+
+        The enumeration is pulled up to the query's highest source on the
+        core, or until the first pattern at its sources is filed; then the
+        answer is one mask test, unless the query's top source is at or past
+        the point where the enumeration hit its limit (it may have lost
+        patterns, and patterns() counts it as `enumeration_truncated`).
+        """
+        top = (sources & self._core).bit_length() - 1
+        if not sources & self._filed and self._front <= top:
+            self._fill(sources, 0, top, 0, 0)
+        return not (sources & self._filed
+                    or (self._truncated_at is not None and top >= self._truncated_at))
 
 
 def _pattern_specs(patterns: Sequence[Tuple[Tuple[int, ...], int]],
@@ -593,11 +615,14 @@ def _stage_search(
     validated when it was built, and each query's sources are a subset of
     its active nodes.  The event engine serves every query from one
     _CycleIndex of the stage, enumerated inside the 2-core of the active
-    nodes; the protocol engine runs the protocol hop by hop.  A detection
-    is reported to the leader by the query's lowest source.  Every query is
-    priced by _query_rounds at the measured eccentricity, and the event
-    engine's truncation and congestion counters go to ledger.counts.  A
-    stage with no source sets searches nothing and charges nothing.
+    nodes (the graph's stored core() when every node is active), and
+    answers a query that cannot fire (_CycleIndex.silent) without drawing
+    or measuring anything; the protocol engine runs the protocol hop by
+    hop.  A detection is reported to the leader by the query's lowest
+    source.  Every query is priced by _query_rounds at the measured
+    eccentricity, and the event engine's truncation and congestion
+    counters go to ledger.counts.  A stage with no source sets searches
+    nothing and charges nothing.
     """
     if not queries:
         return False
@@ -609,11 +634,14 @@ def _stage_search(
         anchors = 0
         for sources, _ in queries:
             anchors |= sources
-        index = _CycleIndex(graph, shared, two_core(graph, active), anchors)
+        core = graph.core() if active == (1 << graph.n) - 1 else two_core(graph, active)
+        index = _CycleIndex(graph, shared, core, anchors)
 
     def checker(i: int) -> Tuple[bool, int]:
         sources, label = queries[i]
         if engine == "event":
+            if index.silent(sources):
+                return False, query_rounds
             patterns, hits = index.patterns(sources)
             found, sampled = _event_found(patterns, shared, (tag, seed, label))
             if sampled:

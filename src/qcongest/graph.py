@@ -32,11 +32,12 @@ class Graph:
     `adj` is the one adjacency: a tuple of per-node bitmasks, bit u of
     adj[v] set iff u-v is an edge.  A clique check is one AND, a degree is
     adj[v].bit_count(), and bits(adj[v]) lists the neighbours ascending.
-    One fact is stored lazily: triangle_nodes(), computed on first use and
-    kept, which is sound because the graph never changes.
+    Two facts are stored lazily, triangle_nodes() and core(): each is
+    computed on first use and kept, which is sound because the graph never
+    changes.  Building a graph computes neither.
     """
 
-    __slots__ = ("n", "adj", "m", "_triangle_nodes")
+    __slots__ = ("n", "adj", "m", "_triangle_nodes", "_core")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]]):
         if n < 0:
@@ -57,6 +58,7 @@ class Graph:
         self.adj = tuple(masks)
         self.m = count
         self._triangle_nodes: Optional[int] = None
+        self._core: Optional[int] = None
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -84,6 +86,13 @@ class Graph:
                     apex |= adj_u & adj[u + low.bit_length()]
             self._triangle_nodes = apex
         return self._triangle_nodes
+
+    def core(self) -> int:
+        """The 2-core of the whole graph, as a node mask: two_core of every
+        node, on first use."""
+        if self._core is None:
+            self._core = two_core(self, (1 << self.n) - 1)
+        return self._core
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -360,6 +369,9 @@ def iter_cycles(
     ball of that radius, and the last node must also exceed the second.
     Only branches that close no cycle are cut, so the cycles, their order
     and the point where `limit` raises are those of the unpruned search.
+
+    An anchor that no_cycle_certificate clears lies on no such cycle, so
+    it is skipped before its ball is built, and nothing less comes out.
     """
     if length < 3:
         return
@@ -418,7 +430,55 @@ def iter_cycles(
 
     for s in bits(active if anchors is None else active & anchors):
         active &= ~(1 << s)
-        yield from from_anchor(s, active)
+        if not no_cycle_certificate(adj, length, s, active):
+            yield from from_anchor(s, active)
+
+
+def no_cycle_certificate(adj: Tuple[int, ...], length: int, anchor: int, allowed: int) -> bool:
+    """True only if the anchor lies on no C_length whose other nodes are in
+    the mask `allowed` (which excludes the anchor).
+
+    The test reads the BFS layers L_0 = {anchor}, L_1, ... of the anchor's
+    ball through the allowed nodes; every edge of the ball joins two nodes
+    of one layer or of consecutive layers.  Write r = floor(length / 2).
+    An anchor with fewer than two allowed neighbours is certified.
+      * Odd length: no edge joins two nodes of one layer L_1..L_r.  Then
+        the r-ball is bipartite, yet every node of a C_length through the
+        anchor lies within r hops of it along the cycle, so the cycle would
+        be an odd cycle of the ball.  (An r-ball that induces a tree passes
+        the same test.)
+      * Even length: the (r-1)-ball induces a tree (no edge inside L_1..
+        L_{r-1}, and each node of L_2..L_{r-1} has one neighbour in the
+        layer before), and no node of L_r has two neighbours in L_{r-1}:
+        no allowed node outside the (r-1)-ball has two neighbours in it.
+        Every node of a C_length through the anchor but its antipode lies
+        within r - 1 hops of it along the cycle.  The antipode either lies
+        in the (r-1)-ball too, which then holds the whole cycle and is no
+        tree, or lies outside it with its two cycle neighbours inside.
+    Both tests certify every anchor of a graph of girth above length; a
+    radius-r tree test for even lengths would miss the anchors on a
+    C_{length+1}.
+    """
+    layer = seen = adj[anchor] & allowed
+    if not layer & (layer - 1):
+        return True
+    even = length % 2 == 0
+    for _ in range((length - 1) // 2):  # the layers L_1..L_{r or r-1}
+        nxt = twice = 0  # twice: the nodes adjacent to two nodes of the layer
+        rest = layer
+        while rest:
+            low = rest & -rest
+            nb = adj[low.bit_length() - 1]
+            if nb & layer:
+                return False
+            twice |= nxt & nb
+            nxt |= nb
+            rest ^= low
+        layer = nxt & allowed & ~seen
+        if even and twice & layer:
+            return False
+        seen |= layer
+    return True
 
 
 def two_core(graph: Graph, mask: int) -> int:

@@ -22,6 +22,7 @@ from qcongest.cycledetect import (
     _live_source_colours,
     _pattern_specs,
     _protocol_found,
+    _query_rounds,
     _stage_search,
     _success_probability,
     color_bfs_rep_rounds,
@@ -39,7 +40,7 @@ from qcongest.cycledetect import (
 from qcongest.graph import (GenSpec, Graph, bits, generate, iter_cycles, mask_of,
                             oracle_has_cycle, two_core)
 from qcongest.netsim import CongestNet, CostLedger, congest_step, word_capacity
-from qcongest.qsearch import DEFAULT_PARAMS, derive_seed, grover_cost
+from qcongest.qsearch import DEFAULT_PARAMS, derive_seed, grover_cost, run_search
 
 
 def cycle_graph(ell, n=None):
@@ -1275,3 +1276,110 @@ class TestPatternDedupe:
                     for cyc, pos in patterns:
                         assert len(set(cyc)) == ell and cyc[pos] == s
                         assert all(g.has_edge(cyc[i], cyc[(i + 1) % ell]) for i in range(ell))
+
+
+def evaluate_every_query(net, queries, shared, ledger, seed):
+    """An event-engine stage with no no-fire path: every query reads
+    index.patterns, draws through _event_found and files its counters."""
+    graph = net.graph
+    rounds = _query_rounds(shared.cycle_len, shared.repetitions, shared.congestion_bound,
+                           net.eccentricity)
+    index = _CycleIndex(graph, shared, two_core(graph, shared.active),
+                        mask_of(v for q, _ in queries for v in bits(q)))
+
+    def checker(i):
+        sources, label = queries[i]
+        patterns, hits = index.patterns(sources)
+        found, sampled = _event_found(patterns, shared, ("test", seed, label))
+        ledger.counts.update(hits | ({"pattern_sampled"} if sampled else set()))
+        if found:
+            net.require_reachable([(sources & -sources).bit_length() - 1])
+        return found, rounds
+
+    return run_search(len(queries), checker, ledger, DEFAULT_PARAMS, seed=seed,
+                      model="congest", phase="color-bfs").found
+
+
+def stage_outcome(run):
+    """(found, or the leader fault's message; ledger rows; nonzero counters)
+    of run(ledger) on a fresh ledger."""
+    ledger = CostLedger()
+    try:
+        found = run(ledger)
+    except RuntimeError as exc:
+        found = str(exc)
+    rows = [(e.phase, e.model, e.kind, e.rounds) for e in ledger.entries]
+    return found, rows, +ledger.counts
+
+
+class TestSilentQueries:
+    """A query that cannot fire answers False from one mask test: the stage
+    gives what evaluating every query through patterns() gave."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_same_answers_ledgers_and_counters(self, data):
+        n = data.draw(st.integers(4, 12), label="n")
+        seed = data.draw(st.integers(0, 10**6), label="seed")
+        family = data.draw(st.sampled_from(["forest", "bipartite", "0.15", "0.4", "0.8"]),
+                           label="family")
+        rng = random.Random(seed)
+        if family == "forest":  # an empty 2-core
+            g = Graph(n, [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.9])
+        elif family == "bipartite":
+            g = random_bipartite(n, 3.0, seed)
+        else:
+            g = generate(GenSpec(kind="gnp", n=n, edge_prob=float(family), seed=seed))
+        ell = data.draw(st.integers(4, min(n, 7)), label="ell")
+        active = (1 << n) - 1
+        if data.draw(st.booleans(), label="masked"):
+            active = mask_of(v for v in range(n) if rng.random() < 0.8)
+        heights = ({v: rng.randrange(3) for v in bits(active)}
+                   if data.draw(st.booleans(), label="heighted") else None)
+        classes = data.draw(st.integers(1, 5), label="classes")
+        queries = [0] * classes
+        for v in bits(active):
+            i = rng.randrange(-1, classes)
+            if i >= 0:
+                queries[i] |= 1 << v
+        queries = [(q, i) for i, q in enumerate(queries)]
+        shared = ColorBfsConfig(ell, active, 0, heights, data.draw(st.integers(1, 3), label="M"),
+                                data.draw(st.sampled_from([1, 3, 40]), label="reps"))
+        limit = data.draw(st.sampled_from([None, 2, 5, 20]), label="CYCLE_ENUM_LIMIT")
+        cap = data.draw(st.sampled_from([None, 1, 3]), label="_PATTERN_CAP")
+        with pytest.MonkeyPatch.context() as mp:
+            if limit is not None:
+                mp.setitem(detect_odd_cycle.__globals__, "CYCLE_ENUM_LIMIT", limit)
+            if cap is not None:
+                mp.setitem(detect_odd_cycle.__globals__, "_PATTERN_CAP", cap)
+            got = stage_outcome(lambda ledger: _stage_search(
+                CongestNet(g), queries, shared, "test", "color-bfs", ledger, seed,
+                DEFAULT_PARAMS, "event"))
+            want = stage_outcome(lambda ledger: evaluate_every_query(
+                CongestNet(g), queries, shared, ledger, seed))
+        assert got == want
+
+    def test_silent_queries_measure_and_draw_nothing(self, monkeypatch):
+        # odd cycles on bipartite graphs: every query of every stage is
+        # silent, multi-source queries above M included
+        calls = Counter()
+        for name in ("measure_congestion", "_event_found"):
+            real = detect_odd_cycle.__globals__[name]
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            patch_cycledetect(monkeypatch, name, counted)
+        g = random_bipartite(40, 4.0, 3)
+        assert two_core(g, (1 << g.n) - 1)
+        ledger = CostLedger()
+        assert not detect_odd_cycle(g, 5, ledger, seed=1)
+        classes = [mask_of(range(i, 40, 5)) for i in range(5)]
+        shared = ColorBfsConfig(7, (1 << 40) - 1, 0, None, 1, 3)
+        assert not _stage_search(CongestNet(g), [(q, i) for i, q in enumerate(classes)],
+                                 shared, "test", "color-bfs", ledger, 1, DEFAULT_PARAMS, "event")
+        assert ledger.counts["queries"] > 0 and not calls
+        # a query with a pattern still measures and draws
+        assert detect_odd_cycle(cycle_graph(5, 8), 5, CostLedger(), seed=1)
+        assert calls["_event_found"] > 0

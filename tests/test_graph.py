@@ -1,6 +1,7 @@
 """Graph construction, generators, and brute-force oracles."""
 
 import itertools
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -18,6 +19,7 @@ from qcongest.graph import (
     iter_cycles,
     load_graph,
     mask_of,
+    no_cycle_certificate,
     oracle_cliques,
     oracle_has_clique,
     oracle_has_cycle,
@@ -25,6 +27,7 @@ from qcongest.graph import (
     save_graph,
     two_core,
 )
+from qcongest.netsim import CostLedger
 
 
 def gnp(n, p, seed):
@@ -443,3 +446,145 @@ class TestTwoCore:
         for length in (3, 4, 5):
             for cyc in iter_cycles(g, length):
                 assert all(core >> v & 1 for v in cyc)
+
+
+def girth_above(n, length, avg_degree, seed):
+    """G(n, avg_degree / n) minus every edge that would close a cycle of
+    length <= `length`, so the girth exceeds it."""
+    rng = random.Random(seed)
+    adj = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < avg_degree / n:
+                near = frontier = 1 << u
+                for _ in range(length - 1):
+                    frontier = mask_of(w for x in bits(frontier) for w in bits(adj[x])) & ~near
+                    near |= frontier
+                if not near >> v & 1:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+    return Graph(n, [(u, v) for u in range(n) for v in bits(adj[u]) if u < v])
+
+
+def sparse_graph(family, n, length, seed):
+    """A graph of one of the sparse families on which the no-cycle
+    certificates fire: G(n, c/n), random bipartite, a random tree plus a few
+    edges, or girth above `length`."""
+    rng = random.Random(seed)
+    if family == "gnp":
+        return gnp(n, rng.choice([1.0, 2.0, 3.0]) / n, seed)
+    if family == "bipartite":
+        side = [rng.random() < 0.5 for _ in range(n)]
+        return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                         if side[u] != side[v] and rng.random() < 5.0 / n])
+    if family == "tree_plus":
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+        for _ in range(rng.randint(1, 3)):
+            u, v = sorted(rng.sample(range(n), 2))
+            edges.add((u, v))
+        return Graph(n, sorted(edges))
+    return girth_above(n, length, 3.0, seed)
+
+
+class TestNoCycleCertificates:
+    """An anchor that no_cycle_certificate clears lies on no C_length, so
+    iter_cycles still yields what the unpruned DFS yields."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(family=st.sampled_from(["gnp", "bipartite", "tree_plus", "girth"]),
+           seed=st.integers(0, 10**6), n=st.integers(3, 18), length=st.integers(3, 9),
+           masked=st.booleans(), anchors=st.sampled_from(["all", "one", "some"]),
+           limit=st.sampled_from([None, 1, 3, 20]))
+    def test_sparse_families_match_the_reference(self, family, seed, n, length, masked,
+                                                 anchors, limit):
+        rng = random.Random(seed)
+        g = sparse_graph(family, n, length, seed)
+        active = rng.getrandbits(n) | rng.getrandbits(n) if masked else None
+        anchor_mask = {"all": None, "one": 1 << rng.randrange(n),
+                       "some": rng.getrandbits(n)}[anchors]
+        assert drain(iter_cycles(g, length, active, anchor_mask, limit)) == drain(
+            reference_cycles(g, length, active, anchor_mask, limit))
+
+    @pytest.mark.parametrize("length", range(3, 10))
+    def test_every_anchor_of_a_girth_above_length_graph_is_certified(self, length):
+        # C_{length+1} and random graphs of girth > length: for even lengths
+        # a radius-r tree test would not certify the anchors on a C_{length+1}
+        graphs = [generate(GenSpec(kind="cycle", n=length + 1))]
+        graphs += [girth_above(n, length, 3.0, seed) for n, seed in ((48, 1), (96, 2))]
+        for g in graphs:
+            assert not any(oracle_has_cycle(g, k) for k in range(3, length + 1))
+            full = (1 << g.n) - 1
+            assert two_core(g, full), "the family must keep cycles"
+            allowed = full
+            for v in range(g.n):
+                assert no_cycle_certificate(g.adj, length, v, full & ~(1 << v)), (g, v)
+                allowed &= ~(1 << v)  # as iter_cycles takes the anchors
+                assert no_cycle_certificate(g.adj, length, v, allowed), (g, v)
+
+    def test_certificates_fire_on_the_sparse_families(self):
+        # no anchor on a C_length is certified, and most anchors of the
+        # cycle-free negatives (odd lengths on bipartite graphs, girth above
+        # the length) are, so the families above exercise the skip
+        certified = negatives = on_cycles = 0
+        for seed, family, length in itertools.product(
+                range(10), ("gnp", "bipartite", "tree_plus", "girth"), (4, 5, 6)):
+            g = sparse_graph(family, 16, length, seed)
+            negative = family == "girth" or (family == "bipartite" and length % 2)
+            full = (1 << g.n) - 1
+            for v in range(g.n):
+                ok = no_cycle_certificate(g.adj, length, v, full & ~(1 << v))
+                if any(True for _ in reference_cycles(g, length, anchors=1 << v)):
+                    assert not ok, (family, seed, length, v)
+                    on_cycles += 1
+                elif negative:
+                    certified += ok
+                    negatives += 1
+        assert on_cycles > 50 and certified > negatives // 2
+
+    @pytest.mark.parametrize("length", range(3, 10))
+    def test_an_anchor_on_a_cycle_is_never_certified(self, length):
+        g = generate(GenSpec(kind="cycle", n=length))
+        for v in range(length):
+            assert not no_cycle_certificate(g.adj, length, v, ((1 << length) - 1) & ~(1 << v))
+        assert len(list(iter_cycles(g, length))) == 1
+
+
+class TestCore:
+    """core() is the 2-core of every node, stored on the graph it describes."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(0, 16),
+           prob=st.sampled_from([0.05, 0.15, 0.3]))
+    def test_equals_two_core_of_every_node(self, seed, n, prob):
+        g = gnp(n, prob, seed)
+        assert g.core() == two_core(g, (1 << n) - 1)
+        assert g.core() == two_core(g, (1 << n) - 1)  # the stored value
+
+    def test_building_a_graph_does_no_core_work(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("core work while building a graph")
+
+        monkeypatch.setitem(Graph.core.__globals__, "two_core", refuse)
+        for g in (Graph(5, [(0, 1), (1, 2), (0, 2)]), generate(GenSpec(kind="cycle", n=6)),
+                  gnp(30, 0.2, 1)):
+            assert g._core is None and g._triangle_nodes is None
+
+    def test_one_computation_per_graph(self, monkeypatch):
+        from qcongest.cycledetect import detect_even_cycle, detect_odd_cycle
+
+        computed = []
+        real = Graph.core
+
+        def counting(g):
+            if g._core is None:
+                computed.append(g)
+            return real(g)
+
+        monkeypatch.setattr(Graph, "core", counting)
+        g = gnp(24, 0.15, 3)
+        for seed in range(3):
+            detect_odd_cycle(g, 5, CostLedger(), seed=seed)
+            detect_even_cycle(g, 4, CostLedger(), seed=seed)
+            detect_even_cycle(g, 6, CostLedger(), seed=seed)
+        assert computed == [g]
+        assert g.core() == two_core(g, (1 << g.n) - 1)

@@ -69,6 +69,23 @@ class TestInProcess:
                 assert part[side]["min_s"] <= part[side]["median_s"]
             assert part["lo"] <= part["ratio"] <= part["hi"]
             assert 0.2 < part["ratio"] < 5
+            # a sum of per-op minima is at most the fastest pass
+            for side in ("parent", "change"):
+                assert 0 < part[side]["op_min_s"] <= part[side]["min_s"] * (1 + 1e-9)
+            assert 0.2 < part["op_min_ratio"] < 5
+        # the families (part and generator kind) split each part's per-op minima
+        families = got["families"]
+        assert {"cycle-detect/planted_cycle", "cycle-detect/forest", "cycle-detect/girth",
+                "cycle-protocol/planted_cycle"} <= set(families)
+        assert sum(f["ops"] for f in families.values()) == got["ops_per_pass"]
+        for part in ("cycle-detect", "cycle-protocol", "pass"):
+            mine = [f for name, f in families.items() if part == "pass" or
+                    name.startswith(part + "/")]
+            for side in ("parent", "change"):
+                assert sum(f[f"{side}_op_min_s"] for f in mine) == pytest.approx(
+                    got["parts"][part][side]["op_min_s"])
+        for f in families.values():
+            assert f["op_min_ratio"] == pytest.approx(f["change_op_min_s"] / f["parent_op_min_s"])
 
     def test_a_a_run_reports_each_sides_first_pass(self):
         # the warm-up pass over freshly built graphs is kept apart from the

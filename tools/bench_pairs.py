@@ -32,7 +32,11 @@ graphs, so it holds whatever a per-graph cache computes once), its minimum
 and median time over the N passes, and the change/parent ratio of the
 medians with a bootstrap 95% interval over passes, and it raises if any
 op's `freeze` (answer and ledgers, or the exception it raised) differs
-between the sides or between passes.  Alternating the order keeps drift
+between the sides or between passes.  It also takes each op's minimum
+over the N passes and sums these per part (`op_min_s`, with the
+change/parent ratio `op_min_ratio`) and per instance family, the op's part
+and generator kind (`families`); a sum of per-op minima drifts less
+between runs than a pass time does.  Alternating the order keeps drift
 and warm-up from landing on one side (Mytkowicz et al., ASPLOS 2009;
 Kalibera and Jones, ISMM 2013).
 """
@@ -204,7 +208,7 @@ def inprocess(sides: Dict[str, Path], workload: str, seed: Optional[int], passes
         work, pool = pools[side]
         qc, freeze = loaded[side].qc, loaded[side].workloads.freeze
         times: Dict[str, float] = {}
-        frozen = []
+        op_times, frozen = [], []
         gc.collect()
         for inst in pool:
             t0 = time.perf_counter()
@@ -212,38 +216,60 @@ def inprocess(sides: Dict[str, Path], workload: str, seed: Optional[int], passes
                 answer = work.execute(qc, inst)
             except Exception as exc:  # an op that raises must raise alike on both sides
                 answer = exc
-            times[inst.part] = times.get(inst.part, 0.0) + time.perf_counter() - t0
+            op_times.append(time.perf_counter() - t0)
+            times[inst.part] = times.get(inst.part, 0.0) + op_times[-1]
             frozen.append(f"{type(answer).__name__}: {answer}"
                           if isinstance(answer, Exception) else freeze(answer))
         times["pass"] = sum(times.values())
-        return times, frozen
+        return times, op_times, frozen
 
     first_times, first = {}, {}
     for side in sides:  # the warm-up passes
-        first_times[side], first[side] = one_pass(side)
+        first_times[side], _, first[side] = one_pass(side)
     differ = [i for i, (a, b) in enumerate(zip(first["parent"], first["change"])) if a != b]
     if differ or len(first["parent"]) != len(first["change"]):
         raise AssertionError(f"{workload}: ops {differ[:20]} freeze differently on the two sides")
     runs: Dict[str, Dict[str, List[float]]] = {side: {} for side in sides}
+    op_min: Dict[str, List[float]] = {}  # side -> each op's minimum over the passes
     for i in range(passes):
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            times, frozen = one_pass(side)
+            times, op_times, frozen = one_pass(side)
             if frozen != first[side]:
                 raise AssertionError(f"{workload}: {side}'s answers changed in pass {i}")
             for part, t in times.items():
                 runs[side].setdefault(part, []).append(t)
+            op_min[side] = list(map(min, zip(op_min.get(side, op_times), op_times)))
+
+    def op_min_sums(groups: Dict[str, List[int]]) -> Dict[str, dict]:
+        out = {}
+        for group, ops in groups.items():
+            sums = {side: sum(op_min[side][i] for i in ops) for side in sides}
+            out[group] = {"ops": len(ops), **{f"{side}_op_min_s": t for side, t in sums.items()},
+                          "op_min_ratio": sums["change"] / sums["parent"]}
+        return out
+
+    pool = pools["parent"][1]
+    by_part: Dict[str, List[int]] = {"pass": list(range(len(pool)))}
+    by_family: Dict[str, List[int]] = {}
+    for i, inst in enumerate(pool):
+        by_part.setdefault(inst.part, []).append(i)
+        by_family.setdefault(f"{inst.part}/{inst.kind}", []).append(i)
+    part_sums = op_min_sums(by_part)
     parts = {}
     for part in runs["parent"]:
         parent, change = runs["parent"][part], runs["change"][part]
         parts[part] = {
             **{side: {"first_pass_s": first_times[side][part], "min_s": min(r),
-                      "median_s": statistics.median(r), "runs_s": r}
+                      "median_s": statistics.median(r), "runs_s": r,
+                      "op_min_s": part_sums[part][f"{side}_op_min_s"]}
                for side, r in (("parent", parent), ("change", change))},
             **ratio_interval(parent, change),
+            "op_min_ratio": part_sums[part]["op_min_ratio"],
         }
     return {"seed": seed, "passes_per_side": passes, "ops_per_pass": len(first["parent"]),
             "order": "warm-up pass per side, then ABBA: pass i runs the parent first "
-                     "when i is even", "freeze_equal": True, "parts": parts}
+                     "when i is even", "freeze_equal": True, "parts": parts,
+            "families": op_min_sums(by_family)}
 
 
 def main(argv=None) -> int:
@@ -312,8 +338,14 @@ def main(argv=None) -> int:
                       f"{got['parent']['median_s']:.4f} -> {got['change']['median_s']:.4f} s, "
                       f"ratio {got['ratio']:.3f} [{got['lo']:.3f}, {got['hi']:.3f}]; "
                       f"first pass {got['parent']['first_pass_s']:.4f} -> "
-                      f"{got['change']['first_pass_s']:.4f} s",
+                      f"{got['change']['first_pass_s']:.4f} s; per-op minima "
+                      f"{got['parent']['op_min_s']:.4f} -> {got['change']['op_min_s']:.4f} s, "
+                      f"ratio {got['op_min_ratio']:.3f}",
                       file=sys.stderr, flush=True)
+            for family, got in entry["inprocess"]["families"].items():
+                print(f"{workload} in-process {family} ({got['ops']} ops): per-op minima "
+                      f"{got['parent_op_min_s']:.4f} -> {got['change_op_min_s']:.4f} s, "
+                      f"ratio {got['op_min_ratio']:.3f}", file=sys.stderr, flush=True)
             write()
     write()
     return 0
