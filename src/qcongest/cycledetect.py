@@ -305,8 +305,8 @@ class _CycleIndex:
     CYCLE_ENUM_LIMIT bounds the whole stage's enumeration.
 
     `_filed` is the mask of the sources that anchor a filed pattern, so
-    silent() tells a query that cannot fire with one mask test, without
-    measuring its congestion or reading any list.
+    patterns() answers a query that cannot fire with one mask test,
+    without measuring its congestion or reading any list.
     """
 
     def __init__(self, graph: Graph, cfg: ColorBfsConfig, core: int, anchors: int):
@@ -393,7 +393,18 @@ class _CycleIndex:
         remained (the first _PATTERN_CAP in enumeration order are kept),
         and `enumeration_truncated` when the query needed cycles past the
         point where the stage's enumeration hit CYCLE_ENUM_LIMIT.
+
+        Most queries have no pattern.  So the enumeration is first pulled
+        only up to the query's highest source on the core, or until the
+        first pattern at its sources is filed; if none is, the answer is
+        ([], the truncation counter if it applies), measuring nothing.
         """
+        top = (sources & self._core).bit_length() - 1  # a source off the core is on no cycle
+        if not sources & self._filed and self._front <= top:
+            self._fill(sources, 0, top, 0, 0)  # up to the first pattern at sources
+        if not sources & self._filed:
+            truncated = self._truncated_at is not None and top >= self._truncated_at
+            return [], {"enumeration_truncated"} if truncated else set()
         cfg, cap = self._cfg, _PATTERN_CAP
         hot = 0
         if sources.bit_count() > cfg.congestion_bound:
@@ -401,7 +412,6 @@ class _CycleIndex:
                                    cfg.congestion_bound, cfg.repetitions)
             hot = mask_of(v for v, m in measure_congestion(self._graph, query).items()
                           if m > cfg.congestion_bound)
-        top = (sources & self._core).bit_length() - 1  # a source off the core is on no cycle
         if self._front <= top:
             self._fill(sources, hot, top, len(self._read(sources, hot, cap + 1)[0]), cap)
         out, dropped = self._read(sources, hot, cap + 1)
@@ -412,22 +422,6 @@ class _CycleIndex:
         elif self._truncated_at is not None and top >= self._truncated_at:
             hits.add("enumeration_truncated")
         return out, hits
-
-    def silent(self, sources: int) -> bool:
-        """Does the query from `sources` have no pattern and no counter, so
-        that patterns() would give ([], set())?
-
-        The enumeration is pulled up to the query's highest source on the
-        core, or until the first pattern at its sources is filed; then the
-        answer is one mask test, unless the query's top source is at or past
-        the point where the enumeration hit its limit (it may have lost
-        patterns, and patterns() counts it as `enumeration_truncated`).
-        """
-        top = (sources & self._core).bit_length() - 1
-        if not sources & self._filed and self._front <= top:
-            self._fill(sources, 0, top, 0, 0)
-        return not (sources & self._filed
-                    or (self._truncated_at is not None and top >= self._truncated_at))
 
 
 def _pattern_specs(patterns: Sequence[Tuple[Tuple[int, ...], int]],
@@ -615,14 +609,13 @@ def _stage_search(
     validated when it was built, and each query's sources are a subset of
     its active nodes.  The event engine serves every query from one
     _CycleIndex of the stage, enumerated inside the 2-core of the active
-    nodes (the graph's stored core() when every node is active), and
-    answers a query that cannot fire (_CycleIndex.silent) without drawing
-    or measuring anything; the protocol engine runs the protocol hop by
-    hop.  A detection is reported to the leader by the query's lowest
-    source.  Every query is priced by _query_rounds at the measured
-    eccentricity, and the event engine's truncation and congestion
-    counters go to ledger.counts.  A stage with no source sets searches
-    nothing and charges nothing.
+    nodes, which answers a query that cannot fire without measuring or
+    drawing anything; the protocol engine runs the protocol hop by hop.  A
+    detection is reported to the leader by the query's lowest source.
+    Every query is priced by _query_rounds at the measured eccentricity,
+    and the event engine's truncation and congestion counters go to
+    ledger.counts.  A stage with no source sets searches nothing and
+    charges nothing.
     """
     if not queries:
         return False
@@ -634,14 +627,11 @@ def _stage_search(
         anchors = 0
         for sources, _ in queries:
             anchors |= sources
-        core = graph.core() if active == (1 << graph.n) - 1 else two_core(graph, active)
-        index = _CycleIndex(graph, shared, core, anchors)
+        index = _CycleIndex(graph, shared, two_core(graph, active), anchors)
 
     def checker(i: int) -> Tuple[bool, int]:
         sources, label = queries[i]
         if engine == "event":
-            if index.silent(sources):
-                return False, query_rounds
             patterns, hits = index.patterns(sources)
             found, sampled = _event_found(patterns, shared, (tag, seed, label))
             if sampled:

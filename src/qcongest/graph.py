@@ -32,12 +32,11 @@ class Graph:
     `adj` is the one adjacency: a tuple of per-node bitmasks, bit u of
     adj[v] set iff u-v is an edge.  A clique check is one AND, a degree is
     adj[v].bit_count(), and bits(adj[v]) lists the neighbours ascending.
-    Two facts are stored lazily, triangle_nodes() and core(): each is
-    computed on first use and kept, which is sound because the graph never
-    changes.  Building a graph computes neither.
+    One fact is stored lazily: triangle_nodes(), computed on first use and
+    kept, which is sound because the graph never changes.
     """
 
-    __slots__ = ("n", "adj", "m", "_triangle_nodes", "_core")
+    __slots__ = ("n", "adj", "m", "_triangle_nodes")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]]):
         if n < 0:
@@ -58,7 +57,6 @@ class Graph:
         self.adj = tuple(masks)
         self.m = count
         self._triangle_nodes: Optional[int] = None
-        self._core: Optional[int] = None
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -86,13 +84,6 @@ class Graph:
                     apex |= adj_u & adj[u + low.bit_length()]
             self._triangle_nodes = apex
         return self._triangle_nodes
-
-    def core(self) -> int:
-        """The 2-core of the whole graph, as a node mask: two_core of every
-        node, on first use."""
-        if self._core is None:
-            self._core = two_core(self, (1 << self.n) - 1)
-        return self._core
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -370,8 +361,10 @@ def iter_cycles(
     Only branches that close no cycle are cut, so the cycles, their order
     and the point where `limit` raises are those of the unpruned search.
 
-    An anchor that no_cycle_certificate clears lies on no such cycle, so
-    it is skipped before its ball is built, and nothing less comes out.
+    The balls come from anchor_ball, which also clears, before the rest of
+    its ball is built, an anchor that a no-cycle certificate shows to lie
+    on no such cycle; such an anchor is skipped, and nothing less comes
+    out.
     """
     if length < 3:
         return
@@ -381,20 +374,8 @@ def iter_cycles(
     active = full if active_mask is None else active_mask & full
     count = 0
 
-    def from_anchor(anchor: int, allowed: int) -> Iterator[Tuple[int, ...]]:
+    def from_anchor(anchor: int, ball: List[int]) -> Iterator[Tuple[int, ...]]:
         nonlocal count
-        # ball[r]: allowed nodes within r hops of the anchor, through allowed nodes
-        reach = frontier = adj[anchor] & allowed
-        ball = [0, reach]
-        for _ in range(2, length):
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                nxt |= adj[low.bit_length() - 1]
-                frontier ^= low
-            frontier = nxt & allowed & ~reach
-            reach |= frontier
-            ball.append(reach)
         path = [anchor]
         visited = 1 << anchor
         # stack[k - 1]: untried candidates for path position k
@@ -430,18 +411,24 @@ def iter_cycles(
 
     for s in bits(active if anchors is None else active & anchors):
         active &= ~(1 << s)
-        if not no_cycle_certificate(adj, length, s, active):
-            yield from from_anchor(s, active)
+        ball = anchor_ball(adj, length, s, active)
+        if ball is not None:
+            yield from from_anchor(s, ball)
 
 
-def no_cycle_certificate(adj: Tuple[int, ...], length: int, anchor: int, allowed: int) -> bool:
-    """True only if the anchor lies on no C_length whose other nodes are in
-    the mask `allowed` (which excludes the anchor).
+def anchor_ball(adj: Tuple[int, ...], length: int, anchor: int,
+                allowed: int) -> Optional[List[int]]:
+    """The balls that iter_cycles' search from the anchor reads, or None
+    when a certificate shows that the anchor lies on no C_length whose
+    other nodes are in the mask `allowed` (which excludes the anchor).
 
-    The test reads the BFS layers L_0 = {anchor}, L_1, ... of the anchor's
-    ball through the allowed nodes; every edge of the ball joins two nodes
-    of one layer or of consecutive layers.  Write r = floor(length / 2).
-    An anchor with fewer than two allowed neighbours is certified.
+    ball[r], for r < length, is the mask of the allowed nodes within r hops
+    of the anchor through allowed nodes.  It is grown one BFS layer L_1,
+    L_2, ... at a time; every edge of the ball joins two nodes of one layer
+    or of consecutive layers.  The certificates are read off the first
+    layers as they are built, and a cleared anchor returns before the rest
+    of its ball is built.  Write r = floor(length / 2).
+      * Fewer than two allowed neighbours.
       * Odd length: no edge joins two nodes of one layer L_1..L_r.  Then
         the r-ball is bipartite, yet every node of a C_length through the
         anchor lies within r hops of it along the cycle, so the cycle would
@@ -455,30 +442,36 @@ def no_cycle_certificate(adj: Tuple[int, ...], length: int, anchor: int, allowed
         within r - 1 hops of it along the cycle.  The antipode either lies
         in the (r-1)-ball too, which then holds the whole cycle and is no
         tree, or lies outside it with its two cycle neighbours inside.
-    Both tests certify every anchor of a graph of girth above length; a
-    radius-r tree test for even lengths would miss the anchors on a
+    Both certificates clear every anchor of a graph of girth above length;
+    a radius-r tree test for even lengths would miss the anchors on a
     C_{length+1}.
     """
-    layer = seen = adj[anchor] & allowed
+    reach = layer = adj[anchor] & allowed
     if not layer & (layer - 1):
-        return True
+        return None
+    ball = [0, reach]
     even = length % 2 == 0
-    for _ in range((length - 1) // 2):  # the layers L_1..L_{r or r-1}
-        nxt = twice = 0  # twice: the nodes adjacent to two nodes of the layer
+    last = (length - 1) // 2  # the certificates read the layers L_1..L_last
+    clear = True  # no certificate has failed on the layers read so far
+    for r in range(2, length):
+        nxt = twice = 0  # twice: the nodes adjacent to two nodes of L_{r-1}
         rest = layer
         while rest:
             low = rest & -rest
             nb = adj[low.bit_length() - 1]
-            if nb & layer:
-                return False
             twice |= nxt & nb
             nxt |= nb
             rest ^= low
-        layer = nxt & allowed & ~seen
-        if even and twice & layer:
-            return False
-        seen |= layer
-    return True
+        inner = nxt & layer  # the nodes of L_{r-1} with a neighbour in L_{r-1}
+        layer = nxt & allowed & ~reach
+        if clear:
+            if inner or even and twice & layer:
+                clear = False
+            elif r > last:
+                return None
+        reach |= layer
+        ball.append(reach)
+    return ball
 
 
 def two_core(graph: Graph, mask: int) -> int:

@@ -1279,13 +1279,15 @@ class TestPatternDedupe:
 
 
 def evaluate_every_query(net, queries, shared, ledger, seed):
-    """An event-engine stage with no no-fire path: every query reads
-    index.patterns, draws through _event_found and files its counters."""
+    """An event-engine stage with no no-fire path: every query measures its
+    congestion and reads its lists in index.patterns, draws through
+    _event_found and files its counters."""
     graph = net.graph
     rounds = _query_rounds(shared.cycle_len, shared.repetitions, shared.congestion_bound,
                            net.eccentricity)
     index = _CycleIndex(graph, shared, two_core(graph, shared.active),
                         mask_of(v for q, _ in queries for v in bits(q)))
+    index._filed = -1  # every source seems to anchor a pattern: no query is cut short
 
     def checker(i):
         sources, label = queries[i]
@@ -1312,9 +1314,9 @@ def stage_outcome(run):
     return found, rows, +ledger.counts
 
 
-class TestSilentQueries:
+class TestNoFireQueries:
     """A query that cannot fire answers False from one mask test: the stage
-    gives what evaluating every query through patterns() gave."""
+    gives what evaluating every query in full gave."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -1359,18 +1361,26 @@ class TestSilentQueries:
                 CongestNet(g), queries, shared, ledger, seed))
         assert got == want
 
-    def test_silent_queries_measure_and_draw_nothing(self, monkeypatch):
-        # odd cycles on bipartite graphs: every query of every stage is
-        # silent, multi-source queries above M included
+    def test_no_fire_queries_measure_and_draw_nothing(self, monkeypatch):
+        # odd cycles on bipartite graphs: no query of any stage can fire,
+        # multi-source queries above M included
         calls = Counter()
         for name in ("measure_congestion", "_event_found"):
             real = detect_odd_cycle.__globals__[name]
 
             def counted(*args, _real=real, _name=name):
-                calls[_name] += 1
+                if _name != "_event_found" or args[0]:  # a draw needs a pattern
+                    calls[_name] += 1
                 return _real(*args)
 
             patch_cycledetect(monkeypatch, name, counted)
+        real_read = _CycleIndex._read
+
+        def counted_read(*args):
+            calls["_read"] += 1
+            return real_read(*args)
+
+        monkeypatch.setattr(_CycleIndex, "_read", counted_read)
         g = random_bipartite(40, 4.0, 3)
         assert two_core(g, (1 << g.n) - 1)
         ledger = CostLedger()
@@ -1380,6 +1390,6 @@ class TestSilentQueries:
         assert not _stage_search(CongestNet(g), [(q, i) for i, q in enumerate(classes)],
                                  shared, "test", "color-bfs", ledger, 1, DEFAULT_PARAMS, "event")
         assert ledger.counts["queries"] > 0 and not calls
-        # a query with a pattern still measures and draws
+        # a query with a pattern still reads its lists and draws
         assert detect_odd_cycle(cycle_graph(5, 8), 5, CostLedger(), seed=1)
-        assert calls["_event_found"] > 0
+        assert calls["_event_found"] > 0 and calls["_read"] > 0

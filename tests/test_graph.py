@@ -14,12 +14,12 @@ from qcongest.graph import (
     GenSpec,
     Graph,
     GraphFormatError,
+    anchor_ball,
     bits,
     generate,
     iter_cycles,
     load_graph,
     mask_of,
-    no_cycle_certificate,
     oracle_cliques,
     oracle_has_clique,
     oracle_has_cycle,
@@ -27,7 +27,6 @@ from qcongest.graph import (
     save_graph,
     two_core,
 )
-from qcongest.netsim import CostLedger
 
 
 def gnp(n, p, seed):
@@ -487,8 +486,8 @@ def sparse_graph(family, n, length, seed):
 
 
 class TestNoCycleCertificates:
-    """An anchor that no_cycle_certificate clears lies on no C_length, so
-    iter_cycles still yields what the unpruned DFS yields."""
+    """An anchor that anchor_ball clears lies on no C_length, so iter_cycles
+    still yields what the unpruned DFS yields."""
 
     @settings(max_examples=400, deadline=None)
     @given(family=st.sampled_from(["gnp", "bipartite", "tree_plus", "girth"]),
@@ -517,9 +516,9 @@ class TestNoCycleCertificates:
             assert two_core(g, full), "the family must keep cycles"
             allowed = full
             for v in range(g.n):
-                assert no_cycle_certificate(g.adj, length, v, full & ~(1 << v)), (g, v)
+                assert anchor_ball(g.adj, length, v, full & ~(1 << v)) is None, (g, v)
                 allowed &= ~(1 << v)  # as iter_cycles takes the anchors
-                assert no_cycle_certificate(g.adj, length, v, allowed), (g, v)
+                assert anchor_ball(g.adj, length, v, allowed) is None, (g, v)
 
     def test_certificates_fire_on_the_sparse_families(self):
         # no anchor on a C_length is certified, and most anchors of the
@@ -532,7 +531,7 @@ class TestNoCycleCertificates:
             negative = family == "girth" or (family == "bipartite" and length % 2)
             full = (1 << g.n) - 1
             for v in range(g.n):
-                ok = no_cycle_certificate(g.adj, length, v, full & ~(1 << v))
+                ok = anchor_ball(g.adj, length, v, full & ~(1 << v)) is None
                 if any(True for _ in reference_cycles(g, length, anchors=1 << v)):
                     assert not ok, (family, seed, length, v)
                     on_cycles += 1
@@ -541,50 +540,27 @@ class TestNoCycleCertificates:
                     negatives += 1
         assert on_cycles > 50 and certified > negatives // 2
 
+    @settings(max_examples=200, deadline=None)
+    @given(family=st.sampled_from(["gnp", "bipartite", "tree_plus", "girth"]),
+           seed=st.integers(0, 10**6), n=st.integers(3, 16), length=st.integers(3, 9))
+    def test_an_uncleared_anchor_gets_every_ball(self, family, seed, n, length):
+        g = sparse_graph(family, n, length, seed)
+        allowed = random.Random(seed).getrandbits(n)
+        for v in range(n):
+            ball = anchor_ball(g.adj, length, v, allowed & ~(1 << v))
+            if ball is None:
+                continue
+            near = frontier = 1 << v
+            for r in range(1, length):
+                nxt = mask_of(w for x in bits(frontier) for w in bits(g.adj[x]))
+                frontier = nxt & allowed & ~near
+                near |= frontier
+                assert ball[r] == near & ~(1 << v), (v, r)
+            assert len(ball) == length
+
     @pytest.mark.parametrize("length", range(3, 10))
     def test_an_anchor_on_a_cycle_is_never_certified(self, length):
         g = generate(GenSpec(kind="cycle", n=length))
         for v in range(length):
-            assert not no_cycle_certificate(g.adj, length, v, ((1 << length) - 1) & ~(1 << v))
+            assert anchor_ball(g.adj, length, v, ((1 << length) - 1) & ~(1 << v)) is not None
         assert len(list(iter_cycles(g, length))) == 1
-
-
-class TestCore:
-    """core() is the 2-core of every node, stored on the graph it describes."""
-
-    @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, 10**6), n=st.integers(0, 16),
-           prob=st.sampled_from([0.05, 0.15, 0.3]))
-    def test_equals_two_core_of_every_node(self, seed, n, prob):
-        g = gnp(n, prob, seed)
-        assert g.core() == two_core(g, (1 << n) - 1)
-        assert g.core() == two_core(g, (1 << n) - 1)  # the stored value
-
-    def test_building_a_graph_does_no_core_work(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("core work while building a graph")
-
-        monkeypatch.setitem(Graph.core.__globals__, "two_core", refuse)
-        for g in (Graph(5, [(0, 1), (1, 2), (0, 2)]), generate(GenSpec(kind="cycle", n=6)),
-                  gnp(30, 0.2, 1)):
-            assert g._core is None and g._triangle_nodes is None
-
-    def test_one_computation_per_graph(self, monkeypatch):
-        from qcongest.cycledetect import detect_even_cycle, detect_odd_cycle
-
-        computed = []
-        real = Graph.core
-
-        def counting(g):
-            if g._core is None:
-                computed.append(g)
-            return real(g)
-
-        monkeypatch.setattr(Graph, "core", counting)
-        g = gnp(24, 0.15, 3)
-        for seed in range(3):
-            detect_odd_cycle(g, 5, CostLedger(), seed=seed)
-            detect_even_cycle(g, 4, CostLedger(), seed=seed)
-            detect_even_cycle(g, 6, CostLedger(), seed=seed)
-        assert computed == [g]
-        assert g.core() == two_core(g, (1 << g.n) - 1)
