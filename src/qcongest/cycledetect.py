@@ -18,11 +18,19 @@ Full runs price it at the measured eccentricity and M; cycle_cost_only,
 the cost-only entry of both parities, at eccentricity 1 and M = 1, and
 charges each stage's triple ([domain], [], query) via charge_search.  Both
 detectors and cycle_cost_only refuse exactly the lengths inapplicable()
-refuses.  The ledger also counts the queries run and the queries whose
-candidate cycles were truncated, capped or dropped for congestion.  Every
-node set (active nodes, sources, the heavy and light sets, the light index
-classes) is an int mask over node ids, as graph.adj is, and is walked in
-ascending order with bits().
+refuses.  The ledger also counts the queries answered and the queries
+whose candidate cycles were truncated, capped or dropped for congestion.
+Every node set (active nodes, sources, the heavy and light sets, the light
+index classes) is an int mask over node ids, as graph.adj is, and is
+walked in ascending order with bits().
+
+Each stage, on either engine, enumerates its candidate cycles once,
+lazily, into one _CycleIndex that settles what cannot fire before anything
+is simulated or drawn; CYCLE_ENUM_LIMIT bounds that one enumeration.  A
+stage in which no source anchors a qualifying pattern, and whose
+enumeration was not truncated, is silent: it charges and counts its
+queries without walking them.  Otherwise a query whose sources anchor no
+pattern answers False from one mask test, on either engine.
 
 Two engines compute the same detection event:
 
@@ -32,19 +40,17 @@ Two engines compute the same detection event:
   repetitions in which a source has colour 0 send a word: the idle ones
   are skipped in one geometric draw, a live one draws its source colours
   conditioned on being live, and only nodes within floor(len/2) hops of a
-  source, as far as a word travels, draw a colour.
+  source, as far as a word travels, draw a colour.  A query the index
+  clears is not simulated: every detection is a qualifying pattern.
 * "event": an exact draw of the detection event over the enumerated
   candidate cycles.  A repetition detects iff some qualifying (cycle,
   anchor) pair is pattern-colored; runs whose cycle nodes exceed the
   congestion bound are conservatively counted as misses, per the
-  completeness accounting.  Each stage enumerates its candidate cycles
-  once, lazily, into one _CycleIndex that serves every query, and
-  CYCLE_ENUM_LIMIT bounds that one enumeration; a query whose sources
-  anchor no pattern answers False from one mask test.  A query with at most
-  _EXACT_CAP patterns gets its per-repetition success probability P by
-  inclusion-exclusion and detects on one uniform below 1 - (1 - P)^reps;
-  a query with more samples its repetitions' colours in blocks and is
-  counted as `pattern_sampled`.
+  completeness accounting.  A query with at most _EXACT_CAP patterns gets
+  its per-repetition success probability P by inclusion-exclusion and
+  detects on one uniform below 1 - (1 - P)^reps; a query with more
+  samples its repetitions' colours in blocks and is counted as
+  `pattern_sampled`.
 
 Both engines charge identical rounds.
 """
@@ -62,7 +68,8 @@ import numpy as np
 from .graph import CycleEnumerationLimit, Graph, bits, iter_cycles, mask_of, two_core
 from .intmath import ceil_pow, ceil_scaled_pow
 from .netsim import CongestNet, CostLedger, congest_step, word_capacity
-from .qsearch import DEFAULT_PARAMS, QuantumCostParams, charge_search, derive_seed, run_search
+from .qsearch import (DEFAULT_PARAMS, QuantumCostParams, charge_search, derive_seed,
+                      record_search, run_search)
 
 CYCLE_ENUM_LIMIT = 200_000  # cycles of one search stage's enumeration
 _PATTERN_CAP = 4096  # anchored cycles per query; a subset is still sound
@@ -304,9 +311,14 @@ class _CycleIndex:
     _PATTERN_CAP patterns that survive its congestion filter.
     CYCLE_ENUM_LIMIT bounds the whole stage's enumeration.
 
-    `_filed` is the mask of the sources that anchor a filed pattern, so
-    patterns() answers a query that cannot fire with one mask test,
-    without measuring its congestion or reading any list.
+    `_filed` is the mask of the sources that anchor a filed pattern.
+    may_fire() is the one test of whether a query has a pattern: it pulls
+    the enumeration only as far as that question needs, and it answers
+    "may fire" also where the enumeration limit cut the stage short at or
+    below the query's highest source.  patterns() answers a query that
+    cannot fire from it alone, without measuring congestion or reading any
+    list, and the protocol engine skips such a query.  silent() asks it of
+    the whole stage at once, before the stage's search runs.
     """
 
     def __init__(self, graph: Graph, cfg: ColorBfsConfig, core: int, anchors: int):
@@ -353,6 +365,48 @@ class _CycleIndex:
             self._truncated_at = self._front
         self._front = self._end
 
+    def _top(self, sources: int) -> int:
+        """The query's highest source on the core (-1 if none): a source off
+        the core is on no cycle."""
+        return (sources & self._core).bit_length() - 1
+
+    def _truncated_below(self, top: int) -> bool:
+        """Did the enumeration limit raise at or below the source top?"""
+        return self._truncated_at is not None and top >= self._truncated_at
+
+    def may_fire(self, sources: int) -> bool:
+        """Can the query from the source mask `sources` have a pattern?
+
+        Pulls the enumeration up to the query's highest source on the core,
+        or until the first pattern at its sources is filed; then every
+        pattern at its sources that the enumeration holds below that point
+        is filed.  False means that no qualifying pattern is anchored at its
+        sources.  True means one is filed, or the enumeration limit raised
+        at or below its highest source, so that the patterns it lost may
+        hold one.
+        """
+        top = self._top(sources)
+        if not sources & self._filed and self._front <= top:
+            self._fill(sources, 0, top, 0, 0)  # up to the first pattern at sources
+        return bool(sources & self._filed) or self._truncated_below(top)
+
+    def silent(self) -> bool:
+        """Can no query of the stage fire?
+
+        Pulls the enumeration until the stage's first pattern is filed (or
+        to its end), and is True when none was filed and the enumeration
+        limit did not raise: then may_fire() is False for every query.  The
+        pull never goes past what walking the queries would pull.  A query
+        that fires has pulled at least to its own first pattern, which comes
+        at or after the stage's first one.  If none fires, each query is
+        walked: the one holding the stage's first pattern pulls at least to
+        it, and with no pattern at all, the query with the highest source
+        on the core pulls to the end.
+        """
+        if self._anchors & self._core:  # else no cycle holds an anchor: start nothing
+            self._fill(self._anchors, 0, self._end, 0, 0)
+        return not self._filed and self._truncated_at is None
+
     def _read(self, sources: int, hot: int,
               k: int) -> Tuple[List[Tuple[Tuple[int, ...], int]], bool]:
         """(the first k filed patterns at sources, in enumeration order, that
@@ -394,17 +448,16 @@ class _CycleIndex:
         and `enumeration_truncated` when the query needed cycles past the
         point where the stage's enumeration hit CYCLE_ENUM_LIMIT.
 
-        Most queries have no pattern.  So the enumeration is first pulled
-        only up to the query's highest source on the core, or until the
-        first pattern at its sources is filed; if none is, the answer is
-        ([], the truncation counter if it applies), measuring nothing.
+        Most queries have no pattern, and may_fire() tells them apart: a
+        query it clears gets ([], no counter), and one that has no filed
+        pattern but may fire for the truncation gets ([], the truncation
+        counter), both measuring nothing.
         """
-        top = (sources & self._core).bit_length() - 1  # a source off the core is on no cycle
-        if not sources & self._filed and self._front <= top:
-            self._fill(sources, 0, top, 0, 0)  # up to the first pattern at sources
+        if not self.may_fire(sources):
+            return [], set()
         if not sources & self._filed:
-            truncated = self._truncated_at is not None and top >= self._truncated_at
-            return [], {"enumeration_truncated"} if truncated else set()
+            return [], {"enumeration_truncated"}
+        top = self._top(sources)
         cfg, cap = self._cfg, _PATTERN_CAP
         hot = 0
         if sources.bit_count() > cfg.congestion_bound:
@@ -419,7 +472,7 @@ class _CycleIndex:
         if len(out) > cap:
             hits.add("pattern_capped")
             del out[cap:]
-        elif self._truncated_at is not None and top >= self._truncated_at:
+        elif self._truncated_below(top):
             hits.add("enumeration_truncated")
         return out, hits
 
@@ -607,15 +660,26 @@ def _stage_search(
     heights, M and repetitions; its sources are not read) from the source
     mask queries[i][0], seeded by (tag, seed, queries[i][1]).  `shared` was
     validated when it was built, and each query's sources are a subset of
-    its active nodes.  The event engine serves every query from one
-    _CycleIndex of the stage, enumerated inside the 2-core of the active
-    nodes, which answers a query that cannot fire without measuring or
-    drawing anything; the protocol engine runs the protocol hop by hop.  A
-    detection is reported to the leader by the query's lowest source.
-    Every query is priced by _query_rounds at the measured eccentricity,
-    and the event engine's truncation and congestion counters go to
-    ledger.counts.  A stage with no source sets searches nothing and
-    charges nothing.
+    its active nodes.  Every query is priced by _query_rounds at the
+    measured eccentricity.  A stage with no source sets searches nothing
+    and charges nothing.
+
+    Both engines first settle what cannot fire, from one _CycleIndex of the
+    stage enumerated inside the 2-core of the active nodes.  A silent stage
+    (no pattern filed, no truncation) is not searched: every query answers
+    False, so record_search charges the triple ([len(queries)], [],
+    query_rounds) and counts the queries, exactly as the search would.
+    Otherwise the search walks the queries.  The event engine draws each
+    query's detection from index.patterns() and files its truncation and
+    congestion counters in ledger.counts.  The protocol engine runs a query
+    hop by hop only if index.may_fire() says so, and answers False
+    otherwise, drawing nothing.  That is sound: a protocol detection is a
+    C_ell inside the active nodes through a colour-0 source whose two cycle
+    neighbours took its first hop, so they sit at height <= its own, which
+    is a qualifying pattern at the source; congestion only removes
+    detections.  Each query's stream is seeded by its own (tag, seed,
+    label), so no other query's draws move.  A detection is reported to the
+    leader by the query's lowest source.
     """
     if not queries:
         return False
@@ -623,11 +687,14 @@ def _stage_search(
     m_bound, reps = shared.congestion_bound, shared.repetitions
     graph = net.graph
     query_rounds = _query_rounds(ell, reps, m_bound, net.eccentricity)
-    if engine == "event":
-        anchors = 0
-        for sources, _ in queries:
-            anchors |= sources
-        index = _CycleIndex(graph, shared, two_core(graph, active), anchors)
+    anchors = 0
+    for sources, _ in queries:
+        anchors |= sources
+    index = _CycleIndex(graph, shared, two_core(graph, active), anchors)
+    if index.silent():
+        record_search(ledger, ([len(queries)], [], query_rounds), len(queries), params,
+                      "congest", phase)
+        return False
 
     def checker(i: int) -> Tuple[bool, int]:
         sources, label = queries[i]
@@ -638,10 +705,12 @@ def _stage_search(
                 hits.add("pattern_sampled")
             if hits:  # rare; an empty update costs more than the check
                 ledger.counts.update(hits)
-        else:
+        elif index.may_fire(sources):
             # protocol_detect_once reads the sources from its config
             cfg = ColorBfsConfig(ell, active, sources, heights, m_bound, reps)
             found = _protocol_found(graph, cfg, (tag, seed, label))
+        else:
+            found = False
         if found:
             net.require_reachable([(sources & -sources).bit_length() - 1])
         return found, query_rounds

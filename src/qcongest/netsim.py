@@ -8,8 +8,8 @@ ceil(log2 n) bits, so one word carries a node id.
 The detectors compute their charges from closed-form cost functions (the
 Lenzen routing charge of the K_p listing lives in cliquelist) and hand the
 rounds to a CostLedger.  The ledger is the whole record of a run: beside
-its entries it counts what the run did without charging it (the leaf
-checks of every search, and the cycle queries whose candidate patterns
+its entries it counts what the run did without charging it (the queries
+every search answered, and the cycle queries whose candidate patterns
 were truncated, capped or dropped for congestion).  This module adds the
 CONGEST leader convergecast (CongestNet, whose BFS reads the graph's
 adjacency masks) and the hop-by-hop steps of the cycle protocols
@@ -45,8 +45,9 @@ class LedgerEntry:
 class CostLedger:
     """Append-only log of rounds charged per phase, plus the run's counters.
 
-    `counts` holds "queries" (leaf checks over every search of the run)
-    and, for cycle detection, "enumeration_truncated", "pattern_capped"
+    `counts` holds "queries" (the queries answered over every search of
+    the run, whether checked or settled without a check, as a cycle stage
+    that cannot fire settles them) and, for cycle detection, "enumeration_truncated", "pattern_capped"
     and "congestion_dropped" (queries whose patterns were cut short), and
     "pattern_sampled" (queries with too many patterns for an exact
     detection probability, whose colourings were sampled).

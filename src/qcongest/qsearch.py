@@ -140,6 +140,23 @@ def charge_search(
     return rounds
 
 
+def record_search(
+    ledger: CostLedger,
+    costs: Costs,
+    queries: int,
+    params: QuantumCostParams,
+    model: str,
+    phase: str,
+) -> int:
+    """Charge a search's cost triple and add its `queries` leaf queries to
+    ledger.counts["queries"]: the one place where queries are counted,
+    whether each was checked (_search) or the search was settled without
+    a check because every query is known to answer False."""
+    rounds = charge_search(ledger, costs, params, model, phase)
+    ledger.counts["queries"] += queries
+    return rounds
+
+
 def run_search(
     domain_size: int,
     checker: Checker,
@@ -188,10 +205,10 @@ def _search(
     """The one search engine behind run_search and run_nested_search.
 
     Neither public name calls the other, so a tracer that wraps both counts
-    each search once.  The leaf checks run are added to
-    ledger.counts["queries"].  A found witness is dropped with probability
-    fail_prob, drawn from derive_seed(seed, "search-fail") for flat and
-    nested searches alike; the charge stays the same.
+    each search once.  record_search charges the measured triple and
+    counts the leaf checks run.  A found witness is dropped with
+    probability fail_prob, drawn from derive_seed(seed, "search-fail") for
+    flat and nested searches alike; the charge stays the same.
     """
     k = len(plan.levels)
     setup_costs: List[Optional[int]] = [None] * k
@@ -236,8 +253,7 @@ def _search(
     del descend  # it refers to itself; freeing it here keeps searches out of the cyclic GC
     costs = ([lv.domain_size for lv in plan.levels], [c or 0 for c in setup_costs],
              check_cost or 0)
-    charged = charge_search(ledger, costs, plan.params, model, phase)
-    ledger.counts["queries"] += queries
+    charged = record_search(ledger, costs, queries, plan.params, model, phase)
     if found and plan.params.fail_prob > 0.0:
         rng = random.Random(derive_seed(seed, "search-fail"))
         if rng.random() < plan.params.fail_prob:

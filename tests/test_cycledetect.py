@@ -29,6 +29,7 @@ from qcongest.cycledetect import (
     cycle_cost_only,
     detect_even_cycle,
     detect_odd_cycle,
+    even_cycle_repetitions,
     forest_decomposition,
     inapplicable,
     measure_congestion,
@@ -836,12 +837,18 @@ class TestGirthControlledSoundness:
                 trials += 4
         assert trials == 2000
 
-    def test_protocol_engine_on_wrong_length_cycle(self):
+    def test_protocol_engine_on_wrong_length_cycle(self, monkeypatch):
         # girth 8: no C4/C6 patterns can complete, whatever the colors
         g = cycle_graph(8)
+        calls = count_calls(monkeypatch, "protocol_detect_once")
         for ell in (4, 6):
             cfg = all_active_cfg(g, ell, reps=500, m=8)
             assert not stage_found(g, cfg, 1, "protocol")
+            assert not calls  # the stage's index settles it: nothing is simulated
+            # the simulation itself, run hop by hop, never fires here either
+            assert not _protocol_found(g, cfg, ("girth", ell))
+            assert calls["protocol_detect_once"] > 100
+            calls.clear()
 
 
 class TestSingleQueryPrice:
@@ -973,8 +980,18 @@ class TestCycleRichSoundness:
         for seed in range(3):
             assert not detect_even_cycle(g, 4, CostLedger(), seed=seed, ec_params=light)
 
-    def test_polarity_graph_on_the_protocol_engine(self):
-        self.assert_never_fires(polarity_graph(3), 4, range(2), engine="protocol")
+    def test_polarity_graph_on_the_protocol_engine(self, monkeypatch):
+        g = polarity_graph(3)
+        calls = count_calls(monkeypatch, "protocol_detect_once")
+        self.assert_never_fires(g, 4, range(2), engine="protocol")
+        assert not calls  # the stages' indexes settle them: nothing is simulated
+        # the simulation itself, from each node and from every node at once,
+        # at the heavy stage's repetitions, never fires either
+        reps = even_cycle_repetitions(4)
+        for sources in [[v] for v in range(g.n)] + [list(range(g.n))]:
+            cfg = all_active_cfg(g, 4, sources=sources, reps=reps, m=len(sources))
+            assert not _protocol_found(g, cfg, ("polarity", len(sources), sources[0]))
+        assert calls["protocol_detect_once"] > 1000
 
     @pytest.mark.parametrize("ell", [6, 7])
     def test_girth_above_ell(self, ell):
@@ -1278,10 +1295,11 @@ class TestPatternDedupe:
                         assert all(g.has_edge(cyc[i], cyc[(i + 1) % ell]) for i in range(ell))
 
 
-def evaluate_every_query(net, queries, shared, ledger, seed):
-    """An event-engine stage with no no-fire path: every query measures its
-    congestion and reads its lists in index.patterns, draws through
-    _event_found and files its counters."""
+def evaluate_every_query(net, queries, shared, ledger, seed, engine="event"):
+    """A stage with nothing settled.  On the event engine every query
+    measures its congestion and reads its lists in index.patterns, draws
+    through _event_found and files its counters; on the protocol engine
+    every query runs hop by hop.  The search walks every stage."""
     graph = net.graph
     rounds = _query_rounds(shared.cycle_len, shared.repetitions, shared.congestion_bound,
                            net.eccentricity)
@@ -1291,9 +1309,14 @@ def evaluate_every_query(net, queries, shared, ledger, seed):
 
     def checker(i):
         sources, label = queries[i]
-        patterns, hits = index.patterns(sources)
-        found, sampled = _event_found(patterns, shared, ("test", seed, label))
-        ledger.counts.update(hits | ({"pattern_sampled"} if sampled else set()))
+        if engine == "event":
+            patterns, hits = index.patterns(sources)
+            found, sampled = _event_found(patterns, shared, ("test", seed, label))
+            ledger.counts.update(hits | ({"pattern_sampled"} if sampled else set()))
+        else:
+            cfg = ColorBfsConfig(shared.cycle_len, shared.active, sources, shared.heights,
+                                 shared.congestion_bound, shared.repetitions)
+            found = _protocol_found(graph, cfg, ("test", seed, label))
         if found:
             net.require_reachable([(sources & -sources).bit_length() - 1])
         return found, rounds
@@ -1314,13 +1337,46 @@ def stage_outcome(run):
     return found, rows, +ledger.counts
 
 
-class TestNoFireQueries:
-    """A query that cannot fire answers False from one mask test: the stage
-    gives what evaluating every query in full gave."""
+def same_as_every_query(g, queries, shared, seed, engine, limit=None, cap=None):
+    """Assert that _stage_search gives what evaluate_every_query gives, with
+    CYCLE_ENUM_LIMIT and _PATTERN_CAP set when given; return the outcome."""
+    with pytest.MonkeyPatch.context() as mp:
+        if limit is not None:
+            mp.setitem(detect_odd_cycle.__globals__, "CYCLE_ENUM_LIMIT", limit)
+        if cap is not None:
+            mp.setitem(detect_odd_cycle.__globals__, "_PATTERN_CAP", cap)
+        got = stage_outcome(lambda ledger: _stage_search(
+            CongestNet(g), queries, shared, "test", "color-bfs", ledger, seed,
+            DEFAULT_PARAMS, engine))
+        want = stage_outcome(lambda ledger: evaluate_every_query(
+            CongestNet(g), queries, shared, ledger, seed, engine))
+    assert got == want
+    return got
 
-    @settings(max_examples=200, deadline=None)
+
+def count_calls(monkeypatch, name):
+    """Count the calls of cycledetect's function `name` from its callers
+    there; the Counter is keyed by name."""
+    calls = Counter()
+    real = detect_odd_cycle.__globals__[name]
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    patch_cycledetect(monkeypatch, name, counted)
+    return calls
+
+
+class TestNoFireQueries:
+    """A query that cannot fire answers False without being checked, and a
+    stage none of whose queries can fire is not walked: the stage gives
+    what evaluating every query in full gave, on both engines."""
+
+    @settings(max_examples=400, deadline=None)
     @given(st.data())
     def test_same_answers_ledgers_and_counters(self, data):
+        engine = data.draw(st.sampled_from(["event", "protocol"]), label="engine")
         n = data.draw(st.integers(4, 12), label="n")
         seed = data.draw(st.integers(0, 10**6), label="seed")
         family = data.draw(st.sampled_from(["forest", "bipartite", "0.15", "0.4", "0.8"]),
@@ -1336,30 +1392,63 @@ class TestNoFireQueries:
         active = (1 << n) - 1
         if data.draw(st.booleans(), label="masked"):
             active = mask_of(v for v in range(n) if rng.random() < 0.8)
-        heights = ({v: rng.randrange(3) for v in bits(active)}
-                   if data.draw(st.booleans(), label="heighted") else None)
         classes = data.draw(st.integers(1, 5), label="classes")
         queries = [0] * classes
         for v in bits(active):
             i = rng.randrange(-1, classes)
             if i >= 0:
                 queries[i] |= 1 << v
+        heighted = data.draw(st.sampled_from(["none", "random", "disqualifying"]),
+                             label="heights")
+        heights = None
+        if heighted == "random":
+            heights = {v: rng.randrange(3) for v in bits(active)}
+        elif heighted == "disqualifying":
+            # the sources are an independent set below every other active
+            # node, so no cycle qualifies: nothing is ever filed
+            union = 0
+            for i, q in enumerate(queries):
+                for v in bits(q):
+                    if g.adj[v] & union:
+                        queries[i] &= ~(1 << v)
+                    else:
+                        union |= 1 << v
+            heights = {v: 0 if union >> v & 1 else 1 for v in bits(active)}
         queries = [(q, i) for i, q in enumerate(queries)]
         shared = ColorBfsConfig(ell, active, 0, heights, data.draw(st.integers(1, 3), label="M"),
                                 data.draw(st.sampled_from([1, 3, 40]), label="reps"))
-        limit = data.draw(st.sampled_from([None, 2, 5, 20]), label="CYCLE_ENUM_LIMIT")
-        cap = data.draw(st.sampled_from([None, 1, 3]), label="_PATTERN_CAP")
-        with pytest.MonkeyPatch.context() as mp:
+        same_as_every_query(
+            g, queries, shared, seed, engine,
+            limit=data.draw(st.sampled_from([None, 2, 5, 20]), label="CYCLE_ENUM_LIMIT"),
+            cap=data.draw(st.sampled_from([None, 1, 3]), label="_PATTERN_CAP"))
+
+    @pytest.mark.parametrize("engine", ["event", "protocol"])
+    def test_a_truncated_stage_with_nothing_filed_is_walked(self, monkeypatch, engine):
+        # K_{4,4}, C4, the sources on one side below the other side: every
+        # C4 alternates sides, so no cycle qualifies.  Unlimited, the stage
+        # is silent.  Limit 2 stops the enumeration inside the 18 cycles
+        # through node 0 with nothing filed, so every query may fire and the
+        # stage is walked: the event engine counts each query as truncated,
+        # and the protocol engine simulates
+        g = Graph(8, [(u, v) for u in range(4) for v in range(4, 8)])
+        queries = [(1 << v, v) for v in range(4)]
+        shared = ColorBfsConfig(4, (1 << 8) - 1, 0, {v: int(v >= 4) for v in range(8)}, 1, 5)
+        calls = count_calls(monkeypatch, "protocol_detect_once")
+        for limit in (None, 2):
             if limit is not None:
-                mp.setitem(detect_odd_cycle.__globals__, "CYCLE_ENUM_LIMIT", limit)
-            if cap is not None:
-                mp.setitem(detect_odd_cycle.__globals__, "_PATTERN_CAP", cap)
-            got = stage_outcome(lambda ledger: _stage_search(
-                CongestNet(g), queries, shared, "test", "color-bfs", ledger, seed,
-                DEFAULT_PARAMS, "event"))
-            want = stage_outcome(lambda ledger: evaluate_every_query(
-                CongestNet(g), queries, shared, ledger, seed))
-        assert got == want
+                patch_cycledetect(monkeypatch, "CYCLE_ENUM_LIMIT", limit)
+            index = _CycleIndex(g, shared, shared.active, mask_of(range(4)))
+            assert index.silent() == (limit is None) and not index._filed
+            assert all(index.may_fire(q) for q, _ in queries) == (limit is not None)
+            calls.clear()
+            found, _, counts = stage_outcome(lambda ledger: _stage_search(
+                CongestNet(g), queries, shared, "test", "color-bfs", ledger, 3,
+                DEFAULT_PARAMS, engine))
+            walked = limit is not None
+            assert (calls["protocol_detect_once"] > 0) == (walked and engine == "protocol")
+            truncated = {"enumeration_truncated": 4} if walked and engine == "event" else {}
+            assert (found, counts) == (False, {"queries": 4, **truncated})
+            assert same_as_every_query(g, queries, shared, 3, engine, limit)[0] is False
 
     def test_no_fire_queries_measure_and_draw_nothing(self, monkeypatch):
         # odd cycles on bipartite graphs: no query of any stage can fire,
@@ -1393,3 +1482,122 @@ class TestNoFireQueries:
         # a query with a pattern still reads its lists and draws
         assert detect_odd_cycle(cycle_graph(5, 8), 5, CostLedger(), seed=1)
         assert calls["_event_found"] > 0 and calls["_read"] > 0
+
+
+def count_yields(monkeypatch):
+    """Count the cycles that the iter_cycles generators of cycledetect's
+    stage indexes yield; the Counter's key is "cycles"."""
+    yields = Counter()
+    real = detect_odd_cycle.__globals__["iter_cycles"]
+
+    def counted(*args, **kwargs):
+        for cyc in real(*args, **kwargs):
+            yields["cycles"] += 1
+            yield cyc
+
+    patch_cycledetect(monkeypatch, "iter_cycles", counted)
+    return yields
+
+
+class TestSettledQueries:
+    """The protocol engine skips a query with no pattern, and the pull that
+    settles a silent stage costs nothing that the search would not cost."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_a_protocol_detection_is_never_skipped(self, data):
+        # whenever one hop-by-hop repetition detects, the stage's index says
+        # that the query's sources may fire
+        n = data.draw(st.integers(4, 12), label="n")
+        seed = data.draw(st.integers(0, 10**6), label="seed")
+        g = generate(GenSpec(kind="gnp", n=n, seed=seed,
+                             edge_prob=data.draw(st.sampled_from([0.2, 0.35, 0.6, 0.9]),
+                                                 label="edge_prob")))
+        ell = data.draw(st.integers(4, min(n, 7)), label="ell")
+        rng = random.Random(seed)
+        active = mask_of(v for v in range(n) if rng.random() < 0.85)
+        # sources above n/2 leave the cycles of lower anchors to come out
+        # first, so that a small limit cuts the query's own cycles off
+        low = n // 2 if data.draw(st.booleans(), label="high sources") else 0
+        sources = mask_of(v for v in bits(active >> low << low) if rng.random() < 0.4)
+        others = [mask_of(v for v in bits(active & ~sources) if rng.random() < 0.3)
+                  for _ in range(2)]  # the stage's other queries
+        heights = ({v: rng.randrange(3) for v in bits(active)}
+                   if data.draw(st.booleans(), label="heighted") else None)
+        cfg = ColorBfsConfig(ell, active, sources, heights,
+                             data.draw(st.integers(1, 3), label="M"), 1)
+        limit = data.draw(st.sampled_from([None, 1, 3, 10]), label="CYCLE_ENUM_LIMIT")
+        with pytest.MonkeyPatch.context() as mp:
+            if limit is not None:
+                mp.setitem(detect_odd_cycle.__globals__, "CYCLE_ENUM_LIMIT", limit)
+            index = _CycleIndex(g, cfg, two_core(g, active), sources | others[0] | others[1])
+            queries = [sources] + others
+            rng.shuffle(queries)  # the other queries may pull the enumeration first
+            may = {q: index.may_fire(q) for q in queries}[sources]
+        # colour an ell-cycle through a source 0..ell-1 from it, whatever the
+        # heights, or colour at random
+        cycles = list(iter_cycles(g, ell, active_mask=active, anchors=sources))
+        for _ in range(20):
+            colours = {v: rng.randrange(ell) for v in bits(active)}
+            if cycles and rng.random() < 0.7:
+                cyc = rng.choice(cycles)
+                pos = rng.choice([i for i, v in enumerate(cyc) if sources >> v & 1])
+                step = rng.choice([1, -1])
+                colours.update((cyc[(pos + step * j) % ell], j) for j in range(ell))
+            if protocol_detect_once(g, cfg, colour_masks(cfg, colours)):
+                assert may, (colours, limit)
+
+    @staticmethod
+    def light_params(k):
+        # delta near 1 makes every node light: the light stage runs with
+        # forest heights and multi-source index classes
+        return EvenCycleParams(k=k, delta=Fraction(9, 10))
+
+    @pytest.mark.parametrize("engine", ["event", "protocol"])
+    def test_the_settle_step_adds_no_yield(self, monkeypatch, engine):
+        # detections whose queries fire, with and without the settle step:
+        # the index generators yield the same cycles
+        yields = count_yields(monkeypatch)
+        planted = [generate(GenSpec(kind="planted_cycle", n=n, edge_prob=p, planted_size=ell,
+                                    seed=s)) for n, p, ell, s in
+                   ((24, 0.0, 5, 1), (24, 0.0, 6, 2), (40, 0.03, 5, 3), (40, 0.03, 4, 4))]
+        dense = [generate(GenSpec(kind="gnp", n=n, edge_prob=0.4, seed=s))
+                 for n, s in ((14, 5), (18, 6))]
+        runs = []
+        for g in planted + dense:
+            for ell in (4, 5, 6):
+                runs.append(lambda led, g=g, ell=ell: (
+                    detect_odd_cycle(g, ell, led, seed=7, engine=engine) if ell % 2 else
+                    detect_even_cycle(g, ell, led, seed=7, engine=engine)))
+            runs.append(lambda led, g=g: detect_even_cycle(
+                g, 4, led, seed=7, ec_params=self.light_params(2), engine=engine))
+        fired = 0
+        for run in runs:
+            outcomes = []
+            for settle in (True, False):
+                with pytest.MonkeyPatch.context() as mp:
+                    if not settle:
+                        mp.setattr(_CycleIndex, "silent", lambda index: False)
+                    yields.clear()
+                    outcomes.append((stage_outcome(run), yields["cycles"]))
+            assert outcomes[0] == outcomes[1]
+            fired += outcomes[0][0][0] is True
+        assert fired >= len(runs) // 2
+
+    @pytest.mark.parametrize("engine", ["event", "protocol"])
+    def test_the_settle_step_stops_at_the_first_pattern(self, monkeypatch, engine):
+        # queries {0} and {5}; C4s 0-1-2-3, 5-6-7-8 and 5-9-10-11 come out in
+        # that order.  Node 6 sits above 5, so the second C4 files no pattern.
+        # The query {0} fires: on the event engine its patterns() stops the
+        # walk at the first cycle anchored past 0 (two yields), and on the
+        # protocol engine its may_fire() stops at its first pattern (one).
+        # The settle step, which stops at the stage's first pattern, adds
+        # none; one that stopped at its second pattern would pull all three
+        g = Graph(12, [(0, 1), (1, 2), (2, 3), (0, 3), (5, 6), (6, 7), (7, 8), (5, 8),
+                       (5, 9), (9, 10), (10, 11), (5, 11)])
+        shared = ColorBfsConfig(4, (1 << 12) - 1, 0, {6: 1}, 1, even_cycle_repetitions(4))
+        queries = [(1 << 0, 0), (1 << 5, 5)]
+        yields = count_yields(monkeypatch)
+        assert _stage_search(CongestNet(g), queries, shared, "test", "color-bfs", CostLedger(),
+                             1, DEFAULT_PARAMS, engine)
+        assert yields["cycles"] == (2 if engine == "event" else 1)

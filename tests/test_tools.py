@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from qcongest.netsim import CostLedger
+
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
@@ -102,16 +104,43 @@ class TestInProcess:
             assert whole == pytest.approx(sum(got["parts"][part][side]["first_pass_s"]
                                               for part in ("clique-verify", "clique-scale")))
 
-    def test_answers_that_differ_between_the_sides_raise(self, tmp_path):
-        # a change whose detectors always answer True: its ops freeze differently
-        root = _PATH.parent.parent
-        change = tmp_path / "change"
+    @staticmethod
+    def edited_copy(root, change, module, old, new):
+        """Copy the checkout's src/qcongest and perfbench to `change`, with
+        `old` replaced by `new` in src/qcongest/`module`."""
         for sub in ("src/qcongest", "perfbench"):
             (change / sub).mkdir(parents=True)
             for f in (root / sub).glob("*.py"):
                 (change / sub / f.name).write_text(f.read_text())
-        cyc = change / "src" / "qcongest" / "cycledetect.py"
-        cyc.write_text(cyc.read_text().replace(
-            "    return heavy_found or light_found", "    return True"))
+        path = change / "src" / "qcongest" / module
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new))
+
+    def test_answers_that_differ_between_the_sides_raise(self, tmp_path):
+        # a change whose detectors always answer True: its ops freeze differently
+        root = _PATH.parent.parent
+        self.edited_copy(root, tmp_path / "change", "cycledetect.py",
+                         "    return heavy_found or light_found", "    return True")
         with pytest.raises(AssertionError, match="freeze differently"):
-            bench_pairs.inprocess({"parent": root, "change": change}, "cycle", 3, 1, tiny=True)
+            bench_pairs.inprocess({"parent": root, "change": tmp_path / "change"}, "cycle",
+                                  3, 1, tiny=True)
+
+    def test_counts_that_differ_between_the_sides_raise(self, tmp_path):
+        # a change whose searches count one query too many: its answers and
+        # ledger rows freeze alike, but its ledgers' counts differ
+        root = _PATH.parent.parent
+        self.edited_copy(root, tmp_path / "change", "qsearch.py",
+                         'ledger.counts["queries"] += queries',
+                         'ledger.counts["queries"] += queries + 1')
+        with pytest.raises(AssertionError, match="count differently"):
+            bench_pairs.inprocess({"parent": root, "change": tmp_path / "change"}, "cycle",
+                                  3, 1, tiny=True)
+
+    def test_answer_counts_keep_each_ledgers_nonzero_counters(self):
+        full, other = CostLedger(), CostLedger()
+        full.counts.update({"queries": 3, "pattern_capped": 0})
+        other.counts["enumeration_truncated"] += 2
+        got = bench_pairs.answer_counts({"b": (True, full, other), "a": (False, other, None)})
+        assert got == (("a", [("enumeration_truncated", 2)], None),
+                       ("b", [("queries", 3)], [("enumeration_truncated", 2)]))

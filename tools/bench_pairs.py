@@ -22,7 +22,8 @@ keeps the pairs it finished.
         --inprocess-passes 8 --inprocess-seed 1 --out BENCH_20.json
 
 With --inprocess-passes N, each workload also gets an in-process,
-interleaved A/B comparison (`inprocess`): both checkouts' `qcongest` and
+interleaved A/B comparison (`inprocess`), made after every run above so
+that no run inherits this process's memory: both checkouts' `qcongest` and
 `perfbench/workloads.py` are imported into this one process, each side
 prepares and builds its pool at --inprocess-seed and runs one warm-up
 pass, and then the sides alternate whole passes in ABBA order, N per side.
@@ -31,8 +32,9 @@ warm-up pass time (`first_pass_s`: the first pass over freshly built
 graphs, so it holds whatever a per-graph cache computes once), its minimum
 and median time over the N passes, and the change/parent ratio of the
 medians with a bootstrap 95% interval over passes, and it raises if any
-op's `freeze` (answer and ledgers, or the exception it raised) differs
-between the sides or between passes.  It also takes each op's minimum
+op's `freeze` (answer and ledgers, or the exception it raised) or its
+ledgers' `counts` (the CSV's queries column and the truncation counters,
+which `freeze` leaves out) differ between the sides or between passes.  It also takes each op's minimum
 over the N passes and sums these per part (`op_min_s`, with the
 change/parent ratio `op_min_ratio`) and per instance family, the op's part
 and generator kind (`families`); a sum of per-op minima drifts less
@@ -177,6 +179,14 @@ def load_side(directory: Path, tag: str) -> SimpleNamespace:
     return SimpleNamespace(qc=qc, workloads=workloads)
 
 
+def answer_counts(answer) -> tuple:
+    """The nonzero counters of each ledger of an answer (label -> (found,
+    ledger, second ledger or None)), per label: what `freeze` leaves out."""
+    return tuple((label, *(sorted((+led.counts).items()) if led is not None else None
+                           for led in ledgers))
+                 for label, (_, *ledgers) in sorted(answer.items()))
+
+
 def ratio_interval(parent: List[float], change: List[float], resamples: int = 2000,
                    seed: int = 0) -> Dict[str, float]:
     """Change/parent ratio of the median pass times, with a bootstrap 95%
@@ -218,24 +228,30 @@ def inprocess(sides: Dict[str, Path], workload: str, seed: Optional[int], passes
                 answer = exc
             op_times.append(time.perf_counter() - t0)
             times[inst.part] = times.get(inst.part, 0.0) + op_times[-1]
-            frozen.append(f"{type(answer).__name__}: {answer}"
-                          if isinstance(answer, Exception) else freeze(answer))
+            frozen.append((f"{type(answer).__name__}: {answer}", None)
+                          if isinstance(answer, Exception)
+                          else (freeze(answer), answer_counts(answer)))
         times["pass"] = sum(times.values())
         return times, op_times, frozen
 
     first_times, first = {}, {}
     for side in sides:  # the warm-up passes
         first_times[side], _, first[side] = one_pass(side)
-    differ = [i for i, (a, b) in enumerate(zip(first["parent"], first["change"])) if a != b]
-    if differ or len(first["parent"]) != len(first["change"]):
-        raise AssertionError(f"{workload}: ops {differ[:20]} freeze differently on the two sides")
+    if len(first["parent"]) != len(first["change"]):
+        raise AssertionError(f"{workload}: the sides' pools differ in size")
+    for what, key in (("freeze", 0), ("count", 1)):
+        differ = [i for i, (a, b) in enumerate(zip(first["parent"], first["change"]))
+                  if a[key] != b[key]]
+        if differ:
+            raise AssertionError(f"{workload}: ops {differ[:20]} {what} differently "
+                                 f"on the two sides")
     runs: Dict[str, Dict[str, List[float]]] = {side: {} for side in sides}
     op_min: Dict[str, List[float]] = {}  # side -> each op's minimum over the passes
     for i in range(passes):
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
             times, op_times, frozen = one_pass(side)
             if frozen != first[side]:
-                raise AssertionError(f"{workload}: {side}'s answers changed in pass {i}")
+                raise AssertionError(f"{workload}: {side}'s answers or counts changed in pass {i}")
             for part, t in times.items():
                 runs[side].setdefault(part, []).append(t)
             op_min[side] = list(map(min, zip(op_min.get(side, op_times), op_times)))
@@ -330,23 +346,27 @@ def main(argv=None) -> int:
                 entry["trace"][side] = run_side(sides[side], workload, args.trace_seed,
                                                 args.seconds, trace=True)
                 write()
-        if args.inprocess_passes > 0:
-            entry["inprocess"] = inprocess(sides, workload, args.inprocess_seed,
-                                           args.inprocess_passes)
-            for part, got in entry["inprocess"]["parts"].items():
-                print(f"{workload} in-process {part}: median "
-                      f"{got['parent']['median_s']:.4f} -> {got['change']['median_s']:.4f} s, "
-                      f"ratio {got['ratio']:.3f} [{got['lo']:.3f}, {got['hi']:.3f}]; "
-                      f"first pass {got['parent']['first_pass_s']:.4f} -> "
-                      f"{got['change']['first_pass_s']:.4f} s; per-op minima "
-                      f"{got['parent']['op_min_s']:.4f} -> {got['change']['op_min_s']:.4f} s, "
-                      f"ratio {got['op_min_ratio']:.3f}",
-                      file=sys.stderr, flush=True)
-            for family, got in entry["inprocess"]["families"].items():
-                print(f"{workload} in-process {family} ({got['ops']} ops): per-op minima "
-                      f"{got['parent_op_min_s']:.4f} -> {got['change_op_min_s']:.4f} s, "
-                      f"ratio {got['op_min_ratio']:.3f}", file=sys.stderr, flush=True)
-            write()
+    # the in-process comparisons come after every run: this process grows
+    # while they run, and a run started later reports that peak as its own
+    # peak_rss_mb (Linux keeps ru_maxrss across exec)
+    for workload in (args.workload if args.inprocess_passes > 0 else []):
+        entry = report["workloads"][workload]
+        entry["inprocess"] = inprocess(sides, workload, args.inprocess_seed,
+                                       args.inprocess_passes)
+        for part, got in entry["inprocess"]["parts"].items():
+            print(f"{workload} in-process {part}: median "
+                  f"{got['parent']['median_s']:.4f} -> {got['change']['median_s']:.4f} s, "
+                  f"ratio {got['ratio']:.3f} [{got['lo']:.3f}, {got['hi']:.3f}]; "
+                  f"first pass {got['parent']['first_pass_s']:.4f} -> "
+                  f"{got['change']['first_pass_s']:.4f} s; per-op minima "
+                  f"{got['parent']['op_min_s']:.4f} -> {got['change']['op_min_s']:.4f} s, "
+                  f"ratio {got['op_min_ratio']:.3f}",
+                  file=sys.stderr, flush=True)
+        for family, got in entry["inprocess"]["families"].items():
+            print(f"{workload} in-process {family} ({got['ops']} ops): per-op minima "
+                  f"{got['parent_op_min_s']:.4f} -> {got['change_op_min_s']:.4f} s, "
+                  f"ratio {got['op_min_ratio']:.3f}", file=sys.stderr, flush=True)
+        write()
     write()
     return 0
 
