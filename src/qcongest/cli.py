@@ -21,7 +21,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import cliquedetect, cycledetect
 from .cliquelist import list_kp
-from .graph import GenSpec, Graph, GraphFormatError, generate, load_graph, oracle_has_clique, save_graph
+from .graph import (GenSpec, Graph, GraphFormatError, generate, load_graph, oracle_has_clique,
+                    save_graph)
 from .netsim import CostLedger
 from .qsearch import QuantumCostParams
 

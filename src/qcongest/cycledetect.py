@@ -26,11 +26,12 @@ walked in ascending order with bits().
 
 Each stage, on either engine, enumerates its candidate cycles once,
 lazily, into one _CycleIndex that settles what cannot fire before anything
-is simulated or drawn; CYCLE_ENUM_LIMIT bounds that one enumeration.  A
-stage in which no source anchors a qualifying pattern, and whose
-enumeration was not truncated, is silent: it charges and counts its
-queries without walking them.  Otherwise a query whose sources anchor no
-pattern answers False from one mask test, on either engine.
+is simulated or drawn; the index files at most CYCLE_ENUM_LIMIT cycles.
+One test, _CycleIndex.may_fire(), says whether sources can fire: no
+pattern anchored there, and no truncation that may have lost one, means
+they cannot.  A stage whose sources together cannot fire charges and
+counts its queries without walking them; otherwise a query that cannot
+fire answers False from one mask test, on either engine.
 
 Two engines compute the same detection event:
 
@@ -65,7 +66,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .graph import CycleEnumerationLimit, Graph, bits, iter_cycles, mask_of, two_core
+from .graph import Graph, bits, iter_cycles, mask_of, two_core
 from .intmath import ceil_pow, ceil_scaled_pow
 from .netsim import CongestNet, CostLedger, congest_step, word_capacity
 from .qsearch import (DEFAULT_PARAMS, QuantumCostParams, charge_search, derive_seed,
@@ -79,12 +80,11 @@ _SAMPLE_BLOCK = 1 << 15
 
 @dataclass(frozen=True)
 class ColorBfsConfig:
-    """Inputs of one color-coded BFS invocation; active and sources are
-    node masks."""
+    """The colour BFS of one search stage; active is a node mask.  Each
+    query of the stage runs it from its own source mask."""
 
     cycle_len: int
     active: int
-    sources: int
     heights: Optional[Mapping[int, int]] = None
     congestion_bound: int = 1
     repetitions: int = 1
@@ -92,8 +92,6 @@ class ColorBfsConfig:
     def __post_init__(self):
         if self.cycle_len < 3:
             raise ValueError("cycle_len must be >= 3")
-        if self.sources & ~self.active:
-            raise ValueError("sources must be a subset of active nodes")
         if self.congestion_bound < 1:
             raise ValueError("congestion bound M must be >= 1")
         if self.repetitions < 1:
@@ -177,9 +175,11 @@ def _query_rounds(ell: int, reps: int, m_bound: int, ecc: int) -> int:
 def protocol_detect_once(
     graph: Graph,
     cfg: ColorBfsConfig,
+    sources: int,
     by_colour: Sequence[int],
 ) -> bool:
-    """One repetition with fixed colors, message by message.
+    """One repetition from the source mask `sources` with fixed colors,
+    message by message.
 
     The colouring is given as ell disjoint node masks: by_colour[c] holds
     the active nodes of colour c.  A node in no mask never receives a word,
@@ -197,7 +197,7 @@ def protocol_detect_once(
     (at most M).  The caller charges the protocol's full rounds.
     """
     ell = cfg.cycle_len
-    starts = by_colour[0] & cfg.sources
+    starts = by_colour[0] & sources
     if not starts:
         return False
     m_bound = cfg.congestion_bound
@@ -267,19 +267,19 @@ def protocol_detect_once(
 # ---------------------------------------------------------------------------
 
 
-def measure_congestion(graph: Graph, cfg: ColorBfsConfig) -> Dict[int, int]:
+def measure_congestion(graph: Graph, cfg: ColorBfsConfig, sources: int) -> Dict[int, int]:
     """m(v): how many source ids node v may need to forward in one repetition.
 
-    Counts sources w with an active path w = w_0, ..., w_j = v for
-    1 <= j <= floor(len/2) - 1 whose first hop goes downhill
-    (h(w_1) <= h(w_0)).
+    Counts the sources w of the mask `sources` with an active path
+    w = w_0, ..., w_j = v for 1 <= j <= floor(len/2) - 1 whose first hop
+    goes downhill (h(w_1) <= h(w_0)).
     """
     hops = cfg.cycle_len // 2 - 1
     counts = {v: 0 for v in bits(cfg.active)}
     if hops < 1:
         return counts
     adj, active = graph.adj, cfg.active
-    for w in bits(cfg.sources):
+    for w in bits(sources):
         frontier = mask_of(u for u in bits(adj[w] & active) if cfg.height(u) <= cfg.height(w))
         reached = frontier
         for _ in range(hops - 1):
@@ -308,61 +308,65 @@ class _CycleIndex:
     Cycles are pulled only as far as a query needs: until the enumeration
     has passed the query's highest source t (every cycle through a source
     <= t has then been filed), or until the query's sources hold more than
-    _PATTERN_CAP patterns that survive its congestion filter.
-    CYCLE_ENUM_LIMIT bounds the whole stage's enumeration.
+    _PATTERN_CAP patterns that survive its congestion filter.  The index
+    files at most CYCLE_ENUM_LIMIT cycles: it pulls one more to learn that
+    the enumeration holds more, discards it and stops there.
 
     `_filed` is the mask of the sources that anchor a filed pattern.
     may_fire() is the one test of whether a query has a pattern: it pulls
     the enumeration only as far as that question needs, and it answers
     "may fire" also where the enumeration limit cut the stage short at or
-    below the query's highest source.  patterns() answers a query that
-    cannot fire from it alone, without measuring congestion or reading any
-    list, and the protocol engine skips such a query.  silent() asks it of
-    the whole stage at once, before the stage's search runs.
+    below the query's highest source.  _stage_search asks it of the union
+    of the stage's sources before the search runs, and of each query's
+    sources before that query is checked.  patterns() asks it too, so it
+    answers a query that cannot fire without measuring congestion or
+    reading any list.
     """
 
     def __init__(self, graph: Graph, cfg: ColorBfsConfig, core: int, anchors: int):
         self._graph, self._cfg, self._core, self._anchors = graph, cfg, core, anchors
-        self._cycles = iter_cycles(graph, cfg.cycle_len, active_mask=core, anchors=anchors,
-                                   limit=CYCLE_ENUM_LIMIT)
+        # (how many cycles have been pulled, the cycle), counted from 1
+        self._cycles = enumerate(iter_cycles(graph, cfg.cycle_len, active_mask=core,
+                                             anchors=anchors), 1)
         self._through: Dict[int, List[Tuple[int, ...]]] = {}  # source -> cycles it anchors
         self._filed = 0  # the mask of the keys of _through
         self._front = 0  # every cycle anchored below _front has been filed
         self._end = graph.n  # _front once the enumeration has ended
-        self._truncated_at: Optional[int] = None  # _front when the limit raised
+        self._truncated_at: Optional[int] = None  # _front when the limit was passed
 
     def _fill(self, sources: int, hot: int, top: int, have: int, cap: int) -> None:
         """File cycles until one anchored above top has been filed, or the
         query's sources hold more than cap patterns that touch no node of
-        hot (`have` of them are filed already), or the enumeration ends."""
+        hot (`have` of them are filed already), or the enumeration ends, or
+        it holds more than CYCLE_ENUM_LIMIT cycles."""
         anchors, heights, through = self._anchors, self._cfg.heights, self._through
-        try:
-            for cyc in self._cycles:
-                self._front = cyc[0]
-                ell, mine = len(cyc), 0
-                for pos, v in enumerate(cyc):
-                    if not anchors >> v & 1:
+        for count, cyc in self._cycles:
+            if count > CYCLE_ENUM_LIMIT:
+                # keep the cycles filed so far: a subset of the detection
+                # events stays sound, only completeness is understated
+                self._truncated_at = self._front
+                break
+            self._front = cyc[0]
+            ell, mine = len(cyc), 0
+            for pos, v in enumerate(cyc):
+                if not anchors >> v & 1:
+                    continue
+                if heights:
+                    h = heights.get(v, 0)
+                    if (heights.get(cyc[pos - 1], 0) > h
+                            or heights.get(cyc[pos + 1 - ell], 0) > h):
                         continue
-                    if heights:
-                        h = heights.get(v, 0)
-                        if (heights.get(cyc[pos - 1], 0) > h
-                                or heights.get(cyc[pos + 1 - ell], 0) > h):
-                            continue
-                    filed = through.get(v)
-                    if filed is None:
-                        through[v] = [cyc]
-                        self._filed |= 1 << v
-                    else:
-                        filed.append(cyc)
-                    mine += sources >> v & 1
-                if mine and not (hot and any(hot >> u & 1 for u in cyc)):
-                    have += mine
-                if have > cap or cyc[0] > top:
-                    return
-        except CycleEnumerationLimit:
-            # keep the cycles filed so far: a subset of the detection
-            # events stays sound, only completeness is understated
-            self._truncated_at = self._front
+                filed = through.get(v)
+                if filed is None:
+                    through[v] = [cyc]
+                    self._filed |= 1 << v
+                else:
+                    filed.append(cyc)
+                mine += sources >> v & 1
+            if mine and not (hot and any(hot >> u & 1 for u in cyc)):
+                have += mine
+            if have > cap or cyc[0] > top:
+                return
         self._front = self._end
 
     def _top(self, sources: int) -> int:
@@ -371,7 +375,7 @@ class _CycleIndex:
         return (sources & self._core).bit_length() - 1
 
     def _truncated_below(self, top: int) -> bool:
-        """Did the enumeration limit raise at or below the source top?"""
+        """Did the enumeration limit cut it short at or below the source top?"""
         return self._truncated_at is not None and top >= self._truncated_at
 
     def may_fire(self, sources: int) -> bool:
@@ -381,31 +385,14 @@ class _CycleIndex:
         or until the first pattern at its sources is filed; then every
         pattern at its sources that the enumeration holds below that point
         is filed.  False means that no qualifying pattern is anchored at its
-        sources.  True means one is filed, or the enumeration limit raised
-        at or below its highest source, so that the patterns it lost may
-        hold one.
+        sources.  True means one is filed, or the enumeration limit cut the
+        stage short at or below its highest source, so that the patterns it
+        lost may hold one.
         """
         top = self._top(sources)
         if not sources & self._filed and self._front <= top:
             self._fill(sources, 0, top, 0, 0)  # up to the first pattern at sources
         return bool(sources & self._filed) or self._truncated_below(top)
-
-    def silent(self) -> bool:
-        """Can no query of the stage fire?
-
-        Pulls the enumeration until the stage's first pattern is filed (or
-        to its end), and is True when none was filed and the enumeration
-        limit did not raise: then may_fire() is False for every query.  The
-        pull never goes past what walking the queries would pull.  A query
-        that fires has pulled at least to its own first pattern, which comes
-        at or after the stage's first one.  If none fires, each query is
-        walked: the one holding the stage's first pattern pulls at least to
-        it, and with no pattern at all, the query with the highest source
-        on the core pulls to the end.
-        """
-        if self._anchors & self._core:  # else no cycle holds an anchor: start nothing
-            self._fill(self._anchors, 0, self._end, 0, 0)
-        return not self._filed and self._truncated_at is None
 
     def _read(self, sources: int, hot: int,
               k: int) -> Tuple[List[Tuple[Tuple[int, ...], int]], bool]:
@@ -461,9 +448,7 @@ class _CycleIndex:
         cfg, cap = self._cfg, _PATTERN_CAP
         hot = 0
         if sources.bit_count() > cfg.congestion_bound:
-            query = ColorBfsConfig(cfg.cycle_len, cfg.active, sources, cfg.heights,
-                                   cfg.congestion_bound, cfg.repetitions)
-            hot = mask_of(v for v, m in measure_congestion(self._graph, query).items()
+            hot = mask_of(v for v, m in measure_congestion(self._graph, cfg, sources).items()
                           if m > cfg.congestion_bound)
         if self._front <= top:
             self._fill(sources, hot, top, len(self._read(sources, hot, cap + 1)[0]), cap)
@@ -574,8 +559,10 @@ def _live_source_colours(rng: random.Random, k: int, ell: int) -> List[int]:
             + [rng.randrange(ell) for _ in range(k - first - 1)])
 
 
-def _protocol_found(graph: Graph, cfg: ColorBfsConfig, seed_parts: Tuple) -> bool:
-    """Did any of cfg.repetitions random colourings detect, hop by hop?
+def _protocol_found(graph: Graph, cfg: ColorBfsConfig, sources: int,
+                    seed_parts: Tuple) -> bool:
+    """Did any of cfg.repetitions random colourings detect from the source
+    mask `sources`, hop by hop?
 
     Only a repetition in which some source has colour 0 sends a word, so
     the idle repetitions before each live one are skipped in one
@@ -588,19 +575,19 @@ def _protocol_found(graph: Graph, cfg: ColorBfsConfig, seed_parts: Tuple) -> boo
     uniform one, so `found` has the law of cfg.repetitions uniform
     colourings.
     """
-    source_bits = [1 << v for v in bits(cfg.sources)]
+    source_bits = [1 << v for v in bits(sources)]
     if not source_bits:
         return False
     rng = random.Random(derive_seed("color-bfs-protocol", derive_seed(*seed_parts)))
     ell, adj, active = cfg.cycle_len, graph.adj, cfg.active
-    ball = frontier = cfg.sources
+    ball = frontier = sources
     for _ in range(ell // 2):
         nxt = 0
         for v in bits(frontier):
             nxt |= adj[v]
         frontier = nxt & active & ~ball
         ball |= frontier
-    other_bits = [1 << v for v in bits(ball & ~cfg.sources)]
+    other_bits = [1 << v for v in bits(ball & ~sources)]
     log_idle = len(source_bits) * math.log(1 - 1 / ell)
     remaining = cfg.repetitions
     while True:
@@ -612,7 +599,7 @@ def _protocol_found(graph: Graph, cfg: ColorBfsConfig, seed_parts: Tuple) -> boo
             by_colour[c] |= bit
         for bit in other_bits:
             by_colour[rng.randrange(ell)] |= bit
-        if protocol_detect_once(graph, cfg, by_colour):
+        if protocol_detect_once(graph, cfg, sources, by_colour):
             return True
 
 
@@ -657,47 +644,59 @@ def _stage_search(
     """One search stage: a quantum search over source sets, one colour BFS each.
 
     Query i runs the colour BFS of `shared` (its length, active nodes,
-    heights, M and repetitions; its sources are not read) from the source
-    mask queries[i][0], seeded by (tag, seed, queries[i][1]).  `shared` was
-    validated when it was built, and each query's sources are a subset of
-    its active nodes.  Every query is priced by _query_rounds at the
+    heights, M and repetitions) from the source mask queries[i][0], seeded
+    by (tag, seed, queries[i][1]).  `shared` was validated when it was
+    built; a source outside its active nodes raises ValueError before
+    anything is charged.  Every query is priced by _query_rounds at the
     measured eccentricity.  A stage with no source sets searches nothing
     and charges nothing.
 
     Both engines first settle what cannot fire, from one _CycleIndex of the
-    stage enumerated inside the 2-core of the active nodes.  A silent stage
-    (no pattern filed, no truncation) is not searched: every query answers
-    False, so record_search charges the triple ([len(queries)], [],
-    query_rounds) and counts the queries, exactly as the search would.
-    Otherwise the search walks the queries.  The event engine draws each
-    query's detection from index.patterns() and files its truncation and
-    congestion counters in ledger.counts.  The protocol engine runs a query
-    hop by hop only if index.may_fire() says so, and answers False
-    otherwise, drawing nothing.  That is sound: a protocol detection is a
-    C_ell inside the active nodes through a colour-0 source whose two cycle
-    neighbours took its first hop, so they sit at height <= its own, which
-    is a qualifying pattern at the source; congestion only removes
-    detections.  Each query's stream is seeded by its own (tag, seed,
-    label), so no other query's draws move.  A detection is reported to the
-    leader by the query's lowest source.
+    stage enumerated inside the 2-core of the active nodes.  A stage whose
+    union of sources cannot fire (index.may_fire()) is not searched: every
+    query answers False, so record_search charges the triple
+    ([len(queries)], [], query_rounds) and counts the queries, exactly as
+    the search would.  That pull never goes past what walking the queries
+    would pull: every cycle is anchored at or below the union's highest
+    source, so it stops at the stage's first pattern, or at the end.  A
+    query that fires has pulled at least to its own first pattern, which
+    comes at or after the stage's first one.  If none fires, each query is
+    walked: the one holding the stage's first pattern pulls at least to it,
+    and with no pattern at all, the query with the highest source on the
+    core pulls to the end.
+
+    Otherwise the search walks the queries, and a query that cannot fire
+    answers False, drawing nothing, on either engine.  The event engine
+    draws each other query's detection from index.patterns() and files its
+    truncation and congestion counters in ledger.counts; the protocol
+    engine runs it hop by hop.  Skipping is sound on the protocol engine
+    too: a protocol detection is a C_ell inside the active nodes through a
+    colour-0 source whose two cycle neighbours took its first hop, so they
+    sit at height <= its own, which is a qualifying pattern at the source;
+    congestion only removes detections.  Each query's stream is seeded by
+    its own (tag, seed, label), so no other query's draws move.  A
+    detection is reported to the leader by the query's lowest source.
     """
     if not queries:
         return False
-    ell, active, heights = shared.cycle_len, shared.active, shared.heights
-    m_bound, reps = shared.congestion_bound, shared.repetitions
     graph = net.graph
-    query_rounds = _query_rounds(ell, reps, m_bound, net.eccentricity)
     anchors = 0
     for sources, _ in queries:
         anchors |= sources
-    index = _CycleIndex(graph, shared, two_core(graph, active), anchors)
-    if index.silent():
+    if anchors & ~shared.active:
+        raise ValueError("sources must be a subset of active nodes")
+    query_rounds = _query_rounds(shared.cycle_len, shared.repetitions,
+                                 shared.congestion_bound, net.eccentricity)
+    index = _CycleIndex(graph, shared, two_core(graph, shared.active), anchors)
+    if not index.may_fire(anchors):
         record_search(ledger, ([len(queries)], [], query_rounds), len(queries), params,
                       "congest", phase)
         return False
 
     def checker(i: int) -> Tuple[bool, int]:
         sources, label = queries[i]
+        if not index.may_fire(sources):
+            return False, query_rounds
         if engine == "event":
             patterns, hits = index.patterns(sources)
             found, sampled = _event_found(patterns, shared, (tag, seed, label))
@@ -705,12 +704,8 @@ def _stage_search(
                 hits.add("pattern_sampled")
             if hits:  # rare; an empty update costs more than the check
                 ledger.counts.update(hits)
-        elif index.may_fire(sources):
-            # protocol_detect_once reads the sources from its config
-            cfg = ColorBfsConfig(ell, active, sources, heights, m_bound, reps)
-            found = _protocol_found(graph, cfg, (tag, seed, label))
         else:
-            found = False
+            found = _protocol_found(graph, shared, sources, (tag, seed, label))
         if found:
             net.require_reachable([(sources & -sources).bit_length() - 1])
         return found, query_rounds
@@ -743,7 +738,7 @@ def detect_odd_cycle(
     _check_engine(engine)
     _require(graph.n, ell)
     n = graph.n
-    shared = ColorBfsConfig(ell, (1 << n) - 1, 0, repetitions=odd_cycle_repetitions(n, ell))
+    shared = ColorBfsConfig(ell, (1 << n) - 1, repetitions=odd_cycle_repetitions(n, ell))
     return _stage_search(CongestNet(graph), [(1 << v, v) for v in range(n)],
                          shared, "odd", "odd-cycle/search", ledger, seed, params, engine)
 
@@ -845,7 +840,7 @@ def detect_even_cycle(
     heavy_threshold = ceil_pow(n, ecp.delta)
     everyone = (1 << n) - 1
     heavy = mask_of(v for v in range(n) if graph.adj[v].bit_count() >= heavy_threshold)
-    shared = ColorBfsConfig(two_k, everyone, 0, repetitions=reps)
+    shared = ColorBfsConfig(two_k, everyone, repetitions=reps)
     heavy_found = _stage_search(net, [(1 << v, v) for v in bits(heavy)], shared,
                                 "even-heavy", "even-cycle/heavy-search", ledger, seed, params,
                                 engine)
@@ -861,7 +856,7 @@ def detect_even_cycle(
     by_index = [0] * n_idx  # the light index classes, as node masks
     for v in bits(light):
         by_index[rng.randrange(n_idx)] |= 1 << v
-    shared = ColorBfsConfig(two_k, light, 0, heights, ecp.a_cong * word_capacity(n), reps)
+    shared = ColorBfsConfig(two_k, light, heights, ecp.a_cong * word_capacity(n), reps)
     light_found = _stage_search(net, [(vs, i) for i, vs in enumerate(by_index)],
                                 shared, "even-light", "even-cycle/light-search", ledger, seed,
                                 params, engine)

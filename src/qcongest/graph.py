@@ -340,7 +340,6 @@ def iter_cycles(
     length: int,
     active_mask: Optional[int] = None,
     anchors: Optional[int] = None,
-    limit: Optional[int] = None,
 ) -> Iterator[Tuple[int, ...]]:
     """Yield simple cycles of exactly `length` as node sequences, each once.
 
@@ -351,15 +350,14 @@ def iter_cycles(
     cycles through v, and the default gives every cycle, anchored at its
     minimum node.  Direction is canonicalized by requiring the second node
     to be smaller than the last.  Cycles come out in the order of a
-    depth-first search that tries neighbors in ascending order, and
-    `limit` bounds the cycles of the whole call.
+    depth-first search that tries neighbors in ascending order.
 
     The search is over bitmasks and prunes exactly: the node at path
     position k lies within length - k hops of the anchor (the rest of the
     cycle leads back there), so its candidates are ANDed with the anchor's
     ball of that radius, and the last node must also exceed the second.
-    Only branches that close no cycle are cut, so the cycles, their order
-    and the point where `limit` raises are those of the unpruned search.
+    Only branches that close no cycle are cut, so the cycles and their
+    order are those of the unpruned search.
 
     The balls come from anchor_ball, which also clears, before the rest of
     its ball is built, an anchor that a no-cycle certificate shows to lie
@@ -372,10 +370,8 @@ def iter_cycles(
     adj = graph.adj
     full = (1 << n) - 1
     active = full if active_mask is None else active_mask & full
-    count = 0
 
     def from_anchor(anchor: int, ball: List[int]) -> Iterator[Tuple[int, ...]]:
-        nonlocal count
         path = [anchor]
         visited = 1 << anchor
         # stack[k - 1]: untried candidates for path position k
@@ -397,11 +393,6 @@ def iter_cycles(
                 last = nxt & ~((2 << path[1]) - 1)
                 while last:
                     bit = last & -last
-                    count += 1
-                    if limit is not None and count > limit:
-                        raise CycleEnumerationLimit(
-                            f"more than {limit} cycles of length {length}"
-                        )
                     yield tuple(path) + (bit.bit_length() - 1,)
                     last ^= bit
                 visited ^= low
@@ -508,7 +499,3 @@ def two_core(graph: Graph, mask: int) -> int:
                 peel |= low
             near ^= low
     return core
-
-
-class CycleEnumerationLimit(RuntimeError):
-    """Raised when cycle enumeration exceeds its configured cap."""

@@ -47,8 +47,9 @@ class CostLedger:
 
     `counts` holds "queries" (the queries answered over every search of
     the run, whether checked or settled without a check, as a cycle stage
-    that cannot fire settles them) and, for cycle detection, "enumeration_truncated", "pattern_capped"
-    and "congestion_dropped" (queries whose patterns were cut short), and
+    that cannot fire settles them) and, for cycle detection,
+    "enumeration_truncated", "pattern_capped" and "congestion_dropped"
+    (queries whose patterns were cut short), and
     "pattern_sampled" (queries with too many patterns for an exact
     detection probability, whose colourings were sampled).
     """

@@ -93,7 +93,8 @@ class SearchOutcome:
     queries_evaluated: int
 
 
-def grover_cost(domain_size: int, query_rounds: int, params: QuantumCostParams = DEFAULT_PARAMS) -> int:
+def grover_cost(domain_size: int, query_rounds: int,
+                params: QuantumCostParams = DEFAULT_PARAMS) -> int:
     """reps * ceil(c_grover * sqrt(domain_size)) * query_rounds."""
     if domain_size < 1:
         raise ValueError("domain_size must be >= 1")

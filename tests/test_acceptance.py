@@ -240,22 +240,22 @@ def test_criterion_09_color_bfs_single_rep_rate():
     from qcongest.graph import Graph, mask_of
 
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    cfg = ColorBfsConfig(cycle_len=4, active=mask_of(range(4)),
-                         sources=mask_of(range(4)), congestion_bound=4,
+    cfg = ColorBfsConfig(cycle_len=4, active=mask_of(range(4)), congestion_bound=4,
                          repetitions=1)
 
     def colour_masks(colors):  # node v has colour colors[v]
         return [mask_of(v for v, c in enumerate(colors) if c == k) for k in range(4)]
 
     exact_hits = sum(
-        protocol_detect_once(g, cfg, colour_masks(colors))
+        protocol_detect_once(g, cfg, mask_of(range(4)), colour_masks(colors))
         for colors in itertools.product(range(4), repeat=4)
     )
     exact = exact_hits / 256
     rng = random.Random(9)
     trials = 100_000
     hits = sum(
-        protocol_detect_once(g, cfg, colour_masks([rng.randrange(4) for _ in range(4)]))
+        protocol_detect_once(g, cfg, mask_of(range(4)),
+                             colour_masks([rng.randrange(4) for _ in range(4)]))
         for _ in range(trials)
     )
     rate = hits / trials

@@ -52,15 +52,17 @@ def cycle_graph(ell, n=None):
 
 
 def all_active_cfg(g, ell, sources=None, reps=1, m=1, heights=None):
+    """(a config with every node of g active, the source mask of the nodes
+    `sources`, or of every node)."""
     active = mask_of(range(g.n))
-    return ColorBfsConfig(
+    cfg = ColorBfsConfig(
         cycle_len=ell,
         active=active,
-        sources=mask_of(sources) if sources is not None else active,
         heights=heights,
         congestion_bound=m,
         repetitions=reps,
     )
+    return cfg, mask_of(sources) if sources is not None else active
 
 
 def patch_cycledetect(monkeypatch, name, value):
@@ -80,35 +82,36 @@ def colour_masks(cfg, colors):
             for c in range(cfg.cycle_len)]
 
 
-def query_patterns(graph, cfg):
-    """The patterns and counters of a one-query stage from cfg.sources,
-    enumerated inside the active nodes."""
-    return _CycleIndex(graph, cfg, cfg.active, cfg.sources).patterns(cfg.sources)
+def query_patterns(graph, cfg, sources):
+    """The patterns and counters of a one-query stage from the source mask
+    `sources`, enumerated inside the active nodes."""
+    return _CycleIndex(graph, cfg, cfg.active, sources).patterns(sources)
 
 
-def event_found(graph, cfg, seed_parts):
+def event_found(graph, cfg, sources, seed_parts):
     """(found, counters hit) of a one-query stage on the event engine."""
-    patterns, hits = query_patterns(graph, cfg)
+    patterns, hits = query_patterns(graph, cfg, sources)
     found, sampled = _event_found(patterns, cfg, seed_parts)
     return found, hits | ({"pattern_sampled"} if sampled else set())
 
 
-def event_detect_once(graph, cfg, colors):
+def event_detect_once(graph, cfg, sources, colors):
     """One repetition of the event engine with fixed colours: does some
     qualifying pattern read 0..ell-1 from its anchor?  The event side of
     the fixed-colour agreement tests."""
-    patterns, _ = query_patterns(graph, cfg)
+    patterns, _ = query_patterns(graph, cfg, sources)
     if not patterns:
         return False
     relevant, specs = _pattern_specs(patterns, cfg.cycle_len)
     return _fires(np.array([[colors[v] for v in relevant]], dtype=np.uint8), specs)
 
 
-def fired_colourings(graph, cfg):
-    """(colourings of the nodes on cfg's qualifying patterns on which one
-    event-engine repetition fires, all such colourings), by enumerating
-    every colouring; event_detect_once agrees on a sample of them."""
-    patterns, _ = query_patterns(graph, cfg)
+def fired_colourings(graph, cfg, sources):
+    """(colourings of the nodes on the qualifying patterns at sources on
+    which one event-engine repetition fires, all such colourings), by
+    enumerating every colouring; event_detect_once agrees on a sample of
+    them."""
+    patterns, _ = query_patterns(graph, cfg, sources)
     ell = cfg.cycle_len
     relevant, specs = _pattern_specs(patterns, ell)
     grid = np.indices((ell,) * len(relevant), dtype=np.uint8).reshape(len(relevant), -1).T
@@ -119,13 +122,14 @@ def fired_colourings(graph, cfg):
     sample = np.concatenate([rng.choice(len(grid), 32), rng.choice(np.flatnonzero(fires), 32)])
     for row in sample:
         colors = dict(zip(relevant, grid[row].tolist()))
-        assert event_detect_once(graph, cfg, colors) == fires[row]
+        assert event_detect_once(graph, cfg, sources, colors) == fires[row]
     return int(fires.sum()), len(grid)
 
 
-def stage_found(g, cfg, seed, engine, ledger=None):
-    """A search stage of one query: cfg's colour BFS from all of cfg.sources."""
-    return _stage_search(CongestNet(g), [(cfg.sources, 0)], cfg, "test", "color-bfs",
+def stage_found(g, cfg, sources, seed, engine, ledger=None):
+    """A search stage of one query: cfg's colour BFS from the source mask
+    `sources`."""
+    return _stage_search(CongestNet(g), [(sources, 0)], cfg, "test", "color-bfs",
                          ledger if ledger is not None else CostLedger(), seed,
                          DEFAULT_PARAMS, engine)
 
@@ -135,10 +139,10 @@ class TestSingleRepSuccess:
     def test_enumeration_matches_protocol_engine(self, ell):
         # exhaustive: run the protocol on every coloring of the single-source cycle
         g = cycle_graph(ell)
-        cfg = all_active_cfg(g, ell, sources=[0])
+        cfg, src = all_active_cfg(g, ell, sources=[0])
         count = 0
         for colors in itertools.product(range(ell), repeat=ell):
-            if protocol_detect_once(g, cfg, colour_masks(cfg, dict(enumerate(colors)))):
+            if protocol_detect_once(g, cfg, src, colour_masks(cfg, dict(enumerate(colors)))):
                 count += 1
         assert Fraction(count, ell**ell) == single_rep_success(ell)
 
@@ -161,19 +165,19 @@ class TestExactSuccess:
     """The event engine's exact P equals the share of colourings that fire."""
 
     @staticmethod
-    def assert_exact(g, cfg):
-        patterns, _ = query_patterns(g, cfg)
+    def assert_exact(g, cfg, sources):
+        patterns, _ = query_patterns(g, cfg, sources)
         assert patterns
-        fired, total = fired_colourings(g, cfg)
+        fired, total = fired_colourings(g, cfg, sources)
         assert _success_probability(patterns, cfg.cycle_len) == Fraction(fired, total)
 
     @pytest.mark.parametrize("ell", [4, 5, 6, 7])
     def test_lone_cycle_gives_single_rep_success(self, ell):
         g = cycle_graph(ell)
-        cfg = all_active_cfg(g, ell, sources=[0])
-        patterns, _ = query_patterns(g, cfg)
+        cfg, src = all_active_cfg(g, ell, sources=[0])
+        patterns, _ = query_patterns(g, cfg, src)
         assert _success_probability(patterns, ell) == single_rep_success(ell)
-        self.assert_exact(g, cfg)
+        self.assert_exact(g, cfg, src)
 
     @pytest.mark.parametrize("edges", [
         # C4s 0-1-2-3 and 0-1-4-3 share the path 3-0-1, so orientations of
@@ -184,25 +188,25 @@ class TestExactSuccess:
     ])
     def test_two_cycles_sharing_the_anchor(self, edges):
         g = Graph(max(max(e) for e in edges) + 1, edges)
-        cfg = all_active_cfg(g, 4, sources=[0])
-        assert len(query_patterns(g, cfg)[0]) == 2
-        self.assert_exact(g, cfg)
+        cfg, src = all_active_cfg(g, 4, sources=[0])
+        assert len(query_patterns(g, cfg, src)[0]) == 2
+        self.assert_exact(g, cfg, src)
 
     @pytest.mark.parametrize("n, ell, sources", [(4, 4, [0, 1, 2]), (5, 4, [0, 1]),
                                                  (5, 5, [0, 1])])
     def test_complete_graphs_with_several_sources(self, n, ell, sources):
         g = generate(GenSpec(kind="complete", n=n))
-        self.assert_exact(g, all_active_cfg(g, ell, sources=sources, m=len(sources)))
+        self.assert_exact(g, *all_active_cfg(g, ell, sources=sources, m=len(sources)))
 
     def test_heights(self):
         # anchors 0, 2 and 4 have both cycle neighbours at or below them;
         # anchors 1 and 3 do not
         g = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 4), (3, 4)])
         heights = {0: 1, 1: 0, 2: 1, 3: 0, 4: 0}
-        cfg = all_active_cfg(g, 4, m=5, heights=heights)
-        anchors = {cyc[pos] for cyc, pos in query_patterns(g, cfg)[0]}
+        cfg, src = all_active_cfg(g, 4, m=5, heights=heights)
+        anchors = {cyc[pos] for cyc, pos in query_patterns(g, cfg, src)[0]}
         assert anchors == {0, 2, 4}
-        self.assert_exact(g, cfg)
+        self.assert_exact(g, cfg, src)
 
 
 class TestEventDraw:
@@ -214,18 +218,18 @@ class TestEventDraw:
         # sources 0 and 2 on the C4s 0-1-2-3, 0-1-4-3 and 1-2-3-4: four
         # patterns, some of whose events intersect
         g = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 4), (3, 4)])
-        cfg = all_active_cfg(g, 4, sources=[0, 2], m=2)
-        patterns, _ = query_patterns(g, cfg)
+        cfg, src = all_active_cfg(g, 4, sources=[0, 2], m=2)
+        patterns, _ = query_patterns(g, cfg, src)
         assert len(patterns) == 4 <= _EXACT_CAP
         p = _success_probability(patterns, 4)
         reps = round(math.log(2) / p)
         q = float(1 - (1 - p) ** reps)
         assert 0.3 <= q <= 0.7
-        cfg = all_active_cfg(g, 4, sources=[0, 2], m=2, reps=reps)
+        cfg, src = all_active_cfg(g, 4, sources=[0, 2], m=2, reps=reps)
         bound = 4 * math.sqrt(q * (1 - q) / self.SEEDS)
         for cap, counter in ((_EXACT_CAP, set()), (0, {"pattern_sampled"})):
             patch_cycledetect(monkeypatch, "_EXACT_CAP", cap)
-            draws = [event_found(g, cfg, ("draw", s)) for s in range(self.SEEDS)]
+            draws = [event_found(g, cfg, src, ("draw", s)) for s in range(self.SEEDS)]
             assert all(hits == counter for _, hits in draws)
             rate = sum(found for found, _ in draws) / self.SEEDS
             assert abs(rate - q) <= bound, (cap, rate, q)
@@ -235,18 +239,18 @@ class TestEventDraw:
         # reps.  The answers are those of the block sampler before exact
         # draws existed, seed by seed.
         g = generate(GenSpec(kind="complete", n=5))
-        cfg = all_active_cfg(g, 4, sources=[0, 1], m=2, reps=6)
-        assert len(query_patterns(g, cfg)[0]) == 24 > _EXACT_CAP
-        answers = "".join(str(int(event_found(g, cfg, ("sampled", s))[0]))
+        cfg, src = all_active_cfg(g, 4, sources=[0, 1], m=2, reps=6)
+        assert len(query_patterns(g, cfg, src)[0]) == 24 > _EXACT_CAP
+        answers = "".join(str(int(event_found(g, cfg, src, ("sampled", s))[0]))
                           for s in range(32))
         assert answers == "01011111010111100110100011001100"
         ledger = CostLedger()
-        stage_found(g, cfg, 0, "event", ledger)
+        stage_found(g, cfg, src, 0, "event", ledger)
         assert ledger.counts["pattern_sampled"] == ledger.counts["queries"] == 1
         # a query at or below the cap is not counted
         ledger = CostLedger()
         g = cycle_graph(4)
-        assert stage_found(g, all_active_cfg(g, 4, sources=[0], reps=2000), 0, "event", ledger)
+        assert stage_found(g, *all_active_cfg(g, 4, sources=[0], reps=2000), 0, "event", ledger)
         assert ledger.counts["pattern_sampled"] == 0
 
 
@@ -265,10 +269,10 @@ class TestEngineAgreement:
                 if rng.random() < 0.3
             ]
             g = Graph(n, edges)
-            cfg = all_active_cfg(g, ell, m=n)  # M large: no congestion drops
+            cfg, src = all_active_cfg(g, ell, m=n)  # M large: no congestion drops
             colors = {v: rng.randrange(ell) for v in range(n)}
-            assert protocol_detect_once(g, cfg, colour_masks(cfg, colors)) == (
-                event_detect_once(g, cfg, colors)), (n, edges, colors)
+            assert protocol_detect_once(g, cfg, src, colour_masks(cfg, colors)) == (
+                event_detect_once(g, cfg, src, colors)), (n, edges, colors)
 
     @pytest.mark.parametrize("ell", [4, 5])
     def test_agreement_single_source(self, ell):
@@ -283,43 +287,36 @@ class TestEngineAgreement:
             ]
             g = Graph(n, edges)
             src = rng.randrange(n)
-            cfg = all_active_cfg(g, ell, sources=[src], m=n)
+            cfg, sources = all_active_cfg(g, ell, sources=[src], m=n)
             colors = {v: rng.randrange(ell) for v in range(n)}
-            assert protocol_detect_once(g, cfg, colour_masks(cfg, colors)) == (
-                event_detect_once(g, cfg, colors))
+            assert protocol_detect_once(g, cfg, sources, colour_masks(cfg, colors)) == (
+                event_detect_once(g, cfg, sources, colors))
 
     def test_heights_constrain_first_hop(self):
         g = cycle_graph(4)
         heights = {0: 0, 1: 1, 2: 0, 3: 1}
-        cfg = ColorBfsConfig(cycle_len=4, active=mask_of(range(4)),
-                             sources=mask_of({0}), heights=heights,
+        cfg = ColorBfsConfig(cycle_len=4, active=mask_of(range(4)), heights=heights,
                              congestion_bound=4, repetitions=1)
         colors = {0: 0, 1: 1, 2: 2, 3: 3}
         # both neighbors of the source sit higher: no send, no detection
-        assert not protocol_detect_once(g, cfg, colour_masks(cfg, colors))
-        assert not event_detect_once(g, cfg, colors)
-        cfg2 = ColorBfsConfig(cycle_len=4, active=mask_of(range(4)),
-                              sources=mask_of({1}), heights=heights,
-                              congestion_bound=4, repetitions=1)
+        assert not protocol_detect_once(g, cfg, mask_of({0}), colour_masks(cfg, colors))
+        assert not event_detect_once(g, cfg, mask_of({0}), colors)
         colors2 = {1: 0, 2: 1, 3: 2, 0: 3}
-        assert protocol_detect_once(g, cfg2, colour_masks(cfg2, colors2))
-        assert event_detect_once(g, cfg2, colors2)
+        assert protocol_detect_once(g, cfg, mask_of({1}), colour_masks(cfg, colors2))
+        assert event_detect_once(g, cfg, mask_of({1}), colors2)
 
 
 class TestColorBfs:
     def test_no_false_positives_on_forest(self):
         g = generate(GenSpec(kind="path", n=50))
-        cfg = all_active_cfg(g, 4, reps=10_000, m=4)
-        assert not stage_found(g, cfg, 1, "event")
-        cfg_small = all_active_cfg(g, 4, reps=200, m=4)
-        assert not stage_found(g, cfg_small, 1, "protocol")
+        assert not stage_found(g, *all_active_cfg(g, 4, reps=10_000, m=4), 1, "event")
+        assert not stage_found(g, *all_active_cfg(g, 4, reps=200, m=4), 1, "protocol")
 
     def test_rounds_charged_formula(self):
         g = cycle_graph(6, n=10)
         net = CongestNet(g)
-        cfg = all_active_cfg(g, 6, reps=7, m=3)
         led = CostLedger()
-        stage_found(g, cfg, 2, "event", led)
+        stage_found(g, *all_active_cfg(g, 6, reps=7, m=3), 2, "event", led)
         # one query: the search charges exactly its price
         assert led.total() == 7 * color_bfs_rep_rounds(6, 3) + net.eccentricity
 
@@ -331,37 +328,36 @@ class TestColorBfs:
         hits = 0
         trials = 200
         for seed in range(trials):
-            cfg = all_active_cfg(g, 6, reps=reps, m=6)
-            hits += stage_found(g, cfg, seed, "event")
+            hits += stage_found(g, *all_active_cfg(g, 6, reps=reps, m=6), seed, "event")
         assert hits >= 0.99 * trials
 
     def test_monte_carlo_matches_enumeration_rate(self):
         # isolated C4, all sources, M=4: empirical vs exact over 256 colorings
         g = cycle_graph(4)
-        cfg = all_active_cfg(g, 4, m=4)
+        cfg, src = all_active_cfg(g, 4, m=4)
         exact_hits = sum(
-            protocol_detect_once(g, cfg, colour_masks(cfg, dict(enumerate(c))))
+            protocol_detect_once(g, cfg, src, colour_masks(cfg, dict(enumerate(c))))
             for c in itertools.product(range(4), repeat=4)
         )
         exact = exact_hits / 256
         rng = random.Random(0)
         trials = 20_000
         hits = sum(
-            protocol_detect_once(g, cfg,
+            protocol_detect_once(g, cfg, src,
                                  colour_masks(cfg, {v: rng.randrange(4) for v in range(4)}))
             for _ in range(trials)
         )
         assert abs(hits / trials - exact) < 0.15 * exact
 
 
-def reference_congestion(graph, cfg):
+def reference_congestion(graph, cfg, sources):
     """measure_congestion as set-based BFS over ascending neighbours."""
     hops = cfg.cycle_len // 2 - 1
     active = set(bits(cfg.active))
     counts = {v: 0 for v in active}
     if hops < 1:
         return counts
-    for w in bits(cfg.sources):
+    for w in bits(sources):
         frontier = {u for u in bits(graph.adj[w])
                     if u in active and cfg.height(u) <= cfg.height(w)}
         reached = set(frontier)
@@ -397,10 +393,10 @@ def reference_forest(graph, nodes, a, ledger):
     return None if alive else layers
 
 
-def reference_protocol(graph, cfg, colors, step):
+def reference_protocol(graph, cfg, sources, colors, step):
     """protocol_detect_once with a colour lookup per node, sending through step."""
     ell, m_bound = cfg.cycle_len, cfg.congestion_bound
-    active, sources = set(bits(cfg.active)), set(bits(cfg.sources))
+    active, sources = set(bits(cfg.active)), set(bits(sources))
     if not any(colors.get(v) == 0 for v in sources):
         return False
 
@@ -444,23 +440,23 @@ def reference_protocol(graph, cfg, colors, step):
                for a in active for b in bits(graph.adj[a]))
 
 
-def reference_patterns(graph, cfg, core):
-    """The qualifying patterns of one query from cfg.sources, by its own
-    enumeration: one iter_cycles call inside core anchored at the query's
-    sources, with no limit and no cap, and the congestion filter of more
-    than M sources.  The per-query path that the stage's _CycleIndex
+def reference_patterns(graph, cfg, sources, core):
+    """The qualifying patterns of one query from the source mask `sources`,
+    by its own enumeration: one iter_cycles call inside core anchored at the
+    query's sources, with no limit and no cap, and the congestion filter of
+    more than M sources.  The per-query path that the stage's _CycleIndex
     replaced; (patterns in that enumeration's order, whether a cycle was
     dropped for congestion)."""
     ell = cfg.cycle_len
-    congestion = (measure_congestion(graph, cfg)
-                  if cfg.sources.bit_count() > cfg.congestion_bound else None)
+    congestion = (measure_congestion(graph, cfg, sources)
+                  if sources.bit_count() > cfg.congestion_bound else None)
     out, dropped = [], False
-    for cyc in iter_cycles(graph, ell, active_mask=core, anchors=cfg.sources):
+    for cyc in iter_cycles(graph, ell, active_mask=core, anchors=sources):
         if congestion is not None and any(congestion[v] > cfg.congestion_bound for v in cyc):
             dropped = True
             continue
         for pos, v in enumerate(cyc):
-            if not cfg.sources >> v & 1:
+            if not sources >> v & 1:
                 continue
             prv, nxt = cyc[(pos - 1) % ell], cyc[(pos + 1) % ell]
             if cfg.height(prv) <= cfg.height(v) and cfg.height(nxt) <= cfg.height(v):
@@ -468,7 +464,7 @@ def reference_patterns(graph, cfg, core):
     return out, dropped
 
 
-def reference_protocol_found(graph, cfg, seed_parts):
+def reference_protocol_found(graph, cfg, sources, seed_parts):
     """The protocol engine before it skipped idle repetitions: every
     repetition draws a colour for every active node, in id order."""
     rng = random.Random(derive_seed("color-bfs-protocol", derive_seed(*seed_parts)))
@@ -478,7 +474,7 @@ def reference_protocol_found(graph, cfg, seed_parts):
         by_colour = [0] * ell
         for bit in node_bits:
             by_colour[rng.randrange(ell)] |= bit
-        if protocol_detect_once(graph, cfg, by_colour):
+        if protocol_detect_once(graph, cfg, sources, by_colour):
             return True
     return False
 
@@ -494,11 +490,12 @@ def anchored(pattern):
 
 
 def random_cfg(rng, g, ell, heights=False):
-    """A config on g with random active nodes, sources among them, M and heights."""
+    """(a config on g with random active nodes, M and heights, a random
+    source mask among its active nodes)."""
     active = mask_of(v for v in range(g.n) if rng.random() < 0.8)
     sources = mask_of(v for v in bits(active) if rng.random() < 0.4)
     hts = {v: rng.randrange(3) for v in bits(active)} if heights else None
-    return ColorBfsConfig(ell, active, sources, hts, rng.randint(1, 3), 1)
+    return ColorBfsConfig(ell, active, hts, rng.randint(1, 3), 1), sources
 
 
 class TestMaskRewritesMatchReferences:
@@ -509,8 +506,8 @@ class TestMaskRewritesMatchReferences:
         for seed in range(40):
             g = generate(GenSpec(kind="gnp", n=rng.randint(2, 30),
                                  edge_prob=rng.choice([0.1, 0.2, 0.4]), seed=seed))
-            cfg = random_cfg(rng, g, rng.randint(4, 9), heights=seed % 2 == 0)
-            assert measure_congestion(g, cfg) == reference_congestion(g, cfg), seed
+            cfg, src = random_cfg(rng, g, rng.randint(4, 9), heights=seed % 2 == 0)
+            assert measure_congestion(g, cfg, src) == reference_congestion(g, cfg, src), seed
 
     def test_forest_decomposition_including_failures(self):
         rng = random.Random(8)
@@ -541,13 +538,13 @@ class TestMaskRewritesMatchReferences:
             g = generate(GenSpec(kind="gnp", n=rng.randint(4, 14),
                                  edge_prob=rng.choice([0.2, 0.35, 0.6]), seed=seed))
             ell = rng.randint(4, min(g.n, 8))
-            cfg = random_cfg(rng, g, ell, heights=seed % 3 == 0)
+            cfg, src = random_cfg(rng, g, ell, heights=seed % 3 == 0)
             colors = {v: rng.randrange(ell) for v in bits(cfg.active)}
             sent.clear()
-            got = protocol_detect_once(g, cfg, colour_masks(cfg, colors))
+            got = protocol_detect_once(g, cfg, src, colour_masks(cfg, colors))
             got_sent = list(sent)
             sent.clear()
-            assert got == reference_protocol(g, cfg, colors, recording_step), seed
+            assert got == reference_protocol(g, cfg, src, colors, recording_step), seed
             assert got_sent == sent, seed
             answers.add(got)
         assert answers == {True, False}
@@ -558,9 +555,8 @@ class TestCongestionMeasurement:
         # sources = leaves; the center may need to forward every leaf id
         g = Graph(6, [(0, i) for i in range(1, 6)])
         cfg = ColorBfsConfig(cycle_len=6, active=mask_of(range(6)),
-                             sources=mask_of(range(1, 6)),
                              congestion_bound=1, repetitions=1)
-        m = measure_congestion(g, cfg)
+        m = measure_congestion(g, cfg, mask_of(range(1, 6)))
         assert m[0] == 5
         # a leaf sees every source through the center (2 hops), its own id
         # included: the protocol forwards received ids regardless of origin
@@ -569,10 +565,9 @@ class TestCongestionMeasurement:
     def test_height_gate(self):
         g = Graph(3, [(0, 1), (1, 2)])
         heights = {0: 0, 1: 5, 2: 0}
-        cfg = ColorBfsConfig(cycle_len=6, active=mask_of(range(3)),
-                             sources=mask_of({0}), heights=heights,
+        cfg = ColorBfsConfig(cycle_len=6, active=mask_of(range(3)), heights=heights,
                              congestion_bound=1, repetitions=1)
-        m = measure_congestion(g, cfg)
+        m = measure_congestion(g, cfg, mask_of({0}))
         assert m[1] == 0  # first hop must go downhill
 
 
@@ -708,8 +703,8 @@ class TestCongestionDrops:
     def test_exceeded_runs_recorded_and_conservative(self):
         g = cycle_graph(4)
         # four sources, M=1: every node may need to forward two ids
-        cfg = all_active_cfg(g, 4, reps=5000, m=1)
-        found, hits = event_found(g, cfg, ("drop-test",))
+        cfg, src = all_active_cfg(g, 4, reps=5000, m=1)
+        found, hits = event_found(g, cfg, src, ("drop-test",))
         assert hits == {"congestion_dropped"}
         assert not found  # dropped cycles count against completeness only
 
@@ -718,18 +713,18 @@ class TestCongestionDrops:
         # congestion is its number of source neighbours, and node 0 has
         # four, one more than M = 3, so the only C4 is dropped
         g = Graph(6, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (0, 5)])
-        cfg = all_active_cfg(g, 4, sources=[1, 3, 4, 5], reps=5000, m=3)
-        assert measure_congestion(g, cfg)[0] == 4
-        assert event_found(g, cfg, ("drop-test-3",)) == (
+        cfg, src = all_active_cfg(g, 4, sources=[1, 3, 4, 5], reps=5000, m=3)
+        assert measure_congestion(g, cfg, src)[0] == 4
+        assert event_found(g, cfg, src, ("drop-test-3",)) == (
             False, {"congestion_dropped"})
         # one source fewer: m(v) <= |sources| = M, nothing is dropped
-        cfg = all_active_cfg(g, 4, sources=[1, 3, 4], reps=5000, m=3)
-        assert event_found(g, cfg, ("drop-test-3",)) == (True, set())
+        cfg, src = all_active_cfg(g, 4, sources=[1, 3, 4], reps=5000, m=3)
+        assert event_found(g, cfg, src, ("drop-test-3",)) == (True, set())
 
     def test_single_source_never_exceeds_m1(self):
         g = cycle_graph(4)
-        cfg = all_active_cfg(g, 4, sources=[0], reps=2000, m=1)
-        found, hits = event_found(g, cfg, ("drop-test-2",))
+        cfg, src = all_active_cfg(g, 4, sources=[0], reps=2000, m=1)
+        found, hits = event_found(g, cfg, src, ("drop-test-2",))
         assert "congestion_dropped" not in hits
         assert found
 
@@ -810,14 +805,13 @@ class TestLightStageEngineAgreement:
             sources = mask_of(v for v in range(n) if rng.random() < 0.5)
             for two_k in (4, 6):
                 cfg = ColorBfsConfig(
-                    cycle_len=two_k, active=mask_of(range(n)),
-                    sources=sources, heights=heights,
+                    cycle_len=two_k, active=mask_of(range(n)), heights=heights,
                     congestion_bound=n * n, repetitions=1,
                 )
                 colors = {v: rng.randrange(two_k) for v in range(n)}
-                assert protocol_detect_once(g, cfg, colour_masks(cfg, colors)) == (
-                    event_detect_once(g, cfg, colors)), (n, edges, sources, heights, colors,
-                                                          two_k)
+                assert protocol_detect_once(g, cfg, sources, colour_masks(cfg, colors)) == (
+                    event_detect_once(g, cfg, sources, colors)), (n, edges, sources, heights,
+                                                                   colors, two_k)
                 checked += 1
         assert checked >= 20
 
@@ -842,11 +836,11 @@ class TestGirthControlledSoundness:
         g = cycle_graph(8)
         calls = count_calls(monkeypatch, "protocol_detect_once")
         for ell in (4, 6):
-            cfg = all_active_cfg(g, ell, reps=500, m=8)
-            assert not stage_found(g, cfg, 1, "protocol")
+            cfg, src = all_active_cfg(g, ell, reps=500, m=8)
+            assert not stage_found(g, cfg, src, 1, "protocol")
             assert not calls  # the stage's index settles it: nothing is simulated
             # the simulation itself, run hop by hop, never fires here either
-            assert not _protocol_found(g, cfg, ("girth", ell))
+            assert not _protocol_found(g, cfg, src, ("girth", ell))
             assert calls["protocol_detect_once"] > 100
             calls.clear()
 
@@ -989,8 +983,8 @@ class TestCycleRichSoundness:
         # at the heavy stage's repetitions, never fires either
         reps = even_cycle_repetitions(4)
         for sources in [[v] for v in range(g.n)] + [list(range(g.n))]:
-            cfg = all_active_cfg(g, 4, sources=sources, reps=reps, m=len(sources))
-            assert not _protocol_found(g, cfg, ("polarity", len(sources), sources[0]))
+            cfg, src = all_active_cfg(g, 4, sources=sources, reps=reps, m=len(sources))
+            assert not _protocol_found(g, cfg, src, ("polarity", len(sources), sources[0]))
         assert calls["protocol_detect_once"] > 1000
 
     @pytest.mark.parametrize("ell", [6, 7])
@@ -1011,14 +1005,14 @@ class TestTruncationCounters:
         # enumeration, anchored at 0, 1, 5 and 6, first yields hundreds of
         # cycles through 0, so a limit of 10 leaves both queries short
         g = generate(GenSpec(kind="complete", n=9))
-        cfg = all_active_cfg(g, 5, sources=[0, 1, 5, 6], m=9)
+        cfg, src = all_active_cfg(g, 5, sources=[0, 1, 5, 6], m=9)
         queries = [mask_of([0, 1]), mask_of([5, 6])]
-        index = _CycleIndex(g, cfg, cfg.active, cfg.sources)
+        index = _CycleIndex(g, cfg, cfg.active, src)
         assert all(len(index.patterns(q)[0]) > 20 and not index.patterns(q)[1]
                    for q in queries)
         patch_cycledetect(monkeypatch, "CYCLE_ENUM_LIMIT", 10)
-        index = _CycleIndex(g, cfg, cfg.active, cfg.sources)
-        first = list(itertools.islice(iter_cycles(g, 5, anchors=cfg.sources), 10))
+        index = _CycleIndex(g, cfg, cfg.active, src)
+        first = list(itertools.islice(iter_cycles(g, 5, anchors=src), 10))
         for q in queries:
             patterns, hits = index.patterns(q)
             assert hits == {"enumeration_truncated"}
@@ -1028,8 +1022,7 @@ class TestTruncationCounters:
     def test_pattern_cap_is_counted(self, monkeypatch):
         patch_cycledetect(monkeypatch, "_PATTERN_CAP", 8)
         g = generate(GenSpec(kind="complete", n=9))
-        cfg = all_active_cfg(g, 5, m=9)
-        patterns, hits = query_patterns(g, cfg)
+        patterns, hits = query_patterns(g, *all_active_cfg(g, 5, m=9))
         assert len(patterns) == 8
         assert hits == {"pattern_capped"}
 
@@ -1042,9 +1035,55 @@ class TestTruncationCounters:
         assert ledger.counts["enumeration_truncated"] <= ledger.counts["queries"]
 
 
+def assert_files_the_first_cycles(g, ell, active, anchors, limit):
+    """With CYCLE_ENUM_LIMIT = limit, a stage index pulled to its end files
+    the patterns of the first `limit` cycles of the stage's enumeration,
+    and it is truncated, at the anchor of cycle number `limit` (0 if limit
+    is 0), exactly when the enumeration holds more.  Returns whether it
+    does."""
+    every = iter_cycles(g, ell, active_mask=active, anchors=anchors)
+    first = list(itertools.islice(every, limit))
+    more = next(every, None) is not None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(detect_odd_cycle.__globals__, "CYCLE_ENUM_LIMIT", limit)
+        index = _CycleIndex(g, ColorBfsConfig(ell, active), active, anchors)
+        index.patterns(anchors)  # pulls past every anchor: to the end, or to the limit
+    want = {}
+    for cyc in first:  # no heights: every anchor on a cycle anchors a pattern
+        for v in cyc:
+            if anchors >> v & 1:
+                want.setdefault(v, []).append(cyc)
+    assert index._through == want
+    assert index._truncated_at == ((first[-1][0] if first else 0) if more else None)
+    return more
+
+
 class TestCycleIndex:
     """One lazy index per stage serves each query what the query's own
     enumeration gave."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_the_limit_bounds_the_filed_cycles(self, data):
+        n = data.draw(st.integers(3, 11), label="n")
+        g = generate(GenSpec(kind="gnp", n=n,
+                             edge_prob=data.draw(st.sampled_from([0.3, 0.5, 0.8]), label="p"),
+                             seed=data.draw(st.integers(0, 10**6), label="seed")))
+        ell = data.draw(st.integers(3, min(n, 6)), label="ell")
+        active = mask_of(v for v in range(n) if data.draw(st.booleans(), label=f"active {v}"))
+        anchors = mask_of(v for v in bits(active)
+                          if data.draw(st.booleans(), label=f"anchor {v}"))
+        assert_files_the_first_cycles(g, ell, active, anchors,
+                                      data.draw(st.sampled_from([0, 1, 4, 25]), label="limit"))
+
+    @pytest.mark.parametrize("limit", [0, 1, 4, 25])
+    def test_a_stage_with_exactly_limit_cycles_is_not_truncated(self, limit):
+        # limit disjoint C4s hold exactly limit cycles; one more C4 holds more
+        for count, truncated in ((limit, False), (limit + 1, True)):
+            g = Graph(4 * count + 4, [(4 * i + a, 4 * i + b) for i in range(count)
+                                      for a, b in ((0, 1), (1, 2), (2, 3), (0, 3))])
+            everyone = (1 << g.n) - 1
+            assert assert_files_the_first_cycles(g, 4, everyone, everyone, limit) == truncated
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -1068,12 +1107,11 @@ class TestCycleIndex:
         m_bound = data.draw(st.integers(1, 3), label="M")
         core = data.draw(st.sampled_from([active, two_core(g, active)]), label="core")
         union = mask_of(v for q in queries for v in bits(q))
-        shared = ColorBfsConfig(ell, active, 0, heights, m_bound, 1)
+        shared = ColorBfsConfig(ell, active, heights, m_bound, 1)
         index = _CycleIndex(g, shared, core, union)
         for i in data.draw(st.permutations(range(classes)), label="query order"):
             q = queries[i]
-            want, dropped = reference_patterns(
-                g, ColorBfsConfig(ell, active, q, heights, m_bound, 1), core)
+            want, dropped = reference_patterns(g, shared, q, core)
             got, hits = index.patterns(q)
             assert Counter(map(anchored, got)) == Counter(map(anchored, want))
             assert got == sorted(got)  # enumeration order, which is lexicographic
@@ -1085,19 +1123,19 @@ class TestCycleIndex:
         (generate(GenSpec(kind="complete", n=6)), 5, [0, 3]),  # 2 * 60 patterns
     ])
     def test_the_cap_counts_only_what_it_cuts(self, monkeypatch, graph, ell, sources):
-        cfg = all_active_cfg(graph, ell, sources=sources, m=len(sources))
-        every, hits = query_patterns(graph, cfg)
+        cfg, src = all_active_cfg(graph, ell, sources=sources, m=len(sources))
+        every, hits = query_patterns(graph, cfg, src)
         assert hits == set()
         patch_cycledetect(monkeypatch, "_PATTERN_CAP", len(every))
-        assert query_patterns(graph, cfg) == (every, set())
+        assert query_patterns(graph, cfg, src) == (every, set())
         patch_cycledetect(monkeypatch, "_PATTERN_CAP", len(every) - 1)
-        assert query_patterns(graph, cfg) == (every[:-1], {"pattern_capped"})
+        assert query_patterns(graph, cfg, src) == (every[:-1], {"pattern_capped"})
 
     def test_a_capped_query_keeps_its_first_patterns_whatever_the_order(self, monkeypatch):
         # K7, C5, queries {0}, {1, 4}, {2}, {3, 5, 6}: each keeps the first
         # _PATTERN_CAP of its patterns in enumeration order, asked first or last
         g = generate(GenSpec(kind="complete", n=7))
-        cfg = all_active_cfg(g, 5, m=3)
+        cfg, _ = all_active_cfg(g, 5, m=3)
         queries = [mask_of([0]), mask_of([1, 4]), mask_of([2]), mask_of([3, 5, 6])]
         every = [_CycleIndex(g, cfg, cfg.active, cfg.active).patterns(q)[0] for q in queries]
         assert all(len(p) > 30 for p in every)
@@ -1110,7 +1148,7 @@ class TestCycleIndex:
     def test_the_cap_stops_the_enumeration(self, monkeypatch):
         # a capped query pulls just past its cap, not up to its highest source
         g = generate(GenSpec(kind="complete", n=9))
-        cfg = all_active_cfg(g, 6, m=9)
+        cfg, _ = all_active_cfg(g, 6, m=9)
         patch_cycledetect(monkeypatch, "_PATTERN_CAP", 5)
         index = _CycleIndex(g, cfg, cfg.active, cfg.active)
         assert index.patterns(mask_of([0]))[1] == {"pattern_capped"}
@@ -1122,9 +1160,9 @@ class TestProtocolDraws:
     a word can read, without changing the law of `found`."""
 
     @staticmethod
-    def ball(g, cfg):
+    def ball(g, cfg, sources):
         """Active nodes within floor(ell/2) hops of a source, through active nodes."""
-        near = frontier = set(bits(cfg.sources))
+        near = frontier = set(bits(sources))
         for _ in range(cfg.cycle_len // 2):
             frontier = {u for v in frontier for u in bits(g.adj[v] & cfg.active)} - near
             near |= frontier
@@ -1137,23 +1175,23 @@ class TestProtocolDraws:
             g = generate(GenSpec(kind="gnp", n=rng.randint(5, 16),
                                  edge_prob=rng.choice([0.15, 0.25, 0.4]), seed=seed))
             ell = rng.randint(4, min(g.n, 8))
-            cfg = random_cfg(rng, g, ell, heights=seed % 2 == 0)
+            cfg, src = random_cfg(rng, g, ell, heights=seed % 2 == 0)
             colors = {v: rng.randrange(ell) for v in bits(cfg.active)}
-            patterns, _ = reference_patterns(g, cfg, cfg.active)
+            patterns, _ = reference_patterns(g, cfg, src, cfg.active)
             if patterns:  # colour one pattern to fire, so that many answers are True
                 cyc, pos = rng.choice(patterns)
                 colors.update((cyc[(pos + j) % ell], j) for j in range(ell))
-            got = protocol_detect_once(g, cfg, colour_masks(cfg, colors))
-            near = self.ball(g, cfg)
+            got = protocol_detect_once(g, cfg, src, colour_masks(cfg, colors))
+            near = self.ball(g, cfg, src)
             far_graphs += any(v not in near for v in bits(cfg.active))
             answers += got
             for _ in range(3):
                 recoloured = {v: (c if v in near else rng.randrange(ell))
                               for v, c in colors.items()}
-                assert protocol_detect_once(g, cfg, colour_masks(cfg, recoloured)) == got
+                assert protocol_detect_once(g, cfg, src, colour_masks(cfg, recoloured)) == got
             # uncoloured, as the engine leaves them
             uncoloured = {v: c for v, c in colors.items() if v in near}
-            assert protocol_detect_once(g, cfg, colour_masks(cfg, uncoloured)) == got
+            assert protocol_detect_once(g, cfg, src, colour_masks(cfg, uncoloured)) == got
         assert far_graphs > 50 and answers > 30
 
     @pytest.mark.parametrize("k, ell", [(1, 4), (2, 4), (3, 4), (2, 5)])
@@ -1169,14 +1207,14 @@ class TestProtocolDraws:
 
     def test_no_sources_never_detect(self):
         g = cycle_graph(4)
-        assert not _protocol_found(g, all_active_cfg(g, 4, sources=[], reps=10**6), ("none",))
+        assert not _protocol_found(g, *all_active_cfg(g, 4, sources=[], reps=10**6), ("none",))
 
     @staticmethod
-    def exact_p(g, cfg):
+    def exact_p(g, cfg, sources):
         """The share of all colourings of the active nodes on which one
-        repetition detects."""
+        repetition from sources detects."""
         nodes = list(bits(cfg.active))
-        fired = sum(protocol_detect_once(g, cfg, colour_masks(cfg, dict(zip(nodes, c))))
+        fired = sum(protocol_detect_once(g, cfg, sources, colour_masks(cfg, dict(zip(nodes, c))))
                     for c in itertools.product(range(cfg.cycle_len), repeat=len(nodes)))
         return fired / cfg.cycle_len ** len(nodes)
 
@@ -1193,19 +1231,39 @@ class TestProtocolDraws:
             "heights": (Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 4), (3, 4)]), 4,
                         range(5), 5, {0: 1, 1: 0, 2: 1, 3: 0, 4: 0}),
         }[name]
-        cfg = all_active_cfg(g, ell, sources=sources, m=m, heights=heights)
         if name == "c4-with-tail":  # the tail's colours change nothing: enumerate the C4
-            p = self.exact_p(cycle_graph(4), all_active_cfg(cycle_graph(4), 4, sources=[0]))
+            p = self.exact_p(cycle_graph(4), *all_active_cfg(cycle_graph(4), 4, sources=[0]))
         else:
-            p = self.exact_p(g, cfg)
+            p = self.exact_p(g, *all_active_cfg(g, ell, sources=sources, m=m, heights=heights))
         reps = max(1, round(math.log(2) / p))
-        cfg = all_active_cfg(g, ell, sources=sources, m=m, heights=heights, reps=reps)
+        cfg, src = all_active_cfg(g, ell, sources=sources, m=m, heights=heights, reps=reps)
         q = 1 - (1 - p) ** reps
         seeds = 400
         bound = 4 * math.sqrt(q * (1 - q) / seeds)
         for found in (_protocol_found, reference_protocol_found):
-            rate = sum(found(g, cfg, ("rate", name, s)) for s in range(seeds)) / seeds
+            rate = sum(found(g, cfg, src, ("rate", name, s)) for s in range(seeds)) / seeds
             assert abs(rate - q) <= bound, (found.__name__, rate, q)
+
+
+@pytest.mark.parametrize("engine", ["event", "protocol"])
+@pytest.mark.parametrize("fields, message", [
+    ({"cycle_len": 2}, "cycle_len must be >= 3"),
+    ({"congestion_bound": 0}, "congestion bound M must be >= 1"),
+    ({"repetitions": 0}, "repetitions must be >= 1"),
+    # node 5 is not active: the first query may fire, the second leaves the
+    # active nodes
+    ({"queries": [(1 << 0, 0), (mask_of([1, 5]), 1)]}, "sources must be a subset of active"),
+])
+def test_invalid_stages_are_refused_before_any_charge(fields, message, engine):
+    g = cycle_graph(4, n=6)
+    stage = {"cycle_len": 4, "active": mask_of(range(5)), "congestion_bound": 1,
+             "repetitions": 10**4, "queries": [(1 << v, v) for v in range(5)], **fields}
+    queries = stage.pop("queries")
+    ledger = CostLedger()
+    with pytest.raises(ValueError, match=message):
+        _stage_search(CongestNet(g), queries, ColorBfsConfig(**stage), "test", "color-bfs",
+                      ledger, 0, DEFAULT_PARAMS, engine)
+    assert ledger.entries == [] and not ledger.counts
 
 
 class TestLengthRule:
@@ -1254,8 +1312,8 @@ class TestPatternDedupe:
         for g in graphs:
             for ell in (4, 5, 6):
                 for sources in ([0, 1], [1, 3, 4], [0, 2, 5]):
-                    cfg = all_active_cfg(g, ell, sources=sources, m=len(sources))
-                    patterns, hits = query_patterns(g, cfg)
+                    patterns, hits = query_patterns(
+                        g, *all_active_cfg(g, ell, sources=sources, m=len(sources)))
                     assert hits == set()
                     cycles = list(dict.fromkeys(cyc for cyc, _ in patterns))
                     canon = [self.canonical(cyc) for cyc in cycles]
@@ -1275,7 +1333,7 @@ class TestPatternDedupe:
         # leaves every query short, 100 the queries 2 and 3, 104 query 3
         # only, and 105 none
         g, ell, sources = generate(GenSpec(kind="complete", n=7)), 4, [0, 1, 2, 3]
-        cfg = all_active_cfg(g, ell, sources=sources, m=1)
+        cfg, src = all_active_cfg(g, ell, sources=sources, m=1)
         owned = [sum(min(set(c) & set(sources)) == s for c in iter_cycles(g, ell))
                  for s in sources]
         assert owned == [60, 30, 12, 3]
@@ -1285,7 +1343,7 @@ class TestPatternDedupe:
         for limit, short in ((10, {0, 1, 2, 3}), (100, {2, 3}), (104, {3}), (105, set())):
             patch_cycledetect(monkeypatch, "CYCLE_ENUM_LIMIT", limit)
             for order in (sources, sources[::-1]):
-                index = _CycleIndex(g, cfg, cfg.active, cfg.sources)
+                index = _CycleIndex(g, cfg, cfg.active, src)
                 for s in order:
                     patterns, hits = index.patterns(1 << s)
                     assert hits == ({"enumeration_truncated"} if s in short else set()), limit
@@ -1295,34 +1353,45 @@ class TestPatternDedupe:
                         assert all(g.has_edge(cyc[i], cyc[(i + 1) % ell]) for i in range(ell))
 
 
-def evaluate_every_query(net, queries, shared, ledger, seed, engine="event"):
-    """A stage with nothing settled.  On the event engine every query
-    measures its congestion and reads its lists in index.patterns, draws
-    through _event_found and files its counters; on the protocol engine
-    every query runs hop by hop.  The search walks every stage."""
+def evaluate_every_query(net, queries, shared, ledger, seed, engine="event", tag="test",
+                         phase="color-bfs", simulate_cleared=True):
+    """A stage with nothing settled, seeded and charged as _stage_search
+    seeds and charges the stage (tag, phase).  On the event engine every
+    query measures its congestion and reads its lists in index.patterns,
+    draws through _event_found and files its counters.  On the protocol
+    engine every query asks index.may_fire(), which pulls the enumeration
+    as the stage's check does, and runs hop by hop (with simulate_cleared
+    False, only if may_fire() does not clear it); a detection that
+    may_fire() would have skipped fails the test.  The search walks every
+    stage, and the index yields what _stage_search's walk of the queries
+    pulls.  No source set: nothing is searched or charged."""
+    if not queries:
+        return False
     graph = net.graph
     rounds = _query_rounds(shared.cycle_len, shared.repetitions, shared.congestion_bound,
                            net.eccentricity)
     index = _CycleIndex(graph, shared, two_core(graph, shared.active),
                         mask_of(v for q, _ in queries for v in bits(q)))
-    index._filed = -1  # every source seems to anchor a pattern: no query is cut short
+    if engine == "event":
+        index._filed = -1  # every source seems to anchor a pattern: no query is cut short
 
     def checker(i):
         sources, label = queries[i]
         if engine == "event":
             patterns, hits = index.patterns(sources)
-            found, sampled = _event_found(patterns, shared, ("test", seed, label))
+            found, sampled = _event_found(patterns, shared, (tag, seed, label))
             ledger.counts.update(hits | ({"pattern_sampled"} if sampled else set()))
         else:
-            cfg = ColorBfsConfig(shared.cycle_len, shared.active, sources, shared.heights,
-                                 shared.congestion_bound, shared.repetitions)
-            found = _protocol_found(graph, cfg, ("test", seed, label))
+            may = index.may_fire(sources)
+            found = (may or simulate_cleared) and _protocol_found(graph, shared, sources,
+                                                                  (tag, seed, label))
+            assert may or not found, "a protocol detection would have been skipped"
         if found:
             net.require_reachable([(sources & -sources).bit_length() - 1])
         return found, rounds
 
     return run_search(len(queries), checker, ledger, DEFAULT_PARAMS, seed=seed,
-                      model="congest", phase="color-bfs").found
+                      model="congest", phase=phase).found
 
 
 def stage_outcome(run):
@@ -1415,7 +1484,7 @@ class TestNoFireQueries:
                         union |= 1 << v
             heights = {v: 0 if union >> v & 1 else 1 for v in bits(active)}
         queries = [(q, i) for i, q in enumerate(queries)]
-        shared = ColorBfsConfig(ell, active, 0, heights, data.draw(st.integers(1, 3), label="M"),
+        shared = ColorBfsConfig(ell, active, heights, data.draw(st.integers(1, 3), label="M"),
                                 data.draw(st.sampled_from([1, 3, 40]), label="reps"))
         same_as_every_query(
             g, queries, shared, seed, engine,
@@ -1425,20 +1494,21 @@ class TestNoFireQueries:
     @pytest.mark.parametrize("engine", ["event", "protocol"])
     def test_a_truncated_stage_with_nothing_filed_is_walked(self, monkeypatch, engine):
         # K_{4,4}, C4, the sources on one side below the other side: every
-        # C4 alternates sides, so no cycle qualifies.  Unlimited, the stage
-        # is silent.  Limit 2 stops the enumeration inside the 18 cycles
-        # through node 0 with nothing filed, so every query may fire and the
-        # stage is walked: the event engine counts each query as truncated,
-        # and the protocol engine simulates
+        # C4 alternates sides, so no cycle qualifies.  Unlimited, the union
+        # of the sources cannot fire, and the stage is settled unwalked.
+        # Limit 2 stops the enumeration inside the 18 cycles through node 0
+        # with nothing filed, so every query may fire and the stage is
+        # walked: the event engine counts each query as truncated, and the
+        # protocol engine simulates
         g = Graph(8, [(u, v) for u in range(4) for v in range(4, 8)])
         queries = [(1 << v, v) for v in range(4)]
-        shared = ColorBfsConfig(4, (1 << 8) - 1, 0, {v: int(v >= 4) for v in range(8)}, 1, 5)
+        shared = ColorBfsConfig(4, (1 << 8) - 1, {v: int(v >= 4) for v in range(8)}, 1, 5)
         calls = count_calls(monkeypatch, "protocol_detect_once")
         for limit in (None, 2):
             if limit is not None:
                 patch_cycledetect(monkeypatch, "CYCLE_ENUM_LIMIT", limit)
             index = _CycleIndex(g, shared, shared.active, mask_of(range(4)))
-            assert index.silent() == (limit is None) and not index._filed
+            assert index.may_fire(mask_of(range(4))) == (limit is not None) and not index._filed
             assert all(index.may_fire(q) for q, _ in queries) == (limit is not None)
             calls.clear()
             found, _, counts = stage_outcome(lambda ledger: _stage_search(
@@ -1475,7 +1545,7 @@ class TestNoFireQueries:
         ledger = CostLedger()
         assert not detect_odd_cycle(g, 5, ledger, seed=1)
         classes = [mask_of(range(i, 40, 5)) for i in range(5)]
-        shared = ColorBfsConfig(7, (1 << 40) - 1, 0, None, 1, 3)
+        shared = ColorBfsConfig(7, (1 << 40) - 1, None, 1, 3)
         assert not _stage_search(CongestNet(g), [(q, i) for i, q in enumerate(classes)],
                                  shared, "test", "color-bfs", ledger, 1, DEFAULT_PARAMS, "event")
         assert ledger.counts["queries"] > 0 and not calls
@@ -1501,7 +1571,8 @@ def count_yields(monkeypatch):
 
 class TestSettledQueries:
     """The protocol engine skips a query with no pattern, and the pull that
-    settles a silent stage costs nothing that the search would not cost."""
+    settles a stage that cannot fire costs nothing that the search would
+    not cost."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -1524,8 +1595,7 @@ class TestSettledQueries:
                   for _ in range(2)]  # the stage's other queries
         heights = ({v: rng.randrange(3) for v in bits(active)}
                    if data.draw(st.booleans(), label="heighted") else None)
-        cfg = ColorBfsConfig(ell, active, sources, heights,
-                             data.draw(st.integers(1, 3), label="M"), 1)
+        cfg = ColorBfsConfig(ell, active, heights, data.draw(st.integers(1, 3), label="M"), 1)
         limit = data.draw(st.sampled_from([None, 1, 3, 10]), label="CYCLE_ENUM_LIMIT")
         with pytest.MonkeyPatch.context() as mp:
             if limit is not None:
@@ -1544,7 +1614,7 @@ class TestSettledQueries:
                 pos = rng.choice([i for i, v in enumerate(cyc) if sources >> v & 1])
                 step = rng.choice([1, -1])
                 colours.update((cyc[(pos + step * j) % ell], j) for j in range(ell))
-            if protocol_detect_once(g, cfg, colour_masks(cfg, colours)):
+            if protocol_detect_once(g, cfg, sources, colour_masks(cfg, colours)):
                 assert may, (colours, limit)
 
     @staticmethod
@@ -1555,8 +1625,11 @@ class TestSettledQueries:
 
     @pytest.mark.parametrize("engine", ["event", "protocol"])
     def test_the_settle_step_adds_no_yield(self, monkeypatch, engine):
-        # detections whose queries fire, with and without the settle step:
-        # the index generators yield the same cycles
+        # detections whose queries fire, through _stage_search and through
+        # evaluate_every_query, whose walk has no settle step: the same
+        # outcomes, and the index generators yield the same cycles.  The
+        # walk simulates only the queries that may fire, as _stage_search
+        # does, which keeps the protocol engine's C6 negatives fast
         yields = count_yields(monkeypatch)
         planted = [generate(GenSpec(kind="planted_cycle", n=n, edge_prob=p, planted_size=ell,
                                     seed=s)) for n, p, ell, s in
@@ -1571,13 +1644,18 @@ class TestSettledQueries:
                     detect_even_cycle(g, ell, led, seed=7, engine=engine)))
             runs.append(lambda led, g=g: detect_even_cycle(
                 g, 4, led, seed=7, ec_params=self.light_params(2), engine=engine))
+        def walk(net, queries, shared, tag, phase, ledger, seed, params, engine):
+            assert params is DEFAULT_PARAMS
+            return evaluate_every_query(net, queries, shared, ledger, seed, engine, tag, phase,
+                                        simulate_cleared=False)
+
         fired = 0
         for run in runs:
             outcomes = []
             for settle in (True, False):
                 with pytest.MonkeyPatch.context() as mp:
                     if not settle:
-                        mp.setattr(_CycleIndex, "silent", lambda index: False)
+                        mp.setitem(detect_odd_cycle.__globals__, "_stage_search", walk)
                     yields.clear()
                     outcomes.append((stage_outcome(run), yields["cycles"]))
             assert outcomes[0] == outcomes[1]
@@ -1595,7 +1673,7 @@ class TestSettledQueries:
         # none; one that stopped at its second pattern would pull all three
         g = Graph(12, [(0, 1), (1, 2), (2, 3), (0, 3), (5, 6), (6, 7), (7, 8), (5, 8),
                        (5, 9), (9, 10), (10, 11), (5, 11)])
-        shared = ColorBfsConfig(4, (1 << 12) - 1, 0, {6: 1}, 1, even_cycle_repetitions(4))
+        shared = ColorBfsConfig(4, (1 << 12) - 1, {6: 1}, 1, even_cycle_repetitions(4))
         queries = [(1 << 0, 0), (1 << 5, 5)]
         yields = count_yields(monkeypatch)
         assert _stage_search(CongestNet(g), queries, shared, "test", "color-bfs", CostLedger(),

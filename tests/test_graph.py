@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from qcongest.graph import (
     CliqueSet,
-    CycleEnumerationLimit,
     GenSpec,
     Graph,
     GraphFormatError,
@@ -304,7 +303,7 @@ class TestOracleCycles:
         assert len(list(iter_cycles(g, 3))) == 4
 
 
-def reference_cycles(graph, length, active_mask=None, anchors=None, limit=None):
+def reference_cycles(graph, length, active_mask=None, anchors=None):
     """Plain DFS over ascending neighbours, no pruning: the reference order.
 
     Each cycle holding an anchor comes out once, from its smallest anchor:
@@ -314,15 +313,10 @@ def reference_cycles(graph, length, active_mask=None, anchors=None, limit=None):
     active = (1 << graph.n) - 1 if active_mask is None else active_mask
     if anchors is None:
         anchors = active
-    count = 0
 
     def dfs(anchor, path, visited):
-        nonlocal count
         if len(path) == length:
             if graph.has_edge(path[-1], anchor) and path[1] < path[-1]:
-                count += 1
-                if limit is not None and count > limit:
-                    raise CycleEnumerationLimit(f"more than {limit}")
                 yield tuple(path)
             return
         for u in bits(graph.adj[path[-1]]):
@@ -344,64 +338,45 @@ def canonical(cyc):
     return min(fwd, fwd[:1] + fwd[:0:-1])
 
 
-def drain(cycles):
-    """Every yielded cycle, then "limit" if the enumeration raised its limit."""
-    out = []
-    try:
-        out.extend(cycles)
-    except CycleEnumerationLimit:
-        out.append("limit")
-    return out
-
-
 class TestIterCyclesMatchesReference:
     """The pruned mask DFS yields the reference's tuples in the same order."""
 
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 10**6), n=st.integers(1, 13),
            length=st.integers(3, 8), prob=st.sampled_from([0.2, 0.35, 0.6]),
-           one_anchor=st.booleans(), masked=st.booleans(),
-           limit=st.sampled_from([None, 1, 4, 25]))
-    def test_same_tuples_same_order(self, seed, n, length, prob, one_anchor, masked, limit):
+           one_anchor=st.booleans(), masked=st.booleans())
+    def test_same_tuples_same_order(self, seed, n, length, prob, one_anchor, masked):
         import random
 
         rng = random.Random(seed)
         g = gnp(n, prob, seed)
-        kwargs = {"limit": limit}
+        kwargs = {}
         if masked:
             kwargs["active_mask"] = rng.getrandbits(n)
         if one_anchor:
             kwargs["anchors"] = 1 << rng.randrange(n)
-        assert drain(iter_cycles(g, length, **kwargs)) == drain(
+        assert list(iter_cycles(g, length, **kwargs)) == list(
             reference_cycles(g, length, **kwargs))
 
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 10**6), n=st.integers(1, 13),
            length=st.integers(3, 8), prob=st.sampled_from([0.2, 0.35, 0.6]),
-           masked=st.booleans(), limit=st.sampled_from([None, 1, 4, 25]))
-    def test_anchor_masks(self, seed, n, length, prob, masked, limit):
+           masked=st.booleans())
+    def test_anchor_masks(self, seed, n, length, prob, masked):
         import random
 
         rng = random.Random(seed)
         g = gnp(n, prob, seed)
         active = rng.getrandbits(n) if masked else None
         anchors = rng.getrandbits(n)
-        got = drain(iter_cycles(g, length, active, anchors, limit))
-        assert got == drain(reference_cycles(g, length, active, anchors, limit))
-        cycles = [c for c in got if c != "limit"]
+        cycles = list(iter_cycles(g, length, active, anchors))
+        assert cycles == list(reference_cycles(g, length, active, anchors))
         for c in cycles:  # anchored at its smallest anchor
             assert c[0] == min(v for v in c if anchors >> v & 1)
-        if got[-1:] != ["limit"]:  # every cycle holding an anchor, once
-            every = iter_cycles(g, length, active)
-            assert sorted(map(canonical, cycles)) == sorted(
-                canonical(c) for c in every if mask_of(c) & anchors)
-
-    def test_small_limit_raises_at_the_same_cycle(self):
-        g = generate(GenSpec(kind="complete", n=8))
-        for anchors in (None, 1 << 3, 0b10110100):
-            got = drain(iter_cycles(g, 5, anchors=anchors, limit=7))
-            assert got == drain(reference_cycles(g, 5, anchors=anchors, limit=7))
-            assert len(got) == 8 and got[-1] == "limit"
+        # every cycle holding an anchor, once
+        every = iter_cycles(g, length, active)
+        assert sorted(map(canonical, cycles)) == sorted(
+            canonical(c) for c in every if mask_of(c) & anchors)
 
     def test_sparse_graphs_with_long_cycles(self):
         for seed in range(6):
@@ -492,17 +467,16 @@ class TestNoCycleCertificates:
     @settings(max_examples=400, deadline=None)
     @given(family=st.sampled_from(["gnp", "bipartite", "tree_plus", "girth"]),
            seed=st.integers(0, 10**6), n=st.integers(3, 18), length=st.integers(3, 9),
-           masked=st.booleans(), anchors=st.sampled_from(["all", "one", "some"]),
-           limit=st.sampled_from([None, 1, 3, 20]))
+           masked=st.booleans(), anchors=st.sampled_from(["all", "one", "some"]))
     def test_sparse_families_match_the_reference(self, family, seed, n, length, masked,
-                                                 anchors, limit):
+                                                 anchors):
         rng = random.Random(seed)
         g = sparse_graph(family, n, length, seed)
         active = rng.getrandbits(n) | rng.getrandbits(n) if masked else None
         anchor_mask = {"all": None, "one": 1 << rng.randrange(n),
                        "some": rng.getrandbits(n)}[anchors]
-        assert drain(iter_cycles(g, length, active, anchor_mask, limit)) == drain(
-            reference_cycles(g, length, active, anchor_mask, limit))
+        assert list(iter_cycles(g, length, active, anchor_mask)) == list(
+            reference_cycles(g, length, active, anchor_mask))
 
     @pytest.mark.parametrize("length", range(3, 10))
     def test_every_anchor_of_a_girth_above_length_graph_is_certified(self, length):

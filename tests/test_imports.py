@@ -1,5 +1,6 @@
 """Every module of qcongest uses each name it imports, and imports no
-private name of another qcongest module.
+private name of another qcongest module; no line of it or of tools/ is
+longer than MAX_LINE characters.
 
 No linter runs in tier-1, and a deletion easily leaves an import behind;
 this check reads each module's syntax tree instead.  The package root
@@ -13,8 +14,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "qcongest"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "qcongest"
 MODULES = sorted(SRC.glob("*.py"))
+TOOLS = sorted((ROOT / "tools").glob("*.py"))
+MAX_LINE = 100
 
 
 def unused_imports(source: str):
@@ -59,3 +63,17 @@ def test_checker_finds_a_private_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_imports(path):
     assert private_imports(path.read_text()) == []
+
+
+def long_lines(source: str):
+    """The numbers of the lines of source longer than MAX_LINE characters."""
+    return [i for i, line in enumerate(source.splitlines(), 1) if len(line) > MAX_LINE]
+
+
+def test_checker_finds_a_long_line():
+    assert long_lines("x = 1\n" + "#" * MAX_LINE + "\n" + "#" * (MAX_LINE + 1) + "\n") == [3]
+
+
+@pytest.mark.parametrize("path", MODULES + TOOLS, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_long_lines(path):
+    assert long_lines(path.read_text()) == []

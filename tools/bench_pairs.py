@@ -34,11 +34,11 @@ and median time over the N passes, and the change/parent ratio of the
 medians with a bootstrap 95% interval over passes, and it raises if any
 op's `freeze` (answer and ledgers, or the exception it raised) or its
 ledgers' `counts` (the CSV's queries column and the truncation counters,
-which `freeze` leaves out) differ between the sides or between passes.  It also takes each op's minimum
-over the N passes and sums these per part (`op_min_s`, with the
-change/parent ratio `op_min_ratio`) and per instance family, the op's part
-and generator kind (`families`); a sum of per-op minima drifts less
-between runs than a pass time does.  Alternating the order keeps drift
+which `freeze` leaves out) differ between the sides or between passes.
+It also takes each op's minimum over the N passes and sums these per
+part (`op_min_s`, with the change/parent ratio `op_min_ratio`) and per
+instance family, the op's part and generator kind (`families`); a sum of
+per-op minima drifts less between runs than a pass time does.  Alternating the order keeps drift
 and warm-up from landing on one side (Mytkowicz et al., ASPLOS 2009;
 Kalibera and Jones, ISMM 2013).
 """
