@@ -234,7 +234,9 @@ def run_list(args: argparse.Namespace) -> int:
         raise UsageError("list needs --p")
     graph = _resolve_graph(args)
     ledger = CostLedger()
-    dump = list_kp(graph, args.p, ledger).dump()
+    # a degenerate question lists and charges nothing, as in detect-clique
+    dump = ("" if cliquedetect.degenerate(graph.n, graph.m, args.p)
+            else list_kp(graph, args.p, ledger).dump())
     if args.out:
         with _out_errors(), open(args.out, "w", encoding="utf-8") as fh:
             fh.write(dump)

@@ -31,7 +31,9 @@ One test, _CycleIndex.may_fire(), says whether sources can fire: no
 pattern anchored there, and no truncation that may have lost one, means
 they cannot.  A stage whose sources together cannot fire charges and
 counts its queries without walking them; otherwise a query that cannot
-fire answers False from one mask test, on either engine.
+fire answers False from one mask test, on either engine.  The enumeration
+has one no-cycle prune: iter_cycles skips an anchor that the certificates
+of graph.anchor_ball show to lie on no C_len.
 
 Two engines compute the same detection event:
 
@@ -66,7 +68,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .graph import Graph, bits, iter_cycles, mask_of, two_core
+from .graph import Graph, bits, iter_cycles, mask_of
 from .intmath import ceil_pow, ceil_scaled_pow
 from .netsim import CongestNet, CostLedger, congest_step, word_capacity
 from .qsearch import (DEFAULT_PARAMS, QuantumCostParams, charge_search, derive_seed,
@@ -297,13 +299,14 @@ class _CycleIndex:
     """The qualifying patterns of one search stage, enumerated once, lazily.
 
     One iter_cycles generator, anchored at the union of the stage's source
-    sets inside `core` (see _stage_search), yields each cycle through a
-    source once, anchored at its smallest source, in ascending
-    (lexicographic) order.  Each yielded cycle is filed under every source
-    on it that anchors a qualifying pattern: a source whose two cycle
-    neighbours sit at height <= its own.  A query reads the lists of its
-    own sources, so it sees the patterns that one enumeration anchored at
-    its sources alone would give, whatever the order of the queries.
+    sets inside its active nodes, yields each cycle through a source once,
+    anchored at its smallest source, in ascending (lexicographic) order; an
+    anchor that graph.anchor_ball's no-cycle certificates clear costs one
+    partial BFS.  Each yielded cycle is filed under every source on it that
+    anchors a qualifying pattern: a source whose two cycle neighbours sit
+    at height <= its own.  A query reads the lists of its own sources, so
+    it sees the patterns that one enumeration anchored at its sources alone
+    would give, whatever the order of the queries.
 
     Cycles are pulled only as far as a query needs: until the enumeration
     has passed the query's highest source t (every cycle through a source
@@ -323,15 +326,16 @@ class _CycleIndex:
     reading any list.
     """
 
-    def __init__(self, graph: Graph, cfg: ColorBfsConfig, core: int, anchors: int):
-        self._graph, self._cfg, self._core, self._anchors = graph, cfg, core, anchors
+    def __init__(self, graph: Graph, cfg: ColorBfsConfig, anchors: int):
+        self._graph, self._cfg, self._anchors = graph, cfg, anchors
         # (how many cycles have been pulled, the cycle), counted from 1
-        self._cycles = enumerate(iter_cycles(graph, cfg.cycle_len, active_mask=core,
+        self._cycles = enumerate(iter_cycles(graph, cfg.cycle_len, active_mask=cfg.active,
                                              anchors=anchors), 1)
         self._through: Dict[int, List[Tuple[int, ...]]] = {}  # source -> cycles it anchors
         self._filed = 0  # the mask of the keys of _through
-        self._front = 0  # every cycle anchored below _front has been filed
-        self._end = graph.n  # _front once the enumeration has ended
+        # every cycle anchored below _front has been filed; graph.n once the
+        # enumeration has ended
+        self._front = 0
         self._truncated_at: Optional[int] = None  # _front when the limit was passed
 
     def _fill(self, sources: int, hot: int, top: int, have: int, cap: int) -> None:
@@ -367,12 +371,7 @@ class _CycleIndex:
                 have += mine
             if have > cap or cyc[0] > top:
                 return
-        self._front = self._end
-
-    def _top(self, sources: int) -> int:
-        """The query's highest source on the core (-1 if none): a source off
-        the core is on no cycle."""
-        return (sources & self._core).bit_length() - 1
+        self._front = self._graph.n
 
     def _truncated_below(self, top: int) -> bool:
         """Did the enumeration limit cut it short at or below the source top?"""
@@ -381,15 +380,15 @@ class _CycleIndex:
     def may_fire(self, sources: int) -> bool:
         """Can the query from the source mask `sources` have a pattern?
 
-        Pulls the enumeration up to the query's highest source on the core,
-        or until the first pattern at its sources is filed; then every
-        pattern at its sources that the enumeration holds below that point
-        is filed.  False means that no qualifying pattern is anchored at its
-        sources.  True means one is filed, or the enumeration limit cut the
-        stage short at or below its highest source, so that the patterns it
-        lost may hold one.
+        Pulls the enumeration up to the query's highest source, or until
+        the first pattern at its sources is filed; then every pattern at
+        its sources that the enumeration holds below that point is filed.
+        False means that no qualifying pattern is anchored at its sources.
+        True means one is filed, or the enumeration limit cut the stage
+        short at or below its highest source, so that the patterns it lost
+        may hold one.
         """
-        top = self._top(sources)
+        top = sources.bit_length() - 1
         if not sources & self._filed and self._front <= top:
             self._fill(sources, 0, top, 0, 0)  # up to the first pattern at sources
         return bool(sources & self._filed) or self._truncated_below(top)
@@ -432,8 +431,9 @@ class _CycleIndex:
         name how the patterns were cut short: `congestion_dropped` when a
         pattern was dropped, `pattern_capped` when more than _PATTERN_CAP
         remained (the first _PATTERN_CAP in enumeration order are kept),
-        and `enumeration_truncated` when the query needed cycles past the
-        point where the stage's enumeration hit CYCLE_ENUM_LIMIT.
+        and `enumeration_truncated` when the query's highest source is at or
+        past the point where the stage's enumeration hit CYCLE_ENUM_LIMIT
+        (an over-approximation: that source may lie on no C_ell).
 
         Most queries have no pattern, and may_fire() tells them apart: a
         query it clears gets ([], no counter), and one that has no filed
@@ -444,7 +444,7 @@ class _CycleIndex:
             return [], set()
         if not sources & self._filed:
             return [], {"enumeration_truncated"}
-        top = self._top(sources)
+        top = sources.bit_length() - 1
         cfg, cap = self._cfg, _PATTERN_CAP
         hot = 0
         if sources.bit_count() > cfg.congestion_bound:
@@ -652,9 +652,9 @@ def _stage_search(
     and charges nothing.
 
     Both engines first settle what cannot fire, from one _CycleIndex of the
-    stage enumerated inside the 2-core of the active nodes.  A stage whose
-    union of sources cannot fire (index.may_fire()) is not searched: every
-    query answers False, so record_search charges the triple
+    stage enumerated inside the active nodes.  A stage whose union of
+    sources cannot fire (index.may_fire()) is not searched: every query
+    answers False, so record_search charges the triple
     ([len(queries)], [], query_rounds) and counts the queries, exactly as
     the search would.  That pull never goes past what walking the queries
     would pull: every cycle is anchored at or below the union's highest
@@ -662,8 +662,8 @@ def _stage_search(
     query that fires has pulled at least to its own first pattern, which
     comes at or after the stage's first one.  If none fires, each query is
     walked: the one holding the stage's first pattern pulls at least to it,
-    and with no pattern at all, the query with the highest source on the
-    core pulls to the end.
+    and with no pattern at all, the query with the highest source pulls to
+    the end.
 
     Otherwise the search walks the queries, and a query that cannot fire
     answers False, drawing nothing, on either engine.  The event engine
@@ -687,7 +687,7 @@ def _stage_search(
         raise ValueError("sources must be a subset of active nodes")
     query_rounds = _query_rounds(shared.cycle_len, shared.repetitions,
                                  shared.congestion_bound, net.eccentricity)
-    index = _CycleIndex(graph, shared, two_core(graph, shared.active), anchors)
+    index = _CycleIndex(graph, shared, anchors)
     if not index.may_fire(anchors):
         record_search(ledger, ([len(queries)], [], query_rounds), len(queries), params,
                       "congest", phase)

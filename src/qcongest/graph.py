@@ -464,38 +464,3 @@ def anchor_ball(adj: Tuple[int, ...], length: int, anchor: int,
         ball.append(reach)
     return ball
 
-
-def two_core(graph: Graph, mask: int) -> int:
-    """The 2-core of the subgraph induced by `mask`, as a mask.
-
-    Peels in rounds over masks: each round removes every node left with
-    fewer than two neighbours in the core (x & (x - 1) == 0 for its
-    neighbour mask x), and only the neighbours of the removed nodes are
-    checked again.  Every cycle of the induced subgraph lies inside its
-    2-core.
-    """
-    adj = graph.adj
-    core = mask
-    peel = 0  # the nodes of core with fewer than two neighbours in it
-    rest = mask
-    while rest:
-        low = rest & -rest
-        nb = adj[low.bit_length() - 1] & mask
-        if not nb & (nb - 1):
-            peel |= low
-        rest ^= low
-    while peel:
-        core ^= peel
-        near = 0  # the neighbours of the peeled nodes
-        while peel:
-            low = peel & -peel
-            near |= adj[low.bit_length() - 1]
-            peel ^= low
-        near &= core
-        while near:
-            low = near & -near
-            nb = adj[low.bit_length() - 1] & core
-            if not nb & (nb - 1):
-                peel |= low
-            near ^= low
-    return core

@@ -26,6 +26,8 @@ def floor_root(x: int, k: int) -> int:
         raise ValueError("floor_root needs x >= 0, k >= 1")
     if x in (0, 1) or k == 1:
         return x
+    if k >= x.bit_length():  # 2 <= x < 2**k: no Newton step on r**(k - 1)
+        return 1
     r = 1 << -(-x.bit_length() // k)  # a power of two above the root
     while True:
         s = ((k - 1) * r + x // r ** (k - 1)) // k

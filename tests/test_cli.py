@@ -158,6 +158,20 @@ class TestCommands:
         assert main(["list", "--gen", "empty,0,0,0,0", "--p", "3"]) == 0
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("p", ["11", "100000"])
+    def test_a_degenerate_list_lists_and_charges_nothing(self, capsys, p):
+        # p > n: no clique, and nothing to route, as detect-clique answers it
+        assert main(["list", "--gen", "gnp,10,0.5,0,1", "--p", p, "--json"]) == 0
+        assert capsys.readouterr().out == '{"cliques": 0, "rounds_total": 0}\n'
+
+    def test_a_sparse_sweep_at_a_large_t_finishes(self, capsys):
+        # at t = 40, _sparse_costs takes roots of index up to 2^39
+        assert main(["sweep", "--algo", "sparse", "--p", "2", "--t", "40",
+                     "--n-list", "64,128"]) == 0
+        rows = rows_from_csv(capsys.readouterr().out)
+        assert [r.n for r in rows] == [64, 128]
+        assert 0 < rows[0].rounds_total < rows[1].rounds_total
+
     @pytest.mark.parametrize("command", [["gen", "--out", "g.txt"], ["list", "--p", "3"]])
     @pytest.mark.parametrize("flag", [["--seed", "1"], ["--c-grover", "2"], ["--reps", "7"],
                                       ["--fail-prob", "0.5"], ["--packing", "off"]])

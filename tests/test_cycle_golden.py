@@ -1,9 +1,9 @@
 """Golden answers, query counts and ledgers of cycle detection.
 
-Pruning in the cycle layer (the enumeration's distance bound, the 2-core of
-each search stage, skipped congestion measurements and idle protocol steps)
-must not change what a detector answers or charges.  Every entry of
-`cycle_golden.json` pins `found`, the query count, `congestion_dropped` and
+Pruning in the cycle layer (the enumeration's distance bound, the no-cycle
+certificates that skip an anchor, skipped congestion measurements and idle
+protocol steps) must not change what a detector answers or charges.  Every
+entry of `cycle_golden.json` pins `found`, the query count, `congestion_dropped` and
 the ledger rows of one `detect_odd_cycle` or `detect_even_cycle` call.  The
 instance set is criterion 8's planted instances 0..23 for each length, graphs
 of girth > ell, random bipartite graphs for odd ell, sparse G(n, p) graphs

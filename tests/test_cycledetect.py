@@ -39,7 +39,7 @@ from qcongest.cycledetect import (
     single_rep_success,
 )
 from qcongest.graph import (GenSpec, Graph, bits, generate, iter_cycles, mask_of,
-                            oracle_has_cycle, two_core)
+                            oracle_has_cycle)
 from qcongest.netsim import CongestNet, CostLedger, congest_step, word_capacity
 from qcongest.qsearch import DEFAULT_PARAMS, derive_seed, grover_cost, run_search
 
@@ -85,7 +85,7 @@ def colour_masks(cfg, colors):
 def query_patterns(graph, cfg, sources):
     """The patterns and counters of a one-query stage from the source mask
     `sources`, enumerated inside the active nodes."""
-    return _CycleIndex(graph, cfg, cfg.active, sources).patterns(sources)
+    return _CycleIndex(graph, cfg, sources).patterns(sources)
 
 
 def event_found(graph, cfg, sources, seed_parts):
@@ -440,18 +440,18 @@ def reference_protocol(graph, cfg, sources, colors, step):
                for a in active for b in bits(graph.adj[a]))
 
 
-def reference_patterns(graph, cfg, sources, core):
+def reference_patterns(graph, cfg, sources):
     """The qualifying patterns of one query from the source mask `sources`,
-    by its own enumeration: one iter_cycles call inside core anchored at the
-    query's sources, with no limit and no cap, and the congestion filter of
-    more than M sources.  The per-query path that the stage's _CycleIndex
-    replaced; (patterns in that enumeration's order, whether a cycle was
-    dropped for congestion)."""
+    by its own enumeration: one iter_cycles call inside cfg.active anchored
+    at the query's sources, with no limit and no cap, and the congestion
+    filter of more than M sources.  The per-query path that the stage's
+    _CycleIndex replaced; (patterns in that enumeration's order, whether a
+    cycle was dropped for congestion)."""
     ell = cfg.cycle_len
     congestion = (measure_congestion(graph, cfg, sources)
                   if sources.bit_count() > cfg.congestion_bound else None)
     out, dropped = [], False
-    for cyc in iter_cycles(graph, ell, active_mask=core, anchors=sources):
+    for cyc in iter_cycles(graph, ell, active_mask=cfg.active, anchors=sources):
         if congestion is not None and any(congestion[v] > cfg.congestion_bound for v in cyc):
             dropped = True
             continue
@@ -941,12 +941,13 @@ def girth_above(n, ell, avg_degree, seed):
 
 
 class TestCycleRichSoundness:
-    """Many cycles, none of the target length: the 2-core keeps every node
-    that matters, so the detectors really search, and none may fire."""
+    """Many cycles, none of the target length: the no-cycle certificates
+    cannot clear every anchor, so the detectors really search, and none
+    may fire."""
 
     @staticmethod
     def assert_never_fires(g, ell, seeds, engine="event"):
-        assert two_core(g, (1 << g.n) - 1), "the family must keep cycles"
+        assert g.m >= g.n, "the family must keep cycles"  # no forest has n edges
         detect = detect_odd_cycle if ell % 2 else detect_even_cycle
         for seed in seeds:
             ledger = CostLedger()
@@ -1007,11 +1008,11 @@ class TestTruncationCounters:
         g = generate(GenSpec(kind="complete", n=9))
         cfg, src = all_active_cfg(g, 5, sources=[0, 1, 5, 6], m=9)
         queries = [mask_of([0, 1]), mask_of([5, 6])]
-        index = _CycleIndex(g, cfg, cfg.active, src)
+        index = _CycleIndex(g, cfg, src)
         assert all(len(index.patterns(q)[0]) > 20 and not index.patterns(q)[1]
                    for q in queries)
         patch_cycledetect(monkeypatch, "CYCLE_ENUM_LIMIT", 10)
-        index = _CycleIndex(g, cfg, cfg.active, src)
+        index = _CycleIndex(g, cfg, src)
         first = list(itertools.islice(iter_cycles(g, 5, anchors=src), 10))
         for q in queries:
             patterns, hits = index.patterns(q)
@@ -1046,7 +1047,7 @@ def assert_files_the_first_cycles(g, ell, active, anchors, limit):
     more = next(every, None) is not None
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(detect_odd_cycle.__globals__, "CYCLE_ENUM_LIMIT", limit)
-        index = _CycleIndex(g, ColorBfsConfig(ell, active), active, anchors)
+        index = _CycleIndex(g, ColorBfsConfig(ell, active), anchors)
         index.patterns(anchors)  # pulls past every anchor: to the end, or to the limit
     want = {}
     for cyc in first:  # no heights: every anchor on a cycle anchors a pattern
@@ -1105,13 +1106,12 @@ class TestCycleIndex:
             if i >= 0:
                 queries[i] |= 1 << v
         m_bound = data.draw(st.integers(1, 3), label="M")
-        core = data.draw(st.sampled_from([active, two_core(g, active)]), label="core")
         union = mask_of(v for q in queries for v in bits(q))
         shared = ColorBfsConfig(ell, active, heights, m_bound, 1)
-        index = _CycleIndex(g, shared, core, union)
+        index = _CycleIndex(g, shared, union)
         for i in data.draw(st.permutations(range(classes)), label="query order"):
             q = queries[i]
-            want, dropped = reference_patterns(g, shared, q, core)
+            want, dropped = reference_patterns(g, shared, q)
             got, hits = index.patterns(q)
             assert Counter(map(anchored, got)) == Counter(map(anchored, want))
             assert got == sorted(got)  # enumeration order, which is lexicographic
@@ -1137,11 +1137,11 @@ class TestCycleIndex:
         g = generate(GenSpec(kind="complete", n=7))
         cfg, _ = all_active_cfg(g, 5, m=3)
         queries = [mask_of([0]), mask_of([1, 4]), mask_of([2]), mask_of([3, 5, 6])]
-        every = [_CycleIndex(g, cfg, cfg.active, cfg.active).patterns(q)[0] for q in queries]
+        every = [_CycleIndex(g, cfg, cfg.active).patterns(q)[0] for q in queries]
         assert all(len(p) > 30 for p in every)
         patch_cycledetect(monkeypatch, "_PATTERN_CAP", 30)
         for order in (range(4), range(3, -1, -1), (2, 0, 3, 1)):
-            index = _CycleIndex(g, cfg, cfg.active, cfg.active)
+            index = _CycleIndex(g, cfg, cfg.active)
             for i in order:
                 assert index.patterns(queries[i]) == (every[i][:30], {"pattern_capped"})
 
@@ -1150,7 +1150,7 @@ class TestCycleIndex:
         g = generate(GenSpec(kind="complete", n=9))
         cfg, _ = all_active_cfg(g, 6, m=9)
         patch_cycledetect(monkeypatch, "_PATTERN_CAP", 5)
-        index = _CycleIndex(g, cfg, cfg.active, cfg.active)
+        index = _CycleIndex(g, cfg, cfg.active)
         assert index.patterns(mask_of([0]))[1] == {"pattern_capped"}
         assert sum(map(len, index._through.values())) == 6 * 6  # six cycles, six sources each
 
@@ -1177,7 +1177,7 @@ class TestProtocolDraws:
             ell = rng.randint(4, min(g.n, 8))
             cfg, src = random_cfg(rng, g, ell, heights=seed % 2 == 0)
             colors = {v: rng.randrange(ell) for v in bits(cfg.active)}
-            patterns, _ = reference_patterns(g, cfg, src, cfg.active)
+            patterns, _ = reference_patterns(g, cfg, src)
             if patterns:  # colour one pattern to fire, so that many answers are True
                 cyc, pos = rng.choice(patterns)
                 colors.update((cyc[(pos + j) % ell], j) for j in range(ell))
@@ -1343,7 +1343,7 @@ class TestPatternDedupe:
         for limit, short in ((10, {0, 1, 2, 3}), (100, {2, 3}), (104, {3}), (105, set())):
             patch_cycledetect(monkeypatch, "CYCLE_ENUM_LIMIT", limit)
             for order in (sources, sources[::-1]):
-                index = _CycleIndex(g, cfg, cfg.active, src)
+                index = _CycleIndex(g, cfg, src)
                 for s in order:
                     patterns, hits = index.patterns(1 << s)
                     assert hits == ({"enumeration_truncated"} if s in short else set()), limit
@@ -1370,8 +1370,7 @@ def evaluate_every_query(net, queries, shared, ledger, seed, engine="event", tag
     graph = net.graph
     rounds = _query_rounds(shared.cycle_len, shared.repetitions, shared.congestion_bound,
                            net.eccentricity)
-    index = _CycleIndex(graph, shared, two_core(graph, shared.active),
-                        mask_of(v for q, _ in queries for v in bits(q)))
+    index = _CycleIndex(graph, shared, mask_of(v for q, _ in queries for v in bits(q)))
     if engine == "event":
         index._filed = -1  # every source seems to anchor a pattern: no query is cut short
 
@@ -1451,7 +1450,7 @@ class TestNoFireQueries:
         family = data.draw(st.sampled_from(["forest", "bipartite", "0.15", "0.4", "0.8"]),
                            label="family")
         rng = random.Random(seed)
-        if family == "forest":  # an empty 2-core
+        if family == "forest":  # anchor_ball clears every anchor
             g = Graph(n, [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.9])
         elif family == "bipartite":
             g = random_bipartite(n, 3.0, seed)
@@ -1507,7 +1506,7 @@ class TestNoFireQueries:
         for limit in (None, 2):
             if limit is not None:
                 patch_cycledetect(monkeypatch, "CYCLE_ENUM_LIMIT", limit)
-            index = _CycleIndex(g, shared, shared.active, mask_of(range(4)))
+            index = _CycleIndex(g, shared, mask_of(range(4)))
             assert index.may_fire(mask_of(range(4))) == (limit is not None) and not index._filed
             assert all(index.may_fire(q) for q, _ in queries) == (limit is not None)
             calls.clear()
@@ -1519,6 +1518,30 @@ class TestNoFireQueries:
             truncated = {"enumeration_truncated": 4} if walked and engine == "event" else {}
             assert (found, counts) == (False, {"queries": 4, **truncated})
             assert same_as_every_query(g, queries, shared, 3, engine, limit)[0] is False
+
+    @pytest.mark.parametrize("engine", ["event", "protocol"])
+    def test_a_cut_at_or_below_a_cycle_free_source_walks_its_query(self, monkeypatch,
+                                                                    engine):
+        # K_{4,4} on 0..7 and node 8 pendant on node 7, C4, limit 2: the
+        # enumeration stops inside the cycles through node 0.  Query {8} lies
+        # on no cycle, yet its highest source is above the cut, so it may
+        # fire: the event engine counts it as truncated and the protocol
+        # engine simulates it.  Neither answer can change.
+        g = Graph(9, [(u, v) for u in range(4) for v in range(4, 8)] + [(7, 8)])
+        queries = [(1 << 8, 0), (1 << 0, 1)]
+        shared = ColorBfsConfig(4, (1 << 9) - 1, None, 1, 1)
+        patch_cycledetect(monkeypatch, "CYCLE_ENUM_LIMIT", 2)
+        assert _CycleIndex(g, shared, 1 << 8 | 1).patterns(1 << 8) == (
+            [], {"enumeration_truncated"})
+        calls = count_calls(monkeypatch, "_protocol_found")
+        found, _, counts = stage_outcome(lambda ledger: _stage_search(
+            CongestNet(g), queries, shared, "test", "color-bfs", ledger, 1,
+            DEFAULT_PARAMS, engine))
+        assert found is False
+        if engine == "event":  # {0} needed cycles past the cut too
+            assert counts == {"queries": 2, "enumeration_truncated": 2}
+        else:
+            assert counts == {"queries": 2} and calls["_protocol_found"] == 2
 
     def test_no_fire_queries_measure_and_draw_nothing(self, monkeypatch):
         # odd cycles on bipartite graphs: no query of any stage can fire,
@@ -1541,7 +1564,7 @@ class TestNoFireQueries:
 
         monkeypatch.setattr(_CycleIndex, "_read", counted_read)
         g = random_bipartite(40, 4.0, 3)
-        assert two_core(g, (1 << g.n) - 1)
+        assert g.m >= g.n  # no forest has n edges
         ledger = CostLedger()
         assert not detect_odd_cycle(g, 5, ledger, seed=1)
         classes = [mask_of(range(i, 40, 5)) for i in range(5)]
@@ -1600,7 +1623,7 @@ class TestSettledQueries:
         with pytest.MonkeyPatch.context() as mp:
             if limit is not None:
                 mp.setitem(detect_odd_cycle.__globals__, "CYCLE_ENUM_LIMIT", limit)
-            index = _CycleIndex(g, cfg, two_core(g, active), sources | others[0] | others[1])
+            index = _CycleIndex(g, cfg, sources | others[0] | others[1])
             queries = [sources] + others
             rng.shuffle(queries)  # the other queries may pull the enumeration first
             may = {q: index.may_fire(q) for q in queries}[sources]

@@ -24,7 +24,6 @@ from qcongest.graph import (
     oracle_has_cycle,
     oracle_has_extension,
     save_graph,
-    two_core,
 )
 
 
@@ -388,38 +387,17 @@ class TestIterCyclesMatchesReference:
                         reference_cycles(g, length, anchors=1 << v))
 
 
-class TestTwoCore:
-    @staticmethod
-    def reference_core(g, mask):
-        alive = {v for v in range(g.n) if mask >> v & 1}
-        while True:
-            low = {v for v in alive if sum(u in alive for u in bits(g.adj[v])) < 2}
-            if not low:
-                return sum(1 << v for v in alive)
-            alive -= low
-
-    def test_forest_and_cycle(self):
-        assert two_core(generate(GenSpec(kind="path", n=10)), (1 << 10) - 1) == 0
-        # a 5-cycle on 0..4 with a pendant path 4-5-6: the core is the cycle
-        g = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (4, 5), (5, 6)])
-        assert two_core(g, (1 << 7) - 1) == 0b11111
-        assert two_core(g, 0b1111110) == 0  # without node 0 the rest is a path
-
-    @settings(max_examples=150, deadline=None)
-    @given(seed=st.integers(0, 10**6), n=st.integers(0, 16),
-           prob=st.sampled_from([0.1, 0.2, 0.4]))
-    def test_matches_repeated_peeling(self, seed, n, prob):
-        import random
-
-        g = gnp(n, prob, seed)
-        mask = random.Random(seed).getrandbits(n) if n else 0
-        assert two_core(g, mask) == self.reference_core(g, mask)
-        every = (1 << n) - 1
-        # every cycle lies inside the core
-        core = two_core(g, every)
-        for length in (3, 4, 5):
-            for cyc in iter_cycles(g, length):
-                assert all(core >> v & 1 for v in cyc)
+def cycle_rank(g):
+    """m - n + the number of components: 0 exactly when g is a forest."""
+    components, left = 0, (1 << g.n) - 1
+    while left:
+        reach = frontier = left & -left
+        while frontier:
+            frontier = mask_of(w for v in bits(frontier) for w in bits(g.adj[v])) & ~reach
+            reach |= frontier
+        left &= ~reach
+        components += 1
+    return g.m - g.n + components
 
 
 def girth_above(n, length, avg_degree, seed):
@@ -478,6 +456,25 @@ class TestNoCycleCertificates:
         assert list(iter_cycles(g, length, active, anchor_mask)) == list(
             reference_cycles(g, length, active, anchor_mask))
 
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 40), length=st.integers(3, 9),
+           keep=st.sampled_from([0.3, 0.7, 0.9, 1.0]))
+    def test_every_anchor_of_a_forest_is_certified(self, seed, n, length, keep):
+        # every subgraph of a forest is a forest: no BFS layer holds an edge
+        # and no node has two neighbours in the layer before, so anchor_ball
+        # clears every anchor, whatever the allowed mask
+        rng = random.Random(seed)
+        label = rng.sample(range(n), n)
+        g = Graph(n, [tuple(sorted((label[rng.randrange(v)], label[v])))
+                      for v in range(1, n) if rng.random() < 0.9])
+        allowed = mask_of(v for v in range(n) if rng.random() < keep)
+        for v in range(n):
+            assert anchor_ball(g.adj, length, v, allowed & ~(1 << v)) is None, (g, v)
+        shrinking = allowed
+        for v in bits(allowed):
+            shrinking &= ~(1 << v)  # as iter_cycles takes the anchors
+            assert anchor_ball(g.adj, length, v, shrinking) is None, (g, v)
+
     @pytest.mark.parametrize("length", range(3, 10))
     def test_every_anchor_of_a_girth_above_length_graph_is_certified(self, length):
         # C_{length+1} and random graphs of girth > length: for even lengths
@@ -487,7 +484,7 @@ class TestNoCycleCertificates:
         for g in graphs:
             assert not any(oracle_has_cycle(g, k) for k in range(3, length + 1))
             full = (1 << g.n) - 1
-            assert two_core(g, full), "the family must keep cycles"
+            assert cycle_rank(g), "the family must keep cycles"
             allowed = full
             for v in range(g.n):
                 assert anchor_ball(g.adj, length, v, full & ~(1 << v)) is None, (g, v)

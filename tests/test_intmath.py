@@ -26,6 +26,14 @@ class TestRoots:
         c = ceil_root(x, k)
         assert c**k >= x and (c == 0 or (c - 1) ** k < x)
 
+    def test_a_root_below_two_takes_no_newton_step(self):
+        # 2 <= x < 2**k: the root is 1, even where r**(k - 1) would not fit
+        # in memory
+        for x, k in ((2, 2), (3, 2), (2**20 - 1, 20), (2**20, 21), (10**6, 2**39)):
+            assert floor_root(x, k) == 1
+            assert ceil_root(x, k) == 2
+        assert floor_root(2**20, 20) == 2
+
     def test_exact_cubes(self):
         assert ceil_root(27, 3) == 3
         assert ceil_root(28, 3) == 4

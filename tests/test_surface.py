@@ -13,9 +13,15 @@ reaches every definition called `union`, so dead code that shares a live
 name goes unflagged.  Strings that are identifiers count as reads in
 perfbench/ and tools/, since the benchmark's tracer looks its functions up
 by name.
+
+README.md names only what the code holds: every backticked token of it
+that looks like code names something that qcongest, perfbench/ or tools/
+defines, reads or holds in a string, so a deleted name cannot linger in
+the docs.
 """
 
 import ast
+import re
 from collections import defaultdict
 from pathlib import Path
 
@@ -132,3 +138,57 @@ def test_every_allowed_entry_is_otherwise_unread():
 
 def test_every_definition_is_reachable():
     assert unreachable(tree_sources(), ENTRY, outside_reads(), ALLOWED) == []
+
+
+# a dotted name, maybe led by a dot or followed by (); paths, flags and
+# spans with spaces do not match
+CODE_TOKEN = re.compile(r"\.?[A-Za-z_]\w*(\.[A-Za-z_]\w*)*(\(\))?")
+FILE_SUFFIXES = {"cfg", "csv", "json", "md", "py", "toml", "txt", "yaml", "yml"}
+
+
+def code_names(paths):
+    """Every name that the modules at paths define, read or hold as an
+    identifier string, and the names of the modules and their packages."""
+    names = set()
+    for path in paths:
+        names |= {path.stem, path.parent.name}
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, DEFS):
+                names.add(node.name)
+            elif isinstance(node, ast.arg):
+                names.add(node.arg)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and node.value.isidentifier():
+                names.add(node.value)
+    return names
+
+
+def readme_misses(text, names):
+    """The backticked tokens of text that look like code (they hold `_` or
+    `.`, or end in `()`) and name something outside names: each dotted
+    part must be a name.  A file name is not such a token."""
+    misses = []
+    for token in re.findall(r"`([^`\n]+)`", text):
+        if not CODE_TOKEN.fullmatch(token) or not (
+                "_" in token or "." in token or token.endswith("()")):
+            continue
+        parts = token.removesuffix("()").lstrip(".").split(".")
+        if parts[-1] not in FILE_SUFFIXES and not set(parts) <= names:
+            misses.append(token)
+    return misses
+
+
+def test_readme_checker_flags_an_unknown_name():
+    text = ("`run_it()` and `mod.run_it` run; `gone_name`, `mod.gone()` and "
+            "`.gone_attr` are gone.  Not code: `plain`, `pyproject.toml`, "
+            "`tests/test_x.py`, `--some_flag`, `f(x) + y_z`, `a,b_c`.")
+    assert readme_misses(text, {"run_it", "mod"}) == ["gone_name", "mod.gone()", ".gone_attr"]
+
+
+def test_readme_names_only_what_the_code_holds():
+    names = code_names([*sorted(SRC.glob("*.py")), *OUTSIDE])
+    assert readme_misses((ROOT / "README.md").read_text(), names) == []
