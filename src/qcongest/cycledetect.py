@@ -1,11 +1,11 @@
 """CONGEST-model cycle detection via color-coded BFS and quantum search.
 
 The color-coded BFS assigns each active node a uniform color in
-0..len-1; color-0 sources send their id downhill (height-wise) to color-1
-and color-(len-1) neighbors, then floor(len/2)-1 phases of M rounds each
-forward ids along the two color-increasing chains.  A detection means the
-two chains carrying the same id meet, which forces len distinct colors and
-hence a genuine simple len-cycle: no false positives, ever.
+0..len-1; color-0 sources send their id to color-1 and color-(len-1)
+neighbors, then floor(len/2)-1 phases of M rounds each forward ids along
+the two color-increasing chains.  A detection means the two chains
+carrying the same id meet, which forces len distinct colors and hence a
+genuine simple len-cycle: no false positives, ever.
 
 Colour coding (Alon-Yuster-Zwick, JACM 1995) and the heavy/light scheme
 for even cycles (Eden-Fiat-Fischer-Kuhn-Oshman, DISC 2019) repeat one
@@ -64,12 +64,12 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .graph import Graph, bits, iter_cycles, mask_of
-from .intmath import ceil_pow, ceil_scaled_pow
+from .intmath import ceil_pow
 from .netsim import CongestNet, CostLedger, congest_step, word_capacity
 from .qsearch import (DEFAULT_PARAMS, QuantumCostParams, charge_search, derive_seed,
                       record_search, run_search)
@@ -87,7 +87,6 @@ class ColorBfsConfig:
 
     cycle_len: int
     active: int
-    heights: Optional[Mapping[int, int]] = None
     congestion_bound: int = 1
     repetitions: int = 1
 
@@ -98,33 +97,6 @@ class ColorBfsConfig:
             raise ValueError("congestion bound M must be >= 1")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-
-    def height(self, v: int) -> int:
-        return self.heights.get(v, 0) if self.heights else 0
-
-
-@dataclass(frozen=True)
-class EvenCycleParams:
-    """Thresholds of the heavy/light split for C_{2k} detection."""
-
-    k: int
-    delta: Fraction = None  # type: ignore[assignment]
-    alpha: Fraction = None  # type: ignore[assignment]
-    a_cong: int = 4
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValueError("k must be >= 2")
-        if self.delta is None:
-            object.__setattr__(self, "delta", Fraction(self.k - 2, self.k * (self.k - 1)))
-        if self.alpha is None:
-            object.__setattr__(
-                self, "alpha", Fraction(1, self.k) + (self.k - 2) * self.delta
-            )
-        if not 0 <= self.delta < 1:
-            raise ValueError("delta must be in [0,1)")
-        if not 0 < self.alpha <= 1:
-            raise ValueError("alpha must be in (0,1]")
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +197,9 @@ def protocol_detect_once(
                 elif by_colour[ell // 2 + 1] >> u & 1:
                     from_down.setdefault(v, set()).add(word)
 
-    # initial send: color-0 sources to color 1 / ell-1 neighbors, downhill
+    # initial send: color-0 sources to color 1 / ell-1 neighbors
     ends = by_colour[1] | by_colour[ell - 1]
-    outbox = []
-    for v in bits(starts):
-        for w in bits(adj[v] & ends):
-            if cfg.height(w) <= cfg.height(v):
-                outbox.append((v, w, v))
-    deliver(congest_step(graph, outbox))
+    deliver(congest_step(graph, [(v, w, v) for v in bits(starts) for w in bits(adj[v] & ends)]))
 
     phases = ell // 2 - 1
     for phase_i in range(1, phases + 1):
@@ -273,8 +240,7 @@ def measure_congestion(graph: Graph, cfg: ColorBfsConfig, sources: int) -> Dict[
     """m(v): how many source ids node v may need to forward in one repetition.
 
     Counts the sources w of the mask `sources` with an active path
-    w = w_0, ..., w_j = v for 1 <= j <= floor(len/2) - 1 whose first hop
-    goes downhill (h(w_1) <= h(w_0)).
+    w = w_0, ..., w_j = v for 1 <= j <= floor(len/2) - 1.
     """
     hops = cfg.cycle_len // 2 - 1
     counts = {v: 0 for v in bits(cfg.active)}
@@ -282,8 +248,7 @@ def measure_congestion(graph: Graph, cfg: ColorBfsConfig, sources: int) -> Dict[
         return counts
     adj, active = graph.adj, cfg.active
     for w in bits(sources):
-        frontier = mask_of(u for u in bits(adj[w] & active) if cfg.height(u) <= cfg.height(w))
-        reached = frontier
+        frontier = reached = adj[w] & active
         for _ in range(hops - 1):
             nxt = 0
             for u in bits(frontier):
@@ -302,11 +267,10 @@ class _CycleIndex:
     sets inside its active nodes, yields each cycle through a source once,
     anchored at its smallest source, in ascending (lexicographic) order; an
     anchor that graph.anchor_ball's no-cycle certificates clear costs one
-    partial BFS.  Each yielded cycle is filed under every source on it that
-    anchors a qualifying pattern: a source whose two cycle neighbours sit
-    at height <= its own.  A query reads the lists of its own sources, so
-    it sees the patterns that one enumeration anchored at its sources alone
-    would give, whatever the order of the queries.
+    partial BFS.  Each yielded cycle is filed under every source on it: the
+    cycle read from that source is a pattern.  A query reads the lists of
+    its own sources, so it sees the patterns that one enumeration anchored
+    at its sources alone would give, whatever the order of the queries.
 
     Cycles are pulled only as far as a query needs: until the enumeration
     has passed the query's highest source t (every cycle through a source
@@ -343,7 +307,7 @@ class _CycleIndex:
         query's sources hold more than cap patterns that touch no node of
         hot (`have` of them are filed already), or the enumeration ends, or
         it holds more than CYCLE_ENUM_LIMIT cycles."""
-        anchors, heights, through = self._anchors, self._cfg.heights, self._through
+        anchors, through = self._anchors, self._through
         for count, cyc in self._cycles:
             if count > CYCLE_ENUM_LIMIT:
                 # keep the cycles filed so far: a subset of the detection
@@ -351,15 +315,10 @@ class _CycleIndex:
                 self._truncated_at = self._front
                 break
             self._front = cyc[0]
-            ell, mine = len(cyc), 0
-            for pos, v in enumerate(cyc):
+            mine = 0
+            for v in cyc:
                 if not anchors >> v & 1:
                     continue
-                if heights:
-                    h = heights.get(v, 0)
-                    if (heights.get(cyc[pos - 1], 0) > h
-                            or heights.get(cyc[pos + 1 - ell], 0) > h):
-                        continue
                 filed = through.get(v)
                 if filed is None:
                     through[v] = [cyc]
@@ -422,11 +381,10 @@ class _CycleIndex:
         """(the anchored cycles of the query from the source mask `sources`
         that can fire, the ledger counters the query hit).
 
-        A pattern qualifies when its anchor is a source whose two cycle
-        neighbours sit at height <= the anchor's, and no node of its cycle
-        has measured congestion above M.  Congestion is measured only when
-        there are more than M sources: m(v) <= |sources|, so with at most M
-        sources no cycle is dropped.  Congestion-hit cycles are dropped
+        A pattern qualifies when its anchor is a source and no node of its
+        cycle has measured congestion above M.  Congestion is measured only
+        when there are more than M sources: m(v) <= |sources|, so with at
+        most M sources no cycle is dropped.  Congestion-hit cycles are dropped
         (counted against completeness, never soundness).  The counters
         name how the patterns were cut short: `congestion_dropped` when a
         pattern was dropped, `pattern_capped` when more than _PATTERN_CAP
@@ -643,9 +601,9 @@ def _stage_search(
 ) -> bool:
     """One search stage: a quantum search over source sets, one colour BFS each.
 
-    Query i runs the colour BFS of `shared` (its length, active nodes,
-    heights, M and repetitions) from the source mask queries[i][0], seeded
-    by (tag, seed, queries[i][1]).  `shared` was validated when it was
+    Query i runs the colour BFS of `shared` (its length, active nodes, M
+    and repetitions) from the source mask queries[i][0], seeded by
+    (tag, seed, queries[i][1]).  `shared` was validated when it was
     built; a source outside its active nodes raises ValueError before
     anything is charged.  Every query is priced by _query_rounds at the
     measured eccentricity.  A stage with no source sets searches nothing
@@ -671,10 +629,9 @@ def _stage_search(
     truncation and congestion counters in ledger.counts; the protocol
     engine runs it hop by hop.  Skipping is sound on the protocol engine
     too: a protocol detection is a C_ell inside the active nodes through a
-    colour-0 source whose two cycle neighbours took its first hop, so they
-    sit at height <= its own, which is a qualifying pattern at the source;
-    congestion only removes detections.  Each query's stream is seeded by
-    its own (tag, seed, label), so no other query's draws move.  A
+    colour-0 source, and every such cycle is a qualifying pattern at the
+    source; congestion only removes detections.  Each query's stream is
+    seeded by its own (tag, seed, label), so no other query's draws move.  A
     detection is reported to the leader by the query's lowest source.
     """
     if not queries:
@@ -744,52 +701,33 @@ def detect_odd_cycle(
 
 
 # ---------------------------------------------------------------------------
-# forest decomposition of the light nodes
+# even cycles: prune, heavy search, forest decomposition, light search
 # ---------------------------------------------------------------------------
 
-
-def _forest_layers(n: int) -> int:
-    """Most layers a forest decomposition peels: ceil(2 log2 n), at least 1."""
-    return max(1, math.ceil(2 * math.log2(max(n, 2))))
+_A_CONG = 4  # the light stage's congestion bound M, in words of ceil(log2 n) bits
 
 
-def forest_decomposition(
-    graph: Graph,
-    nodes: int,
-    a: int,
-    ledger: CostLedger,
-) -> Optional[Dict[int, int]]:
-    """Iterative peel of the node mask `nodes`: layer i takes nodes of
-    residual degree <= 2a.
+def _heavy_light_exponents(k: int) -> Tuple[Fraction, Fraction]:
+    """(delta, alpha) of the heavy/light split for C_{2k}: a node of degree
+    >= ceil(n^delta) is heavy, and the light nodes are drawn into
+    ceil(n^alpha) index classes.  delta = (k-2)/(k(k-1)) and
+    alpha = 1/k + (k-2) delta."""
+    delta = Fraction(k - 2, k * (k - 1))
+    return delta, Fraction(1, k) + (k - 2) * delta
 
-    Returns node -> layer index (1-based), so each node has at most 2a
-    neighbours in its own or a higher layer.  Up to _forest_layers(n)
-    layers, one charged round each; a nonempty residue is a failure
-    (returned as None, not an exception).
+
+def forest_decomposition(light: int, ledger: CostLedger) -> None:
+    """Charge the forest decomposition of the light node mask: one round
+    when a light node exists.
+
+    The decomposition peels, layer by layer, the nodes of residual degree
+    <= 2a, a = ceil(4 n^(1/k)).  A light node has degree
+    <= ceil(n^delta) - 1 < n^delta <= n^(1/k) <= 2a, since delta < 1/k, so
+    the first layer takes every light node.  Every light node thus has the
+    same height, and no height gates a first hop or a pattern.
     """
-    if a < 1:
-        raise ValueError("a must be >= 1")
-    adj, alive = graph.adj, nodes
-    layers: Dict[int, int] = {}
-    max_layers = _forest_layers(graph.n)
-    layer = 0
-    while alive and layer < max_layers:
-        layer += 1
+    if light:
         ledger.charge("forest-decomposition", "congest", "route", 1)
-        peel = mask_of(v for v in bits(alive) if (adj[v] & alive).bit_count() <= 2 * a)
-        if not peel:
-            return None
-        for v in bits(peel):
-            layers[v] = layer
-        alive &= ~peel
-    if alive:
-        return None
-    return layers
-
-
-# ---------------------------------------------------------------------------
-# even cycles: prune, heavy search, light search
-# ---------------------------------------------------------------------------
 
 
 def even_cycle_repetitions(two_k: int) -> int:
@@ -808,25 +746,21 @@ def detect_even_cycle(
     two_k: int,
     ledger: CostLedger,
     seed: int = 0,
-    ec_params: Optional[EvenCycleParams] = None,
     params: QuantumCostParams = DEFAULT_PARAMS,
     engine: str = "event",
 ) -> bool:
     """Edge prune, then heavy-node search, then index-batched light search.
 
-    A firing edge prune and a failed forest decomposition each answer True
-    at once, and the stages after them neither run nor charge.  Otherwise
-    both searches run (and charge) whatever the heavy search found, and the
-    result is their disjunction.
+    A firing edge prune answers True at once, and the stages after it
+    neither run nor charge.  Otherwise both searches run (and charge)
+    whatever the heavy search found, and the result is their disjunction.
     """
     if two_k % 2 == 1:
         raise ValueError("odd length: use detect_odd_cycle")
     _check_engine(engine)
     _require(graph.n, two_k)
     k = two_k // 2
-    ecp = ec_params if ec_params is not None else EvenCycleParams(k=k)
-    if ecp.k != k:
-        raise ValueError("EvenCycleParams.k disagrees with two_k")
+    delta, alpha = _heavy_light_exponents(k)
     n = graph.n
     net = CongestNet(graph)
     reps = even_cycle_repetitions(two_k)
@@ -837,7 +771,7 @@ def detect_even_cycle(
         return True
 
     # stage 2: heavy cycles (single-source queries over the measured heavy set)
-    heavy_threshold = ceil_pow(n, ecp.delta)
+    heavy_threshold = ceil_pow(n, delta)
     everyone = (1 << n) - 1
     heavy = mask_of(v for v in range(n) if graph.adj[v].bit_count() >= heavy_threshold)
     shared = ColorBfsConfig(two_k, everyone, repetitions=reps)
@@ -847,16 +781,13 @@ def detect_even_cycle(
 
     # stage 3: light cycles via forest decomposition + index batching
     light = everyone & ~heavy
-    a = ceil_scaled_pow(n, Fraction(1, k), 4)
-    heights = forest_decomposition(graph, light, a, ledger)
-    if heights is None:
-        return True  # C_{2k}-free graphs admit the decomposition; reject
-    n_idx = ceil_pow(n, ecp.alpha)
+    forest_decomposition(light, ledger)
+    n_idx = ceil_pow(n, alpha)
     rng = random.Random(derive_seed("even-light-index", seed))
     by_index = [0] * n_idx  # the light index classes, as node masks
     for v in bits(light):
         by_index[rng.randrange(n_idx)] |= 1 << v
-    shared = ColorBfsConfig(two_k, light, heights, ecp.a_cong * word_capacity(n), reps)
+    shared = ColorBfsConfig(two_k, light, _A_CONG * word_capacity(n), reps)
     light_found = _stage_search(net, [(vs, i) for i, vs in enumerate(by_index)],
                                 shared, "even-light", "even-cycle/light-search", ledger, seed,
                                 params, engine)
@@ -872,14 +803,13 @@ def cycle_cost_only(
 ) -> Optional[bool]:
     """Charge what the detector of ell's parity charges, from n and m alone.
 
-    A length inapplicable() refuses raises ValueError, as in a full run;
-    even ell takes the default EvenCycleParams.  Where full runs measure,
-    this takes the analytic value: every convergecast (the prune's one word
-    included) crosses eccentricity 1, queries run at M = 1 (the light index
-    partition is sized to make expected congestion constant), the heavy set
-    has the extremal size n^(1 - 1/k - delta), and the forest decomposition
-    peels all _forest_layers(n) layers.  True when the edge prune decides,
-    else None.
+    A length inapplicable() refuses raises ValueError, as in a full run.
+    Where full runs measure, this takes the analytic value: every
+    convergecast (the prune's one word included) crosses eccentricity 1,
+    queries run at M = 1 (the light index partition is sized to make
+    expected congestion constant), the heavy set has the extremal size
+    n^(1 - 1/k - delta), and the forest decomposition is charged the cap
+    of ceil(2 log2 n) layers.  True when the edge prune decides, else None.
     """
     _require(n, ell)
     if ell % 2:
@@ -887,16 +817,17 @@ def cycle_cost_only(
         charge_search(ledger, ([n], [], query_rounds), params, "congest", "odd-cycle/search")
         return None
     k = ell // 2
-    ecp = EvenCycleParams(k=k)
+    delta, alpha = _heavy_light_exponents(k)
     query_rounds = _query_rounds(ell, even_cycle_repetitions(ell), 1, 1)
     ledger.charge("even-cycle/prune", "congest", "converge", 1)
     if _prune_fires(n, m, k):
         return True
-    heavy_domain = max(1, ceil_pow(n, 1 - Fraction(1, k) - ecp.delta))
+    heavy_domain = max(1, ceil_pow(n, 1 - Fraction(1, k) - delta))
     charge_search(ledger, ([heavy_domain], [], query_rounds), params, "congest",
                   "even-cycle/heavy-search")
-    ledger.charge("forest-decomposition", "congest", "route", _forest_layers(n))
-    light_domain = max(1, ceil_pow(n, ecp.alpha))
+    layers = math.ceil(2 * math.log2(max(n, 2)))
+    ledger.charge("forest-decomposition", "congest", "route", layers)
+    light_domain = max(1, ceil_pow(n, alpha))
     charge_search(ledger, ([light_domain], [], query_rounds), params, "congest",
                   "even-cycle/light-search")
     return None

@@ -189,8 +189,15 @@ def load_graph(path: str) -> Graph:
     n = m = None
     edges: List[Tuple[int, int]] = []
     seen_mask: List[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # surrogateescape keeps the line breaks of utf-8 reading; a byte that is
+    # not utf-8 decodes to a lone surrogate, which encode() refuses
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if not raw.isascii():
+                try:
+                    raw.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise GraphFormatError(f"line {lineno}: not utf-8 text") from None
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

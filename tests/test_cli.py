@@ -154,6 +154,12 @@ class TestCommands:
         lines = [l for l in out.splitlines() if ": " in l]
         assert len(lines) == 4  # K4 has 4 triangles
 
+    def test_a_graph_file_that_is_not_utf8_is_a_format_error(self, tmp_path, capsys):
+        gpath = tmp_path / "g.txt"
+        gpath.write_bytes(b"# \xc3\xa9 is utf-8\n5 1\n0 \xff\n")
+        assert main(["detect-cycle", "--ell", "5", "--graph", str(gpath)]) == 2
+        assert capsys.readouterr().err == "error: line 3: not utf-8 text\n"
+
     def test_list_of_the_empty_graph(self, capsys):
         assert main(["list", "--gen", "empty,0,0,0,0", "--p", "3"]) == 0
         assert capsys.readouterr().out == ""

@@ -4,13 +4,14 @@ Pruning in the cycle layer (the enumeration's distance bound, the no-cycle
 certificates that skip an anchor, skipped congestion measurements and idle
 protocol steps) must not change what a detector answers or charges.  Every
 entry of `cycle_golden.json` pins `found`, the query count, `congestion_dropped` and
-the ledger rows of one `detect_odd_cycle` or `detect_even_cycle` call.  The
+the ledger rows of one `detect_odd_cycle`, `detect_even_cycle` or light-stage
+`_stage_search` call.  The
 instance set is criterion 8's planted instances 0..23 for each length, graphs
 of girth > ell, random bipartite graphs for odd ell, sparse G(n, p) graphs
 (many cycles; a detection apart from node 0 pins the leader fault's message
-instead), the same G(n, p) graphs with a light stage that holds most nodes
-in a few index classes (so congestion drops happen), and small graphs
-(n <= 16) run on both engines.
+instead), the light stage alone on the same G(n, p) graphs, with every node
+in two index classes at M = ceil(log2 n) (so congestion drops happen), and
+small graphs (n <= 16) run on both engines.
 
 Regenerate only after an intended change to the cost model or the random
 streams:
@@ -21,14 +22,15 @@ streams:
 import json
 import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from qcongest.cycledetect import EvenCycleParams, detect_even_cycle, detect_odd_cycle
+from qcongest.cycledetect import (ColorBfsConfig, _stage_search, detect_even_cycle,
+                                  detect_odd_cycle, even_cycle_repetitions)
 from qcongest.graph import GenSpec, Graph, generate
-from qcongest.netsim import CostLedger
+from qcongest.netsim import CongestNet, CostLedger, word_capacity
+from qcongest.qsearch import DEFAULT_PARAMS, derive_seed
 
 GOLDEN = Path(__file__).with_name("cycle_golden.json")
 LENGTHS = (5, 7, 4, 6)
@@ -74,46 +76,63 @@ def bipartite(n, avg_degree, seed):
                      if side[u] != side[v] and rng.random() < prob])
 
 
+def detector(graph, ell, seed, **keywords):
+    """run(ledger) of the detector of ell's parity on graph."""
+    detect = detect_odd_cycle if ell % 2 else detect_even_cycle
+    return lambda ledger: detect(graph, ell, ledger, seed=seed, **keywords)
+
+
+def light_stage(graph, ell, seed):
+    """run(ledger) of one light-stage search over every node of graph, drawn
+    into two index classes as the light stage draws them, at
+    M = ceil(log2 n): each class holds more than M sources."""
+    rng = random.Random(derive_seed("even-light-index", seed))
+    classes = [0, 0]
+    for v in range(graph.n):
+        classes[rng.randrange(2)] |= 1 << v
+    shared = ColorBfsConfig(ell, (1 << graph.n) - 1, word_capacity(graph.n),
+                            even_cycle_repetitions(ell))
+    return lambda ledger: _stage_search(
+        CongestNet(graph), [(vs, i) for i, vs in enumerate(classes)], shared, "even-light",
+        "even-cycle/light-search", ledger, seed, DEFAULT_PARAMS, "event")
+
+
 def instances():
-    """(name, graph, ell, detection seed, detector keywords) of the golden set."""
+    """(name, run) of the golden set: run(ledger) answers one instance."""
     for ell in LENGTHS:
         for trial in range(24):
-            yield f"c8-C{ell}-{trial}", criterion8_planted(ell, trial), ell, trial, {}
+            yield f"c8-C{ell}-{trial}", detector(criterion8_planted(ell, trial), ell, trial)
     for ell in LENGTHS:
         for n in (24, 48, 72):
             seed = 100 * ell + n
-            yield f"girth-C{ell}-{n}", high_girth(n, ell, 3.0, seed), ell, seed, {}
+            yield f"girth-C{ell}-{n}", detector(high_girth(n, ell, 3.0, seed), ell, seed)
             if ell % 2:
-                yield f"bip-C{ell}-{n}", bipartite(n, 3.0, seed), ell, seed, {}
+                yield f"bip-C{ell}-{n}", detector(bipartite(n, 3.0, seed), ell, seed)
     for ell in LENGTHS:
         for n in (24, 40):
             seed = 200 * ell + n
             graph = generate(GenSpec(kind="gnp", n=n, edge_prob=3.0 / n, seed=seed))
-            yield f"gnp-C{ell}-{n}", graph, ell, seed, {}
+            yield f"gnp-C{ell}-{n}", detector(graph, ell, seed)
             if ell % 2 == 0:
-                # nearly every node light, two index classes, M = log2 n
-                light = EvenCycleParams(k=ell // 2, delta=Fraction(9, 10),
-                                        alpha=Fraction(1, 10), a_cong=1)
-                yield f"light-C{ell}-{n}", graph, ell, seed, {"ec_params": light}
+                yield f"light-C{ell}-{n}", light_stage(graph, ell, seed)
     for engine in ("event", "protocol"):
         for n in (8, 12, 16):
             for ell in (4, 5):
                 graph = generate(GenSpec(kind="planted_cycle", n=n, edge_prob=0.1,
                                          planted_size=ell, seed=n))
-                yield f"small-{engine}-C{ell}-{n}", graph, ell, n, {"engine": engine}
-            yield (f"small-{engine}-girth-{n}", high_girth(n, 4, 3.0, n), 4, n,
-                   {"engine": engine})
+                yield f"small-{engine}-C{ell}-{n}", detector(graph, ell, n, engine=engine)
+            yield f"small-{engine}-girth-{n}", detector(high_girth(n, 4, 3.0, n), 4, n,
+                                                        engine=engine)
 
 
 def rows(ledger):
     return [[e.phase, e.model, e.kind, e.rounds] for e in ledger.entries]
 
 
-def observe(graph, ell, seed, keywords):
-    detect = detect_odd_cycle if ell % 2 else detect_even_cycle
+def observe(run):
     ledger = CostLedger()
     try:
-        found = detect(graph, ell, ledger, seed=seed, **keywords)
+        found = run(ledger)
     except RuntimeError as exc:  # the leader fault: a detection apart from node 0
         return {"error": str(exc), "ledger": rows(ledger)}
     return {"found": found, "queries": ledger.counts["queries"],
@@ -122,8 +141,7 @@ def observe(graph, ell, seed, keywords):
 
 
 def observe_all():
-    return {name: observe(graph, ell, seed, keywords)
-            for name, graph, ell, seed, keywords in instances()}
+    return {name: observe(run) for name, run in instances()}
 
 
 @pytest.fixture(scope="module")

@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 
 from qcongest.cli import fit_slope
 from qcongest.cycledetect import (
+    _A_CONG,
     _EXACT_CAP,
+    _PATTERN_CAP,
     ColorBfsConfig,
-    EvenCycleParams,
     _CycleIndex,
     _event_found,
     _fires,
+    _heavy_light_exponents,
     _live_source_colours,
     _pattern_specs,
     _protocol_found,
@@ -40,6 +42,7 @@ from qcongest.cycledetect import (
 )
 from qcongest.graph import (GenSpec, Graph, bits, generate, iter_cycles, mask_of,
                             oracle_has_cycle)
+from qcongest.intmath import ceil_pow, ceil_scaled_pow
 from qcongest.netsim import CongestNet, CostLedger, congest_step, word_capacity
 from qcongest.qsearch import DEFAULT_PARAMS, derive_seed, grover_cost, run_search
 
@@ -51,17 +54,11 @@ def cycle_graph(ell, n=None):
     return Graph(n, sorted(set(edges)))
 
 
-def all_active_cfg(g, ell, sources=None, reps=1, m=1, heights=None):
+def all_active_cfg(g, ell, sources=None, reps=1, m=1):
     """(a config with every node of g active, the source mask of the nodes
     `sources`, or of every node)."""
     active = mask_of(range(g.n))
-    cfg = ColorBfsConfig(
-        cycle_len=ell,
-        active=active,
-        heights=heights,
-        congestion_bound=m,
-        repetitions=reps,
-    )
+    cfg = ColorBfsConfig(cycle_len=ell, active=active, congestion_bound=m, repetitions=reps)
     return cfg, mask_of(sources) if sources is not None else active
 
 
@@ -198,16 +195,6 @@ class TestExactSuccess:
         g = generate(GenSpec(kind="complete", n=n))
         self.assert_exact(g, *all_active_cfg(g, ell, sources=sources, m=len(sources)))
 
-    def test_heights(self):
-        # anchors 0, 2 and 4 have both cycle neighbours at or below them;
-        # anchors 1 and 3 do not
-        g = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 4), (3, 4)])
-        heights = {0: 1, 1: 0, 2: 1, 3: 0, 4: 0}
-        cfg, src = all_active_cfg(g, 4, m=5, heights=heights)
-        anchors = {cyc[pos] for cyc, pos in query_patterns(g, cfg, src)[0]}
-        assert anchors == {0, 2, 4}
-        self.assert_exact(g, cfg, src)
-
 
 class TestEventDraw:
     """Both draws of the event engine detect with probability 1 - (1 - P)^reps."""
@@ -292,19 +279,6 @@ class TestEngineAgreement:
             assert protocol_detect_once(g, cfg, sources, colour_masks(cfg, colors)) == (
                 event_detect_once(g, cfg, sources, colors))
 
-    def test_heights_constrain_first_hop(self):
-        g = cycle_graph(4)
-        heights = {0: 0, 1: 1, 2: 0, 3: 1}
-        cfg = ColorBfsConfig(cycle_len=4, active=mask_of(range(4)), heights=heights,
-                             congestion_bound=4, repetitions=1)
-        colors = {0: 0, 1: 1, 2: 2, 3: 3}
-        # both neighbors of the source sit higher: no send, no detection
-        assert not protocol_detect_once(g, cfg, mask_of({0}), colour_masks(cfg, colors))
-        assert not event_detect_once(g, cfg, mask_of({0}), colors)
-        colors2 = {1: 0, 2: 1, 3: 2, 0: 3}
-        assert protocol_detect_once(g, cfg, mask_of({1}), colour_masks(cfg, colors2))
-        assert event_detect_once(g, cfg, mask_of({1}), colors2)
-
 
 class TestColorBfs:
     def test_no_false_positives_on_forest(self):
@@ -358,8 +332,7 @@ def reference_congestion(graph, cfg, sources):
     if hops < 1:
         return counts
     for w in bits(sources):
-        frontier = {u for u in bits(graph.adj[w])
-                    if u in active and cfg.height(u) <= cfg.height(w)}
+        frontier = {u for u in bits(graph.adj[w]) if u in active}
         reached = set(frontier)
         for _ in range(hops - 1):
             nxt = {x for u in frontier for x in bits(graph.adj[u])
@@ -372,7 +345,10 @@ def reference_congestion(graph, cfg, sources):
 
 
 def reference_forest(graph, nodes, a, ledger):
-    """forest_decomposition as a set peel with per-node residual degrees."""
+    """The forest decomposition of the node set `nodes` as a set peel with
+    per-node residual degrees: layer i takes the nodes of residual degree
+    <= 2a, one charged round each, for at most ceil(2 log2 n) layers.
+    node -> layer (1-based), or None if nodes remain."""
     alive = set(nodes)
     residual = {v: sum(1 for u in bits(graph.adj[v]) if u in alive) for v in alive}
     layers = {}
@@ -408,7 +384,7 @@ def reference_protocol(graph, cfg, sources, colors, step):
     from_down = {v: set() for v in active}
     outbox = [(v, w, v) for v in sorted(sources) if color(v) == 0
               for w in bits(graph.adj[v])
-              if color(w) in (1, ell - 1) and cfg.height(w) <= cfg.height(v)]
+              if color(w) in (1, ell - 1)]
     for (u, v), word in sorted(step(graph, outbox).items()):
         if word not in received[v]:
             received[v].append(word)
@@ -455,12 +431,7 @@ def reference_patterns(graph, cfg, sources):
         if congestion is not None and any(congestion[v] > cfg.congestion_bound for v in cyc):
             dropped = True
             continue
-        for pos, v in enumerate(cyc):
-            if not sources >> v & 1:
-                continue
-            prv, nxt = cyc[(pos - 1) % ell], cyc[(pos + 1) % ell]
-            if cfg.height(prv) <= cfg.height(v) and cfg.height(nxt) <= cfg.height(v):
-                out.append((cyc, pos))
+        out += [(cyc, pos) for pos, v in enumerate(cyc) if sources >> v & 1]
     return out, dropped
 
 
@@ -489,13 +460,12 @@ def anchored(pattern):
                tuple(cyc[(pos - j) % ell] for j in range(ell)))
 
 
-def random_cfg(rng, g, ell, heights=False):
-    """(a config on g with random active nodes, M and heights, a random
-    source mask among its active nodes)."""
+def random_cfg(rng, g, ell):
+    """(a config on g with random active nodes and M, a random source mask
+    among its active nodes)."""
     active = mask_of(v for v in range(g.n) if rng.random() < 0.8)
     sources = mask_of(v for v in bits(active) if rng.random() < 0.4)
-    hts = {v: rng.randrange(3) for v in bits(active)} if heights else None
-    return ColorBfsConfig(ell, active, hts, rng.randint(1, 3), 1), sources
+    return ColorBfsConfig(ell, active, rng.randint(1, 3), 1), sources
 
 
 class TestMaskRewritesMatchReferences:
@@ -506,23 +476,8 @@ class TestMaskRewritesMatchReferences:
         for seed in range(40):
             g = generate(GenSpec(kind="gnp", n=rng.randint(2, 30),
                                  edge_prob=rng.choice([0.1, 0.2, 0.4]), seed=seed))
-            cfg, src = random_cfg(rng, g, rng.randint(4, 9), heights=seed % 2 == 0)
+            cfg, src = random_cfg(rng, g, rng.randint(4, 9))
             assert measure_congestion(g, cfg, src) == reference_congestion(g, cfg, src), seed
-
-    def test_forest_decomposition_including_failures(self):
-        rng = random.Random(8)
-        outcomes = set()
-        for seed in range(60):
-            g = generate(GenSpec(kind="gnp", n=rng.randint(1, 40),
-                                 edge_prob=rng.choice([0.05, 0.15, 0.3, 0.6]), seed=seed))
-            nodes = [v for v in range(g.n) if rng.random() < 0.85]
-            a = rng.randint(1, 3)
-            got_led, ref_led = CostLedger(), CostLedger()
-            got = forest_decomposition(g, mask_of(nodes), a, got_led)
-            assert got == reference_forest(g, nodes, a, ref_led), seed
-            assert got_led.entries == ref_led.entries, seed
-            outcomes.add(got is None)
-        assert outcomes == {True, False}  # both the peel and its failure are compared
 
     def test_protocol_answers_and_steps(self, monkeypatch):
         rng = random.Random(9)
@@ -538,7 +493,7 @@ class TestMaskRewritesMatchReferences:
             g = generate(GenSpec(kind="gnp", n=rng.randint(4, 14),
                                  edge_prob=rng.choice([0.2, 0.35, 0.6]), seed=seed))
             ell = rng.randint(4, min(g.n, 8))
-            cfg, src = random_cfg(rng, g, ell, heights=seed % 3 == 0)
+            cfg, src = random_cfg(rng, g, ell)
             colors = {v: rng.randrange(ell) for v in bits(cfg.active)}
             sent.clear()
             got = protocol_detect_once(g, cfg, src, colour_masks(cfg, colors))
@@ -562,37 +517,64 @@ class TestCongestionMeasurement:
         # included: the protocol forwards received ids regardless of origin
         assert m[1] == 5
 
-    def test_height_gate(self):
-        g = Graph(3, [(0, 1), (1, 2)])
-        heights = {0: 0, 1: 5, 2: 0}
-        cfg = ColorBfsConfig(cycle_len=6, active=mask_of(range(3)), heights=heights,
-                             congestion_bound=1, repetitions=1)
-        m = measure_congestion(g, cfg, mask_of({0}))
-        assert m[1] == 0  # first hop must go downhill
-
 
 class TestForestDecomposition:
+    """The peel of the forest decomposition lives here as reference_forest.
+    Under the heavy/light exponents every light node peels in layer 1, so
+    forest_decomposition charges one round when a light node exists."""
+
     def test_star_two_layers(self):
         g = Graph(11, [(0, i) for i in range(1, 11)])
-        led = CostLedger()
-        fd = forest_decomposition(g, mask_of(range(11)), 1, led)
+        fd = reference_forest(g, range(11), 1, CostLedger())
         assert fd is not None
         assert all(fd[i] == 1 for i in range(1, 11))
         assert fd[0] == 2
 
     def test_k8_fails(self):
         g = generate(GenSpec(kind="complete", n=8))
-        assert forest_decomposition(g, mask_of(range(8)), 1, CostLedger()) is None
+        assert reference_forest(g, range(8), 1, CostLedger()) is None
 
     def test_sparse_gnp_layer_property(self):
         g = generate(GenSpec(kind="gnp", n=200, edge_prob=4 / 200, seed=6))
-        fd = forest_decomposition(g, mask_of(range(200)), 8, CostLedger())
+        fd = reference_forest(g, range(200), 8, CostLedger())
         assert fd is not None
         for v in range(200):
             higher = sum(
                 1 for u in bits(g.adj[v]) if fd[u] >= fd[v]
             )
             assert higher <= 16
+
+    def test_a_light_degree_never_exceeds_2a(self):
+        # ceil(n^delta) - 1 <= 2 ceil(4 n^(1/k)), in exact integers
+        rng = random.Random(26)
+        ns = list(range(1, 4097)) + [rng.randrange(4097, 10**12) for _ in range(500)]
+        for k in range(2, 13):
+            delta, _ = _heavy_light_exponents(k)
+            assert delta < Fraction(1, k)
+            for n in ns:
+                assert ceil_pow(n, delta) - 1 <= 2 * ceil_scaled_pow(n, Fraction(1, k), 4), (k, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_the_light_set_peels_in_one_layer(self, data):
+        # a connected G(n, p): the run reaches the light stage whatever it finds
+        n = data.draw(st.integers(4, 30), label="n")
+        seed = data.draw(st.integers(0, 10**6), label="seed")
+        g = generate(GenSpec(kind="gnp", n=n, seed=seed,
+                             edge_prob=data.draw(st.sampled_from([0.05, 0.1, 0.2]), label="p")))
+        g = Graph(n, sorted(set(g.edges()) | {(v, v + 1) for v in range(n - 1)}))
+        k = data.draw(st.integers(2, min(4, n // 2)), label="k")
+        delta, _ = _heavy_light_exponents(k)
+        light = [v for v in range(n) if g.adj[v].bit_count() < ceil_pow(n, delta)]
+        want = CostLedger()
+        layers = reference_forest(g, light, ceil_scaled_pow(n, Fraction(1, k), 4), want)
+        assert layers is not None and set(layers.values()) <= {1}
+        got = CostLedger()
+        detect_even_cycle(g, 2 * k, got, seed=seed)
+        assert [e for e in got.entries if e.phase == "forest-decomposition"] == want.entries
+        direct = CostLedger()
+        forest_decomposition(mask_of(light), direct)
+        assert direct.entries == want.entries
 
 
 class TestDetectOddCycle:
@@ -785,10 +767,9 @@ class TestNonPlantedAgreement:
 
 
 class TestLightStageEngineAgreement:
-    def test_multi_source_with_forest_heights(self):
-        # the light-search configuration: height-gated sources, large M
+    def test_multi_source_classes(self):
+        # the light-search configuration: a random class of sources, large M
         rng = random.Random(99)
-        checked = 0
         for trial in range(25):
             n = rng.randint(8, 16)
             edges = [
@@ -798,22 +779,14 @@ class TestLightStageEngineAgreement:
                 if rng.random() < 0.25
             ]
             g = Graph(n, edges)
-            fd = forest_decomposition(g, mask_of(range(n)), a=2, ledger=CostLedger())
-            if fd is None:
-                continue
-            heights = fd
             sources = mask_of(v for v in range(n) if rng.random() < 0.5)
             for two_k in (4, 6):
-                cfg = ColorBfsConfig(
-                    cycle_len=two_k, active=mask_of(range(n)), heights=heights,
-                    congestion_bound=n * n, repetitions=1,
-                )
+                cfg = ColorBfsConfig(cycle_len=two_k, active=mask_of(range(n)),
+                                     congestion_bound=n * n, repetitions=1)
                 colors = {v: rng.randrange(two_k) for v in range(n)}
                 assert protocol_detect_once(g, cfg, sources, colour_masks(cfg, colors)) == (
-                    event_detect_once(g, cfg, sources, colors)), (n, edges, sources, heights,
-                                                                   colors, two_k)
-                checked += 1
-        assert checked >= 20
+                    event_detect_once(g, cfg, sources, colors)), (n, edges, sources, colors,
+                                                                   two_k)
 
 
 class TestGirthControlledSoundness:
@@ -871,9 +844,9 @@ class TestSingleQueryPrice:
     def test_light_bound_is_a_cong_words(self):
         # the light stage's M = a_cong * word_capacity(n) is the float form
         # a_cong * max(1, ceil(log2 n)) exactly
-        a_cong = EvenCycleParams(k=2).a_cong
         for n in range(1, 2**16 + 1):
-            assert a_cong * word_capacity(n) == a_cong * max(1, math.ceil(math.log2(max(n, 2))))
+            assert (_A_CONG * word_capacity(n)
+                    == _A_CONG * max(1, math.ceil(math.log2(max(n, 2)))))
 
 
 class TestEvenHeavyStage:
@@ -967,13 +940,22 @@ class TestCycleRichSoundness:
         assert g.n == q * q + q + 1
         assert not oracle_has_cycle(g, 4) and oracle_has_cycle(g, 5)
         self.assert_never_fires(g, 4, range(4))
-        # with the default delta = 0 for C4 every non-isolated node is heavy;
-        # delta = 9/10 makes every node light, so the forest decomposition
-        # (whose failure would answer True) and the multi-source light
-        # search also run on the densest C4-free graphs
-        light = EvenCycleParams(k=2, delta=Fraction(9, 10))
+        # with delta = 0 for C4 every non-isolated node is heavy, so the
+        # light stage's multi-source search runs here directly: every node
+        # in ceil(n^alpha) random index classes, at the light stage's M
+        classes = ceil_pow(g.n, _heavy_light_exponents(2)[1])
+        shared = ColorBfsConfig(4, (1 << g.n) - 1, _A_CONG * word_capacity(g.n),
+                                even_cycle_repetitions(4))
         for seed in range(3):
-            assert not detect_even_cycle(g, 4, CostLedger(), seed=seed, ec_params=light)
+            rng = random.Random(seed)
+            queries = [0] * classes
+            for v in range(g.n):
+                queries[rng.randrange(classes)] |= 1 << v
+            ledger = CostLedger()
+            assert not _stage_search(CongestNet(g), [(q, i) for i, q in enumerate(queries)],
+                                     shared, "even-light", "even-cycle/light-search", ledger,
+                                     seed, DEFAULT_PARAMS, "event")
+            assert ledger.counts["queries"] > 0
 
     def test_polarity_graph_on_the_protocol_engine(self, monkeypatch):
         g = polarity_graph(3)
@@ -1050,7 +1032,7 @@ def assert_files_the_first_cycles(g, ell, active, anchors, limit):
         index = _CycleIndex(g, ColorBfsConfig(ell, active), anchors)
         index.patterns(anchors)  # pulls past every anchor: to the end, or to the limit
     want = {}
-    for cyc in first:  # no heights: every anchor on a cycle anchors a pattern
+    for cyc in first:  # every anchor on a cycle anchors a pattern
         for v in cyc:
             if anchors >> v & 1:
                 want.setdefault(v, []).append(cyc)
@@ -1095,9 +1077,6 @@ class TestCycleIndex:
                              seed=data.draw(st.integers(0, 10**6), label="seed")))
         ell = data.draw(st.integers(4, min(n, 7)), label="ell")
         active = mask_of(v for v in range(n) if data.draw(st.booleans(), label=f"active {v}"))
-        heights = (data.draw(st.fixed_dictionaries({v: st.integers(0, 2) for v in bits(active)}),
-                             label="heights") if data.draw(st.booleans(), label="heighted")
-                   else None)
         # a partition of some active nodes into source sets
         classes = data.draw(st.integers(1, 4), label="classes")
         queries = [0] * classes
@@ -1107,16 +1086,21 @@ class TestCycleIndex:
                 queries[i] |= 1 << v
         m_bound = data.draw(st.integers(1, 3), label="M")
         union = mask_of(v for q in queries for v in bits(q))
-        shared = ColorBfsConfig(ell, active, heights, m_bound, 1)
+        shared = ColorBfsConfig(ell, active, m_bound, 1)
         index = _CycleIndex(g, shared, union)
         for i in data.draw(st.permutations(range(classes)), label="query order"):
             q = queries[i]
             want, dropped = reference_patterns(g, shared, q)
             got, hits = index.patterns(q)
-            assert Counter(map(anchored, got)) == Counter(map(anchored, want))
+            if "pattern_capped" in hits:  # _PATTERN_CAP of the patterns, in the stage's order
+                assert len(want) > _PATTERN_CAP == len(got)
+                assert not Counter(map(anchored, got)) - Counter(map(anchored, want))
+            else:
+                assert Counter(map(anchored, got)) == Counter(map(anchored, want))
             assert got == sorted(got)  # enumeration order, which is lexicographic
-            assert hits <= {"congestion_dropped"}
-            assert dropped or not hits  # a dropped pattern is a dropped cycle
+            assert hits <= {"congestion_dropped", "pattern_capped"}
+            # a dropped pattern is a dropped cycle
+            assert dropped or "congestion_dropped" not in hits
 
     @pytest.mark.parametrize("graph, ell, sources", [
         (cycle_graph(4), 4, [0]),  # one pattern
@@ -1171,11 +1155,11 @@ class TestProtocolDraws:
     def test_colours_beyond_the_ball_change_nothing(self):
         rng = random.Random(11)
         far_graphs = answers = 0
-        for seed in range(200):
+        for seed in range(300):
             g = generate(GenSpec(kind="gnp", n=rng.randint(5, 16),
                                  edge_prob=rng.choice([0.15, 0.25, 0.4]), seed=seed))
             ell = rng.randint(4, min(g.n, 8))
-            cfg, src = random_cfg(rng, g, ell, heights=seed % 2 == 0)
+            cfg, src = random_cfg(rng, g, ell)
             colors = {v: rng.randrange(ell) for v in bits(cfg.active)}
             patterns, _ = reference_patterns(g, cfg, src)
             if patterns:  # colour one pattern to fire, so that many answers are True
@@ -1219,24 +1203,22 @@ class TestProtocolDraws:
         return fired / cfg.cycle_len ** len(nodes)
 
     @pytest.mark.parametrize("name", ["c4-one-source", "c4-with-tail", "c5-all-sources",
-                                      "k4-two-sources", "heights"])
+                                      "k4-two-sources"])
     def test_detection_rate_matches_the_reference(self, name):
-        g, ell, sources, m, heights = {
-            "c4-one-source": (cycle_graph(4), 4, [0], 1, None),
+        g, ell, sources, m = {
+            "c4-one-source": (cycle_graph(4), 4, [0], 1),
             # nodes 4..7 of the tail lie beyond the source's ball
             "c4-with-tail": (Graph(8, [(0, 1), (1, 2), (2, 3), (0, 3), (2, 4), (4, 5),
-                                       (5, 6), (6, 7)]), 4, [0], 1, None),
-            "c5-all-sources": (cycle_graph(5), 5, range(5), 5, None),
-            "k4-two-sources": (generate(GenSpec(kind="complete", n=4)), 4, [0, 1], 2, None),
-            "heights": (Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 4), (3, 4)]), 4,
-                        range(5), 5, {0: 1, 1: 0, 2: 1, 3: 0, 4: 0}),
+                                       (5, 6), (6, 7)]), 4, [0], 1),
+            "c5-all-sources": (cycle_graph(5), 5, range(5), 5),
+            "k4-two-sources": (generate(GenSpec(kind="complete", n=4)), 4, [0, 1], 2),
         }[name]
         if name == "c4-with-tail":  # the tail's colours change nothing: enumerate the C4
             p = self.exact_p(cycle_graph(4), *all_active_cfg(cycle_graph(4), 4, sources=[0]))
         else:
-            p = self.exact_p(g, *all_active_cfg(g, ell, sources=sources, m=m, heights=heights))
+            p = self.exact_p(g, *all_active_cfg(g, ell, sources=sources, m=m))
         reps = max(1, round(math.log(2) / p))
-        cfg, src = all_active_cfg(g, ell, sources=sources, m=m, heights=heights, reps=reps)
+        cfg, src = all_active_cfg(g, ell, sources=sources, m=m, reps=reps)
         q = 1 - (1 - p) ** reps
         seeds = 400
         bound = 4 * math.sqrt(q * (1 - q) / seeds)
@@ -1287,12 +1269,6 @@ class TestLengthRule:
                         run(led)
                         assert led.entries, (n, ell)
 
-    def test_even_params_must_match_the_length(self):
-        led = CostLedger()
-        with pytest.raises(ValueError, match="disagrees"):
-            detect_even_cycle(cycle_graph(6, n=12), 6, led, ec_params=EvenCycleParams(k=2))
-        assert led.entries == []
-
 
 class TestPatternDedupe:
     """Each cycle through a source is a candidate once, whatever the sources."""
@@ -1321,7 +1297,7 @@ class TestPatternDedupe:
                     brute = {self.canonical(cyc) for cyc in iter_cycles(g, ell)
                              if set(cyc) & set(sources)}
                     assert set(canon) == brute, (g.n, g.m, ell, sources)
-                    # no heights: every source on a cycle anchors it once
+                    # every source on a cycle anchors it once
                     assert len(patterns) == sum(len(set(c) & set(sources)) for c in brute)
 
     def test_the_limit_bounds_the_whole_query(self, monkeypatch):
@@ -1466,58 +1442,37 @@ class TestNoFireQueries:
             i = rng.randrange(-1, classes)
             if i >= 0:
                 queries[i] |= 1 << v
-        heighted = data.draw(st.sampled_from(["none", "random", "disqualifying"]),
-                             label="heights")
-        heights = None
-        if heighted == "random":
-            heights = {v: rng.randrange(3) for v in bits(active)}
-        elif heighted == "disqualifying":
-            # the sources are an independent set below every other active
-            # node, so no cycle qualifies: nothing is ever filed
-            union = 0
-            for i, q in enumerate(queries):
-                for v in bits(q):
-                    if g.adj[v] & union:
-                        queries[i] &= ~(1 << v)
-                    else:
-                        union |= 1 << v
-            heights = {v: 0 if union >> v & 1 else 1 for v in bits(active)}
         queries = [(q, i) for i, q in enumerate(queries)]
-        shared = ColorBfsConfig(ell, active, heights, data.draw(st.integers(1, 3), label="M"),
+        shared = ColorBfsConfig(ell, active, data.draw(st.integers(1, 3), label="M"),
                                 data.draw(st.sampled_from([1, 3, 40]), label="reps"))
+        # limit 0 truncates a stage before it files anything
         same_as_every_query(
             g, queries, shared, seed, engine,
-            limit=data.draw(st.sampled_from([None, 2, 5, 20]), label="CYCLE_ENUM_LIMIT"),
+            limit=data.draw(st.sampled_from([None, 0, 2, 5, 20]), label="CYCLE_ENUM_LIMIT"),
             cap=data.draw(st.sampled_from([None, 1, 3]), label="_PATTERN_CAP"))
 
     @pytest.mark.parametrize("engine", ["event", "protocol"])
     def test_a_truncated_stage_with_nothing_filed_is_walked(self, monkeypatch, engine):
-        # K_{4,4}, C4, the sources on one side below the other side: every
-        # C4 alternates sides, so no cycle qualifies.  Unlimited, the union
-        # of the sources cannot fire, and the stage is settled unwalked.
-        # Limit 2 stops the enumeration inside the 18 cycles through node 0
+        # K_{4,4}, C4, limit 0: the enumeration stops at its first cycle
         # with nothing filed, so every query may fire and the stage is
         # walked: the event engine counts each query as truncated, and the
         # protocol engine simulates
         g = Graph(8, [(u, v) for u in range(4) for v in range(4, 8)])
         queries = [(1 << v, v) for v in range(4)]
-        shared = ColorBfsConfig(4, (1 << 8) - 1, {v: int(v >= 4) for v in range(8)}, 1, 5)
+        shared = ColorBfsConfig(4, (1 << 8) - 1, 1, 5)
+        patch_cycledetect(monkeypatch, "CYCLE_ENUM_LIMIT", 0)
+        index = _CycleIndex(g, shared, mask_of(range(4)))
+        assert index.may_fire(mask_of(range(4))) and not index._filed
+        assert all(index.may_fire(q) for q, _ in queries)
         calls = count_calls(monkeypatch, "protocol_detect_once")
-        for limit in (None, 2):
-            if limit is not None:
-                patch_cycledetect(monkeypatch, "CYCLE_ENUM_LIMIT", limit)
-            index = _CycleIndex(g, shared, mask_of(range(4)))
-            assert index.may_fire(mask_of(range(4))) == (limit is not None) and not index._filed
-            assert all(index.may_fire(q) for q, _ in queries) == (limit is not None)
-            calls.clear()
-            found, _, counts = stage_outcome(lambda ledger: _stage_search(
-                CongestNet(g), queries, shared, "test", "color-bfs", ledger, 3,
-                DEFAULT_PARAMS, engine))
-            walked = limit is not None
-            assert (calls["protocol_detect_once"] > 0) == (walked and engine == "protocol")
-            truncated = {"enumeration_truncated": 4} if walked and engine == "event" else {}
-            assert (found, counts) == (False, {"queries": 4, **truncated})
-            assert same_as_every_query(g, queries, shared, 3, engine, limit)[0] is False
+        outcome = stage_outcome(lambda ledger: _stage_search(
+            CongestNet(g), queries, shared, "test", "color-bfs", ledger, 3,
+            DEFAULT_PARAMS, engine))
+        assert (calls["protocol_detect_once"] > 0) == (engine == "protocol")
+        if engine == "event":
+            assert (outcome[0], outcome[2]) == (False, {"queries": 4,
+                                                        "enumeration_truncated": 4})
+        assert same_as_every_query(g, queries, shared, 3, engine, 0) == outcome
 
     @pytest.mark.parametrize("engine", ["event", "protocol"])
     def test_a_cut_at_or_below_a_cycle_free_source_walks_its_query(self, monkeypatch,
@@ -1529,7 +1484,7 @@ class TestNoFireQueries:
         # engine simulates it.  Neither answer can change.
         g = Graph(9, [(u, v) for u in range(4) for v in range(4, 8)] + [(7, 8)])
         queries = [(1 << 8, 0), (1 << 0, 1)]
-        shared = ColorBfsConfig(4, (1 << 9) - 1, None, 1, 1)
+        shared = ColorBfsConfig(4, (1 << 9) - 1, 1, 1)
         patch_cycledetect(monkeypatch, "CYCLE_ENUM_LIMIT", 2)
         assert _CycleIndex(g, shared, 1 << 8 | 1).patterns(1 << 8) == (
             [], {"enumeration_truncated"})
@@ -1568,7 +1523,7 @@ class TestNoFireQueries:
         ledger = CostLedger()
         assert not detect_odd_cycle(g, 5, ledger, seed=1)
         classes = [mask_of(range(i, 40, 5)) for i in range(5)]
-        shared = ColorBfsConfig(7, (1 << 40) - 1, None, 1, 3)
+        shared = ColorBfsConfig(7, (1 << 40) - 1, 1, 3)
         assert not _stage_search(CongestNet(g), [(q, i) for i, q in enumerate(classes)],
                                  shared, "test", "color-bfs", ledger, 1, DEFAULT_PARAMS, "event")
         assert ledger.counts["queries"] > 0 and not calls
@@ -1616,9 +1571,7 @@ class TestSettledQueries:
         sources = mask_of(v for v in bits(active >> low << low) if rng.random() < 0.4)
         others = [mask_of(v for v in bits(active & ~sources) if rng.random() < 0.3)
                   for _ in range(2)]  # the stage's other queries
-        heights = ({v: rng.randrange(3) for v in bits(active)}
-                   if data.draw(st.booleans(), label="heighted") else None)
-        cfg = ColorBfsConfig(ell, active, heights, data.draw(st.integers(1, 3), label="M"), 1)
+        cfg = ColorBfsConfig(ell, active, data.draw(st.integers(1, 3), label="M"), 1)
         limit = data.draw(st.sampled_from([None, 1, 3, 10]), label="CYCLE_ENUM_LIMIT")
         with pytest.MonkeyPatch.context() as mp:
             if limit is not None:
@@ -1627,8 +1580,8 @@ class TestSettledQueries:
             queries = [sources] + others
             rng.shuffle(queries)  # the other queries may pull the enumeration first
             may = {q: index.may_fire(q) for q in queries}[sources]
-        # colour an ell-cycle through a source 0..ell-1 from it, whatever the
-        # heights, or colour at random
+        # colour an ell-cycle through a source 0..ell-1 from it, or colour
+        # at random
         cycles = list(iter_cycles(g, ell, active_mask=active, anchors=sources))
         for _ in range(20):
             colours = {v: rng.randrange(ell) for v in bits(active)}
@@ -1640,19 +1593,17 @@ class TestSettledQueries:
             if protocol_detect_once(g, cfg, sources, colour_masks(cfg, colours)):
                 assert may, (colours, limit)
 
-    @staticmethod
-    def light_params(k):
-        # delta near 1 makes every node light: the light stage runs with
-        # forest heights and multi-source index classes
-        return EvenCycleParams(k=k, delta=Fraction(9, 10))
-
     @pytest.mark.parametrize("engine", ["event", "protocol"])
     def test_the_settle_step_adds_no_yield(self, monkeypatch, engine):
         # detections whose queries fire, through _stage_search and through
         # evaluate_every_query, whose walk has no settle step: the same
         # outcomes, and the index generators yield the same cycles.  The
         # walk simulates only the queries that may fire, as _stage_search
-        # does, which keeps the protocol engine's C6 negatives fast
+        # does, which keeps the protocol engine's C6 negatives fast.  On a
+        # planted C6 or C8 at n >= 65 the cycle's degree-2 nodes are light
+        # (2 < ceil(n^(1/6))), so the light stage's multi-source index
+        # classes fire; the protocol engine's C8 takes a minute and is left
+        # to the event engine
         yields = count_yields(monkeypatch)
         planted = [generate(GenSpec(kind="planted_cycle", n=n, edge_prob=p, planted_size=ell,
                                     seed=s)) for n, p, ell, s in
@@ -1665,8 +1616,12 @@ class TestSettledQueries:
                 runs.append(lambda led, g=g, ell=ell: (
                     detect_odd_cycle(g, ell, led, seed=7, engine=engine) if ell % 2 else
                     detect_even_cycle(g, ell, led, seed=7, engine=engine)))
-            runs.append(lambda led, g=g: detect_even_cycle(
-                g, 4, led, seed=7, ec_params=self.light_params(2), engine=engine))
+        for ell in (6, 8) if engine == "event" else (6,):
+            g = generate(GenSpec(kind="planted_cycle", n=80, edge_prob=0.0, planted_size=ell,
+                                 seed=1))
+            runs.append(lambda led, g=g, ell=ell: detect_even_cycle(g, ell, led, seed=7,
+                                                                   engine=engine))
+
         def walk(net, queries, shared, tag, phase, ledger, seed, params, engine):
             assert params is DEFAULT_PARAMS
             return evaluate_every_query(net, queries, shared, ledger, seed, engine, tag, phase,
@@ -1688,15 +1643,16 @@ class TestSettledQueries:
     @pytest.mark.parametrize("engine", ["event", "protocol"])
     def test_the_settle_step_stops_at_the_first_pattern(self, monkeypatch, engine):
         # queries {0} and {5}; C4s 0-1-2-3, 5-6-7-8 and 5-9-10-11 come out in
-        # that order.  Node 6 sits above 5, so the second C4 files no pattern.
-        # The query {0} fires: on the event engine its patterns() stops the
-        # walk at the first cycle anchored past 0 (two yields), and on the
-        # protocol engine its may_fire() stops at its first pattern (one).
-        # The settle step, which stops at the stage's first pattern, adds
-        # none; one that stopped at its second pattern would pull all three
+        # that order.  The query {0} fires: on the event engine its
+        # patterns() stops the walk at the first cycle anchored past 0 (two
+        # yields), and on the protocol engine its may_fire() stops at its
+        # first pattern (one).  The settle step, which stops at the stage's
+        # first pattern, adds none; one that stopped at its second pattern
+        # would pull two on the protocol engine, and one that pulled to the
+        # end three on both
         g = Graph(12, [(0, 1), (1, 2), (2, 3), (0, 3), (5, 6), (6, 7), (7, 8), (5, 8),
                        (5, 9), (9, 10), (10, 11), (5, 11)])
-        shared = ColorBfsConfig(4, (1 << 12) - 1, {6: 1}, 1, even_cycle_repetitions(4))
+        shared = ColorBfsConfig(4, (1 << 12) - 1, 1, even_cycle_repetitions(4))
         queries = [(1 << 0, 0), (1 << 5, 5)]
         yields = count_yields(monkeypatch)
         assert _stage_search(CongestNet(g), queries, shared, "test", "color-bfs", CostLedger(),

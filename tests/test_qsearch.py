@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qcongest.intmath import ceil_pow, ceil_scaled_pow
 from qcongest.netsim import CostLedger
 from qcongest.qsearch import (
+    DEFAULT_PARAMS,
     NestedSearchPlan,
     QuantumCostParams,
     SearchLevel,
@@ -148,21 +149,28 @@ class TestFlatIsOneLevelNested:
         # the same for the recursive clique searches and listings, and for
         # every detector built on the search engine, counters included
         import gc
-        from fractions import Fraction
 
         from qcongest.cliquedetect import applicable_strategies, detect_clique
         from qcongest.cliquelist import clique_reach, list_kp
-        from qcongest.cycledetect import EvenCycleParams, detect_even_cycle, detect_odd_cycle
+        from qcongest.cycledetect import (ColorBfsConfig, _stage_search, detect_even_cycle,
+                                          detect_odd_cycle)
         from qcongest.graph import GenSpec, generate
+        from qcongest.netsim import CongestNet
 
         g = generate(GenSpec(kind="gnp", n=40, edge_prob=0.5, seed=2))
         adj = g.adj
         cyc = generate(GenSpec(kind="planted_cycle", n=12, edge_prob=0.1,
                                planted_size=6, seed=1))
-        # sparse enough for sparse plans with t >= 2, and a light stage
-        # whose congestion drops reach ledger.counts
+        # sparse enough for sparse plans with t >= 2
         sparse = generate(GenSpec(kind="gnp", n=48, edge_prob=0.15, seed=4))
-        light = EvenCycleParams(k=2, delta=Fraction(9, 10), alpha=Fraction(1, 10), a_cong=1)
+        # a planted C6 whose nodes are all light: the light stage's
+        # multi-source index classes fire
+        light = generate(GenSpec(kind="planted_cycle", n=80, edge_prob=0.0, planted_size=6,
+                                 seed=1))
+        # two classes of the sparse graph's nodes at M = 1: congestion
+        # drops reach ledger.counts
+        classes = [(sum(1 << v for v in range(i, 48, 2)), i) for i in range(2)]
+        congested = ColorBfsConfig(4, (1 << 48) - 1, 1, 200)
         gc.collect()
         gc.disable()
         try:
@@ -177,7 +185,11 @@ class TestFlatIsOneLevelNested:
             for engine in ("event", "protocol"):
                 detect_odd_cycle(cyc, 5, CostLedger(), engine=engine)
                 detect_even_cycle(cyc, 4, CostLedger(), engine=engine)
-                detect_even_cycle(sparse, 4, CostLedger(), ec_params=light, engine=engine)
+                detect_even_cycle(light, 6, CostLedger(), engine=engine)
+                ledger = CostLedger()
+                _stage_search(CongestNet(sparse), classes, congested, "gc", "gc", ledger, 0,
+                              DEFAULT_PARAMS, engine)
+                assert ledger.counts["congestion_dropped"] or engine == "protocol"
             assert gc.collect() == 0
         finally:
             gc.enable()

@@ -17,7 +17,8 @@ by name.
 README.md names only what the code holds: every backticked token of it
 that looks like code names something that qcongest, perfbench/ or tools/
 defines, reads or holds in a string, so a deleted name cannot linger in
-the docs.
+the docs.  A token led by a dot (`.x`) must name an attribute: one that
+the code reads or sets, a class field or a method.
 """
 
 import ast
@@ -147,16 +148,18 @@ FILE_SUFFIXES = {"cfg", "csv", "json", "md", "py", "toml", "txt", "yaml", "yml"}
 
 
 def code_names(paths):
-    """Every name that the modules at paths define, read or hold as an
-    identifier string, and the names of the modules and their packages."""
-    names = set()
+    """(every name that the modules at paths define, read or hold as an
+    identifier string, and the names of the modules and their packages;
+    the attribute names among them: attributes read or set, class fields
+    and methods)."""
+    names, attributes = set(), set()
     for path in paths:
         names |= {path.stem, path.parent.name}
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, DEFS):
                 names.add(node.name)
             elif isinstance(node, ast.arg):
@@ -164,31 +167,42 @@ def code_names(paths):
             elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                     and node.value.isidentifier():
                 names.add(node.value)
-    return names
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, DEFS):
+                        attributes.add(item.name)
+                    elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        attributes.add(item.target.id)
+                    elif isinstance(item, ast.Assign):
+                        attributes |= {t.id for t in item.targets if isinstance(t, ast.Name)}
+    return names | attributes, attributes
 
 
-def readme_misses(text, names):
+def readme_misses(text, names, attributes):
     """The backticked tokens of text that look like code (they hold `_` or
     `.`, or end in `()`) and name something outside names: each dotted
-    part must be a name.  A file name is not such a token."""
+    part must be a name, and each part of a token led by a dot must be
+    one of attributes.  A file name is not such a token."""
     misses = []
     for token in re.findall(r"`([^`\n]+)`", text):
         if not CODE_TOKEN.fullmatch(token) or not (
                 "_" in token or "." in token or token.endswith("()")):
             continue
         parts = token.removesuffix("()").lstrip(".").split(".")
-        if parts[-1] not in FILE_SUFFIXES and not set(parts) <= names:
+        known = attributes if token.startswith(".") else names
+        if parts[-1] not in FILE_SUFFIXES and not set(parts) <= known:
             misses.append(token)
     return misses
 
 
 def test_readme_checker_flags_an_unknown_name():
-    text = ("`run_it()` and `mod.run_it` run; `gone_name`, `mod.gone()` and "
-            "`.gone_attr` are gone.  Not code: `plain`, `pyproject.toml`, "
-            "`tests/test_x.py`, `--some_flag`, `f(x) + y_z`, `a,b_c`.")
-    assert readme_misses(text, {"run_it", "mod"}) == ["gone_name", "mod.gone()", ".gone_attr"]
+    text = ("`run_it()` and `mod.run_it` run; `.size` is read; `gone_name`, "
+            "`mod.gone()`, `.gone_attr` and `.run_it` are gone.  Not code: `plain`, "
+            "`pyproject.toml`, `tests/test_x.py`, `--some_flag`, `f(x) + y_z`, `a,b_c`.")
+    assert readme_misses(text, {"run_it", "mod", "size"}, {"size"}) == [
+        "gone_name", "mod.gone()", ".gone_attr", ".run_it"]
 
 
 def test_readme_names_only_what_the_code_holds():
-    names = code_names([*sorted(SRC.glob("*.py")), *OUTSIDE])
-    assert readme_misses((ROOT / "README.md").read_text(), names) == []
+    names, attributes = code_names([*sorted(SRC.glob("*.py")), *OUTSIDE])
+    assert readme_misses((ROOT / "README.md").read_text(), names, attributes) == []
