@@ -24,16 +24,24 @@ Every node set (active nodes, sources, the heavy and light sets, the light
 index classes) is an int mask over node ids, as graph.adj is, and is
 walked in ascending order with bits().
 
-Each stage, on either engine, enumerates its candidate cycles once,
-lazily, into one _CycleIndex that settles what cannot fire before anything
-is simulated or drawn; the index files at most CYCLE_ENUM_LIMIT cycles.
-One test, _CycleIndex.may_fire(), says whether sources can fire: no
-pattern anchored there, and no truncation that may have lost one, means
-they cannot.  A stage whose sources together cannot fire charges and
-counts its queries without walking them; otherwise a query that cannot
+Each stage first asks the graph's cycle rank (Graph.cycle_rank(), stored
+with the graph): a forest holds no cycle, so on a graph of cycle rank 0
+every stage charges and counts its queries without walking them, and no
+cycle is enumerated.  Otherwise each stage, on either engine, enumerates
+its candidate cycles once, lazily, into one _CycleIndex that settles what
+cannot fire before anything is simulated or drawn; the index files at most
+CYCLE_ENUM_LIMIT cycles.  One test, _CycleIndex.may_fire(), says whether
+sources can fire: no pattern anchored there, and no truncation that may
+have lost one, means they cannot.  A stage whose sources together cannot
+fire is settled as a forest's stage is; otherwise a query that cannot
 fire answers False from one mask test, on either engine.  The enumeration
 has one no-cycle prune: iter_cycles skips an anchor that the certificates
 of graph.anchor_ball show to lie on no C_len.
+
+The prices of a detection that depend on (n, len) alone (the repetitions,
+the heavy threshold, the number of light index classes, the edge prune's
+limit and, in qsearch, each search's charge) are computed once per key
+and kept.
 
 Two engines compute the same detection event:
 
@@ -60,6 +68,7 @@ Both engines charge identical rounds.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -609,19 +618,21 @@ def _stage_search(
     measured eccentricity.  A stage with no source sets searches nothing
     and charges nothing.
 
-    Both engines first settle what cannot fire, from one _CycleIndex of the
-    stage enumerated inside the active nodes.  A stage whose union of
-    sources cannot fire (index.may_fire()) is not searched: every query
-    answers False, so record_search charges the triple
-    ([len(queries)], [], query_rounds) and counts the queries, exactly as
-    the search would.  That pull never goes past what walking the queries
-    would pull: every cycle is anchored at or below the union's highest
-    source, so it stops at the stage's first pattern, or at the end.  A
-    query that fires has pulled at least to its own first pattern, which
-    comes at or after the stage's first one.  If none fires, each query is
-    walked: the one holding the stage's first pattern pulls at least to it,
-    and with no pattern at all, the query with the highest source pulls to
-    the end.
+    Both engines first settle what cannot fire.  On a graph of cycle rank
+    0 (a forest, and every subgraph of a forest is one) no query can fire,
+    and the stage builds no index.  Otherwise the stage's one _CycleIndex,
+    enumerated inside the active nodes, asks whether the union of its
+    sources can fire (index.may_fire()).  A stage that cannot fire, by
+    either test, is not searched: every query answers False, so
+    record_search charges the triple ([len(queries)], [], query_rounds)
+    and counts the queries, exactly as the search would.  The index's pull
+    never goes past what walking the queries would pull: every cycle is
+    anchored at or below the union's highest source, so it stops at the
+    stage's first pattern, or at the end.  A query that fires has pulled
+    at least to its own first pattern, which comes at or after the stage's
+    first one.  If none fires, each query is walked: the one holding the
+    stage's first pattern pulls at least to it, and with no pattern at
+    all, the query with the highest source pulls to the end.
 
     Otherwise the search walks the queries, and a query that cannot fire
     answers False, drawing nothing, on either engine.  The event engine
@@ -644,8 +655,9 @@ def _stage_search(
         raise ValueError("sources must be a subset of active nodes")
     query_rounds = _query_rounds(shared.cycle_len, shared.repetitions,
                                  shared.congestion_bound, net.eccentricity)
-    index = _CycleIndex(graph, shared, anchors)
-    if not index.may_fire(anchors):
+    # a forest holds no cycle, and neither does any subgraph of it
+    index = _CycleIndex(graph, shared, anchors) if graph.cycle_rank() else None
+    if index is None or not index.may_fire(anchors):
         record_search(ledger, ([len(queries)], [], query_rounds), len(queries), params,
                       "congest", phase)
         return False
@@ -676,8 +688,10 @@ def _stage_search(
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1024)
 def odd_cycle_repetitions(n: int, ell: int) -> int:
-    """Per-query success >= 1 - 1/n^2 when a cycle through the source exists."""
+    """Per-query success >= 1 - 1/n^2 when a cycle through the source
+    exists; computed once per (n, ell)."""
     return repetitions_for(single_rep_success(ell), 1.0 / (n * n))
 
 
@@ -730,15 +744,24 @@ def forest_decomposition(light: int, ledger: CostLedger) -> None:
         ledger.charge("forest-decomposition", "congest", "route", 1)
 
 
+@functools.lru_cache(maxsize=1024)
 def even_cycle_repetitions(two_k: int) -> int:
-    """Per-query success >= 0.99 for one qualifying anchored cycle."""
+    """Per-query success >= 0.99 for one qualifying anchored cycle;
+    computed once per length."""
     return repetitions_for(single_rep_success(two_k), 0.01)
 
 
-def _prune_fires(n: int, m: int, k: int) -> bool:
-    """The edge prune: more than 100k * n^(1+1/k) edges force a C_{2k}
-    (Bondy-Simonovits: ex(n, C_{2k}) = O(k n^(1+1/k)))."""
-    return m > 100 * k * ceil_pow(n, 1 + Fraction(1, k))
+@functools.lru_cache(maxsize=1024)
+def _even_sizes(n: int, k: int) -> Tuple[int, int, int]:
+    """(the heavy degree threshold ceil(n^delta), the number of light index
+    classes ceil(n^alpha), the edge prune's limit 100k * ceil(n^(1+1/k)))
+    of C_{2k} on n nodes, computed once per (n, k).
+
+    The prune: more than the limit of edges force a C_{2k}
+    (Bondy-Simonovits: ex(n, C_{2k}) = O(k n^(1+1/k))).
+    """
+    delta, alpha = _heavy_light_exponents(k)
+    return ceil_pow(n, delta), ceil_pow(n, alpha), 100 * k * ceil_pow(n, 1 + Fraction(1, k))
 
 
 def detect_even_cycle(
@@ -759,21 +782,22 @@ def detect_even_cycle(
         raise ValueError("odd length: use detect_odd_cycle")
     _check_engine(engine)
     _require(graph.n, two_k)
-    k = two_k // 2
-    delta, alpha = _heavy_light_exponents(k)
     n = graph.n
+    heavy_threshold, n_idx, prune_limit = _even_sizes(n, two_k // 2)
     net = CongestNet(graph)
     reps = even_cycle_repetitions(two_k)
 
     # stage 1: the leader counts edges; too many for C_{2k}-freeness -> yes
     ledger.charge("even-cycle/prune", "congest", "converge", net.eccentricity)
-    if _prune_fires(n, graph.m, k):
+    if graph.m > prune_limit:
         return True
 
     # stage 2: heavy cycles (single-source queries over the measured heavy set)
-    heavy_threshold = ceil_pow(n, delta)
+    heavy = 0
+    for v, nbrs in enumerate(graph.adj):
+        if nbrs.bit_count() >= heavy_threshold:
+            heavy |= 1 << v
     everyone = (1 << n) - 1
-    heavy = mask_of(v for v in range(n) if graph.adj[v].bit_count() >= heavy_threshold)
     shared = ColorBfsConfig(two_k, everyone, repetitions=reps)
     heavy_found = _stage_search(net, [(1 << v, v) for v in bits(heavy)], shared,
                                 "even-heavy", "even-cycle/heavy-search", ledger, seed, params,
@@ -782,7 +806,6 @@ def detect_even_cycle(
     # stage 3: light cycles via forest decomposition + index batching
     light = everyone & ~heavy
     forest_decomposition(light, ledger)
-    n_idx = ceil_pow(n, alpha)
     rng = random.Random(derive_seed("even-light-index", seed))
     by_index = [0] * n_idx  # the light index classes, as node masks
     for v in bits(light):
@@ -817,17 +840,17 @@ def cycle_cost_only(
         charge_search(ledger, ([n], [], query_rounds), params, "congest", "odd-cycle/search")
         return None
     k = ell // 2
-    delta, alpha = _heavy_light_exponents(k)
+    _, light_domain, prune_limit = _even_sizes(n, k)
     query_rounds = _query_rounds(ell, even_cycle_repetitions(ell), 1, 1)
     ledger.charge("even-cycle/prune", "congest", "converge", 1)
-    if _prune_fires(n, m, k):
+    if m > prune_limit:
         return True
+    delta, _ = _heavy_light_exponents(k)
     heavy_domain = max(1, ceil_pow(n, 1 - Fraction(1, k) - delta))
     charge_search(ledger, ([heavy_domain], [], query_rounds), params, "congest",
                   "even-cycle/heavy-search")
     layers = math.ceil(2 * math.log2(max(n, 2)))
     ledger.charge("forest-decomposition", "congest", "route", layers)
-    light_domain = max(1, ceil_pow(n, alpha))
     charge_search(ledger, ([light_domain], [], query_rounds), params, "congest",
                   "even-cycle/light-search")
     return None

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 GEN_KINDS = ("gnp", "planted_clique", "planted_cycle", "complete", "path", "cycle", "empty")
 
@@ -26,17 +26,29 @@ class GraphFormatError(ValueError):
     """Malformed edge-list input."""
 
 
+class LeaderBfs(NamedTuple):
+    """What one breadth-first pass over a graph finds: node 0's hop
+    distances (-1 outside node 0's component), node 0's eccentricity (the
+    largest of them) and the number of connected components."""
+
+    dist: Tuple[int, ...]
+    eccentricity: int
+    components: int
+
+
 class Graph:
     """Immutable simple undirected graph on nodes 0..n-1.
 
     `adj` is the one adjacency: a tuple of per-node bitmasks, bit u of
     adj[v] set iff u-v is an edge.  A clique check is one AND, a degree is
     adj[v].bit_count(), and bits(adj[v]) lists the neighbours ascending.
-    One fact is stored lazily: triangle_nodes(), computed on first use and
-    kept, which is sound because the graph never changes.
+    Two facts are stored lazily, computed on first use and kept, which is
+    sound because the graph never changes: triangle_nodes(), and
+    leader_bfs(), which cycle_rank() reads too.  Each is an int or a tuple,
+    so no caller can change the stored value.
     """
 
-    __slots__ = ("n", "adj", "m", "_triangle_nodes")
+    __slots__ = ("n", "adj", "m", "_triangle_nodes", "_leader_bfs")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]]):
         if n < 0:
@@ -57,6 +69,7 @@ class Graph:
         self.adj = tuple(masks)
         self.m = count
         self._triangle_nodes: Optional[int] = None
+        self._leader_bfs: Optional[LeaderBfs] = None
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -84,6 +97,42 @@ class Graph:
                     apex |= adj_u & adj[u + low.bit_length()]
             self._triangle_nodes = apex
         return self._triangle_nodes
+
+    def leader_bfs(self) -> LeaderBfs:
+        """Node 0's hop distances and eccentricity, and the component count.
+
+        One frontier-mask pass on first use, O(n + m) mask operations: a
+        BFS from node 0 records the distances, then a BFS from the smallest
+        unreached node, while one is left, counts each further component.
+        The empty graph has no component and no distance.
+        """
+        if self._leader_bfs is None:
+            adj = self.adj
+            dist = [-1] * self.n
+            eccentricity = components = 0
+            unreached = (1 << self.n) - 1
+            while unreached:
+                frontier = unreached & -unreached  # node 0, then the smallest unreached node
+                hops = 0
+                while frontier:
+                    unreached &= ~frontier
+                    nxt = 0
+                    for v in bits(frontier):
+                        if not components:
+                            dist[v] = hops
+                        nxt |= adj[v]
+                    frontier = nxt & unreached
+                    hops += 1
+                if not components:
+                    eccentricity = hops - 1
+                components += 1
+            self._leader_bfs = LeaderBfs(tuple(dist), eccentricity, components)
+        return self._leader_bfs
+
+    def cycle_rank(self) -> int:
+        """m - n + c, c the number of components: the number of independent
+        cycles, 0 exactly when the graph is a forest."""
+        return self.m - self.n + self.leader_bfs().components
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"

@@ -11,8 +11,9 @@ rounds to a CostLedger.  The ledger is the whole record of a run: beside
 its entries it counts what the run did without charging it (the queries
 every search answered, and the cycle queries whose candidate patterns
 were truncated, capped or dropped for congestion).  This module adds the
-CONGEST leader convergecast (CongestNet, whose BFS reads the graph's
-adjacency masks) and the hop-by-hop steps of the cycle protocols
+CONGEST leader convergecast (CongestNet, which reads the leader's
+distances and eccentricity from the graph's once-computed
+Graph.leader_bfs()) and the hop-by-hop steps of the cycle protocols
 (congest_step), the only place where payloads are materialized; a step
 charges nothing, its detector charges the rounds.
 """
@@ -22,8 +23,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
-
-from .graph import bits
 
 KINDS = ("route", "broadcast", "converge", "quantum")
 MODELS = ("clique", "congest")
@@ -83,29 +82,17 @@ class CongestNet:
 
     The leader is node 0 by convention; aggregation happens along a BFS
     tree of the leader's component.  dist[v] is v's hop distance from the
-    leader (-1 outside its component), found by a BFS over frontier masks
-    of graph.adj, and a one-word convergecast takes eccentricity rounds.
+    leader (-1 outside its component), and a one-word convergecast takes
+    eccentricity rounds.  Both are read from graph.leader_bfs(), which
+    the graph computes once and keeps, so a detection pays no BFS of its
+    own; dist is a copy, which no edit carries back to the graph.
     """
 
     def __init__(self, graph) -> None:
         self.graph = graph
-        self.dist = self._bfs_from_leader()
-        self.eccentricity = max(self.dist)
-
-    def _bfs_from_leader(self) -> List[int]:
-        adj = self.graph.adj
-        dist = [-1] * self.graph.n
-        seen = frontier = 1  # node 0
-        hops = 0
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                dist[v] = hops
-                nxt |= adj[v]
-            frontier = nxt & ~seen
-            seen |= frontier
-            hops += 1
-        return dist
+        bfs = graph.leader_bfs()
+        self.dist = list(bfs.dist)
+        self.eccentricity = bfs.eccentricity
 
     def require_reachable(self, nodes: Iterable[int]) -> None:
         bad = [v for v in nodes if self.dist[v] < 0]

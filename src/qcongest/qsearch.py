@@ -20,6 +20,7 @@ flat grover_cost).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 from dataclasses import dataclass
@@ -112,8 +113,17 @@ def nested_cost_predict(
     """Evaluate the nested search recursion on explicit per-level costs.
 
     setup_costs may have k-1 or k entries; the final level's setup defaults
-    to 0 (level-k setup is optional in this framework).
+    to 0 (level-k setup is optional in this framework).  The value is a
+    pure function of its arguments, computed once per key and kept, so a
+    search of the same sizes and costs (the same stage of a detection run
+    again) does no arithmetic.
     """
+    return _nested_cost(tuple(sizes), tuple(setup_costs), check_cost, params)
+
+
+@functools.lru_cache(maxsize=4096)
+def _nested_cost(sizes: Tuple[int, ...], setup_costs: Tuple[int, ...], check_cost: int,
+                 params: QuantumCostParams) -> int:
     k = len(sizes)
     if k < 1:
         raise ValueError("need at least one level")

@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcongest.cli import fit_slope
+from qcongest.cli import fit_slope, main
 from qcongest.cycledetect import (
     _A_CONG,
     _EXACT_CAP,
     _PATTERN_CAP,
     ColorBfsConfig,
     _CycleIndex,
+    _even_sizes,
     _event_found,
     _fires,
     _heavy_light_exponents,
@@ -42,9 +43,10 @@ from qcongest.cycledetect import (
 )
 from qcongest.graph import (GenSpec, Graph, bits, generate, iter_cycles, mask_of,
                             oracle_has_cycle)
-from qcongest.intmath import ceil_pow, ceil_scaled_pow
+from qcongest.intmath import ceil_pow, ceil_scaled_pow, ceil_scaled_sqrt
 from qcongest.netsim import CongestNet, CostLedger, congest_step, word_capacity
-from qcongest.qsearch import DEFAULT_PARAMS, derive_seed, grover_cost, run_search
+from qcongest.qsearch import (DEFAULT_PARAMS, QuantumCostParams, derive_seed, grover_cost,
+                              nested_cost_predict, run_search)
 
 
 def cycle_graph(ell, n=None):
@@ -1658,3 +1660,113 @@ class TestSettledQueries:
         assert _stage_search(CongestNet(g), queries, shared, "test", "color-bfs", CostLedger(),
                              1, DEFAULT_PARAMS, engine)
         assert yields["cycles"] == (2 if engine == "event" else 1)
+
+
+def random_forest(n, seed, isolated=0):
+    """A forest on n nodes (each node but the first joins a random earlier
+    node with probability 0.8), then `isolated` nodes with no edge, the
+    first of them at id 0 when isolated > 1."""
+    rng = random.Random(seed)
+    edges = [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.8]
+    shift = 1 if isolated > 1 else 0
+    return Graph(n + isolated, [(u + shift, v + shift) for u, v in edges])
+
+
+def forests():
+    stars = [Graph(n, [(c, v) for v in range(n) if v != c]) for n, c in ((9, 0), (14, 5))]
+    return ([random_forest(n, seed) for n, seed in ((8, 1), (12, 2), (20, 3), (30, 4))]
+            + [generate(GenSpec(kind="path", n=n)) for n in (8, 15)] + stars
+            + [random_forest(n, seed, isolated) for n, seed, isolated in
+               ((10, 5, 1), (16, 6, 3), (24, 7, 5))])
+
+
+def detect(g, ell, ledger, engine, seed=3):
+    fn = detect_odd_cycle if ell % 2 else detect_even_cycle
+    return fn(g, ell, ledger, seed=seed, engine=engine)
+
+
+class TestForestCertificate:
+    """On a graph of cycle rank 0 every stage is settled without a cycle
+    index, and charges and counts what the walk charges and counts."""
+
+    @pytest.mark.parametrize("engine", ["event", "protocol"])
+    def test_forests_are_settled_as_the_walk_settles_them(self, engine):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a forest's stage built an index or a ball")
+
+        runs = 0
+        for g in forests():
+            assert g.cycle_rank() == 0
+            for ell in range(4, min(g.n, 8) + 1):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setitem(detect_odd_cycle.__globals__, "_CycleIndex", refuse)
+                    mp.setitem(iter_cycles.__globals__, "anchor_ball", refuse)
+                    settled = stage_outcome(lambda led: detect(g, ell, led, engine))
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(Graph, "cycle_rank", lambda self: 1)
+                    walked = stage_outcome(lambda led: detect(g, ell, led, engine))
+                assert settled == walked and settled[0] is False, (g, ell)
+                runs += 1
+        assert runs > 40
+
+    def test_a_graph_with_one_triangle_still_builds_its_index(self, monkeypatch):
+        # cycle rank 1, though no C4 or C5 exists: the stages walk
+        g = Graph(7, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6)])
+        assert g.cycle_rank() == 1
+        calls = count_calls(monkeypatch, "_CycleIndex")
+        for ell in (4, 5):
+            assert not detect(g, ell, CostLedger(), "event")
+        assert calls["_CycleIndex"] >= 3  # the odd search, the heavy and the light stage
+
+
+class TestPrices:
+    """Every price that a detection computes once per (n, ell) equals its
+    formula, however often it is read."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(4, 5000), ell=st.integers(4, 12))
+    def test_each_cached_price_is_its_formula(self, n, ell):
+        k = ell // 2
+        delta, alpha = _heavy_light_exponents(k)
+        classes = ceil_pow(n, alpha)
+        for _ in range(2):  # computed, then read back
+            assert odd_cycle_repetitions(n, ell) == repetitions_for(single_rep_success(ell),
+                                                                     1.0 / (n * n))
+            assert even_cycle_repetitions(ell) == repetitions_for(single_rep_success(ell), 0.01)
+            assert _even_sizes(n, k) == (ceil_pow(n, delta), classes,
+                                         100 * k * ceil_pow(n, 1 + Fraction(1, k)))
+            for params in (DEFAULT_PARAMS, QuantumCostParams(Fraction(3, 2), 2)):
+                c = params.c_grover
+                for domain, m_bound, ecc in ((n, 1, 1), (classes, _A_CONG * word_capacity(n),
+                                                          n % 7)):
+                    rounds = _query_rounds(ell, even_cycle_repetitions(ell), m_bound, ecc)
+                    flat = grover_cost(domain, rounds, params)
+                    assert nested_cost_predict([domain], [], rounds, params) == flat
+                    assert nested_cost_predict([domain], [0], rounds, params) == flat
+                    two = params.reps * ceil_scaled_sqrt(ell, c) * (
+                        ecc + ceil_scaled_sqrt(domain, c) * rounds)
+                    assert nested_cost_predict([ell, domain], [ecc], rounds, params) == two
+
+    @pytest.mark.parametrize("args", [
+        ["sweep", "--algo", "even-cycle", "--ell", "6", "--n-list", "64,256,1024"],
+        ["sweep", "--algo", "odd-cycle", "--ell", "7", "--n-list", "64,256,1024"]])
+    def test_cost_only_sweeps_print_what_uncached_prices_print(self, capsys, args):
+        cached = [(glob, name) for glob, names in (
+            (detect_odd_cycle.__globals__, ("odd_cycle_repetitions", "even_cycle_repetitions",
+                                            "_even_sizes")),
+            (nested_cost_predict.__globals__, ("_nested_cost",))) for name in names]
+
+        def reads():
+            return [glob[name].cache_info()[:2] for glob, name in cached]
+
+        printed = []
+        for uncached in (False, True):
+            before = reads()
+            with pytest.MonkeyPatch.context() as mp:
+                if uncached:
+                    for glob, name in cached:
+                        mp.setitem(glob, name, glob[name].__wrapped__)
+                assert main(args) == 0
+            assert (reads() == before) == uncached  # the uncached run reads no cache
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1] and printed[0].count("\n") == 4

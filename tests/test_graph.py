@@ -3,7 +3,9 @@
 import itertools
 import random
 from types import SimpleNamespace
+from unittest import mock
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -88,6 +90,54 @@ class TestTriangleNodes:
         b = Graph(6, [(3, 4), (4, 5), (3, 5), (0, 1)])
         for _ in range(2):
             assert (a.triangle_nodes(), b.triangle_nodes()) == (0b000111, 0b111000)
+
+
+class TestLeaderBfs:
+    """leader_bfs() and cycle_rank() are networkx's values, stored on the
+    graph they describe."""
+
+    @staticmethod
+    def assert_matches_networkx(g):
+        ref = nx.Graph()
+        ref.add_nodes_from(range(g.n))
+        ref.add_edges_from(g.edges())
+        hops = nx.single_source_shortest_path_length(ref, 0) if g.n else {}
+        facts = g.leader_bfs()
+        assert facts.dist == tuple(hops.get(v, -1) for v in range(g.n))
+        assert facts.eccentricity == max(hops.values(), default=0)
+        assert facts.components == nx.number_connected_components(ref)
+        assert g.cycle_rank() == len(nx.cycle_basis(ref))
+        # a second read is the stored value: no new BFS runs
+        with mock.patch.dict(Graph.leader_bfs.__globals__,
+                             bits=mock.Mock(side_effect=AssertionError("a second BFS"))):
+            assert g.leader_bfs() is facts
+            assert g.cycle_rank() == len(nx.cycle_basis(ref))
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(0, 16), data=st.data())
+    def test_matches_networkx(self, n, data):
+        # sparse edge sets, so that most draws are disconnected
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        picked = data.draw(st.sets(st.integers(0, len(pairs) - 1), max_size=n + 2)
+                           if pairs else st.just(set()))
+        edges = [pairs[i] for i in sorted(picked)]
+        if data.draw(st.booleans(), label="isolate node 0"):
+            edges = [e for e in edges if 0 not in e]
+        self.assert_matches_networkx(Graph(n, edges))
+
+    @pytest.mark.parametrize("g", [Graph(0, []), Graph(1, []), Graph(5, []),
+                                   Graph(4, [(1, 2), (2, 3), (1, 3)]),
+                                   generate(GenSpec(kind="complete", n=6)),
+                                   generate(GenSpec(kind="path", n=7))],
+                             ids=["empty", "n1", "no-edges", "isolated-0", "K6", "path"])
+    def test_edge_cases(self, g):
+        self.assert_matches_networkx(g)
+
+    def test_the_distances_are_read_only(self):
+        facts = generate(GenSpec(kind="path", n=4)).leader_bfs()
+        assert facts == ((0, 1, 2, 3), 3, 1)
+        with pytest.raises(TypeError):
+            facts.dist[0] = 5
 
 
 class TestLoadGraph:

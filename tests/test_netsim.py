@@ -50,6 +50,12 @@ class TestConverge:
         net = CongestNet(Graph(5, [(0, i) for i in range(1, 5)]))
         assert net.eccentricity == 1
 
+    def test_dist_is_a_copy_of_the_graphs_stored_distances(self):
+        g = generate(GenSpec(kind="path", n=3))
+        CongestNet(g).dist[2] = -1
+        assert g.leader_bfs().dist == (0, 1, 2)
+        assert CongestNet(g).dist == [0, 1, 2]
+
     def test_disconnected_reporting_errors(self):
         net = CongestNet(Graph(4, [(0, 1)]))
         with pytest.raises(RuntimeError, match="disconnected"):
