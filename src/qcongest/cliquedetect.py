@@ -44,7 +44,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cliquelist import CliqueInventory, charge_listing, clique_reach, list_kp
-from .graph import Graph, density, range_mask
+from .graph import Graph, density
 from .intmath import ceil_div, ceil_pow, ceil_scaled_pow
 from .netsim import CostLedger, word_capacity
 from .qsearch import (
@@ -74,20 +74,6 @@ class DetectionPlan:
 # ---------------------------------------------------------------------------
 
 
-def id_ranges(n: int, count: int) -> Tuple[range, ...]:
-    """Split 0..n-1 into `count` contiguous ranges, sizes differing by <= 1."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    base, extra = divmod(n, count)
-    parts = []
-    start = 0
-    for i in range(count):
-        size = base + (1 if i < extra else 0)
-        parts.append(range(start, start + size))
-        start += size
-    return tuple(parts)
-
-
 def _inventory(graph: Graph, p: int, ledger: CostLedger,
                inv: Optional[CliqueInventory]) -> CliqueInventory:
     """inv, checked against graph and p with its listing charged, or a new one."""
@@ -109,9 +95,13 @@ def _inventory(graph: Graph, p: int, ledger: CostLedger,
 # (p+1)-clique).  Nothing is listed or extended as a list.
 
 
-def _id_parts(n: int, sizes: Sequence[int]) -> List[List[int]]:
-    """Level i's parts: the masks of id_ranges(n, sizes[i])."""
-    return [[range_mask(r) for r in id_ranges(n, size)] for size in sizes]
+def _id_parts(n: int, count: int) -> List[int]:
+    """0..n-1 cut into `count` contiguous node masks, ascending, whose
+    sizes differ by at most one, the larger parts first."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    base, extra = divmod(n, count)  # part i starts at i * base + min(i, extra)
+    return [((1 << base + (i < extra)) - 1) << i * base + min(i, extra) for i in range(count)]
 
 
 def _constrained_search(adj: Sequence[int], p: int, reach: int, parts: Sequence[Sequence[int]],
@@ -164,13 +154,14 @@ def _triangle_costs(n: int, m: int) -> Costs:
 
 
 def _triangle_batches(n: int, domain: int) -> List[int]:
-    """Batch l: the l-th slice of each of the n^(1/5) parts Q_k (disjoint,
-    so their masks sum to their union)."""
-    q_parts = id_ranges(n, ceil_pow(n, Fraction(1, 5)))
-    sizes = [ceil_div(len(part), domain) for part in q_parts]
-    return [sum(range_mask(part[ell * size:(ell + 1) * size])
-                for part, size in zip(q_parts, sizes))
-            for ell in range(domain)]
+    """Batch l: the l-th slice of ceil(|Q_k| / domain) nodes of every part Q_k, ORed."""
+    batches = [0] * domain
+    for part in _id_parts(n, ceil_pow(n, Fraction(1, 5))):
+        size = ceil_div(part.bit_count(), domain)
+        window = (part & -part) * ((1 << size) - 1)  # the lowest size ids of part
+        for ell in range(domain):
+            batches[ell] |= part & (window << ell * size)
+    return batches
 
 
 def detect_triangle_quintic(
@@ -220,8 +211,9 @@ def detect_plus1(
     _require("plus1", graph.n, p, 1)
     inv = _inventory(graph, p, ledger, inv)
     costs = _plus1_costs(graph.n, graph.m, p)
-    return _constrained_search(inv.adj, p, inv.reach(), _id_parts(graph.n, costs[0]), costs,
-                               ledger, seed, params, "plus1/search")
+    parts = [_id_parts(graph.n, size) for size in costs[0]]
+    return _constrained_search(inv.adj, p, inv.reach(), parts, costs, ledger, seed, params,
+                               "plus1/search")
 
 
 def plus1_cost_only(
@@ -265,8 +257,9 @@ def detect_nested(
     _require("nested", graph.n, p, t)
     inv = _inventory(graph, p, ledger, inv)
     costs = _nested_costs(graph.n, graph.m, p, t)
-    return _constrained_search(inv.adj, p, inv.reach(), _id_parts(graph.n, costs[0]), costs,
-                               ledger, seed, params, "nested/search")
+    parts = [_id_parts(graph.n, size) for size in costs[0]]
+    return _constrained_search(inv.adj, p, inv.reach(), parts, costs, ledger, seed, params,
+                               "nested/search")
 
 
 def nested_cost_only(
@@ -314,8 +307,9 @@ def extend_blackbox(
     _require("blackbox", graph.n, inv.p, t)
     inv.check_graph(graph)
     costs = _blackbox_costs(graph.n, t, packing)
-    return _constrained_search(inv.adj, inv.p, inv.reach(), _id_parts(graph.n, costs[0]), costs,
-                               ledger, seed, params, "blackbox/search")
+    parts = [_id_parts(graph.n, size) for size in costs[0]]
+    return _constrained_search(inv.adj, inv.p, inv.reach(), parts, costs, ledger, seed, params,
+                               "blackbox/search")
 
 
 def blackbox_cost_only(
@@ -331,22 +325,20 @@ def blackbox_cost_only(
 # ---------------------------------------------------------------------------
 
 
-def degree_batching(degrees: Sequence[int], target: int) -> Tuple[Tuple[int, ...], ...]:
-    """Greedy fill in id order; a batch closes once its degree sum >= target."""
+def degree_batching(degrees: Sequence[int], target: int) -> List[int]:
+    """Greedy fill in id order; a batch (a node mask) closes once its degree sum >= target."""
     if target < 1:
         raise ValueError("target must be >= 1")
-    batches: List[Tuple[int, ...]] = []
-    current: List[int] = []
-    acc = 0
+    batches: List[int] = []
+    start = acc = 0
     for v, d in enumerate(degrees):
-        current.append(v)
         acc += d
         if acc >= target:
-            batches.append(tuple(current))
-            current, acc = [], 0
-    if current or not batches:
-        batches.append(tuple(current))
-    return tuple(batches)
+            batches.append((1 << v + 1) - (1 << start))
+            start, acc = v + 1, 0
+    if start < len(degrees) or not batches:
+        batches.append((1 << len(degrees)) - (1 << start))
+    return batches
 
 
 def _sparse_costs(n: int, m: int, t: int) -> Costs:
@@ -396,10 +388,9 @@ def extend_sparse(
     degrees = graph.degrees()
     parts: List[List[int]] = []
     for x in costs[0][:-1]:
-        batches = degree_batching(degrees, target=max(1, ceil_div(2 * m, x)))
-        masks = [sum(1 << v for v in b) for b in batches[:x]]
-        parts.append(masks + [0] * (x - len(masks)))
-    parts.append([sum(1 << v for v in b) for b in degree_batching(degrees, target=n)])
+        batches = degree_batching(degrees, target=max(1, ceil_div(2 * m, x)))[:x]
+        parts.append(batches + [0] * (x - len(batches)))
+    parts.append(degree_batching(degrees, target=n))
     return _constrained_search(inv.adj, inv.p, inv.reach(), parts, costs, ledger, seed,
                                params, "sparse/search")
 

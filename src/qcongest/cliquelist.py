@@ -47,12 +47,12 @@ from .netsim import CostLedger
 
 @dataclass(frozen=True)
 class TupleAssignment:
-    """Group partition plus the multiset-of-groups ownership map."""
+    """Group partition (one node mask per group) plus the multiset-of-groups ownership map."""
 
     n: int
     p: int
     s: int
-    groups: Tuple[range, ...]
+    groups: Tuple[int, ...]
     multisets: Tuple[Tuple[int, ...], ...]
 
     def owner(self, rank: int) -> int:
@@ -118,7 +118,7 @@ class CliqueInventory:
         """Debug format: one line 'v: u1 u2 ... up' per listed clique, v its
         owner and u1 < ... < up its members, sorted by owner, then members."""
         ta = tuple_assignment(self.n, self.p)
-        size = len(ta.groups[0])  # group i holds nodes i*size .. (i+1)*size - 1
+        size = ta.groups[0].bit_count()  # group i holds nodes i*size .. (i+1)*size - 1
         rank = {ms: r for r, ms in enumerate(ta.multisets)}
         entries = sorted((ta.owner(rank[tuple(v // size for v in clique)]), clique)
                          for clique in (tuple(bits(mask)) for mask in self._listing()[0]))
@@ -134,7 +134,7 @@ def tuple_assignment(n: int, p: int) -> TupleAssignment:
         raise ValueError("n must be >= 0")
     s = max(ceil_root(n, p), 1)  # one (empty) group when n = 0
     size = ceil_div(n, s)
-    groups = tuple(range(i * size, min((i + 1) * size, n)) for i in range(s))
+    groups = tuple((1 << min((i + 1) * size, n)) - (1 << min(i * size, n)) for i in range(s))
     multisets = tuple(combinations_with_replacement(range(s), p))
     return TupleAssignment(n=n, p=p, s=s, groups=groups, multisets=multisets)
 

@@ -676,7 +676,7 @@ def _stage_search(
         else:
             found = _protocol_found(graph, shared, sources, (tag, seed, label))
         if found:
-            net.require_reachable([(sources & -sources).bit_length() - 1])
+            net.require_reachable(sources & -sources)
         return found, query_rounds
 
     return run_search(len(queries), checker, ledger, params, seed=seed,

@@ -27,11 +27,11 @@ class GraphFormatError(ValueError):
 
 
 class LeaderBfs(NamedTuple):
-    """What one breadth-first pass over a graph finds: node 0's hop
-    distances (-1 outside node 0's component), node 0's eccentricity (the
-    largest of them) and the number of connected components."""
+    """What one breadth-first pass over a graph finds: the node mask of
+    node 0's component, node 0's eccentricity (its largest hop distance)
+    and the number of connected components."""
 
-    dist: Tuple[int, ...]
+    component: int
     eccentricity: int
     components: int
 
@@ -44,8 +44,8 @@ class Graph:
     adj[v].bit_count(), and bits(adj[v]) lists the neighbours ascending.
     Two facts are stored lazily, computed on first use and kept, which is
     sound because the graph never changes: triangle_nodes(), and
-    leader_bfs(), which cycle_rank() reads too.  Each is an int or a tuple,
-    so no caller can change the stored value.
+    leader_bfs(), which cycle_rank() reads too.  Each is an int or a tuple
+    of ints, so no caller can change the stored value.
     """
 
     __slots__ = ("n", "adj", "m", "_triangle_nodes", "_leader_bfs")
@@ -99,18 +99,17 @@ class Graph:
         return self._triangle_nodes
 
     def leader_bfs(self) -> LeaderBfs:
-        """Node 0's hop distances and eccentricity, and the component count.
+        """Node 0's component and eccentricity, and the component count.
 
         One frontier-mask pass on first use, O(n + m) mask operations: a
-        BFS from node 0 records the distances, then a BFS from the smallest
-        unreached node, while one is left, counts each further component.
-        The empty graph has no component and no distance.
+        BFS from node 0 finds its component and eccentricity, then a BFS
+        from the smallest unreached node, while one is left, counts each
+        further component.  The empty graph has no component: its mask is 0.
         """
         if self._leader_bfs is None:
             adj = self.adj
-            dist = [-1] * self.n
-            eccentricity = components = 0
-            unreached = (1 << self.n) - 1
+            everyone = unreached = (1 << self.n) - 1
+            component = eccentricity = components = 0
             while unreached:
                 frontier = unreached & -unreached  # node 0, then the smallest unreached node
                 hops = 0
@@ -118,15 +117,13 @@ class Graph:
                     unreached &= ~frontier
                     nxt = 0
                     for v in bits(frontier):
-                        if not components:
-                            dist[v] = hops
                         nxt |= adj[v]
                     frontier = nxt & unreached
                     hops += 1
                 if not components:
-                    eccentricity = hops - 1
+                    component, eccentricity = everyone & ~unreached, hops - 1
                 components += 1
-            self._leader_bfs = LeaderBfs(tuple(dist), eccentricity, components)
+            self._leader_bfs = LeaderBfs(component, eccentricity, components)
         return self._leader_bfs
 
     def cycle_rank(self) -> int:
@@ -158,13 +155,6 @@ def density(n: int, m: int) -> Fraction:
     """Edge density m / C(n, 2) of an n-node graph with m edges (0 if n < 2)."""
     pairs = n * (n - 1) // 2
     return Fraction(m, pairs) if pairs else Fraction(0)
-
-
-def range_mask(r: range) -> int:
-    """Bitmask of the nodes in a contiguous (step 1) range."""
-    if r.step != 1:
-        raise ValueError("range_mask needs a step-1 range")
-    return ((1 << len(r)) - 1) << r.start
 
 
 @dataclass(frozen=True)
@@ -226,9 +216,7 @@ def generate(spec: GenSpec) -> Graph:
     edges = []
     for u in range(n):
         for v in range(u + 1, n):
-            if (u, v) in planted:
-                edges.append((u, v))
-            elif rng.random() < spec.edge_prob:
+            if (u, v) in planted or rng.random() < spec.edge_prob:  # no draw for a planted edge
                 edges.append((u, v))
     return Graph(n, edges)
 
@@ -337,11 +325,7 @@ def oracle_cliques(graph: Graph, p: int) -> CliqueSet:
 
 def oracle_has_clique(graph: Graph, p: int) -> bool:
     """Emptiness check with short-circuit (no work cap; prunes hard)."""
-    if p > graph.n or p < 1:
-        return False
-    for _ in iter_cliques(graph, p):
-        return True
-    return False
+    return next(iter_cliques(graph, p), None) is not None
 
 
 def oracle_has_extension(graph: Graph, inv, t: int) -> bool:

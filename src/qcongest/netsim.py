@@ -12,7 +12,7 @@ its entries it counts what the run did without charging it (the queries
 every search answered, and the cycle queries whose candidate patterns
 were truncated, capped or dropped for congestion).  This module adds the
 CONGEST leader convergecast (CongestNet, which reads the leader's
-distances and eccentricity from the graph's once-computed
+component mask and eccentricity from the graph's once-computed
 Graph.leader_bfs()) and the hop-by-hop steps of the cycle protocols
 (congest_step), the only place where payloads are materialized; a step
 charges nothing, its detector charges the rounds.
@@ -23,6 +23,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
+
+from .graph import bits
 
 KINDS = ("route", "broadcast", "converge", "quantum")
 MODELS = ("clique", "congest")
@@ -81,24 +83,21 @@ class CongestNet:
     """CONGEST instance: messages travel only along graph edges.
 
     The leader is node 0 by convention; aggregation happens along a BFS
-    tree of the leader's component.  dist[v] is v's hop distance from the
-    leader (-1 outside its component), and a one-word convergecast takes
-    eccentricity rounds.  Both are read from graph.leader_bfs(), which
-    the graph computes once and keeps, so a detection pays no BFS of its
-    own; dist is a copy, which no edit carries back to the graph.
+    tree of the leader's component, whose node mask is `component`, and a
+    one-word convergecast takes `eccentricity` rounds.  Both are read from
+    graph.leader_bfs(), which the graph computes once and keeps, so a
+    detection pays no BFS of its own.
     """
 
     def __init__(self, graph) -> None:
         self.graph = graph
-        bfs = graph.leader_bfs()
-        self.dist = list(bfs.dist)
-        self.eccentricity = bfs.eccentricity
+        self.component, self.eccentricity, _ = graph.leader_bfs()
 
-    def require_reachable(self, nodes: Iterable[int]) -> None:
-        bad = [v for v in nodes if self.dist[v] < 0]
+    def require_reachable(self, nodes: int) -> None:
+        bad = nodes & ~self.component
         if bad:
             raise RuntimeError(
-                f"leader cannot aggregate: nodes {bad} are disconnected from node 0"
+                f"leader cannot aggregate: nodes {list(bits(bad))} are disconnected from node 0"
             )
 
 

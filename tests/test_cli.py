@@ -1,6 +1,10 @@
 """CLI commands, CSV round-trips, slope fitting, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -331,3 +335,22 @@ class TestCostParamFlags:
         r_on = rows_from_csv(on.read_text())[0]
         r_off = rows_from_csv(off.read_text())[0]
         assert r_off.rounds_total > r_on.rounds_total
+
+
+class TestBlackboxAtLargeT:
+    """A cost-only blackbox sweep at large t prices n^(1 - 2^-(t-1)) without
+    forming n^(2^(t-1) - 1); before, t = 25 ran for minutes and t = 40
+    ended in a MemoryError."""
+
+    @pytest.mark.parametrize("t", [25, 40])
+    def test_sweep_finishes(self, t):
+        src = Path(cliquedetect.__file__).resolve().parents[1]
+        run = subprocess.run(
+            [sys.executable, "-m", "qcongest.cli", "sweep", "--algo", "blackbox", "--p", "2",
+             "--t", str(t), "--n-list", "64,128"],
+            capture_output=True, text=True, timeout=10,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert (run.returncode, run.stderr) == (0, "")
+        rows = rows_from_csv(run.stdout)
+        assert [(r.n, r.algo) for r in rows] == [(64, "blackbox"), (128, "blackbox")]
+        assert 0 < rows[0].rounds_quantum < rows[1].rounds_quantum

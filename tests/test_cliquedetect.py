@@ -1,5 +1,6 @@
 """Clique detection strategies against the brute-force oracles."""
 
+from fractions import Fraction
 from functools import reduce
 from operator import or_
 
@@ -23,6 +24,7 @@ from qcongest.cliquedetect import (
     extend_blackbox,
     extend_sparse,
     _candidate_plans,
+    _id_parts,
     inapplicable,
     _nested_costs,
     nested_cost_only,
@@ -30,21 +32,114 @@ from qcongest.cliquedetect import (
     plus1_cost_only,
     sparse_cost_only,
     triangle_cost_only,
+    _triangle_batches,
 )
 from qcongest.cliquelist import clique_reach, list_kp
 from qcongest.graph import (
     GenSpec,
     Graph,
+    bits,
     generate,
     oracle_has_clique,
     oracle_has_extension,
 )
+from qcongest.intmath import ceil_div, ceil_pow
 from qcongest.netsim import CostLedger
 from qcongest.qsearch import QuantumCostParams, nested_cost_predict
 
 
 def gnp(n, p, seed):
     return generate(GenSpec(kind="gnp", n=n, edge_prob=p, seed=seed))
+
+
+def ranges_reference(n, count):
+    """0..n-1 cut into count contiguous ranges, larger first: the range
+    form of the search parts, kept here as the reference of the masks."""
+    base, extra = divmod(n, count)
+    parts, start = [], 0
+    for i in range(count):
+        size = base + (1 if i < extra else 0)
+        parts.append(range(start, start + size))
+        start += size
+    return parts
+
+
+def range_mask(r):
+    return ((1 << len(r)) - 1) << r.start
+
+
+def degree_batching_reference(degrees, target):
+    """The id-tuple batches of the greedy degree fill."""
+    batches, current, acc = [], [], 0
+    for v, d in enumerate(degrees):
+        current.append(v)
+        acc += d
+        if acc >= target:
+            batches.append(tuple(current))
+            current, acc = [], 0
+    if current or not batches:
+        batches.append(tuple(current))
+    return batches
+
+
+class TestPartitions:
+    """Every node set a strategy searches is an int mask: the search parts,
+    the triangle batches and the degree batches equal their range and
+    id-tuple references, part for part and in order."""
+
+    @staticmethod
+    def assert_contiguous_cover(n, parts):
+        # ascending, contiguous, disjoint and covering 0..n-1
+        start = 0
+        for part in parts:
+            size = part.bit_count()
+            assert part == ((1 << size) - 1) << start
+            start += size
+        assert start == n
+
+    def test_search_parts(self):
+        for n in range(1, 2100):
+            counts = {1, 2, ceil_pow(n, Fraction(1, 5)), ceil_pow(n, Fraction(2, 5)),
+                      ceil_pow(n, Fraction(1, 2)), ceil_pow(n, Fraction(2, 3))}
+            for count in counts:
+                parts = _id_parts(n, count)
+                assert parts == [range_mask(r) for r in ranges_reference(n, count)], (n, count)
+                self.assert_contiguous_cover(n, parts)
+                sizes = [part.bit_count() for part in parts]
+                assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
+
+    @given(st.integers(0, 3000), st.integers(1, 3100))
+    @settings(max_examples=300, deadline=None)
+    def test_search_parts_of_any_count(self, n, count):
+        parts = _id_parts(n, count)
+        assert len(parts) == count
+        assert parts == [range_mask(r) for r in ranges_reference(n, count)]
+        self.assert_contiguous_cover(n, parts)
+
+    def test_search_parts_need_a_count(self):
+        with pytest.raises(ValueError):
+            _id_parts(8, 0)
+
+    def test_triangle_batches(self):
+        for n in range(32, 2100):
+            domain = ceil_pow(n, Fraction(2, 5))
+            q_parts = ranges_reference(n, ceil_pow(n, Fraction(1, 5)))
+            sizes = [ceil_div(len(part), domain) for part in q_parts]
+            want = [sum(range_mask(part[ell * size:(ell + 1) * size])
+                        for part, size in zip(q_parts, sizes))
+                    for ell in range(domain)]
+            batches = _triangle_batches(n, domain)
+            assert batches == want, n
+            assert sum(b.bit_count() for b in batches) == n
+            assert reduce(or_, batches) == (1 << n) - 1
+
+    @given(st.lists(st.integers(0, 60), max_size=200), st.integers(1, 400))
+    @settings(max_examples=300, deadline=None)
+    def test_degree_batches(self, degrees, target):
+        batches = degree_batching(degrees, target)
+        assert batches == [sum(1 << v for v in b)
+                           for b in degree_batching_reference(degrees, target)]
+        self.assert_contiguous_cover(len(degrees), batches)
 
 
 class TestTriangle:
@@ -201,11 +296,11 @@ class TestExtendSparse:
     def test_degree_batching_bounds(self):
         g = gnp(96, 0.3, 7)
         batches = degree_batching(g.degrees(), target=96)
-        nodes = sorted(v for b in batches for v in b)
+        nodes = sorted(v for b in batches for v in bits(b))
         assert nodes == list(range(96))
         maxdeg = max(g.degrees())
         for batch in batches[:-1]:
-            s = sum(g.adj[v].bit_count() for v in batch)
+            s = sum(g.adj[v].bit_count() for v in bits(batch))
             assert 96 / 2 <= s <= 96 + maxdeg
 
 

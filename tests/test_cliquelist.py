@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qcongest import cliquelist
 from qcongest.cli import fit_slope
 from qcongest.cliquelist import list_kp, listing_route_rounds, tuple_assignment
-from qcongest.graph import GenSpec, Graph, bits, generate, oracle_cliques, range_mask
+from qcongest.graph import GenSpec, Graph, bits, generate, oracle_cliques
 from qcongest.netsim import CostLedger
 
 
@@ -40,7 +40,7 @@ class TestTupleAssignment:
     def test_n16_p2(self):
         ta = tuple_assignment(16, 2)
         assert ta.s == 4
-        assert all(len(g) == 4 for g in ta.groups)
+        assert ta.groups == (0xF, 0xF0, 0xF00, 0xF000)
         assert len(ta.multisets) == comb(5, 2) == 10
         assert [ta.owner(r) for r in range(10)] == list(range(10))
 
@@ -57,8 +57,19 @@ class TestTupleAssignment:
     def test_groups_cover_disjointly(self):
         for n, p in ((16, 2), (33, 3), (64, 4), (100, 5)):
             ta = tuple_assignment(n, p)
-            seen = sorted(v for g in ta.groups for v in g)
+            seen = sorted(v for g in ta.groups for v in bits(g))
             assert seen == list(range(n))
+
+    def test_groups_are_the_masks_of_the_id_ranges(self):
+        # group i: the ids i*size .. (i+1)*size - 1 below n, size = ceil(n / s),
+        # as the range-built partition had them
+        for p in (2, 3, 4, 5):
+            for n in range(0, 300):
+                ta = tuple_assignment(n, p)
+                size = -(-n // ta.s)
+                want = tuple(sum(1 << v for v in range(i * size, min((i + 1) * size, n)))
+                             for i in range(ta.s))
+                assert ta.groups == want, (n, p)
 
     def test_ownership_bound(self):
         for n, p in ((16, 2), (32, 3), (64, 4)):
@@ -115,7 +126,7 @@ class TestListKp:
         # cliques, the owner of their group signature, and the adjacency
         g = gnp(n, prob, seed)
         ta = tuple_assignment(n, p)
-        group_of = {v: gi for gi, grp in enumerate(ta.groups) for v in grp}
+        group_of = {v: gi for gi, grp in enumerate(ta.groups) for v in bits(grp)}
         rank = {ms: r for r, ms in enumerate(ta.multisets)}
         expected = set()
         for clique in oracle_cliques(g, p).members:
@@ -162,7 +173,7 @@ def reference_listing(graph, p):
                 rec(slots, owner, slot + 1, chosen | low, nxt, low)
 
     for rank, ms in enumerate(ta.multisets):
-        slots = [(range_mask(ta.groups[gi]), i > 0 and ms[i - 1] == gi)
+        slots = [(ta.groups[gi], i > 0 and ms[i - 1] == gi)
                  for i, gi in enumerate(ms)]
         rec(slots, ta.owner(rank), 0, 0, (1 << n) - 1, 0)
     return sorted(out)

@@ -103,7 +103,7 @@ class TestLeaderBfs:
         ref.add_edges_from(g.edges())
         hops = nx.single_source_shortest_path_length(ref, 0) if g.n else {}
         facts = g.leader_bfs()
-        assert facts.dist == tuple(hops.get(v, -1) for v in range(g.n))
+        assert facts.component == mask_of(nx.node_connected_component(ref, 0) if g.n else ())
         assert facts.eccentricity == max(hops.values(), default=0)
         assert facts.components == nx.number_connected_components(ref)
         assert g.cycle_rank() == len(nx.cycle_basis(ref))
@@ -127,17 +127,28 @@ class TestLeaderBfs:
 
     @pytest.mark.parametrize("g", [Graph(0, []), Graph(1, []), Graph(5, []),
                                    Graph(4, [(1, 2), (2, 3), (1, 3)]),
+                                   Graph(5, [(0, 3), (1, 2), (2, 4)]),
                                    generate(GenSpec(kind="complete", n=6)),
                                    generate(GenSpec(kind="path", n=7))],
-                             ids=["empty", "n1", "no-edges", "isolated-0", "K6", "path"])
+                             ids=["empty", "n1", "no-edges", "isolated-0", "two-parts", "K6",
+                                  "path"])
     def test_edge_cases(self, g):
         self.assert_matches_networkx(g)
 
-    def test_the_distances_are_read_only(self):
+    @pytest.mark.parametrize("g, facts", [
+        (Graph(0, []), (0, 0, 0)),
+        (Graph(1, []), (0b1, 0, 1)),
+        (Graph(4, [(1, 2), (2, 3), (1, 3)]), (0b1, 0, 2)),
+        (Graph(5, [(0, 3), (1, 2), (2, 4)]), (0b1001, 1, 2)),
+        (generate(GenSpec(kind="path", n=4)), (0b1111, 3, 1)),
+    ], ids=["empty", "n1", "isolated-0", "two-parts", "path"])
+    def test_the_facts(self, g, facts):
+        assert g.leader_bfs() == facts
+
+    def test_the_facts_are_read_only(self):
         facts = generate(GenSpec(kind="path", n=4)).leader_bfs()
-        assert facts == ((0, 1, 2, 3), 3, 1)
-        with pytest.raises(TypeError):
-            facts.dist[0] = 5
+        with pytest.raises(AttributeError):
+            facts.component = 0
 
 
 class TestLoadGraph:

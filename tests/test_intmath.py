@@ -2,11 +2,13 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qcongest import intmath
 from qcongest.intmath import (
     ceil_div,
     ceil_pow,
@@ -113,6 +115,59 @@ class TestCeilScaledPow:
             ceil_scaled_pow(4, Fraction(-1, 2))
         with pytest.raises(ValueError):
             ceil_div(1, 0)
+
+
+class TestIrrationalBranch:
+    """Where the integer powers would pass 2**16 bits and dwarf an irrational
+    value, ceil_scaled_pow brackets the value in decimals instead."""
+
+    @given(st.one_of(st.integers(2, 10**6), st.builds(Fraction, st.integers(1, 10**6),
+                                                      st.integers(1, 10**4))),
+           st.integers(1, 200), st.integers(0, 12),
+           st.builds(Fraction, st.integers(1, 10**30), st.integers(1, 10**6)))
+    @example(2, 1, 0, Fraction(1))
+    @example(Fraction(1, 2), 3, 1, Fraction(10**20, 3))
+    @example(Fraction(999, 1000), 1, 2, Fraction(7))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_integer_path(self, base, p, extra_bits, scale):
+        # exponents whose integer path is fast: the bracket gives its values
+        base = Fraction(base)
+        q = max(base.numerator, base.denominator).bit_length() + 1 + extra_bits
+        if base == 1 or Fraction(p, q).denominator != q:  # not irrational by the branch's test
+            return
+        got = intmath._ceil_irrational(base.numerator, base.denominator, p, q,
+                                       scale.numerator, scale.denominator)
+        assert got == ceil_scaled_pow(base, Fraction(p, q), scale)
+
+    def test_values_close_to_an_integer(self):
+        # scale * 2**(1/3) within 10**-d of 10**20 + 7: the bracket must narrow
+        for d in (10, 40, 90):
+            root = floor_root(2 * 10**(3 * (d + 25)), 3)  # 2**(1/3) * 10**(d + 25)
+            for bump in (0, 1):
+                scale = Fraction((10**20 + 7) * 10**(2 * d + 25) // root + bump, 10**d)
+                got = intmath._ceil_irrational(2, 1, 1, 3, scale.numerator, scale.denominator)
+                assert got == ceil_scaled_pow(2, Fraction(1, 3), scale)
+
+    def test_huge_exponents_form_no_power(self):
+        # 64**(1 - 2**-39) and 64**(2**-39): the integer path would form 64**(2**39 - 1)
+        with mock.patch.object(intmath, "floor_root", side_effect=AssertionError("int path")):
+            assert ceil_pow(64, 1 - Fraction(1, 2**39)) == 64
+            assert ceil_pow(64, Fraction(1, 2**39)) == 2
+            assert ceil_scaled_pow(Fraction(5, 2), Fraction(2**24 - 1, 2**24), 100) == 250
+            assert ceil_scaled_pow(64, 1 - Fraction(1, 2**24), Fraction(1, 10**9)) == 1
+
+    def test_other_calls_keep_the_integer_path(self):
+        # base 1, q within the bit width, powers below 2**16 bits, or a value
+        # whose own size is close to the powers': floor_root runs
+        calls = []
+        real = intmath.floor_root
+        with mock.patch.object(intmath, "floor_root",
+                               side_effect=lambda x, k: calls.append(k) or real(x, k)):
+            assert ceil_scaled_pow(1, Fraction(1, 2**20), 3) == 3
+            assert ceil_pow(2**(2**17), Fraction(1, 2**17)) == 2
+            assert ceil_pow(1000, Fraction(1, 3)) == 10
+            assert ceil_pow(3, Fraction(40000, 7)).bit_length() == 9057
+        assert calls == [2**20, 2**17, 3, 7]
 
 
 def reference_ceil_scaled_pow(base, exp, scale=1):

@@ -44,27 +44,28 @@ class TestConverge:
         # a one-word convergecast crosses the leader's eccentricity
         net = CongestNet(generate(GenSpec(kind="path", n=5)))
         assert net.eccentricity == 4
-        assert net.dist == [0, 1, 2, 3, 4]
+        assert net.component == 0b11111
 
     def test_congest_star(self):
         net = CongestNet(Graph(5, [(0, i) for i in range(1, 5)]))
         assert net.eccentricity == 1
 
-    def test_dist_is_a_copy_of_the_graphs_stored_distances(self):
-        g = generate(GenSpec(kind="path", n=3))
-        CongestNet(g).dist[2] = -1
-        assert g.leader_bfs().dist == (0, 1, 2)
-        assert CongestNet(g).dist == [0, 1, 2]
+    def test_reads_the_graphs_stored_facts(self):
+        g = Graph(5, [(0, 3), (1, 2), (2, 4)])
+        net = CongestNet(g)
+        assert (net.component, net.eccentricity) == g.leader_bfs()[:2] == (0b1001, 1)
 
     def test_disconnected_reporting_errors(self):
         net = CongestNet(Graph(4, [(0, 1)]))
-        with pytest.raises(RuntimeError, match="disconnected"):
-            net.require_reachable([3])
+        with pytest.raises(RuntimeError) as err:
+            net.require_reachable(0b1110)
+        assert str(err.value) == ("leader cannot aggregate: nodes [2, 3] are disconnected "
+                                  "from node 0")
         # silent nodes in other components are fine
-        net.require_reachable([1])
+        net.require_reachable(0b11)
 
 
-    def test_dist_matches_networkx_on_disconnected_graphs(self):
+    def test_component_matches_networkx_on_disconnected_graphs(self):
         disconnected = 0
         for seed in range(40):
             n = 1 + seed % 30
@@ -75,9 +76,9 @@ class TestConverge:
             ref.add_edges_from(g.edges())
             hops = nx.single_source_shortest_path_length(ref, 0)
             net = CongestNet(g)
-            assert net.dist == [hops.get(v, -1) for v in range(n)], seed
+            assert list(bits(net.component)) == sorted(hops), seed
             assert net.eccentricity == max(hops.values())
-            disconnected += -1 in net.dist
+            disconnected += len(hops) < n
         assert disconnected > 20  # most draws leave nodes outside node 0's component
 
 
