@@ -20,10 +20,12 @@ check rounds), exact-integer functions of (n, m) and the strategy
 parameters from the idealized partition sizes scaled by density, and
 part masks of the real adjacency that a full run searches through one
 constrained search (_constrained_search).  Full and cost-only runs alike
-charge the triple through qsearch.charge_search.  Cost and answer never
-interact.  One rule, inapplicable(), says which plans (strategy, p, t)
-can run on n nodes: the planner proposes, and the detectors accept,
-exactly those.
+charge the triple through qsearch.charge_search.  The triples, the
+candidate plans and the id-part masks are pure functions of (n, m) and
+the plan, each computed once per key and kept as tuples.  Cost and
+answer never interact.  One rule, inapplicable(), says which plans
+(strategy, p, t) can run on n nodes: the planner proposes, and the
+detectors accept, exactly those.
 
 plan_strategy picks one DetectionPlan in one pass over the candidate
 splits, and run_plan is the one dispatch from a plan to its detector:
@@ -38,10 +40,11 @@ charge their searches (and, for plus1 and nested, the listing).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .cliquelist import CliqueInventory, charge_listing, clique_reach, list_kp
 from .graph import Graph, density
@@ -89,49 +92,87 @@ def _inventory(graph: Graph, p: int, ledger: CostLedger,
 # Every check asks whether a constrained clique exists.  The last-level
 # check of a search meets its part with a reach mask: the nodes x that,
 # with one node of each part chosen at the levels above and some p-clique,
-# form a clique (cliquelist.clique_reach).  The level t-1 setup computes
-# that reach from the parts of its prefix, and the levels above it only
-# charge their rounds; with t = 1 the reach is given (every node on a
+# form a clique (cliquelist.clique_reach).  One scan answers a whole last
+# level: it computes that reach from the parts of its prefix and returns
+# the first last-level part that meets it; the level setups only charge
+# their rounds.  With t = 1 the reach is given (every node on a
 # (p+1)-clique).  Nothing is listed or extended as a list.
 
 
-def _id_parts(n: int, count: int) -> List[int]:
+@functools.lru_cache(maxsize=32)
+def _id_parts(n: int, count: int) -> Tuple[int, ...]:
     """0..n-1 cut into `count` contiguous node masks, ascending, whose
-    sizes differ by at most one, the larger parts first."""
+    sizes differ by at most one, the larger parts first.
+
+    Computed once per (n, count) and kept, for at most 32 keys.  The
+    searches ask only for the levels above the last (at most n^(1/2)
+    parts); a last level is found from the reach (_first_id_part)."""
     if count < 1:
         raise ValueError("count must be >= 1")
     base, extra = divmod(n, count)  # part i starts at i * base + min(i, extra)
-    return [((1 << base + (i < extra)) - 1) << i * base + min(i, extra) for i in range(count)]
+    return tuple(((1 << base + (i < extra)) - 1) << i * base + min(i, extra)
+                 for i in range(count))
+
+
+def _first_id_part(n: int, count: int, reach: int) -> Optional[int]:
+    """The index of the first part of _id_parts(n, count) that meets
+    reach, or None: the part that holds reach's lowest node."""
+    if not reach:
+        return None
+    v = (reach & -reach).bit_length() - 1
+    base, extra = divmod(n, count)
+    big = extra * (base + 1)  # the nodes of the larger parts
+    return v // (base + 1) if v < big else extra + (v - big) // base
+
+
+def _first_meeting(masks: Sequence[int], reach: int) -> Optional[int]:
+    """The index of the first of masks that meets reach, or None."""
+    if reach:
+        for j, mask in enumerate(masks):
+            if mask & reach:
+                return j
+    return None
 
 
 def _constrained_search(adj: Sequence[int], p: int, reach: int, parts: Sequence[Sequence[int]],
-                        costs: Costs, ledger: CostLedger, seed: int,
-                        params: QuantumCostParams, phase: str) -> bool:
-    """Depth-t nested search, t = len(parts), over the part masks of each level.
+                        last_size: int, first: Callable[[int], Optional[int]], costs: Costs,
+                        ledger: CostLedger, seed: int, params: QuantumCostParams,
+                        phase: str) -> bool:
+    """Depth-t nested search, t = len(parts) + 1, over the part masks of
+    each level above the last and last_size last-level parts.
 
-    reach is the t = 1 reach.  Level i searches the len(parts[i]) masks of
-    parts[i] at the setup and check rounds of costs; a level has a setup
-    iff it has a setup cost, so t-1 setups leave the last level without one.
+    reach is the t = 1 reach.  Level i < t-1 searches the masks of
+    parts[i], and first(r) is the index of the first last-level part that
+    meets the reach mask r, or None.  The levels run at the setup and check
+    rounds of costs; a level has a setup iff it has a setup cost, so t-1
+    setups leave the last level without one.
     """
-    t = len(parts)
     _, setup_rounds, check_rounds = costs
-    ceiling = reach
+    sizes = [len(level) for level in parts] + [last_size]
+    levels = [SearchLevel(size, (lambda _prefix, r=setup_rounds[i]: r)
+                          if i < len(setup_rounds) else None)
+              for i, size in enumerate(sizes)]
 
-    def setup(prefix: Tuple[int, ...]) -> int:
-        nonlocal reach
-        if len(prefix) == t - 1:
-            chosen = tuple(parts[i][j] for i, j in enumerate(prefix))
-            reach = clique_reach(adj, chosen, p, ceiling)
-        return setup_rounds[len(prefix) - 1]
+    def scan(prefix: Tuple[int, ...]) -> Tuple[Optional[int], int]:
+        if not prefix:
+            return first(reach), check_rounds
+        chosen = tuple(parts[i][j] for i, j in enumerate(prefix))
+        return first(clique_reach(adj, chosen, p, reach)), check_rounds
 
-    levels = [SearchLevel(len(level), setup if i < len(setup_rounds) else None)
-              for i, level in enumerate(parts)]
-
-    def checker(tup: Tuple[int, ...]) -> Tuple[bool, int]:
-        return bool(reach & parts[t - 1][tup[-1]]), check_rounds
-
-    plan = NestedSearchPlan(levels=levels, checker=checker, params=params)
+    plan = NestedSearchPlan(levels=levels, checker=scan, params=params)
     return run_nested_search(plan, ledger, seed=seed, phase=phase).found
+
+
+def _id_part_search(graph: Graph, p: int, reach: int, costs: Costs, ledger: CostLedger,
+                    seed: int, params: QuantumCostParams, phase: str) -> bool:
+    """_constrained_search over the id parts of costs' level sizes.  A graph
+    without nodes holds no clique and is not searched."""
+    if not graph.n:
+        return False
+    *upper, count = costs[0]
+    return _constrained_search(graph.adj, p, reach, [_id_parts(graph.n, c) for c in upper],
+                               count, functools.partial(_first_id_part, graph.n, count),
+                               costs, ledger, seed, params, phase)
 
 
 # ---------------------------------------------------------------------------
@@ -145,15 +186,17 @@ def _charge_triangle_warmup(n: int, m: int, ledger: CostLedger) -> None:
                   ceil_scaled_pow(n, Fraction(1, 5), density(n, m)))
 
 
+@functools.lru_cache(maxsize=1024)
 def _triangle_costs(n: int, m: int) -> Costs:
     """One level of n^(2/5) batches; no setup; the per-query rounds."""
     domain = ceil_pow(n, Fraction(2, 5))
     # query: learn E(A_i u A_j, Q_k^l): 2 * n^(3/5) * n^(2/5) * rho words
     query = ceil_scaled_pow(n, 0, 2 * density(n, m)) + 1  # + per-query leader converge
-    return [domain], [], query
+    return (domain,), (), query
 
 
-def _triangle_batches(n: int, domain: int) -> List[int]:
+@functools.lru_cache(maxsize=32)
+def _triangle_batches(n: int, domain: int) -> Tuple[int, ...]:
     """Batch l: the l-th slice of ceil(|Q_k| / domain) nodes of every part Q_k, ORed."""
     batches = [0] * domain
     for part in _id_parts(n, ceil_pow(n, Fraction(1, 5))):
@@ -161,7 +204,7 @@ def _triangle_batches(n: int, domain: int) -> List[int]:
         window = (part & -part) * ((1 << size) - 1)  # the lowest size ids of part
         for ell in range(domain):
             batches[ell] |= part & (window << ell * size)
-    return batches
+    return tuple(batches)
 
 
 def detect_triangle_quintic(
@@ -174,8 +217,9 @@ def detect_triangle_quintic(
     _require("triangle15", graph.n, 2, 1)
     _charge_triangle_warmup(graph.n, graph.m, ledger)
     costs = _triangle_costs(graph.n, graph.m)
-    parts = [_triangle_batches(graph.n, costs[0][0])]
-    return _constrained_search(graph.adj, 2, graph.triangle_nodes(), parts, costs, ledger, seed,
+    batches = _triangle_batches(graph.n, costs[0][0])
+    return _constrained_search(graph.adj, 2, graph.triangle_nodes(), (), len(batches),
+                               functools.partial(_first_meeting, batches), costs, ledger, seed,
                                params, "triangle/search")
 
 
@@ -191,12 +235,13 @@ def triangle_cost_only(
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1024)
 def _plus1_costs(n: int, m: int, p: int) -> Costs:
     """One level of n^(1-1/p) node batches; no setup; the per-query rounds."""
     domain = ceil_pow(n, Fraction(p - 1, p))
     # query: each owner learns E(T^v, Q_i): p * n^(1-1/p) * n^(1/p) * rho words
     query = ceil_scaled_pow(n, 0, p * density(n, m)) + 1
-    return [domain], [], query
+    return (domain,), (), query
 
 
 def detect_plus1(
@@ -210,10 +255,8 @@ def detect_plus1(
     """List K_p, then one flat search over node batches for the +1 node."""
     _require("plus1", graph.n, p, 1)
     inv = _inventory(graph, p, ledger, inv)
-    costs = _plus1_costs(graph.n, graph.m, p)
-    parts = [_id_parts(graph.n, size) for size in costs[0]]
-    return _constrained_search(inv.adj, p, inv.reach(), parts, costs, ledger, seed, params,
-                               "plus1/search")
+    return _id_part_search(graph, p, inv.reach(), _plus1_costs(graph.n, graph.m, p), ledger,
+                           seed, params, "plus1/search")
 
 
 def plus1_cost_only(
@@ -229,6 +272,7 @@ def plus1_cost_only(
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1024)
 def _nested_costs(n: int, m: int, p: int, t: int) -> Costs:
     """(level domain sizes, setup rounds s_1..s_{t-1}, check rounds)."""
     rho = density(n, m)
@@ -241,7 +285,7 @@ def _nested_costs(n: int, m: int, p: int, t: int) -> Costs:
             setups.append(ceil_scaled_pow(n, 1 - Fraction(1, p) - r_i, rho))
     r_t = Fraction(p - 1, p)
     check = ceil_scaled_pow(n, 1 - Fraction(1, p) - r_t, rho) + 1
-    return sizes, setups, check
+    return tuple(sizes), tuple(setups), check
 
 
 def detect_nested(
@@ -256,10 +300,8 @@ def detect_nested(
     """List K_p, then run the depth-t nested search for the t extra nodes."""
     _require("nested", graph.n, p, t)
     inv = _inventory(graph, p, ledger, inv)
-    costs = _nested_costs(graph.n, graph.m, p, t)
-    parts = [_id_parts(graph.n, size) for size in costs[0]]
-    return _constrained_search(inv.adj, p, inv.reach(), parts, costs, ledger, seed, params,
-                               "nested/search")
+    return _id_part_search(graph, p, inv.reach(), _nested_costs(graph.n, graph.m, p, t),
+                           ledger, seed, params, "nested/search")
 
 
 def nested_cost_only(
@@ -276,6 +318,7 @@ def nested_cost_only(
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1024)
 def _blackbox_costs(n: int, t: int, packing: bool) -> Costs:
     """(level domain sizes, setup rounds s_1..s_t, check rounds).
 
@@ -291,7 +334,7 @@ def _blackbox_costs(n: int, t: int, packing: bool) -> Costs:
         sizes.append(ceil_pow(n, frac))
         part_size = ceil_pow(n, 1 - frac)
         setups.append(ceil_div(part_size, capacity) if packing else part_size)
-    return sizes, setups, 1  # check: converge emptiness, one bit
+    return tuple(sizes), tuple(setups), 1  # check: converge emptiness, one bit
 
 
 def extend_blackbox(
@@ -306,10 +349,8 @@ def extend_blackbox(
     """Nested search growing the inventory one level-part node at a time."""
     _require("blackbox", graph.n, inv.p, t)
     inv.check_graph(graph)
-    costs = _blackbox_costs(graph.n, t, packing)
-    parts = [_id_parts(graph.n, size) for size in costs[0]]
-    return _constrained_search(inv.adj, inv.p, inv.reach(), parts, costs, ledger, seed, params,
-                               "blackbox/search")
+    return _id_part_search(graph, inv.p, inv.reach(), _blackbox_costs(graph.n, t, packing),
+                           ledger, seed, params, "blackbox/search")
 
 
 def blackbox_cost_only(
@@ -341,6 +382,7 @@ def degree_batching(degrees: Sequence[int], target: int) -> List[int]:
     return batches
 
 
+@functools.lru_cache(maxsize=1024)
 def _sparse_costs(n: int, m: int, t: int) -> Costs:
     """(level domain sizes, setup rounds s_1..s_{t-1}, check rounds).
 
@@ -351,7 +393,7 @@ def _sparse_costs(n: int, m: int, t: int) -> Costs:
     there is nothing to search, and the triple prices to zero.
     """
     if m == 0:
-        return [1], [], 0
+        return (1,), (), 0
     mu = Fraction(m, n)
     sizes: List[int] = []
     setups: List[int] = []
@@ -360,7 +402,7 @@ def _sparse_costs(n: int, m: int, t: int) -> Costs:
         sizes.append(x)
         setups.append(ceil_div(m, n * x))
     sizes.append(max(1, ceil_div(2 * m, n)))
-    return sizes, setups, 2
+    return tuple(sizes), tuple(setups), 2
 
 
 def extend_sparse(
@@ -390,8 +432,9 @@ def extend_sparse(
     for x in costs[0][:-1]:
         batches = degree_batching(degrees, target=max(1, ceil_div(2 * m, x)))[:x]
         parts.append(batches + [0] * (x - len(batches)))
-    parts.append(degree_batching(degrees, target=n))
-    return _constrained_search(inv.adj, inv.p, inv.reach(), parts, costs, ledger, seed,
+    last = degree_batching(degrees, target=n)
+    return _constrained_search(graph.adj, inv.p, inv.reach(), parts, len(last),
+                               functools.partial(_first_meeting, last), costs, ledger, seed,
                                params, "sparse/search")
 
 
@@ -440,11 +483,13 @@ def _require(strategy: str, n: int, p: int, t: int) -> None:
         raise ValueError(reason)
 
 
-def _candidate_plans(n: int, m: int, q: int) -> List[Tuple[Tuple, DetectionPlan]]:
+@functools.lru_cache(maxsize=1024)
+def _candidate_plans(n: int, m: int, q: int) -> Tuple[Tuple[Tuple, DetectionPlan], ...]:
     """Every plan for q that the rule accepts, keyed by (listing degenerates,
     predicted exponent, t, p, preference).  The exponent is the larger of
     the listing's (p-2)/p and the search's; a split whose listing
-    degenerates (n < 2^p) sorts after every other split."""
+    degenerates (n < 2^p) sorts after every other split.  Computed once per
+    (n, m, q) and kept."""
     mu = Fraction(m, n) if n else Fraction(0)
     log_mu_over_log_n = (
         math.log(float(mu)) / math.log(n) if mu > 1 and n > 1 else 0.0
@@ -462,7 +507,7 @@ def _candidate_plans(n: int, m: int, q: int) -> List[Tuple[Tuple, DetectionPlan]
                 exponent = max((p - 2) / p, search[strategy])
                 out.append(((_below_listing(n, p), exponent, t, p, pref),
                             DetectionPlan(q, strategy, p, t, exponent)))
-    return out
+    return tuple(out)
 
 
 def plan_strategy(n: int, m: int, q: int, strategy: Optional[str] = None) -> DetectionPlan:

@@ -34,6 +34,7 @@ accounting in the README.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -152,8 +153,10 @@ def listing_route_load(n: int, m: int, p: int) -> int:
     return ceil_scaled_pow(n, Fraction(2 * (p - 1), p), ms_per_node * p * density(n, m))
 
 
+@functools.lru_cache(maxsize=1024)
 def listing_route_rounds(n: int, m: int, p: int) -> int:
-    """Lenzen rounds for the listing route: ceil(load / n)."""
+    """Lenzen rounds for the listing route: ceil(load / n), computed once
+    per (n, m, p)."""
     load = listing_route_load(n, m, p)
     return ceil_div(load, n) if load else 0
 

@@ -607,6 +607,7 @@ def _stage_search(
     seed: int,
     params: QuantumCostParams,
     engine: str,
+    anchors: Optional[int] = None,
 ) -> bool:
     """One search stage: a quantum search over source sets, one colour BFS each.
 
@@ -616,7 +617,9 @@ def _stage_search(
     built; a source outside its active nodes raises ValueError before
     anything is charged.  Every query is priced by _query_rounds at the
     measured eccentricity.  A stage with no source sets searches nothing
-    and charges nothing.
+    and charges nothing.  anchors, when the caller knows it, is the union
+    of the sources; then only len(queries) is read unless the stage is
+    walked, so a stage settled without a walk never builds its queries.
 
     Both engines first settle what cannot fire.  On a graph of cycle rank
     0 (a forest, and every subgraph of a forest is one) no query can fire,
@@ -648,9 +651,10 @@ def _stage_search(
     if not queries:
         return False
     graph = net.graph
-    anchors = 0
-    for sources, _ in queries:
-        anchors |= sources
+    if anchors is None:
+        anchors = 0
+        for sources, _ in queries:
+            anchors |= sources
     if anchors & ~shared.active:
         raise ValueError("sources must be a subset of active nodes")
     query_rounds = _query_rounds(shared.cycle_len, shared.repetitions,
@@ -730,6 +734,31 @@ def _heavy_light_exponents(k: int) -> Tuple[Fraction, Fraction]:
     return delta, Fraction(1, k) + (k - 2) * delta
 
 
+class _IndexClasses:
+    """The light stage's queries, (class mask, index) for each of `count`
+    index classes: each light node, in id order, joins the class
+    rng.randrange(count) of the stream derive_seed("even-light-index",
+    seed).  The classes are drawn when the first one is read, so a stage
+    settled without a walk draws nothing, and a walked stage draws what it
+    would have drawn up front."""
+
+    def __init__(self, light: int, count: int, seed: int):
+        self.light, self.count, self.seed = light, count, seed
+        self._queries: Optional[List[Tuple[int, int]]] = None
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, i: int) -> Tuple[int, int]:
+        if self._queries is None:
+            rng = random.Random(derive_seed("even-light-index", self.seed))
+            by_index = [0] * self.count
+            for v in bits(self.light):
+                by_index[rng.randrange(self.count)] |= 1 << v
+            self._queries = list(zip(by_index, range(self.count)))
+        return self._queries[i]
+
+
 def forest_decomposition(light: int, ledger: CostLedger) -> None:
     """Charge the forest decomposition of the light node mask: one round
     when a light node exists.
@@ -806,14 +835,11 @@ def detect_even_cycle(
     # stage 3: light cycles via forest decomposition + index batching
     light = everyone & ~heavy
     forest_decomposition(light, ledger)
-    rng = random.Random(derive_seed("even-light-index", seed))
-    by_index = [0] * n_idx  # the light index classes, as node masks
-    for v in bits(light):
-        by_index[rng.randrange(n_idx)] |= 1 << v
     shared = ColorBfsConfig(two_k, light, _A_CONG * word_capacity(n), reps)
-    light_found = _stage_search(net, [(vs, i) for i, vs in enumerate(by_index)],
-                                shared, "even-light", "even-cycle/light-search", ledger, seed,
-                                params, engine)
+    # the classes cover the light nodes, so their union is light
+    light_found = _stage_search(net, _IndexClasses(light, n_idx, seed), shared, "even-light",
+                                "even-cycle/light-search", ledger, seed, params, engine,
+                                anchors=light)
     return heavy_found or light_found
 
 

@@ -8,7 +8,10 @@ costs sqrt(|X_1|)(s_1 + sqrt(|X_2|)(s_2 + ... + sqrt(|X_k|)(s_k + c))),
 with the ceil applied at each level and the reps factor once, outermost.
 There is one search engine: the flat search is the one-level nested
 search, so both enumerate, check cost homogeneity and inject failures the
-same way.
+same way.  The engine enumerates the levels above the last one element at
+a time and answers each last level with one scan: the plan's checker
+returns the index of the scan's first marked element, and the leaf
+queries counted are the ones a walk of that level up to it would check.
 
 Cost and answer are fully separated: which element is marked never changes
 the rounds charged.  A search's price is a function of its cost triple
@@ -59,10 +62,11 @@ DEFAULT_PARAMS = QuantumCostParams()
 
 # checker(i) -> (marked, rounds); setup(prefix) -> rounds
 Checker = Callable[[int], Tuple[bool, int]]
-TupleChecker = Callable[[Tuple[int, ...]], Tuple[bool, int]]
+# scan(prefix of the levels above the last) -> (first marked index or None, rounds)
+Scan = Callable[[Tuple[int, ...]], Tuple[Optional[int], int]]
 Setup = Callable[[Tuple[int, ...]], int]
 # (level domain sizes, setup rounds s_1..s_{k-1} or s_1..s_k, check rounds)
-Costs = Tuple[List[int], List[int], int]
+Costs = Tuple[Sequence[int], Sequence[int], int]
 
 
 @dataclass(frozen=True)
@@ -77,8 +81,19 @@ class SearchLevel:
 
 @dataclass(frozen=True)
 class NestedSearchPlan:
+    """A search over levels[0] x ... x levels[k-1].
+
+    checker(prefix) answers the whole last level under one prefix of the
+    levels above (a (k-1)-tuple of indices): it returns the index of the
+    first marked element of the last level, or None, and the rounds of
+    one check, which every element of the level must share.  A level's
+    setup runs once per element of its own level with the prefix that
+    ends in that element; the last level's setup runs once per scan, with
+    the scan's prefix.
+    """
+
     levels: Sequence[SearchLevel]
-    checker: TupleChecker
+    checker: Scan
     params: QuantumCostParams = DEFAULT_PARAMS
 
     def __post_init__(self):
@@ -182,11 +197,26 @@ def run_search(
     The charge uses the measured per-query rounds and is independent of
     where (or whether) a marked element lies.  Query costs must be uniform
     across the domain; checkers here derive them from analytic set sizes.
+    The per-index checker runs inside the level's one scan, in index
+    order, up to the first marked index.
     """
     if domain_size < 1:
         raise ValueError("domain_size must be >= 1")
-    plan = NestedSearchPlan([SearchLevel(domain_size)], lambda tup: checker(tup[0]), params)
-    return _search(plan, ledger, seed, model, phase)
+
+    def scan(prefix: Tuple[int, ...]) -> Tuple[Optional[int], int]:
+        cost = None
+        for i in range(domain_size):
+            marked, rounds = checker(i)
+            if cost is None:
+                cost = rounds
+            elif cost != rounds:
+                raise RuntimeError(f"check cost inhomogeneity: {rounds} != {cost}")
+            if marked:
+                return i, cost
+        return None, cost
+
+    return _search(NestedSearchPlan([SearchLevel(domain_size)], scan, params), ledger, seed,
+                   model, phase)
 
 
 def run_nested_search(
@@ -198,10 +228,12 @@ def run_nested_search(
 ) -> SearchOutcome:
     """Nested search: DFS enumeration with short-circuit; formula charge.
 
-    Setups execute once per enumerated prefix (the checks below them read
-    what they compute) but their rounds enter the charge once per
-    level, inside the nesting formula, since quantum queries reuse the same
-    distributed setup.  Setup costs must be homogeneous within a level.
+    The levels above the last are enumerated, and each last level is one
+    scan (plan.checker).  Setups execute once per enumerated prefix, and
+    the last level's once per scan, but their rounds enter the charge once
+    per level, inside the nesting formula, since quantum queries reuse the
+    same distributed setup.  Setup costs must be homogeneous within a
+    level, and check costs across scans.
     """
     return _search(plan, ledger, seed, model, phase)
 
@@ -216,10 +248,14 @@ def _search(
     """The one search engine behind run_search and run_nested_search.
 
     Neither public name calls the other, so a tracer that wraps both counts
-    each search once.  record_search charges the measured triple and
-    counts the leaf checks run.  A found witness is dropped with
-    probability fail_prob, drawn from derive_seed(seed, "search-fail") for
-    flat and nested searches alike; the charge stays the same.
+    each search once.  A scan that finds its first marked element at index
+    i counts i + 1 leaf checks and ends the search; one that finds none
+    counts its level's size.  That is what a walk of the level, element
+    by element up to the first marked one, would check.  record_search
+    charges the measured triple and counts those leaf checks.  A found
+    witness is dropped with probability fail_prob, drawn from
+    derive_seed(seed, "search-fail") for flat and nested searches alike;
+    the charge stays the same.
     """
     k = len(plan.levels)
     setup_costs: List[Optional[int]] = [None] * k
@@ -239,25 +275,26 @@ def _search(
     def descend(level: int, prefix: Tuple[int, ...]) -> bool:
         nonlocal check_cost, queries, witness
         lv = plan.levels[level]
+        if level == k - 1:
+            if lv.setup is not None:
+                record_setup(level, lv.setup(prefix))
+            hit, rounds = plan.checker(prefix)
+            if check_cost is None:
+                check_cost = rounds
+            elif check_cost != rounds:
+                raise RuntimeError(f"check cost inhomogeneity: {rounds} != {check_cost}")
+            if hit is None:
+                queries += lv.domain_size
+                return False
+            queries += hit + 1
+            witness = prefix + (hit,)
+            return True
         for x in range(lv.domain_size):
             pfx = prefix + (x,)
             if lv.setup is not None:
                 record_setup(level, lv.setup(pfx))
-            if level == k - 1:
-                marked, rounds = plan.checker(pfx)
-                queries += 1
-                if check_cost is None:
-                    check_cost = rounds
-                elif check_cost != rounds:
-                    raise RuntimeError(
-                        f"check cost inhomogeneity: {rounds} != {check_cost}"
-                    )
-                if marked:
-                    witness = pfx
-                    return True
-            else:
-                if descend(level + 1, pfx):
-                    return True
+            if descend(level + 1, pfx):
+                return True
         return False
 
     found = descend(0, ())

@@ -116,7 +116,8 @@ def test_criterion_03_cost_formula_exactness():
             SearchLevel(sizes[i], (lambda c: (lambda pfx: c))(setups[i]))
             for i in range(k)
         ]
-        plan = NestedSearchPlan(levels, lambda tup: (tup in marked, check), params)
+        plan = NestedSearchPlan(levels, lambda prefix: (next(
+            (x for x in range(sizes[-1]) if prefix + (x,) in marked), None), check), params)
         out = run_nested_search(plan, CostLedger())
         if out.rounds_charged != nested_cost_predict(sizes, setups, check, params):
             bad += 1

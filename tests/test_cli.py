@@ -319,7 +319,7 @@ class TestCostParamFlags:
         from qcongest.qsearch import QuantumCostParams, grover_cost
 
         (domain,), setups, query = _triangle_costs(4096, 4096 * 4095 // 2)
-        assert setups == []  # one flat level: the triple prices as grover_cost
+        assert setups == ()  # one flat level: the triple prices as grover_cost
         assert b.rounds_quantum == grover_cost(domain, query)
         assert s.rounds_quantum == grover_cost(
             domain, query, QuantumCostParams(c_grover=2, reps=3)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcongest import cliquelist
-from qcongest.cli import fit_slope
+from qcongest.cli import fit_slope, main
 from qcongest.cliquedetect import (
     STRATEGIES,
     applicable_strategies,
@@ -23,10 +23,16 @@ from qcongest.cliquedetect import (
     detect_triangle_quintic,
     extend_blackbox,
     extend_sparse,
+    _blackbox_costs,
     _candidate_plans,
+    _first_id_part,
+    _first_meeting,
     _id_parts,
     inapplicable,
     _nested_costs,
+    _plus1_costs,
+    _sparse_costs,
+    _triangle_costs,
     nested_cost_only,
     plan_strategy,
     plus1_cost_only,
@@ -103,7 +109,7 @@ class TestPartitions:
                       ceil_pow(n, Fraction(1, 2)), ceil_pow(n, Fraction(2, 3))}
             for count in counts:
                 parts = _id_parts(n, count)
-                assert parts == [range_mask(r) for r in ranges_reference(n, count)], (n, count)
+                assert parts == tuple(range_mask(r) for r in ranges_reference(n, count)), (n, count)
                 self.assert_contiguous_cover(n, parts)
                 sizes = [part.bit_count() for part in parts]
                 assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
@@ -113,7 +119,7 @@ class TestPartitions:
     def test_search_parts_of_any_count(self, n, count):
         parts = _id_parts(n, count)
         assert len(parts) == count
-        assert parts == [range_mask(r) for r in ranges_reference(n, count)]
+        assert parts == tuple(range_mask(r) for r in ranges_reference(n, count))
         self.assert_contiguous_cover(n, parts)
 
     def test_search_parts_need_a_count(self):
@@ -125,9 +131,9 @@ class TestPartitions:
             domain = ceil_pow(n, Fraction(2, 5))
             q_parts = ranges_reference(n, ceil_pow(n, Fraction(1, 5)))
             sizes = [ceil_div(len(part), domain) for part in q_parts]
-            want = [sum(range_mask(part[ell * size:(ell + 1) * size])
-                        for part, size in zip(q_parts, sizes))
-                    for ell in range(domain)]
+            want = tuple(sum(range_mask(part[ell * size:(ell + 1) * size])
+                             for part, size in zip(q_parts, sizes))
+                         for ell in range(domain))
             batches = _triangle_batches(n, domain)
             assert batches == want, n
             assert sum(b.bit_count() for b in batches) == n
@@ -229,7 +235,7 @@ class TestExtensionReach:
     @given(graph=reach_graphs(), p=st.integers(2, 5),
            part_seeds=st.lists(st.integers(0, 2**130), max_size=2))
     def test_equals_or_of_the_extensions(self, graph, p, part_seeds):
-        # clique_reach with the t - 1 <= 2 parts of a level-(t-1) setup
+        # clique_reach with the t - 1 <= 2 parts of a last-level scan
         # equals the old scan: extend the common masks part by part, then OR
         n = graph.n
         if graph.m > 6 * n and n > 24:
@@ -333,7 +339,7 @@ class TestDetectNested:
 
     def test_level_exponents_p3_t2(self):
         # r_i = (1 - 1/p) / 2^(t-i): levels of n^(1/3) and n^(2/3) parts
-        for n, want in ((64, [4, 16]), (4096, [16, 256]), (100, [5, 22])):
+        for n, want in ((64, (4, 16)), (4096, (16, 256)), (100, (5, 22))):
             sizes, _, _ = _nested_costs(n, n * (n - 1) // 2, 3, 2)
             assert sizes == want
 
@@ -761,3 +767,126 @@ class TestNestedDepthThree:
             g = generate(spec)
             got = detect_nested(g, 5, 3, CostLedger(), seed=1)
             assert got == oracle_has_clique(g, 8)
+
+
+# every pure function of the clique layer that keeps its values, each
+# with the module globals that callers read it through
+CACHED = {fn: glob for glob, fns in (
+    (detect_nested.__globals__, (_candidate_plans, _triangle_costs, _plus1_costs,
+                                 _nested_costs, _blackbox_costs, _sparse_costs, _id_parts,
+                                 _triangle_batches)),
+    (cliquelist.list_kp.__globals__, (cliquelist.listing_route_rounds,))) for fn in fns}
+
+
+def assert_tuples(value):
+    assert isinstance(value, tuple)
+    for item in value:
+        if isinstance(item, (list, tuple, set, dict)):
+            assert_tuples(item)
+
+
+class TestCachedPrices:
+    """The planner's candidates, the cost triples, the listing charge and
+    the part masks are computed once per key: each equals its uncached
+    formula, holds only tuples, and has a bounded cache."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 5000), density=st.sampled_from([0, 1, 3, 8, 16, 25, 60, 100]),
+           q=st.integers(3, 8))
+    def test_each_is_its_formula(self, n, density, q):
+        m = n * (n - 1) // 2 * density // 100
+        for _ in range(2):  # computed, then read back
+            assert _candidate_plans(n, m, q) == _candidate_plans.__wrapped__(n, m, q)
+            for p in range(2, q):
+                t = q - p
+                assert (cliquelist.listing_route_rounds(n, m, p)
+                        == cliquelist.listing_route_rounds.__wrapped__(n, m, p))
+                costs = []
+                if inapplicable("triangle15", n, p, t) is None:
+                    costs.append((_triangle_costs, (n, m)))
+                if inapplicable("plus1", n, p, t) is None:
+                    costs.append((_plus1_costs, (n, m, p)))
+                if inapplicable("nested", n, p, t) is None:
+                    costs.append((_nested_costs, (n, m, p, t)))
+                costs += [(_blackbox_costs, (n, t, packing)) for packing in (True, False)]
+                costs.append((_sparse_costs, (n, m, t)))
+                for fn, args in costs:
+                    got = fn(*args)
+                    assert got == fn.__wrapped__(*args), (fn.__name__, args)
+                    assert_tuples(got)
+                    if fn is _triangle_costs:
+                        domain = got[0][0]
+                        assert _triangle_batches(n, domain) == \
+                            _triangle_batches.__wrapped__(n, domain)
+                    elif fn is not _sparse_costs:
+                        for count in got[0][:-1]:  # the levels searched through masks
+                            assert _id_parts(n, count) == _id_parts.__wrapped__(n, count)
+
+    def test_stored_values_are_tuples_and_caches_are_bounded(self):
+        for fn in CACHED:
+            assert fn.cache_info().maxsize is not None, fn.__name__
+        for value in (_candidate_plans(64, 2016, 7), _triangle_costs(64, 100),
+                      _plus1_costs(64, 100, 3), _nested_costs(64, 100, 5, 2),
+                      _blackbox_costs(64, 3, True), _sparse_costs(64, 100, 3),
+                      _id_parts(64, 8), _triangle_batches(64, 6)):
+            assert_tuples(value)
+
+    @pytest.mark.parametrize("args", [
+        ["sweep", "--algo", "triangle15", "--n-list", "64,256,1024"],
+        ["sweep", "--algo", "plus1", "--p", "4", "--n-list", "64,256,1024"],
+        ["sweep", "--algo", "nested", "--p", "5", "--t", "3", "--n-list", "64,256,1024"],
+        ["sweep", "--algo", "blackbox", "--t", "3", "--n-list", "64,256,1024"],
+        ["sweep", "--algo", "sparse", "--t", "2", "--n-list", "64,256,1024",
+         "--m-list", "256,4096,32768"],
+        ["sweep", "--algo", "auto", "--mode", "full", "--q", "4", "--n-list", "32,40",
+         "--edge-prob", "0.5"],
+        ["sweep", "--algo", "blackbox", "--mode", "full", "--q", "5", "--n-list", "32,40",
+         "--edge-prob", "0.5"]])
+    def test_sweeps_print_the_same_cold_warm_and_uncached(self, capsys, args):
+        printed = []
+        for start in ("cold", "warm", "uncached"):
+            with pytest.MonkeyPatch.context() as mp:
+                for fn, glob in CACHED.items():
+                    if start == "cold":
+                        fn.cache_clear()
+                    elif start == "uncached":
+                        mp.setitem(glob, fn.__name__, fn.__wrapped__)
+                assert main(args) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1] == printed[2] and printed[0].count("\n") >= 3
+
+
+class TestLastLevelParts:
+    """A search's last level is found from the reach alone: the first part
+    that meets it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 3000), count=st.integers(1, 3100), seed=st.integers(0, 2**64))
+    def test_first_id_part_is_the_first_part_meeting_the_reach(self, n, count, seed):
+        parts = _id_parts.__wrapped__(n, count)
+        for reach in (0, 1 << (seed % n), seed & ((1 << n) - 1), ((1 << n) - 1) >> (seed % n)):
+            want = next((j for j, part in enumerate(parts) if part & reach), None)
+            assert _first_id_part(n, count, reach) == want == _first_meeting(parts, reach)
+
+    def test_triangle_batches_are_scanned_in_order(self):
+        batches = _triangle_batches(40, 5)
+        for v in range(40):
+            j = _first_meeting(batches, 1 << v)
+            assert batches[j] >> v & 1
+        assert _first_meeting(batches, 0) is None
+
+
+class TestNoNodes:
+    """A graph without nodes holds no clique: direct calls answer False."""
+
+    @pytest.mark.parametrize("p,t", [(2, 1), (3, 1), (3, 2), (5, 3)])
+    def test_nested_and_blackbox_answer_false(self, p, t):
+        g = Graph(0, [])
+        led = CostLedger()
+        assert not detect_nested(g, p, t, led)
+        assert [e.rounds for e in led.entries] == [0]  # the listing, at zero rounds
+        assert led.counts["queries"] == 0
+        for packing in (True, False):
+            led = CostLedger()
+            assert not extend_blackbox(g, list_kp(g, p, CostLedger()), t, led, packing=packing)
+            assert led.entries == [] and led.counts["queries"] == 0

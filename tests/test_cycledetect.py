@@ -1619,7 +1619,7 @@ class TestSettledQueries:
             runs.append(lambda led, g=g, ell=ell: detect_even_cycle(g, ell, led, seed=7,
                                                                    engine=engine))
 
-        def walk(net, queries, shared, tag, phase, ledger, seed, params, engine):
+        def walk(net, queries, shared, tag, phase, ledger, seed, params, engine, anchors=None):
             assert params is DEFAULT_PARAMS
             return evaluate_every_query(net, queries, shared, ledger, seed, engine, tag, phase,
                                         simulate_cleared=False)
@@ -1765,3 +1765,54 @@ class TestPrices:
             assert (reads() == before) == uncached  # the uncached run reads no cache
             printed.append(capsys.readouterr().out)
         assert printed[0] == printed[1] and printed[0].count("\n") == 4
+
+
+class TestLightClassDraws:
+    """The light index classes are drawn only when the light stage is
+    walked: a stage that the cycle rank or may_fire() settles draws
+    nothing and still charges and counts its n_idx queries."""
+
+    @staticmethod
+    def count_draws(monkeypatch):
+        # on the event engine the light classes are the one random.Random draw
+        draws = []
+        randrange = random.Random.randrange
+        monkeypatch.setattr(random.Random, "randrange",
+                            lambda self, *args: draws.append(args) or randrange(self, *args))
+        return draws
+
+    @staticmethod
+    def light_stage(ledger, n):
+        rows = [e for e in ledger.entries if e.phase == "even-cycle/light-search"]
+        assert len(rows) == 1
+        return rows[0]
+
+    @pytest.mark.parametrize("name,graph", [
+        ("forest", Graph(40, [(v // 2, v) for v in range(1, 40)])),
+        ("leaves-off-a-cycle", Graph(40, [(0, 1), (1, 2), (0, 2)]
+                                     + [(v - 1, v) for v in range(3, 40)]))])
+    def test_a_settled_stage_draws_nothing(self, monkeypatch, name, graph):
+        ell = 6
+        threshold, n_idx, _ = _even_sizes(graph.n, ell // 2)
+        light = mask_of(v for v in range(graph.n) if graph.adj[v].bit_count() < threshold)
+        assert light, name  # the stage has light nodes to draw
+        draws = self.count_draws(monkeypatch)
+        ledger = CostLedger()
+        assert not detect_even_cycle(graph, ell, ledger, seed=3)
+        assert draws == []
+        row = self.light_stage(ledger, graph.n)
+        rounds = _query_rounds(ell, even_cycle_repetitions(ell), _A_CONG * word_capacity(graph.n),
+                               CongestNet(graph).eccentricity)
+        assert row.rounds == grover_cost(n_idx, rounds)
+        heavy = graph.n - light.bit_count()
+        assert ledger.counts["queries"] == heavy + n_idx
+
+    def test_a_walked_stage_draws_each_light_node_once(self, monkeypatch):
+        # a planted C6 of degree-2 nodes at n = 80: its nodes are light
+        graph = generate(GenSpec(kind="planted_cycle", n=80, edge_prob=0.0, planted_size=6,
+                                 seed=1))
+        threshold, n_idx, _ = _even_sizes(graph.n, 3)
+        light = sum(1 for v in range(graph.n) if graph.adj[v].bit_count() < threshold)
+        draws = self.count_draws(monkeypatch)
+        assert detect_even_cycle(graph, 6, CostLedger(), seed=7)
+        assert draws == [(n_idx,)] * light

@@ -1,6 +1,7 @@
 """Search cost formulas and the classical-evaluation execution engine."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,9 +17,40 @@ from qcongest.qsearch import (
     SearchLevel,
     grover_cost,
     nested_cost_predict,
+    derive_seed,
     run_nested_search,
     run_search,
 )
+
+
+def leaf_scan(size, leaf):
+    """A plan checker over a last level of `size` elements from a check of
+    one leaf, leaf(tuple) -> (marked, rounds): the first marked index under
+    the prefix, walked in index order, and the rounds of one check."""
+    def scan(prefix):
+        for x in range(size):
+            marked, rounds = leaf(prefix + (x,))
+            if marked:
+                return x, rounds
+        return None, rounds
+
+    return scan
+
+
+def reference_walk(sizes, marked, fail_prob=0.0, seed=0):
+    """The search walked leaf by leaf, as the engine walked it before it
+    scanned last levels: every leaf in enumeration order up to the first
+    marked one.  (witness or None after failure injection, leaf checks)."""
+    queries, witness = 0, None
+    for leaf in itertools.product(*(range(s) for s in sizes)):
+        queries += 1
+        if leaf in marked:
+            witness = leaf
+            break
+    if witness is not None and fail_prob > 0.0:
+        if random.Random(derive_seed(seed, "search-fail")).random() < fail_prob:
+            witness = None
+    return witness, queries
 
 
 class TestGroverCost:
@@ -122,7 +154,7 @@ class TestFlatIsOneLevelNested:
             flat = run_search(size, lambda i: (i in marked, cost), flat_led, params,
                               seed=seed, phase="search")
             plan = NestedSearchPlan([SearchLevel(size)],
-                                    lambda tup: (tup[0] in marked, cost), params)
+                                    leaf_scan(size, lambda tup: (tup[0] in marked, cost)), params)
             nested = run_nested_search(plan, nested_led, seed=seed, phase="search")
             assert flat == nested
             assert flat.found == bool(marked)
@@ -134,7 +166,7 @@ class TestFlatIsOneLevelNested:
         import gc
 
         plan = NestedSearchPlan([SearchLevel(3, lambda pfx: 1), SearchLevel(4)],
-                                lambda tup: (tup == (2, 1), 1))
+                                leaf_scan(4, lambda tup: (tup == (2, 1), 1)))
         gc.collect()
         gc.disable()
         try:
@@ -205,7 +237,7 @@ class TestRunNestedSearch:
         def checker(tup):
             return tup in marked, check_cost
 
-        return NestedSearchPlan(levels=levels, checker=checker)
+        return NestedSearchPlan(levels=levels, checker=leaf_scan(sizes[-1], checker))
 
     def test_toy_found(self):
         led = CostLedger()
@@ -235,7 +267,8 @@ class TestRunNestedSearch:
                 SearchLevel(sizes[i], (lambda c: (lambda pfx: c))(setups[i]))
                 for i in range(k)
             ]
-            plan = NestedSearchPlan(levels, lambda tup: (tup in marked, check))
+            plan = NestedSearchPlan(levels,
+                                    leaf_scan(sizes[-1], lambda tup: (tup in marked, check)))
             led = CostLedger()
             out = run_nested_search(plan, led)
             assert out.rounds_charged == nested_cost_predict(sizes, setups, check)
@@ -253,7 +286,7 @@ class TestRunNestedSearch:
                 for tup in itertools.product(*(range(s) for s in sizes))
             }
             plan = NestedSearchPlan(
-                [SearchLevel(s) for s in sizes], lambda tup: (table[tup], 1)
+                [SearchLevel(s) for s in sizes], leaf_scan(sizes[-1], lambda tup: (table[tup], 1))
             )
             led = CostLedger()
             out = run_nested_search(plan, led)
@@ -264,7 +297,7 @@ class TestRunNestedSearch:
     def test_setup_inhomogeneity_names_level(self):
         costs = iter([1, 2, 2, 2])
         levels = [SearchLevel(2, lambda pfx: next(costs)), SearchLevel(2, None)]
-        plan = NestedSearchPlan(levels, lambda tup: (False, 1))
+        plan = NestedSearchPlan(levels, lambda prefix: (None, 1))
         with pytest.raises(RuntimeError, match="level 1"):
             run_nested_search(plan, CostLedger())
 
@@ -286,6 +319,75 @@ class TestRunNestedSearch:
         for seed in range(20):
             out = run_nested_search(plan, CostLedger(), seed=seed)
             assert not out.found  # never invents a witness
+
+
+class TestLastLevelScan:
+    """The engine answers each last level with one scan; its outcome,
+    witness, leaf-check count and ledger are those of the leaf-by-leaf
+    walk (reference_walk)."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_scans_match_the_leaf_walk(self, data):
+        k = data.draw(st.integers(1, 4))
+        sizes = data.draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
+        setups = data.draw(st.lists(st.one_of(st.none(), st.integers(0, 6)),
+                                    min_size=k, max_size=k))
+        check = data.draw(st.integers(0, 6))
+        leaves = list(itertools.product(*(range(s) for s in sizes)))
+        marked = set(data.draw(st.lists(st.sampled_from(leaves), max_size=3)))
+        params = QuantumCostParams(
+            c_grover=data.draw(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(1, 3)])),
+            reps=data.draw(st.integers(1, 3)), fail_prob=data.draw(st.sampled_from([0.0, 0.5])))
+        seed = data.draw(st.integers(0, 10**6))
+        scanned = []
+
+        def scan(prefix):
+            scanned.append(prefix)
+            hits = [x for x in range(sizes[-1]) if prefix + (x,) in marked]
+            return (hits[0] if hits else None), check
+
+        levels = [SearchLevel(size, None if c is None else (lambda c: lambda pfx: c)(c))
+                  for size, c in zip(sizes, setups)]
+        led = CostLedger()
+        out = run_nested_search(NestedSearchPlan(levels, scan, params), led, seed=seed,
+                                phase="search")
+        witness, queries = reference_walk(sizes, marked, params.fail_prob, seed)
+        rounds = nested_cost_predict(sizes, [c or 0 for c in setups], check, params)
+        assert (out.found, out.witness) == (witness is not None, witness)
+        assert out.queries_evaluated == queries
+        assert out.rounds_charged == rounds
+        assert [(e.phase, e.model, e.kind, e.rounds) for e in led.entries] == [
+            ("search", "clique", "quantum", rounds)]
+        assert +led.counts == {"queries": queries}
+        # one scan per prefix walked, in enumeration order
+        assert scanned == sorted(set(scanned)) and len(scanned) == -(-queries // sizes[-1])
+        if k == 1 and setups[0] is None:  # the flat search has no setup
+            flat_led = CostLedger()
+            flat = run_search(sizes[0], lambda i: ((i,) in marked, check), flat_led, params,
+                              seed=seed, phase="search")
+            assert flat == out and flat_led.entries == led.entries
+            assert flat_led.counts == led.counts
+
+    def test_a_last_level_setup_runs_once_per_scan(self):
+        calls = []
+        levels = [SearchLevel(3), SearchLevel(4, lambda prefix: calls.append(prefix) or 2)]
+        out = run_nested_search(NestedSearchPlan(levels, lambda prefix: (None, 1)), CostLedger())
+        assert calls == [(0,), (1,), (2,)] and out.queries_evaluated == 12
+        assert out.rounds_charged == nested_cost_predict([3, 4], [0, 2], 1)
+
+    def test_check_costs_must_agree_across_scans(self):
+        levels = [SearchLevel(2), SearchLevel(3)]
+        plan = NestedSearchPlan(levels, lambda prefix: (None, 1 + prefix[0]))
+        with pytest.raises(RuntimeError, match="check cost inhomogeneity: 2 != 1"):
+            run_nested_search(plan, CostLedger())
+
+    def test_last_level_setups_must_agree_across_scans(self):
+        costs = iter([1, 2])
+        levels = [SearchLevel(2), SearchLevel(3, lambda prefix: next(costs))]
+        plan = NestedSearchPlan(levels, lambda prefix: (None, 1))
+        with pytest.raises(RuntimeError, match="level 2"):
+            run_nested_search(plan, CostLedger())
 
 
 class TestWitnessReverification:
@@ -313,7 +415,7 @@ class TestWitnessReverification:
             marked = {tuple(rng.randrange(s) for s in sizes)}
             checker = lambda tup: (tup in marked, 1)
             plan = NestedSearchPlan(
-                [SearchLevel(s) for s in sizes], checker,
+                [SearchLevel(s) for s in sizes], leaf_scan(sizes[-1], checker),
                 QuantumCostParams(fail_prob=fail_prob),
             )
             out = run_nested_search(plan, CostLedger(), seed=seed)
