@@ -366,22 +366,6 @@ def blackbox_cost_only(
 # ---------------------------------------------------------------------------
 
 
-def degree_batching(degrees: Sequence[int], target: int) -> List[int]:
-    """Greedy fill in id order; a batch (a node mask) closes once its degree sum >= target."""
-    if target < 1:
-        raise ValueError("target must be >= 1")
-    batches: List[int] = []
-    start = acc = 0
-    for v, d in enumerate(degrees):
-        acc += d
-        if acc >= target:
-            batches.append((1 << v + 1) - (1 << start))
-            start, acc = v + 1, 0
-    if start < len(degrees) or not batches:
-        batches.append((1 << len(degrees)) - (1 << start))
-    return batches
-
-
 @functools.lru_cache(maxsize=1024)
 def _sparse_costs(n: int, m: int, t: int) -> Costs:
     """(level domain sizes, setup rounds s_1..s_{t-1}, check rounds).
@@ -427,12 +411,11 @@ def extend_sparse(
     if m == 0:
         return False
     costs = _sparse_costs(n, m, t)
-    degrees = graph.degrees()
-    parts: List[List[int]] = []
+    parts: List[Tuple[int, ...]] = []
     for x in costs[0][:-1]:
-        batches = degree_batching(degrees, target=max(1, ceil_div(2 * m, x)))[:x]
-        parts.append(batches + [0] * (x - len(batches)))
-    last = degree_batching(degrees, target=n)
+        batches = graph.degree_batches(max(1, ceil_div(2 * m, x)))[:x]
+        parts.append(batches + (0,) * (x - len(batches)))
+    last = graph.degree_batches(n)
     return _constrained_search(graph.adj, inv.p, inv.reach(), parts, len(last),
                                functools.partial(_first_meeting, last), costs, ledger, seed,
                                params, "sparse/search")

@@ -14,8 +14,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from math import ceil, comb
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 GEN_KINDS = ("gnp", "planted_clique", "planted_cycle", "complete", "path", "cycle", "empty")
 
@@ -42,13 +44,14 @@ class Graph:
     `adj` is the one adjacency: a tuple of per-node bitmasks, bit u of
     adj[v] set iff u-v is an edge.  A clique check is one AND, a degree is
     adj[v].bit_count(), and bits(adj[v]) lists the neighbours ascending.
-    Two facts are stored lazily, computed on first use and kept, which is
-    sound because the graph never changes: triangle_nodes(), and
-    leader_bfs(), which cycle_rank() reads too.  Each is an int or a tuple
-    of ints, so no caller can change the stored value.
+    Three facts are stored lazily, computed on first use and kept, which
+    is sound because the graph never changes: triangle_nodes(),
+    leader_bfs(), which cycle_rank() reads too, and degree_batches(target)
+    per target.  Each is an int or a tuple of ints, so no caller can change
+    the stored value.
     """
 
-    __slots__ = ("n", "adj", "m", "_triangle_nodes", "_leader_bfs")
+    __slots__ = ("n", "adj", "m", "_triangle_nodes", "_leader_bfs", "_degree_batches")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]]):
         if n < 0:
@@ -70,6 +73,7 @@ class Graph:
         self.m = count
         self._triangle_nodes: Optional[int] = None
         self._leader_bfs: Optional[LeaderBfs] = None
+        self._degree_batches: Optional[Dict[int, Tuple[int, ...]]] = None
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -126,6 +130,15 @@ class Graph:
             self._leader_bfs = LeaderBfs(component, eccentricity, components)
         return self._leader_bfs
 
+    def degree_batches(self, target: int) -> Tuple[int, ...]:
+        """degree_batching(self.degrees(), target), computed once per target."""
+        if self._degree_batches is None:
+            self._degree_batches = {}
+        got = self._degree_batches.get(target)
+        if got is None:
+            got = self._degree_batches[target] = degree_batching(self.degrees(), target)
+        return got
+
     def cycle_rank(self) -> int:
         """m - n + c, c the number of components: the number of independent
         cycles, 0 exactly when the graph is a forest."""
@@ -141,6 +154,22 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def degree_batching(degrees: Sequence[int], target: int) -> Tuple[int, ...]:
+    """Greedy fill in id order; a batch (a node mask) closes once its degree sum >= target."""
+    if target < 1:
+        raise ValueError("target must be >= 1")
+    batches: List[int] = []
+    start = acc = 0
+    for v, d in enumerate(degrees):
+        acc += d
+        if acc >= target:
+            batches.append((1 << v + 1) - (1 << start))
+            start, acc = v + 1, 0
+    if start < len(degrees) or not batches:
+        batches.append((1 << len(degrees)) - (1 << start))
+    return tuple(batches)
 
 
 def mask_of(nodes: Iterable[int]) -> int:
@@ -194,10 +223,26 @@ class CliqueSet:
 
 
 def generate(spec: GenSpec) -> Graph:
-    """Build the graph described by `spec`; a pure function of the spec."""
+    """Build the graph described by `spec`; a pure function of the spec.
+
+    gnp and the planted kinds give each pair u < v that is not planted, in
+    row order (u, then v), one coin of random.Random(spec.seed): an edge
+    iff random() < edge_prob.  A planted pair takes no coin, and at
+    edge_prob 0 no generator is made.
+
+    The coins are drawn in bulk from that same stream, so every graph is
+    the one a pair-by-pair random() scan builds.  This rests on CPython's
+    stream contract: random() is ((a >> 5) * 2^26 + (b >> 6)) / 2^53 for
+    the next two 32-bit Mersenne Twister words a and b, and
+    getrandbits(64 k) returns the next 2k words, lowest word first.  One
+    getrandbits call reads at most _PAIR_CHUNK = 2^13 coins (64 KiB of
+    stream), and a coin comes up iff its 53-bit integer is below
+    ceil(edge_prob * 2^53), which is exact.  The draw still takes O(n^2)
+    time: every pair's coin is read.
+    """
     spec.validate()
     n = spec.n
-    planted = set()
+    planted: List[Tuple[int, int]] = []
     if spec.kind == "complete":
         return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
     if spec.kind == "empty":
@@ -208,17 +253,42 @@ def generate(spec: GenSpec) -> Graph:
         return Graph(n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
     if spec.kind == "planted_clique":
         s = spec.planted_size
-        planted = {(u, v) for u in range(s) for v in range(u + 1, s)}
+        planted = [(u, v) for u in range(s) for v in range(u + 1, s)]
     elif spec.kind == "planted_cycle":
         s = spec.planted_size
-        planted = {(min(i, (i + 1) % s), max(i, (i + 1) % s)) for i in range(s)}
-    rng = random.Random(spec.seed)
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if (u, v) in planted or rng.random() < spec.edge_prob:  # no draw for a planted edge
-                edges.append((u, v))
-    return Graph(n, edges)
+        planted = [(i, i + 1) for i in range(s - 1)] + [(0, s - 1)]
+    return Graph(n, planted + _coin_pairs(n, spec.edge_prob, spec.seed, planted))
+
+
+# coins per getrandbits call: each array of a chunk holds at most 64 KiB,
+# below glibc's 128 KiB mmap threshold, so the heap reuses its buffers
+_PAIR_CHUNK = 1 << 13
+
+
+def _coin_pairs(n: int, prob: float, seed: int,
+                planted: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """The pairs u < v, not planted, whose coin random() < prob comes up
+    (see generate); the coins are read _PAIR_CHUNK at a time."""
+    threshold = ceil(prob * 2**53)
+    if threshold == 0:
+        return []
+    rng = random.Random(seed)
+    rows = np.arange(n, dtype=np.int64)
+    starts = rows * (2 * n - rows - 1) // 2  # index of pair (u, u + 1) in row order
+    skip = np.array(sorted(u * (2 * n - u - 1) // 2 + v - u - 1 for u, v in planted),
+                    dtype=np.int64)
+    skip -= np.arange(len(skip), dtype=np.int64)  # the coin that each planted pair precedes
+    coins = n * (n - 1) // 2 - len(planted)
+    hits = [np.empty(0, dtype=np.int64)]
+    for first in range(0, coins, _PAIR_CHUNK):
+        k = min(_PAIR_CHUNK, coins - first)
+        words = np.frombuffer(rng.getrandbits(64 * k).to_bytes(8 * k, "little"), dtype="<u4")
+        x = (words[0::2] >> 5).astype(np.uint64) << 26 | words[1::2] >> 6
+        hits.append(np.flatnonzero(x < np.uint64(threshold)) + first)
+    coin = np.concatenate(hits)
+    pair = coin + np.searchsorted(skip, coin, side="right")
+    u = np.searchsorted(starts, pair, side="right") - 1
+    return list(zip(u.tolist(), (pair - starts[u] + u + 1).tolist()))
 
 
 def load_graph(path: str) -> Graph:

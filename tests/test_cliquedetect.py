@@ -16,7 +16,6 @@ from qcongest.cliquedetect import (
     blackbox_cost_only,
     clique_cost_only,
     degenerate,
-    degree_batching,
     detect_clique,
     detect_nested,
     detect_plus1,
@@ -41,10 +40,12 @@ from qcongest.cliquedetect import (
     _triangle_batches,
 )
 from qcongest.cliquelist import clique_reach, list_kp
+from qcongest import graph as graph_module
 from qcongest.graph import (
     GenSpec,
     Graph,
     bits,
+    degree_batching,
     generate,
     oracle_has_clique,
     oracle_has_extension,
@@ -143,8 +144,8 @@ class TestPartitions:
     @settings(max_examples=300, deadline=None)
     def test_degree_batches(self, degrees, target):
         batches = degree_batching(degrees, target)
-        assert batches == [sum(1 << v for v in b)
-                           for b in degree_batching_reference(degrees, target)]
+        assert batches == tuple(sum(1 << v for v in b)
+                                for b in degree_batching_reference(degrees, target))
         self.assert_contiguous_cover(len(degrees), batches)
 
 
@@ -301,13 +302,39 @@ class TestExtendSparse:
 
     def test_degree_batching_bounds(self):
         g = gnp(96, 0.3, 7)
-        batches = degree_batching(g.degrees(), target=96)
+        batches = g.degree_batches(96)
+        assert batches == degree_batching(g.degrees(), 96)
         nodes = sorted(v for b in batches for v in bits(b))
         assert nodes == list(range(96))
         maxdeg = max(g.degrees())
         for batch in batches[:-1]:
             s = sum(g.adj[v].bit_count() for v in bits(batch))
             assert 96 / 2 <= s <= 96 + maxdeg
+
+
+    def test_degree_batches_are_computed_once_per_graph_and_target(self, monkeypatch):
+        # repeated extensions on one graph read the batches the first one
+        # built, and answer and charge as on a graph that has built none
+        def run(g, t):
+            led = CostLedger()
+            return extend_sparse(g, list_kp(g, 2, CostLedger()), t, led), led.entries, led.counts
+
+        fresh = {t: run(gnp(96, 0.3, 7), t) for t in (1, 2, 3)}
+        calls = []
+
+        def counted(degrees, target):
+            calls.append(target)
+            return degree_batching(degrees, target)
+
+        monkeypatch.setattr(graph_module, "degree_batching", counted)
+        g = gnp(96, 0.3, 7)
+        for rep in range(3):
+            for t in (1, 2, 3):
+                assert run(g, t) == fresh[t]
+            if rep == 0:
+                first = list(calls)
+        assert calls == first and len(set(calls)) == len(calls) > 1
+        assert g.degree_batches(96) is g.degree_batches(96)
 
 
 class TestDetectPlus1:

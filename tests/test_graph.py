@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcongest import graph as graph_module
 from qcongest.graph import (
     CliqueSet,
     GenSpec,
@@ -252,6 +253,96 @@ class TestGenerate:
     def test_pure_function_of_spec(self, seed, n, prob):
         spec = GenSpec(kind="gnp", n=n, edge_prob=prob, seed=seed)
         assert generate(spec).edges() == generate(spec).edges()
+
+
+def scan_reference(spec):
+    """The pair-by-pair scan that generate's bulk draw replaces: one
+    random() per pair u < v in row order, none for a planted pair."""
+    n, s = spec.n, spec.planted_size
+    planted = set()
+    if spec.kind == "planted_clique":
+        planted = {(u, v) for u in range(s) for v in range(u + 1, s)}
+    elif spec.kind == "planted_cycle":
+        planted = {(min(i, (i + 1) % s), max(i, (i + 1) % s)) for i in range(s)}
+    rng = random.Random(spec.seed)
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if (u, v) in planted or rng.random() < spec.edge_prob])
+
+
+EDGE_PROBS = [0.0, 2.0**-53, 1e-9, 0.01, 0.5, 1 - 2.0**-53, 1.0]
+
+
+@st.composite
+def coin_specs(draw, max_n=150):
+    """gnp and planted specs over n, planted sizes, seeds and the edge
+    probabilities at the ends of the coin's range."""
+    kind = draw(st.sampled_from(["gnp", "planted_clique", "planted_cycle"]))
+    least = {"gnp": 0, "planted_clique": 1, "planted_cycle": 3}[kind]
+    n = draw(st.integers(least, max_n))
+    size = draw(st.integers(least, n)) if least else 0
+    prob = draw(st.one_of(st.sampled_from(EDGE_PROBS), st.floats(0.0, 1.0)))
+    return GenSpec(kind=kind, n=n, edge_prob=prob, planted_size=size,
+                   seed=draw(st.integers(0, 2**64 - 1)))
+
+
+class TestBulkDraw:
+    """generate reads each pair's coin in bulk from the stream the
+    pair-by-pair scan reads, so it builds the scan's graph exactly."""
+
+    @staticmethod
+    def assert_same(spec):
+        got, want = generate(spec), scan_reference(spec)
+        assert (got.adj, got.m) == (want.adj, want.m), spec
+
+    @given(coin_specs())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_pair_scan(self, spec):
+        self.assert_same(spec)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 97])
+    @given(spec=coin_specs(max_n=40))
+    @settings(max_examples=40, deadline=None)
+    def test_chunk_edges_fall_anywhere(self, chunk, spec):
+        # chunks far smaller than a row: rows and planted pairs straddle
+        # the chunk edges
+        with mock.patch.object(graph_module, "_PAIR_CHUNK", chunk):
+            self.assert_same(spec)
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
+    def test_a_probability_equal_to_a_coin_keeps_that_pair_out(self, seed):
+        # random() < p is strict: a coin that equals p does not come up
+        stream = random.Random(seed)
+        coins = [stream.random() for _ in range(300)]  # one per pair of 25 nodes
+        for prob in (coins[0], coins[137], coins[-1]):
+            for kind, size in (("gnp", 0), ("planted_clique", 4), ("planted_cycle", 5)):
+                self.assert_same(GenSpec(kind=kind, n=25, edge_prob=prob, planted_size=size,
+                                         seed=seed))
+
+    def test_a_large_sparse_graph(self):
+        self.assert_same(GenSpec(kind="gnp", n=2000, edge_prob=3 / 2000, seed=11))
+
+    @pytest.mark.parametrize("kind, size", [("gnp", 0), ("planted_clique", 6),
+                                            ("planted_cycle", 6)])
+    def test_probability_zero_draws_nothing(self, kind, size):
+        def no_generator(*args):
+            raise AssertionError("a generator was made at edge_prob 0")
+
+        with mock.patch.object(random, "Random", no_generator):
+            g = generate(GenSpec(kind=kind, n=40, edge_prob=0.0, planted_size=size, seed=3))
+        assert g.m == {"gnp": 0, "planted_clique": 15, "planted_cycle": 6}[kind]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63 + 9])
+    @pytest.mark.parametrize("k", [1, 2, 5, 1000])
+    def test_the_stream_contract(self, seed, k):
+        # generate's exactness rests on this: getrandbits(64 k) returns the
+        # next 2k 32-bit words, lowest first, and random() is
+        # ((a >> 5) * 2^26 + (b >> 6)) / 2^53 of two consecutive words
+        rng = random.Random(seed)
+        want = [rng.random() for _ in range(k)]
+        block = random.Random(seed).getrandbits(64 * k)
+        words = [block >> (32 * i) & 0xFFFFFFFF for i in range(2 * k)]
+        got = [((a >> 5) * 2**26 + (b >> 6)) / 2**53 for a, b in zip(words[0::2], words[1::2])]
+        assert got == want
 
 
 class TestOracleCliques:

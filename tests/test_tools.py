@@ -1,6 +1,8 @@
-"""tools/bench_pairs.py: seed lists and the per-metric summary of paired runs."""
+"""tools/bench_pairs.py: seed lists, the per-metric summary of paired runs and
+what each side measured."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -144,3 +146,70 @@ class TestInProcess:
         got = bench_pairs.answer_counts({"b": (True, full, other), "a": (False, other, None)})
         assert got == (("a", [("enumeration_truncated", 2)], None),
                        ("b", [("queries", 3)], [("enumeration_truncated", 2)]))
+
+
+class TestSides:
+    """Each side of a report names what it measured, also without .git."""
+
+    @staticmethod
+    def copy(root, to):
+        for sub in ("src/qcongest", "perfbench"):
+            (to / sub).mkdir(parents=True)
+            for f in (root / sub).glob("*.py"):
+                (to / sub / f.name).write_bytes(f.read_bytes())
+        return to
+
+    def test_the_digest_follows_the_source_only(self, tmp_path):
+        root = _PATH.parent.parent
+        a, b = self.copy(root, tmp_path / "a"), self.copy(root, tmp_path / "b")
+        digest = bench_pairs.source_digest(a)
+        assert bench_pairs.source_digest(b) == digest
+        # bytecode caches and run outputs are left out
+        for junk in ("src/qcongest/__pycache__/graph.cpython-311.pyc", "perfbench/out/x.json"):
+            (b / junk).parent.mkdir(exist_ok=True)
+            (b / junk).write_bytes(b"junk")
+        assert bench_pairs.source_digest(b) == digest
+        # a changed byte or a renamed file changes it
+        graph = b / "src" / "qcongest" / "graph.py"
+        graph.write_bytes(graph.read_bytes() + b"\n")
+        assert bench_pairs.source_digest(b) != digest
+        graph.write_bytes((a / "src" / "qcongest" / "graph.py").read_bytes())
+        assert bench_pairs.source_digest(b) == digest
+        graph.rename(graph.with_name("graph2.py"))
+        assert bench_pairs.source_digest(b) != digest
+
+    def test_a_plain_copy_reports_its_digest_and_caches(self, tmp_path):
+        side = self.copy(_PATH.parent.parent, tmp_path / "side")
+        facts = bench_pairs.side_facts(side)
+        assert facts == {"git": None, "source_sha256": bench_pairs.source_digest(side),
+                         "pycache_at_start": []}
+        for sub in ("perfbench", "src/qcongest"):
+            (side / sub / "__pycache__").mkdir()
+        assert bench_pairs.side_facts(side)["pycache_at_start"] == [
+            "perfbench/__pycache__", "src/qcongest/__pycache__"]
+
+    @pytest.mark.parametrize("flag", [None, "1"])
+    def test_the_report_holds_each_sides_facts_and_the_bytecode_flag(
+            self, tmp_path, monkeypatch, flag):
+        root = _PATH.parent.parent
+        parent, change = self.copy(root, tmp_path / "parent"), self.copy(root, tmp_path / "change")
+        (change / "BENCHMARK.json").write_bytes((root / "BENCHMARK.json").read_bytes())
+        (parent / "src" / "qcongest" / "__pycache__").mkdir()
+        if flag is None:
+            monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+        else:
+            monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", flag)
+        # no run: the in-process comparison is stubbed out
+        monkeypatch.setattr(bench_pairs, "inprocess",
+                            lambda *args: {"parts": {}, "families": {}})
+        out = tmp_path / "bench.json"
+        assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                                 "--workload", "cycle", "--inprocess-passes", "1",
+                                 "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["PYTHONDONTWRITEBYTECODE"] == flag
+        assert report["sides"] == {
+            "parent": {"git": None, "source_sha256": bench_pairs.source_digest(parent),
+                       "pycache_at_start": ["src/qcongest/__pycache__"]},
+            "change": {"git": None, "source_sha256": bench_pairs.source_digest(change),
+                       "pycache_at_start": []}}

@@ -15,8 +15,12 @@ The output holds, per workload and end-to-end metric, each side's runs,
 median and quartiles and the number of pairs the change won (ties count
 for neither side; the direction comes from BENCHMARK.json), plus each
 run's failed/attempted/correct, the traced runs, the seeds and the
-machine.  It is rewritten after every run, so an interrupted session
-keeps the pairs it finished.
+machine.  Per side it records the commit (when the side is a git
+checkout), a digest of its src/qcongest and perfbench files and the
+__pycache__ directories they held before the first run, and it records
+whether PYTHONDONTWRITEBYTECODE was set: both decide whether an import
+compiles from source, which setup_s times.  The output is rewritten
+after every run, so an interrupted session keeps the pairs it finished.
 
     python3 tools/bench_pairs.py --parent ../parent-checkout --workload cycle \
         --inprocess-passes 8 --inprocess-seed 1 --out BENCH_20.json
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -127,6 +132,34 @@ def git_head(directory: Path) -> Optional[dict]:
     if head is None:
         return None
     return {"head": head, "uncommitted_changes": bool(git("status", "--porcelain"))}
+
+
+SOURCE_DIRS = ("src/qcongest", "perfbench")  # what a side's perfbench runs execute
+
+
+def source_digest(directory: Path) -> str:
+    """sha256 over the path (relative to the side) and bytes of each file
+    under SOURCE_DIRS, bytecode caches and run outputs left out, so that a
+    copy without .git still names what it ran."""
+    digest = hashlib.sha256()
+    for f in sorted(f for sub in SOURCE_DIRS for f in (directory / sub).rglob("*")
+                    if f.is_file() and "__pycache__" not in f.parts
+                    and f.relative_to(directory).parts[:2] != ("perfbench", "out")):
+        data = f.read_bytes()
+        digest.update(f"{f.relative_to(directory).as_posix()}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def side_facts(directory: Path) -> dict:
+    """What one side measures: its commit (None outside a git checkout), a
+    digest of its source files, and the __pycache__ directories under
+    SOURCE_DIRS before any run (a module with a cached .pyc skips its
+    compile at every import, which lands in setup_s)."""
+    return {"git": git_head(directory), "source_sha256": source_digest(directory),
+            "pycache_at_start": sorted(d.relative_to(directory).as_posix()
+                                       for sub in SOURCE_DIRS
+                                       for d in (directory / sub).rglob("__pycache__"))}
 
 
 def machine() -> dict:
@@ -316,7 +349,9 @@ def main(argv=None) -> int:
     report = {
         "machine": machine(),
         "command": f"perfbench/run.py --workload W --seed S --seconds {args.seconds:g}",
-        "sides": {side: git_head(d) for side, d in sides.items()},
+        "sides": {side: side_facts(d) for side, d in sides.items()},
+        # when set, no run writes .pyc files: a side without them compiles at every import
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "seeds": args.seeds,
         "trace_seed": args.trace_seed,
         "order": "pair i runs the parent first when i is even, the change first when odd",
