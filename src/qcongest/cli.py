@@ -301,8 +301,9 @@ def run_sweep(args: argparse.Namespace) -> int:
             rows.append(ResultRow.from_ledger(n, m, algo, ptext, ledger, found, args.seed))
     else:
         prob = 0.5 if args.edge_prob is None else args.edge_prob
-        for n in args.n_list:
-            graph = generate(GenSpec(kind="gnp", n=n, edge_prob=prob, seed=args.seed))
+        specs = [_checked(GenSpec(kind="gnp", n=n, edge_prob=prob, seed=args.seed))
+                 for n in args.n_list]
+        for graph in map(generate, specs):
             if cycle:
                 rows.append(cycle_row(args, graph, ell, args.seed))
             else:
@@ -374,7 +375,11 @@ def parse_gen_spec(text: str) -> GenSpec:
         n, prob, size, seed = int(parts[1]), float(parts[2]), int(parts[3]), int(parts[4])
     except ValueError:
         raise UsageError("--gen expects kind,n,prob,size,seed") from None
-    spec = GenSpec(kind=kind, n=n, edge_prob=prob, planted_size=size, seed=seed)
+    return _checked(GenSpec(kind=kind, n=n, edge_prob=prob, planted_size=size, seed=seed))
+
+
+def _checked(spec: GenSpec) -> GenSpec:
+    """spec, or a usage error that says why generate cannot build it."""
     try:
         spec.validate()
     except ValueError as exc:

@@ -41,7 +41,7 @@ from itertools import combinations_with_replacement
 from math import comb
 from typing import List, Optional, Sequence, Tuple
 
-from .graph import CliqueSet, Graph, bits, density
+from .graph import CliqueSet, Graph, bits, density, neighbours
 from .intmath import ceil_div, ceil_root, ceil_scaled_pow
 from .netsim import CostLedger
 
@@ -244,13 +244,7 @@ def clique_reach(adj: Sequence[int], parts: Sequence[int], p: int, ceiling: int)
     k = len(parts)
     xs = ceiling
     for part in parts:
-        near = 0
-        cand = ceiling & part
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            near |= adj[low.bit_length() - 1]
-        xs &= near
+        xs &= neighbours(adj, ceiling & part)
 
     def extends(common: int, i: int) -> bool:
         # common: the nodes of ceiling adjacent to x and w_1..w_i

@@ -77,7 +77,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .graph import Graph, bits, iter_cycles, mask_of
+from .graph import Graph, ball, bits, iter_cycles, mask_of
 from .intmath import ceil_pow
 from .netsim import CongestNet, CostLedger, congest_step, word_capacity
 from .qsearch import (DEFAULT_PARAMS, QuantumCostParams, charge_search, derive_seed,
@@ -136,7 +136,13 @@ def repetitions_for(p_success: Fraction, failure_target: float) -> int:
         raise ValueError("p_success must be in (0,1]")
     if not 0 < failure_target < 1:
         raise ValueError("failure_target must be in (0,1)")
-    return max(1, math.ceil(math.log(1.0 / failure_target) / float(p_success)))
+    return max(1, math.ceil(_repetition_float(p_success, failure_target)))
+
+
+def _repetition_float(p_success: Fraction, failure_target: float) -> float:
+    """ln(1/f) / p, inf once p rounds to 0.0 or the quotient passes 1.8e308."""
+    p = float(p_success)
+    return math.log(1.0 / failure_target) / p if p else math.inf
 
 
 def color_bfs_rep_rounds(ell: int, congestion_bound: int) -> int:
@@ -257,14 +263,7 @@ def measure_congestion(graph: Graph, cfg: ColorBfsConfig, sources: int) -> Dict[
         return counts
     adj, active = graph.adj, cfg.active
     for w in bits(sources):
-        frontier = reached = adj[w] & active
-        for _ in range(hops - 1):
-            nxt = 0
-            for u in bits(frontier):
-                nxt |= adj[u]
-            frontier = nxt & active & ~reached
-            reached |= frontier
-        for v in bits(reached):
+        for v in bits(ball(adj, adj[w] & active, hops - 1, active)):
             counts[v] += 1
     return counts
 
@@ -546,15 +545,8 @@ def _protocol_found(graph: Graph, cfg: ColorBfsConfig, sources: int,
     if not source_bits:
         return False
     rng = random.Random(derive_seed("color-bfs-protocol", derive_seed(*seed_parts)))
-    ell, adj, active = cfg.cycle_len, graph.adj, cfg.active
-    ball = frontier = sources
-    for _ in range(ell // 2):
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= adj[v]
-        frontier = nxt & active & ~ball
-        ball |= frontier
-    other_bits = [1 << v for v in bits(ball & ~sources)]
+    ell = cfg.cycle_len
+    other_bits = [1 << v for v in bits(ball(graph.adj, sources, ell // 2, cfg.active) & ~sources)]
     log_idle = len(source_bits) * math.log(1 - 1 / ell)
     remaining = cfg.repetitions
     while True:
@@ -575,14 +567,19 @@ def _protocol_found(graph: Graph, cfg: ColorBfsConfig, sources: int,
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1024)
 def inapplicable(n: int, ell: int) -> Optional[str]:
     """Why no detector here looks for a C_ell on n nodes, or None if one does:
     the colour BFS needs floor(ell/2) - 1 >= 1 phases, so ell >= 4 even or
-    ell >= 5 odd, and a cycle has at most n nodes."""
+    ell >= 5 odd, a cycle has at most n nodes, and repetitions_for's float
+    quotient must be finite, so ell <= 142.  Computed once per (n, ell)."""
     if ell < 4 or (ell % 2 and ell < 5):
         return f"ell must be even and >= 4, or odd and >= 5, got {ell}"
     if ell > n:
         return f"ell = {ell} exceeds n = {n}"
+    target = 1.0 / (n * n) if ell % 2 else 0.01  # the two counts' failure targets
+    if not math.isfinite(_repetition_float(single_rep_success(ell), target)):
+        return f"ell = {ell} needs more colour-BFS repetitions than a float can hold"
     return None
 
 
@@ -822,10 +819,7 @@ def detect_even_cycle(
         return True
 
     # stage 2: heavy cycles (single-source queries over the measured heavy set)
-    heavy = 0
-    for v, nbrs in enumerate(graph.adj):
-        if nbrs.bit_count() >= heavy_threshold:
-            heavy |= 1 << v
+    heavy = mask_of(v for v, nbrs in enumerate(graph.adj) if nbrs.bit_count() >= heavy_threshold)
     everyone = (1 << n) - 1
     shared = ColorBfsConfig(two_k, everyone, repetitions=reps)
     heavy_found = _stage_search(net, [(1 << v, v) for v in bits(heavy)], shared,

@@ -2,7 +2,7 @@
 
 A graph's adjacency is one tuple of per-node bitmasks (Graph.adj); every
 layer of the simulator reads it, and bits/mask_of convert between node
-masks and ascending node ids.
+masks and ascending node ids, and neighbours/ball are the one BFS step and walk.
 
 The oracles are the ground truth every detection algorithm is checked
 against; they are desk-scale tools (clique enumeration refuses instances
@@ -22,6 +22,10 @@ import numpy as np
 GEN_KINDS = ("gnp", "planted_clique", "planted_cycle", "complete", "path", "cycle", "empty")
 
 ORACLE_WORK_CAP = 10**9
+
+# the most nodes of a --gen spec or a graph file, checked before anything is allocated:
+# a row reaches its highest neighbour, so a path on 2^16 nodes holds ~280 MiB (README)
+MAX_NODES = 1 << 16
 
 
 class GraphFormatError(ValueError):
@@ -89,16 +93,12 @@ class Graph:
 
         One pass over the edges u < v on first use, O(m) mask operations:
         the nodes adjacent to both ends of an edge are exactly the apexes
-        of its triangles.
+        of its triangles, so u adds adj[u] & neighbours(its higher nodes).
         """
         if self._triangle_nodes is None:
             adj, apex = self.adj, 0
             for u, adj_u in enumerate(adj):
-                higher = adj_u >> (u + 1)
-                while higher:
-                    low = higher & -higher
-                    higher ^= low
-                    apex |= adj_u & adj[u + low.bit_length()]
+                apex |= adj_u & neighbours(adj, adj_u >> (u + 1) << (u + 1))
             self._triangle_nodes = apex
         return self._triangle_nodes
 
@@ -119,10 +119,7 @@ class Graph:
                 hops = 0
                 while frontier:
                     unreached &= ~frontier
-                    nxt = 0
-                    for v in bits(frontier):
-                        nxt |= adj[v]
-                    frontier = nxt & unreached
+                    frontier = neighbours(adj, frontier) & unreached
                     hops += 1
                 if not components:
                     component, eccentricity = everyone & ~unreached, hops - 1
@@ -154,6 +151,27 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def neighbours(adj: Sequence[int], mask: int) -> int:
+    """The OR of the rows adj[v] of the nodes v of mask: the nodes adjacent
+    to some node of mask."""
+    near = 0
+    while mask:
+        low = mask & -mask
+        near |= adj[low.bit_length() - 1]
+        mask ^= low
+    return near
+
+
+def ball(adj: Sequence[int], start: int, radius: int, allowed: int) -> int:
+    """The node mask start together with the nodes of allowed within radius
+    hops of it along paths through allowed nodes (one BFS layer per hop)."""
+    reach = frontier = start
+    for _ in range(radius):
+        frontier = neighbours(adj, frontier) & allowed & ~reach
+        reach |= frontier
+    return reach
 
 
 def degree_batching(degrees: Sequence[int], target: int) -> Tuple[int, ...]:
@@ -203,6 +221,8 @@ class GenSpec:
             raise ValueError("edge_prob must be in [0,1]")
         if self.n < 0:
             raise ValueError("n must be non-negative")
+        if self.n > MAX_NODES:
+            raise ValueError(f"n = {self.n} exceeds the {MAX_NODES}-node limit")
         if self.kind == "cycle" and self.n < 3:
             raise ValueError("cycle needs n >= 3")
         if self.kind.startswith("planted") and not 0 < self.planted_size <= self.n:
@@ -318,6 +338,9 @@ def load_graph(path: str) -> Graph:
                     raise GraphFormatError(f"line {lineno}: header must be 'n m'") from None
                 if n < 0 or m < 0:
                     raise GraphFormatError(f"line {lineno}: negative header values")
+                if n > MAX_NODES:
+                    raise GraphFormatError(
+                        f"line {lineno}: n = {n} exceeds the {MAX_NODES}-node limit")
                 seen_mask = [0] * max(n, 1)
                 continue
             if len(parts) != 2:
@@ -363,26 +386,25 @@ def _check_oracle_cap(n: int, p: int) -> None:
         )
 
 
-def iter_cliques(graph: Graph, p: int) -> Iterator[Tuple[int, ...]]:
-    """Yield all p-cliques as ascending tuples (backtracking enumeration)."""
+def iter_cliques(graph: Graph, p: int, within: Optional[int] = None) -> Iterator[Tuple[int, ...]]:
+    """Yield all p-cliques as ascending tuples (backtracking enumeration),
+    only those inside the node mask `within` when one is given."""
     if p < 1 or p > graph.n:
         return
     adj = graph.adj
-    full = (1 << graph.n) - 1
 
     def rec(chosen: Tuple[int, ...], cand: int) -> Iterator[Tuple[int, ...]]:
         if len(chosen) == p:
             yield chosen
             return
-        mm = cand
-        while mm:
-            low = mm & -mm
+        while cand:
+            low = cand & -cand
             v = low.bit_length() - 1
-            mm ^= low
+            cand ^= low
             # nodes below v stay excluded: ascending order kills duplicates
-            yield from rec(chosen + (v,), mm & adj[v])
+            yield from rec(chosen + (v,), cand & adj[v])
 
-    yield from rec((), full)
+    yield from rec((), (1 << graph.n) - 1 if within is None else within)
 
 
 def oracle_cliques(graph: Graph, p: int) -> CliqueSet:
@@ -402,7 +424,7 @@ def oracle_has_extension(graph: Graph, inv, t: int) -> bool:
     """True iff some p-clique of the inventory inv (list_kp's) extends to a
     (p+t)-clique of the graph.
 
-    Brute force: for each listed clique, enumerate t-cliques in the common
+    Brute force: for each listed clique, look for a t-clique in the common
     neighborhood of its members.
     """
     if t < 1:
@@ -411,29 +433,9 @@ def oracle_has_extension(graph: Graph, inv, t: int) -> bool:
         common = (1 << graph.n) - 1
         for v in members:
             common &= graph.adj[v]
-        if _has_clique_in_mask(graph, common, t):
+        if next(iter_cliques(graph, t, common), None) is not None:
             return True
     return False
-
-
-def _has_clique_in_mask(graph: Graph, mask: int, t: int) -> bool:
-    if t == 0:
-        return True
-    adj = graph.adj
-
-    def rec(cand: int, need: int) -> bool:
-        if need == 0:
-            return True
-        mm = cand
-        while mm:
-            low = mm & -mm
-            v = low.bit_length() - 1
-            mm ^= low
-            if rec(mm & adj[v], need - 1):
-                return True
-        return False
-
-    return rec(mask, t)
 
 
 def oracle_has_cycle(graph: Graph, length: int) -> bool:
@@ -481,11 +483,11 @@ def iter_cycles(
     full = (1 << n) - 1
     active = full if active_mask is None else active_mask & full
 
-    def from_anchor(anchor: int, ball: List[int]) -> Iterator[Tuple[int, ...]]:
+    def from_anchor(anchor: int, balls: List[int]) -> Iterator[Tuple[int, ...]]:
         path = [anchor]
         visited = 1 << anchor
         # stack[k - 1]: untried candidates for path position k
-        stack = [ball[1]]
+        stack = [balls[1]]
         while stack:
             cand = stack[-1]
             if not cand:
@@ -497,9 +499,9 @@ def iter_cycles(
             path.append(low.bit_length() - 1)
             visited |= low
             k = len(path)
-            nxt = adj[path[-1]] & ball[length - k] & ~visited
+            nxt = adj[path[-1]] & balls[length - k] & ~visited
             if k == length - 1:
-                # the last node closes the cycle (it is in ball[1]) and exceeds path[1]
+                # the last node closes the cycle (it is in balls[1]) and exceeds path[1]
                 last = nxt & ~((2 << path[1]) - 1)
                 while last:
                     bit = last & -last
@@ -512,9 +514,9 @@ def iter_cycles(
 
     for s in bits(active if anchors is None else active & anchors):
         active &= ~(1 << s)
-        ball = anchor_ball(adj, length, s, active)
-        if ball is not None:
-            yield from from_anchor(s, ball)
+        balls = anchor_ball(adj, length, s, active)
+        if balls is not None:
+            yield from from_anchor(s, balls)
 
 
 def anchor_ball(adj: Tuple[int, ...], length: int, anchor: int,
@@ -528,7 +530,9 @@ def anchor_ball(adj: Tuple[int, ...], length: int, anchor: int,
     L_2, ... at a time; every edge of the ball joins two nodes of one layer
     or of consecutive layers.  The certificates are read off the first
     layers as they are built, and a cleared anchor returns before the rest
-    of its ball is built.  Write r = floor(length / 2).
+    of its ball is built.  So it keeps its own layer step, not ball():
+    the certificates also read twice and inner off each layer.  Write
+    r = floor(length / 2).
       * Fewer than two allowed neighbours.
       * Odd length: no edge joins two nodes of one layer L_1..L_r.  Then
         the r-ball is bipartite, yet every node of a C_length through the

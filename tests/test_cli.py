@@ -86,6 +86,16 @@ USAGE_ERRORS = [
     ["detect-cycle", "--ell", "0", "--gen", "planted_cycle,8,0.0,5,1"],
     ["sweep", "--algo", "even-cycle", "--ell", "0", "--n-list", "64"],
     ["sweep", "--algo", "odd-cycle", "--mode", "full", "--ell", "3", "--n-list", "16"],
+    # ell >= 143: the repetition count is past a float's range
+    ["sweep", "--algo", "odd-cycle", "--ell", "143", "--n-list", "200"],
+    ["sweep", "--algo", "even-cycle", "--ell", "144", "--n-list", "200"],
+    ["sweep", "--algo", "even-cycle", "--ell", "150", "--n-list", "200"],
+    ["detect-cycle", "--gen", "planted_cycle,146,0.0,146,1", "--ell", "146"],
+    ["detect-cycle", "--gen", "planted_cycle,145,0.0,145,1", "--ell", "143"],
+    # n above graph.MAX_NODES, refused before anything is allocated
+    ["detect-cycle", "--ell", "5", "--gen", "empty,100000000000,0,0,0"],
+    ["list", "--p", "2", "--gen", "empty,65537,0,0,0"],
+    ["sweep", "--mode", "full", "--algo", "auto", "--n-list", "16,100000000000"],
     # --gen specs that generate cannot build
     ["detect-clique", "--gen", "gnp,-1,0.5,0,1", "--q", "3"],
     ["detect-cycle", "--gen", "cycle,2,0,0,0", "--ell", "4"],
@@ -163,6 +173,13 @@ class TestCommands:
         gpath.write_bytes(b"# \xc3\xa9 is utf-8\n5 1\n0 \xff\n")
         assert main(["detect-cycle", "--ell", "5", "--graph", str(gpath)]) == 2
         assert capsys.readouterr().err == "error: line 3: not utf-8 text\n"
+
+    def test_a_graph_file_above_the_node_limit_is_a_format_error(self, tmp_path, capsys):
+        gpath = tmp_path / "g.txt"
+        gpath.write_text("100000000000 0\n")
+        assert main(["detect-cycle", "--ell", "5", "--graph", str(gpath)]) == 2
+        assert capsys.readouterr().err == \
+            "error: line 1: n = 100000000000 exceeds the 65536-node limit\n"
 
     def test_list_of_the_empty_graph(self, capsys):
         assert main(["list", "--gen", "empty,0,0,0,0", "--p", "3"]) == 0

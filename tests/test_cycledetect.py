@@ -1266,6 +1266,27 @@ class TestLengthRule:
                         run(led)
                         assert led.entries, (n, ell)
 
+    @pytest.mark.parametrize("ell, refused", [(141, False), (142, False), (143, True),
+                                              (144, True), (151, True)])
+    def test_the_longest_length_is_the_last_with_a_float_repetition_count(self, ell, refused):
+        # 2 / ell^ell: ln(100) over it passes the largest float at ell = 143,
+        # and the float division by it fails from ell = 150 on
+        assert (inapplicable(ell, ell) is not None) == refused
+        assert (inapplicable(10**6, ell) is not None) == refused
+        detect = detect_odd_cycle if ell % 2 else detect_even_cycle
+        for run in (lambda led: detect(Graph(ell, []), ell, led),
+                    lambda led: cycle_cost_only(ell, 0, ell, led)):
+            led = CostLedger()
+            if refused:
+                with pytest.raises(ValueError, match="repetitions"):
+                    run(led)
+                assert led.entries == []
+            else:
+                assert not run(led) and led.entries
+        if not refused:
+            reps = odd_cycle_repetitions(ell, ell) if ell % 2 else even_cycle_repetitions(ell)
+            assert 10**300 < reps < 2**1024
+
 
 class TestPatternDedupe:
     """Each cycle through a source is a candidate once, whatever the sources."""

@@ -16,12 +16,16 @@ from qcongest.graph import (
     GenSpec,
     Graph,
     GraphFormatError,
+    MAX_NODES,
     anchor_ball,
+    ball,
     bits,
     generate,
+    iter_cliques,
     iter_cycles,
     load_graph,
     mask_of,
+    neighbours,
     oracle_cliques,
     oracle_has_clique,
     oracle_has_cycle,
@@ -53,10 +57,12 @@ class TestGraph:
         assert g.edges() == edges and g.m == len(edges)
         for u, v in pairs:
             assert g.has_edge(u, v) == g.has_edge(v, u) == ((u, v) in edges)
-        neighbours = [sorted({x for e in edges if v in e for x in e} - {v}) for v in range(n)]
-        assert [list(bits(mask)) for mask in g.adj] == neighbours
-        assert g.degrees() == [len(nb) for nb in neighbours]
-        assert [mask_of(nb) for nb in neighbours] == list(g.adj)
+        nbrs = [sorted({x for e in edges if v in e for x in e} - {v}) for v in range(n)]
+        assert [list(bits(mask)) for mask in g.adj] == nbrs
+        assert g.degrees() == [len(nb) for nb in nbrs]
+        assert [mask_of(nb) for nb in nbrs] == list(g.adj)
+        mask = data.draw(st.integers(0, (1 << n) - 1), label="mask")
+        assert neighbours(g.adj, mask) == mask_of(x for v in bits(mask) for x in nbrs[v])
 
 
 def triangle_scan(graph):
@@ -108,11 +114,15 @@ class TestLeaderBfs:
         assert facts.eccentricity == max(hops.values(), default=0)
         assert facts.components == nx.number_connected_components(ref)
         assert g.cycle_rank() == len(nx.cycle_basis(ref))
-        # a second read is the stored value: no new BFS runs
+        # a second read is the stored value: no new BFS runs (each BFS step
+        # calls neighbours, so a fresh graph's first read trips the mock)
         with mock.patch.dict(Graph.leader_bfs.__globals__,
-                             bits=mock.Mock(side_effect=AssertionError("a second BFS"))):
+                             neighbours=mock.Mock(side_effect=AssertionError("a second BFS"))):
             assert g.leader_bfs() is facts
             assert g.cycle_rank() == len(nx.cycle_basis(ref))
+            if g.n:
+                with pytest.raises(AssertionError, match="a second BFS"):
+                    Graph(g.n, g.edges()).leader_bfs()
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(0, 16), data=st.data())
@@ -150,6 +160,39 @@ class TestLeaderBfs:
         facts = generate(GenSpec(kind="path", n=4)).leader_bfs()
         with pytest.raises(AttributeError):
             facts.component = 0
+
+
+class TestBall:
+    """ball(adj, start, radius, allowed) is networkx's hop distance from the
+    node mask start on the subgraph that allowed | start induces."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 14), data=st.data())
+    def test_matches_networkx(self, n, data):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        g = Graph(n, [e for e, k in zip(pairs, keep) if k])
+        full = (1 << n) - 1
+        allowed = data.draw(st.integers(0, full), label="allowed")
+        outside = full & ~allowed
+        # start: any mask, or one node that lies outside allowed
+        start = data.draw(st.integers(0, full) if not outside or data.draw(st.booleans())
+                          else st.sampled_from([1 << v for v in bits(outside)]), label="start")
+        radius = data.draw(st.integers(0, 4), label="radius")
+        ref = nx.Graph()
+        ref.add_nodes_from([*bits(allowed | start), "s"])
+        ref.add_edges_from((u, v) for u, v in g.edges() if u in ref and v in ref)
+        ref.add_edges_from(("s", v) for v in bits(start))  # one source joined to every start node
+        hops = nx.single_source_shortest_path_length(ref, "s", cutoff=radius + 1)
+        assert ball(g.adj, start, radius, allowed) == mask_of(v for v in hops if v != "s")
+
+    def test_radius_zero_is_start_and_a_path_grows_one_node_per_hop(self):
+        path = generate(GenSpec(kind="path", n=6))
+        assert ball(path.adj, 0b1, 0, 0) == 0b1
+        assert [ball(path.adj, 0b1, r, 0b111110) for r in range(7)] == \
+            [0b1, 0b11, 0b111, 0b1111, 0b11111, 0b111111, 0b111111]
+        # a node outside allowed is not passed through
+        assert ball(path.adj, 0b1, 5, 0b111010) == 0b11
 
 
 class TestLoadGraph:
@@ -194,6 +237,15 @@ class TestLoadGraph:
         f = tmp_path / "g.txt"
         f.write_text("3 2\n0 1\n")
         with pytest.raises(GraphFormatError, match="promised 2"):
+            load_graph(str(f))
+
+    def test_a_header_above_the_node_limit_is_refused(self, tmp_path):
+        f = tmp_path / "g.txt"
+        f.write_text(f"{MAX_NODES + 1} 0\n")
+        with pytest.raises(GraphFormatError, match="line 1.*node limit"):
+            load_graph(str(f))
+        f.write_text("100000000000 0\n")
+        with pytest.raises(GraphFormatError, match="line 1.*node limit"):
             load_graph(str(f))
 
     def test_comments_ignored_and_roundtrip(self, tmp_path):
@@ -242,10 +294,17 @@ class TestGenerate:
         GenSpec(kind="gnp", n=-1, edge_prob=0.5),
         GenSpec(kind="cycle", n=2),
         GenSpec(kind="planted_cycle", n=8, planted_size=2),
-    ], ids=["negative-n", "short-cycle", "short-planted-cycle"])
+        GenSpec(kind="empty", n=MAX_NODES + 1),
+        GenSpec(kind="gnp", n=100000000000, edge_prob=0.5),
+    ], ids=["negative-n", "short-cycle", "short-planted-cycle", "above-the-limit",
+            "far-above-the-limit"])
     def test_validate_makes_the_size_checks(self, spec):
         with pytest.raises(ValueError):
             spec.validate()
+
+    def test_the_node_limit_itself_is_accepted(self):
+        GenSpec(kind="gnp", n=MAX_NODES, edge_prob=0.5).validate()
+        assert generate(GenSpec(kind="empty", n=MAX_NODES)).n == MAX_NODES
 
     @given(st.integers(0, 2**64 - 1), st.integers(4, 24),
            st.floats(0.0, 1.0, allow_nan=False))
@@ -382,6 +441,18 @@ class TestOracleCliques:
         for tri in itertools.combinations(range(n), 3):
             is_clique = all(g.has_edge(u, v) for u, v in itertools.combinations(tri, 2))
             assert (tri in got) == is_clique
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(0, 11), prob=st.sampled_from([0.3, 0.6, 0.9]),
+           seed=st.integers(0, 10**6), p=st.integers(1, 5), data=st.data())
+    def test_within_a_mask_matches_subset_enumeration(self, n, prob, seed, p, data):
+        g = gnp(n, prob, seed)
+        within = data.draw(st.integers(0, (1 << n) - 1), label="within")
+        want = [c for c in itertools.combinations(bits(within), p)
+                if all(g.has_edge(u, v) for u, v in itertools.combinations(c, 2))]
+        assert list(iter_cliques(g, p, within)) == want
+        # no mask is the whole graph
+        assert list(iter_cliques(g, p)) == list(iter_cliques(g, p, (1 << n) - 1))
 
 
 class TestOracleExtension:
