@@ -9,39 +9,43 @@ genuine simple len-cycle: no false positives, ever.
 
 Colour coding (Alon-Yuster-Zwick, JACM 1995) and the heavy/light scheme
 for even cycles (Eden-Fiat-Fischer-Kuhn-Oshman, DISC 2019) repeat one
-query over different source sets.  Each search stage is one
-_stage_search over its source sets: every node for odd cycles, each heavy
-node, then each light index class.  A query runs the colour BFS from one
-source set and reports to the leader; _query_rounds prices it at
-reps * (1 + (floor(len/2)-1) * M) plus an eccentricity-long convergecast.
-Full runs price it at the measured eccentricity and M; cycle_cost_only,
-the cost-only entry of both parities, at eccentricity 1 and M = 1, and
-charges each stage's triple ([domain], [], query) via charge_search.  Both
-detectors and cycle_cost_only refuse exactly the lengths inapplicable()
-refuses.  The ledger also counts the queries answered and the queries
-whose candidate cycles were truncated, capped or dropped for congestion.
-Every node set (active nodes, sources, the heavy and light sets, the light
-index classes) is an int mask over node ids, as graph.adj is, and is
-walked in ascending order with bits().
+query over different source sets, cycle_repetitions(n, len) times, the one
+rule: failure target 1/n^2 per query for odd len, 0.01 for even len.  Each
+search stage is one _stage_search in one shape: its source union, its
+query count, and a builder of its queries (each node for odd cycles, each
+heavy node, each light index class), called only when it is walked.  A
+query runs the colour BFS from one source set and reports to the leader;
+_query_rounds prices it at reps * (1 + (floor(len/2)-1) * M) plus an
+eccentricity-long convergecast.  Full runs price it at the measured
+eccentricity and M; cycle_cost_only, the cost-only entry of both
+parities, at eccentricity 1 and M = 1, and charges each stage's triple
+([domain], [], query) via charge_search.  Both detectors and
+cycle_cost_only refuse exactly the (n, len) inapplicable() refuses, those
+without a finite repetition count among them.  The ledger also counts the
+queries answered and the queries whose candidate cycles were truncated,
+capped or dropped for congestion.  Every node set (active nodes, sources,
+the heavy and light sets, the light index classes) is an int mask over
+node ids, as graph.adj is, and is walked in ascending order with bits().
 
 Each stage first asks the graph's cycle rank (Graph.cycle_rank(), stored
 with the graph): a forest holds no cycle, so on a graph of cycle rank 0
-every stage charges and counts its queries without walking them, and no
-cycle is enumerated.  Otherwise each stage, on either engine, enumerates
-its candidate cycles once, lazily, into one _CycleIndex that settles what
-cannot fire before anything is simulated or drawn; the index files at most
-CYCLE_ENUM_LIMIT cycles.  One test, _CycleIndex.may_fire(), says whether
-sources can fire: no pattern anchored there, and no truncation that may
-have lost one, means they cannot.  A stage whose sources together cannot
-fire is settled as a forest's stage is; otherwise a query that cannot
-fire answers False from one mask test, on either engine.  The enumeration
-has one no-cycle prune: iter_cycles skips an anchor that the certificates
-of graph.anchor_ball show to lie on no C_len.
+every stage charges and counts its queries without building or walking
+them, and no cycle is enumerated.  Otherwise each stage, on either
+engine, enumerates its candidate cycles once, lazily, into one _CycleIndex
+that settles what cannot fire before anything is simulated or drawn; the
+index files at most CYCLE_ENUM_LIMIT cycles.  One test,
+_CycleIndex.may_fire(), says whether sources can fire: no pattern anchored
+there, and no truncation that may have lost one, means they cannot.  A
+stage whose sources together cannot fire is settled as a forest's stage
+is; otherwise a query that cannot fire answers False from one mask test,
+on either engine.  The enumeration has one no-cycle prune: iter_cycles
+skips an anchor that the certificates of graph.anchor_ball show to lie on
+no C_len.
 
 The prices of a detection that depend on (n, len) alone (the repetitions,
 the heavy threshold, the number of light index classes, the edge prune's
-limit and, in qsearch, each search's charge) are computed once per key
-and kept.
+limit, the analytic heavy domain and, in qsearch, each search's charge)
+are computed once per key and kept.
 
 Two engines compute the same detection event:
 
@@ -73,7 +77,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -130,30 +134,35 @@ def repetitions_for(p_success: Fraction, failure_target: float) -> int:
     """R = ceil(ln(1/f) / p), so (1 - p)^R <= e^(-pR) <= f = failure_target.
 
     This may exceed the smallest such R by a little, since ln(1/(1 - p))
-    is slightly above p.
+    is slightly above p.  The quotient is a float: OverflowError or
+    ZeroDivisionError where it is not finite.
     """
     if not 0 < p_success <= 1:
         raise ValueError("p_success must be in (0,1]")
     if not 0 < failure_target < 1:
         raise ValueError("failure_target must be in (0,1)")
-    return max(1, math.ceil(_repetition_float(p_success, failure_target)))
+    return max(1, math.ceil(math.log(1.0 / failure_target) / float(p_success)))
 
 
-def _repetition_float(p_success: Fraction, failure_target: float) -> float:
-    """ln(1/f) / p, inf once p rounds to 0.0 or the quotient passes 1.8e308."""
-    p = float(p_success)
-    return math.log(1.0 / failure_target) / p if p else math.inf
-
-
-def color_bfs_rep_rounds(ell: int, congestion_bound: int) -> int:
-    """Rounds of one repetition: initial send + (floor(ell/2)-1) phases of M."""
-    return 1 + (ell // 2 - 1) * congestion_bound
+@functools.lru_cache(maxsize=1024)
+def cycle_repetitions(n: int, ell: int) -> Optional[int]:
+    """The colour-BFS repetitions of one query for a C_ell on n >= ell
+    nodes, the one repetition rule of both detectors and cycle_cost_only:
+    repetitions_for at the failure target 1/n^2 for odd ell and 0.01 for
+    even ell.  None where the count is not a finite float: from ell = 143
+    on, and for odd ell once n passes about 1.34e154, where the float
+    1/n^2 has no finite reciprocal.  Computed once per (n, ell)."""
+    try:
+        return repetitions_for(single_rep_success(ell), 1.0 / (n * n) if ell % 2 else 0.01)
+    except (OverflowError, ZeroDivisionError):
+        return None
 
 
 def _query_rounds(ell: int, reps: int, m_bound: int, ecc: int) -> int:
     """Rounds of one query: reps colour-BFS repetitions at congestion bound
-    m_bound, then a one-word convergecast over ecc hops to the leader."""
-    return reps * color_bfs_rep_rounds(ell, m_bound) + ecc
+    m_bound, each an initial send and floor(ell/2) - 1 phases of m_bound
+    rounds, then a one-word convergecast over ecc hops to the leader."""
+    return reps * (1 + (ell // 2 - 1) * m_bound) + ecc
 
 
 # ---------------------------------------------------------------------------
@@ -567,26 +576,26 @@ def _protocol_found(graph: Graph, cfg: ColorBfsConfig, sources: int,
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=1024)
 def inapplicable(n: int, ell: int) -> Optional[str]:
     """Why no detector here looks for a C_ell on n nodes, or None if one does:
     the colour BFS needs floor(ell/2) - 1 >= 1 phases, so ell >= 4 even or
-    ell >= 5 odd, a cycle has at most n nodes, and repetitions_for's float
-    quotient must be finite, so ell <= 142.  Computed once per (n, ell)."""
+    ell >= 5 odd, a cycle has at most n nodes, and cycle_repetitions(n, ell)
+    must be a finite count."""
     if ell < 4 or (ell % 2 and ell < 5):
         return f"ell must be even and >= 4, or odd and >= 5, got {ell}"
     if ell > n:
         return f"ell = {ell} exceeds n = {n}"
-    target = 1.0 / (n * n) if ell % 2 else 0.01  # the two counts' failure targets
-    if not math.isfinite(_repetition_float(single_rep_success(ell), target)):
-        return f"ell = {ell} needs more colour-BFS repetitions than a float can hold"
+    if cycle_repetitions(n, ell) is None:
+        return f"ell = {ell} on n = {n} needs more colour-BFS repetitions than a float holds"
     return None
 
 
-def _require(n: int, ell: int) -> None:
+def _repetitions(n: int, ell: int) -> int:
+    """cycle_repetitions(n, ell), or ValueError with inapplicable()'s reason."""
     reason = inapplicable(n, ell)
     if reason:
         raise ValueError(reason)
+    return cycle_repetitions(n, ell)
 
 
 def _check_engine(engine: str) -> None:
@@ -596,7 +605,9 @@ def _check_engine(engine: str) -> None:
 
 def _stage_search(
     net: CongestNet,
-    queries: Sequence[Tuple[int, int]],
+    union: int,
+    count: int,
+    build: Callable[[], Sequence[Tuple[int, int]]],
     shared: ColorBfsConfig,
     tag: str,
     phase: str,
@@ -604,35 +615,35 @@ def _stage_search(
     seed: int,
     params: QuantumCostParams,
     engine: str,
-    anchors: Optional[int] = None,
 ) -> bool:
     """One search stage: a quantum search over source sets, one colour BFS each.
 
-    Query i runs the colour BFS of `shared` (its length, active nodes, M
-    and repetitions) from the source mask queries[i][0], seeded by
-    (tag, seed, queries[i][1]).  `shared` was validated when it was
-    built; a source outside its active nodes raises ValueError before
-    anything is charged.  Every query is priced by _query_rounds at the
-    measured eccentricity.  A stage with no source sets searches nothing
-    and charges nothing.  anchors, when the caller knows it, is the union
-    of the sources; then only len(queries) is read unless the stage is
-    walked, so a stage settled without a walk never builds its queries.
+    Every stage comes in one shape: union, the mask of all its sources;
+    count, its number of queries; and build(), which returns them, count
+    pairs (source mask, label) whose masks' union is union.  build() is
+    called only when the stage is walked, so a settled stage never builds
+    (or draws) its queries.  Query i runs the colour BFS of `shared` (its
+    length, active nodes, M and repetitions) from source mask i, seeded by
+    (tag, seed, label i).  `shared` was validated when it was built; a
+    union outside its active nodes raises ValueError before anything is
+    charged.  Every query is priced by _query_rounds at the measured
+    eccentricity.  A stage of no queries searches and charges nothing.
 
     Both engines first settle what cannot fire.  On a graph of cycle rank
     0 (a forest, and every subgraph of a forest is one) no query can fire,
     and the stage builds no index.  Otherwise the stage's one _CycleIndex,
-    enumerated inside the active nodes, asks whether the union of its
-    sources can fire (index.may_fire()).  A stage that cannot fire, by
-    either test, is not searched: every query answers False, so
-    record_search charges the triple ([len(queries)], [], query_rounds)
-    and counts the queries, exactly as the search would.  The index's pull
-    never goes past what walking the queries would pull: every cycle is
-    anchored at or below the union's highest source, so it stops at the
-    stage's first pattern, or at the end.  A query that fires has pulled
-    at least to its own first pattern, which comes at or after the stage's
-    first one.  If none fires, each query is walked: the one holding the
-    stage's first pattern pulls at least to it, and with no pattern at
-    all, the query with the highest source pulls to the end.
+    enumerated inside the active nodes, asks whether the union can fire
+    (index.may_fire()).  A stage that cannot fire, by either test, is not
+    searched: every query answers False, so record_search charges the
+    triple ([count], [], query_rounds) and counts the queries, exactly as
+    the search would.  The index's pull never goes past what walking the
+    queries would pull: every cycle is anchored at or below the union's
+    highest source, so it stops at the stage's first pattern, or at the
+    end.  A query that fires has pulled at least to its own first pattern,
+    which comes at or after the stage's first one.  If none fires, each
+    query is walked: the one holding the stage's first pattern pulls at
+    least to it, and with no pattern at all, the query with the highest
+    source pulls to the end.
 
     Otherwise the search walks the queries, and a query that cannot fire
     answers False, drawing nothing, on either engine.  The event engine
@@ -645,23 +656,19 @@ def _stage_search(
     seeded by its own (tag, seed, label), so no other query's draws move.  A
     detection is reported to the leader by the query's lowest source.
     """
-    if not queries:
+    if not count:
         return False
     graph = net.graph
-    if anchors is None:
-        anchors = 0
-        for sources, _ in queries:
-            anchors |= sources
-    if anchors & ~shared.active:
+    if union & ~shared.active:
         raise ValueError("sources must be a subset of active nodes")
     query_rounds = _query_rounds(shared.cycle_len, shared.repetitions,
                                  shared.congestion_bound, net.eccentricity)
     # a forest holds no cycle, and neither does any subgraph of it
-    index = _CycleIndex(graph, shared, anchors) if graph.cycle_rank() else None
-    if index is None or not index.may_fire(anchors):
-        record_search(ledger, ([len(queries)], [], query_rounds), len(queries), params,
-                      "congest", phase)
+    index = _CycleIndex(graph, shared, union) if graph.cycle_rank() else None
+    if index is None or not index.may_fire(union):
+        record_search(ledger, ([count], [], query_rounds), count, params, "congest", phase)
         return False
+    queries = build()
 
     def checker(i: int) -> Tuple[bool, int]:
         sources, label = queries[i]
@@ -680,20 +687,13 @@ def _stage_search(
             net.require_reachable(sources & -sources)
         return found, query_rounds
 
-    return run_search(len(queries), checker, ledger, params, seed=seed,
+    return run_search(count, checker, ledger, params, seed=seed,
                       model="congest", phase=phase).found
 
 
 # ---------------------------------------------------------------------------
 # odd cycles: flat search over all nodes
 # ---------------------------------------------------------------------------
-
-
-@functools.lru_cache(maxsize=1024)
-def odd_cycle_repetitions(n: int, ell: int) -> int:
-    """Per-query success >= 1 - 1/n^2 when a cycle through the source
-    exists; computed once per (n, ell)."""
-    return repetitions_for(single_rep_success(ell), 1.0 / (n * n))
 
 
 def detect_odd_cycle(
@@ -708,10 +708,10 @@ def detect_odd_cycle(
     if ell % 2 == 0:
         raise ValueError("even length: use detect_even_cycle")
     _check_engine(engine)
-    _require(graph.n, ell)
     n = graph.n
-    shared = ColorBfsConfig(ell, (1 << n) - 1, repetitions=odd_cycle_repetitions(n, ell))
-    return _stage_search(CongestNet(graph), [(1 << v, v) for v in range(n)],
+    shared = ColorBfsConfig(ell, (1 << n) - 1, repetitions=_repetitions(n, ell))
+    return _stage_search(CongestNet(graph), shared.active, n,
+                         lambda: [(1 << v, v) for v in range(n)],
                          shared, "odd", "odd-cycle/search", ledger, seed, params, engine)
 
 
@@ -731,29 +731,16 @@ def _heavy_light_exponents(k: int) -> Tuple[Fraction, Fraction]:
     return delta, Fraction(1, k) + (k - 2) * delta
 
 
-class _IndexClasses:
+def _index_classes(light: int, count: int, seed: int) -> List[Tuple[int, int]]:
     """The light stage's queries, (class mask, index) for each of `count`
     index classes: each light node, in id order, joins the class
     rng.randrange(count) of the stream derive_seed("even-light-index",
-    seed).  The classes are drawn when the first one is read, so a stage
-    settled without a walk draws nothing, and a walked stage draws what it
-    would have drawn up front."""
-
-    def __init__(self, light: int, count: int, seed: int):
-        self.light, self.count, self.seed = light, count, seed
-        self._queries: Optional[List[Tuple[int, int]]] = None
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __getitem__(self, i: int) -> Tuple[int, int]:
-        if self._queries is None:
-            rng = random.Random(derive_seed("even-light-index", self.seed))
-            by_index = [0] * self.count
-            for v in bits(self.light):
-                by_index[rng.randrange(self.count)] |= 1 << v
-            self._queries = list(zip(by_index, range(self.count)))
-        return self._queries[i]
+    seed).  The classes cover the light nodes, so their union is light."""
+    rng = random.Random(derive_seed("even-light-index", seed))
+    by_index = [0] * count
+    for v in bits(light):
+        by_index[rng.randrange(count)] |= 1 << v
+    return list(zip(by_index, range(count)))
 
 
 def forest_decomposition(light: int, ledger: CostLedger) -> None:
@@ -771,23 +758,18 @@ def forest_decomposition(light: int, ledger: CostLedger) -> None:
 
 
 @functools.lru_cache(maxsize=1024)
-def even_cycle_repetitions(two_k: int) -> int:
-    """Per-query success >= 0.99 for one qualifying anchored cycle;
-    computed once per length."""
-    return repetitions_for(single_rep_success(two_k), 0.01)
-
-
-@functools.lru_cache(maxsize=1024)
-def _even_sizes(n: int, k: int) -> Tuple[int, int, int]:
+def _even_sizes(n: int, k: int) -> Tuple[int, int, int, int]:
     """(the heavy degree threshold ceil(n^delta), the number of light index
-    classes ceil(n^alpha), the edge prune's limit 100k * ceil(n^(1+1/k)))
-    of C_{2k} on n nodes, computed once per (n, k).
+    classes ceil(n^alpha), the edge prune's limit 100k * ceil(n^(1+1/k)),
+    the analytic heavy domain max(1, ceil(n^(1 - 1/k - delta)))) of C_{2k}
+    on n nodes, computed once per (n, k).
 
     The prune: more than the limit of edges force a C_{2k}
     (Bondy-Simonovits: ex(n, C_{2k}) = O(k n^(1+1/k))).
     """
     delta, alpha = _heavy_light_exponents(k)
-    return ceil_pow(n, delta), ceil_pow(n, alpha), 100 * k * ceil_pow(n, 1 + Fraction(1, k))
+    return (ceil_pow(n, delta), ceil_pow(n, alpha), 100 * k * ceil_pow(n, 1 + Fraction(1, k)),
+            max(1, ceil_pow(n, 1 - Fraction(1, k) - delta)))
 
 
 def detect_even_cycle(
@@ -807,11 +789,10 @@ def detect_even_cycle(
     if two_k % 2 == 1:
         raise ValueError("odd length: use detect_odd_cycle")
     _check_engine(engine)
-    _require(graph.n, two_k)
     n = graph.n
-    heavy_threshold, n_idx, prune_limit = _even_sizes(n, two_k // 2)
+    reps = _repetitions(n, two_k)
+    heavy_threshold, n_idx, prune_limit, _ = _even_sizes(n, two_k // 2)
     net = CongestNet(graph)
-    reps = even_cycle_repetitions(two_k)
 
     # stage 1: the leader counts edges; too many for C_{2k}-freeness -> yes
     ledger.charge("even-cycle/prune", "congest", "converge", net.eccentricity)
@@ -822,7 +803,8 @@ def detect_even_cycle(
     heavy = mask_of(v for v, nbrs in enumerate(graph.adj) if nbrs.bit_count() >= heavy_threshold)
     everyone = (1 << n) - 1
     shared = ColorBfsConfig(two_k, everyone, repetitions=reps)
-    heavy_found = _stage_search(net, [(1 << v, v) for v in bits(heavy)], shared,
+    heavy_found = _stage_search(net, heavy, heavy.bit_count(),
+                                lambda: [(1 << v, v) for v in bits(heavy)], shared,
                                 "even-heavy", "even-cycle/heavy-search", ledger, seed, params,
                                 engine)
 
@@ -830,10 +812,9 @@ def detect_even_cycle(
     light = everyone & ~heavy
     forest_decomposition(light, ledger)
     shared = ColorBfsConfig(two_k, light, _A_CONG * word_capacity(n), reps)
-    # the classes cover the light nodes, so their union is light
-    light_found = _stage_search(net, _IndexClasses(light, n_idx, seed), shared, "even-light",
-                                "even-cycle/light-search", ledger, seed, params, engine,
-                                anchors=light)
+    light_found = _stage_search(net, light, n_idx, lambda: _index_classes(light, n_idx, seed),
+                                shared, "even-light", "even-cycle/light-search", ledger, seed,
+                                params, engine)
     return heavy_found or light_found
 
 
@@ -854,19 +835,14 @@ def cycle_cost_only(
     n^(1 - 1/k - delta), and the forest decomposition is charged the cap
     of ceil(2 log2 n) layers.  True when the edge prune decides, else None.
     """
-    _require(n, ell)
+    query_rounds = _query_rounds(ell, _repetitions(n, ell), 1, 1)
     if ell % 2:
-        query_rounds = _query_rounds(ell, odd_cycle_repetitions(n, ell), 1, 1)
         charge_search(ledger, ([n], [], query_rounds), params, "congest", "odd-cycle/search")
         return None
-    k = ell // 2
-    _, light_domain, prune_limit = _even_sizes(n, k)
-    query_rounds = _query_rounds(ell, even_cycle_repetitions(ell), 1, 1)
+    _, light_domain, prune_limit, heavy_domain = _even_sizes(n, ell // 2)
     ledger.charge("even-cycle/prune", "congest", "converge", 1)
     if m > prune_limit:
         return True
-    delta, _ = _heavy_light_exponents(k)
-    heavy_domain = max(1, ceil_pow(n, 1 - Fraction(1, k) - delta))
     charge_search(ledger, ([heavy_domain], [], query_rounds), params, "congest",
                   "even-cycle/heavy-search")
     layers = math.ceil(2 * math.log2(max(n, 2)))

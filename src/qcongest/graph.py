@@ -27,6 +27,10 @@ ORACLE_WORK_CAP = 10**9
 # a row reaches its highest neighbour, so a path on 2^16 nodes holds ~280 MiB (README)
 MAX_NODES = 1 << 16
 
+# the most edges a --gen spec may expect, checked before anything is allocated:
+# generate peaks at about 190 bytes per edge of G(n, p) (README), so ~512 MiB
+MAX_EDGES = (512 << 20) // 190
+
 
 class GraphFormatError(ValueError):
     """Malformed edge-list input."""
@@ -229,6 +233,19 @@ class GenSpec:
             raise ValueError("planted_size must be in 1..n")
         if self.kind == "planted_cycle" and self.planted_size < 3:
             raise ValueError("planted cycle needs planted_size >= 3")
+        if self.expected_edges() > MAX_EDGES:
+            raise ValueError(f"{self.kind} on n = {self.n} expects {self.expected_edges():.0f} "
+                             f"edges, above the {MAX_EDGES}-edge limit")
+
+    def expected_edges(self) -> float:
+        """The edges generate builds: exact for complete, path, cycle and
+        empty; for gnp and the planted kinds, the planted edges plus
+        edge_prob times the remaining pairs."""
+        n, s = self.n, self.planted_size
+        pairs = n * (n - 1) // 2
+        planted = {"planted_clique": s * (s - 1) // 2, "planted_cycle": s}.get(self.kind, 0)
+        return {"complete": pairs, "path": max(n - 1, 0), "cycle": n, "empty": 0}.get(
+            self.kind, planted + self.edge_prob * (pairs - planted))
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,19 @@
 """CLI commands, CSV round-trips, slope fitting, determinism."""
 
+import contextlib
+import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qcongest import cliquedetect
+from qcongest import cli, cliquedetect
 from qcongest.cli import (
     CSV_HEADER,
     ResultRow,
@@ -92,6 +97,8 @@ USAGE_ERRORS = [
     ["sweep", "--algo", "even-cycle", "--ell", "150", "--n-list", "200"],
     ["detect-cycle", "--gen", "planted_cycle,146,0.0,146,1", "--ell", "146"],
     ["detect-cycle", "--gen", "planted_cycle,145,0.0,145,1", "--ell", "143"],
+    # odd ell on n past ~1.34e154: the failure target 1/n^2 is past a float's range
+    ["sweep", "--algo", "odd-cycle", "--ell", "5", "--n-list", str(10**155)],
     # n above graph.MAX_NODES, refused before anything is allocated
     ["detect-cycle", "--ell", "5", "--gen", "empty,100000000000,0,0,0"],
     ["list", "--p", "2", "--gen", "empty,65537,0,0,0"],
@@ -237,6 +244,16 @@ class TestCommands:
             assert main(argv) == 2, argv
             assert capsys.readouterr().err.startswith("error: "), argv
 
+    @pytest.mark.parametrize("spec", ["complete,20000,0,0,0", "gnp,65536,0.5,0,1"])
+    def test_dense_gen_specs_are_refused_before_anything_is_built(self, monkeypatch, capsys,
+                                                                   spec):
+        def refuse(*args):
+            raise AssertionError("a refused spec reached the generator")
+
+        monkeypatch.setattr(cli, "generate", refuse)
+        assert main(["gen", "--gen", spec, "--out", "no/such/dir/g.txt"]) == 2
+        assert "edge limit" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text,cols", [
         (CSV_HEADER + "\n64,1,x,p,5,0,0,5,0,0,,0\n", ()),  # one row: too few to fit
         ("a,b\n1,2\n", ()),  # not a result CSV
@@ -371,3 +388,53 @@ class TestBlackboxAtLargeT:
         rows = rows_from_csv(run.stdout)
         assert [(r.n, r.algo) for r in rows] == [(64, "blackbox"), (128, "blackbox")]
         assert 0 < rows[0].rounds_quantum < rows[1].rounds_quantum
+
+
+class TestCostOnlySweepFlags:
+    """Every cost-only sweep, whatever its flags, ends with exit 0 or 2 and
+    no traceback, within a time budget per run.  Runs in this process."""
+
+    CYCLE_ALGOS = ("odd-cycle", "even-cycle")
+    ALGOS = (*cliquedetect.STRATEGIES, "auto", *CYCLE_ALGOS)
+    SECONDS = 10  # per run; a run takes about 0.1 s
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_every_run_exits_0_or_2(self, data):
+        draw = data.draw
+        algo = draw(st.sampled_from(self.ALGOS), label="algo")
+        cycle = algo in self.CYCLE_ALGOS
+        # half the runs take only flags that their sweep reads, in its range
+        stray = draw(st.booleans(), label="stray flags")
+        # sizes of 1 to 201 digits, up to 10^200
+        sizes = st.integers(1, 201).flatmap(
+            lambda d: st.integers(10 ** (d - 1), min(10**d - 1, 10**200)))
+        ns = draw(st.lists(sizes, min_size=1, max_size=3), label="--n-list")
+        ms = st.lists(st.integers(0, 10**200), min_size=1, max_size=3) if stray else st.tuples(
+            *(st.integers(0, n * (n - 1) // 2) for n in ns))
+        ell = st.integers(1, 320)
+        if cycle and not stray:
+            ell = ell.filter(lambda e: e % 2 == (algo == "odd-cycle"))
+        argv = ["sweep", "--algo", algo, "--n-list", ",".join(map(str, ns))]
+        for flag, values, read in (
+                ("--ell", ell, cycle), ("--p", st.integers(1, 300), not cycle),
+                ("--t", st.integers(1, 300), not cycle),
+                ("--m-list", ms.map(lambda m: ",".join(map(str, m))), True),
+                ("--packing", st.sampled_from(["on", "off"]), not cycle)):
+            if (stray or read) and draw(st.booleans(), label=f"{flag}?"):
+                argv += [flag, str(draw(values, label=flag))]
+
+        def out_of_time(signum, frame):
+            raise TimeoutError(f"over {self.SECONDS} s: {argv}")
+
+        previous = signal.signal(signal.SIGALRM, out_of_time)
+        signal.alarm(self.SECONDS)
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code in (0, 2), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue(), argv

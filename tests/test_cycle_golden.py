@@ -26,11 +26,11 @@ from pathlib import Path
 
 import pytest
 
-from qcongest.cycledetect import (ColorBfsConfig, _stage_search, detect_even_cycle,
-                                  detect_odd_cycle, even_cycle_repetitions)
+from qcongest.cycledetect import (ColorBfsConfig, _index_classes, _stage_search,
+                                  cycle_repetitions, detect_even_cycle, detect_odd_cycle)
 from qcongest.graph import GenSpec, Graph, generate
 from qcongest.netsim import CongestNet, CostLedger, word_capacity
-from qcongest.qsearch import DEFAULT_PARAMS, derive_seed
+from qcongest.qsearch import DEFAULT_PARAMS
 
 GOLDEN = Path(__file__).with_name("cycle_golden.json")
 LENGTHS = (5, 7, 4, 6)
@@ -86,15 +86,12 @@ def light_stage(graph, ell, seed):
     """run(ledger) of one light-stage search over every node of graph, drawn
     into two index classes as the light stage draws them, at
     M = ceil(log2 n): each class holds more than M sources."""
-    rng = random.Random(derive_seed("even-light-index", seed))
-    classes = [0, 0]
-    for v in range(graph.n):
-        classes[rng.randrange(2)] |= 1 << v
-    shared = ColorBfsConfig(ell, (1 << graph.n) - 1, word_capacity(graph.n),
-                            even_cycle_repetitions(ell))
+    everyone = (1 << graph.n) - 1
+    shared = ColorBfsConfig(ell, everyone, word_capacity(graph.n),
+                            cycle_repetitions(graph.n, ell))
     return lambda ledger: _stage_search(
-        CongestNet(graph), [(vs, i) for i, vs in enumerate(classes)], shared, "even-light",
-        "even-cycle/light-search", ledger, seed, DEFAULT_PARAMS, "event")
+        CongestNet(graph), everyone, 2, lambda: _index_classes(everyone, 2, seed), shared,
+        "even-light", "even-cycle/light-search", ledger, seed, DEFAULT_PARAMS, "event")
 
 
 def instances():

@@ -28,15 +28,13 @@ from qcongest.cycledetect import (
     _query_rounds,
     _stage_search,
     _success_probability,
-    color_bfs_rep_rounds,
     cycle_cost_only,
+    cycle_repetitions,
     detect_even_cycle,
     detect_odd_cycle,
-    even_cycle_repetitions,
     forest_decomposition,
     inapplicable,
     measure_congestion,
-    odd_cycle_repetitions,
     protocol_detect_once,
     repetitions_for,
     single_rep_success,
@@ -125,10 +123,16 @@ def fired_colourings(graph, cfg, sources):
     return int(fires.sum()), len(grid)
 
 
+def stage_search(net, queries, *rest):
+    """_stage_search over the list `queries` of (source mask, label) pairs."""
+    return _stage_search(net, mask_of(v for q, _ in queries for v in bits(q)), len(queries),
+                         lambda: queries, *rest)
+
+
 def stage_found(g, cfg, sources, seed, engine, ledger=None):
     """A search stage of one query: cfg's colour BFS from the source mask
     `sources`."""
-    return _stage_search(CongestNet(g), [(sources, 0)], cfg, "test", "color-bfs",
+    return stage_search(CongestNet(g), [(sources, 0)], cfg, "test", "color-bfs",
                          ledger if ledger is not None else CostLedger(), seed,
                          DEFAULT_PARAMS, engine)
 
@@ -294,7 +298,7 @@ class TestColorBfs:
         led = CostLedger()
         stage_found(g, *all_active_cfg(g, 6, reps=7, m=3), 2, "event", led)
         # one query: the search charges exactly its price
-        assert led.total() == 7 * color_bfs_rep_rounds(6, 3) + net.eccentricity
+        assert led.total() == 7 * (1 + 2 * 3) + net.eccentricity
 
     def test_c6_amplified_detection_rate(self):
         g = cycle_graph(6)
@@ -611,8 +615,8 @@ class TestDetectOddCycle:
         net = CongestNet(g)
         led = CostLedger()
         detect_odd_cycle(g, 5, led, seed=3)
-        reps = odd_cycle_repetitions(24, 5)
-        query = reps * color_bfs_rep_rounds(5, 1) + net.eccentricity
+        reps = cycle_repetitions(24, 5)
+        query = reps * (1 + 1) + net.eccentricity
         assert led.total() == grover_cost(24, query)
 
 
@@ -679,7 +683,7 @@ class TestDetectEvenCycle:
         led = CostLedger()
         cycle_cost_only(1024, 1024, 5, led)
         assert led.total() == grover_cost(
-            1024, odd_cycle_repetitions(1024, 5) * color_bfs_rep_rounds(5, 1) + 1
+            1024, cycle_repetitions(1024, 5) * (1 + 1) + 1
         )
 
 
@@ -942,14 +946,14 @@ class TestCycleRichSoundness:
         # in ceil(n^alpha) random index classes, at the light stage's M
         classes = ceil_pow(g.n, _heavy_light_exponents(2)[1])
         shared = ColorBfsConfig(4, (1 << g.n) - 1, _A_CONG * word_capacity(g.n),
-                                even_cycle_repetitions(4))
+                                cycle_repetitions(g.n, 4))
         for seed in range(3):
             rng = random.Random(seed)
             queries = [0] * classes
             for v in range(g.n):
                 queries[rng.randrange(classes)] |= 1 << v
             ledger = CostLedger()
-            assert not _stage_search(CongestNet(g), [(q, i) for i, q in enumerate(queries)],
+            assert not stage_search(CongestNet(g), [(q, i) for i, q in enumerate(queries)],
                                      shared, "even-light", "even-cycle/light-search", ledger,
                                      seed, DEFAULT_PARAMS, "event")
             assert ledger.counts["queries"] > 0
@@ -961,7 +965,7 @@ class TestCycleRichSoundness:
         assert not calls  # the stages' indexes settle them: nothing is simulated
         # the simulation itself, from each node and from every node at once,
         # at the heavy stage's repetitions, never fires either
-        reps = even_cycle_repetitions(4)
+        reps = cycle_repetitions(g.n, 4)
         for sources in [[v] for v in range(g.n)] + [list(range(g.n))]:
             cfg, src = all_active_cfg(g, 4, sources=sources, reps=reps, m=len(sources))
             assert not _protocol_found(g, cfg, src, ("polarity", len(sources), sources[0]))
@@ -1240,7 +1244,7 @@ def test_invalid_stages_are_refused_before_any_charge(fields, message, engine):
     queries = stage.pop("queries")
     ledger = CostLedger()
     with pytest.raises(ValueError, match=message):
-        _stage_search(CongestNet(g), queries, ColorBfsConfig(**stage), "test", "color-bfs",
+        stage_search(CongestNet(g), queries, ColorBfsConfig(**stage), "test", "color-bfs",
                       ledger, 0, DEFAULT_PARAMS, engine)
     assert ledger.entries == [] and not ledger.counts
 
@@ -1284,8 +1288,37 @@ class TestLengthRule:
             else:
                 assert not run(led) and led.entries
         if not refused:
-            reps = odd_cycle_repetitions(ell, ell) if ell % 2 else even_cycle_repetitions(ell)
+            reps = cycle_repetitions(ell, ell)
             assert 10**300 < reps < 2**1024
+
+    # the largest n of a finite odd count: from the next n on, the float
+    # 1/n^2 is so small that its reciprocal passes the largest float
+    ODD_N_LIMIT = int("1340780792994259449458403712275049733821478583289318909761378127523926"
+                      "3790902956834608130340918239177124493456292993870521322719327448258877"
+                      "371065532861439")
+
+    @pytest.mark.parametrize("ell", [5, 7, 141])
+    def test_the_largest_n_of_an_odd_count(self, capsys, ell):
+        last = self.ODD_N_LIMIT
+        assert 1.34e154 < last < 1.35e154
+        assert inapplicable(last, ell) is None
+        assert cycle_repetitions(last, ell) == repetitions_for(single_rep_success(ell),
+                                                               1.0 / (last * last))
+        led = CostLedger()
+        assert cycle_cost_only(last, 0, ell, led) is None and led.entries
+        sweep = ["sweep", "--algo", "odd-cycle", "--ell", str(ell), "--n-list"]
+        assert main([*sweep, str(last)]) == 0
+        for n in (last + 1, 10**155, 10**200):
+            assert cycle_repetitions(n, ell) is None
+            assert "repetitions" in inapplicable(n, ell)
+            led = CostLedger()
+            with pytest.raises(ValueError, match="repetitions"):
+                cycle_cost_only(n, 0, ell, led)
+            assert led.entries == []
+            assert main([*sweep, str(n)]) == 2
+        capsys.readouterr()
+        # the even target does not depend on n
+        assert cycle_repetitions(10**200, ell + 1) == cycle_repetitions(ell + 1, ell + 1)
 
 
 class TestPatternDedupe:
@@ -1407,7 +1440,7 @@ def same_as_every_query(g, queries, shared, seed, engine, limit=None, cap=None):
             mp.setitem(detect_odd_cycle.__globals__, "CYCLE_ENUM_LIMIT", limit)
         if cap is not None:
             mp.setitem(detect_odd_cycle.__globals__, "_PATTERN_CAP", cap)
-        got = stage_outcome(lambda ledger: _stage_search(
+        got = stage_outcome(lambda ledger: stage_search(
             CongestNet(g), queries, shared, "test", "color-bfs", ledger, seed,
             DEFAULT_PARAMS, engine))
         want = stage_outcome(lambda ledger: evaluate_every_query(
@@ -1483,7 +1516,7 @@ class TestNoFireQueries:
         assert index.may_fire(mask_of(range(4))) and not index._filed
         assert all(index.may_fire(q) for q, _ in queries)
         calls = count_calls(monkeypatch, "protocol_detect_once")
-        outcome = stage_outcome(lambda ledger: _stage_search(
+        outcome = stage_outcome(lambda ledger: stage_search(
             CongestNet(g), queries, shared, "test", "color-bfs", ledger, 3,
             DEFAULT_PARAMS, engine))
         assert (calls["protocol_detect_once"] > 0) == (engine == "protocol")
@@ -1507,7 +1540,7 @@ class TestNoFireQueries:
         assert _CycleIndex(g, shared, 1 << 8 | 1).patterns(1 << 8) == (
             [], {"enumeration_truncated"})
         calls = count_calls(monkeypatch, "_protocol_found")
-        found, _, counts = stage_outcome(lambda ledger: _stage_search(
+        found, _, counts = stage_outcome(lambda ledger: stage_search(
             CongestNet(g), queries, shared, "test", "color-bfs", ledger, 1,
             DEFAULT_PARAMS, engine))
         assert found is False
@@ -1542,7 +1575,7 @@ class TestNoFireQueries:
         assert not detect_odd_cycle(g, 5, ledger, seed=1)
         classes = [mask_of(range(i, 40, 5)) for i in range(5)]
         shared = ColorBfsConfig(7, (1 << 40) - 1, 1, 3)
-        assert not _stage_search(CongestNet(g), [(q, i) for i, q in enumerate(classes)],
+        assert not stage_search(CongestNet(g), [(q, i) for i, q in enumerate(classes)],
                                  shared, "test", "color-bfs", ledger, 1, DEFAULT_PARAMS, "event")
         assert ledger.counts["queries"] > 0 and not calls
         # a query with a pattern still reads its lists and draws
@@ -1640,8 +1673,11 @@ class TestSettledQueries:
             runs.append(lambda led, g=g, ell=ell: detect_even_cycle(g, ell, led, seed=7,
                                                                    engine=engine))
 
-        def walk(net, queries, shared, tag, phase, ledger, seed, params, engine, anchors=None):
+        def walk(net, union, count, build, shared, tag, phase, ledger, seed, params, engine):
             assert params is DEFAULT_PARAMS
+            queries = build()
+            assert len(queries) == count
+            assert mask_of(v for q, _ in queries for v in bits(q)) == union
             return evaluate_every_query(net, queries, shared, ledger, seed, engine, tag, phase,
                                         simulate_cleared=False)
 
@@ -1670,10 +1706,10 @@ class TestSettledQueries:
         # end three on both
         g = Graph(12, [(0, 1), (1, 2), (2, 3), (0, 3), (5, 6), (6, 7), (7, 8), (5, 8),
                        (5, 9), (9, 10), (10, 11), (5, 11)])
-        shared = ColorBfsConfig(4, (1 << 12) - 1, 1, even_cycle_repetitions(4))
+        shared = ColorBfsConfig(4, (1 << 12) - 1, 1, cycle_repetitions(12, 4))
         queries = [(1 << 0, 0), (1 << 5, 5)]
         yields = count_yields(monkeypatch)
-        assert _stage_search(CongestNet(g), queries, shared, "test", "color-bfs", CostLedger(),
+        assert stage_search(CongestNet(g), queries, shared, "test", "color-bfs", CostLedger(),
                              1, DEFAULT_PARAMS, engine)
         assert yields["cycles"] == (2 if engine == "event" else 1)
 
@@ -1746,16 +1782,16 @@ class TestPrices:
         delta, alpha = _heavy_light_exponents(k)
         classes = ceil_pow(n, alpha)
         for _ in range(2):  # computed, then read back
-            assert odd_cycle_repetitions(n, ell) == repetitions_for(single_rep_success(ell),
-                                                                     1.0 / (n * n))
-            assert even_cycle_repetitions(ell) == repetitions_for(single_rep_success(ell), 0.01)
+            target = 1.0 / (n * n) if ell % 2 else 0.01
+            assert cycle_repetitions(n, ell) == repetitions_for(single_rep_success(ell), target)
             assert _even_sizes(n, k) == (ceil_pow(n, delta), classes,
-                                         100 * k * ceil_pow(n, 1 + Fraction(1, k)))
+                                         100 * k * ceil_pow(n, 1 + Fraction(1, k)),
+                                         max(1, ceil_pow(n, 1 - Fraction(1, k) - delta)))
             for params in (DEFAULT_PARAMS, QuantumCostParams(Fraction(3, 2), 2)):
                 c = params.c_grover
                 for domain, m_bound, ecc in ((n, 1, 1), (classes, _A_CONG * word_capacity(n),
                                                           n % 7)):
-                    rounds = _query_rounds(ell, even_cycle_repetitions(ell), m_bound, ecc)
+                    rounds = _query_rounds(ell, cycle_repetitions(n, ell), m_bound, ecc)
                     flat = grover_cost(domain, rounds, params)
                     assert nested_cost_predict([domain], [], rounds, params) == flat
                     assert nested_cost_predict([domain], [0], rounds, params) == flat
@@ -1768,8 +1804,7 @@ class TestPrices:
         ["sweep", "--algo", "odd-cycle", "--ell", "7", "--n-list", "64,256,1024"]])
     def test_cost_only_sweeps_print_what_uncached_prices_print(self, capsys, args):
         cached = [(glob, name) for glob, names in (
-            (detect_odd_cycle.__globals__, ("odd_cycle_repetitions", "even_cycle_repetitions",
-                                            "_even_sizes")),
+            (detect_odd_cycle.__globals__, ("cycle_repetitions", "_even_sizes")),
             (nested_cost_predict.__globals__, ("_nested_cost",))) for name in names]
 
         def reads():
@@ -1789,9 +1824,10 @@ class TestPrices:
 
 
 class TestLightClassDraws:
-    """The light index classes are drawn only when the light stage is
-    walked: a stage that the cycle rank or may_fire() settles draws
-    nothing and still charges and counts its n_idx queries."""
+    """A stage's queries are built only when the stage is walked: an odd,
+    heavy or light stage that the cycle rank or may_fire() settles never
+    calls its query builder (the light one draws no index class), and still
+    charges and counts its queries."""
 
     @staticmethod
     def count_draws(monkeypatch):
@@ -1803,37 +1839,56 @@ class TestLightClassDraws:
         return draws
 
     @staticmethod
-    def light_stage(ledger, n):
-        rows = [e for e in ledger.entries if e.phase == "even-cycle/light-search"]
-        assert len(rows) == 1
-        return rows[0]
+    def count_builds(monkeypatch):
+        """Count, per stage tag, the calls of the query builders that the
+        detectors hand to _stage_search."""
+        builds = Counter()
+        real = detect_odd_cycle.__globals__["_stage_search"]
+
+        def spy(net, union, count, build, shared, tag, *rest):
+            def counted():
+                builds[tag] += 1
+                return build()
+            return real(net, union, count, counted, shared, tag, *rest)
+
+        patch_cycledetect(monkeypatch, "_stage_search", spy)
+        return builds
 
     @pytest.mark.parametrize("name,graph", [
         ("forest", Graph(40, [(v // 2, v) for v in range(1, 40)])),
         ("leaves-off-a-cycle", Graph(40, [(0, 1), (1, 2), (0, 2)]
                                      + [(v - 1, v) for v in range(3, 40)]))])
     def test_a_settled_stage_draws_nothing(self, monkeypatch, name, graph):
-        ell = 6
-        threshold, n_idx, _ = _even_sizes(graph.n, ell // 2)
-        light = mask_of(v for v in range(graph.n) if graph.adj[v].bit_count() < threshold)
-        assert light, name  # the stage has light nodes to draw
+        n = graph.n
+        threshold, n_idx, _, _ = _even_sizes(n, 3)
+        light = mask_of(v for v in range(n) if graph.adj[v].bit_count() < threshold)
+        heavy = n - light.bit_count()
+        assert light and heavy, name  # every stage has queries to build
         draws = self.count_draws(monkeypatch)
+        builds = self.count_builds(monkeypatch)
         ledger = CostLedger()
-        assert not detect_even_cycle(graph, ell, ledger, seed=3)
-        assert draws == []
-        row = self.light_stage(ledger, graph.n)
-        rounds = _query_rounds(ell, even_cycle_repetitions(ell), _A_CONG * word_capacity(graph.n),
-                               CongestNet(graph).eccentricity)
-        assert row.rounds == grover_cost(n_idx, rounds)
-        heavy = graph.n - light.bit_count()
-        assert ledger.counts["queries"] == heavy + n_idx
+        assert not detect_odd_cycle(graph, 5, ledger, seed=3)
+        assert not detect_even_cycle(graph, 6, ledger, seed=3)
+        assert draws == [] and not builds
+        ecc = CongestNet(graph).eccentricity
+        for phase, count, ell, m_bound in (
+                ("odd-cycle/search", n, 5, 1), ("even-cycle/heavy-search", heavy, 6, 1),
+                ("even-cycle/light-search", n_idx, 6, _A_CONG * word_capacity(n))):
+            rounds = _query_rounds(ell, cycle_repetitions(n, ell), m_bound, ecc)
+            assert [e.rounds for e in ledger.entries if e.phase == phase] == [
+                grover_cost(count, rounds)], phase
+        assert ledger.counts["queries"] == n + heavy + n_idx
 
     def test_a_walked_stage_draws_each_light_node_once(self, monkeypatch):
-        # a planted C6 of degree-2 nodes at n = 80: its nodes are light
+        # a planted C6 of degree-2 nodes at n = 80: its nodes are light, and
+        # no node is heavy, so the heavy stage has no query to build
         graph = generate(GenSpec(kind="planted_cycle", n=80, edge_prob=0.0, planted_size=6,
                                  seed=1))
-        threshold, n_idx, _ = _even_sizes(graph.n, 3)
+        threshold, n_idx, _, _ = _even_sizes(graph.n, 3)
         light = sum(1 for v in range(graph.n) if graph.adj[v].bit_count() < threshold)
         draws = self.count_draws(monkeypatch)
+        builds = self.count_builds(monkeypatch)
         assert detect_even_cycle(graph, 6, CostLedger(), seed=7)
         assert draws == [(n_idx,)] * light
+        assert detect_odd_cycle(cycle_graph(5, 8), 5, CostLedger(), seed=1)
+        assert builds == {"even-light": 1, "odd": 1}

@@ -16,6 +16,7 @@ from qcongest.graph import (
     GenSpec,
     Graph,
     GraphFormatError,
+    MAX_EDGES,
     MAX_NODES,
     anchor_ball,
     ball,
@@ -303,8 +304,48 @@ class TestGenerate:
             spec.validate()
 
     def test_the_node_limit_itself_is_accepted(self):
-        GenSpec(kind="gnp", n=MAX_NODES, edge_prob=0.5).validate()
+        GenSpec(kind="gnp", n=MAX_NODES, edge_prob=3 / MAX_NODES).validate()
         assert generate(GenSpec(kind="empty", n=MAX_NODES)).n == MAX_NODES
+
+    @pytest.mark.parametrize("spec", [
+        GenSpec(kind="complete", n=20000),
+        GenSpec(kind="gnp", n=MAX_NODES, edge_prob=0.5, seed=1),
+        GenSpec(kind="planted_clique", n=4000, edge_prob=0.0, planted_size=3000),
+        GenSpec(kind="planted_cycle", n=MAX_NODES, edge_prob=0.01, planted_size=5),
+    ], ids=["complete", "dense-gnp", "large-planted-clique", "planted-cycle-in-gnp"])
+    def test_the_edge_budget_refuses_dense_specs(self, spec):
+        with pytest.raises(ValueError, match="edge limit"):
+            spec.validate()
+
+    def test_the_edge_budget_boundary(self):
+        # the largest complete graph within the budget, and the next one
+        n = max(n for n in range(2, MAX_NODES) if n * (n - 1) // 2 <= MAX_EDGES)
+        GenSpec(kind="complete", n=n).validate()
+        with pytest.raises(ValueError, match="edge limit"):
+            GenSpec(kind="complete", n=n + 1).validate()
+        # the sparse kinds stay within it at the node limit
+        GenSpec(kind="path", n=MAX_NODES).validate()
+        GenSpec(kind="cycle", n=MAX_NODES).validate()
+
+    @pytest.mark.parametrize("spec", [
+        GenSpec(kind="complete", n=30), GenSpec(kind="path", n=30), GenSpec(kind="path", n=0),
+        GenSpec(kind="cycle", n=30), GenSpec(kind="empty", n=30),
+        GenSpec(kind="gnp", n=30, edge_prob=1.0), GenSpec(kind="gnp", n=30, edge_prob=0.0),
+        GenSpec(kind="planted_clique", n=30, planted_size=7),
+        GenSpec(kind="planted_cycle", n=30, planted_size=7),
+        GenSpec(kind="planted_clique", n=30, edge_prob=1.0, planted_size=7),
+    ])
+    def test_expected_edges_are_exact_where_nothing_is_drawn(self, spec):
+        assert spec.expected_edges() == generate(spec).m
+
+    def test_expected_edges_of_a_drawn_graph_are_its_mean(self):
+        # planted edges plus p times the other pairs, averaged over seeds
+        for kind, size in (("gnp", 0), ("planted_clique", 8), ("planted_cycle", 8)):
+            specs = [GenSpec(kind=kind, n=40, edge_prob=0.2, planted_size=size, seed=s)
+                     for s in range(200)]
+            mean = sum(generate(spec).m for spec in specs) / len(specs)
+            free = 40 * 39 // 2 - (28 if kind == "planted_clique" else size)
+            assert abs(mean - specs[0].expected_edges()) < 4 * (free * 0.2 * 0.8 / 200) ** 0.5
 
     @given(st.integers(0, 2**64 - 1), st.integers(4, 24),
            st.floats(0.0, 1.0, allow_nan=False))

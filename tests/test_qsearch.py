@@ -219,8 +219,8 @@ class TestFlatIsOneLevelNested:
                 detect_even_cycle(cyc, 4, CostLedger(), engine=engine)
                 detect_even_cycle(light, 6, CostLedger(), engine=engine)
                 ledger = CostLedger()
-                _stage_search(CongestNet(sparse), classes, congested, "gc", "gc", ledger, 0,
-                              DEFAULT_PARAMS, engine)
+                _stage_search(CongestNet(sparse), congested.active, 2, lambda: classes, congested,
+                              "gc", "gc", ledger, 0, DEFAULT_PARAMS, engine)
                 assert ledger.counts["congestion_dropped"] or engine == "protocol"
             assert gc.collect() == 0
         finally:
