@@ -27,20 +27,24 @@ capped or dropped for congestion.  Every node set (active nodes, sources,
 the heavy and light sets, the light index classes) is an int mask over
 node ids, as graph.adj is, and is walked in ascending order with bits().
 
-Each stage first asks the graph's cycle rank (Graph.cycle_rank(), stored
-with the graph): a forest holds no cycle, so on a graph of cycle rank 0
-every stage charges and counts its queries without building or walking
-them, and no cycle is enumerated.  Otherwise each stage, on either
-engine, enumerates its candidate cycles once, lazily, into one _CycleIndex
-that settles what cannot fire before anything is simulated or drawn; the
-index files at most CYCLE_ENUM_LIMIT cycles.  One test,
-_CycleIndex.may_fire(), says whether sources can fire: no pattern anchored
-there, and no truncation that may have lost one, means they cannot.  A
-stage whose sources together cannot fire is settled as a forest's stage
-is; otherwise a query that cannot fire answers False from one mask test,
-on either engine.  The enumeration has one no-cycle prune: iter_cycles
-skips an anchor that the certificates of graph.anchor_ball show to lie on
-no C_len.
+Each stage first asks two facts that the graph computes once and keeps:
+its 2-core (Graph.two_core()), which holds every cycle of every subgraph,
+and whether it is bipartite (Graph.leader_bfs().bipartite), so that it has
+no odd cycle.  A stage none of whose sources lies on the 2-core, or a
+stage of odd len on a bipartite graph, cannot fire: it charges and counts
+its queries without building or walking them, and no cycle is enumerated
+(so on a forest, whose 2-core is empty, no stage is walked).  Otherwise
+each stage, on either engine, enumerates its candidate cycles once,
+lazily, into one _CycleIndex that settles what cannot fire before
+anything is simulated or drawn; the index files at most CYCLE_ENUM_LIMIT
+cycles, found in at most CYCLE_SEARCH_STEPS search steps.  One test,
+_CycleIndex.may_fire(), says whether sources can fire: no pattern
+anchored there, and no truncation that may have lost one, means they
+cannot.  A stage whose sources together cannot fire is settled as a
+forest's stage is; otherwise a query that cannot fire answers False from
+one mask test, on either engine.  The enumeration has two no-cycle
+prunes: iter_cycles visits only the anchors on the 2-core, and skips one
+that the certificates of graph.anchor_ball show to lie on no C_len.
 
 The prices of a detection that depend on (n, len) alone (the repetitions,
 the heavy threshold, the number of light index classes, the edge prune's
@@ -64,8 +68,8 @@ Two engines compute the same detection event:
   completeness accounting.  A query with at most _EXACT_CAP patterns gets
   its per-repetition success probability P by inclusion-exclusion and
   detects on one uniform below 1 - (1 - P)^reps; a query with more
-  samples its repetitions' colours in blocks and is counted as
-  `pattern_sampled`.
+  samples its repetitions' colours in blocks, or draws proposals past
+  _BLOCK_REPS repetitions, and is counted as `pattern_sampled`.
 
 Both engines charge identical rounds.
 """
@@ -81,16 +85,18 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .graph import Graph, ball, bits, iter_cycles, mask_of
+from .graph import Graph, SearchCut, ball, bits, iter_cycles, mask_of
 from .intmath import ceil_pow
 from .netsim import CongestNet, CostLedger, congest_step, word_capacity
 from .qsearch import (DEFAULT_PARAMS, QuantumCostParams, charge_search, derive_seed,
                       record_search, run_search)
 
 CYCLE_ENUM_LIMIT = 200_000  # cycles of one search stage's enumeration
+CYCLE_SEARCH_STEPS = 2_000_000  # search steps of one search stage's enumeration
 _PATTERN_CAP = 4096  # anchored cycles per query; a subset is still sound
 _EXACT_CAP = 6  # patterns of a query whose P is exact: at most 3^6 - 1 terms
 _SAMPLE_BLOCK = 1 << 15
+_BLOCK_REPS = 1 << 26  # the most repetitions drawn in blocks; a query with more proposes
 
 
 @dataclass(frozen=True)
@@ -282,27 +288,31 @@ class _CycleIndex:
 
     One iter_cycles generator, anchored at the union of the stage's source
     sets inside its active nodes, yields each cycle through a source once,
-    anchored at its smallest source, in ascending (lexicographic) order; an
-    anchor that graph.anchor_ball's no-cycle certificates clear costs one
-    partial BFS.  Each yielded cycle is filed under every source on it: the
-    cycle read from that source is a pattern.  A query reads the lists of
-    its own sources, so it sees the patterns that one enumeration anchored
-    at its sources alone would give, whatever the order of the queries.
+    anchored at its smallest source, in ascending (lexicographic) order; a
+    source off the 2-core costs nothing, and an anchor that
+    graph.anchor_ball's no-cycle certificates clear costs one partial BFS.
+    Each yielded cycle is filed under every source on it: the cycle read
+    from that source is a pattern.  A query reads the lists of its own
+    sources, so it sees the patterns that one enumeration anchored at its
+    sources alone would give, whatever the order of the queries.
 
     Cycles are pulled only as far as a query needs: until the enumeration
     has passed the query's highest source t (every cycle through a source
     <= t has then been filed), or until the query's sources hold more than
     _PATTERN_CAP patterns that survive its congestion filter.  The index
     files at most CYCLE_ENUM_LIMIT cycles: it pulls one more to learn that
-    the enumeration holds more, discards it and stops there.
+    the enumeration holds more, discards it and stops there.  Its search
+    takes at most CYCLE_SEARCH_STEPS steps (iter_cycles' steps), which
+    bounds the time between two cycles: a long length on a sparse graph
+    may otherwise search for longer than any caller waits.
 
     `_filed` is the mask of the sources that anchor a filed pattern.
     may_fire() is the one test of whether a query has a pattern: it pulls
     the enumeration only as far as that question needs, and it answers
-    "may fire" also where the enumeration limit cut the stage short at or
-    below the query's highest source.  _stage_search asks it of the union
-    of the stage's sources before the search runs, and of each query's
-    sources before that query is checked.  patterns() asks it too, so it
+    "may fire" also where a bound cut the stage short at or below the
+    query's highest source.  _stage_search asks it of the union of the
+    stage's sources before the search runs, and of each query's sources
+    before that query is checked.  patterns() asks it too, so it
     answers a query that cannot fire without measuring congestion or
     reading any list.
     """
@@ -311,46 +321,50 @@ class _CycleIndex:
         self._graph, self._cfg, self._anchors = graph, cfg, anchors
         # (how many cycles have been pulled, the cycle), counted from 1
         self._cycles = enumerate(iter_cycles(graph, cfg.cycle_len, active_mask=cfg.active,
-                                             anchors=anchors), 1)
+                                             anchors=anchors, steps=CYCLE_SEARCH_STEPS), 1)
         self._through: Dict[int, List[Tuple[int, ...]]] = {}  # source -> cycles it anchors
         self._filed = 0  # the mask of the keys of _through
         # every cycle anchored below _front has been filed; graph.n once the
         # enumeration has ended
         self._front = 0
-        self._truncated_at: Optional[int] = None  # _front when the limit was passed
+        self._truncated_at: Optional[int] = None  # the anchor where a bound cut it
 
     def _fill(self, sources: int, hot: int, top: int, have: int, cap: int) -> None:
         """File cycles until one anchored above top has been filed, or the
         query's sources hold more than cap patterns that touch no node of
         hot (`have` of them are filed already), or the enumeration ends, or
-        it holds more than CYCLE_ENUM_LIMIT cycles."""
+        it holds more than CYCLE_ENUM_LIMIT cycles, or its search is cut
+        after CYCLE_SEARCH_STEPS steps.  Either bound keeps the cycles
+        filed so far: a subset of the detection events stays sound, only
+        completeness is understated."""
         anchors, through = self._anchors, self._through
-        for count, cyc in self._cycles:
-            if count > CYCLE_ENUM_LIMIT:
-                # keep the cycles filed so far: a subset of the detection
-                # events stays sound, only completeness is understated
-                self._truncated_at = self._front
-                break
-            self._front = cyc[0]
-            mine = 0
-            for v in cyc:
-                if not anchors >> v & 1:
-                    continue
-                filed = through.get(v)
-                if filed is None:
-                    through[v] = [cyc]
-                    self._filed |= 1 << v
-                else:
-                    filed.append(cyc)
-                mine += sources >> v & 1
-            if mine and not (hot and any(hot >> u & 1 for u in cyc)):
-                have += mine
-            if have > cap or cyc[0] > top:
-                return
+        try:
+            for count, cyc in self._cycles:
+                if count > CYCLE_ENUM_LIMIT:
+                    self._truncated_at = self._front
+                    break
+                self._front = cyc[0]
+                mine = 0
+                for v in cyc:
+                    if not anchors >> v & 1:
+                        continue
+                    filed = through.get(v)
+                    if filed is None:
+                        through[v] = [cyc]
+                        self._filed |= 1 << v
+                    else:
+                        filed.append(cyc)
+                    mine += sources >> v & 1
+                if mine and not (hot and any(hot >> u & 1 for u in cyc)):
+                    have += mine
+                if have > cap or cyc[0] > top:
+                    return
+        except SearchCut as cut:
+            self._truncated_at = cut.anchor
         self._front = self._graph.n
 
     def _truncated_below(self, top: int) -> bool:
-        """Did the enumeration limit cut it short at or below the source top?"""
+        """Did a bound cut the enumeration short at or below the source top?"""
         return self._truncated_at is not None and top >= self._truncated_at
 
     def may_fire(self, sources: int) -> bool:
@@ -360,9 +374,8 @@ class _CycleIndex:
         the first pattern at its sources is filed; then every pattern at
         its sources that the enumeration holds below that point is filed.
         False means that no qualifying pattern is anchored at its sources.
-        True means one is filed, or the enumeration limit cut the stage
-        short at or below its highest source, so that the patterns it lost
-        may hold one.
+        True means one is filed, or a bound cut the stage short at or below
+        its highest source, so that the patterns it lost may hold one.
         """
         top = sources.bit_length() - 1
         if not sources & self._filed and self._front <= top:
@@ -408,7 +421,8 @@ class _CycleIndex:
         remained (the first _PATTERN_CAP in enumeration order are kept),
         and `enumeration_truncated` when the query's highest source is at or
         past the point where the stage's enumeration hit CYCLE_ENUM_LIMIT
-        (an over-approximation: that source may lie on no C_ell).
+        or CYCLE_SEARCH_STEPS (an over-approximation: that source may lie
+        on no C_ell).
 
         Most queries have no pattern, and may_fire() tells them apart: a
         query it clears gets ([], no counter), and one that has no filed
@@ -487,6 +501,38 @@ def _success_probability(patterns: Sequence[Tuple[Tuple[int, ...], int]],
     return Fraction(count, ell ** nodes)
 
 
+def _proposal_found(rng: np.random.Generator, width: int, specs: np.ndarray,
+                    reps: int) -> bool:
+    """Does some row of reps uniform colourings of width relevant nodes read
+    0..ell-1 along some row of specs?  Drawn from proposals, in work that
+    does not grow with reps.
+
+    Write K for the rows of specs and S = K / ell^ell, the sum of their
+    probabilities (at most 1 here: K <= 2 _PATTERN_CAP < 9^9, and a length
+    below 9 passes _BLOCK_REPS repetitions only on over 10^35 nodes).  A
+    repetition proposes with probability S; a proposal picks a row
+    uniformly, colours its nodes 0..ell-1 and every other relevant node
+    uniformly, and is accepted with probability 1/N, N the number of rows
+    that colouring fires (Karp-Luby-Madras, J. Algorithms 1989).  A
+    colouring c that fires N(c) rows is proposed with probability
+    N(c) ell^-width, so a repetition fires with probability
+    sum over such c of ell^-width = P, as a uniform colouring does.  The
+    proposals are Binomial(reps, S), Poisson(reps * S) past numpy's
+    int64 (there reps * S^2 < 1e-11), and the answer is True iff one is
+    accepted.
+    """
+    k, ell = specs.shape
+    rate = k / ell**ell
+    proposals = rng.binomial(reps, rate) if reps < 2**63 else rng.poisson(reps * rate)
+    expected = np.arange(ell, dtype=np.uint8)
+    for _ in range(proposals):
+        colors = rng.integers(0, ell, size=width, dtype=np.uint8)
+        colors[specs[rng.integers(k)]] = expected
+        if rng.random() * (colors[specs] == expected).all(axis=1).sum() < 1:
+            return True
+    return False
+
+
 def _event_found(patterns: Sequence[Tuple[Tuple[int, ...], int]], cfg: ColorBfsConfig,
                  seed_parts: Tuple) -> Tuple[bool, bool]:
     """(did any of cfg.repetitions random colourings fire one of the
@@ -496,11 +542,13 @@ def _event_found(patterns: Sequence[Tuple[Tuple[int, ...], int]], cfg: ColorBfsC
     some repetition detects with probability q = 1 - (1 - P)^reps.  With at
     most _EXACT_CAP patterns, P is exact (_success_probability) and one
     uniform of the query's stream is compared with q.  With more, the
-    query samples colourings in blocks of _SAMPLE_BLOCK repetitions, and
-    the caller counts it as `pattern_sampled`.  Only colors of nodes on
-    qualifying cycles matter; everything else is independent of the
-    detection event, so the sampling restricts to them.  No pattern means
-    P = 0.
+    query samples, and the caller counts it as `pattern_sampled`: up to
+    _BLOCK_REPS repetitions, it samples colourings in blocks of
+    _SAMPLE_BLOCK repetitions; past that, where blocks would take time
+    that grows as ell^ell, it draws proposals (_proposal_found).  Only
+    colors of nodes on qualifying cycles matter; everything else is
+    independent of the detection event, so the sampling restricts to them.
+    No pattern means P = 0.
     """
     if not patterns:
         return False, False
@@ -510,6 +558,8 @@ def _event_found(patterns: Sequence[Tuple[Tuple[int, ...], int]], cfg: ColorBfsC
         p = float(_success_probability(patterns, ell))
         return bool(rng.random() < -math.expm1(cfg.repetitions * math.log1p(-p))), False
     relevant, specs = _pattern_specs(patterns, ell)
+    if cfg.repetitions > _BLOCK_REPS:
+        return _proposal_found(rng, len(relevant), specs, cfg.repetitions), True
     remaining = cfg.repetitions
     while remaining > 0:
         block = min(remaining, _SAMPLE_BLOCK)
@@ -629,21 +679,26 @@ def _stage_search(
     charged.  Every query is priced by _query_rounds at the measured
     eccentricity.  A stage of no queries searches and charges nothing.
 
-    Both engines first settle what cannot fire.  On a graph of cycle rank
-    0 (a forest, and every subgraph of a forest is one) no query can fire,
-    and the stage builds no index.  Otherwise the stage's one _CycleIndex,
-    enumerated inside the active nodes, asks whether the union can fire
-    (index.may_fire()).  A stage that cannot fire, by either test, is not
-    searched: every query answers False, so record_search charges the
-    triple ([count], [], query_rounds) and counts the queries, exactly as
-    the search would.  The index's pull never goes past what walking the
-    queries would pull: every cycle is anchored at or below the union's
-    highest source, so it stops at the stage's first pattern, or at the
-    end.  A query that fires has pulled at least to its own first pattern,
-    which comes at or after the stage's first one.  If none fires, each
-    query is walked: the one holding the stage's first pattern pulls at
-    least to it, and with no pattern at all, the query with the highest
-    source pulls to the end.
+    Both engines first settle what cannot fire.  Every cycle of every
+    subgraph lies in the graph's 2-core (Graph.two_core()), and a
+    bipartite graph (Graph.leader_bfs().bipartite) has no odd cycle at
+    all; so when ell is odd and the graph bipartite, or else when no
+    source lies on the 2-core, no query can fire, and the stage builds no
+    index.  On a forest the 2-core is empty, so every stage settles so.
+    Otherwise the stage's one _CycleIndex, enumerated inside the active
+    nodes, asks whether the union can fire (index.may_fire()).  A stage
+    that cannot fire, by either test, is not searched: every query answers
+    False, so record_search charges the triple ([count], [], query_rounds)
+    and counts the queries, exactly as the search would; the walk would
+    have found no pattern either, since its enumeration yields no cycle
+    through a source off the 2-core and no odd cycle of a bipartite graph.
+    The index's pull never goes past what walking the queries would pull:
+    every cycle is anchored at or below the union's highest source, so it
+    stops at the stage's first pattern, or at the end.  A query that fires
+    has pulled at least to its own first pattern, which comes at or after
+    the stage's first one.  If none fires, each query is walked: the one
+    holding the stage's first pattern pulls at least to it, and with no
+    pattern at all, the query with the highest source pulls to the end.
 
     Otherwise the search walks the queries, and a query that cannot fire
     answers False, drawing nothing, on either engine.  The event engine
@@ -663,8 +718,9 @@ def _stage_search(
         raise ValueError("sources must be a subset of active nodes")
     query_rounds = _query_rounds(shared.cycle_len, shared.repetitions,
                                  shared.congestion_bound, net.eccentricity)
-    # a forest holds no cycle, and neither does any subgraph of it
-    index = _CycleIndex(graph, shared, union) if graph.cycle_rank() else None
+    # the nodes that may lie on a C_ell of any subgraph
+    cyclic = 0 if shared.cycle_len % 2 and graph.leader_bfs().bipartite else graph.two_core()
+    index = _CycleIndex(graph, shared, union) if union & cyclic else None
     if index is None or not index.may_fire(union):
         record_search(ledger, ([count], [], query_rounds), count, params, "congest", phase)
         return False

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb
+from math import ceil, comb, inf
 from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,14 +36,26 @@ class GraphFormatError(ValueError):
     """Malformed edge-list input."""
 
 
+class SearchCut(Exception):
+    """iter_cycles ran out of search steps in its search from `anchor`:
+    every cycle anchored below it has come out, and some anchored at or
+    above it may not have."""
+
+    def __init__(self, anchor: int):
+        super().__init__(f"cycle search cut at anchor {anchor}")
+        self.anchor = anchor
+
+
 class LeaderBfs(NamedTuple):
     """What one breadth-first pass over a graph finds: the node mask of
-    node 0's component, node 0's eccentricity (its largest hop distance)
-    and the number of connected components."""
+    node 0's component, node 0's eccentricity (its largest hop distance),
+    the number of connected components, and whether the graph is
+    bipartite."""
 
     component: int
     eccentricity: int
     components: int
+    bipartite: bool
 
 
 class Graph:
@@ -52,14 +64,14 @@ class Graph:
     `adj` is the one adjacency: a tuple of per-node bitmasks, bit u of
     adj[v] set iff u-v is an edge.  A clique check is one AND, a degree is
     adj[v].bit_count(), and bits(adj[v]) lists the neighbours ascending.
-    Three facts are stored lazily, computed on first use and kept, which
+    Four facts are stored lazily, computed on first use and kept, which
     is sound because the graph never changes: triangle_nodes(),
-    leader_bfs(), which cycle_rank() reads too, and degree_batches(target)
-    per target.  Each is an int or a tuple of ints, so no caller can change
-    the stored value.
+    leader_bfs(), two_core() and degree_batches(target) per target.  Each
+    is an int or a tuple, so no caller can change the stored value.
     """
 
-    __slots__ = ("n", "adj", "m", "_triangle_nodes", "_leader_bfs", "_degree_batches")
+    __slots__ = ("n", "adj", "m", "_triangle_nodes", "_leader_bfs", "_two_core",
+                 "_degree_batches")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]]):
         if n < 0:
@@ -81,6 +93,7 @@ class Graph:
         self.m = count
         self._triangle_nodes: Optional[int] = None
         self._leader_bfs: Optional[LeaderBfs] = None
+        self._two_core: Optional[int] = None
         self._degree_batches: Optional[Dict[int, Tuple[int, ...]]] = None
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -107,29 +120,58 @@ class Graph:
         return self._triangle_nodes
 
     def leader_bfs(self) -> LeaderBfs:
-        """Node 0's component and eccentricity, and the component count.
+        """Node 0's component and eccentricity, the component count, and
+        bipartiteness.
 
         One frontier-mask pass on first use, O(n + m) mask operations: a
         BFS from node 0 finds its component and eccentricity, then a BFS
         from the smallest unreached node, while one is left, counts each
-        further component.  The empty graph has no component: its mask is 0.
+        further component.  Every edge joins two nodes of one BFS layer or
+        of consecutive layers, and a component is bipartite exactly when no
+        edge joins two nodes of one layer (colour the layers by parity; an
+        edge inside a layer closes an odd cycle), so each layer adds one
+        AND.  The empty graph has no component: its mask is 0, and it is
+        bipartite.
         """
         if self._leader_bfs is None:
             adj = self.adj
             everyone = unreached = (1 << self.n) - 1
-            component = eccentricity = components = 0
+            component = eccentricity = components = inside = 0
             while unreached:
                 frontier = unreached & -unreached  # node 0, then the smallest unreached node
                 hops = 0
                 while frontier:
                     unreached &= ~frontier
-                    frontier = neighbours(adj, frontier) & unreached
+                    near = neighbours(adj, frontier)
+                    inside |= near & frontier  # the nodes with a neighbour in their layer
+                    frontier = near & unreached
                     hops += 1
                 if not components:
                     component, eccentricity = everyone & ~unreached, hops - 1
                 components += 1
-            self._leader_bfs = LeaderBfs(component, eccentricity, components)
+            self._leader_bfs = LeaderBfs(component, eccentricity, components, not inside)
         return self._leader_bfs
+
+    def two_core(self) -> int:
+        """The node mask of the 2-core: the largest node set in which every
+        node has two neighbours.  Every cycle of every subgraph lies inside
+        it, so it is 0 exactly when the graph is a forest.
+
+        Peeled once on first use, with masks (Batagelj-Zaversnik, "An O(m)
+        algorithm for cores decomposition of networks", 2003): the nodes
+        with fewer than two neighbours left leave together, and then only
+        their neighbours' counts can have dropped, so only those are read
+        again.
+        """
+        if self._two_core is None:
+            adj = self.adj
+            core = doubt = (1 << self.n) - 1  # doubt: the nodes whose count may be below two
+            while doubt:
+                leaving = mask_of(v for v in bits(doubt) if not (row := adj[v] & core) & (row - 1))
+                core &= ~leaving
+                doubt = neighbours(adj, leaving) & core
+            self._two_core = core
+        return self._two_core
 
     def degree_batches(self, target: int) -> Tuple[int, ...]:
         """degree_batching(self.degrees(), target), computed once per target."""
@@ -139,11 +181,6 @@ class Graph:
         if got is None:
             got = self._degree_batches[target] = degree_batching(self.degrees(), target)
         return got
-
-    def cycle_rank(self) -> int:
-        """m - n + c, c the number of components: the number of independent
-        cycles, 0 exactly when the graph is a forest."""
-        return self.m - self.n + self.leader_bfs().components
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -469,6 +506,7 @@ def iter_cycles(
     length: int,
     active_mask: Optional[int] = None,
     anchors: Optional[int] = None,
+    steps: Optional[int] = None,
 ) -> Iterator[Tuple[int, ...]]:
     """Yield simple cycles of exactly `length` as node sequences, each once.
 
@@ -488,19 +526,30 @@ def iter_cycles(
     Only branches that close no cycle are cut, so the cycles and their
     order are those of the unpruned search.
 
+    The active set is first cut to the graph's 2-core (Graph.two_core()):
+    every cycle of every subgraph lies inside it, so the cut loses no cycle
+    and no branch that closes one, and a node off it is never an anchor.
     The balls come from anchor_ball, which also clears, before the rest of
     its ball is built, an anchor that a no-cycle certificate shows to lie
     on no such cycle; such an anchor is skipped, and nothing less comes
     out.
+
+    Finding a long cycle is NP-hard (a Hamiltonian cycle when length is
+    n), and the search may take exponential time between two cycles.
+    With `steps`, it takes at most that many steps, a step being a node
+    put on a path that then holds fewer than length - 1 nodes (the nodes
+    tried last are bounded by the steps before them); the step past them
+    raises SearchCut with the anchor whose search it cuts.
     """
     if length < 3:
         return
-    n = graph.n
     adj = graph.adj
-    full = (1 << n) - 1
-    active = full if active_mask is None else active_mask & full
+    core = graph.two_core()
+    active = core if active_mask is None else active_mask & core
+    left = inf if steps is None else steps  # the search steps left
 
     def from_anchor(anchor: int, balls: List[int]) -> Iterator[Tuple[int, ...]]:
+        nonlocal left
         path = [anchor]
         visited = 1 << anchor
         # stack[k - 1]: untried candidates for path position k
@@ -527,6 +576,9 @@ def iter_cycles(
                 visited ^= low
                 path.pop()
             else:
+                left -= 1
+                if left < 0:
+                    raise SearchCut(anchor)
                 stack.append(nxt)
 
     for s in bits(active if anchors is None else active & anchors):

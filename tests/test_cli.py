@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcongest import cli, cliquedetect
+from qcongest.graph import GEN_KINDS
 from qcongest.cli import (
     CSV_HEADER,
     ResultRow,
@@ -390,6 +391,27 @@ class TestBlackboxAtLargeT:
         assert 0 < rows[0].rounds_quantum < rows[1].rounds_quantum
 
 
+def run_within(argv, seconds):
+    """(exit code, stderr) of main(argv) in this process, argparse's exit
+    included; TimeoutError if it runs past `seconds` (signal.alarm on this
+    process)."""
+    def out_of_time(signum, frame):
+        raise TimeoutError(f"over {seconds} s: {argv}")
+
+    previous = signal.signal(signal.SIGALRM, out_of_time)
+    signal.alarm(seconds)
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, err.getvalue()
+
+
 class TestCostOnlySweepFlags:
     """Every cost-only sweep, whatever its flags, ends with exit 0 or 2 and
     no traceback, within a time budget per run.  Runs in this process."""
@@ -424,17 +446,58 @@ class TestCostOnlySweepFlags:
             if (stray or read) and draw(st.booleans(), label=f"{flag}?"):
                 argv += [flag, str(draw(values, label=flag))]
 
-        def out_of_time(signum, frame):
-            raise TimeoutError(f"over {self.SECONDS} s: {argv}")
+        code, err = run_within(argv, self.SECONDS)
+        assert code in (0, 2), (argv, code, err)
+        assert "Traceback" not in err, argv
 
-        previous = signal.signal(signal.SIGALRM, out_of_time)
-        signal.alarm(self.SECONDS)
-        err = io.StringIO()
-        try:
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main(argv)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-        assert code in (0, 2), (argv, code, err.getvalue())
-        assert "Traceback" not in err.getvalue(), argv
+
+class TestDetectCycleFlags:
+    """Every detect-cycle run on a small generated graph, whatever its
+    flags, ends with exit 0, 2 or 3 and no traceback, within a time budget
+    per run.  Runs in this process.
+
+    Graphs of up to 48 nodes take any density.  Longer lengths, up to 320,
+    are drawn on graphs of a few more nodes than the length, whose random
+    edges are sparse (edge_prob at most 4/n), so that a cycle of that
+    length can exist."""
+
+    KINDS = (*GEN_KINDS, "nosuch")
+    SECONDS = 10  # per run; a run takes at most about 1.5 s
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_every_run_exits_0_2_or_3(self, data):
+        draw = data.draw
+        # half the runs draw only values that the command accepts
+        stray = draw(st.booleans(), label="stray values")
+        kind = draw(st.sampled_from(self.KINDS if stray else GEN_KINDS), label="kind")
+        if draw(st.booleans(), label="long"):
+            ell = draw(st.integers(4, 320), label="--ell")
+            n = draw(st.integers(ell - 3 if stray else ell, ell + 20), label="n")
+            prob = draw(st.floats(0, 4 / n), label="prob")
+        else:
+            n = draw(st.integers(-2 if stray else 4, 48), label="n")
+            ell = draw(st.integers(1, 50) if stray else st.integers(4, n), label="--ell")
+            prob = draw(st.floats(-0.5, 1.5) if stray else st.floats(0, 1), label="prob")
+        size = draw(st.integers(-1, n + 2) if stray else st.integers(3, max(n, 3)),
+                    label="planted size")
+        spec = f"{kind},{n},{prob},{size},{draw(st.integers(0, 99), label='gen seed')}"
+        if stray and draw(st.booleans(), label="cut the spec"):
+            spec = spec.rsplit(",", draw(st.integers(1, 4), label="fields cut"))[0]
+        argv = ["detect-cycle", "--gen", spec, "--ell", str(ell)]
+        # each flag's accepted values, or None, and its values with stray ones
+        for flag, accepted, values in (
+                ("--seed", st.integers(0, 10**6), st.integers(-5, 10**6)),
+                ("--c-grover", st.sampled_from(["1", "3/2", "2", ""]),
+                 st.sampled_from(["1", "3/2", "0", "-1", "x"])),
+                ("--reps", st.integers(1, 4), st.integers(-1, 4)),
+                ("--fail-prob", st.floats(0, 0.99), st.floats(-0.5, 1.5)),
+                ("--packing", None, st.sampled_from(["on", "off"]))):
+            if (stray or accepted is not None) and draw(st.booleans(), label=f"{flag}?"):
+                # "=": argparse reads a value such as "-1e-9" as a flag
+                argv.append(f"{flag}={draw(values if stray else accepted, label=flag)}")
+        if draw(st.booleans(), label="--json"):
+            argv.append("--json")
+        code, err = run_within(argv, self.SECONDS)
+        assert code in (0, 2, 3), (argv, code, err)
+        assert "Traceback" not in err, argv

@@ -7,7 +7,7 @@ temporary working directory, so `--out` names are relative and the bytes
 are stable; a case listed in SETUP first runs that command there.  The set
 holds criterion 11's four commands, `detect-clique` under every strategy on
 one graph (and with q > n), `detect-cycle` for ell = 4..7 (plus cycle-free
-and exit-3 cases), a cost-only sweep of every algo (blackbox also with
+and exit-3 cases, and two long lengths), a cost-only sweep of every algo (blackbox also with
 `--packing off`, plus1 also with degenerate n), full-mode sweeps of cliques and of both cycle parities,
 `list --p 3` as text and as `--json`, `detect-clique` under every strategy
 and one `detect-cycle` with every cost flag set, `--json` and `--out` for every
@@ -59,6 +59,10 @@ CASES = {
     # a cycle found away from node 0 meets the leader fault: exit 3
     "cycle-5-apart": ["detect-cycle", "--gen", "gnp,24,0.03,0,1", "--ell", "5"],
     "cycle-6-apart": ["detect-cycle", "--gen", "gnp,24,0.05,0,0", "--ell", "6"],
+    # long lengths: a C10 query past 2^26 repetitions draws proposals, and
+    # the C60 search on a sparse graph is cut after CYCLE_SEARCH_STEPS steps
+    "cycle-10-proposals": ["detect-cycle", "--gen", "gnp,16,0.35,0,0", "--ell", "10"],
+    "cycle-60-cut": ["detect-cycle", "--gen", "gnp,73,0.03125,0,0", "--ell", "60"],
     "sweep-triangle15": ["sweep", "--algo", "triangle15", *SWEEP_NS],
     "sweep-plus1": ["sweep", "--algo", "plus1", "--p", "4", *SWEEP_NS],
     "sweep-nested": ["sweep", "--algo", "nested", "--p", "3", "--t", "2", *SWEEP_NS],

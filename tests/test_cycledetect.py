@@ -24,6 +24,7 @@ from qcongest.cycledetect import (
     _heavy_light_exponents,
     _live_source_colours,
     _pattern_specs,
+    _proposal_found,
     _protocol_found,
     _query_rounds,
     _stage_search,
@@ -39,7 +40,7 @@ from qcongest.cycledetect import (
     repetitions_for,
     single_rep_success,
 )
-from qcongest.graph import (GenSpec, Graph, bits, generate, iter_cycles, mask_of,
+from qcongest.graph import (GenSpec, Graph, SearchCut, bits, generate, iter_cycles, mask_of,
                             oracle_has_cycle)
 from qcongest.intmath import ceil_pow, ceil_scaled_pow, ceil_scaled_sqrt
 from qcongest.netsim import CongestNet, CostLedger, congest_step, word_capacity
@@ -226,6 +227,40 @@ class TestEventDraw:
             assert all(hits == counter for _, hits in draws)
             rate = sum(found for found, _ in draws) / self.SEEDS
             assert abs(rate - q) <= bound, (cap, rate, q)
+
+    @pytest.mark.parametrize("reps", [1, 6])
+    def test_proposals_hit_at_q(self, monkeypatch, reps):
+        # K5, C4, sources 0 and 1: 24 patterns, P = 57/512.  Past
+        # _BLOCK_REPS repetitions a query draws proposals, and detects with
+        # probability q = 1 - (1 - P)^reps as the block sampler does
+        g = generate(GenSpec(kind="complete", n=5))
+        cfg, src = all_active_cfg(g, 4, sources=[0, 1], m=2, reps=reps)
+        assert len(query_patterns(g, cfg, src)[0]) == 24
+        assert fired_colourings(g, cfg, src) == (57 * 2, 4**5)
+        q = 1 - (1 - 57 / 512) ** reps
+        patch_cycledetect(monkeypatch, "_BLOCK_REPS", 0)
+        calls = count_calls(monkeypatch, "_proposal_found")
+        draws = [event_found(g, cfg, src, ("proposal", s)) for s in range(self.SEEDS)]
+        assert calls["_proposal_found"] == self.SEEDS
+        assert all(hits == {"pattern_sampled"} for _, hits in draws)
+        rate = sum(found for found, _ in draws) / self.SEEDS
+        assert abs(rate - q) <= 4 * math.sqrt(q * (1 - q) / self.SEEDS), (rate, q)
+
+    def test_a_proposal_fires_each_colouring_at_its_uniform_rate(self):
+        # two C4 patterns sharing the anchor 0 and the edge 0-1: each
+        # colouring that fires both events is proposed twice as often and
+        # accepted half as often, so the accepted colourings are uniform
+        # over the colourings that fire
+        g = Graph(6, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 4), (4, 5), (0, 5)])
+        cfg, src = all_active_cfg(g, 4, sources=[0])
+        patterns, _ = query_patterns(g, cfg, src)
+        relevant, specs = _pattern_specs(patterns, 4)
+        fired, colourings = fired_colourings(g, cfg, src)
+        p = fired / colourings
+        assert float(_success_probability(patterns, 4)) == pytest.approx(p)
+        rng = np.random.default_rng(5)
+        rate = sum(_proposal_found(rng, len(relevant), specs, 1) for _ in range(20000)) / 20000
+        assert abs(rate - p) <= 4 * math.sqrt(p * (1 - p) / 20000), (rate, p)
 
     def test_above_the_cap_keeps_the_block_sampler(self):
         # K5, C4, sources 0 and 1: 24 patterns, P = 57/512, q = 0.507 at 6
@@ -1010,6 +1045,23 @@ class TestTruncationCounters:
         assert len(patterns) == 8
         assert hits == {"pattern_capped"}
 
+    def test_search_steps_are_counted(self, monkeypatch):
+        # K9, C5, the same stage: 10 search steps are cut in the search
+        # from anchor 0, so both queries keep the patterns on the cycles
+        # found before the cut and are counted as truncated
+        g = generate(GenSpec(kind="complete", n=9))
+        cfg, src = all_active_cfg(g, 5, sources=[0, 1, 5, 6], m=9)
+        first = []
+        with pytest.raises(SearchCut) as cut:
+            first.extend(iter_cycles(g, 5, anchors=src, steps=10))
+        assert cut.value.anchor == 0 and first
+        patch_cycledetect(monkeypatch, "CYCLE_SEARCH_STEPS", 10)
+        index = _CycleIndex(g, cfg, src)
+        for q in (mask_of([0, 1]), mask_of([5, 6])):
+            patterns, hits = index.patterns(q)
+            assert hits == {"enumeration_truncated"}
+            assert patterns == sorted((c, c.index(v)) for c in first for v in c if q >> v & 1)
+
     def test_detector_reports_truncation(self, monkeypatch):
         patch_cycledetect(monkeypatch, "CYCLE_ENUM_LIMIT", 3)
         g = generate(GenSpec(kind="complete", n=9))
@@ -1432,14 +1484,15 @@ def stage_outcome(run):
     return found, rows, +ledger.counts
 
 
-def same_as_every_query(g, queries, shared, seed, engine, limit=None, cap=None):
+def same_as_every_query(g, queries, shared, seed, engine, limit=None, cap=None, steps=None):
     """Assert that _stage_search gives what evaluate_every_query gives, with
-    CYCLE_ENUM_LIMIT and _PATTERN_CAP set when given; return the outcome."""
+    CYCLE_ENUM_LIMIT, _PATTERN_CAP and CYCLE_SEARCH_STEPS set when given;
+    return the outcome."""
     with pytest.MonkeyPatch.context() as mp:
-        if limit is not None:
-            mp.setitem(detect_odd_cycle.__globals__, "CYCLE_ENUM_LIMIT", limit)
-        if cap is not None:
-            mp.setitem(detect_odd_cycle.__globals__, "_PATTERN_CAP", cap)
+        for name, value in (("CYCLE_ENUM_LIMIT", limit), ("_PATTERN_CAP", cap),
+                            ("CYCLE_SEARCH_STEPS", steps)):
+            if value is not None:
+                mp.setitem(detect_odd_cycle.__globals__, name, value)
         got = stage_outcome(lambda ledger: stage_search(
             CongestNet(g), queries, shared, "test", "color-bfs", ledger, seed,
             DEFAULT_PARAMS, engine))
@@ -1496,11 +1549,13 @@ class TestNoFireQueries:
         queries = [(q, i) for i, q in enumerate(queries)]
         shared = ColorBfsConfig(ell, active, data.draw(st.integers(1, 3), label="M"),
                                 data.draw(st.sampled_from([1, 3, 40]), label="reps"))
-        # limit 0 truncates a stage before it files anything
+        # limit 0 truncates a stage before it files anything, and so may
+        # steps 0
         same_as_every_query(
             g, queries, shared, seed, engine,
             limit=data.draw(st.sampled_from([None, 0, 2, 5, 20]), label="CYCLE_ENUM_LIMIT"),
-            cap=data.draw(st.sampled_from([None, 1, 3]), label="_PATTERN_CAP"))
+            cap=data.draw(st.sampled_from([None, 1, 3]), label="_PATTERN_CAP"),
+            steps=data.draw(st.sampled_from([None, 0, 3, 10, 40]), label="CYCLE_SEARCH_STEPS"))
 
     @pytest.mark.parametrize("engine", ["event", "protocol"])
     def test_a_truncated_stage_with_nothing_filed_is_walked(self, monkeypatch, engine):
@@ -1737,38 +1792,124 @@ def detect(g, ell, ledger, engine, seed=3):
     return fn(g, ell, ledger, seed=seed, engine=engine)
 
 
+def all_cyclic(mp):
+    """Make every graph seem to hold its cycles everywhere: its 2-core is
+    every node and it is not bipartite, so a stage with a source builds its
+    index and walks, and iter_cycles enumerates without the core cut."""
+    mp.setattr(Graph, "two_core", lambda self: (1 << self.n) - 1)
+    leader_bfs = Graph.leader_bfs
+    mp.setattr(Graph, "leader_bfs", lambda self: leader_bfs(self)._replace(bipartite=False))
+
+
+def settled_and_walked(g, ell, engine, refuse=False):
+    """(the outcome of detecting a C_ell on g, the outcome with every node
+    seeming cyclic), and the source masks of the stage indexes that the
+    first run built.  With refuse, the first run fails on any index or ball."""
+    built = []
+    with pytest.MonkeyPatch.context() as mp:
+        if refuse:
+            def refused(*args, **kwargs):
+                raise AssertionError("a settled stage built an index or a ball")
+
+            mp.setitem(detect_odd_cycle.__globals__, "_CycleIndex", refused)
+            mp.setitem(iter_cycles.__globals__, "anchor_ball", refused)
+        else:
+            real = detect_odd_cycle.__globals__["_CycleIndex"]
+
+            def spy(graph, cfg, anchors):
+                built.append(anchors)
+                return real(graph, cfg, anchors)
+
+            mp.setitem(detect_odd_cycle.__globals__, "_CycleIndex", spy)
+        settled = stage_outcome(lambda led: detect(g, ell, led, engine))
+    with pytest.MonkeyPatch.context() as mp:
+        all_cyclic(mp)
+        walked = stage_outcome(lambda led: detect(g, ell, led, engine))
+    return settled, walked, built
+
+
+def pendant_graphs():
+    """Graphs with cycles and nodes off their 2-core: a triangle with a
+    long pendant path; a C5 beside a star on 75 nodes, whose centre is the
+    one heavy node of a C6 or C8 search (at n = 80 a node of degree below
+    3 is light); and planted cycles in sparse G(n, p), whose trees hang
+    off the core."""
+    tail = Graph(12, [(0, 1), (1, 2), (0, 2)] + [(v - 1, v) for v in range(3, 12)])
+    star = Graph(80, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)] + [(5, v) for v in range(6, 80)])
+    planted = [generate(GenSpec(kind="planted_cycle", n=n, edge_prob=p, planted_size=s,
+                                seed=seed))
+               for n, p, s, seed in ((30, 0.04, 5, 1), (40, 0.03, 6, 2), (48, 0.02, 4, 3))]
+    return [tail, star] + planted
+
+
 class TestForestCertificate:
-    """On a graph of cycle rank 0 every stage is settled without a cycle
-    index, and charges and counts what the walk charges and counts."""
+    """A stage none of whose sources lies on the graph's 2-core, and a stage
+    of odd ell on a bipartite graph, is settled without a cycle index, and
+    charges and counts what the walk charges and counts."""
 
     @pytest.mark.parametrize("engine", ["event", "protocol"])
     def test_forests_are_settled_as_the_walk_settles_them(self, engine):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a forest's stage built an index or a ball")
-
         runs = 0
         for g in forests():
-            assert g.cycle_rank() == 0
+            assert g.two_core() == 0
             for ell in range(4, min(g.n, 8) + 1):
-                with pytest.MonkeyPatch.context() as mp:
-                    mp.setitem(detect_odd_cycle.__globals__, "_CycleIndex", refuse)
-                    mp.setitem(iter_cycles.__globals__, "anchor_ball", refuse)
-                    settled = stage_outcome(lambda led: detect(g, ell, led, engine))
-                with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(Graph, "cycle_rank", lambda self: 1)
-                    walked = stage_outcome(lambda led: detect(g, ell, led, engine))
+                settled, walked, _ = settled_and_walked(g, ell, engine, refuse=True)
                 assert settled == walked and settled[0] is False, (g, ell)
                 runs += 1
         assert runs > 40
 
+    @pytest.mark.parametrize("engine", ["event", "protocol"])
+    def test_odd_stages_of_bipartite_graphs_are_settled_as_the_walk_settles_them(self,
+                                                                                engine):
+        runs = 0
+        for n, seed in ((12, 1), (20, 2), (30, 3), (40, 4)):
+            g = random_bipartite(n, 4.0, seed)
+            assert g.leader_bfs().bipartite and g.two_core(), "the family must keep cycles"
+            for ell in (5, 7):
+                settled, walked, _ = settled_and_walked(g, ell, engine, refuse=True)
+                assert settled == walked and settled[0] is False, (g, ell)
+                runs += 1
+        assert runs == 8
+
+    @pytest.mark.parametrize("engine", ["event", "protocol"])
+    def test_stages_off_the_core_are_settled_as_the_walk_settles_them(self, engine):
+        # the light stage of an even search holds the low-degree nodes, the
+        # leaves among them, which lie off the core, and the star's heavy
+        # stage holds its centre alone (an odd search's sources are every
+        # node, the core among them); the protocol engine's C8 is left to
+        # the event engine (a C8 takes it a minute)
+        off_core = 0
+        for g in pendant_graphs():
+            core = g.two_core()
+            assert core and core != (1 << g.n) - 1
+            for ell in (4, 6, 8) if engine == "event" else (4, 6):
+                settled, walked, built = settled_and_walked(g, ell, engine)
+                assert settled == walked, (g, ell)
+                assert all(anchors & core for anchors in built), (g, ell)
+                off_core += 2 - len(built)  # the heavy or light stage whose sources miss the core
+        assert off_core >= 10
+
     def test_a_graph_with_one_triangle_still_builds_its_index(self, monkeypatch):
-        # cycle rank 1, though no C4 or C5 exists: the stages walk
+        # 2-core {0, 1, 2}, though no C4 or C5 exists: the odd search and
+        # the heavy stage (every node of degree >= 1 at k = 2) hold a core
+        # source and walk; the C4 light stage has no source and settles
         g = Graph(7, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6)])
-        assert g.cycle_rank() == 1
+        assert g.two_core() == 0b111 and not g.leader_bfs().bipartite
         calls = count_calls(monkeypatch, "_CycleIndex")
         for ell in (4, 5):
             assert not detect(g, ell, CostLedger(), "event")
-        assert calls["_CycleIndex"] >= 3  # the odd search, the heavy and the light stage
+        assert calls["_CycleIndex"] == 2
+
+    @pytest.mark.parametrize("engine", ["event", "protocol"])
+    def test_the_leader_fault_stays_visible(self, engine):
+        # the benchmark's c6_apart: a C6 on nodes 2..7 of 8, apart from node
+        # 0.  Its heavy sources lie on the core, so its heavy stage walks,
+        # finds the cycle and meets the leader fault (ROADMAP item 1)
+        cyc = list(range(2, 8))
+        g = Graph(8, sorted((min(u, v), max(u, v)) for u, v in zip(cyc, cyc[1:] + cyc[:1])))
+        assert g.two_core() == mask_of(cyc)
+        with pytest.raises(RuntimeError, match="disconnected from node 0"):
+            detect_even_cycle(g, 6, CostLedger(), seed=0, engine=engine)
 
 
 class TestPrices:
@@ -1825,7 +1966,7 @@ class TestPrices:
 
 class TestLightClassDraws:
     """A stage's queries are built only when the stage is walked: an odd,
-    heavy or light stage that the cycle rank or may_fire() settles never
+    heavy or light stage that the 2-core or may_fire() settles never
     calls its query builder (the light one draws no index class), and still
     charges and counts its queries."""
 

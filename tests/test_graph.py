@@ -101,7 +101,7 @@ class TestTriangleNodes:
 
 
 class TestLeaderBfs:
-    """leader_bfs() and cycle_rank() are networkx's values, stored on the
+    """leader_bfs() and two_core() are networkx's values, stored on the
     graph they describe."""
 
     @staticmethod
@@ -114,16 +114,21 @@ class TestLeaderBfs:
         assert facts.component == mask_of(nx.node_connected_component(ref, 0) if g.n else ())
         assert facts.eccentricity == max(hops.values(), default=0)
         assert facts.components == nx.number_connected_components(ref)
-        assert g.cycle_rank() == len(nx.cycle_basis(ref))
-        # a second read is the stored value: no new BFS runs (each BFS step
-        # calls neighbours, so a fresh graph's first read trips the mock)
+        assert facts.bipartite is nx.is_bipartite(ref)
+        core = g.two_core()
+        assert core == mask_of(nx.k_core(ref, 2))
+        assert (core == 0) == (not nx.cycle_basis(ref))  # a forest has an empty 2-core
+        # a second read is the stored value: no new BFS or peel runs (each
+        # step of either calls neighbours, so a fresh graph's first read
+        # trips the mock)
         with mock.patch.dict(Graph.leader_bfs.__globals__,
-                             neighbours=mock.Mock(side_effect=AssertionError("a second BFS"))):
+                             neighbours=mock.Mock(side_effect=AssertionError("a second pass"))):
             assert g.leader_bfs() is facts
-            assert g.cycle_rank() == len(nx.cycle_basis(ref))
+            assert g.two_core() == core
             if g.n:
-                with pytest.raises(AssertionError, match="a second BFS"):
-                    Graph(g.n, g.edges()).leader_bfs()
+                for fact in (Graph.leader_bfs, Graph.two_core):
+                    with pytest.raises(AssertionError, match="a second pass"):
+                        fact(Graph(g.n, g.edges()))
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(0, 16), data=st.data())
@@ -137,25 +142,51 @@ class TestLeaderBfs:
             edges = [e for e in edges if 0 not in e]
         self.assert_matches_networkx(Graph(n, edges))
 
+    @settings(max_examples=150, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 9), min_size=1, max_size=4),
+           prob=st.sampled_from([0.15, 0.3, 0.5, 0.8]), seed=st.integers(0, 10**6))
+    def test_components_of_every_density_match_networkx(self, sizes, prob, seed):
+        # G(size, prob) components side by side, relabelled at random: odd
+        # cycles, cores and trees in components apart from node 0
+        rng = random.Random(seed)
+        n = sum(sizes)
+        label = rng.sample(range(n), n)
+        edges, first = [], 0
+        for size in sizes:
+            edges += [tuple(sorted((label[first + u], label[first + v])))
+                      for u in range(size) for v in range(u + 1, size) if rng.random() < prob]
+            first += size
+        self.assert_matches_networkx(Graph(n, edges))
+
     @pytest.mark.parametrize("g", [Graph(0, []), Graph(1, []), Graph(5, []),
                                    Graph(4, [(1, 2), (2, 3), (1, 3)]),
                                    Graph(5, [(0, 3), (1, 2), (2, 4)]),
                                    generate(GenSpec(kind="complete", n=6)),
-                                   generate(GenSpec(kind="path", n=7))],
+                                   generate(GenSpec(kind="path", n=7)),
+                                   Graph(9, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6),
+                                             (6, 7), (7, 8), (4, 8)]),
+                                   Graph(7, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5),
+                                             (5, 6)])],
                              ids=["empty", "n1", "no-edges", "isolated-0", "two-parts", "K6",
-                                  "path"])
+                                  "path", "C4-beside-C5", "triangle-with-tail"])
     def test_edge_cases(self, g):
         self.assert_matches_networkx(g)
 
-    @pytest.mark.parametrize("g, facts", [
-        (Graph(0, []), (0, 0, 0)),
-        (Graph(1, []), (0b1, 0, 1)),
-        (Graph(4, [(1, 2), (2, 3), (1, 3)]), (0b1, 0, 2)),
-        (Graph(5, [(0, 3), (1, 2), (2, 4)]), (0b1001, 1, 2)),
-        (generate(GenSpec(kind="path", n=4)), (0b1111, 3, 1)),
-    ], ids=["empty", "n1", "isolated-0", "two-parts", "path"])
-    def test_the_facts(self, g, facts):
+    @pytest.mark.parametrize("g, facts, core", [
+        (Graph(0, []), (0, 0, 0, True), 0),
+        (Graph(1, []), (0b1, 0, 1, True), 0),
+        (Graph(4, [(1, 2), (2, 3), (1, 3)]), (0b1, 0, 2, False), 0b1110),
+        (Graph(5, [(0, 3), (1, 2), (2, 4)]), (0b1001, 1, 2, True), 0),
+        (generate(GenSpec(kind="path", n=4)), (0b1111, 3, 1, True), 0),
+        (Graph(9, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7), (7, 8), (4, 8)]),
+         (0b1111, 2, 2, False), 0b111111111),
+        (Graph(7, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6)]),
+         (0b1111111, 5, 1, False), 0b111),
+    ], ids=["empty", "n1", "isolated-0", "two-parts", "path", "C4-beside-C5",
+            "triangle-with-tail"])
+    def test_the_facts(self, g, facts, core):
         assert g.leader_bfs() == facts
+        assert g.two_core() == core
 
     def test_the_facts_are_read_only(self):
         facts = generate(GenSpec(kind="path", n=4)).leader_bfs()
@@ -792,6 +823,52 @@ class TestNoCycleCertificates:
                 near |= frontier
                 assert ball[r] == near & ~(1 << v), (v, r)
             assert len(ball) == length
+
+    @settings(max_examples=300, deadline=None)
+    @given(family=st.sampled_from(["gnp", "bipartite", "tree_plus", "girth"]),
+           seed=st.integers(0, 10**6), n=st.integers(3, 18), length=st.integers(3, 9),
+           masked=st.booleans(), anchors=st.sampled_from(["all", "one", "some"]))
+    def test_the_core_cut_yields_what_the_uncut_enumeration_yields(
+            self, family, seed, n, length, masked, anchors):
+        # the same tuples in the same order, and no ball is grown from an
+        # anchor off the 2-core
+        rng = random.Random(seed)
+        g = sparse_graph(family, n, length, seed)
+        active = rng.getrandbits(n) if masked else None
+        anchor_mask = {"all": None, "one": 1 << rng.randrange(n),
+                       "some": rng.getrandbits(n)}[anchors]
+        grown = []
+
+        def spy(adj, length, anchor, allowed):
+            grown.append(anchor)
+            return anchor_ball(adj, length, anchor, allowed)
+
+        with mock.patch.dict(iter_cycles.__globals__, anchor_ball=spy):
+            cut = list(iter_cycles(g, length, active, anchor_mask))
+        assert all(g.two_core() >> v & 1 for v in grown)
+        with mock.patch.object(Graph, "two_core", lambda self: (1 << self.n) - 1):
+            assert list(iter_cycles(g, length, active, anchor_mask)) == cut
+
+    @settings(max_examples=300, deadline=None)
+    @given(family=st.sampled_from(["gnp", "bipartite", "tree_plus", "girth"]),
+           seed=st.integers(0, 10**6), n=st.integers(3, 18), length=st.integers(3, 12),
+           steps=st.integers(0, 60))
+    def test_a_cut_search_yields_a_prefix_and_names_its_anchor(self, family, seed, n, length,
+                                                              steps):
+        # every cycle anchored below the cut anchor has come out, in order
+        g = sparse_graph(family, n, length, seed)
+        every = list(iter_cycles(g, length))
+        got = []
+        try:
+            for cyc in iter_cycles(g, length, steps=steps):
+                got.append(cyc)
+        except graph_module.SearchCut as cut:
+            assert got == every[:len(got)]
+            assert got == [c for c in every if c[0] < cut.anchor] + [
+                c for c in got if c[0] == cut.anchor]
+            assert g.two_core() >> cut.anchor & 1
+        else:
+            assert got == every
 
     @pytest.mark.parametrize("length", range(3, 10))
     def test_an_anchor_on_a_cycle_is_never_certified(self, length):
