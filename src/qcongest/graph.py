@@ -49,12 +49,10 @@ class SearchCut(Exception):
 class LeaderBfs(NamedTuple):
     """What one breadth-first pass over a graph finds: the node mask of
     node 0's component, node 0's eccentricity (its largest hop distance),
-    the number of connected components, and whether the graph is
-    bipartite."""
+    and whether the graph is bipartite."""
 
     component: int
     eccentricity: int
-    components: int
     bipartite: bool
 
 
@@ -120,14 +118,14 @@ class Graph:
         return self._triangle_nodes
 
     def leader_bfs(self) -> LeaderBfs:
-        """Node 0's component and eccentricity, the component count, and
-        bipartiteness.
+        """Node 0's component and eccentricity, and bipartiteness.
 
         One frontier-mask pass on first use, O(n + m) mask operations: a
         BFS from node 0 finds its component and eccentricity, then a BFS
-        from the smallest unreached node, while one is left, counts each
-        further component.  Every edge joins two nodes of one BFS layer or
-        of consecutive layers, and a component is bipartite exactly when no
+        from the smallest unreached node, while one is left, walks each
+        further component, since bipartiteness is a fact of every
+        component.  Every edge joins two nodes of one BFS layer or of
+        consecutive layers, and a component is bipartite exactly when no
         edge joins two nodes of one layer (colour the layers by parity; an
         edge inside a layer closes an odd cycle), so each layer adds one
         AND.  The empty graph has no component: its mask is 0, and it is
@@ -136,7 +134,7 @@ class Graph:
         if self._leader_bfs is None:
             adj = self.adj
             everyone = unreached = (1 << self.n) - 1
-            component = eccentricity = components = inside = 0
+            component = eccentricity = inside = 0
             while unreached:
                 frontier = unreached & -unreached  # node 0, then the smallest unreached node
                 hops = 0
@@ -146,10 +144,9 @@ class Graph:
                     inside |= near & frontier  # the nodes with a neighbour in their layer
                     frontier = near & unreached
                     hops += 1
-                if not components:
+                if not component:  # node 0's BFS, the first
                     component, eccentricity = everyone & ~unreached, hops - 1
-                components += 1
-            self._leader_bfs = LeaderBfs(component, eccentricity, components, not inside)
+            self._leader_bfs = LeaderBfs(component, eccentricity, not inside)
         return self._leader_bfs
 
     def two_core(self) -> int:

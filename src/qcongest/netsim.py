@@ -91,7 +91,7 @@ class CongestNet:
 
     def __init__(self, graph) -> None:
         self.graph = graph
-        self.component, self.eccentricity, _, _ = graph.leader_bfs()
+        self.component, self.eccentricity, _ = graph.leader_bfs()
 
     def require_reachable(self, nodes: int) -> None:
         bad = nodes & ~self.component

@@ -1,12 +1,18 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines and timings.
+The exponent criteria (4-7 and 10) and the cycle exponents are rows of one
+table, CLAIMS, fitted by one test.  Run with
+`pytest tests/test_acceptance.py -v -s` to see the per-criterion lines and
+timings.
 """
 
 import itertools
 import random
 import time
+from fractions import Fraction
+from typing import Callable, NamedTuple, Sequence
+
+import pytest
 
 from qcongest.cli import fit_slope, main
 from qcongest.cliquedetect import (
@@ -21,11 +27,13 @@ from qcongest.cliquelist import list_kp
 from qcongest.cycledetect import (
     ColorBfsConfig,
     cycle_cost_only,
+    cycle_repetitions,
     detect_even_cycle,
     detect_odd_cycle,
     protocol_detect_once,
 )
-from qcongest.graph import GenSpec, generate, oracle_cliques, oracle_has_clique
+from qcongest.graph import (GenSpec, Graph, generate, mask_of, oracle_cliques,
+                            oracle_has_clique)
 from qcongest.netsim import CostLedger
 from qcongest.qsearch import (
     NestedSearchPlan,
@@ -34,6 +42,8 @@ from qcongest.qsearch import (
     nested_cost_predict,
     run_nested_search,
 )
+
+from instances import criterion1_instance, criterion8_planted
 
 SWEEP_NS = [2**k for k in range(10, 17)]
 
@@ -47,18 +57,9 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
 def test_criterion_01_oracle_equivalence():
     """300 instances, every applicable strategy, 100% oracle agreement."""
     t0 = time.time()
-    probs = (0.2, 0.5, 0.8)
     checked = mismatches = 0
     for i in range(300):
-        rng = random.Random(1000 + i)
-        n = rng.randint(32, 64)
-        q = 4 + i % 4
-        if i % 4 == 3:
-            spec = GenSpec(kind="planted_clique", n=n, edge_prob=0.2,
-                           planted_size=q, seed=i)
-        else:
-            spec = GenSpec(kind="gnp", n=n, edge_prob=probs[i % 3], seed=i)
-        graph = generate(spec)
+        graph, q = criterion1_instance(i)
         truth = oracle_has_clique(graph, q)
         inv_cache = {}
         for plan in applicable_strategies(graph.n, graph.m, q):
@@ -125,67 +126,90 @@ def test_criterion_03_cost_formula_exactness():
            bad == 0, f"{bad} disagreements")
 
 
-def test_criterion_04_triangle_exponent():
+def rounds(cost_only, *args, **keywords) -> int:
+    """The ledger total that cost_only(*args, ledger, **keywords) charges."""
+    ledger = CostLedger()
+    cost_only(*args, ledger, **keywords)
+    return ledger.total()
+
+
+def dense(n: int) -> int:
+    """The edge count of the complete graph on n nodes."""
+    return n * (n - 1) // 2
+
+
+def even_cycle_exponent(k: int) -> Fraction:
+    """alpha/2 of the C_2k parameter set (Eden-Fiat-Fischer-Kuhn-Oshman,
+    DISC 2019): alpha = 1/k + (k-2) delta with delta = (k-2)/(k(k-1)), and
+    both stages search n^alpha items (heavy nodes, light index classes)."""
+    delta = Fraction(k - 2, k * (k - 1))
+    return (Fraction(1, k) + (k - 2) * delta) / 2
+
+
+class Claim(NamedTuple):
+    """One exponent claim: the rounds charge(x), divided by the declared
+    factor(x), grow as x^exponent.  The fitted slope over xs must lie
+    within tol of the exponent.  The factor is a count the code itself
+    charges by (never fitted), and 1 where none is declared."""
+
+    label: str
+    exponent: Fraction
+    source: str
+    xs: Sequence[int]
+    charge: Callable[[int], int]
+    factor: Callable[[int], int] = lambda x: 1
+    tol: float = 0.05
+
+
+SPARSE_N = 2**14
+SPARSE_MUS = [2**k for k in range(4, 11)]
+
+CLAIMS = [
+    Claim("criterion 4 triangle", Fraction(1, 5),
+          "README, cliquedetect: triangle detection in ~n^(1/5) rounds",
+          SWEEP_NS, lambda n: rounds(triangle_cost_only, n, dense(n))),
+    *(Claim(f"criterion 5 nested p{p} t{t}",
+            max(1 - Fraction(2, p), (1 - Fraction(1, p)) * (1 - Fraction(1, 2**t))),
+            "README, cliquedetect: nested K_{p+t} detection, level exponents "
+            "(1-1/p)/2^(t-i), above the Dolev-Lenzen-Peled K_p listing's n^(1-2/p)",
+            SWEEP_NS, lambda n, p=p, t=t: rounds(nested_cost_only, n, dense(n), p, t))
+      for p, t in ((3, 1), (4, 1), (4, 2), (5, 2))),
+    *(Claim(f"criterion 6 blackbox t{t}", 1 - Fraction(1, 2**t),
+            "the paper's black-box extension of K_p listing; README, cliquedetect: "
+            "n^(1-1/2^t), packing off",
+            SWEEP_NS, lambda n, t=t: rounds(blackbox_cost_only, n, t, packing=False))
+      for t in (1, 2)),
+    Claim("criterion 7 sparse mu", Fraction(1, 2),
+          "README, cliquedetect: sparsity-aware extension mu^(1-1/2^t), t = 1, "
+          "at n = 2^14",
+          SPARSE_MUS, lambda mu: rounds(sparse_cost_only, SPARSE_N, mu * SPARSE_N, 1),
+          tol=0.07),
+    Claim("criterion 10 C4", even_cycle_exponent(2),
+          "README, cycledetect: heavy/light split of C_2k, alpha/2 at k = 2",
+          SWEEP_NS, lambda n: rounds(cycle_cost_only, n, n, 4), tol=0.06),
+    *(Claim(f"odd C{ell}", Fraction(1, 2),
+            "README, cycledetect: odd-cycle search over the n sources, sqrt(n) "
+            "queries of cycle_repetitions(n, ell) colour-BFS repetitions each",
+            SWEEP_NS, lambda n, ell=ell: rounds(cycle_cost_only, n, n, ell),
+            factor=lambda n, ell=ell: cycle_repetitions(n, ell))
+      for ell in (5, 7, 9)),
+    *(Claim(f"even C{2 * k}", even_cycle_exponent(k),
+            f"README, cycledetect: heavy/light split of C_2k, alpha/2 at k = {k}",
+            SWEEP_NS, lambda n, k=k: rounds(cycle_cost_only, n, n, 2 * k))
+      for k in (3, 4)),
+]
+
+
+@pytest.mark.parametrize("claim", CLAIMS, ids=["-".join(c.label.split()) for c in CLAIMS])
+def test_claim(claim):
+    """Criteria 4-7 and 10, and the cycle exponents: fit one row of CLAIMS."""
     t0 = time.time()
-    ys = []
-    for n in SWEEP_NS:
-        led = CostLedger()
-        triangle_cost_only(n, n * (n - 1) // 2, led)
-        ys.append(led.total())
-    slope = fit_slope(SWEEP_NS, ys)
+    ys = [claim.charge(x) / claim.factor(x) for x in claim.xs]
+    slope = fit_slope(claim.xs, ys)
     elapsed = time.time() - t0
-    report("criterion 4: triangle exponent in [0.15, 0.25]",
-           0.15 <= slope <= 0.25 and elapsed <= 60,
-           f"slope={slope:.4f}, {elapsed:.2f}s")
-
-
-def test_criterion_05_nested_exponents():
-    t0 = time.time()
-    results = []
-    ok = True
-    for p, t in ((3, 1), (4, 1), (4, 2), (5, 2)):
-        ys = []
-        for n in SWEEP_NS:
-            led = CostLedger()
-            nested_cost_only(n, n * (n - 1) // 2, p, t, led)
-            ys.append(led.total())
-        slope = fit_slope(SWEEP_NS, ys)
-        target = max(1 - 2 / p, (1 - 1 / p) * (1 - 1 / 2**t))
-        results.append(f"(p={p},t={t}): {slope:.4f} vs {target:.4f}")
-        ok &= abs(slope - target) <= 0.05
-    elapsed = time.time() - t0
-    report("criterion 5: nested-detection exponents within ±0.05",
-           ok and elapsed <= 120, "; ".join(results) + f", {elapsed:.2f}s")
-
-
-def test_criterion_06_blackbox_extension_exponent():
-    results = []
-    ok = True
-    for t in (1, 2):
-        ys = []
-        for n in SWEEP_NS:
-            led = CostLedger()
-            blackbox_cost_only(n, t, led, packing=False)
-            ys.append(led.total())
-        slope = fit_slope(SWEEP_NS, ys)
-        target = 1 - 1 / 2**t
-        results.append(f"t={t}: {slope:.4f} vs {target}")
-        ok &= abs(slope - target) <= 0.05
-    report("criterion 6: black-box extension exponents (packing off)",
-           ok, "; ".join(results))
-
-
-def test_criterion_07_sparse_mu_sensitivity():
-    n = 2**14
-    mus = [2**k for k in range(4, 11)]
-    ys = []
-    for mu in mus:
-        led = CostLedger()
-        sparse_cost_only(n, mu * n, 1, led)
-        ys.append(led.total())
-    slope = fit_slope(mus, ys)
-    report("criterion 7: sparse extension scales as mu^0.5 ± 0.07",
-           abs(slope - 0.5) <= 0.07, f"slope={slope:.4f} at n=2^14")
+    report(f"{claim.label}: exponent {claim.exponent} ± {claim.tol}",
+           abs(slope - claim.exponent) <= claim.tol and elapsed <= 30,
+           f"slope={slope:.4f}, {elapsed:.2f}s; {claim.source}")
 
 
 def _forest(n: int, seed: int):
@@ -195,9 +219,11 @@ def _forest(n: int, seed: int):
     for v in range(1, n):
         if rng.random() < 0.9:
             edges.append((rng.randrange(v), v))
-    from qcongest.graph import Graph
-
     return Graph(n, edges)
+
+
+def detector(ell: int):
+    return detect_odd_cycle if ell % 2 else detect_even_cycle
 
 
 def test_criterion_08_cycle_correctness():
@@ -205,31 +231,18 @@ def test_criterion_08_cycle_correctness():
     details = []
     ok = True
     # completeness: planted cycles, 200 trials each
-    for ell, even in ((5, False), (7, False), (4, True), (6, True)):
-        hits = 0
-        for trial in range(200):
-            rng = random.Random(8000 + 100 * ell + trial)
-            n = rng.randint(max(20, ell), 96)
-            prob = 0.0 if not even or ell == 4 else 0.01
-            g = generate(GenSpec(kind="planted_cycle", n=n, edge_prob=prob,
-                                 planted_size=ell, seed=trial))
-            led = CostLedger()
-            if even:
-                hits += detect_even_cycle(g, ell, led, seed=trial)
-            else:
-                hits += detect_odd_cycle(g, ell, led, seed=trial)
+    lengths = (5, 7, 4, 6)
+    for ell in lengths:
+        hits = sum(detector(ell)(criterion8_planted(ell, trial), ell, CostLedger(), seed=trial)
+                   for trial in range(200))
         details.append(f"C{ell}: {hits}/200")
         ok &= hits >= 198
     # soundness: 10^4 cycle-free trials, zero tolerance
     false_pos = 0
     for trial in range(10_000):
-        ell, even = ((5, False), (7, False), (4, True), (6, True))[trial % 4]
+        ell = lengths[trial % 4]
         g = _forest(20 + trial % 77, seed=trial)
-        if even:
-            fp = detect_even_cycle(g, ell, CostLedger(), seed=trial)
-        else:
-            fp = detect_odd_cycle(g, ell, CostLedger(), seed=trial)
-        false_pos += fp
+        false_pos += detector(ell)(g, ell, CostLedger(), seed=trial)
     elapsed = time.time() - t0
     details.append(f"false positives: {false_pos}/10000")
     ok &= false_pos == 0
@@ -238,8 +251,6 @@ def test_criterion_08_cycle_correctness():
 
 
 def test_criterion_09_color_bfs_single_rep_rate():
-    from qcongest.graph import Graph, mask_of
-
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     cfg = ColorBfsConfig(cycle_len=4, active=mask_of(range(4)), congestion_bound=4,
                          repetitions=1)
@@ -264,17 +275,6 @@ def test_criterion_09_color_bfs_single_rep_rate():
     report("criterion 9: single-repetition rate matches enumeration ±15%",
            rel <= 0.15,
            f"empirical={rate:.5f}, exact={exact:.5f} ({exact_hits}/256), rel={rel:.3f}")
-
-
-def test_criterion_10_c4_exponent():
-    ys = []
-    for n in SWEEP_NS:
-        led = CostLedger()
-        cycle_cost_only(n, n, 4, led)
-        ys.append(led.total())
-    slope = fit_slope(SWEEP_NS, ys)
-    report("criterion 10: C4 detection exponent in [0.19, 0.31]",
-           0.19 <= slope <= 0.31, f"slope={slope:.4f}")
 
 
 def test_criterion_11_cli_determinism(tmp_path):

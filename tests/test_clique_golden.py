@@ -31,26 +31,9 @@ from qcongest.cliquelist import list_kp
 from qcongest.graph import GenSpec, Graph, generate
 from qcongest.netsim import CostLedger
 
+from instances import bipartite, criterion1_instance, ledger_rows
+
 GOLDEN = Path(__file__).with_name("clique_golden.json")
-
-
-def criterion1_instance(i):
-    rng = random.Random(1000 + i)
-    n = rng.randint(32, 64)
-    q = 4 + i % 4
-    if i % 4 == 3:
-        spec = GenSpec(kind="planted_clique", n=n, edge_prob=0.2, planted_size=q, seed=i)
-    else:
-        spec = GenSpec(kind="gnp", n=n, edge_prob=(0.2, 0.5, 0.8)[i % 3], seed=i)
-    return generate(spec), q
-
-
-def bipartite(n, avg_degree, seed):
-    rng = random.Random(seed)
-    side = [rng.random() < 0.5 for _ in range(n)]
-    prob = min(1.0, 2.0 * avg_degree / n)
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                     if side[u] != side[v] and rng.random() < prob])
 
 
 def planted_relabelled(n, size, avg_degree, seed):
@@ -74,10 +57,6 @@ def instances():
             yield f"{name}-q{q}", graph, q, q
 
 
-def rows(ledger):
-    return [[e.phase, e.model, e.kind, e.rounds] for e in ledger.entries]
-
-
 def cost_only_rows(plan, n, m):
     ledger = CostLedger()
     if plan.strategy == "triangle15":
@@ -88,7 +67,7 @@ def cost_only_rows(plan, n, m):
         nested_cost_only(n, m, plan.p, plan.t, ledger)
     else:
         return None
-    return rows(ledger)
+    return ledger_rows(ledger)
 
 
 def observe(graph, q, seed):
@@ -101,14 +80,14 @@ def observe(graph, q, seed):
             if plan.p not in inventories:
                 listing = CostLedger()
                 inventories[plan.p] = list_kp(graph, plan.p, listing)
-                out["listing"][str(plan.p)] = rows(listing)
+                out["listing"][str(plan.p)] = ledger_rows(listing)
             inv = inventories[plan.p]
         ledger = CostLedger()
         found = detect_clique(graph, q, ledger, strategy=plan.strategy, seed=seed,
                               inv=inv)
         out["plans"].append({
             "strategy": plan.strategy, "p": plan.p, "t": plan.t, "found": found,
-            "queries": ledger.counts["queries"], "ledger": rows(ledger),
+            "queries": ledger.counts["queries"], "ledger": ledger_rows(ledger),
             "cost_only": cost_only_rows(plan, graph.n, graph.m),
         })
     return out

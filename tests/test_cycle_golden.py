@@ -32,16 +32,10 @@ from qcongest.graph import GenSpec, Graph, generate
 from qcongest.netsim import CongestNet, CostLedger, word_capacity
 from qcongest.qsearch import DEFAULT_PARAMS
 
+from instances import bipartite, criterion8_planted, ledger_rows
+
 GOLDEN = Path(__file__).with_name("cycle_golden.json")
 LENGTHS = (5, 7, 4, 6)
-
-
-def criterion8_planted(ell, trial):
-    rng = random.Random(8000 + 100 * ell + trial)
-    n = rng.randint(max(20, ell), 96)
-    prob = 0.0 if ell % 2 or ell == 4 else 0.01
-    return generate(GenSpec(kind="planted_cycle", n=n, edge_prob=prob,
-                            planted_size=ell, seed=trial))
 
 
 def high_girth(n, ell, avg_degree, seed):
@@ -66,14 +60,6 @@ def high_girth(n, ell, avg_degree, seed):
         adj[v].add(u)
         edges.append((min(u, v), max(u, v)))
     return Graph(n, edges)
-
-
-def bipartite(n, avg_degree, seed):
-    rng = random.Random(seed)
-    side = [rng.random() < 0.5 for _ in range(n)]
-    prob = min(1.0, 2.0 * avg_degree / n)
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                     if side[u] != side[v] and rng.random() < prob])
 
 
 def detector(graph, ell, seed, **keywords):
@@ -122,19 +108,15 @@ def instances():
                                                         engine=engine)
 
 
-def rows(ledger):
-    return [[e.phase, e.model, e.kind, e.rounds] for e in ledger.entries]
-
-
 def observe(run):
     ledger = CostLedger()
     try:
         found = run(ledger)
     except RuntimeError as exc:  # the leader fault: a detection apart from node 0
-        return {"error": str(exc), "ledger": rows(ledger)}
+        return {"error": str(exc), "ledger": ledger_rows(ledger)}
     return {"found": found, "queries": ledger.counts["queries"],
             "congestion_dropped": ledger.counts["congestion_dropped"],
-            "ledger": rows(ledger)}
+            "ledger": ledger_rows(ledger)}
 
 
 def observe_all():

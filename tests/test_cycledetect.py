@@ -47,6 +47,8 @@ from qcongest.netsim import CongestNet, CostLedger, congest_step, word_capacity
 from qcongest.qsearch import (DEFAULT_PARAMS, QuantumCostParams, derive_seed, grover_cost,
                               nested_cost_predict, run_search)
 
+from instances import bipartite
+
 
 def cycle_graph(ell, n=None):
     n = n or ell
@@ -766,7 +768,7 @@ class TestNonPlantedAgreement:
         hits = truths = sampled = 0
         for seed in range(20):
             g = generate(GenSpec(kind="gnp", n=48, edge_prob=0.12, seed=seed))
-            if g.leader_bfs().components > 1:
+            if g.leader_bfs().component != (1 << g.n) - 1:
                 continue
             sampled += 1
             truth = oracle_has_cycle(g, 4)
@@ -783,7 +785,7 @@ class TestNonPlantedAgreement:
         sampled = 0
         for seed in range(20):
             g = generate(GenSpec(kind="gnp", n=40, edge_prob=0.12, seed=seed))
-            if g.leader_bfs().components > 1:
+            if g.leader_bfs().component != (1 << g.n) - 1:
                 continue
             sampled += 1
             truth = oracle_has_cycle(g, 5)
@@ -922,14 +924,6 @@ def polarity_graph(q):
     return Graph(len(points), edges)
 
 
-def random_bipartite(n, avg_degree, seed):
-    rng = random.Random(seed)
-    side = [rng.random() < 0.5 for _ in range(n)]
-    prob = 2.0 * avg_degree / n
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                     if side[u] != side[v] and rng.random() < prob])
-
-
 def girth_above(n, ell, avg_degree, seed):
     """G(n, p) minus every edge that would close a cycle of length <= ell."""
     rng = random.Random(seed)
@@ -966,7 +960,7 @@ class TestCycleRichSoundness:
     @pytest.mark.parametrize("ell", [5, 7])
     def test_bipartite_graphs_have_no_odd_cycles(self, ell):
         for n, seed in ((24, 1), (48, 2), (72, 3)):
-            g = random_bipartite(n, 4.0, seed)
+            g = bipartite(n, 4.0, seed)
             assert oracle_has_cycle(g, 4) or oracle_has_cycle(g, 6)
             self.assert_never_fires(g, ell, range(4))
 
@@ -1533,7 +1527,7 @@ class TestNoFireQueries:
         if family == "forest":  # anchor_ball clears every anchor
             g = Graph(n, [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.9])
         elif family == "bipartite":
-            g = random_bipartite(n, 3.0, seed)
+            g = bipartite(n, 3.0, seed)
         else:
             g = generate(GenSpec(kind="gnp", n=n, edge_prob=float(family), seed=seed))
         ell = data.draw(st.integers(4, min(n, 7)), label="ell")
@@ -1624,7 +1618,7 @@ class TestNoFireQueries:
             return real_read(*args)
 
         monkeypatch.setattr(_CycleIndex, "_read", counted_read)
-        g = random_bipartite(40, 4.0, 3)
+        g = bipartite(40, 4.0, 3)
         assert g.m >= g.n  # no forest has n edges
         ledger = CostLedger()
         assert not detect_odd_cycle(g, 5, ledger, seed=1)
@@ -1863,7 +1857,7 @@ class TestForestCertificate:
                                                                                 engine):
         runs = 0
         for n, seed in ((12, 1), (20, 2), (30, 3), (40, 4)):
-            g = random_bipartite(n, 4.0, seed)
+            g = bipartite(n, 4.0, seed)
             assert g.leader_bfs().bipartite and g.two_core(), "the family must keep cycles"
             for ell in (5, 7):
                 settled, walked, _ = settled_and_walked(g, ell, engine, refuse=True)

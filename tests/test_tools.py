@@ -1,5 +1,5 @@
-"""tools/bench_pairs.py: seed lists, the per-metric summary of paired runs and
-what each side measured."""
+"""tools/bench_pairs.py: seed lists, the per-metric summary of paired runs,
+the in-process comparisons per pool seed and what each side measured."""
 
 import importlib.util
 import json
@@ -105,6 +105,27 @@ class TestInProcess:
             whole = got["parts"]["pass"][side]["first_pass_s"]
             assert whole == pytest.approx(sum(got["parts"][part][side]["first_pass_s"]
                                               for part in ("clique-verify", "clique-scale")))
+
+    @pytest.mark.parametrize("seeds, more", [("3", []), ("3,5-6", [5, 6])],
+                             ids=["one-seed", "three-seeds"])
+    def test_each_inprocess_seed_gets_its_comparison(self, tmp_path, monkeypatch, seeds, more):
+        # the first seed's A/A comparison on the tiny pools is `inprocess`;
+        # the later seeds' follow in order under `inprocess_more_seeds`
+        root = _PATH.parent.parent
+        real = bench_pairs.inprocess
+        monkeypatch.setattr(bench_pairs, "inprocess", lambda sides, workload, seed, passes:
+                            real(sides, workload, seed, passes, tiny=True))
+        out = tmp_path / "bench.json"
+        assert bench_pairs.main(["--parent", str(root), "--change", str(root),
+                                 "--workload", "clique", "--inprocess-passes", "1",
+                                 "--inprocess-seed", seeds, "--out", str(out)]) == 0
+        entry = json.loads(out.read_text())["workloads"]["clique"]
+        assert entry["inprocess"]["seed"] == 3
+        later = entry.get("inprocess_more_seeds")
+        assert [got["seed"] for got in later or []] == more and (later is None) == (not more)
+        for got in (entry["inprocess"], *(later or [])):
+            assert got["freeze_equal"] and got["passes_per_side"] == 1
+            assert set(got["parts"]) == {"clique-verify", "clique-scale", "pass"}
 
     @staticmethod
     def edited_copy(root, change, module, old, new):

@@ -23,28 +23,30 @@ compiles from source, which setup_s times.  The output is rewritten
 after every run, so an interrupted session keeps the pairs it finished.
 
     python3 tools/bench_pairs.py --parent ../parent-checkout --workload cycle \
-        --inprocess-passes 8 --inprocess-seed 1 --out BENCH_20.json
+        --inprocess-passes 8 --inprocess-seed 1,2,7 --out BENCH_20.json
 
 With --inprocess-passes N, each workload also gets an in-process,
-interleaved A/B comparison (`inprocess`), made after every run above so
-that no run inherits this process's memory: both checkouts' `qcongest` and
-`perfbench/workloads.py` are imported into this one process, each side
-prepares and builds its pool at --inprocess-seed and runs one warm-up
-pass, and then the sides alternate whole passes in ABBA order, N per side.
-It reports, per part of the workload and for the whole pass, each side's
-warm-up pass time (`first_pass_s`: the first pass over freshly built
-graphs, so it holds whatever a per-graph cache computes once), its minimum
-and median time over the N passes, and the change/parent ratio of the
-medians with a bootstrap 95% interval over passes, and it raises if any
-op's `freeze` (answer and ledgers, or the exception it raised) or its
-ledgers' `counts` (the CSV's queries column and the truncation counters,
-which `freeze` leaves out) differ between the sides or between passes.
-It also takes each op's minimum over the N passes and sums these per
-part (`op_min_s`, with the change/parent ratio `op_min_ratio`) and per
-instance family, the op's part and generator kind (`families`); a sum of
-per-op minima drifts less between runs than a pass time does.  Alternating the order keeps drift
-and warm-up from landing on one side (Mytkowicz et al., ASPLOS 2009;
-Kalibera and Jones, ISMM 2013).
+interleaved A/B comparison per pool seed of --inprocess-seed (a list, as
+--seeds takes), made after every run above so that no run inherits this
+process's memory.  The first seed's comparison is `inprocess`; each later
+seed's joins the list `inprocess_more_seeds`, in the order given, and names
+its seed.  Both checkouts' `qcongest` and `perfbench/workloads.py` are
+imported into this one process, each side prepares and builds its pool at
+the seed and runs one warm-up pass, and then the sides alternate whole
+passes in ABBA order, N per side.  It reports, per part of the workload and
+for the whole pass, each side's warm-up pass time (`first_pass_s`: the
+first pass over freshly built graphs, so it holds whatever a per-graph
+cache computes once), its minimum and median time over the N passes, and
+the change/parent ratio of the medians with a bootstrap 95% interval over
+passes, and it raises if any op's `freeze` (answer and ledgers, or the
+exception it raised) or its ledgers' `counts` (the CSV's queries column and
+the truncation counters, which `freeze` leaves out) differ between the
+sides or between passes.  It also takes each op's minimum over the N passes
+and sums these per part (`op_min_s`, with the change/parent ratio
+`op_min_ratio`) and per instance family, the op's part and generator kind
+(`families`); a sum of per-op minima drifts less between runs than a pass
+time does.  Alternating the order keeps drift and warm-up from landing on
+one side (Mytkowicz et al., ASPLOS 2009; Kalibera and Jones, ISMM 2013).
 """
 
 from __future__ import annotations
@@ -321,6 +323,23 @@ def inprocess(sides: Dict[str, Path], workload: str, seed: Optional[int], passes
             "families": op_min_sums(by_family)}
 
 
+def print_inprocess(what: str, compared: dict) -> None:
+    """One stderr line per part and per family of an in-process comparison."""
+    for part, got in compared["parts"].items():
+        print(f"{what} {part}: median "
+              f"{got['parent']['median_s']:.4f} -> {got['change']['median_s']:.4f} s, "
+              f"ratio {got['ratio']:.3f} [{got['lo']:.3f}, {got['hi']:.3f}]; "
+              f"first pass {got['parent']['first_pass_s']:.4f} -> "
+              f"{got['change']['first_pass_s']:.4f} s; per-op minima "
+              f"{got['parent']['op_min_s']:.4f} -> {got['change']['op_min_s']:.4f} s, "
+              f"ratio {got['op_min_ratio']:.3f}",
+              file=sys.stderr, flush=True)
+    for family, got in compared["families"].items():
+        print(f"{what} {family} ({got['ops']} ops): per-op minima "
+              f"{got['parent_op_min_s']:.4f} -> {got['change_op_min_s']:.4f} s, "
+              f"ratio {got['op_min_ratio']:.3f}", file=sys.stderr, flush=True)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True,
@@ -336,8 +355,9 @@ def main(argv=None) -> int:
                         help="seed of one traced run per side and workload (omitted: none)")
     parser.add_argument("--inprocess-passes", type=int, default=0,
                         help="passes per side of the in-process A/B comparison (0: none)")
-    parser.add_argument("--inprocess-seed", type=int, default=1,
-                        help="pool seed of the in-process comparison")
+    parser.add_argument("--inprocess-seed", type=parse_seeds, default=[1],
+                        help="pool seeds of the in-process comparisons, e.g. 1,2,7: the "
+                             "first under inprocess, the rest under inprocess_more_seeds")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     if not args.seeds and args.inprocess_passes < 1:
@@ -386,22 +406,14 @@ def main(argv=None) -> int:
     # peak_rss_mb (Linux keeps ru_maxrss across exec)
     for workload in (args.workload if args.inprocess_passes > 0 else []):
         entry = report["workloads"][workload]
-        entry["inprocess"] = inprocess(sides, workload, args.inprocess_seed,
-                                       args.inprocess_passes)
-        for part, got in entry["inprocess"]["parts"].items():
-            print(f"{workload} in-process {part}: median "
-                  f"{got['parent']['median_s']:.4f} -> {got['change']['median_s']:.4f} s, "
-                  f"ratio {got['ratio']:.3f} [{got['lo']:.3f}, {got['hi']:.3f}]; "
-                  f"first pass {got['parent']['first_pass_s']:.4f} -> "
-                  f"{got['change']['first_pass_s']:.4f} s; per-op minima "
-                  f"{got['parent']['op_min_s']:.4f} -> {got['change']['op_min_s']:.4f} s, "
-                  f"ratio {got['op_min_ratio']:.3f}",
-                  file=sys.stderr, flush=True)
-        for family, got in entry["inprocess"]["families"].items():
-            print(f"{workload} in-process {family} ({got['ops']} ops): per-op minima "
-                  f"{got['parent_op_min_s']:.4f} -> {got['change_op_min_s']:.4f} s, "
-                  f"ratio {got['op_min_ratio']:.3f}", file=sys.stderr, flush=True)
-        write()
+        for i, seed in enumerate(args.inprocess_seed):
+            compared = inprocess(sides, workload, seed, args.inprocess_passes)
+            if i == 0:
+                entry["inprocess"] = compared
+            else:
+                entry.setdefault("inprocess_more_seeds", []).append(compared)
+            print_inprocess(f"{workload} in-process seed {seed}", compared)
+            write()
     write()
     return 0
 
